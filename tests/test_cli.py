@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import FIXTURES
 from dsmsched.cli import (
     REPORT_SCHEMA_VERSION,
     load_scenario_config,
@@ -240,6 +241,15 @@ class TestOracleCommand:
 
 
 class TestGoldenReport:
+    @staticmethod
+    def assert_golden(produced: bytes, name: str) -> None:
+        golden = GOLDEN_DIR / name
+        if os.environ.get("UPDATE_GOLDENS"):
+            GOLDEN_DIR.mkdir(exist_ok=True)
+            golden.write_bytes(produced)
+        assert golden.exists(), "golden file missing; rerun with UPDATE_GOLDENS=1"
+        assert produced == golden.read_bytes()
+
     def test_report_bytes_are_stable(self, tmp_path):
         path = write_config(
             tmp_path, label="golden", seed=12,
@@ -248,10 +258,30 @@ class TestGoldenReport:
             pv_capacity_kw=1.6, pv_enabled=True,
         )
         run_scenario(load_scenario_config(path))
-        produced = (tmp_path / "out" / "report.json").read_bytes()
-        golden = GOLDEN_DIR / "report.json"
-        if os.environ.get("UPDATE_GOLDENS"):
-            GOLDEN_DIR.mkdir(exist_ok=True)
-            golden.write_bytes(produced)
-        assert golden.exists(), "golden file missing; rerun with UPDATE_GOLDENS=1"
-        assert produced == golden.read_bytes()
+        self.assert_golden((tmp_path / "out" / "report.json").read_bytes(), "report.json")
+
+    def test_feeder_day_report_bytes_are_stable(self, tmp_path):
+        # the canonical day with feeder, neighbors and PV: pins the bytes of
+        # the power-flow path (billed losses, voltage penalties)
+        config = {
+            "label": "golden-feeder-day",
+            "appliances_csv": str(FIXTURES / "appliances_household.csv"),
+            "price_csv": str(FIXTURES / "price_day_ahead.csv"),
+            "pv_csv": str(FIXTURES / "pv_6kw.csv"),
+            "pv_capacity_kw": 6.0,
+            "pv_enabled": True,
+            "neighbors_csv": str(FIXTURES / "neighbor_loads.csv"),
+            "feeder_json": str(FIXTURES / "feeder_13bus.json"),
+            "md_kw": 12.4,
+            "penalty_prices_usd_per_kwh": [0.0, 0.02],
+            "seed": 31,
+            "out_dir": str(tmp_path / "out"),
+            "csa": {"generations": 10, "stall_generations": 10},
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        run_scenario(load_scenario_config(path))
+        assert (tmp_path / "out" / "voltage_2.csv").exists()
+        self.assert_golden(
+            (tmp_path / "out" / "report.json").read_bytes(), "report_feeder_day.json"
+        )
