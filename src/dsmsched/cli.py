@@ -84,7 +84,7 @@ class ScenarioConfig:
     power_factor: float
     voltage_min: float
     voltage_max: float
-    seed: int
+    seed: int  # CSA seed of every run: --seed, else csa.rng_seed, else seed
     out_dir: Path
     csa: CsaConfig
 
@@ -138,21 +138,26 @@ def _load_appliances(data: dict, base: Path, where: str, grid: TimeGrid) -> tupl
         appliances = tuple(load_appliances_csv(path))
     elif "appliances" in data:
         rows = []
-        for raw in data["appliances"]:
-            slots = raw.get("original_slots", [])
-            if isinstance(slots, str):
-                slots = [int(s) for s in slots.split(";") if s.strip()]
-            rows.append(
-                Appliance(
-                    id=int(raw["id"]),
-                    appliance_class=ApplianceClass(raw["class"].strip().lower()),
-                    window_start=int(raw["window_start"]),
-                    window_end=int(raw["window_end"]),
-                    duration=int(raw["duration"]),
-                    rated_kw=float(raw["rated_kw"]),
-                    original_on_slots=tuple(int(s) for s in slots),
+        for n, raw in enumerate(data["appliances"], start=1):
+            try:
+                slots = raw.get("original_slots", [])
+                if isinstance(slots, str):
+                    slots = [int(s) for s in slots.split(";") if s.strip()]
+                rows.append(
+                    Appliance(
+                        id=int(raw["id"]),
+                        appliance_class=ApplianceClass(raw["class"].strip().lower()),
+                        window_start=int(raw["window_start"]),
+                        window_end=int(raw["window_end"]),
+                        duration=int(raw["duration"]),
+                        rated_kw=float(raw["rated_kw"]),
+                        original_on_slots=tuple(int(s) for s in slots),
+                    )
                 )
-            )
+            except KeyError as exc:
+                raise InputError(f"{where}: appliance {n}: missing key {exc}") from None
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise InputError(f"{where}: appliance {n}: {exc}") from None
         appliances = tuple(rows)
     else:
         raise InputError(f"{where}: need 'appliances_csv' or inline 'appliances'")
@@ -239,8 +244,10 @@ def load_scenario_config(path: str | Path, *, where_label: str = "config") -> Sc
     unknown = set(csa_data) - known
     if unknown:
         raise InputError(f"{where}: unknown csa options {sorted(unknown)}")
-    csa_data.setdefault("rng_seed", int(data.get("seed", 0)))
+    # csa.rng_seed, when given, overrides the scenario seed
+    csa_data.setdefault("rng_seed", data.get("seed", 0))
     try:
+        csa_data["rng_seed"] = int(csa_data["rng_seed"])
         csa = CsaConfig(**csa_data)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: bad csa options: {exc}") from None
@@ -260,7 +267,7 @@ def load_scenario_config(path: str | Path, *, where_label: str = "config") -> Sc
         power_factor=power_factor,
         voltage_min=float(band[0]),
         voltage_max=float(band[1]),
-        seed=int(data.get("seed", 0)),
+        seed=csa.rng_seed,
         out_dir=out_dir,
         csa=csa,
     )

@@ -15,8 +15,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .domain import Appliance, Schedule, TimeGrid, aggregate_power
-from .errors import UndefinedMetricError
-from .feeder import FeederModel, SlotInjections, solve_power_flow, zero_home
+from .errors import PowerFlowError, UndefinedMetricError
+from .feeder import (
+    FeederModel,
+    SlotInjections,
+    solve_power_flow,
+    solve_power_flow_batch,
+    zero_home,
+)
 from .profiles import NeighborLoads, PriceSeries, PvSeries
 
 __all__ = [
@@ -77,13 +83,16 @@ class CostBreakdown:
         }
 
 
+# cases per vectorized sweep call
+_SWEEP_CHUNK = 256
+
+
 class _FlowCache:
     """Per-slot power-flow results shared by every evaluation on a context.
 
     Key: (slot index, gross household kW quantized to 1 W).  Value:
-    (billed incremental loss kW, per-bus voltage magnitudes).  Reads and
-    writes are plain dict operations, safe under concurrent evaluation;
-    a raced recompute yields the identical value.
+    (billed incremental loss kW, per-bus voltage magnitudes), solved at the
+    first gross value that reached the key.
     """
 
     __slots__ = ("flow", "baseline")
@@ -160,6 +169,25 @@ class ProblemContext:
 
     # power flow ---------------------------------------------------------------
 
+    def _injection_arrays(
+        self, idx: np.ndarray, gross_kw: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`_injections` for many (slot, gross kW) cases: bus demand p, q
+        (cases x buses) and home PV, with the same arithmetic."""
+        feeder = self.feeder
+        assert feeder is not None
+        p = np.zeros((len(idx), feeder.bus_count))
+        q = np.zeros_like(p)
+        if self.neighbors is not None:
+            tan_n = math.tan(math.acos(self.neighbors.power_factor))
+            buses = list(feeder.neighbor_buses)
+            p[:, buses] = self.neighbors.as_array()[:, idx].T
+            q[:, buses] = p[:, buses] * tan_n
+        home = feeder.smart_home_bus
+        p[:, home] = gross_kw
+        q[:, home] = gross_kw * math.tan(math.acos(self.power_factor))
+        return p, q, self.pv_array()[idx]
+
     def _injections(self, idx: int, gross_kw: float) -> SlotInjections:
         feeder = self.feeder
         assert feeder is not None
@@ -206,6 +234,99 @@ class ProblemContext:
             billed = max(0.0, state.loss_kw - self.baseline_loss(idx))
             hit = self._cache.flow.setdefault(key, (billed, state.voltage_magnitudes()))
         return hit
+
+    def batch_flows(self, gross: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`slot_flow` over every cell of a (rows x slots) gross kW matrix.
+
+        Returns (billed loss kW per cell, voltage-band violation per row,
+        flow failed per row), exactly what calling `slot_flow` row by row,
+        slot by slot would give: a row stops at its first slot whose flow
+        fails, so its loss and violation cover only the slots before it;
+        violations sum slot by slot, then bus by bus; and the cache ends up
+        holding the same entries, each solved at the first gross value that
+        reached its key.  The keys missing from the cache are solved
+        together by `solve_power_flow_batch`.
+        """
+        rows, slots = gross.shape
+        loss = np.zeros((rows, slots))
+        violation = np.zeros(rows)
+        failed = np.zeros(rows, dtype=bool)
+        if self.feeder is None:
+            return loss, violation, failed
+        flow = self._cache.flow
+        vmin, vmax = self.voltage_min, self.voltage_max
+        in_band = (vmin,) * self.feeder.bus_count
+        # one code per (slot, gross W) cache key
+        codes = np.rint(gross * 1000.0).astype(np.int64) * slots + np.arange(slots)
+        solved: dict[tuple[int, float], tuple | None] = {}
+        top = 0
+        # each round resolves rows top.. up to the first row whose flow fails
+        while top < rows:
+            keys, first, inverse = np.unique(
+                codes[top:].ravel(), return_index=True, return_inverse=True)
+            key_slots = (keys % slots).tolist()
+            key_watts = (keys // slots).tolist()
+            entries = [flow.get(k) for k in zip(key_slots, key_watts)]
+            # keys missing from the cache, in order of their first cell; each
+            # is solved at the gross value of that cell
+            new = [
+                (cell, i, (key_slots[i], float(gross[top + cell // slots, cell % slots])))
+                for cell, i in sorted(
+                    (int(first[i]), i) for i, e in enumerate(entries) if e is None)
+            ]
+            cases = [case for _, _, case in new if case not in solved]
+            solved.update(zip(cases, self._solve_cases(cases)))
+            stop = inverse.size  # first failing cell, relative to row top
+            for cell, i, case in new:
+                entry = solved[case]
+                if entry is None:
+                    stop = cell
+                    break
+                flow[(key_slots[i], key_watts[i])] = entries[i] = entry
+
+            billed = np.array([0.0 if e is None else e[0] for e in entries])
+            mags = np.array([in_band if e is None else e[1] for e in entries])
+            bad = ((mags < vmin) | (mags > vmax)).any(axis=1)[inverse[:stop]]
+            end, fail_slot = divmod(stop, slots)
+            block = billed[inverse].reshape(-1, slots)
+            loss[top:top + end] = block[:end]
+            if stop < inverse.size:
+                loss[top + end, :fail_slot] = block[end, :fail_slot]
+                failed[top + end] = True
+            for row in dict.fromkeys((np.flatnonzero(bad) // slots).tolist()):
+                total = 0.0
+                for cell in range(row * slots, min(stop, (row + 1) * slots)):
+                    for mag in entries[inverse[cell]][1]:
+                        if mag < vmin:
+                            total += vmin - mag
+                        elif mag > vmax:
+                            total += mag - vmax
+                violation[top + row] = total
+            top += end + 1
+        return loss, violation, failed
+
+    def _solve_cases(self, cases: list[tuple[int, float]]) -> list[tuple | None]:
+        """`slot_flow` cache entries for (slot index, gross kW) cases, None
+        where `slot_flow` would raise PowerFlowError."""
+        out: list[tuple | None] = []
+        # chunks bound the sweep's working arrays (about 2 kB per case)
+        for lo in range(0, len(cases), _SWEEP_CHUNK):
+            chunk = cases[lo:lo + _SWEEP_CHUNK]
+            idx = np.array([c[0] for c in chunk], dtype=np.intp)
+            p, q, pv = self._injection_arrays(idx, np.array([c[1] for c in chunk]))
+            states = solve_power_flow_batch(
+                self.feeder, p, q, pv, self.flow_tol, self.flow_max_iter)
+            for k, slot in enumerate(idx.tolist()):
+                if states.failed[k]:
+                    out.append(None)
+                    continue
+                try:
+                    billed = max(0.0, float(states.loss_kw[k]) - self.baseline_loss(slot))
+                except PowerFlowError:
+                    out.append(None)
+                    continue
+                out.append((billed, tuple(states.v_mag[k].tolist())))
+        return out
 
     def billed_losses(self, gross: np.ndarray) -> np.ndarray:
         """Billed loss series for a gross household load series."""

@@ -7,15 +7,15 @@ hold for every antibody ever decoded; the demand cap and the voltage band
 are handled as additive affinity penalties, and the incumbent is only ever
 updated with antibodies that satisfy them outright.
 
-Evaluation is a pure function of the genotype, so parallel and serial
-evaluation produce identical results.  Per-slot power flows are cached on
+Evaluation is a pure function of the genotype.  Each generation's new
+genotypes are scored together as arrays, with the same arithmetic, in the
+same order, as scoring them one by one.  Per-slot power flows are cached on
 the problem context keyed by (slot, gross kW quantized to 1 W); identical
 slot loads across antibodies reuse the same solve.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -66,8 +66,6 @@ class CsaConfig:
     constraint_penalty_weight: float | None = None  # None: 10 x original energy cost
     rng_seed: int = 0
     stall_generations: int = 60
-    parallel_evaluation: bool = False
-    max_workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -134,7 +132,7 @@ class SearchSpace:
             )
         self.baseline_gross = np.full(self.slot_count, baseline_kw)
         # rating repeated once per required on-slot, aligned with the
-        # flattened slot buffer used in gross()
+        # flat_slots() layout used by gross_rows()
         self.rate_weights = np.concatenate(
             [np.full(f.duration, f.rated_kw) for f in self.flex]
         ) if self.flex else np.zeros(0)
@@ -204,27 +202,40 @@ class SearchSpace:
                 on_slots.append(range(1, self.slot_count + 1))
         return schedule_from_on_slots(on_slots, self.slot_count)
 
+    def flat_slots(self, antibody: Antibody) -> tuple[int, ...]:
+        """Every flexible on-slot of a genotype, appliance by appliance."""
+        flat: list[int] = []
+        for f, gene in zip(self.flex, antibody.genes):
+            if f.uninterruptible:
+                flat.extend(range(gene, gene + f.duration))
+            else:
+                flat.extend(gene)
+        return tuple(flat)
+
+    def gross_rows(self, flat_slots: np.ndarray) -> np.ndarray:
+        """Gross household kW per slot (rows x slots) for a matrix whose
+        rows are `flat_slots` of genotypes."""
+        rows = len(flat_slots)
+        width = self.slot_count + 1
+        if not self.flex:
+            return np.tile(self.baseline_gross, (rows, 1))
+        # one bincount over slot indices offset by row; each cell sums its
+        # ratings in appliance order, as a per-row bincount would
+        cells = flat_slots + (np.arange(rows) * width)[:, None]
+        moved = np.bincount(
+            cells.ravel(), weights=np.tile(self.rate_weights, rows), minlength=rows * width
+        ).reshape(rows, width)
+        return self.baseline_gross + moved[:, 1:]
+
     def gross(self, antibody: Antibody) -> np.ndarray:
         """Gross household kW per slot for a genotype."""
-        if not self.flex:
-            return self.baseline_gross.copy()
-        # local buffer: evaluations may run on several threads
-        buf = np.empty(len(self.rate_weights), dtype=np.intp)
-        pos = 0
-        for f, gene in zip(self.flex, antibody.genes):
-            d = f.duration
-            if f.uninterruptible:
-                buf[pos:pos + d] = np.arange(gene, gene + d)
-            else:
-                buf[pos:pos + d] = gene
-            pos += d
-        moved = np.bincount(buf, weights=self.rate_weights, minlength=self.slot_count + 1)
-        return self.baseline_gross + moved[1:]
+        return self.gross_rows(np.array([self.flat_slots(antibody)], dtype=np.intp))[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Evaluation:
-    """Scored phenotype of one antibody."""
+    """Scored phenotype of one antibody.  Slotted: the optimizer caches one
+    per distinct genotype."""
 
     energy_usd: float
     penalty_usd: float
@@ -260,12 +271,12 @@ class _Evaluator:
     def get(self, antibody: Antibody) -> Evaluation:
         rec = self.cache.get(antibody.genes)
         if rec is None:
-            rec = self._evaluate(antibody)
-            self.cache[antibody.genes] = rec
-            self.evaluations += 1
+            self.batch([antibody])
+            rec = self.cache[antibody.genes]
         return rec
 
-    def batch(self, antibodies: Sequence[Antibody], parallel: bool, workers: int | None) -> None:
+    def batch(self, antibodies: Sequence[Antibody]) -> None:
+        """Evaluate every genotype not yet cached, all in one pass."""
         misses: list[Antibody] = []
         seen: set[tuple] = set()
         for ab in antibodies:
@@ -274,75 +285,67 @@ class _Evaluator:
                 misses.append(ab)
         if not misses:
             return
-        if parallel and len(misses) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(self._evaluate, misses))
-        else:
-            records = [self._evaluate(ab) for ab in misses]
-        for ab, rec in zip(misses, records):
+        for ab, rec in zip(misses, self._evaluate(misses)):
             self.cache[ab.genes] = rec
         self.evaluations += len(misses)
 
-    def _evaluate(self, antibody: Antibody) -> Evaluation:
+    def _evaluate(self, antibodies: list[Antibody]) -> list[Evaluation]:
         space = self.space
         ctx = self.ctx
-        gross = space.gross(antibody)
+        flats = [space.flat_slots(ab) for ab in antibodies]
+        slots = np.array(flats, dtype=np.intp)
+        gross = space.gross_rows(slots)
 
         excess = gross - ctx.md_kw
         excess[excess <= KW_TOL] = 0.0
-        md_excess = float(excess.sum())
+        md_excess = excess.sum(axis=1)
 
-        volt_violation = 0.0
-        flow_failed = False
-        loss = np.zeros(space.slot_count)
-        if ctx.feeder is not None:
-            vmin, vmax = ctx.voltage_min, ctx.voltage_max
-            try:
-                for idx in range(space.slot_count):
-                    billed, vmags = ctx.slot_flow(idx, float(gross[idx]))
-                    loss[idx] = billed
-                    for mag in vmags:  # type: ignore[union-attr]
-                        if mag < vmin:
-                            volt_violation += vmin - mag
-                        elif mag > vmax:
-                            volt_violation += mag - vmax
-            except PowerFlowError:
-                flow_failed = True
+        loss, volt_violation, flow_failed = ctx.batch_flows(gross)
 
-        net = np.maximum(gross - self._pv, 0.0)
-        energy = float(np.dot(net + loss, self._price) * ctx.grid.slot_hours)
+        hours = ctx.grid.slot_hours
+        billed = np.maximum(gross - self._pv, 0.0) + loss
+        energy = np.array([np.dot(row, self._price) * hours for row in billed])
 
-        shift_slots = 0
-        weighted = 0.0
-        flat: list[int] = []
-        for f, gene in zip(space.flex, antibody.genes):
+        # per-appliance displacement, accumulated in appliance order
+        rows = len(antibodies)
+        shift_slots = np.zeros(rows, dtype=np.intp)
+        weighted = np.zeros(rows)
+        pos = 0
+        for f in space.flex:
+            block = slots[:, pos:pos + f.duration]
+            pos += f.duration
             if f.uninterruptible:
-                delta = abs(gene - f.original_slots[0]) * f.duration
-                flat.extend(range(gene, gene + f.duration))
+                delta = np.abs(block[:, 0] - f.original_slots[0]) * f.duration
             else:
-                delta = sum(abs(n - o) for n, o in zip(gene, f.original_slots))
-                flat.extend(gene)
+                original = np.array(f.original_slots[:f.duration], dtype=np.intp)
+                delta = np.abs(block[:, :len(original)] - original).sum(axis=1)
             shift_slots += delta
-            weighted += delta * f.rated_kw
-        penalty = ctx.grid.slot_hours * ctx.penalty_price * weighted
+            weighted = weighted + delta * f.rated_kw
+        penalty = hours * ctx.penalty_price * weighted
         total = energy + penalty
 
         score = -total - self.weight * (md_excess + volt_violation)
-        if flow_failed:
-            score -= FLOW_FAILURE_PENALTY
+        score = np.where(flow_failed, score - FLOW_FAILURE_PENALTY, score)
 
-        return Evaluation(
-            energy_usd=energy,
-            penalty_usd=penalty,
-            total_usd=total,
-            md_excess=md_excess,
-            voltage_violation=volt_violation,
-            flow_failed=flow_failed,
-            shift_slots=shift_slots,
-            weighted_shift=weighted,
-            flat_slots=tuple(flat),
-            score=score,
-        )
+        return [
+            Evaluation(
+                energy_usd=e,
+                penalty_usd=p,
+                total_usd=t,
+                md_excess=md,
+                voltage_violation=v,
+                flow_failed=fail,
+                shift_slots=sh,
+                weighted_shift=w,
+                flat_slots=flat,
+                score=sc,
+            )
+            for e, p, t, md, v, fail, sh, w, flat, sc in zip(
+                energy.tolist(), penalty.tolist(), total.tolist(), md_excess.tolist(),
+                volt_violation.tolist(), flow_failed.tolist(), shift_slots.tolist(),
+                weighted.tolist(), flats, score.tolist(),
+            )
+        ]
 
 
 @dataclass
@@ -432,7 +435,7 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
 
     The original schedule is always injected into generation 0, so when it
     is feasible the result never costs more than it.  Identical (context,
-    config) pairs give identical results, in serial or parallel mode.
+    config) pairs give identical results.
     """
     space = SearchSpace(context)
     original = space.original_antibody()
@@ -472,16 +475,16 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
                 best, best_antibody = rec, ab
         return improved
 
-    evaluator.batch(population, config.parallel_evaluation, config.max_workers)
+    evaluator.batch(population)
     scan(population)
     history.append((0, best.total_usd if best else float("nan"), evaluator.evaluations))
 
     replace_count = int(round(config.replacement_fraction * n))
     for generation in range(1, config.generations + 1):
-        evaluator.batch(population, config.parallel_evaluation, config.max_workers)
+        evaluator.batch(population)
         population.sort(key=rank_key)
         offspring = clone_and_hypermutate(population, config, rng, space)
-        evaluator.batch(offspring, config.parallel_evaluation, config.max_workers)
+        evaluator.batch(offspring)
         pool = population + offspring
         pool.sort(key=rank_key)
         # survivors are distinct genotypes; clones of one incumbent would

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InputError, PowerFlowError, TopologyError
 
 __all__ = [
@@ -23,6 +25,8 @@ __all__ = [
     "BusState",
     "VoltageViolation",
     "solve_power_flow",
+    "SweepBatch",
+    "solve_power_flow_batch",
     "feeder_loss",
     "zero_home",
     "incremental_home_loss",
@@ -262,7 +266,10 @@ def solve_power_flow(
         current[parent[b]] += current[b]
     loss = 0j
     for b in forward:
-        loss += z_in[b] * abs(current[b]) ** 2
+        # a product, not ** 2: libm pow(x, 2) can differ from x * x in the
+        # last bit, and the batched sweep must reproduce this sum exactly
+        mag = abs(current[b])
+        loss += z_in[b] * (mag * mag)
     slack_s = slack * current[0].conjugate()
 
     return BusState(
@@ -274,6 +281,151 @@ def solve_power_flow(
         slack_q_kvar=slack_s.imag * base,
         iterations=iterations,
     )
+
+
+@dataclass(frozen=True)
+class SweepBatch:
+    """Outcome of `solve_power_flow_batch`, one entry per case.
+
+    `loss_kw` and `v_mag` (cases x buses, pu) are NaN where `failed` is set,
+    that is wherever `solve_power_flow` raises PowerFlowError.
+    `iterations` counts the sweeps each case ran, up to the failure.
+    """
+
+    loss_kw: np.ndarray
+    v_mag: np.ndarray
+    iterations: np.ndarray
+    failed: np.ndarray
+
+
+def _complex_quotient(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi), elementwise, exactly as CPython divides.
+
+    CPython scales by whichever of br, bi has the larger magnitude (Smith's
+    method) and divides by the scaled denominator; each branch is repeated
+    here operation for operation, so every result equals Python's complex
+    division bit for bit.
+    """
+    ratio = bi / br
+    denom = br + bi * ratio
+    re = (ar + ai * ratio) / denom
+    im = (ai - ar * ratio) / denom
+    by_imag = ~(np.abs(br) >= np.abs(bi))
+    if by_imag.any():
+        ar, ai, br, bi = ar[by_imag], ai[by_imag], br[by_imag], bi[by_imag]
+        ratio = br / bi
+        denom = br * ratio + bi
+        re[by_imag] = (ar * ratio + ai) / denom
+        im[by_imag] = (ai * ratio - ar) / denom
+    return re, im
+
+
+def _branch_currents(s_re, s_im, loaded, v_re, v_im, feeder: FeederModel):
+    """Branch currents (bus x case) of one backward sweep: conj(S / V) at
+    every loaded bus, accumulated from the leaves towards the slack."""
+    q_re, q_im = _complex_quotient(s_re, s_im, v_re, v_im)
+    c_re = np.where(loaded, q_re, 0.0)
+    c_im = np.where(loaded, -q_im, 0.0)
+    parent = feeder._parent
+    for b in feeder._order[:0:-1]:
+        c_re[parent[b]] += c_re[b]
+        c_im[parent[b]] += c_im[b]
+    return c_re, c_im
+
+
+def solve_power_flow_batch(
+    feeder: FeederModel,
+    p_kw: np.ndarray,
+    q_kvar: np.ndarray,
+    pv_kw: np.ndarray,
+    tol: float = 1e-8,
+    max_iter: int = 50,
+) -> SweepBatch:
+    """`solve_power_flow` for many load cases at once, bit for bit.
+
+    Case i is the slot with bus demand p_kw[i] / q_kvar[i] (cases x buses)
+    and PV output pv_kw[i] at the smart home.  The sweep works on float64
+    real and imaginary arrays: buses are visited one at a time in the
+    scalar order, cases are vectorized.  Every operation repeats the scalar
+    one -- complex division as CPython computes it, |z| as hypot, squares
+    as products -- and each case stops at its own iteration, so loss,
+    |V| and iteration counts equal the scalar results exactly.
+    """
+    p = np.asarray(p_kw, dtype=float)
+    cases, count = p.shape
+    if count != feeder.bus_count:
+        raise ValueError(f"injections cover {count} buses, feeder has {feeder.bus_count}")
+    base = feeder.base_kva
+    home = feeder.smart_home_bus
+    # bus x case layout; p - 0.0 == p, so only the home row subtracts PV
+    s_all_re = p.T.copy()
+    s_all_re[home] -= np.asarray(pv_kw, dtype=float)
+    s_all_re /= base
+    s_all_im = np.asarray(q_kvar, dtype=float).T / base
+    loaded_all = (s_all_re != 0) | (s_all_im != 0)
+
+    parent = feeder._parent
+    forward = feeder._order[1:]
+    z_re = [z.real for z in feeder._z]
+    z_im = [z.imag for z in feeder._z]
+    slack = feeder.slack_voltage_pu
+
+    iterations = np.zeros(cases, dtype=np.int64)
+    failed = np.ones(cases, dtype=bool)
+    final_re = np.empty((count, cases))
+    final_im = np.empty((count, cases))
+
+    live = np.arange(cases)  # cases still sweeping
+    s_re, s_im, loaded = s_all_re, s_all_im, loaded_all
+    v_re = np.full((count, cases), slack)
+    v_im = np.zeros((count, cases))
+    with np.errstate(all="ignore"):
+        for it in range(1, max_iter + 1):
+            iterations[live] = it
+            # the scalar sweep raises before dividing by a collapsed voltage
+            collapsed = (loaded & (np.hypot(v_re, v_im) < 1e-6)).any(axis=0)
+            c_re, c_im = _branch_currents(s_re, s_im, loaded, v_re, v_im, feeder)
+            n_re = v_re.copy()
+            n_im = v_im.copy()
+            n_re[0] = slack
+            n_im[0] = 0.0
+            for b in forward:
+                a = parent[b]
+                n_re[b] = n_re[a] - (z_re[b] * c_re[b] - z_im[b] * c_im[b])
+                n_im[b] = n_im[a] - (z_re[b] * c_im[b] + z_im[b] * c_re[b])
+            step = np.hypot(n_re - v_re, n_im - v_im)
+            # running max that skips NaN steps, as `if step > delta` does
+            delta = np.fmax.reduce(step, axis=0, initial=0.0)
+            done = ~collapsed & (delta < tol)
+            final_re[:, live[done]] = n_re[:, done]
+            final_im[:, live[done]] = n_im[:, done]
+            failed[live[done]] = False
+            keep = ~(done | collapsed)
+            if not keep.any():
+                break
+            if not keep.all():
+                live = live[keep]
+                v_re, v_im = n_re[:, keep], n_im[:, keep]
+                s_re, s_im, loaded = s_re[:, keep], s_im[:, keep], loaded[:, keep]
+            else:
+                v_re, v_im = n_re, n_im
+
+    loss_kw = np.full(cases, np.nan)
+    v_mag = np.full((cases, count), np.nan)
+    ok = np.flatnonzero(~failed)
+    if ok.size:
+        # one consistent backward pass at the final voltages, for losses
+        v_re, v_im = final_re[:, ok], final_im[:, ok]
+        with np.errstate(all="ignore"):
+            c_re, c_im = _branch_currents(
+                s_all_re[:, ok], s_all_im[:, ok], loaded_all[:, ok], v_re, v_im, feeder)
+        loss = np.zeros(ok.size)
+        for b in forward:
+            mag = np.hypot(c_re[b], c_im[b])
+            loss = loss + z_re[b] * (mag * mag)
+        loss_kw[ok] = loss * base
+        v_mag[ok] = np.hypot(v_re, v_im).T
+    return SweepBatch(loss_kw=loss_kw, v_mag=v_mag, iterations=iterations, failed=failed)
 
 
 def feeder_loss(state: BusState) -> float:

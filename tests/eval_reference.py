@@ -1,0 +1,94 @@
+"""Scalar genotype evaluation, the reference for the batched evaluator.
+
+One genotype at a time, slot by slot through `ProblemContext.slot_flow`,
+bus by bus through the voltage band: the per-genotype loop the optimizer
+used before it scored whole generations as arrays.  The batched evaluator
+must reproduce every field of its `Evaluation` exactly.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from dsmsched.constraints import KW_TOL
+from dsmsched.csa import FLOW_FAILURE_PENALTY, Antibody, Evaluation, SearchSpace
+from dsmsched.errors import PowerFlowError
+
+
+def gross(space: SearchSpace, antibody: Antibody) -> np.ndarray:
+    """Gross household kW per slot: one bincount of the genotype's slots."""
+    if not space.flex:
+        return space.baseline_gross.copy()
+    buf = np.empty(len(space.rate_weights), dtype=np.intp)
+    pos = 0
+    for f, gene in zip(space.flex, antibody.genes):
+        d = f.duration
+        if f.uninterruptible:
+            buf[pos:pos + d] = np.arange(gene, gene + d)
+        else:
+            buf[pos:pos + d] = gene
+        pos += d
+    moved = np.bincount(buf, weights=space.rate_weights, minlength=space.slot_count + 1)
+    return space.baseline_gross + moved[1:]
+
+
+def evaluate(space: SearchSpace, antibody: Antibody, weight: float) -> Evaluation:
+    """Score of one genotype under the space's context and penalty weight."""
+    ctx = space.context
+    gross_kw = gross(space, antibody)
+
+    excess = gross_kw - ctx.md_kw
+    excess[excess <= KW_TOL] = 0.0
+    md_excess = float(excess.sum())
+
+    volt_violation = 0.0
+    flow_failed = False
+    loss = np.zeros(space.slot_count)
+    if ctx.feeder is not None:
+        vmin, vmax = ctx.voltage_min, ctx.voltage_max
+        try:
+            for idx in range(space.slot_count):
+                billed, vmags = ctx.slot_flow(idx, float(gross_kw[idx]))
+                loss[idx] = billed
+                for mag in vmags:
+                    if mag < vmin:
+                        volt_violation += vmin - mag
+                    elif mag > vmax:
+                        volt_violation += mag - vmax
+        except PowerFlowError:
+            flow_failed = True
+
+    net = np.maximum(gross_kw - ctx.pv_array(), 0.0)
+    energy = float(np.dot(net + loss, ctx.price_array()) * ctx.grid.slot_hours)
+
+    shift_slots = 0
+    weighted = 0.0
+    flat: list[int] = []
+    for f, gene in zip(space.flex, antibody.genes):
+        if f.uninterruptible:
+            delta = abs(gene - f.original_slots[0]) * f.duration
+            flat.extend(range(gene, gene + f.duration))
+        else:
+            delta = sum(abs(n - o) for n, o in zip(gene, f.original_slots))
+            flat.extend(gene)
+        shift_slots += delta
+        weighted += delta * f.rated_kw
+    penalty = ctx.grid.slot_hours * ctx.penalty_price * weighted
+    total = energy + penalty
+
+    score = -total - weight * (md_excess + volt_violation)
+    if flow_failed:
+        score -= FLOW_FAILURE_PENALTY
+
+    return Evaluation(
+        energy_usd=energy,
+        penalty_usd=penalty,
+        total_usd=total,
+        md_excess=md_excess,
+        voltage_violation=volt_violation,
+        flow_failed=flow_failed,
+        shift_slots=shift_slots,
+        weighted_shift=weighted,
+        flat_slots=tuple(flat),
+        score=score,
+    )

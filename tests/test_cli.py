@@ -75,6 +75,16 @@ class TestLoadScenarioConfig:
         assert rc == 2
         assert "mutation_rate" in capsys.readouterr().err
 
+    def test_removed_parallel_options_rejected(self, tmp_path, capsys):
+        # options of older versions; thread-parallel evaluation is gone
+        path = write_config(
+            tmp_path, csa={"parallel_evaluation": True, "max_workers": 2})
+        rc = main(["run", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "unknown csa options" in err
+        assert "max_workers" in err and "parallel_evaluation" in err
+
     def test_missing_referenced_file_names_path(self, tmp_path, capsys):
         config = base_config(tmp_path / "out")
         del config["appliances"]
@@ -103,6 +113,43 @@ class TestLoadScenarioConfig:
         path = write_config(tmp_path, pv_enabled=True)
         rc = main(["run", "--config", str(path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("change, message", [
+        ({"class": "dishwasher"}, "dishwasher"),
+        ({"duration": None}, "missing key 'duration'"),
+        ({"rated_kw": "abc"}, "abc"),
+    ])
+    def test_bad_inline_appliance_row_is_an_input_error(self, tmp_path, capsys,
+                                                         change, message):
+        row = dict(INLINE_APPLIANCES[1], **change)
+        if row["duration"] is None:
+            del row["duration"]
+        apps = [INLINE_APPLIANCES[0], row, INLINE_APPLIANCES[2]]
+        path = write_config(tmp_path, appliances=apps)
+        rc = main(["run", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "appliance 2" in err and message in err
+
+    def test_csa_rng_seed_overrides_the_scenario_seed(self, tmp_path):
+        csa = {"population_size": 16, "generations": 40, "stall_generations": 12}
+        path = write_config(tmp_path, seed=1, csa=dict(csa, rng_seed=99),
+                            penalty_prices_usd_per_kwh=[0.0])
+        assert load_scenario_config(path).seed == 99
+        assert main(["run", "--config", str(path)]) == 0
+        report = (tmp_path / "out" / "report.json").read_text()
+        assert json.loads(report)["seed"] == 99
+
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        plain_path = write_config(plain, seed=99, penalty_prices_usd_per_kwh=[0.0])
+        assert main(["run", "--config", str(plain_path)]) == 0
+        assert (plain / "out" / "report.json").read_text() == report
+
+        other = tmp_path / "flag"
+        assert main(["run", "--config", str(path), "--out", str(other), "--seed", "7"]) == 0
+        assert json.loads((other / "report.json").read_text())["seed"] == 7
 
 
 class TestRunCommand:

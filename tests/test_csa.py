@@ -3,26 +3,31 @@ import math
 import numpy as np
 import pytest
 
+import eval_reference
 from dsmsched.costing import ProblemContext, total_cost
 from dsmsched.csa import (
     Antibody,
     CsaConfig,
     SearchSpace,
+    _Evaluator,
     affinity,
     clone_and_hypermutate,
     clone_counts,
     optimize,
 )
 from dsmsched.domain import Appliance, ApplianceClass, TimeGrid, schedule_from_on_slots
+from dsmsched.feeder import FeederLine, FeederModel
 from dsmsched.profiles import PriceSeries
 from small_instances import (
     FLAT,
     GRID12,
     STEEP,
+    TWO_VALLEY,
     _baseline,
     _family_md,
     _family_steep,
     _interruptible,
+    _tiny_neighbors,
     _uninterruptible,
 )
 
@@ -183,6 +188,101 @@ class TestAffinity:
         )
 
 
+def weak_feeder_context(r_pu: float) -> ProblemContext:
+    """The binding-cap family on a 3-bus feeder of per-segment resistance r_pu."""
+    feeder = FeederModel(
+        base_kva=50.0, base_kv=12.47, slack_voltage_pu=1.0,
+        lines=(FeederLine(0, 1, r_pu, 0.6 * r_pu), FeederLine(1, 2, r_pu, 0.6 * r_pu)),
+        smart_home_bus=2,
+    )
+    return ProblemContext(
+        grid=GRID12, appliances=_family_md(), price=TWO_VALLEY, feeder=feeder,
+        neighbors=_tiny_neighbors(), md_kw=3.0, penalty_price=0.05,
+    )
+
+
+class TestBatchedEvaluation:
+    """The batched evaluator against the scalar one in eval_reference."""
+
+    @staticmethod
+    def assert_matches_reference(make_context, batches, weight=5.0):
+        """Evaluate `batches` (lists of antibodies) batch by batch on one
+        context and one by one on a fresh twin; every Evaluation field and
+        the flow-cache contents, in insertion order, must agree."""
+        ctx, twin = make_context(), make_context()
+        evaluator = _Evaluator(SearchSpace(ctx), weight)
+        twin_space = SearchSpace(twin)
+        expected = {}
+        for batch in batches:
+            evaluator.batch(batch)
+            for ab in batch:
+                if ab.genes not in expected:
+                    expected[ab.genes] = eval_reference.evaluate(twin_space, ab, weight)
+        assert evaluator.evaluations == len(expected)
+        for genes, rec in expected.items():
+            assert evaluator.cache[genes] == rec, genes
+        assert list(ctx._cache.flow.items()) == list(twin._cache.flow.items())
+        assert ctx._cache.baseline == twin._cache.baseline
+        return list(expected.values())
+
+    @staticmethod
+    def generations(space, rng, size=40, count=3):
+        population = [space.original_antibody()] + [
+            space.random_antibody(rng) for _ in range(size - 1)]
+        batches = [population]
+        config = CsaConfig(population_size=size)
+        for _ in range(count):
+            batches.append(clone_and_hypermutate(batches[-1][:size], config, rng, space))
+        return batches
+
+    def test_canonical_genotypes(self, grid48, canonical_appliances, canonical_price,
+                                 canonical_pv, canonical_neighbors, canonical_feeder):
+        def make():
+            return ProblemContext(
+                grid=grid48, appliances=canonical_appliances, price=canonical_price,
+                pv=canonical_pv, neighbors=canonical_neighbors, feeder=canonical_feeder,
+                md_kw=12.4, penalty_price=0.05,
+            )
+
+        batches = self.generations(SearchSpace(make()), np.random.default_rng(4))
+        records = self.assert_matches_reference(make, batches)
+        assert any(r.md_excess > 0 for r in records)
+        assert any(r.feasible for r in records)
+
+    def test_cap_binding_instance(self):
+        def make():
+            return ProblemContext(
+                grid=GRID12, appliances=_family_md(), price=STEEP, md_kw=3.0,
+                penalty_price=0.05,
+            )
+
+        batches = self.generations(SearchSpace(make()), np.random.default_rng(6))
+        records = self.assert_matches_reference(make, batches)
+        assert any(r.md_excess > 0 for r in records)
+        assert any(r.md_excess == 0 for r in records)
+
+    def test_voltage_binding_instance(self):
+        def make():
+            return weak_feeder_context(0.15)
+
+        batches = self.generations(SearchSpace(make()), np.random.default_rng(8))
+        records = self.assert_matches_reference(make, batches)
+        assert any(r.voltage_violation > 0 for r in records)
+        assert any(r.voltage_violation == 0 for r in records)
+        assert not any(r.flow_failed for r in records)
+
+    def test_genotypes_whose_flow_fails(self):
+        def make():
+            return weak_feeder_context(1.0)
+
+        batches = self.generations(SearchSpace(make()), np.random.default_rng(10))
+        records = self.assert_matches_reference(make, batches)
+        failed = [r for r in records if r.flow_failed]
+        assert failed and len(failed) < len(records)
+        # a failed row keeps the violations of the slots before its failure
+        assert any(r.voltage_violation > 0 for r in failed)
+
+
 class TestOptimize:
     def test_same_seed_same_result(self):
         ctx = steep_context(penalty=0.05)
@@ -192,16 +292,6 @@ class TestOptimize:
         assert a.breakdown.total_usd == b.breakdown.total_usd
         assert a.history == b.history
         assert a.evaluations == b.evaluations
-
-    def test_parallel_equals_serial(self):
-        ctx = steep_context(penalty=0.05)
-        serial = optimize(ctx, CsaConfig(rng_seed=7, **FAST))
-        parallel = optimize(
-            ctx, CsaConfig(rng_seed=7, parallel_evaluation=True, max_workers=4, **FAST)
-        )
-        assert serial.schedule == parallel.schedule
-        assert serial.history == parallel.history
-        assert serial.evaluations == parallel.evaluations
 
     def test_incumbent_total_never_worsens(self):
         result = optimize(steep_context(), CsaConfig(rng_seed=3, **FAST))

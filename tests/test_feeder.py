@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from dsmsched.errors import InputError, PowerFlowError, TopologyError
@@ -14,6 +15,7 @@ from dsmsched.feeder import (
     incremental_home_loss,
     load_feeder_json,
     solve_power_flow,
+    solve_power_flow_batch,
     voltage_band_check,
     write_feeder_json,
     zero_home,
@@ -181,6 +183,62 @@ class TestSolve:
         a = solve_power_flow(feeder, inj(feeder, [0.0, 1.0, 2.0, 3.0]))
         b = solve_power_flow(feeder, inj(feeder, [0.0, 1.0, 2.0, 3.0]))
         assert a == b
+
+
+class TestBatchSweep:
+    """solve_power_flow_batch against the scalar sweep, bit for bit."""
+
+    @staticmethod
+    def assert_matches_scalar(feeder, p, q, pv):
+        batch = solve_power_flow_batch(feeder, p, q, pv)
+        for i in range(len(p)):
+            try:
+                state = solve_power_flow(feeder, inj(feeder, p[i], q[i], pv[i]))
+            except PowerFlowError as exc:
+                assert batch.failed[i], i
+                assert batch.iterations[i] == exc.iterations
+                continue
+            assert not batch.failed[i], i
+            assert batch.loss_kw[i] == state.loss_kw
+            assert tuple(batch.v_mag[i].tolist()) == state.voltage_magnitudes()
+            assert batch.iterations[i] == state.iterations
+        return batch
+
+    @staticmethod
+    def cases(feeder, home_kw, pv_kw, seed=0, neighbor_kw=3.0):
+        rng = np.random.default_rng(seed)
+        n = len(home_kw)
+        p = rng.uniform(0.0, neighbor_kw, (n, feeder.bus_count))
+        p[:, 0] = 0.0
+        p[:, feeder.smart_home_bus] = home_kw
+        return p, p * 0.33, np.asarray(pv_kw, dtype=float)
+
+    def test_canonical_feeder(self, canonical_feeder):
+        home = np.linspace(0.0, 25.0, 240)
+        home[::7] = 0.0  # home load 0
+        pv = np.where(np.arange(240) % 3 == 0, 6.0, 0.0)  # PV export where home < 6 kW
+        p, q, pv = self.cases(canonical_feeder, home, pv)
+        p[:5] = 0.0  # unloaded feeder: flat voltages, one sweep
+        q[:5] = 0.0
+        pv[:5] = 0.0
+        batch = self.assert_matches_scalar(canonical_feeder, p, q, pv)
+        assert not batch.failed.any()
+        assert (batch.iterations[:5] == 1).all()
+        assert len(set(batch.iterations.tolist())) > 1  # cases stop on their own
+
+    def test_weak_feeder_where_the_band_binds(self):
+        feeder = chain(n_lines=2, r=0.2, x=0.12)
+        p, q, pv = self.cases(feeder, np.linspace(0.0, 12.0, 120), np.zeros(120), seed=1)
+        batch = self.assert_matches_scalar(feeder, p, q, pv)
+        assert (batch.v_mag.min(axis=1) < 0.95).any()
+        assert (batch.v_mag.min(axis=1) >= 0.95).any()
+
+    def test_diverging_cases_fail_where_the_scalar_sweep_raises(self):
+        feeder = chain(n_lines=2, r=0.2, x=0.12)
+        p, q, pv = self.cases(feeder, np.linspace(0.0, 200.0, 100), np.zeros(100), seed=2)
+        batch = self.assert_matches_scalar(feeder, p, q, pv)
+        assert batch.failed.any() and not batch.failed.all()
+        assert np.isnan(batch.loss_kw[batch.failed]).all()
 
 
 class TestHomeAttribution:
