@@ -124,12 +124,33 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
-def _load_grid(data: dict) -> TimeGrid:
+def _number(value, key: str, where: str, kind: type = float):
+    """`value` converted by `kind`; an InputError naming `key` if it is not
+    a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{where}: '{key}' must be a number, got {value!r}") from None
+
+
+def _load_grid(data: dict, where: str) -> TimeGrid:
     grid = data.get("grid", {})
-    return TimeGrid(
-        slot_count=int(grid.get("slot_count", 48)),
-        slot_hours=float(grid.get("slot_hours", 0.5)),
-    )
+    try:
+        return TimeGrid(
+            slot_count=_number(grid.get("slot_count", 48), "grid.slot_count", where, int),
+            slot_hours=_number(grid.get("slot_hours", 0.5), "grid.slot_hours", where),
+        )
+    except ValueError as exc:
+        raise InputError(f"{where}: {exc}") from None
+
+
+def _load_voltage_band(data: dict, where: str) -> tuple[float, float]:
+    band = data.get("voltage_band", [0.95, 1.05])
+    if isinstance(band, (list, tuple)) and len(band) == 2:
+        low, high = (_number(v, "voltage_band", where) for v in band)
+        if low < high:
+            return low, high
+    raise InputError(f"{where}: voltage_band must be [low, high]")
 
 
 def _load_appliances(data: dict, base: Path, where: str, grid: TimeGrid) -> tuple[Appliance, ...]:
@@ -178,7 +199,7 @@ def _load_series_field(
     if csv_key in data:
         return load_series(_resolve(base, data[csv_key]), grid)
     if inline_key in data:
-        values = [float(v) for v in data[inline_key]]
+        values = [_number(v, inline_key, where) for v in data[inline_key]]
         if len(values) != grid.slot_count:
             raise InputError(
                 f"{where}: '{inline_key}' has {len(values)} values, "
@@ -200,7 +221,7 @@ def load_scenario_config(path: str | Path, *, where_label: str = "config") -> Sc
     base = path.parent
     where = str(path)
 
-    grid = _load_grid(data)
+    grid = _load_grid(data, where)
     appliances = _load_appliances(data, base, where, grid)
 
     price_values = _load_series_field(data, base, where, grid, "price_csv", "price")
@@ -212,12 +233,13 @@ def load_scenario_config(path: str | Path, *, where_label: str = "config") -> Sc
     pv = None
     pv_values = _load_series_field(data, base, where, grid, "pv_csv", "pv")
     if pv_values is not None:
-        capacity = float(data.get("pv_capacity_kw", max(pv_values) or 1.0))
+        capacity = _number(data.get("pv_capacity_kw", max(pv_values) or 1.0),
+                           "pv_capacity_kw", where)
         pv = PvSeries(values=tuple(pv_values), capacity_kw=capacity)
     if pv_enabled and pv is None:
         raise InputError(f"{where}: pv_enabled is true but no 'pv_csv' or 'pv' given")
 
-    power_factor = float(data.get("power_factor", 0.95))
+    power_factor = _number(data.get("power_factor", 0.95), "power_factor", where)
     neighbors = None
     if "neighbors_csv" in data:
         neighbors = load_neighbor_loads(
@@ -228,14 +250,15 @@ def load_scenario_config(path: str | Path, *, where_label: str = "config") -> Sc
     if "feeder_json" in data:
         feeder = load_feeder_json(_resolve(base, data["feeder_json"]))
 
-    band = data.get("voltage_band", [0.95, 1.05])
-    if not (isinstance(band, (list, tuple)) and len(band) == 2 and band[0] < band[1]):
-        raise InputError(f"{where}: voltage_band must be [low, high]")
+    voltage_min, voltage_max = _load_voltage_band(data, where)
 
-    penalties = [
-        PenaltyPrice(float(p)).usd_per_kwh
-        for p in data.get("penalty_prices_usd_per_kwh", [0.0])
-    ]
+    try:
+        penalties = [
+            PenaltyPrice(float(p)).usd_per_kwh
+            for p in data.get("penalty_prices_usd_per_kwh", [0.0])
+        ]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}: bad penalty_prices_usd_per_kwh: {exc}") from None
     if not penalties:
         raise InputError(f"{where}: penalty price list must be non-empty")
 
@@ -253,7 +276,7 @@ def load_scenario_config(path: str | Path, *, where_label: str = "config") -> Sc
         raise InputError(f"{where}: bad csa options: {exc}") from None
 
     out_dir = _resolve(base, data.get("out_dir", "out"))
-    return ScenarioConfig(
+    config = ScenarioConfig(
         label=str(data.get("label", path.stem)),
         grid=grid,
         appliances=appliances,
@@ -261,16 +284,22 @@ def load_scenario_config(path: str | Path, *, where_label: str = "config") -> Sc
         pv=pv,
         neighbors=neighbors,
         feeder=feeder,
-        md_kw=float(_require(data, "md_kw", where)),
+        md_kw=_number(_require(data, "md_kw", where), "md_kw", where),
         penalties_usd_per_kwh=penalties,
         pv_enabled=pv_enabled,
         power_factor=power_factor,
-        voltage_min=float(band[0]),
-        voltage_max=float(band[1]),
+        voltage_min=voltage_min,
+        voltage_max=voltage_max,
         seed=csa.rng_seed,
         out_dir=out_dir,
         csa=csa,
     )
+    # the problem's own limits (positive cap, power factor, feeder houses)
+    try:
+        config.context()
+    except ValueError as exc:
+        raise InputError(f"{where}: {exc}") from None
+    return config
 
 
 def _write_profile_csv(
@@ -433,7 +462,7 @@ def _load_instance(path: str | Path) -> SmallInstance:
     base = path.parent
     where = str(path)
 
-    grid = _load_grid(data)
+    grid = _load_grid(data, where)
     appliances = _load_appliances(data, base, where, grid)
     price_values = _load_series_field(data, base, where, grid, "price_csv", "price")
     if price_values is None:
@@ -441,10 +470,10 @@ def _load_instance(path: str | Path) -> SmallInstance:
     pv = None
     pv_values = _load_series_field(data, base, where, grid, "pv_csv", "pv")
     if pv_values is not None and any(v > 0 for v in pv_values):
-        capacity = float(data.get("pv_capacity_kw", max(pv_values)))
+        capacity = _number(data.get("pv_capacity_kw", max(pv_values)), "pv_capacity_kw", where)
         pv = PvSeries(values=tuple(pv_values), capacity_kw=capacity)
     neighbors = None
-    power_factor = float(data.get("power_factor", 0.95))
+    power_factor = _number(data.get("power_factor", 0.95), "power_factor", where)
     if "neighbors_csv" in data:
         neighbors = load_neighbor_loads(
             _resolve(base, data["neighbors_csv"]), grid, power_factor=power_factor
@@ -452,24 +481,29 @@ def _load_instance(path: str | Path) -> SmallInstance:
     feeder = None
     if "feeder_json" in data:
         feeder = load_feeder_json(_resolve(base, data["feeder_json"]))
-    band = data.get("voltage_band", [0.95, 1.05])
+    voltage_min, voltage_max = _load_voltage_band(data, where)
 
-    context = ProblemContext(
-        grid=grid,
-        appliances=appliances,
-        price=PriceSeries(values=tuple(price_values)),
-        pv=pv,
-        neighbors=neighbors,
-        feeder=feeder,
-        md_kw=float(data.get("md_kw", float("inf"))),
-        penalty_price=float(data.get("penalty_usd_per_kwh", 0.0)),
-        voltage_min=float(band[0]),
-        voltage_max=float(band[1]),
-        power_factor=power_factor,
-    )
-    return SmallInstance(
-        context=context, guard_limit=int(data.get("guard_limit", 10_000_000))
-    )
+    try:
+        context = ProblemContext(
+            grid=grid,
+            appliances=appliances,
+            price=PriceSeries(values=tuple(price_values)),
+            pv=pv,
+            neighbors=neighbors,
+            feeder=feeder,
+            md_kw=_number(data.get("md_kw", float("inf")), "md_kw", where),
+            penalty_price=_number(
+                data.get("penalty_usd_per_kwh", 0.0), "penalty_usd_per_kwh", where),
+            voltage_min=voltage_min,
+            voltage_max=voltage_max,
+            power_factor=power_factor,
+        )
+        return SmallInstance(
+            context=context,
+            guard_limit=_number(data.get("guard_limit", 10_000_000), "guard_limit", where, int),
+        )
+    except ValueError as exc:
+        raise InputError(f"{where}: {exc}") from None
 
 
 # commands ---------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "CsaConfig",
     "OptimResult",
     "SearchSpace",
-    "affinity",
     "clone_counts",
     "clone_and_hypermutate",
     "optimize",
@@ -285,11 +284,12 @@ class _Evaluator:
                 misses.append(ab)
         if not misses:
             return
-        for ab, rec in zip(misses, self._evaluate(misses)):
+        for ab, rec in zip(misses, self.evaluate(misses)):
             self.cache[ab.genes] = rec
         self.evaluations += len(misses)
 
-    def _evaluate(self, antibodies: list[Antibody]) -> list[Evaluation]:
+    def evaluate(self, antibodies: list[Antibody]) -> list[Evaluation]:
+        """Evaluations of the genotypes, in order, without caching them."""
         space = self.space
         ctx = self.ctx
         flats = [space.flat_slots(ab) for ab in antibodies]
@@ -364,19 +364,6 @@ class OptimResult:
     evaluations: int
     seed: int
     message: str = ""
-
-
-def affinity(
-    antibody: Antibody,
-    context: ProblemContext,
-    penalty_price: float | None = None,
-    constraint_penalty_weight: float = 0.0,
-) -> float:
-    """Score of one antibody: minus cost, minus weighted constraint excess."""
-    if penalty_price is not None:
-        context = context.with_penalty(penalty_price)
-    space = SearchSpace(context)
-    return _Evaluator(space, constraint_penalty_weight).get(antibody).score
 
 
 def clone_counts(config: CsaConfig, population_size: int) -> list[int]:

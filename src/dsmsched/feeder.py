@@ -12,7 +12,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,10 +27,7 @@ __all__ = [
     "solve_power_flow",
     "SweepBatch",
     "solve_power_flow_batch",
-    "feeder_loss",
     "zero_home",
-    "incremental_home_loss",
-    "voltage_band_check",
     "canonical_feeder",
     "load_feeder_json",
     "write_feeder_json",
@@ -428,11 +425,6 @@ def solve_power_flow_batch(
     return SweepBatch(loss_kw=loss_kw, v_mag=v_mag, iterations=iterations, failed=failed)
 
 
-def feeder_loss(state: BusState) -> float:
-    """Total series resistive loss in kW for a solved slot."""
-    return state.loss_kw
-
-
 def zero_home(injections: SlotInjections, feeder: FeederModel) -> SlotInjections:
     """The same slot with the smart home disconnected (demand and PV)."""
     home = feeder.smart_home_bus
@@ -441,35 +433,6 @@ def zero_home(injections: SlotInjections, feeder: FeederModel) -> SlotInjections
     p[home] = 0.0
     q[home] = 0.0
     return SlotInjections(slot=injections.slot, p_kw=tuple(p), q_kvar=tuple(q), pv_kw=0.0)
-
-
-def incremental_home_loss(
-    feeder: FeederModel,
-    injections: SlotInjections,
-    tol: float = 1e-8,
-    max_iter: int = 50,
-) -> float:
-    """Loss attributable to the smart home: with-home minus without-home.
-
-    Floored at zero; PV export can make the marginal contribution negative,
-    and the household is not credited for that.
-    """
-    with_home = solve_power_flow(feeder, injections, tol=tol, max_iter=max_iter)
-    without = solve_power_flow(feeder, zero_home(injections, feeder), tol=tol, max_iter=max_iter)
-    return max(0.0, with_home.loss_kw - without.loss_kw)
-
-
-def voltage_band_check(
-    states: Iterable[BusState], v_min: float = 0.95, v_max: float = 1.05
-) -> list[VoltageViolation]:
-    """All (slot, bus) voltage magnitudes falling outside [v_min, v_max]."""
-    violations = []
-    for state in states:
-        for bus, v in enumerate(state.voltages):
-            mag = abs(v)
-            if mag < v_min or mag > v_max:
-                violations.append(VoltageViolation(slot=state.slot, bus=bus, v_pu=mag))
-    return violations
 
 
 def canonical_feeder() -> FeederModel:

@@ -14,13 +14,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-import numpy as np
-
-from .constraints import KW_TOL
 from .costing import CostBreakdown, ProblemContext, total_cost
-from .csa import TIE_TOL, SearchSpace, _Flex
-from .domain import Schedule, schedule_from_on_slots
-from .errors import EnumerationGuardError, PowerFlowError
+from .csa import TIE_TOL, Antibody, Evaluation, SearchSpace, _Evaluator, _Flex
+from .domain import Schedule
+from .errors import EnumerationGuardError
 
 __all__ = [
     "SmallInstance",
@@ -58,14 +55,7 @@ class SmallInstance:
             )
 
     def placement_counts(self) -> list[int]:
-        counts = []
-        for f in SearchSpace(self.context).flex:
-            if f.uninterruptible:
-                counts.append(f.start_hi - f.start_lo + 1)
-            else:
-                width = f.window_hi - f.window_lo + 1
-                counts.append(math.comb(width, f.duration))
-        return counts
+        return [len(_placements(f)) for f in SearchSpace(self.context).flex]
 
     def candidate_count(self) -> int:
         return math.prod(self.placement_counts())
@@ -80,123 +70,43 @@ class SmallInstance:
             )
 
 
-def _placements(f: _Flex) -> list[tuple[int, ...]]:
-    """Every legal on-slot tuple for one flexible appliance, lexicographic."""
+# genotypes per call of the optimizer's evaluator; small chunks keep the
+# evaluator's working arrays, and so peak memory, small
+_CHUNK = 256
+
+
+def _placements(f: _Flex) -> list:
+    """Every legal gene of one flexible appliance, lexicographic: a start
+    slot if uninterruptible, else an on-slot tuple (the `Antibody` layout)."""
     if f.uninterruptible:
-        return [
-            tuple(range(start, start + f.duration))
-            for start in range(f.start_lo, f.start_hi + 1)
-        ]
+        return list(range(f.start_lo, f.start_hi + 1))
     return list(
         itertools.combinations(range(f.window_lo, f.window_hi + 1), f.duration)
     )
 
 
-@dataclass
-class _Candidate:
-    """Internal per-candidate evaluation during enumeration."""
+def _iter_candidates(
+    instance: SmallInstance, space: SearchSpace
+) -> Iterator[tuple[Antibody, Evaluation]]:
+    """Every feasible genotype with its evaluation, in lexicographic order.
 
-    flats: tuple[int, ...]
-    slots: tuple[tuple[int, ...], ...]
-    energy_usd: float
-    shift_slots: int
-    weighted_shift: float
-
-
-def _iter_candidates(instance: SmallInstance) -> Iterator[_Candidate]:
-    """All MD- and voltage-feasible candidates, in lexicographic flat order."""
+    Genotypes are scored in chunks by the optimizer's own evaluator, so the
+    oracle prices and checks a candidate exactly as the optimizer does.
+    """
     instance.check_guard()
-    ctx = instance.context
-    space = SearchSpace(ctx)
-    grid = ctx.grid
-    price = ctx.price_array()
-    pv = ctx.pv_array()
-    md = ctx.md_kw
-
-    per_appliance = []
-    for f in space.flex:
-        options = []
-        for slots in _placements(f):
-            contribution = np.zeros(grid.slot_count)
-            for s in slots:
-                contribution[s - 1] = f.rated_kw
-            shift = sum(abs(n - o) for n, o in zip(slots, f.original_slots))
-            options.append((slots, contribution, shift, shift * f.rated_kw))
-        per_appliance.append(options)
-
-    vmin, vmax = ctx.voltage_min, ctx.voltage_max
-
-    def feasible_gross(gross: np.ndarray) -> tuple[bool, float]:
-        """(feasible, billed energy cost)."""
-        if (gross > md + KW_TOL).any():
-            return (False, 0.0)
-        loss = np.zeros(grid.slot_count)
-        if ctx.feeder is not None:
-            try:
-                for idx in range(grid.slot_count):
-                    billed, vmags = ctx.slot_flow(idx, float(gross[idx]))
-                    loss[idx] = billed
-                    for mag in vmags:  # type: ignore[union-attr]
-                        if mag < vmin or mag > vmax:
-                            return (False, 0.0)
-            except PowerFlowError:
-                return (False, 0.0)
-        net = np.maximum(gross - pv, 0.0)
-        energy = float(np.dot(net + loss, price) * grid.slot_hours)
-        return (True, energy)
-
-    if not per_appliance:
-        gross = space.baseline_gross
-        ok, energy = feasible_gross(gross)
-        if ok:
-            yield _Candidate(flats=(), slots=(), energy_usd=energy,
-                             shift_slots=0, weighted_shift=0.0)
-        return
-
-    for combo in itertools.product(*per_appliance):
-        gross = space.baseline_gross.copy()
-        for _, contribution, _, _ in combo:
-            gross += contribution
-        ok, energy = feasible_gross(gross)
-        if not ok:
-            continue
-        flats: list[int] = []
-        slots = []
-        shift = 0
-        weighted = 0.0
-        for option in combo:
-            flats.extend(option[0])
-            slots.append(option[0])
-            shift += option[2]
-            weighted += option[3]
-        yield _Candidate(
-            flats=tuple(flats),
-            slots=tuple(slots),
-            energy_usd=energy,
-            shift_slots=shift,
-            weighted_shift=weighted,
-        )
-
-
-def _schedule_from_candidate(
-    instance: SmallInstance, cand: _Candidate
-) -> Schedule:
-    ctx = instance.context
-    space = SearchSpace(ctx)
-    by_row = dict(zip((f.row for f in space.flex), cand.slots))
-    on_slots: list[Sequence[int]] = []
-    for row in range(len(ctx.appliances)):
-        if row in by_row:
-            on_slots.append(by_row[row])
-        else:
-            on_slots.append(range(1, ctx.grid.slot_count + 1))
-    return schedule_from_on_slots(on_slots, ctx.grid.slot_count)
+    evaluator = _Evaluator(space, penalty_weight=0.0)
+    genotypes = itertools.product(*(_placements(f) for f in space.flex))
+    while chunk := [Antibody(genes=g) for g in itertools.islice(genotypes, _CHUNK)]:
+        for antibody, rec in zip(chunk, evaluator.evaluate(chunk)):
+            if rec.feasible:
+                yield antibody, rec
 
 
 def enumerate_feasible(instance: SmallInstance) -> Iterator[Schedule]:
     """Every feasible schedule exactly once, as full Schedule objects."""
-    for cand in _iter_candidates(instance):
-        yield _schedule_from_candidate(instance, cand)
+    space = SearchSpace(instance.context)
+    for antibody, _ in _iter_candidates(instance, space):
+        yield space.decode(antibody)
 
 
 @dataclass
@@ -216,26 +126,23 @@ class OracleResult:
 class _Best:
     """Running minimum under the (total, shift, lex-flat) tie rule."""
 
-    __slots__ = ("total", "shift", "flats", "cand", "ties")
+    __slots__ = ("total", "rec", "antibody", "ties")
 
     def __init__(self) -> None:
         self.total = math.inf
-        self.shift = 0
-        self.flats: tuple[int, ...] = ()
-        self.cand: _Candidate | None = None
+        self.rec: Evaluation | None = None
+        self.antibody: Antibody | None = None
         self.ties: list[tuple[int, ...]] = []
 
-    def offer(self, total: float, cand: _Candidate) -> None:
+    def offer(self, total: float, antibody: Antibody, rec: Evaluation) -> None:
         if total < self.total - TIE_TOL:
-            self.total, self.shift, self.flats = total, cand.shift_slots, cand.flats
-            self.cand = cand
-            self.ties = [cand.flats]
+            self.total, self.rec, self.antibody = total, rec, antibody
+            self.ties = [rec.flat_slots]
             return
         if total <= self.total + TIE_TOL:
-            self.ties.append(cand.flats)
-            if (cand.shift_slots, cand.flats) < (self.shift, self.flats):
-                self.total, self.shift, self.flats = total, cand.shift_slots, cand.flats
-                self.cand = cand
+            self.ties.append(rec.flat_slots)
+            if (rec.shift_slots, rec.flat_slots) < (self.rec.shift_slots, self.rec.flat_slots):
+                self.total, self.rec, self.antibody = total, rec, antibody
 
 
 def sweep_penalties(
@@ -247,19 +154,20 @@ def sweep_penalties(
     price, so one pass suffices.
     """
     ctx = instance.context
+    space = SearchSpace(ctx)
     hours = ctx.grid.slot_hours
     bests = {pi: _Best() for pi in penalties}
     count = 0
-    for cand in _iter_candidates(instance):
+    for antibody, rec in _iter_candidates(instance, space):
         count += 1
         for pi, best in bests.items():
-            best.offer(cand.energy_usd + hours * pi * cand.weighted_shift, cand)
+            best.offer(rec.energy_usd + hours * pi * rec.weighted_shift, antibody, rec)
 
     results: dict[float, OracleResult] = {}
     for pi, best in bests.items():
-        if best.cand is None:
+        if best.antibody is None:
             raise ValueError("no feasible schedule exists for the instance")
-        schedule = _schedule_from_candidate(instance, best.cand)
+        schedule = space.decode(best.antibody)
         breakdown = total_cost(schedule, ctx.with_penalty(pi))
         results[pi] = OracleResult(
             schedule=schedule,

@@ -254,22 +254,45 @@ class TestExplainCommand:
         assert out["feasibility"]["max_demand"]
 
 
-class TestOracleCommand:
-    def write_instance(self, tmp_path, **overrides):
-        data = {
-            "grid": {"slot_count": 12, "slot_hours": 0.5},
-            "appliances": INLINE_APPLIANCES,
-            "price": STEEP_PRICE,
-            "md_kw": 5.0,
-            "penalty_usd_per_kwh": 0.05,
-        }
-        data.update(overrides)
-        path = tmp_path / "instance.json"
-        path.write_text(json.dumps(data))
-        return path
+def write_instance(tmp_path, **overrides):
+    data = {
+        "grid": {"slot_count": 12, "slot_hours": 0.5},
+        "appliances": INLINE_APPLIANCES,
+        "price": STEEP_PRICE,
+        "md_kw": 5.0,
+        "penalty_usd_per_kwh": 0.05,
+    }
+    data.update(overrides)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    return path
 
+
+@pytest.mark.parametrize("command", ["run", "explain", "oracle"])
+@pytest.mark.parametrize("change, message", [
+    ({"md_kw": "abc"}, "'md_kw' must be a number"),
+    ({"md_kw": 0}, "md_kw must be positive"),
+    ({"voltage_band": ["a", "b"]}, "'voltage_band' must be a number"),
+    ({"grid": {"slot_count": "x"}}, "'grid.slot_count' must be a number"),
+    # the config's and the instance's penalty key
+    ({"penalty_prices_usd_per_kwh": [-1], "penalty_usd_per_kwh": -1}, "must be >= 0"),
+], ids=["md_kw_text", "md_kw_zero", "voltage_band_text", "slot_count_text", "penalty_negative"])
+def test_malformed_value_is_an_input_error(tmp_path, capsys, command, change, message):
+    if command == "oracle":
+        argv = ["oracle", "--instance", str(write_instance(tmp_path, **change))]
+    else:
+        argv = [command, "--config", str(write_config(tmp_path, **change))]
+        if command == "explain":
+            argv += ["--schedule", str(tmp_path / "schedule.csv")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and message in err
+
+
+class TestOracleCommand:
     def test_payload_matches_library_result(self, tmp_path, capsys):
-        path = self.write_instance(tmp_path)
+        path = write_instance(tmp_path)
         rc = main(["oracle", "--instance", str(path)])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
@@ -281,7 +304,7 @@ class TestOracleCommand:
         assert payload["on_slots"]["1"] == list(range(1, 13))
 
     def test_guard_exceeded_is_a_clean_error(self, tmp_path, capsys):
-        path = self.write_instance(tmp_path, guard_limit=10)
+        path = write_instance(tmp_path, guard_limit=10)
         rc = main(["oracle", "--instance", str(path)])
         assert rc == 2
         assert "guard" in capsys.readouterr().err

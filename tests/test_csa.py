@@ -10,7 +10,6 @@ from dsmsched.csa import (
     CsaConfig,
     SearchSpace,
     _Evaluator,
-    affinity,
     clone_and_hypermutate,
     clone_counts,
     optimize,
@@ -161,19 +160,23 @@ class TestCloneAndHypermutate:
                 assert all(2 <= s <= 11 for s in ab.genes[1])
 
 
+def score(antibody, ctx, constraint_penalty_weight=0.0):
+    return _Evaluator(SearchSpace(ctx), constraint_penalty_weight).get(antibody).score
+
+
 class TestAffinity:
     def test_original_scores_minus_energy_cost(self):
         ctx = steep_context()
         space = SearchSpace(ctx)
         original = space.original_antibody()
         expected = total_cost(ctx.original_schedule(), ctx).energy_usd
-        assert affinity(original, ctx) == pytest.approx(-expected)
+        assert score(original, ctx) == pytest.approx(-expected)
 
     def test_cheaper_placement_scores_higher(self):
         ctx = steep_context()
         in_valley = Antibody(genes=(1, (2, 3)))
         at_peak = Antibody(genes=(8, (8, 9)))
-        assert affinity(in_valley, ctx) > affinity(at_peak, ctx)
+        assert score(in_valley, ctx) > score(at_peak, ctx)
 
     def test_cap_violation_ranks_below_any_feasible(self):
         ctx = ProblemContext(
@@ -183,7 +186,7 @@ class TestAffinity:
         stacked = Antibody(genes=(8, (8, 9), (8, 9)))
         spread = Antibody(genes=(1, (4, 5), (11, 12)))
         weight = 100.0
-        assert affinity(stacked, ctx, constraint_penalty_weight=weight) < affinity(
+        assert score(stacked, ctx, constraint_penalty_weight=weight) < score(
             spread, ctx, constraint_penalty_weight=weight
         )
 

@@ -4,23 +4,23 @@ import math
 import numpy as np
 import pytest
 
+from dsmsched.constraints import is_feasible
+from dsmsched.costing import ProblemContext
+from dsmsched.domain import Appliance, ApplianceClass, TimeGrid
 from dsmsched.errors import InputError, PowerFlowError, TopologyError
 from dsmsched.feeder import (
-    BusState,
     FeederLine,
     FeederModel,
     SlotInjections,
     VoltageViolation,
-    feeder_loss,
-    incremental_home_loss,
     load_feeder_json,
     solve_power_flow,
     solve_power_flow_batch,
-    voltage_band_check,
     write_feeder_json,
     zero_home,
 )
 from dsmsched.feeder import canonical_feeder as build_canonical_feeder
+from dsmsched.profiles import NeighborLoads, PriceSeries, PvSeries
 from pf_reference import nr_two_bus
 
 
@@ -31,6 +31,25 @@ def two_bus(r=0.02, x=0.012, base_kva=50.0) -> FeederModel:
         slack_voltage_pu=1.0,
         lines=(FeederLine(from_bus=0, to_bus=1, r_pu=r, x_pu=x),),
         smart_home_bus=1,
+    )
+
+
+def home_context(feeder, neighbor_kw, pv_kw=None, **limits) -> ProblemContext:
+    """A 0.5 kW always-on home on `feeder` with one neighbour house at unity
+    power factor, one series value per slot."""
+    slots = len(neighbor_kw)
+    home = Appliance(
+        id=1, appliance_class=ApplianceClass.BASELINE, window_start=1, window_end=slots,
+        duration=slots, rated_kw=0.5, original_on_slots=tuple(range(1, slots + 1)),
+    )
+    return ProblemContext(
+        grid=TimeGrid(slot_count=slots, slot_hours=0.5),
+        appliances=(home,),
+        price=PriceSeries(values=(0.1,) * slots),
+        pv=None if pv_kw is None else PvSeries(values=pv_kw, capacity_kw=max(pv_kw)),
+        neighbors=NeighborLoads(per_house=(neighbor_kw,), power_factor=1.0),
+        feeder=feeder,
+        **limits,
     )
 
 
@@ -124,7 +143,6 @@ class TestSolve:
         assert state.voltage_magnitudes() == pytest.approx([1.0] * 6, abs=1e-15)
         assert state.loss_kw == 0.0
         assert state.slack_p_kw == 0.0
-        assert feeder_loss(state) == 0.0
 
     def test_matches_newton_raphson_on_two_bus(self):
         feeder = two_bus(r=0.03, x=0.018)
@@ -252,28 +270,31 @@ class TestHomeAttribution:
         assert original.p_kw[2] == 4.0  # untouched
 
     def test_incremental_loss_positive_when_home_draws(self):
-        feeder = chain(n_lines=2)
-        loaded = inj(feeder, [0.0, 2.0, 4.0])
-        assert incremental_home_loss(feeder, loaded) > 0.0
+        ctx = home_context(chain(n_lines=2), neighbor_kw=(2.0,))
+        billed, _ = ctx.slot_flow(0, 4.0)
+        assert billed > 0.0
 
     def test_incremental_loss_floors_at_zero_under_export(self):
         # home exports more PV than it draws; its marginal loss contribution
         # is negative and must not become a credit
-        feeder = chain(n_lines=2)
-        exporting = inj(feeder, [0.0, 5.0, 0.0], pv=4.0)
-        assert incremental_home_loss(feeder, exporting) == 0.0
+        ctx = home_context(chain(n_lines=2), neighbor_kw=(5.0,), pv_kw=(4.0,))
+        exporting = solve_power_flow(ctx.feeder, inj(ctx.feeder, [0.0, 5.0, 0.0], pv=4.0))
+        assert exporting.loss_kw < ctx.baseline_loss(0)
+        billed, _ = ctx.slot_flow(0, 0.0)
+        assert billed == 0.0
 
 
 def test_voltage_band_check_filters():
-    state = BusState(
-        slot=7,
-        voltages=(1.0 + 0j, 0.97 + 0j, 0.94 + 0j, 1.06 + 0j),
-        loss_kw=0.0, loss_kvar=0.0, slack_p_kw=0.0, slack_q_kvar=0.0, iterations=1,
-    )
-    violations = voltage_band_check([state], v_min=0.95, v_max=1.05)
-    assert violations == [
-        VoltageViolation(slot=7, bus=2, v_pu=0.94),
-        VoltageViolation(slot=7, bus=3, v_pu=1.06),
+    # slot 1: PV export lifts the home bus over the band; slot 2: a heavy
+    # neighbour pulls both house buses under it
+    ctx = home_context(chain(n_lines=2, r=0.05, x=0.03), neighbor_kw=(1.0, 9.0),
+                       pv_kw=(12.0, 0.0), voltage_min=0.995, voltage_max=1.015)
+    report = is_feasible(ctx.original_schedule(), ctx)
+    mags = [ctx.slot_flow(idx, 0.5)[1] for idx in range(2)]
+    assert report.voltage == [
+        VoltageViolation(slot=1, bus=2, v_pu=mags[0][2]),
+        VoltageViolation(slot=2, bus=1, v_pu=mags[1][1]),
+        VoltageViolation(slot=2, bus=2, v_pu=mags[1][2]),
     ]
 
 

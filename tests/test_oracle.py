@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
+from dsmsched import oracle
 from dsmsched.constraints import is_feasible
 from dsmsched.costing import ProblemContext, total_cost
+from dsmsched.csa import SearchSpace
 from dsmsched.errors import EnumerationGuardError
 from dsmsched.oracle import (
     SmallInstance,
@@ -9,7 +13,7 @@ from dsmsched.oracle import (
     exhaustive_optimize,
     sweep_penalties,
 )
-from dsmsched.domain import TimeGrid
+from dsmsched.domain import TimeGrid, schedule_from_on_slots
 from dsmsched.profiles import PriceSeries
 from small_instances import (
     FLAT,
@@ -90,17 +94,39 @@ class TestLimits:
         assert err.value.limit == 100
 
 
-def test_every_enumerated_schedule_is_feasible():
+def test_enumeration_is_exactly_the_feasible_set():
+    # the feeder family never reaches a 4 kW cap or a 0.95 pu band; a 3 kW
+    # cap and a 0.9981 pu floor make both bind on its stiff feeder
     ctx = ProblemContext(
         grid=GRID12, appliances=_family_feeder(), price=STEEP,
-        feeder=_tiny_feeder(), neighbors=_tiny_neighbors(), md_kw=4.0,
+        feeder=_tiny_feeder(), neighbors=_tiny_neighbors(), md_kw=3.0,
+        voltage_min=0.9981,
     )
     inst = SmallInstance(context=ctx)
-    n = 0
-    for schedule in enumerate_feasible(inst):
-        assert is_feasible(schedule, ctx).feasible
-        n += 1
-    assert 0 < n <= inst.candidate_count()
+    day = range(1, 13)
+    # every placement of the family, lexicographic; more than one chunk
+    candidates = [
+        schedule_from_on_slots([day, range(start, start + 3), pair], 12)
+        for start in range(1, 11)
+        for pair in itertools.combinations(day, 2)
+    ]
+    assert len(candidates) == inst.candidate_count() > oracle._CHUNK
+    reports = [is_feasible(s, ctx) for s in candidates]
+    # the band also rejects candidates within the cap
+    assert any(r.max_demand for r in reports)
+    assert any(r.voltage and not r.max_demand for r in reports)
+    feasible = [s for s, r in zip(candidates, reports) if r.feasible]
+    assert list(enumerate_feasible(inst)) == feasible
+
+    space = SearchSpace(ctx)
+    scored = [(space.decode(ab), rec) for ab, rec in oracle._iter_candidates(inst, space)]
+    hours = ctx.grid.slot_hours
+    for pi, result in sweep_penalties(inst, PENALTY_GRID).items():
+        rec = next(rec for s, rec in scored if s == result.schedule)
+        selected = rec.energy_usd + hours * pi * rec.weighted_shift
+        assert abs(selected - result.total_usd) <= 1e-9
+        reference = [total_cost(s, ctx.with_penalty(pi)).total_usd for s in feasible]
+        assert result.total_usd <= min(reference) + 1e-9
 
 
 def test_md_cap_prunes_the_enumeration():
