@@ -2,7 +2,7 @@
 
 `dsm-sched run` optimizes a configured day for one or more penalty prices
 and writes machine-readable reports; `explain` evaluates a user-supplied
-schedule without optimizing; `oracle` solves a small instance exactly.
+schedule without optimizing; `oracle` solves a small scenario exactly.
 
 All output files are deterministic for a fixed config and seed: floats are
 fixed to 6 decimals and JSON keys are sorted.
@@ -26,19 +26,19 @@ from .costing import PenaltyPrice, ProblemContext, total_cost
 from .csa import CsaConfig, OptimResult, optimize
 from .domain import (
     Appliance,
-    ApplianceClass,
     ISSUE_ORIGINAL_WINDOW,
     Schedule,
     TimeGrid,
     aggregate_power,
     load_appliances_csv,
     load_schedule_csv,
+    parse_appliance_row,
     validate_appliance_set,
     write_schedule_csv,
 )
 from .errors import DsmError, InputError, PowerFlowError
 from .feeder import FeederModel, load_feeder_json
-from .oracle import SmallInstance, exhaustive_optimize
+from .oracle import SmallInstance, sweep_penalties
 from .profiles import (
     NeighborLoads,
     PriceSeries,
@@ -75,25 +75,23 @@ class ScenarioConfig:
     grid: TimeGrid
     appliances: tuple[Appliance, ...]
     price: PriceSeries
-    pv: PvSeries | None
+    pv: PvSeries | None  # None unless the config enables PV
     neighbors: NeighborLoads | None
     feeder: FeederModel | None
     md_kw: float
     penalties_usd_per_kwh: list[float]
-    pv_enabled: bool
     power_factor: float
     voltage_min: float
     voltage_max: float
-    seed: int  # CSA seed of every run: --seed, else csa.rng_seed, else seed
     out_dir: Path
-    csa: CsaConfig
+    csa: CsaConfig  # csa.rng_seed is the seed of every run
 
     def context(self, penalty_price: float = 0.0) -> ProblemContext:
         return ProblemContext(
             grid=self.grid,
             appliances=self.appliances,
             price=self.price,
-            pv=self.pv if self.pv_enabled else None,
+            pv=self.pv,
             neighbors=self.neighbors,
             feeder=self.feeder,
             md_kw=self.md_kw,
@@ -113,8 +111,28 @@ class ScenarioReport:
     all_feasible: bool
 
 
-def _resolve(base: Path, value: str) -> Path:
-    p = Path(value)
+# every key a scenario config may hold; any other key is an input error
+_CONFIG_KEYS = frozenset({
+    "label", "grid", "appliances", "appliances_csv", "price", "price_csv",
+    "pv", "pv_csv", "pv_capacity_kw", "pv_enabled", "neighbors_csv",
+    "feeder_json", "md_kw", "penalty_prices_usd_per_kwh", "voltage_band",
+    "power_factor", "seed", "out_dir", "csa",
+})
+
+_JSON_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}
+
+
+def _typed(data: dict, key: str, kind: type, where: str, default=None):
+    """data[key], or `default` if absent; an InputError unless it is a `kind`."""
+    value = data.get(key, default)
+    if not isinstance(value, kind):
+        raise InputError(f"{where}: '{key}' must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _path(data: dict, key: str, base: Path, where: str, default=None) -> Path:
+    """data[key] as a path, resolved relative to the config's directory."""
+    p = Path(_typed(data, key, str, where, default))
     return p if p.is_absolute() else (base / p)
 
 
@@ -129,24 +147,21 @@ def _number(value, key: str, where: str, kind: type = float):
     a number."""
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"{where}: '{key}' must be a number, got {value!r}") from None
 
 
 def _load_grid(data: dict, where: str) -> TimeGrid:
-    grid = data.get("grid", {})
-    try:
-        return TimeGrid(
-            slot_count=_number(grid.get("slot_count", 48), "grid.slot_count", where, int),
-            slot_hours=_number(grid.get("slot_hours", 0.5), "grid.slot_hours", where),
-        )
-    except ValueError as exc:
-        raise InputError(f"{where}: {exc}") from None
+    grid = _typed(data, "grid", dict, where, {})
+    return TimeGrid(
+        slot_count=_number(grid.get("slot_count", 48), "grid.slot_count", where, int),
+        slot_hours=_number(grid.get("slot_hours", 0.5), "grid.slot_hours", where),
+    )
 
 
 def _load_voltage_band(data: dict, where: str) -> tuple[float, float]:
     band = data.get("voltage_band", [0.95, 1.05])
-    if isinstance(band, (list, tuple)) and len(band) == 2:
+    if isinstance(band, list) and len(band) == 2:
         low, high = (_number(v, "voltage_band", where) for v in band)
         if low < high:
             return low, high
@@ -155,29 +170,13 @@ def _load_voltage_band(data: dict, where: str) -> tuple[float, float]:
 
 def _load_appliances(data: dict, base: Path, where: str, grid: TimeGrid) -> tuple[Appliance, ...]:
     if "appliances_csv" in data:
-        path = _resolve(base, data["appliances_csv"])
-        appliances = tuple(load_appliances_csv(path))
+        appliances = tuple(load_appliances_csv(_path(data, "appliances_csv", base, where)))
     elif "appliances" in data:
         rows = []
-        for n, raw in enumerate(data["appliances"], start=1):
+        for n, raw in enumerate(_typed(data, "appliances", list, where), start=1):
             try:
-                slots = raw.get("original_slots", [])
-                if isinstance(slots, str):
-                    slots = [int(s) for s in slots.split(";") if s.strip()]
-                rows.append(
-                    Appliance(
-                        id=int(raw["id"]),
-                        appliance_class=ApplianceClass(raw["class"].strip().lower()),
-                        window_start=int(raw["window_start"]),
-                        window_end=int(raw["window_end"]),
-                        duration=int(raw["duration"]),
-                        rated_kw=float(raw["rated_kw"]),
-                        original_on_slots=tuple(int(s) for s in slots),
-                    )
-                )
-            except KeyError as exc:
-                raise InputError(f"{where}: appliance {n}: missing key {exc}") from None
-            except (AttributeError, TypeError, ValueError) as exc:
+                rows.append(parse_appliance_row(raw))
+            except ValueError as exc:
                 raise InputError(f"{where}: appliance {n}: {exc}") from None
         appliances = tuple(rows)
     else:
@@ -197,9 +196,9 @@ def _load_series_field(
     data: dict, base: Path, where: str, grid: TimeGrid, csv_key: str, inline_key: str
 ) -> list[float] | None:
     if csv_key in data:
-        return load_series(_resolve(base, data[csv_key]), grid)
+        return load_series(_path(data, csv_key, base, where), grid)
     if inline_key in data:
-        values = [_number(v, inline_key, where) for v in data[inline_key]]
+        values = [_number(v, inline_key, where) for v in _typed(data, inline_key, list, where)]
         if len(values) != grid.slot_count:
             raise InputError(
                 f"{where}: '{inline_key}' has {len(values)} values, "
@@ -209,17 +208,34 @@ def _load_series_field(
     return None
 
 
-def load_scenario_config(path: str | Path, *, where_label: str = "config") -> ScenarioConfig:
+def load_scenario_config(path: str | Path) -> ScenarioConfig:
+    """The scenario config at `path`, read for `run`, `explain` and `oracle`.
+
+    Any malformed content, and any value outside the problem's own limits,
+    is an InputError naming the file.
+    """
     path = Path(path)
     try:
         with path.open() as fh:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
+    try:
+        return _parse_config(data, path)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def _parse_config(data, path: Path) -> ScenarioConfig:
     base = path.parent
     where = str(path)
+    if not isinstance(data, dict):
+        raise InputError(f"{where}: a config must be a JSON object")
+    unknown = set(data) - _CONFIG_KEYS
+    if unknown:
+        raise InputError(f"{where}: unknown config keys {sorted(unknown)}")
 
     grid = _load_grid(data, where)
     appliances = _load_appliances(data, base, where, grid)
@@ -229,53 +245,52 @@ def load_scenario_config(path: str | Path, *, where_label: str = "config") -> Sc
         raise InputError(f"{where}: need 'price_csv' or inline 'price'")
     price = PriceSeries(values=tuple(price_values))
 
-    pv_enabled = bool(data.get("pv_enabled", False))
     pv = None
     pv_values = _load_series_field(data, base, where, grid, "pv_csv", "pv")
-    if pv_values is not None:
+    if _typed(data, "pv_enabled", bool, where, False):
+        if pv_values is None:
+            raise InputError(f"{where}: pv_enabled is true but no 'pv_csv' or 'pv' given")
         capacity = _number(data.get("pv_capacity_kw", max(pv_values) or 1.0),
                            "pv_capacity_kw", where)
         pv = PvSeries(values=tuple(pv_values), capacity_kw=capacity)
-    if pv_enabled and pv is None:
-        raise InputError(f"{where}: pv_enabled is true but no 'pv_csv' or 'pv' given")
 
     power_factor = _number(data.get("power_factor", 0.95), "power_factor", where)
     neighbors = None
     if "neighbors_csv" in data:
         neighbors = load_neighbor_loads(
-            _resolve(base, data["neighbors_csv"]), grid, power_factor=power_factor
+            _path(data, "neighbors_csv", base, where), grid, power_factor=power_factor
         )
 
     feeder = None
     if "feeder_json" in data:
-        feeder = load_feeder_json(_resolve(base, data["feeder_json"]))
+        feeder = load_feeder_json(_path(data, "feeder_json", base, where))
 
     voltage_min, voltage_max = _load_voltage_band(data, where)
 
     try:
         penalties = [
             PenaltyPrice(float(p)).usd_per_kwh
-            for p in data.get("penalty_prices_usd_per_kwh", [0.0])
+            for p in _typed(data, "penalty_prices_usd_per_kwh", list, where, [0.0])
         ]
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: bad penalty_prices_usd_per_kwh: {exc}") from None
     if not penalties:
         raise InputError(f"{where}: penalty price list must be non-empty")
 
-    csa_data = dict(data.get("csa", {}))
+    csa_data = dict(_typed(data, "csa", dict, where, {}))
     known = {f.name for f in fields(CsaConfig)}
     unknown = set(csa_data) - known
     if unknown:
         raise InputError(f"{where}: unknown csa options {sorted(unknown)}")
     # csa.rng_seed, when given, overrides the scenario seed
-    csa_data.setdefault("rng_seed", data.get("seed", 0))
+    seed_key = "csa.rng_seed" if "rng_seed" in csa_data else "seed"
+    seed = csa_data.get("rng_seed", data.get("seed", 0))
+    csa_data["rng_seed"] = _number(seed, seed_key, where, int)
     try:
-        csa_data["rng_seed"] = int(csa_data["rng_seed"])
         csa = CsaConfig(**csa_data)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: bad csa options: {exc}") from None
 
-    out_dir = _resolve(base, data.get("out_dir", "out"))
     config = ScenarioConfig(
         label=str(data.get("label", path.stem)),
         grid=grid,
@@ -286,19 +301,13 @@ def load_scenario_config(path: str | Path, *, where_label: str = "config") -> Sc
         feeder=feeder,
         md_kw=_number(_require(data, "md_kw", where), "md_kw", where),
         penalties_usd_per_kwh=penalties,
-        pv_enabled=pv_enabled,
         power_factor=power_factor,
         voltage_min=voltage_min,
         voltage_max=voltage_max,
-        seed=csa.rng_seed,
-        out_dir=out_dir,
+        out_dir=_path(data, "out_dir", base, where, "out"),
         csa=csa,
     )
-    # the problem's own limits (positive cap, power factor, feeder houses)
-    try:
-        config.context()
-    except ValueError as exc:
-        raise InputError(f"{where}: {exc}") from None
+    config.context()  # the problem's own limits (positive cap, power factor, feeder houses)
     return config
 
 
@@ -365,8 +374,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     all_feasible = True
     for pi in config.penalties_usd_per_kwh:
         ctx = base_ctx.with_penalty(pi)
-        run_config = replace(config.csa, rng_seed=config.seed)
-        result = optimize(ctx, run_config)
+        result = optimize(ctx, config.csa)
         results[pi] = result
         all_feasible = all_feasible and result.success
 
@@ -423,8 +431,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool_version": __version__,
         "scenario": config.label,
-        "seed": config.seed,
-        "pv_enabled": config.pv_enabled,
+        "seed": config.csa.rng_seed,
+        "pv_enabled": config.pv is not None,
         "md_kw": _round(config.md_kw),
         "original": original_row,
         "runs": runs,
@@ -450,77 +458,28 @@ def explain(schedule_path: str | Path, config: ScenarioConfig, penalty_price: fl
     return out
 
 
-def _load_instance(path: str | Path) -> SmallInstance:
-    path = Path(path)
-    try:
-        with path.open() as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read instance {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from None
-    base = path.parent
-    where = str(path)
-
-    grid = _load_grid(data, where)
-    appliances = _load_appliances(data, base, where, grid)
-    price_values = _load_series_field(data, base, where, grid, "price_csv", "price")
-    if price_values is None:
-        raise InputError(f"{where}: need 'price_csv' or inline 'price'")
-    pv = None
-    pv_values = _load_series_field(data, base, where, grid, "pv_csv", "pv")
-    if pv_values is not None and any(v > 0 for v in pv_values):
-        capacity = _number(data.get("pv_capacity_kw", max(pv_values)), "pv_capacity_kw", where)
-        pv = PvSeries(values=tuple(pv_values), capacity_kw=capacity)
-    neighbors = None
-    power_factor = _number(data.get("power_factor", 0.95), "power_factor", where)
-    if "neighbors_csv" in data:
-        neighbors = load_neighbor_loads(
-            _resolve(base, data["neighbors_csv"]), grid, power_factor=power_factor
-        )
-    feeder = None
-    if "feeder_json" in data:
-        feeder = load_feeder_json(_resolve(base, data["feeder_json"]))
-    voltage_min, voltage_max = _load_voltage_band(data, where)
-
-    try:
-        context = ProblemContext(
-            grid=grid,
-            appliances=appliances,
-            price=PriceSeries(values=tuple(price_values)),
-            pv=pv,
-            neighbors=neighbors,
-            feeder=feeder,
-            md_kw=_number(data.get("md_kw", float("inf")), "md_kw", where),
-            penalty_price=_number(
-                data.get("penalty_usd_per_kwh", 0.0), "penalty_usd_per_kwh", where),
-            voltage_min=voltage_min,
-            voltage_max=voltage_max,
-            power_factor=power_factor,
-        )
-        return SmallInstance(
-            context=context,
-            guard_limit=_number(data.get("guard_limit", 10_000_000), "guard_limit", where, int),
-        )
-    except ValueError as exc:
-        raise InputError(f"{where}: {exc}") from None
-
-
 # commands ---------------------------------------------------------------------
+
+
+def _penalty_cents(text: str) -> list[float]:
+    """A --penalty-cents value: comma-separated cents/kWh, as $/kWh prices."""
+    try:
+        prices = [
+            PenaltyPrice.from_cents(float(c)).usd_per_kwh for c in text.split(",") if c.strip()
+        ]
+    except ValueError as exc:
+        raise InputError(f"bad --penalty-cents value {text!r}: {exc}") from None
+    if not prices:
+        raise InputError("--penalty-cents needs at least one value")
+    return prices
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_scenario_config(args.config)
     if args.penalty_cents:
-        try:
-            cents = [float(c) for c in args.penalty_cents.split(",") if c.strip()]
-        except ValueError:
-            raise InputError(f"bad --penalty-cents value: {args.penalty_cents!r}") from None
-        if not cents:
-            raise InputError("--penalty-cents needs at least one value")
-        config.penalties_usd_per_kwh = [PenaltyPrice.from_cents(c).usd_per_kwh for c in cents]
+        config.penalties_usd_per_kwh = _penalty_cents(args.penalty_cents)
     if args.seed is not None:
-        config.seed = args.seed
+        config.csa = replace(config.csa, rng_seed=args.seed)
     if args.out:
         config.out_dir = Path(args.out)
 
@@ -544,26 +503,43 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     config = load_scenario_config(args.config)
     pi = None
     if args.penalty_cents is not None:
-        pi = PenaltyPrice.from_cents(float(args.penalty_cents)).usd_per_kwh
+        prices = _penalty_cents(args.penalty_cents)
+        if len(prices) > 1:
+            raise InputError(f"bad --penalty-cents value {args.penalty_cents!r}: "
+                             "explain takes one price")
+        pi = prices[0]
     out = explain(args.schedule, config, penalty_price=pi)
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0 if out["feasibility"]["feasible"] else 1
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
-    result = exhaustive_optimize(instance)
-    payload = {
-        "total_usd": _round(result.breakdown.total_usd),
-        "c_e_usd": _round(result.breakdown.energy_usd),
-        "c_p_usd": _round(result.breakdown.penalty_usd),
-        "on_slots": {
-            str(a.id): list(slots)
-            for a, slots in zip(instance.context.appliances, result.schedule.to_on_slots())
-        },
-        "tie_count": len(result.ties),
-        "feasible_count": result.feasible_count,
-    }
+    config = load_scenario_config(args.config)
+    try:
+        instance = SmallInstance(context=config.context())
+    except ValueError as exc:  # too many flexible appliances or slots
+        raise InputError(f"{args.config}: {exc}") from None
+    prices = config.penalties_usd_per_kwh
+    try:
+        results = sweep_penalties(instance, prices)
+    except ValueError as exc:  # no feasible schedule
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    payload = []
+    for pi in prices:
+        best = results[pi]
+        payload.append({
+            "penalty_usd_per_kwh": _round(pi),
+            "total_usd": _round(best.breakdown.total_usd),
+            "c_e_usd": _round(best.breakdown.energy_usd),
+            "c_p_usd": _round(best.breakdown.penalty_usd),
+            "on_slots": {
+                str(a.id): list(slots)
+                for a, slots in zip(config.appliances, best.schedule.to_on_slots())
+            },
+            "tie_count": len(best.ties),
+            "feasible_count": best.feasible_count,
+        })
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -591,8 +567,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_explain.add_argument("--penalty-cents", help="penalty price in cents/kWh")
     p_explain.set_defaults(func=_cmd_explain)
 
-    p_oracle = sub.add_parser("oracle", help="exhaustively solve a small instance")
-    p_oracle.add_argument("--instance", required=True, help="instance JSON")
+    p_oracle = sub.add_parser("oracle", help="exhaustively solve a small scenario")
+    p_oracle.add_argument("--config", required=True, help="scenario config JSON")
     p_oracle.set_defaults(func=_cmd_oracle)
 
     args = parser.parse_args(argv)

@@ -28,6 +28,7 @@ __all__ = [
     "validate_appliance_set",
     "aggregate_power",
     "schedule_from_on_slots",
+    "parse_appliance_row",
     "load_appliances_csv",
     "load_schedule_csv",
     "write_schedule_csv",
@@ -303,6 +304,35 @@ def _parse_on_slots(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(";"))
 
 
+def parse_appliance_row(row) -> Appliance:
+    """One appliance from an appliance-table row or an inline config object.
+
+    `original_slots` is a `;`-separated string or a list of slot numbers.
+    Any problem is a ValueError; the caller says which row it came from.
+    """
+    try:
+        cls = _CLASS_BY_NAME.get(str(row["class"]).strip().lower())
+        if cls is None:
+            raise ValueError(f"unknown appliance class {row['class']!r}")
+        slots = row.get("original_slots", "")
+        return Appliance(
+            id=int(row["id"]),
+            appliance_class=cls,
+            window_start=int(row["window_start"]),
+            window_end=int(row["window_end"]),
+            duration=int(row["duration"]),
+            rated_kw=float(row["rated_kw"]),
+            original_on_slots=(
+                _parse_on_slots(slots) if isinstance(slots, str)
+                else tuple(int(s) for s in slots)
+            ),
+        )
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc}") from None
+    except (AttributeError, TypeError, OverflowError) as exc:
+        raise ValueError(str(exc)) from None
+
+
 def load_appliances_csv(path: str | Path) -> list[Appliance]:
     """Read an appliance table.
 
@@ -323,23 +353,7 @@ def load_appliances_csv(path: str | Path) -> list[Appliance]:
             appliances = []
             for lineno, row in enumerate(reader, start=2):
                 try:
-                    cls = _CLASS_BY_NAME[row["class"].strip().lower()]
-                except KeyError:
-                    raise InputError(
-                        f"{path}:{lineno}: unknown appliance class {row['class']!r}"
-                    ) from None
-                try:
-                    appliances.append(
-                        Appliance(
-                            id=int(row["id"]),
-                            appliance_class=cls,
-                            window_start=int(row["window_start"]),
-                            window_end=int(row["window_end"]),
-                            duration=int(row["duration"]),
-                            rated_kw=float(row["rated_kw"]),
-                            original_on_slots=_parse_on_slots(row["original_slots"]),
-                        )
-                    )
+                    appliances.append(parse_appliance_row(row))
                 except ValueError as exc:
                     raise InputError(f"{path}:{lineno}: {exc}") from None
     except OSError as exc:

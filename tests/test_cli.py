@@ -3,16 +3,19 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import FIXTURES
 from dsmsched.cli import (
     REPORT_SCHEMA_VERSION,
+    ScenarioConfig,
     load_scenario_config,
     main,
     run_scenario,
 )
 from dsmsched.domain import TimeGrid, load_schedule_csv
-from dsmsched.oracle import SmallInstance, exhaustive_optimize
+from dsmsched.errors import InputError
+from dsmsched.oracle import SmallInstance, sweep_penalties
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -136,7 +139,7 @@ class TestLoadScenarioConfig:
         csa = {"population_size": 16, "generations": 40, "stall_generations": 12}
         path = write_config(tmp_path, seed=1, csa=dict(csa, rng_seed=99),
                             penalty_prices_usd_per_kwh=[0.0])
-        assert load_scenario_config(path).seed == 99
+        assert load_scenario_config(path).csa.rng_seed == 99
         assert main(["run", "--config", str(path)]) == 0
         report = (tmp_path / "out" / "report.json").read_text()
         assert json.loads(report)["seed"] == 99
@@ -150,6 +153,38 @@ class TestLoadScenarioConfig:
         other = tmp_path / "flag"
         assert main(["run", "--config", str(path), "--out", str(other), "--seed", "7"]) == 0
         assert json.loads((other / "report.json").read_text())["seed"] == 7
+
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        # keys of the old oracle instance format, and a typo
+        path = write_config(tmp_path, guard_limit=10, penalty_usd_per_kwh=0.05,
+                            typo_key=1)
+        rc = main(["run", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (f"error: {path}: unknown config keys "
+                       "['guard_limit', 'penalty_usd_per_kwh', 'typo_key']\n")
+
+    def test_inline_row_equals_csv_row(self, tmp_path):
+        header = "id,class,window_start,window_end,duration,rated_kw,original_slots\n"
+        rows = "".join(
+            f"{a['id']},{a['class']},{a['window_start']},{a['window_end']},"
+            f"{a['duration']},{a['rated_kw']},{';'.join(map(str, a['original_slots']))}\n"
+            for a in INLINE_APPLIANCES
+        )
+        (tmp_path / "appliances.csv").write_text(header + rows)
+        config = base_config(tmp_path / "out")
+        del config["appliances"]
+        config["appliances_csv"] = "appliances.csv"
+        csv_path = tmp_path / "from_csv.json"
+        csv_path.write_text(json.dumps(config))
+        inline = load_scenario_config(write_config(tmp_path)).appliances
+        assert load_scenario_config(csv_path).appliances == inline
+        # a ';' string is read as the CSV column is
+        apps = [dict(a, original_slots=";".join(map(str, a["original_slots"])))
+                for a in INLINE_APPLIANCES]
+        path = write_config(tmp_path, name="joined.json", appliances=apps)
+        assert load_scenario_config(path).appliances == inline
 
 
 class TestRunCommand:
@@ -212,6 +247,20 @@ class TestRunCommand:
         assert "INFEASIBLE" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, cents", [
+    ("run", "-1"), ("explain", "-1"), ("explain", "abc"), ("run", "5,x"), ("explain", "5,10"),
+])
+def test_bad_penalty_cents_is_an_input_error(tmp_path, capsys, command, cents):
+    argv = [command, "--config", str(write_config(tmp_path)), f"--penalty-cents={cents}"]
+    if command == "explain":
+        argv += ["--schedule", str(tmp_path / "schedule.csv")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: bad --penalty-cents value")
+    assert not (tmp_path / "out").exists()
+
+
 class TestExplainCommand:
     def run_once(self, tmp_path):
         config_path = write_config(tmp_path, penalty_prices_usd_per_kwh=[0.0])
@@ -254,60 +303,147 @@ class TestExplainCommand:
         assert out["feasibility"]["max_demand"]
 
 
-def write_instance(tmp_path, **overrides):
-    data = {
-        "grid": {"slot_count": 12, "slot_hours": 0.5},
-        "appliances": INLINE_APPLIANCES,
-        "price": STEEP_PRICE,
-        "md_kw": 5.0,
-        "penalty_usd_per_kwh": 0.05,
-    }
-    data.update(overrides)
-    path = tmp_path / "instance.json"
-    path.write_text(json.dumps(data))
-    return path
-
-
 @pytest.mark.parametrize("command", ["run", "explain", "oracle"])
 @pytest.mark.parametrize("change, message", [
     ({"md_kw": "abc"}, "'md_kw' must be a number"),
     ({"md_kw": 0}, "md_kw must be positive"),
     ({"voltage_band": ["a", "b"]}, "'voltage_band' must be a number"),
     ({"grid": {"slot_count": "x"}}, "'grid.slot_count' must be a number"),
-    # the config's and the instance's penalty key
-    ({"penalty_prices_usd_per_kwh": [-1], "penalty_usd_per_kwh": -1}, "must be >= 0"),
-], ids=["md_kw_text", "md_kw_zero", "voltage_band_text", "slot_count_text", "penalty_negative"])
+    ({"penalty_prices_usd_per_kwh": [-1]}, "must be >= 0"),
+    ({"grid": 5}, "'grid' must be an object"),
+    ({"appliances": 5}, "'appliances' must be a list"),
+    ({"appliances_csv": 5}, "'appliances_csv' must be a string"),
+    ({"price": -1}, "'price' must be a list"),
+    ({"pv_enabled": "no"}, "'pv_enabled' must be true or false"),
+    ({"csa": [1]}, "'csa' must be an object"),
+], ids=["md_kw_text", "md_kw_zero", "voltage_band_text", "slot_count_text", "penalty_negative",
+        "grid_number", "appliances_number", "appliances_csv_number", "price_number",
+        "pv_enabled_text", "csa_list"])
 def test_malformed_value_is_an_input_error(tmp_path, capsys, command, change, message):
-    if command == "oracle":
-        argv = ["oracle", "--instance", str(write_instance(tmp_path, **change))]
-    else:
-        argv = [command, "--config", str(write_config(tmp_path, **change))]
-        if command == "explain":
-            argv += ["--schedule", str(tmp_path / "schedule.csv")]
+    argv = [command, "--config", str(write_config(tmp_path, **change))]
+    if command == "explain":
+        argv += ["--schedule", str(tmp_path / "schedule.csv")]
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and message in err
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=10,
+)
+
+_FUZZ_BASE = dict(
+    base_config("out"),
+    pv=[0.0, 0.0, 0.0, 0.6, 1.2, 1.6, 1.6, 1.2, 0.6, 0.0, 0.0, 0.0],
+    pv_capacity_kw=1.6, pv_enabled=True, voltage_band=[0.95, 1.05], power_factor=0.95,
+)
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    """A whole JSON document, or the small base config with one key or one
+    appliance field replaced, added or removed."""
+    kind = draw(st.sampled_from(["document", "key", "appliance_field"]))
+    if kind == "document":
+        return draw(_JSON)
+    config = json.loads(json.dumps(_FUZZ_BASE))
+    target = config
+    if kind == "appliance_field":
+        target = config["appliances"][draw(st.integers(0, len(INLINE_APPLIANCES) - 1))]
+    key = draw(st.sampled_from(sorted(target)) | st.text(max_size=6))
+    if draw(st.booleans()):
+        target.pop(key, None)
+    else:
+        target[key] = draw(_JSON)
+    return config
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(document=_fuzzed_configs())
+@example(document=[])
+def test_any_json_is_a_config_or_an_input_error(tmp_path, document):
+    # run, explain and oracle read a config through this one loader; the
+    # oracle also sizes the problem, so it runs end to end
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(document))
+    try:
+        config = load_scenario_config(path)
+    except InputError:
+        return
+    assert isinstance(config, ScenarioConfig)
+    assert main(["oracle", "--config", str(path)]) in (0, 1, 2)
+
+
 class TestOracleCommand:
     def test_payload_matches_library_result(self, tmp_path, capsys):
-        path = write_instance(tmp_path)
-        rc = main(["oracle", "--instance", str(path)])
+        path = write_config(tmp_path, penalty_prices_usd_per_kwh=[0.05, 0.0])
+        rc = main(["oracle", "--config", str(path)])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
 
-        from dsmsched.cli import _load_instance
-        expected = exhaustive_optimize(_load_instance(path))
-        assert payload["total_usd"] == pytest.approx(expected.breakdown.total_usd, abs=1e-6)
-        assert payload["feasible_count"] == expected.feasible_count
-        assert payload["on_slots"]["1"] == list(range(1, 13))
+        config = load_scenario_config(path)
+        expected = sweep_penalties(SmallInstance(context=config.context()), [0.05, 0.0])
+        assert [row["penalty_usd_per_kwh"] for row in payload] == [0.05, 0.0]
+        for row, pi in zip(payload, [0.05, 0.0]):
+            best = expected[pi]
+            assert row["total_usd"] == pytest.approx(best.breakdown.total_usd, abs=1e-6)
+            assert row["c_p_usd"] == pytest.approx(best.breakdown.penalty_usd, abs=1e-6)
+            assert row["feasible_count"] == best.feasible_count
+            assert row["tie_count"] == len(best.ties)
+            assert row["on_slots"] == {
+                str(a.id): list(slots)
+                for a, slots in zip(config.appliances, best.schedule.to_on_slots())
+            }
+            assert row["on_slots"]["1"] == list(range(1, 13))
+        assert payload[1]["c_p_usd"] == 0.0
+        assert payload[0]["total_usd"] >= payload[1]["total_usd"]
 
     def test_guard_exceeded_is_a_clean_error(self, tmp_path, capsys):
-        path = write_instance(tmp_path, guard_limit=10)
-        rc = main(["oracle", "--instance", str(path)])
+        # two 8-of-16 interruptibles: C(16, 8)**2, about 1.7e8 candidates,
+        # refused before enumeration starts
+        apps = [
+            {"id": 1, "class": "interruptible", "window_start": 1, "window_end": 16,
+             "duration": 8, "rated_kw": 1.0, "original_slots": list(range(1, 9))},
+            {"id": 2, "class": "interruptible", "window_start": 1, "window_end": 16,
+             "duration": 8, "rated_kw": 1.0, "original_slots": list(range(9, 17))},
+        ]
+        path = write_config(tmp_path, grid={"slot_count": 16, "slot_hours": 0.5},
+                            appliances=apps, price=[0.1] * 16)
+        rc = main(["oracle", "--config", str(path)])
+        err = capsys.readouterr().err
         assert rc == 2
-        assert "guard" in capsys.readouterr().err
+        assert err.startswith("error: ") and "165636900" in err and "guard" in err
+
+    def test_no_feasible_schedule_exits_one(self, tmp_path, capsys):
+        # the 1.5 kW block alone breaks a 1 kW cap on top of the 0.4 kW baseline
+        path = write_config(tmp_path, md_kw=1.0)
+        rc = main(["oracle", "--config", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "error: no feasible schedule exists for the instance\n"
+
+    @pytest.mark.parametrize("change, message", [
+        ({"appliances": INLINE_APPLIANCES + [
+            dict(INLINE_APPLIANCES[2], id=n) for n in (4, 5, 6)]},
+         "5 flexible appliances, limit is 4"),
+        ({"grid": {"slot_count": 24, "slot_hours": 0.5}, "price": STEEP_PRICE * 2,
+          "appliances": INLINE_APPLIANCES[1:]},
+         "24 slots, limit is 16"),
+    ], ids=["flexible", "slots"])
+    def test_too_large_for_the_oracle_is_an_input_error(self, tmp_path, capsys,
+                                                         change, message):
+        path = write_config(tmp_path, **change)
+        rc = main(["oracle", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and message in err
 
 
 class TestGoldenReport:

@@ -251,6 +251,15 @@ class TestApplianceCsv:
         with pytest.raises(InputError, match=r"bad.csv:3"):
             load_appliances_csv(p)
 
+    def test_short_row_names_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text(
+            "id,class,window_start,window_end,duration,rated_kw,original_slots\n"
+            "1,interruptible,1,4\n"
+        )
+        with pytest.raises(InputError, match=r"bad.csv:2"):
+            load_appliances_csv(p)
+
     def test_empty_table(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("id,class,window_start,window_end,duration,rated_kw,original_slots\n")
