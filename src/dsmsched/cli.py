@@ -27,13 +27,14 @@ from .csa import CsaConfig, OptimResult, optimize
 from .domain import (
     Appliance,
     ISSUE_ORIGINAL_WINDOW,
-    Schedule,
     TimeGrid,
     aggregate_power,
+    finite_float,
     load_appliances_csv,
     load_schedule_csv,
     parse_appliance_row,
     validate_appliance_set,
+    whole_int,
     write_schedule_csv,
 )
 from .errors import DsmError, InputError, PowerFlowError
@@ -142,19 +143,20 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
-def _number(value, key: str, where: str, kind: type = float):
-    """`value` converted by `kind`; an InputError naming `key` if it is not
-    a number."""
+def _number(value, key: str, where: str, kind=finite_float):
+    """`value` read by `kind`, `finite_float` or `whole_int`; an InputError
+    naming `key` if it is not such a number."""
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{where}: '{key}' must be a number, got {value!r}") from None
+        what = "an integer" if kind is whole_int else "finite"
+        raise InputError(f"{where}: '{key}' must be a number ({what}), got {value!r}") from None
 
 
 def _load_grid(data: dict, where: str) -> TimeGrid:
     grid = _typed(data, "grid", dict, where, {})
     return TimeGrid(
-        slot_count=_number(grid.get("slot_count", 48), "grid.slot_count", where, int),
+        slot_count=_number(grid.get("slot_count", 48), "grid.slot_count", where, whole_int),
         slot_hours=_number(grid.get("slot_hours", 0.5), "grid.slot_hours", where),
     )
 
@@ -269,23 +271,25 @@ def _parse_config(data, path: Path) -> ScenarioConfig:
 
     try:
         penalties = [
-            PenaltyPrice(float(p)).usd_per_kwh
+            PenaltyPrice(finite_float(p)).usd_per_kwh
             for p in _typed(data, "penalty_prices_usd_per_kwh", list, where, [0.0])
         ]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{where}: bad penalty_prices_usd_per_kwh: {exc}") from None
     if not penalties:
         raise InputError(f"{where}: penalty price list must be non-empty")
 
     csa_data = dict(_typed(data, "csa", dict, where, {}))
-    known = {f.name for f in fields(CsaConfig)}
-    unknown = set(csa_data) - known
+    types = {f.name: f.type for f in fields(CsaConfig)}
+    unknown = set(csa_data) - set(types)
     if unknown:
         raise InputError(f"{where}: unknown csa options {sorted(unknown)}")
     # csa.rng_seed, when given, overrides the scenario seed
-    seed_key = "csa.rng_seed" if "rng_seed" in csa_data else "seed"
-    seed = csa_data.get("rng_seed", data.get("seed", 0))
-    csa_data["rng_seed"] = _number(seed, seed_key, where, int)
+    csa_data.setdefault("rng_seed", _number(data.get("seed", 0), "seed", where, whole_int))
+    for key, value in csa_data.items():
+        if value is not None or types[key] != "float | None":
+            kind = whole_int if types[key] == "int" else finite_float
+            csa_data[key] = _number(value, f"csa.{key}", where, kind)
     try:
         csa = CsaConfig(**csa_data)
     except (TypeError, ValueError) as exc:
@@ -465,7 +469,8 @@ def _penalty_cents(text: str) -> list[float]:
     """A --penalty-cents value: comma-separated cents/kWh, as $/kWh prices."""
     try:
         prices = [
-            PenaltyPrice.from_cents(float(c)).usd_per_kwh for c in text.split(",") if c.strip()
+            PenaltyPrice.from_cents(finite_float(c)).usd_per_kwh
+            for c in text.split(",") if c.strip()
         ]
     except ValueError as exc:
         raise InputError(f"bad --penalty-cents value {text!r}: {exc}") from None

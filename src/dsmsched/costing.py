@@ -90,9 +90,11 @@ _SWEEP_CHUNK = 256
 class _FlowCache:
     """Per-slot power-flow results shared by every evaluation on a context.
 
-    Key: (slot index, gross household kW quantized to 1 W).  Value:
+    Key: (slot index, gross household load in whole watts).  Value:
     (billed incremental loss kW, per-bus voltage magnitudes), solved at the
-    first gross value that reached the key.
+    key's own load, watts / 1000 kW, so each entry is a fixed function of
+    its key whatever order the evaluations reached it in.  Failed solves
+    are not cached.
     """
 
     __slots__ = ("flow", "baseline")
@@ -220,7 +222,8 @@ class ProblemContext:
         """(billed incremental loss kW, per-bus |V| pu) for one slot.
 
         Billed loss is the with-home minus without-home feeder loss, floored
-        at zero.  Returns (0, None) when the problem has no feeder.
+        at zero, at the load rounded to whole watts (the cache key).
+        Returns (0, None) when the problem has no feeder.
         Raises PowerFlowError when the sweep diverges.
         """
         if self.feeder is None:
@@ -229,7 +232,8 @@ class ProblemContext:
         hit = self._cache.flow.get(key)
         if hit is None:
             state = solve_power_flow(
-                self.feeder, self._injections(idx, gross_kw), self.flow_tol, self.flow_max_iter
+                self.feeder, self._injections(idx, key[1] / 1000.0), self.flow_tol,
+                self.flow_max_iter,
             )
             billed = max(0.0, state.loss_kw - self.baseline_loss(idx))
             hit = self._cache.flow.setdefault(key, (billed, state.voltage_magnitudes()))
@@ -241,79 +245,57 @@ class ProblemContext:
         Returns (billed loss kW per cell, voltage-band violation per row,
         flow failed per row), exactly what calling `slot_flow` row by row,
         slot by slot would give: a row stops at its first slot whose flow
-        fails, so its loss and violation cover only the slots before it;
-        violations sum slot by slot, then bus by bus; and the cache ends up
-        holding the same entries, each solved at the first gross value that
-        reached its key.  The keys missing from the cache are solved
-        together by `solve_power_flow_batch`.
+        fails, so its loss and violation cover only the slots before it,
+        and violations sum slot by slot, then bus by bus.  Each distinct
+        (slot, W) key is looked up once; the keys missing from the cache
+        are solved together by `solve_power_flow_batch`.
         """
         rows, slots = gross.shape
         loss = np.zeros((rows, slots))
         violation = np.zeros(rows)
-        failed = np.zeros(rows, dtype=bool)
         if self.feeder is None:
-            return loss, violation, failed
+            return loss, violation, np.zeros(rows, dtype=bool)
         flow = self._cache.flow
         vmin, vmax = self.voltage_min, self.voltage_max
-        in_band = (vmin,) * self.feeder.bus_count
         # one code per (slot, gross W) cache key
         codes = np.rint(gross * 1000.0).astype(np.int64) * slots + np.arange(slots)
-        solved: dict[tuple[int, float], tuple | None] = {}
-        top = 0
-        # each round resolves rows top.. up to the first row whose flow fails
-        while top < rows:
-            keys, first, inverse = np.unique(
-                codes[top:].ravel(), return_index=True, return_inverse=True)
-            key_slots = (keys % slots).tolist()
-            key_watts = (keys // slots).tolist()
-            entries = [flow.get(k) for k in zip(key_slots, key_watts)]
-            # keys missing from the cache, in order of their first cell; each
-            # is solved at the gross value of that cell
-            new = [
-                (cell, i, (key_slots[i], float(gross[top + cell // slots, cell % slots])))
-                for cell, i in sorted(
-                    (int(first[i]), i) for i, e in enumerate(entries) if e is None)
-            ]
-            cases = [case for _, _, case in new if case not in solved]
-            solved.update(zip(cases, self._solve_cases(cases)))
-            stop = inverse.size  # first failing cell, relative to row top
-            for cell, i, case in new:
-                entry = solved[case]
-                if entry is None:
-                    stop = cell
-                    break
-                flow[(key_slots[i], key_watts[i])] = entries[i] = entry
+        codes, inverse = np.unique(codes.ravel(), return_inverse=True)
+        keys = list(zip((codes % slots).tolist(), (codes // slots).tolist()))
+        entries = [flow.get(k) for k in keys]
+        missing = [i for i, e in enumerate(entries) if e is None]
+        for i, entry in zip(missing, self._solve_cases([keys[i] for i in missing])):
+            if entry is not None:
+                flow[keys[i]] = entries[i] = entry
 
-            billed = np.array([0.0 if e is None else e[0] for e in entries])
-            mags = np.array([in_band if e is None else e[1] for e in entries])
-            bad = ((mags < vmin) | (mags > vmax)).any(axis=1)[inverse[:stop]]
-            end, fail_slot = divmod(stop, slots)
-            block = billed[inverse].reshape(-1, slots)
-            loss[top:top + end] = block[:end]
-            if stop < inverse.size:
-                loss[top + end, :fail_slot] = block[end, :fail_slot]
-                failed[top + end] = True
-            for row in dict.fromkeys((np.flatnonzero(bad) // slots).tolist()):
-                total = 0.0
-                for cell in range(row * slots, min(stop, (row + 1) * slots)):
-                    for mag in entries[inverse[cell]][1]:
-                        if mag < vmin:
-                            total += vmin - mag
-                        elif mag > vmax:
-                            total += mag - vmax
-                violation[top + row] = total
-            top += end + 1
-        return loss, violation, failed
+        cells = inverse.reshape(rows, slots)
+        # a row reaches the slots before its first failed flow
+        ok = np.array([e is not None for e in entries])
+        reached = np.logical_and.accumulate(ok[cells], axis=1)
+        billed = np.array([0.0 if e is None else e[0] for e in entries])
+        loss[reached] = billed[cells][reached]
+        in_band = (vmin,) * self.feeder.bus_count
+        mags = np.array([in_band if e is None else e[1] for e in entries])
+        bad = ((mags < vmin) | (mags > vmax)).any(axis=1)[cells] & reached
+        for row in np.flatnonzero(bad.any(axis=1)).tolist():
+            total = 0.0
+            for i in cells[row, reached[row]].tolist():
+                for mag in entries[i][1]:
+                    if mag < vmin:
+                        total += vmin - mag
+                    elif mag > vmax:
+                        total += mag - vmax
+            violation[row] = total
+        return loss, violation, ~reached[:, -1]
 
-    def _solve_cases(self, cases: list[tuple[int, float]]) -> list[tuple | None]:
-        """`slot_flow` cache entries for (slot index, gross kW) cases, None
+    def _solve_cases(self, keys: list[tuple[int, int]]) -> list[tuple | None]:
+        """`slot_flow` cache entries for (slot index, gross W) keys, None
         where `slot_flow` would raise PowerFlowError."""
         out: list[tuple | None] = []
         # chunks bound the sweep's working arrays (about 2 kB per case)
-        for lo in range(0, len(cases), _SWEEP_CHUNK):
-            chunk = cases[lo:lo + _SWEEP_CHUNK]
-            idx = np.array([c[0] for c in chunk], dtype=np.intp)
-            p, q, pv = self._injection_arrays(idx, np.array([c[1] for c in chunk]))
+        for lo in range(0, len(keys), _SWEEP_CHUNK):
+            chunk = keys[lo:lo + _SWEEP_CHUNK]
+            idx = np.array([k[0] for k in chunk], dtype=np.intp)
+            p, q, pv = self._injection_arrays(idx, np.array([k[1] for k in chunk]) / 1000.0)
             states = solve_power_flow_batch(
                 self.feeder, p, q, pv, self.flow_tol, self.flow_max_iter)
             for k, slot in enumerate(idx.tolist()):

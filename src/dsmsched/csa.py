@@ -10,13 +10,14 @@ updated with antibodies that satisfy them outright.
 Evaluation is a pure function of the genotype.  Each generation's new
 genotypes are scored together as arrays, with the same arithmetic, in the
 same order, as scoring them one by one.  Per-slot power flows are cached on
-the problem context keyed by (slot, gross kW quantized to 1 W); identical
-slot loads across antibodies reuse the same solve.
+the problem context keyed by (slot, gross load in whole watts) and solved at
+that rounded load, so identical slot loads across antibodies reuse one solve
+and no result depends on which antibody reached a key first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -250,9 +251,6 @@ class Evaluation:
     @property
     def feasible(self) -> bool:
         return self.md_excess == 0.0 and self.voltage_violation == 0.0 and not self.flow_failed
-
-    def incumbent_key(self) -> tuple:
-        return (self.total_usd, self.shift_slots, self.flat_slots)
 
 
 class _Evaluator:

@@ -8,10 +8,11 @@ lists, reports).  Matrix columns are 0-based internally; helpers on
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +29,8 @@ __all__ = [
     "validate_appliance_set",
     "aggregate_power",
     "schedule_from_on_slots",
+    "finite_float",
+    "whole_int",
     "parse_appliance_row",
     "load_appliances_csv",
     "load_schedule_csv",
@@ -297,6 +300,23 @@ def validate_appliance_set(appliances: Sequence[Appliance], grid: TimeGrid) -> V
 _CLASS_BY_NAME = {c.value: c for c in ApplianceClass}
 
 
+def finite_float(value) -> float:
+    """`value` as a float; a ValueError for NaN, infinities and booleans,
+    which float() would accept."""
+    number = float(value)
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ValueError(f"not a finite number: {value!r}")
+    return number
+
+
+def whole_int(value) -> int:
+    """`value` as an int; a ValueError for booleans and for numbers with a
+    fractional part, which int() would accept or truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not a whole number: {value!r}")
+    return int(value)
+
+
 def _parse_on_slots(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -316,15 +336,15 @@ def parse_appliance_row(row) -> Appliance:
             raise ValueError(f"unknown appliance class {row['class']!r}")
         slots = row.get("original_slots", "")
         return Appliance(
-            id=int(row["id"]),
+            id=whole_int(row["id"]),
             appliance_class=cls,
-            window_start=int(row["window_start"]),
-            window_end=int(row["window_end"]),
-            duration=int(row["duration"]),
-            rated_kw=float(row["rated_kw"]),
+            window_start=whole_int(row["window_start"]),
+            window_end=whole_int(row["window_end"]),
+            duration=whole_int(row["duration"]),
+            rated_kw=finite_float(row["rated_kw"]),
             original_on_slots=(
                 _parse_on_slots(slots) if isinstance(slots, str)
-                else tuple(int(s) for s in slots)
+                else tuple(whole_int(s) for s in slots)
             ),
         )
     except KeyError as exc:

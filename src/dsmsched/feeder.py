@@ -12,10 +12,10 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
+from .domain import finite_float, whole_int
 from .errors import InputError, PowerFlowError, TopologyError
 
 __all__ = [
@@ -466,21 +466,21 @@ def load_feeder_json(path: str | Path) -> FeederModel:
     try:
         lines = tuple(
             FeederLine(
-                from_bus=int(line["from"]),
-                to_bus=int(line["to"]),
-                r_pu=float(line["r_pu"]),
-                x_pu=float(line["x_pu"]),
+                from_bus=whole_int(line["from"]),
+                to_bus=whole_int(line["to"]),
+                r_pu=finite_float(line["r_pu"]),
+                x_pu=finite_float(line["x_pu"]),
             )
             for line in data["lines"]
         )
         return FeederModel(
-            base_kva=float(data["base_kva"]),
-            base_kv=float(data["base_kv"]),
-            slack_voltage_pu=float(data["slack_voltage_pu"]),
+            base_kva=finite_float(data["base_kva"]),
+            base_kv=finite_float(data["base_kv"]),
+            slack_voltage_pu=finite_float(data["slack_voltage_pu"]),
             lines=lines,
-            smart_home_bus=int(data["smart_home_bus"]),
+            smart_home_bus=whole_int(data["smart_home_bus"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: bad feeder description: {exc}") from None
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .domain import TimeGrid
+from .domain import TimeGrid, finite_float
 from .errors import InputError
 
 __all__ = [
@@ -31,13 +31,6 @@ __all__ = [
     "canonical_pv_profile",
     "canonical_neighbor_loads",
 ]
-
-
-def _check_length(name: str, values: Sequence[float], grid: TimeGrid) -> None:
-    if len(values) != grid.slot_count:
-        raise ValueError(
-            f"{name} has {len(values)} values, grid expects {grid.slot_count}"
-        )
 
 
 @dataclass(frozen=True)
@@ -124,7 +117,7 @@ def load_series(path: str | Path, grid: TimeGrid) -> list[float]:
                     continue
                 try:
                     slot = int(row[0])
-                    value = float(row[1])
+                    value = finite_float(row[1])
                 except (ValueError, IndexError):
                     raise InputError(f"{path}:{lineno}: bad row {row!r}") from None
                 if slot != len(values) + 1:
@@ -169,7 +162,7 @@ def load_neighbor_loads(
                     raise InputError(f"{path}:{lineno}: expected {width + 1} columns")
                 try:
                     slot = int(row[0])
-                    rows.append([float(v) for v in row[1:]])
+                    rows.append([finite_float(v) for v in row[1:]])
                 except ValueError:
                     raise InputError(f"{path}:{lineno}: bad row {row!r}") from None
                 if slot != len(rows):

@@ -249,6 +249,7 @@ class TestRunCommand:
 
 @pytest.mark.parametrize("command, cents", [
     ("run", "-1"), ("explain", "-1"), ("explain", "abc"), ("run", "5,x"), ("explain", "5,10"),
+    ("run", "nan"), ("explain", "inf"),
 ])
 def test_bad_penalty_cents_is_an_input_error(tmp_path, capsys, command, cents):
     argv = [command, "--config", str(write_config(tmp_path)), f"--penalty-cents={cents}"]
@@ -303,6 +304,14 @@ class TestExplainCommand:
         assert out["feasibility"]["max_demand"]
 
 
+def _with_row_field(**field):
+    """The inline appliances with one field of the second row replaced."""
+    return [INLINE_APPLIANCES[0], dict(INLINE_APPLIANCES[1], **field), INLINE_APPLIANCES[2]]
+
+
+_CSA = base_config("out")["csa"]
+
+
 @pytest.mark.parametrize("command", ["run", "explain", "oracle"])
 @pytest.mark.parametrize("change, message", [
     ({"md_kw": "abc"}, "'md_kw' must be a number"),
@@ -316,10 +325,28 @@ class TestExplainCommand:
     ({"price": -1}, "'price' must be a list"),
     ({"pv_enabled": "no"}, "'pv_enabled' must be true or false"),
     ({"csa": [1]}, "'csa' must be an object"),
+    ({"grid": {"slot_count": 12, "slot_hours": "nan"}}, "'grid.slot_hours' must be a number"),
+    ({"price": STEEP_PRICE[:-1] + ["nan"]}, "'price' must be a number"),
+    ({"penalty_prices_usd_per_kwh": ["nan"]}, "bad penalty_prices_usd_per_kwh"),
+    ({"md_kw": "-inf"}, "'md_kw' must be a number"),
+    ({"appliances": _with_row_field(rated_kw="nan")}, "appliance 2: not a finite number"),
+    ({"price_csv": "price_nan.csv"}, "price_nan.csv:13: bad row"),
+    ({"grid": {"slot_count": 12.9}}, "'grid.slot_count' must be a number (an integer)"),
+    ({"appliances": _with_row_field(duration=2.7)}, "appliance 2: not a whole number"),
+    ({"csa": dict(_CSA, rng_seed=2.5)}, "'csa.rng_seed' must be a number"),
+    ({"csa": dict(_CSA, population_size=8.5)}, "'csa.population_size' must be a number"),
+    ({"csa": dict(_CSA, generations=3.5)}, "'csa.generations' must be a number"),
+    ({"md_kw": True}, "'md_kw' must be a number"),
+    ({"seed": True}, "'seed' must be a number"),
 ], ids=["md_kw_text", "md_kw_zero", "voltage_band_text", "slot_count_text", "penalty_negative",
         "grid_number", "appliances_number", "appliances_csv_number", "price_number",
-        "pv_enabled_text", "csa_list"])
+        "pv_enabled_text", "csa_list", "slot_hours_nan", "price_nan", "penalty_nan",
+        "md_kw_minus_inf", "rated_kw_nan", "price_csv_nan", "slot_count_fraction",
+        "duration_fraction", "rng_seed_fraction", "population_size_fraction",
+        "generations_fraction", "md_kw_bool", "seed_bool"])
 def test_malformed_value_is_an_input_error(tmp_path, capsys, command, change, message):
+    rows = "".join(f"{slot},{price}\n" for slot, price in enumerate(STEEP_PRICE[:-1], start=1))
+    (tmp_path / "price_nan.csv").write_text("slot,price\n" + rows + "12,nan\n")
     argv = [command, "--config", str(write_config(tmp_path, **change))]
     if command == "explain":
         argv += ["--schedule", str(tmp_path / "schedule.csv")]

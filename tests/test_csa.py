@@ -211,7 +211,7 @@ class TestBatchedEvaluation:
     def assert_matches_reference(make_context, batches, weight=5.0):
         """Evaluate `batches` (lists of antibodies) batch by batch on one
         context and one by one on a fresh twin; every Evaluation field and
-        the flow-cache contents, in insertion order, must agree."""
+        the flow-cache contents must agree."""
         ctx, twin = make_context(), make_context()
         evaluator = _Evaluator(SearchSpace(ctx), weight)
         twin_space = SearchSpace(twin)
@@ -224,7 +224,7 @@ class TestBatchedEvaluation:
         assert evaluator.evaluations == len(expected)
         for genes, rec in expected.items():
             assert evaluator.cache[genes] == rec, genes
-        assert list(ctx._cache.flow.items()) == list(twin._cache.flow.items())
+        assert ctx._cache.flow == twin._cache.flow
         assert ctx._cache.baseline == twin._cache.baseline
         return list(expected.values())
 
@@ -238,19 +238,38 @@ class TestBatchedEvaluation:
             batches.append(clone_and_hypermutate(batches[-1][:size], config, rng, space))
         return batches
 
-    def test_canonical_genotypes(self, grid48, canonical_appliances, canonical_price,
-                                 canonical_pv, canonical_neighbors, canonical_feeder):
+    @pytest.fixture
+    def make_canonical(self, grid48, canonical_appliances, canonical_price, canonical_pv,
+                       canonical_neighbors, canonical_feeder):
         def make():
             return ProblemContext(
                 grid=grid48, appliances=canonical_appliances, price=canonical_price,
                 pv=canonical_pv, neighbors=canonical_neighbors, feeder=canonical_feeder,
                 md_kw=12.4, penalty_price=0.05,
             )
+        return make
 
-        batches = self.generations(SearchSpace(make()), np.random.default_rng(4))
-        records = self.assert_matches_reference(make, batches)
+    def test_canonical_genotypes(self, make_canonical):
+        batches = self.generations(SearchSpace(make_canonical()), np.random.default_rng(4))
+        records = self.assert_matches_reference(make_canonical, batches)
         assert any(r.md_excess > 0 for r in records)
         assert any(r.feasible for r in records)
+
+    def test_flow_cache_is_independent_of_evaluation_order(self, make_canonical):
+        batches = self.generations(SearchSpace(make_canonical()), np.random.default_rng(4))
+        forward, backward = make_canonical(), make_canonical()
+        ahead = _Evaluator(SearchSpace(forward), 5.0)
+        behind = _Evaluator(SearchSpace(backward), 5.0)
+        for batch in batches:
+            ahead.batch(batch)
+        for batch in reversed(batches):
+            behind.batch(batch)
+        assert forward._cache.flow == backward._cache.flow
+        assert ahead.cache == behind.cache
+        # each entry is the flow at its key's own load
+        fresh = make_canonical()
+        for (slot, watts), entry in forward._cache.flow.items():
+            assert fresh.slot_flow(slot, watts / 1000) == entry, (slot, watts)
 
     def test_cap_binding_instance(self):
         def make():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dsmsched.constraints import is_feasible
 from dsmsched.costing import ProblemContext
@@ -22,6 +23,7 @@ from dsmsched.feeder import (
 from dsmsched.feeder import canonical_feeder as build_canonical_feeder
 from dsmsched.profiles import NeighborLoads, PriceSeries, PvSeries
 from pf_reference import nr_two_bus
+from test_csa import weak_feeder_context
 
 
 def two_bus(r=0.02, x=0.012, base_kva=50.0) -> FeederModel:
@@ -322,6 +324,25 @@ class TestFeederJson:
         with pytest.raises(InputError, match="cannot read"):
             load_feeder_json(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("path, value", [
+        (("base_kva",), "nan"),
+        (("lines", 0, "r_pu"), float("inf")),
+        (("smart_home_bus",), 2.5),
+        (("lines", 1, "to"), True),
+    ])
+    def test_non_finite_or_fractional_value(self, tmp_path, path, value):
+        p = tmp_path / "feeder.json"
+        write_feeder_json(p, chain(n_lines=3))
+        data = json.loads(p.read_text())
+        *parents, key = path
+        target = data
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        p.write_text(json.dumps(data))
+        with pytest.raises(InputError, match="bad feeder description: not a"):
+            load_feeder_json(p)
+
 
 def test_canonical_feeder_layout(canonical_feeder):
     built = build_canonical_feeder()
@@ -330,3 +351,31 @@ def test_canonical_feeder_layout(canonical_feeder):
     assert built.smart_home_bus == 13
     assert len(built.neighbor_buses) == 12
     assert all(ln.r_pu == 0.006 and ln.x_pu == 0.00375 for ln in built.lines)
+
+
+@pytest.fixture(scope="module")
+def voltage_contexts(grid48, canonical_appliances, canonical_price, canonical_pv,
+                     canonical_neighbors, canonical_feeder):
+    """(context, largest home kW to try): the canonical day, and the weak
+    3-bus feeder on which the voltage band binds."""
+    canonical = ProblemContext(
+        grid=grid48, appliances=canonical_appliances, price=canonical_price, pv=canonical_pv,
+        neighbors=canonical_neighbors, feeder=canonical_feeder,
+    )
+    return {"canonical": (canonical, 40.0), "weak": (weak_feeder_context(0.15), 25.0)}
+
+
+@pytest.mark.parametrize("name", ["canonical", "weak"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_bus_voltage_is_non_increasing_in_home_load(voltage_contexts, name, data):
+    # DistFlow (Baran & Wu 1989): more load at the home bus lowers every
+    # bus voltage on a radial feeder
+    ctx, top_kw = voltage_contexts[name]
+    slot = data.draw(st.integers(0, ctx.grid.slot_count - 1), label="slot")
+    low = data.draw(st.floats(0.0, top_kw), label="low kW")
+    # one watt apart, or anywhere above
+    high = data.draw(st.just(low + 0.001) | st.floats(low, top_kw), label="high kW")
+    _, v_low = ctx.slot_flow(slot, low)
+    _, v_high = ctx.slot_flow(slot, high)
+    assert all(h <= l for l, h in zip(v_low, v_high))

@@ -27,6 +27,7 @@ from small_instances import (
     _tiny_feeder,
     _tiny_neighbors,
     _uninterruptible,
+    build_suite,
 )
 
 GRID8 = TimeGrid(slot_count=8, slot_hours=0.5)
@@ -127,6 +128,14 @@ def test_enumeration_is_exactly_the_feasible_set():
         assert abs(selected - result.total_usd) <= 1e-9
         reference = [total_cost(s, ctx.with_penalty(pi)).total_usd for s in feasible]
         assert result.total_usd <= min(reference) + 1e-9
+
+
+def test_suite_feeder_family_binds_the_voltage_band():
+    ctx = dict(build_suite())["feeder_pi0"]
+    inst = SmallInstance(context=ctx)
+    assert is_feasible(ctx.original_schedule(), ctx).voltage
+    # the cap never binds here, so every rejected candidate fails the band
+    assert 0 < exhaustive_optimize(inst).feasible_count < inst.candidate_count()
 
 
 def test_md_cap_prunes_the_enumeration():

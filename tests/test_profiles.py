@@ -103,6 +103,13 @@ class TestNeighborCsv:
         with pytest.raises(InputError, match="columns"):
             load_neighbor_loads(p, TimeGrid(slot_count=1, slot_hours=0.5))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        p = tmp_path / "n.csv"
+        p.write_text(f"slot,h1,h2\n1,1.0,0.5\n2,{value},0.5\n")
+        with pytest.raises(InputError, match=r"n.csv:3: bad row"):
+            load_neighbor_loads(p, TimeGrid(slot_count=2, slot_hours=0.5))
+
 
 class TestSynthPv:
     def test_peak_equals_capacity(self):
