@@ -284,8 +284,11 @@ def _parse_config(data, path: Path) -> ScenarioConfig:
     unknown = set(csa_data) - set(types)
     if unknown:
         raise InputError(f"{where}: unknown csa options {sorted(unknown)}")
+    seed = _number(data.get("seed", 0), "seed", where, whole_int)
+    if seed < 0:
+        raise InputError(f"{where}: 'seed' must be >= 0, got {seed}")
     # csa.rng_seed, when given, overrides the scenario seed
-    csa_data.setdefault("rng_seed", _number(data.get("seed", 0), "seed", where, whole_int))
+    csa_data.setdefault("rng_seed", seed)
     for key, value in csa_data.items():
         if value is not None or types[key] != "float | None":
             kind = whole_int if types[key] == "int" else finite_float
@@ -337,10 +340,10 @@ def _write_voltage_csv(path: Path, context: ProblemContext, gross: np.ndarray) -
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["slot", "bus", "v_pu"])
-        for idx in range(context.grid.slot_count):
-            _, vmags = context.slot_flow(idx, float(gross[idx]))
-            assert vmags is not None
-            for bus, mag in enumerate(vmags):
+        for idx, flow in enumerate(context.slot_flows(gross)):
+            if isinstance(flow, PowerFlowError):
+                raise flow
+            for bus, mag in enumerate(flow[1]):
                 writer.writerow([idx + 1, bus, _fmt(mag)])
 
 
@@ -484,7 +487,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.penalty_cents:
         config.penalties_usd_per_kwh = _penalty_cents(args.penalty_cents)
     if args.seed is not None:
-        config.csa = replace(config.csa, rng_seed=args.seed)
+        try:
+            config.csa = replace(config.csa, rng_seed=args.seed)
+        except ValueError as exc:
+            raise InputError(f"bad --seed value {args.seed}: {exc}") from None
     if args.out:
         config.out_dir = Path(args.out)
 

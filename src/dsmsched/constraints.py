@@ -165,17 +165,14 @@ def is_feasible(schedule: Schedule, context: ProblemContext) -> FeasibilityRepor
             report.contiguity.append(aid)
 
     if context.feeder is not None:
-        gross = aggregate_power(schedule, appliances)
-        for idx, kw in enumerate(gross):
-            try:
-                _, vmags = context.slot_flow(idx, float(kw))
-            except PowerFlowError:
+        flows = context.slot_flows(aggregate_power(schedule, appliances))
+        for idx, flow in enumerate(flows):
+            if isinstance(flow, PowerFlowError):
                 report.voltage.append(
                     VoltageViolation(slot=idx + 1, bus=-1, v_pu=float("nan"))
                 )
                 continue
-            assert vmags is not None
-            for bus, mag in enumerate(vmags):
+            for bus, mag in enumerate(flow[1]):
                 if mag < context.voltage_min or mag > context.voltage_max:
                     report.voltage.append(
                         VoltageViolation(slot=idx + 1, bus=bus, v_pu=mag)

@@ -3,7 +3,9 @@
 `ProblemContext` bundles everything a cost or feasibility computation needs
 (grid, appliances, tariff, PV, neighbors, feeder, limits) and owns a shared
 power-flow cache so that repeated evaluations of similar schedules reuse
-slot solves.
+slot solves.  Every solve goes through `ProblemContext._solve_cases`: one
+call of the batched sweep for all of a reader's misses and the
+home-disconnected baselines of their slots.
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ import numpy as np
 
 from .domain import Appliance, Schedule, TimeGrid, aggregate_power
 from .errors import PowerFlowError, UndefinedMetricError
-from .feeder import (
-    FeederModel,
-    SlotInjections,
-    solve_power_flow,
-    solve_power_flow_batch,
-    zero_home,
-)
+from .feeder import FeederModel, solve_power_flow_batch
 from .profiles import NeighborLoads, PriceSeries, PvSeries
 
 __all__ = [
@@ -174,8 +170,9 @@ class ProblemContext:
     def _injection_arrays(
         self, idx: np.ndarray, gross_kw: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`_injections` for many (slot, gross kW) cases: bus demand p, q
-        (cases x buses) and home PV, with the same arithmetic."""
+        """Bus demand p, q (cases x buses) and home PV of (slot index,
+        gross kW) cases: neighbours at their own power factor, the smart
+        home at the context's."""
         feeder = self.feeder
         assert feeder is not None
         p = np.zeros((len(idx), feeder.bus_count))
@@ -190,33 +187,18 @@ class ProblemContext:
         q[:, home] = gross_kw * math.tan(math.acos(self.power_factor))
         return p, q, self.pv_array()[idx]
 
-    def _injections(self, idx: int, gross_kw: float) -> SlotInjections:
-        feeder = self.feeder
-        assert feeder is not None
-        count = feeder.bus_count
-        p = [0.0] * count
-        q = [0.0] * count
-        if self.neighbors is not None:
-            tan_n = math.tan(math.acos(self.neighbors.power_factor))
-            for bus, house in zip(feeder.neighbor_buses, self.neighbors.per_house):
-                p[bus] = house[idx]
-                q[bus] = house[idx] * tan_n
-        home = feeder.smart_home_bus
-        p[home] = gross_kw
-        q[home] = gross_kw * math.tan(math.acos(self.power_factor))
-        pv_kw = float(self.pv.values[idx]) if self.pv is not None else 0.0
-        return SlotInjections(slot=idx + 1, p_kw=tuple(p), q_kvar=tuple(q), pv_kw=pv_kw)
-
     def baseline_loss(self, idx: int) -> float:
-        """Feeder loss in slot idx with the smart home disconnected."""
+        """Feeder loss in slot idx with the smart home disconnected.
+
+        Raises PowerFlowError when the sweep diverges.
+        """
         if self.feeder is None:
             return 0.0
-        cached = self._cache.baseline.get(idx)
-        if cached is None:
-            inj = zero_home(self._injections(idx, 0.0), self.feeder)
-            state = solve_power_flow(self.feeder, inj, self.flow_tol, self.flow_max_iter)
-            cached = self._cache.baseline.setdefault(idx, state.loss_kw)
-        return cached
+        if idx not in self._cache.baseline:
+            failed = self._solve_cases([], (idx,))
+            if idx in failed:
+                raise failed[idx]
+        return self._cache.baseline[idx]
 
     def slot_flow(self, idx: int, gross_kw: float) -> tuple[float, tuple[float, ...] | None]:
         """(billed incremental loss kW, per-bus |V| pu) for one slot.
@@ -229,15 +211,31 @@ class ProblemContext:
         if self.feeder is None:
             return (0.0, None)
         key = (idx, round(gross_kw * 1000.0))
-        hit = self._cache.flow.get(key)
-        if hit is None:
-            state = solve_power_flow(
-                self.feeder, self._injections(idx, key[1] / 1000.0), self.flow_tol,
-                self.flow_max_iter,
-            )
-            billed = max(0.0, state.loss_kw - self.baseline_loss(idx))
-            hit = self._cache.flow.setdefault(key, (billed, state.voltage_magnitudes()))
-        return hit
+        (entry,), failed = self._flows([key])
+        if entry is None:
+            raise failed[key]
+        return entry
+
+    def slot_flows(self, gross: Sequence[float]) -> list[tuple | PowerFlowError]:
+        """`slot_flow` of every slot of a gross kW series, each the result
+        or the PowerFlowError it raises; the misses are solved together."""
+        if self.feeder is None:
+            return [(0.0, None)] * len(gross)
+        keys = [(i, round(float(kw) * 1000.0)) for i, kw in enumerate(gross)]
+        entries, failed = self._flows(keys)
+        return [failed[k] if e is None else e for k, e in zip(keys, entries)]
+
+    def _flows(self, keys: list[tuple[int, int]]) -> tuple[list, dict]:
+        """Cache entries of (slot index, gross W) keys, None where the flow
+        fails, and the PowerFlowError of each such key; the misses are
+        solved in one `_solve_cases` call."""
+        flow = self._cache.flow
+        entries = [flow.get(k) for k in keys]
+        missing = [i for i, e in enumerate(entries) if e is None]
+        failed = self._solve_cases([keys[i] for i in missing])
+        for i in missing:
+            entries[i] = flow.get(keys[i])
+        return entries, failed
 
     def batch_flows(self, gross: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`slot_flow` over every cell of a (rows x slots) gross kW matrix.
@@ -248,24 +246,19 @@ class ProblemContext:
         fails, so its loss and violation cover only the slots before it,
         and violations sum slot by slot, then bus by bus.  Each distinct
         (slot, W) key is looked up once; the keys missing from the cache
-        are solved together by `solve_power_flow_batch`.
+        are solved together, in one `_solve_cases` call.
         """
         rows, slots = gross.shape
         loss = np.zeros((rows, slots))
         violation = np.zeros(rows)
         if self.feeder is None:
             return loss, violation, np.zeros(rows, dtype=bool)
-        flow = self._cache.flow
         vmin, vmax = self.voltage_min, self.voltage_max
         # one code per (slot, gross W) cache key
         codes = np.rint(gross * 1000.0).astype(np.int64) * slots + np.arange(slots)
         codes, inverse = np.unique(codes.ravel(), return_inverse=True)
         keys = list(zip((codes % slots).tolist(), (codes // slots).tolist()))
-        entries = [flow.get(k) for k in keys]
-        missing = [i for i, e in enumerate(entries) if e is None]
-        for i, entry in zip(missing, self._solve_cases([keys[i] for i in missing])):
-            if entry is not None:
-                flow[keys[i]] = entries[i] = entry
+        entries, _ = self._flows(keys)
 
         cells = inverse.reshape(rows, slots)
         # a row reaches the slots before its first failed flow
@@ -287,36 +280,55 @@ class ProblemContext:
             violation[row] = total
         return loss, violation, ~reached[:, -1]
 
-    def _solve_cases(self, keys: list[tuple[int, int]]) -> list[tuple | None]:
-        """`slot_flow` cache entries for (slot index, gross W) keys, None
-        where `slot_flow` would raise PowerFlowError."""
-        out: list[tuple | None] = []
+    def _solve_cases(
+        self, keys: list[tuple[int, int]], slots: Sequence[int] = ()
+    ) -> dict[tuple[int, int] | int, PowerFlowError]:
+        """Solve (slot index, gross W) keys, and the uncached home-disconnected
+        baselines of their slots and of `slots`, by `solve_power_flow_batch`.
+
+        Caches every flow entry and baseline that converges.  Returns the
+        PowerFlowError of each failure: by key for a flow, its own or else
+        its slot's baseline failure, in that order, as `slot_flow` raises
+        them; by slot index for a baseline.
+        """
+        flow, baseline = self._cache.flow, self._cache.baseline
+        todo = sorted({*slots, *(s for s, _ in keys)} - baseline.keys())
+        # baselines first, so each is known before the flows of its slot
+        cases = [(s, None) for s in todo] + keys
+        failed: dict = {}
         # chunks bound the sweep's working arrays (about 2 kB per case)
-        for lo in range(0, len(keys), _SWEEP_CHUNK):
-            chunk = keys[lo:lo + _SWEEP_CHUNK]
-            idx = np.array([k[0] for k in chunk], dtype=np.intp)
-            p, q, pv = self._injection_arrays(idx, np.array([k[1] for k in chunk]) / 1000.0)
-            states = solve_power_flow_batch(
+        for lo in range(0, len(cases), _SWEEP_CHUNK):
+            chunk = cases[lo:lo + _SWEEP_CHUNK]
+            idx = np.array([s for s, _ in chunk], dtype=np.intp)
+            watts = np.array([w or 0 for _, w in chunk])
+            p, q, pv = self._injection_arrays(idx, watts / 1000.0)
+            pv[[w is None for _, w in chunk]] = 0.0  # a baseline drops the home's PV too
+            sweep = solve_power_flow_batch(
                 self.feeder, p, q, pv, self.flow_tol, self.flow_max_iter)
-            for k, slot in enumerate(idx.tolist()):
-                if states.failed[k]:
-                    out.append(None)
-                    continue
-                try:
-                    billed = max(0.0, float(states.loss_kw[k]) - self.baseline_loss(slot))
-                except PowerFlowError:
-                    out.append(None)
-                    continue
-                out.append((billed, tuple(states.v_mag[k].tolist())))
-        return out
+            fails, losses = sweep.failed.tolist(), sweep.loss_kw.tolist()
+            mags = sweep.v_mag.tolist()
+            for k, (slot, w) in enumerate(chunk):
+                if fails[k]:
+                    failed[slot if w is None else (slot, w)] = sweep.error(k, slot + 1)
+                elif w is None:
+                    baseline[slot] = losses[k]
+                elif slot in failed:
+                    failed[(slot, w)] = failed[slot]
+                else:
+                    flow[(slot, w)] = (max(0.0, losses[k] - baseline[slot]), tuple(mags[k]))
+        return failed
 
     def billed_losses(self, gross: np.ndarray) -> np.ndarray:
-        """Billed loss series for a gross household load series."""
-        if self.feeder is None:
-            return np.zeros(self.grid.slot_count)
-        return np.array(
-            [self.slot_flow(i, float(g))[0] for i, g in enumerate(gross)]
-        )
+        """Billed loss series for a gross household load series.
+
+        Raises the PowerFlowError of the first slot whose sweep diverges.
+        """
+        loss = []
+        for flow in self.slot_flows(gross):
+            if isinstance(flow, PowerFlowError):
+                raise flow
+            loss.append(flow[0])
+        return np.array(loss)
 
 
 def net_household_load(

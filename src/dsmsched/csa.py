@@ -80,6 +80,8 @@ class CsaConfig:
             raise ValueError("constraint_penalty_weight must be >= 0")
         if self.stall_generations < 1:
             raise ValueError("stall_generations must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass(frozen=True)

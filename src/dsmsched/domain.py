@@ -399,6 +399,8 @@ def load_schedule_csv(
                 raise InputError(f"{path}: expected columns id,on_slots")
             by_id: dict[int, tuple[int, ...]] = {}
             for lineno, row in enumerate(reader, start=2):
+                if row["id"] is None or row["on_slots"] is None:
+                    raise InputError(f"{path}:{lineno}: too few fields, expected id,on_slots")
                 try:
                     aid = int(row["id"])
                     slots = _parse_on_slots(row["on_slots"])

@@ -4,6 +4,11 @@ The feeder is a tree rooted at the slack bus (id 0).  Every other bus is a
 house; the smart home sits at the electrically farthest bus.  Quantities are
 converted to per-unit on the feeder's kVA/kV base, solved, and reported back
 in kW / kvar / per-unit voltage.
+
+There is one sweep, `solve_power_flow_batch`, vectorized over load cases;
+`solve_power_flow` is its one-case call.  It matches a per-case sweep over
+Python complex numbers bit for bit; that reference lives with the tests
+(`tests/pf_reference.py`).
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ __all__ = [
     "solve_power_flow",
     "SweepBatch",
     "solve_power_flow_batch",
-    "zero_home",
     "canonical_feeder",
     "load_feeder_json",
     "write_feeder_json",
@@ -188,95 +192,24 @@ def solve_power_flow(
     tol: float = 1e-8,
     max_iter: int = 50,
 ) -> BusState:
-    """Backward/forward sweep until the largest voltage update is below tol.
+    """Backward/forward sweep of one slot: `solve_power_flow_batch` on a
+    single case.
 
     Raises PowerFlowError when the sweep fails to converge (heavy overload
     collapses the voltage and the iteration diverges instead).
     """
-    count = feeder.bus_count
-    if len(injections.p_kw) != count:
-        raise ValueError(
-            f"injections cover {len(injections.p_kw)} buses, feeder has {count}"
-        )
-
-    base = feeder.base_kva
-    home = feeder.smart_home_bus
-    s_pu = [
-        complex((injections.p_kw[b] - (injections.pv_kw if b == home else 0.0)) / base,
-                injections.q_kvar[b] / base)
-        for b in range(count)
-    ]
-
-    parent = feeder._parent
-    order = feeder._order
-    z_in = feeder._z
-    forward = order[1:]
-    backward = order[:0:-1]
-
-    slack = complex(feeder.slack_voltage_pu, 0.0)
-    volt = [slack] * count
-    iterations = 0
-    converged = False
-    delta = 0.0
-    while iterations < max_iter:
-        iterations += 1
-        current = [0j] * count
-        for b in range(count):
-            if s_pu[b] != 0:
-                vb = volt[b]
-                if abs(vb) < 1e-6:
-                    raise PowerFlowError(
-                        f"voltage collapsed at bus {b} in slot {injections.slot}",
-                        iterations=iterations,
-                        mismatch=float("inf"),
-                    )
-                current[b] = (s_pu[b] / vb).conjugate()
-        for b in backward:
-            current[parent[b]] += current[b]
-        delta = 0.0
-        new_volt = volt.copy()
-        new_volt[0] = slack
-        for b in forward:
-            new_volt[b] = new_volt[parent[b]] - z_in[b] * current[b]
-            step = abs(new_volt[b] - volt[b])
-            if step > delta:
-                delta = step
-        volt = new_volt
-        if delta < tol:
-            converged = True
-            break
-    if not converged:
-        raise PowerFlowError(
-            f"power flow did not converge in {max_iter} iterations "
-            f"(slot {injections.slot}, last update {delta:.3e} pu)",
-            iterations=iterations,
-            mismatch=delta,
-        )
-
-    # one consistent backward pass at the final voltages for losses and
-    # the slack injection
-    current = [0j] * count
-    for b in range(count):
-        if s_pu[b] != 0:
-            current[b] = (s_pu[b] / volt[b]).conjugate()
-    for b in backward:
-        current[parent[b]] += current[b]
-    loss = 0j
-    for b in forward:
-        # a product, not ** 2: libm pow(x, 2) can differ from x * x in the
-        # last bit, and the batched sweep must reproduce this sum exactly
-        mag = abs(current[b])
-        loss += z_in[b] * (mag * mag)
-    slack_s = slack * current[0].conjugate()
-
+    sweep = solve_power_flow_batch(
+        feeder, [injections.p_kw], [injections.q_kvar], [injections.pv_kw], tol, max_iter)
+    if sweep.failed[0]:
+        raise sweep.error(0, injections.slot)
     return BusState(
         slot=injections.slot,
-        voltages=tuple(volt),
-        loss_kw=loss.real * base,
-        loss_kvar=loss.imag * base,
-        slack_p_kw=slack_s.real * base,
-        slack_q_kvar=slack_s.imag * base,
-        iterations=iterations,
+        voltages=tuple(sweep.voltages[0].tolist()),
+        loss_kw=float(sweep.loss_kw[0]),
+        loss_kvar=float(sweep.loss_kvar[0]),
+        slack_p_kw=float(sweep.slack_p_kw[0]),
+        slack_q_kvar=float(sweep.slack_q_kvar[0]),
+        iterations=int(sweep.iterations[0]),
     )
 
 
@@ -284,15 +217,36 @@ def solve_power_flow(
 class SweepBatch:
     """Outcome of `solve_power_flow_batch`, one entry per case.
 
-    `loss_kw` and `v_mag` (cases x buses, pu) are NaN where `failed` is set,
-    that is wherever `solve_power_flow` raises PowerFlowError.
-    `iterations` counts the sweeps each case ran, up to the failure.
+    `voltages` (cases x buses, complex pu), `v_mag` (their magnitudes),
+    `loss_kw`, `loss_kvar` and the slack injection `slack_p_kw` /
+    `slack_q_kvar` are NaN where `failed` is set.  `iterations` counts the
+    sweeps each case ran, up to the failure.  A failed case either
+    collapsed, at bus `collapsed_bus` (-1 otherwise), or ran out of
+    iterations with `last_update` pu as its final voltage update.
     """
 
-    loss_kw: np.ndarray
+    voltages: np.ndarray
     v_mag: np.ndarray
+    loss_kw: np.ndarray
+    loss_kvar: np.ndarray
+    slack_p_kw: np.ndarray
+    slack_q_kvar: np.ndarray
     iterations: np.ndarray
     failed: np.ndarray
+    collapsed_bus: np.ndarray
+    last_update: np.ndarray
+
+    def error(self, case: int, slot: int) -> PowerFlowError:
+        """The PowerFlowError of failed case `case`, reported as `slot`."""
+        iterations = int(self.iterations[case])
+        bus = int(self.collapsed_bus[case])
+        if bus >= 0:
+            text, mismatch = f"voltage collapsed at bus {bus} in slot {slot}", float("inf")
+        else:
+            mismatch = float(self.last_update[case])
+            text = (f"power flow did not converge in {iterations} iterations "
+                    f"(slot {slot}, last update {mismatch:.3e} pu)")
+        return PowerFlowError(text, iterations=iterations, mismatch=mismatch)
 
 
 def _complex_quotient(ar, ai, br, bi):
@@ -338,15 +292,19 @@ def solve_power_flow_batch(
     tol: float = 1e-8,
     max_iter: int = 50,
 ) -> SweepBatch:
-    """`solve_power_flow` for many load cases at once, bit for bit.
+    """Backward/forward sweep of many load cases at once.
 
     Case i is the slot with bus demand p_kw[i] / q_kvar[i] (cases x buses)
-    and PV output pv_kw[i] at the smart home.  The sweep works on float64
-    real and imaginary arrays: buses are visited one at a time in the
-    scalar order, cases are vectorized.  Every operation repeats the scalar
-    one -- complex division as CPython computes it, |z| as hypot, squares
-    as products -- and each case stops at its own iteration, so loss,
-    |V| and iteration counts equal the scalar results exactly.
+    and PV output pv_kw[i] at the smart home.  Each case sweeps until its
+    largest voltage update is below tol; it fails when a loaded bus's
+    voltage collapses below 1e-6 pu or after max_iter sweeps.
+
+    The sweep works on float64 real and imaginary arrays: buses are
+    visited one at a time, cases are vectorized.  Every operation repeats
+    what a per-case sweep over Python complex numbers does -- complex
+    division as CPython computes it, |z| as hypot, squares as products --
+    and each case stops at its own iteration, so every case's result is
+    the same, bit for bit, whatever the other cases in the batch.
     """
     p = np.asarray(p_kw, dtype=float)
     cases, count = p.shape
@@ -369,8 +327,10 @@ def solve_power_flow_batch(
 
     iterations = np.zeros(cases, dtype=np.int64)
     failed = np.ones(cases, dtype=bool)
-    final_re = np.empty((count, cases))
-    final_im = np.empty((count, cases))
+    collapsed_bus = np.full(cases, -1, dtype=np.int64)
+    last_update = np.zeros(cases)
+    final_re = np.full((count, cases), np.nan)  # stays NaN where a case fails
+    final_im = np.full((count, cases), np.nan)
 
     live = np.arange(cases)  # cases still sweeping
     s_re, s_im, loaded = s_all_re, s_all_im, loaded_all
@@ -379,8 +339,12 @@ def solve_power_flow_batch(
     with np.errstate(all="ignore"):
         for it in range(1, max_iter + 1):
             iterations[live] = it
-            # the scalar sweep raises before dividing by a collapsed voltage
-            collapsed = (loaded & (np.hypot(v_re, v_im) < 1e-6)).any(axis=0)
+            # a case fails before dividing by a collapsed voltage; the
+            # lowest such bus is the one reported
+            low = loaded & (np.hypot(v_re, v_im) < 1e-6)
+            collapsed = low.any(axis=0)
+            if collapsed.any():
+                collapsed_bus[live[collapsed]] = low[:, collapsed].argmax(axis=0)
             c_re, c_im = _branch_currents(s_re, s_im, loaded, v_re, v_im, feeder)
             n_re = v_re.copy()
             n_im = v_im.copy()
@@ -391,8 +355,10 @@ def solve_power_flow_batch(
                 n_re[b] = n_re[a] - (z_re[b] * c_re[b] - z_im[b] * c_im[b])
                 n_im[b] = n_im[a] - (z_re[b] * c_im[b] + z_im[b] * c_re[b])
             step = np.hypot(n_re - v_re, n_im - v_im)
-            # running max that skips NaN steps, as `if step > delta` does
+            # running max over buses that skips NaN steps, as the per-case
+            # reference's `if step > delta` does
             delta = np.fmax.reduce(step, axis=0, initial=0.0)
+            last_update[live] = delta
             done = ~collapsed & (delta < tol)
             final_re[:, live[done]] = n_re[:, done]
             final_im[:, live[done]] = n_im[:, done]
@@ -407,32 +373,32 @@ def solve_power_flow_batch(
             else:
                 v_re, v_im = n_re, n_im
 
-    loss_kw = np.full(cases, np.nan)
-    v_mag = np.full((cases, count), np.nan)
-    ok = np.flatnonzero(~failed)
-    if ok.size:
-        # one consistent backward pass at the final voltages, for losses
-        v_re, v_im = final_re[:, ok], final_im[:, ok]
-        with np.errstate(all="ignore"):
-            c_re, c_im = _branch_currents(
-                s_all_re[:, ok], s_all_im[:, ok], loaded_all[:, ok], v_re, v_im, feeder)
-        loss = np.zeros(ok.size)
+    # one consistent backward pass at the final voltages, for losses and
+    # the slack injection; NaN in, NaN out where a case failed
+    with np.errstate(all="ignore"):
+        c_re, c_im = _branch_currents(s_all_re, s_all_im, loaded_all, final_re, final_im, feeder)
+        loss_re = np.zeros(cases)
+        loss_im = np.zeros(cases)
         for b in forward:
             mag = np.hypot(c_re[b], c_im[b])
-            loss = loss + z_re[b] * (mag * mag)
-        loss_kw[ok] = loss * base
-        v_mag[ok] = np.hypot(v_re, v_im).T
-    return SweepBatch(loss_kw=loss_kw, v_mag=v_mag, iterations=iterations, failed=failed)
-
-
-def zero_home(injections: SlotInjections, feeder: FeederModel) -> SlotInjections:
-    """The same slot with the smart home disconnected (demand and PV)."""
-    home = feeder.smart_home_bus
-    p = list(injections.p_kw)
-    q = list(injections.q_kvar)
-    p[home] = 0.0
-    q[home] = 0.0
-    return SlotInjections(slot=injections.slot, p_kw=tuple(p), q_kvar=tuple(q), pv_kw=0.0)
+            square = mag * mag
+            # z * square, the zero terms of a complex product dropped: the
+            # impedance is non-negative, so they change no bit
+            loss_re = loss_re + z_re[b] * square
+            loss_im = loss_im + z_im[b] * square
+        # slack * conj(I0) as a complex product, slack voltage (slack, 0);
+        # the zero terms fix the sign of a zero injection
+        slack_p = (slack * c_re[0] - 0.0 * -c_im[0]) * base
+        slack_q = (slack * -c_im[0] + 0.0 * c_re[0]) * base
+    voltages = np.empty((cases, count), dtype=complex)
+    voltages.real = final_re.T
+    voltages.imag = final_im.T
+    return SweepBatch(
+        voltages=voltages, v_mag=np.hypot(final_re, final_im).T, loss_kw=loss_re * base,
+        loss_kvar=loss_im * base, slack_p_kw=slack_p, slack_q_kvar=slack_q,
+        iterations=iterations, failed=failed, collapsed_bus=collapsed_bus,
+        last_update=last_update,
+    )
 
 
 def canonical_feeder() -> FeederModel:

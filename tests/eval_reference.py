@@ -1,9 +1,10 @@
 """Scalar genotype evaluation, the reference for the batched evaluator.
 
-One genotype at a time, slot by slot through `ProblemContext.slot_flow`,
-bus by bus through the voltage band: the per-genotype loop the optimizer
-used before it scored whole generations as arrays.  The batched evaluator
-must reproduce every field of its `Evaluation` exactly.
+One genotype at a time, slot by slot through `ProblemContext.slot_flows`
+up to the first failed flow, bus by bus through the voltage band: the
+per-genotype loop the optimizer used before it scored whole generations
+as arrays.  The batched evaluator must reproduce every field of its
+`Evaluation` exactly.
 """
 
 from __future__ import annotations
@@ -46,17 +47,17 @@ def evaluate(space: SearchSpace, antibody: Antibody, weight: float) -> Evaluatio
     loss = np.zeros(space.slot_count)
     if ctx.feeder is not None:
         vmin, vmax = ctx.voltage_min, ctx.voltage_max
-        try:
-            for idx in range(space.slot_count):
-                billed, vmags = ctx.slot_flow(idx, float(gross_kw[idx]))
-                loss[idx] = billed
-                for mag in vmags:
-                    if mag < vmin:
-                        volt_violation += vmin - mag
-                    elif mag > vmax:
-                        volt_violation += mag - vmax
-        except PowerFlowError:
-            flow_failed = True
+        for idx, flow in enumerate(ctx.slot_flows(gross_kw)):
+            if isinstance(flow, PowerFlowError):
+                flow_failed = True
+                break
+            billed, vmags = flow
+            loss[idx] = billed
+            for mag in vmags:
+                if mag < vmin:
+                    volt_violation += vmin - mag
+                elif mag > vmax:
+                    volt_violation += mag - vmax
 
     net = np.maximum(gross_kw - ctx.pv_array(), 0.0)
     energy = float(np.dot(net + loss, ctx.price_array()) * ctx.grid.slot_hours)

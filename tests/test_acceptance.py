@@ -22,11 +22,11 @@ from dsmsched.constraints import (
 from dsmsched.cli import ScenarioConfig, load_scenario_config, run_scenario
 from dsmsched.costing import ProblemContext, electricity_cost, penalty_cost, shift_distance, total_cost
 from dsmsched.csa import CsaConfig, SearchSpace, optimize
-from dsmsched.domain import Appliance, ApplianceClass, TimeGrid
+from dsmsched.domain import Appliance, ApplianceClass, TimeGrid, aggregate_power
 from dsmsched.feeder import SlotInjections, solve_power_flow
 from dsmsched.oracle import SmallInstance, sweep_penalties
 from dsmsched.profiles import PriceSeries
-from pf_reference import nr_two_bus
+from pf_reference import nr_radial, nr_two_bus
 from small_instances import SEEDS, build_suite
 
 CANONICAL_SEED = 2024
@@ -240,6 +240,27 @@ def test_criterion_6_power_flow_correctness(canonical_contexts, canonical_feeder
     if worst_nr > 1e-8:
         problems.append(f"two-bus deviation {worst_nr:.1e} exceeds 1e-8")
 
+    # sweep vs a full-feeder Newton-Raphson solve, slot by slot at the
+    # original plan: the canonical day with and without PV, and the weak
+    # 3-bus feeder on which the voltage band binds
+    from test_csa import weak_feeder_context
+    worst_v = worst_loss = 0.0
+    for ctx in (canonical_contexts["nopv"], canonical_contexts["pv"],
+                weak_feeder_context(0.15)):
+        slots = np.arange(ctx.grid.slot_count)
+        gross = aggregate_power(ctx.original_schedule(), ctx.appliances)
+        p, q, pv = ctx._injection_arrays(slots, gross)
+        for idx in slots.tolist():
+            injections = SlotInjections(slot=idx + 1, p_kw=tuple(p[idx]),
+                                        q_kvar=tuple(q[idx]), pv_kw=float(pv[idx]))
+            state = solve_power_flow(ctx.feeder, injections, tol=1e-12)
+            v, loss = nr_radial(ctx.feeder, injections)
+            worst_v = max(worst_v, float(np.abs(np.abs(v) - state.voltage_magnitudes()).max()))
+            worst_loss = max(worst_loss, abs(loss - state.loss_kw))
+    if worst_v > 1e-8 or worst_loss > 1e-8:
+        problems.append(f"full-feeder NR deviation |V| {worst_v:.1e} pu / "
+                        f"loss {worst_loss:.1e} kW exceeds 1e-8")
+
     # unloaded canonical feeder
     empty = SlotInjections(slot=1, p_kw=(0.0,) * 14, q_kvar=(0.0,) * 14)
     state = solve_power_flow(canonical_feeder, empty)
@@ -295,7 +316,8 @@ def test_criterion_6_power_flow_correctness(canonical_contexts, canonical_feeder
     verdict(
         6, not problems,
         problems[0] if problems else (
-            f"NR gap {worst_nr:.1e}, flat unloaded profile, slack mismatch "
+            f"NR gap {worst_nr:.1e}, full-feeder NR gap |V| {worst_v:.1e} pu "
+            f"loss {worst_loss:.1e} kW, flat unloaded profile, slack mismatch "
             f"p {worst_p:.1e} q {worst_q:.1e}, pv lift min {min(lifts):+.2e} pu"
         ),
     )

@@ -240,6 +240,13 @@ class TestRunCommand:
         report = json.loads((other / "report.json").read_text())
         assert report["seed"] == 99
 
+    def test_negative_seed_override_is_an_input_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, penalty_prices_usd_per_kwh=[0.0])
+        rc = main(["run", "--config", str(path), "--seed", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: bad --seed value -1: rng_seed must be >= 0")
+        assert not (tmp_path / "out").exists()
+
     def test_infeasible_run_exits_nonzero(self, tmp_path, capsys):
         path = write_config(tmp_path, md_kw=0.3, penalty_prices_usd_per_kwh=[0.0])
         rc = main(["run", "--config", str(path)])
@@ -303,6 +310,41 @@ class TestExplainCommand:
         assert rc == 1
         assert out["feasibility"]["max_demand"]
 
+    def test_diverging_flow_is_reported_verbatim(self, tmp_path, capsys):
+        # 2 pu segments: the 3.9 kW peak of slots 8 and 9 makes the sweep diverge
+        lines = [{"from": b, "to": b + 1, "r_pu": 2.0, "x_pu": 1.2} for b in (0, 1)]
+        (tmp_path / "feeder.json").write_text(json.dumps({
+            "base_kva": 50.0, "base_kv": 12.47, "slack_voltage_pu": 1.0,
+            "smart_home_bus": 2, "lines": lines}))
+        config_path = write_config(tmp_path, feeder_json="feeder.json")
+        schedule_path = tmp_path / "schedule.csv"
+        schedule_path.write_text("id,on_slots\n1," + ";".join(
+            str(s) for s in range(1, 13)) + "\n2,8;9;10\n3,8;9\n")
+        rc = main(["explain", "--schedule", str(schedule_path),
+                   "--config", str(config_path)])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert out["cost"] is None
+        assert out["cost_error"] == ("power flow did not converge in 50 iterations "
+                                     "(slot 8, last update 4.041e+00 pu)")
+        failed = [v["slot"] for v in out["feasibility"]["voltage"] if v["bus"] == -1]
+        assert failed == [8, 9]
+
+    @pytest.mark.parametrize("rows, message", [
+        ("id,on_slots\n1\n", "schedule.csv:2: too few fields"),
+        ("on_slots,id\n1;2\n", "schedule.csv:2: too few fields"),
+        ("id,on_slots\nx,1\n", "schedule.csv:2: invalid literal"),
+        ("id,on_slots\n1,1;a\n", "schedule.csv:2: invalid literal"),
+    ], ids=["short_row", "short_id", "id_text", "slot_text"])
+    def test_malformed_schedule_row_is_an_input_error(self, tmp_path, capsys, rows, message):
+        config_path = write_config(tmp_path)
+        (tmp_path / "schedule.csv").write_text(rows)
+        rc = main(["explain", "--schedule", str(tmp_path / "schedule.csv"),
+                   "--config", str(config_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and message in err
+
 
 def _with_row_field(**field):
     """The inline appliances with one field of the second row replaced."""
@@ -338,12 +380,16 @@ _CSA = base_config("out")["csa"]
     ({"csa": dict(_CSA, generations=3.5)}, "'csa.generations' must be a number"),
     ({"md_kw": True}, "'md_kw' must be a number"),
     ({"seed": True}, "'seed' must be a number"),
+    ({"seed": -1}, "'seed' must be >= 0"),
+    ({"seed": -1, "csa": dict(_CSA, rng_seed=5)}, "'seed' must be >= 0"),
+    ({"csa": dict(_CSA, rng_seed=-1)}, "rng_seed must be >= 0"),
 ], ids=["md_kw_text", "md_kw_zero", "voltage_band_text", "slot_count_text", "penalty_negative",
         "grid_number", "appliances_number", "appliances_csv_number", "price_number",
         "pv_enabled_text", "csa_list", "slot_hours_nan", "price_nan", "penalty_nan",
         "md_kw_minus_inf", "rated_kw_nan", "price_csv_nan", "slot_count_fraction",
         "duration_fraction", "rng_seed_fraction", "population_size_fraction",
-        "generations_fraction", "md_kw_bool", "seed_bool"])
+        "generations_fraction", "md_kw_bool", "seed_bool", "seed_negative",
+        "seed_negative_overridden", "rng_seed_negative"])
 def test_malformed_value_is_an_input_error(tmp_path, capsys, command, change, message):
     rows = "".join(f"{slot},{price}\n" for slot, price in enumerate(STEEP_PRICE[:-1], start=1))
     (tmp_path / "price_nan.csv").write_text("slot,price\n" + rows + "12,nan\n")

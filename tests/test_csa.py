@@ -266,10 +266,11 @@ class TestBatchedEvaluation:
             behind.batch(batch)
         assert forward._cache.flow == backward._cache.flow
         assert ahead.cache == behind.cache
-        # each entry is the flow at its key's own load
-        fresh = make_canonical()
-        for (slot, watts), entry in forward._cache.flow.items():
-            assert fresh.slot_flow(slot, watts / 1000) == entry, (slot, watts)
+        # each entry is the flow at its key's own load: solving every key
+        # afresh, in one batch, gives the same entries
+        keys = list(forward._cache.flow)
+        entries, _ = make_canonical()._flows(keys)
+        assert entries == [forward._cache.flow[k] for k in keys]
 
     def test_cap_binding_instance(self):
         def make():

@@ -10,6 +10,7 @@ from dsmsched.costing import ProblemContext
 from dsmsched.domain import Appliance, ApplianceClass, TimeGrid
 from dsmsched.errors import InputError, PowerFlowError, TopologyError
 from dsmsched.feeder import (
+    BusState,
     FeederLine,
     FeederModel,
     SlotInjections,
@@ -18,11 +19,10 @@ from dsmsched.feeder import (
     solve_power_flow,
     solve_power_flow_batch,
     write_feeder_json,
-    zero_home,
 )
 from dsmsched.feeder import canonical_feeder as build_canonical_feeder
 from dsmsched.profiles import NeighborLoads, PriceSeries, PvSeries
-from pf_reference import nr_two_bus
+from pf_reference import nr_two_bus, scalar_sweep
 from test_csa import weak_feeder_context
 
 
@@ -206,17 +206,19 @@ class TestSolve:
 
 
 class TestBatchSweep:
-    """solve_power_flow_batch against the scalar sweep, bit for bit."""
+    """solve_power_flow_batch against the scalar reference sweep, bit for bit."""
 
     @staticmethod
     def assert_matches_scalar(feeder, p, q, pv):
         batch = solve_power_flow_batch(feeder, p, q, pv)
         for i in range(len(p)):
             try:
-                state = solve_power_flow(feeder, inj(feeder, p[i], q[i], pv[i]))
+                state = scalar_sweep(feeder, inj(feeder, p[i], q[i], pv[i], slot=i + 1))
             except PowerFlowError as exc:
                 assert batch.failed[i], i
                 assert batch.iterations[i] == exc.iterations
+                error = batch.error(i, i + 1)
+                assert (str(error), error.mismatch) == (str(exc), exc.mismatch)
                 continue
             assert not batch.failed[i], i
             assert batch.loss_kw[i] == state.loss_kw
@@ -260,16 +262,68 @@ class TestBatchSweep:
         assert batch.failed.any() and not batch.failed.all()
         assert np.isnan(batch.loss_kw[batch.failed]).all()
 
+    def test_collapsing_case_names_the_bus(self):
+        # r * p = 1 pu: the first sweep drives the home bus to exactly 0 pu
+        feeder = two_bus(r=0.5, x=0.0)
+        p = np.array([[0.0, 100.0], [0.0, 10.0]])
+        batch = self.assert_matches_scalar(feeder, p, np.zeros_like(p), np.zeros(2))
+        assert batch.failed.tolist() == [True, False]
+        assert batch.collapsed_bus.tolist() == [1, -1]
+
+
+class TestOneCaseSweep:
+    """solve_power_flow, one case of the batched sweep, against the scalar
+    reference: every BusState field, or the same PowerFlowError."""
+
+    @staticmethod
+    def outcome(solve, feeder, injections):
+        try:
+            return solve(feeder, injections)
+        except PowerFlowError as exc:
+            return (str(exc), exc.iterations, exc.mismatch)
+
+    @pytest.mark.parametrize("feeder, p, q, pv", [
+        (chain(n_lines=5), [0.0] * 6, None, 0.0),
+        (chain(n_lines=4), [0.0, 3.0, 1.5, 0.0, 6.0], [0.0, 1.0, 0.5, 0.0, 2.0], 0.0),
+        (chain(n_lines=4), [0.0, 2.0, 2.0, 1.0, 3.0], None, 12.0),
+        (build_canonical_feeder(), [0.0] + [1.2] * 12 + [9.5], [0.0] + [0.4] * 13, 3.0),
+        (two_bus(r=0.3, x=0.2), [0.0, 60.0], None, 0.0),
+        (two_bus(r=0.5, x=0.0), [0.0, 100.0], None, 0.0),
+    ], ids=["unloaded", "loaded", "pv_export", "canonical", "diverging", "collapsing"])
+    def test_equals_the_scalar_reference(self, feeder, p, q, pv):
+        injections = inj(feeder, p, q, pv=pv, slot=9)
+        state = self.outcome(solve_power_flow, feeder, injections)
+        assert state == self.outcome(scalar_sweep, feeder, injections)
+        if isinstance(state, BusState):
+            reference = scalar_sweep(feeder, injections)
+            fields = ("loss_kw", "loss_kvar", "slack_p_kw", "slack_q_kvar")
+            # equal, and with the same sign of zero
+            assert [math.copysign(1.0, getattr(state, f)) for f in fields] == [
+                math.copysign(1.0, getattr(reference, f)) for f in fields]
+
 
 class TestHomeAttribution:
-    def test_zero_home_strips_demand_and_pv(self):
+    def test_baseline_disconnects_home_demand_and_pv(self):
         feeder = chain(n_lines=2)
-        original = inj(feeder, [0.0, 2.0, 4.0], [0.0, 0.5, 1.5], pv=3.0)
-        stripped = zero_home(original, feeder)
-        assert stripped.p_kw == (0.0, 2.0, 0.0)
-        assert stripped.q_kvar == (0.0, 0.5, 0.0)
-        assert stripped.pv_kw == 0.0
-        assert original.p_kw[2] == 4.0  # untouched
+        ctx = home_context(feeder, neighbor_kw=(2.0,), pv_kw=(3.0,))
+        stripped = scalar_sweep(feeder, inj(feeder, [0.0, 2.0, 0.0]))
+        assert ctx.baseline_loss(0) == stripped.loss_kw
+        home = scalar_sweep(feeder, inj(feeder, [0.0, 2.0, 0.5], [0.0, 0.0, 0.5 * math.tan(
+            math.acos(ctx.power_factor))], pv=3.0))
+        assert ctx.slot_flow(0, 0.5) == (
+            max(0.0, home.loss_kw - stripped.loss_kw), home.voltage_magnitudes())
+
+    def test_failed_baseline_fails_the_slot(self):
+        # the home's PV export carries the feeder; without the home, the
+        # neighbour's 40 kW makes the sweep diverge
+        ctx = home_context(chain(n_lines=2, r=0.3, x=0.18), neighbor_kw=(40.0,), pv_kw=(30.0,))
+        with pytest.raises(PowerFlowError, match="did not converge") as baseline:
+            ctx.baseline_loss(0)
+        with pytest.raises(PowerFlowError) as flow:
+            ctx.slot_flow(0, 0.5)
+        assert str(flow.value) == str(baseline.value)
+        report = is_feasible(ctx.original_schedule(), ctx)
+        assert [(v.slot, v.bus) for v in report.voltage] == [(1, -1)]
 
     def test_incremental_loss_positive_when_home_draws(self):
         ctx = home_context(chain(n_lines=2), neighbor_kw=(2.0,))
