@@ -218,7 +218,7 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
     """
     path = Path(path)
     try:
-        with path.open() as fh:
+        with path.open(encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from None

@@ -1,23 +1,30 @@
 """Clonal selection optimizer for the appliance scheduling problem.
 
-Antibodies encode only what can vary: a start slot for each uninterruptible
-appliance and a slot set for each interruptible one, both confined to the
-appliance's (effective) window.  Duration, window, and contiguity therefore
-hold for every antibody ever decoded; the demand cap and the voltage band
-are handled as additive affinity penalties, and the incumbent is only ever
-updated with antibodies that satisfy them outright.
+An antibody (genotype) is a tuple with one gene per flexible appliance, in
+appliance order, and every gene is the ascending tuple of that appliance's
+on-slots inside its (effective) window.  Genes of uninterruptible
+appliances are drawn and mutated as one contiguous run of `duration`
+slots, genes of interruptible ones as any `duration` distinct slots.
+Duration, window, and contiguity therefore hold for every antibody ever
+decoded; the demand cap and the voltage band are handled as additive
+affinity penalties, and the incumbent is only ever updated with antibodies
+that satisfy them outright.  Every gene in one position has the same
+length, so comparing two genotypes orders them exactly as comparing their
+flat on-slot rows does; ties are broken by that order.
 
-Evaluation is a pure function of the genotype.  Each generation's new
-genotypes are scored together as arrays, with the same arithmetic, in the
-same order, as scoring them one by one.  Per-slot power flows are cached on
-the problem context keyed by (slot, gross load in whole watts) and solved at
-that rounded load, so identical slot loads across antibodies reuse one solve
-and no result depends on which antibody reached a key first.
+Evaluation is a pure function of the genotype and is cached keyed by the
+genotype itself.  Each generation's new genotypes are scored together as
+arrays, with the same arithmetic, in the same order, as scoring them one by
+one.  Per-slot power flows are cached on the problem context keyed by
+(slot, gross load in whole watts) and solved at that rounded load, so
+identical slot loads across antibodies reuse one solve and no result
+depends on which antibody reached a key first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -45,15 +52,8 @@ FLOW_FAILURE_PENALTY = 1e6
 TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Antibody:
-    """Genotype: one gene per flexible appliance, in appliance order.
-
-    Uninterruptible gene: int start slot.  Interruptible gene: ascending
-    tuple of on-slots.
-    """
-
-    genes: tuple
+# genotype: one ascending on-slot tuple per flexible appliance, in order
+Antibody = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -129,37 +129,34 @@ class SearchSpace:
                     window_hi=hi,
                     duration=a.duration,
                     rated_kw=a.rated_kw,
-                    original_slots=a.original_on_slots,
+                    original_slots=tuple(a.original_on_slots),
                 )
             )
         self.baseline_gross = np.full(self.slot_count, baseline_kw)
         # rating repeated once per required on-slot, aligned with the
-        # flat_slots() layout used by gross_rows()
-        self.rate_weights = np.concatenate(
-            [np.full(f.duration, f.rated_kw) for f in self.flex]
-        ) if self.flex else np.zeros(0)
+        # chained genes of a genotype
+        self.rate_weights = np.repeat(
+            [f.rated_kw for f in self.flex], [f.duration for f in self.flex]
+        )
 
     def original_antibody(self) -> Antibody:
-        genes = []
-        for f in self.flex:
-            if f.uninterruptible:
-                genes.append(f.original_slots[0])
-            else:
-                genes.append(tuple(f.original_slots))
-        return Antibody(genes=tuple(genes))
+        return tuple(f.original_slots for f in self.flex)
 
     def random_antibody(self, rng: np.random.Generator) -> Antibody:
         genes = []
         for f in self.flex:
             if f.uninterruptible:
-                genes.append(int(rng.integers(f.start_lo, f.start_hi + 1)))
+                start = int(rng.integers(f.start_lo, f.start_hi + 1))
+                genes.append(tuple(range(start, start + f.duration)))
             else:
                 width = f.window_hi - f.window_lo + 1
                 picks = rng.choice(width, size=f.duration, replace=False)
                 genes.append(tuple(sorted(int(p) + f.window_lo for p in picks)))
-        return Antibody(genes=tuple(genes))
+        return tuple(genes)
 
-    def mutate_gene(self, index: int, gene, rng: np.random.Generator):
+    def mutate_gene(
+        self, index: int, gene: tuple[int, ...], rng: np.random.Generator
+    ) -> tuple[int, ...]:
         """One mutated copy of a gene, always inside the appliance window."""
         f = self.flex[index]
         if f.uninterruptible:
@@ -168,7 +165,8 @@ class SearchSpace:
                 return gene
             bound = max(1, span // 2)
             delta = int(rng.integers(-bound, bound + 1))
-            return min(f.start_hi, max(f.start_lo, gene + delta))
+            start = min(f.start_hi, max(f.start_lo, gene[0] + delta))
+            return tuple(range(start, start + f.duration))
 
         width = f.window_hi - f.window_lo + 1
         if width == f.duration:
@@ -184,18 +182,9 @@ class SearchSpace:
         picks = rng.choice(len(candidates), size=k, replace=False)
         return tuple(sorted(kept + [candidates[int(p)] for p in picks]))
 
-    def flex_on_slots(self, antibody: Antibody) -> list[tuple[int, ...]]:
-        out = []
-        for f, gene in zip(self.flex, antibody.genes):
-            if f.uninterruptible:
-                out.append(tuple(range(gene, gene + f.duration)))
-            else:
-                out.append(gene)
-        return out
-
     def decode(self, antibody: Antibody) -> Schedule:
         """Full schedule for all appliances, baseline rows always on."""
-        flex_slots = dict(zip((f.row for f in self.flex), self.flex_on_slots(antibody)))
+        flex_slots = dict(zip((f.row for f in self.flex), antibody))
         on_slots: list[Sequence[int]] = []
         for row, a in enumerate(self.context.appliances):
             if row in flex_slots:
@@ -204,26 +193,22 @@ class SearchSpace:
                 on_slots.append(range(1, self.slot_count + 1))
         return schedule_from_on_slots(on_slots, self.slot_count)
 
-    def flat_slots(self, antibody: Antibody) -> tuple[int, ...]:
-        """Every flexible on-slot of a genotype, appliance by appliance."""
-        flat: list[int] = []
-        for f, gene in zip(self.flex, antibody.genes):
-            if f.uninterruptible:
-                flat.extend(range(gene, gene + f.duration))
-            else:
-                flat.extend(gene)
-        return tuple(flat)
+    def slot_matrix(self, antibodies: Sequence[Antibody]) -> np.ndarray:
+        """The genotypes' chained genes, one row per genotype."""
+        rows, width = len(antibodies), len(self.rate_weights)
+        flat = np.fromiter(
+            chain.from_iterable(chain.from_iterable(antibodies)),
+            dtype=np.intp, count=rows * width,
+        )
+        return flat.reshape(rows, width)
 
-    def gross_rows(self, flat_slots: np.ndarray) -> np.ndarray:
-        """Gross household kW per slot (rows x slots) for a matrix whose
-        rows are `flat_slots` of genotypes."""
-        rows = len(flat_slots)
+    def gross_rows(self, slots: np.ndarray) -> np.ndarray:
+        """Gross household kW per slot (rows x slots) for a `slot_matrix`."""
+        rows = len(slots)
         width = self.slot_count + 1
-        if not self.flex:
-            return np.tile(self.baseline_gross, (rows, 1))
         # one bincount over slot indices offset by row; each cell sums its
         # ratings in appliance order, as a per-row bincount would
-        cells = flat_slots + (np.arange(rows) * width)[:, None]
+        cells = slots + (np.arange(rows) * width)[:, None]
         moved = np.bincount(
             cells.ravel(), weights=np.tile(self.rate_weights, rows), minlength=rows * width
         ).reshape(rows, width)
@@ -231,7 +216,7 @@ class SearchSpace:
 
     def gross(self, antibody: Antibody) -> np.ndarray:
         """Gross household kW per slot for a genotype."""
-        return self.gross_rows(np.array([self.flat_slots(antibody)], dtype=np.intp))[0]
+        return self.gross_rows(self.slot_matrix([antibody]))[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,7 +232,6 @@ class Evaluation:
     flow_failed: bool
     shift_slots: int
     weighted_shift: float
-    flat_slots: tuple[int, ...]
     score: float
 
     @property
@@ -268,32 +252,25 @@ class _Evaluator:
         self._pv = self.ctx.pv_array()
 
     def get(self, antibody: Antibody) -> Evaluation:
-        rec = self.cache.get(antibody.genes)
+        rec = self.cache.get(antibody)
         if rec is None:
             self.batch([antibody])
-            rec = self.cache[antibody.genes]
+            rec = self.cache[antibody]
         return rec
 
     def batch(self, antibodies: Sequence[Antibody]) -> None:
         """Evaluate every genotype not yet cached, all in one pass."""
-        misses: list[Antibody] = []
-        seen: set[tuple] = set()
-        for ab in antibodies:
-            if ab.genes not in self.cache and ab.genes not in seen:
-                seen.add(ab.genes)
-                misses.append(ab)
+        misses = list(dict.fromkeys(ab for ab in antibodies if ab not in self.cache))
         if not misses:
             return
-        for ab, rec in zip(misses, self.evaluate(misses)):
-            self.cache[ab.genes] = rec
+        self.cache.update(zip(misses, self.evaluate(misses)))
         self.evaluations += len(misses)
 
-    def evaluate(self, antibodies: list[Antibody]) -> list[Evaluation]:
+    def evaluate(self, antibodies: Sequence[Antibody]) -> list[Evaluation]:
         """Evaluations of the genotypes, in order, without caching them."""
         space = self.space
         ctx = self.ctx
-        flats = [space.flat_slots(ab) for ab in antibodies]
-        slots = np.array(flats, dtype=np.intp)
+        slots = space.slot_matrix(antibodies)
         gross = space.gross_rows(slots)
 
         excess = gross - ctx.md_kw
@@ -314,11 +291,7 @@ class _Evaluator:
         for f in space.flex:
             block = slots[:, pos:pos + f.duration]
             pos += f.duration
-            if f.uninterruptible:
-                delta = np.abs(block[:, 0] - f.original_slots[0]) * f.duration
-            else:
-                original = np.array(f.original_slots[:f.duration], dtype=np.intp)
-                delta = np.abs(block[:, :len(original)] - original).sum(axis=1)
+            delta = np.abs(block - np.array(f.original_slots, dtype=np.intp)).sum(axis=1)
             shift_slots += delta
             weighted = weighted + delta * f.rated_kw
         penalty = hours * ctx.penalty_price * weighted
@@ -337,13 +310,12 @@ class _Evaluator:
                 flow_failed=fail,
                 shift_slots=sh,
                 weighted_shift=w,
-                flat_slots=flat,
                 score=sc,
             )
-            for e, p, t, md, v, fail, sh, w, flat, sc in zip(
+            for e, p, t, md, v, fail, sh, w, sc in zip(
                 energy.tolist(), penalty.tolist(), total.tolist(), md_excess.tolist(),
                 volt_violation.tolist(), flow_failed.tolist(), shift_slots.tolist(),
-                weighted.tolist(), flats, score.tolist(),
+                weighted.tolist(), score.tolist(),
             )
         ]
 
@@ -392,7 +364,7 @@ def clone_and_hypermutate(
     for rank, parent in enumerate(ranked, start=1):
         gene_prob = min(1.0, config.hypermutation_scale * rank / n)
         for _ in range(counts[rank - 1]):
-            genes = list(parent.genes)
+            genes = list(parent)
             mutated = False
             for g in range(len(genes)):
                 if rng.random() < gene_prob:
@@ -402,18 +374,23 @@ def clone_and_hypermutate(
                 # an identical clone is a wasted evaluation; probe a neighbor
                 g = int(rng.integers(0, len(genes)))
                 genes[g] = space.mutate_gene(g, genes[g], rng)
-            offspring.append(Antibody(genes=tuple(genes)))
+            offspring.append(tuple(genes))
     return offspring
 
 
-def _better_incumbent(cand: Evaluation, best: Evaluation | None) -> bool:
+def _better_incumbent(
+    cand: Evaluation,
+    cand_antibody: Antibody,
+    best: Evaluation | None,
+    best_antibody: Antibody | None,
+) -> bool:
     if best is None:
         return True
     diff = cand.total_usd - best.total_usd
     if diff < -TIE_TOL:
         return True
     if diff <= TIE_TOL:
-        return (cand.shift_slots, cand.flat_slots) < (best.shift_slots, best.flat_slots)
+        return (cand.shift_slots, cand_antibody) < (best.shift_slots, best_antibody)
     return False
 
 
@@ -446,7 +423,7 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
 
     def rank_key(ab: Antibody):
         rec = evaluator.get(ab)
-        return (-rec.score, rec.flat_slots)
+        return (-rec.score, ab)
 
     def scan(candidates: Sequence[Antibody]) -> bool:
         """Update incumbents; report whether the best total improved."""
@@ -456,7 +433,7 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
             rec = evaluator.get(ab)
             if top is None or rec.score > top.score:
                 top, top_antibody = rec, ab
-            if rec.feasible and _better_incumbent(rec, best):
+            if rec.feasible and _better_incumbent(rec, ab, best, best_antibody):
                 if best is None or rec.total_usd < best.total_usd - 1e-12:
                     improved = True
                 best, best_antibody = rec, ab
@@ -477,10 +454,10 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
         # survivors are distinct genotypes; clones of one incumbent would
         # otherwise crowd the population and stall the search
         population = []
-        seen: set[tuple] = set()
+        seen: set[Antibody] = set()
         for ab in pool:
-            if ab.genes not in seen:
-                seen.add(ab.genes)
+            if ab not in seen:
+                seen.add(ab)
                 population.append(ab)
                 if len(population) == n:
                     break
@@ -497,35 +474,26 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
         if stall >= config.stall_generations:
             break
 
-    if best_antibody is not None:
-        schedule = space.decode(best_antibody)
-        breakdown = total_cost(schedule, context)
-        report = is_feasible(schedule, context)
-        return OptimResult(
-            success=report.feasible,
-            schedule=schedule,
-            breakdown=breakdown,
-            feasibility=report,
-            history=history,
-            evaluations=evaluator.evaluations,
-            seed=config.rng_seed,
-            message="" if report.feasible else "incumbent failed final feasibility check",
-        )
-
-    assert top_antibody is not None
-    schedule = space.decode(top_antibody)
+    found = best_antibody is not None
+    schedule = space.decode(best_antibody if found else top_antibody)
     try:
         breakdown = total_cost(schedule, context)
     except PowerFlowError:
         breakdown = None
     report = is_feasible(schedule, context)
+    if not found:
+        message = "no feasible antibody found; returning least-infeasible candidate"
+    elif not report.feasible:
+        message = "incumbent failed final feasibility check"
+    else:
+        message = ""
     return OptimResult(
-        success=False,
+        success=found and report.feasible,
         schedule=schedule,
         breakdown=breakdown,
         feasibility=report,
         history=history,
         evaluations=evaluator.evaluations,
         seed=config.rng_seed,
-        message="no feasible antibody found; returning least-infeasible candidate",
+        message=message,
     )

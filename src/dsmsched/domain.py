@@ -365,7 +365,7 @@ def load_appliances_csv(path: str | Path) -> list[Appliance]:
         "duration", "rated_kw", "original_slots",
     }
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 missing = sorted(required - set(reader.fieldnames or ()))
@@ -376,7 +376,7 @@ def load_appliances_csv(path: str | Path) -> list[Appliance]:
                     appliances.append(parse_appliance_row(row))
                 except ValueError as exc:
                     raise InputError(f"{path}:{lineno}: {exc}") from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read appliance table {path}: {exc}") from None
     if not appliances:
         raise InputError(f"{path}: no appliance rows")
@@ -393,7 +393,7 @@ def load_schedule_csv(
     """
     path = Path(path)
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {"id", "on_slots"}.issubset(reader.fieldnames):
                 raise InputError(f"{path}: expected columns id,on_slots")
@@ -409,7 +409,7 @@ def load_schedule_csv(
                 if aid in by_id:
                     raise InputError(f"{path}:{lineno}: duplicate appliance id {aid}")
                 by_id[aid] = slots
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read schedule {path}: {exc}") from None
 
     missing = [a.id for a in appliances if a.id not in by_id]

@@ -423,9 +423,9 @@ def canonical_feeder() -> FeederModel:
 def load_feeder_json(path: str | Path) -> FeederModel:
     path = Path(path)
     try:
-        with path.open() as fh:
+        with path.open(encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read feeder file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None

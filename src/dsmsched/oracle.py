@@ -4,7 +4,9 @@ Serves as ground truth for the clonal-selection optimizer: it walks every
 schedule that satisfies duration, window, and contiguity by construction,
 filters the demand cap and (when a feeder is present) the voltage band,
 and returns the exact minimum of the same cost function, with the same
-tie rule (smaller total shift, then lexicographically earliest on-slots).
+tie rule (smaller total shift, then the lexicographically earliest
+genotype).  Candidates are the optimizer's own genotypes: one on-slot tuple
+per flexible appliance, a contiguous run for an uninterruptible one.
 """
 
 from __future__ import annotations
@@ -75,11 +77,11 @@ class SmallInstance:
 _CHUNK = 256
 
 
-def _placements(f: _Flex) -> list:
-    """Every legal gene of one flexible appliance, lexicographic: a start
-    slot if uninterruptible, else an on-slot tuple (the `Antibody` layout)."""
+def _placements(f: _Flex) -> list[tuple[int, ...]]:
+    """Every legal gene of one flexible appliance, lexicographic: each
+    contiguous run if uninterruptible, else each on-slot tuple."""
     if f.uninterruptible:
-        return list(range(f.start_lo, f.start_hi + 1))
+        return [tuple(range(s, s + f.duration)) for s in range(f.start_lo, f.start_hi + 1)]
     return list(
         itertools.combinations(range(f.window_lo, f.window_hi + 1), f.duration)
     )
@@ -96,7 +98,7 @@ def _iter_candidates(
     instance.check_guard()
     evaluator = _Evaluator(space, penalty_weight=0.0)
     genotypes = itertools.product(*(_placements(f) for f in space.flex))
-    while chunk := [Antibody(genes=g) for g in itertools.islice(genotypes, _CHUNK)]:
+    while chunk := list(itertools.islice(genotypes, _CHUNK)):
         for antibody, rec in zip(chunk, evaluator.evaluate(chunk)):
             if rec.feasible:
                 yield antibody, rec
@@ -115,7 +117,7 @@ class OracleResult:
 
     schedule: Schedule
     breakdown: CostBreakdown
-    ties: list[tuple[int, ...]] = field(default_factory=list)
+    ties: list[Antibody] = field(default_factory=list)
     feasible_count: int = 0
 
     @property
@@ -124,7 +126,7 @@ class OracleResult:
 
 
 class _Best:
-    """Running minimum under the (total, shift, lex-flat) tie rule."""
+    """Running minimum under the (total, shift, genotype) tie rule."""
 
     __slots__ = ("total", "rec", "antibody", "ties")
 
@@ -132,16 +134,16 @@ class _Best:
         self.total = math.inf
         self.rec: Evaluation | None = None
         self.antibody: Antibody | None = None
-        self.ties: list[tuple[int, ...]] = []
+        self.ties: list[Antibody] = []
 
     def offer(self, total: float, antibody: Antibody, rec: Evaluation) -> None:
         if total < self.total - TIE_TOL:
             self.total, self.rec, self.antibody = total, rec, antibody
-            self.ties = [rec.flat_slots]
+            self.ties = [antibody]
             return
         if total <= self.total + TIE_TOL:
-            self.ties.append(rec.flat_slots)
-            if (rec.shift_slots, rec.flat_slots) < (self.rec.shift_slots, self.rec.flat_slots):
+            self.ties.append(antibody)
+            if (rec.shift_slots, antibody) < (self.rec.shift_slots, self.antibody):
                 self.total, self.rec, self.antibody = total, rec, antibody
 
 

@@ -107,7 +107,7 @@ def load_series(path: str | Path, grid: TimeGrid) -> list[float]:
     path = Path(path)
     values: list[float] = []
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or len(header) < 2 or header[0].strip() != "slot":
@@ -125,7 +125,7 @@ def load_series(path: str | Path, grid: TimeGrid) -> list[float]:
                         f"{path}:{lineno}: slot {slot} out of order, expected {len(values) + 1}"
                     )
                 values.append(value)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read series {path}: {exc}") from None
     if len(values) != grid.slot_count:
         raise InputError(
@@ -149,7 +149,7 @@ def load_neighbor_loads(
     path = Path(path)
     rows: list[list[float]] = []
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or header[0].strip() != "slot" or len(header) < 2:
@@ -167,7 +167,7 @@ def load_neighbor_loads(
                     raise InputError(f"{path}:{lineno}: bad row {row!r}") from None
                 if slot != len(rows):
                     raise InputError(f"{path}:{lineno}: slot {slot} out of order")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read neighbor loads {path}: {exc}") from None
     if len(rows) != grid.slot_count:
         raise InputError(f"{path}: {len(rows)} rows, grid expects {grid.slot_count}")

@@ -18,17 +18,7 @@ from dsmsched.errors import PowerFlowError
 
 def gross(space: SearchSpace, antibody: Antibody) -> np.ndarray:
     """Gross household kW per slot: one bincount of the genotype's slots."""
-    if not space.flex:
-        return space.baseline_gross.copy()
-    buf = np.empty(len(space.rate_weights), dtype=np.intp)
-    pos = 0
-    for f, gene in zip(space.flex, antibody.genes):
-        d = f.duration
-        if f.uninterruptible:
-            buf[pos:pos + d] = np.arange(gene, gene + d)
-        else:
-            buf[pos:pos + d] = gene
-        pos += d
+    buf = np.array([s for gene in antibody for s in gene], dtype=np.intp)
     moved = np.bincount(buf, weights=space.rate_weights, minlength=space.slot_count + 1)
     return space.baseline_gross + moved[1:]
 
@@ -64,14 +54,8 @@ def evaluate(space: SearchSpace, antibody: Antibody, weight: float) -> Evaluatio
 
     shift_slots = 0
     weighted = 0.0
-    flat: list[int] = []
-    for f, gene in zip(space.flex, antibody.genes):
-        if f.uninterruptible:
-            delta = abs(gene - f.original_slots[0]) * f.duration
-            flat.extend(range(gene, gene + f.duration))
-        else:
-            delta = sum(abs(n - o) for n, o in zip(gene, f.original_slots))
-            flat.extend(gene)
+    for f, gene in zip(space.flex, antibody):
+        delta = sum(abs(n - o) for n, o in zip(gene, f.original_slots))
         shift_slots += delta
         weighted += delta * f.rated_kw
     penalty = ctx.grid.slot_hours * ctx.penalty_price * weighted
@@ -90,6 +74,5 @@ def evaluate(space: SearchSpace, antibody: Antibody, weight: float) -> Evaluatio
         flow_failed=flow_failed,
         shift_slots=shift_slots,
         weighted_shift=weighted,
-        flat_slots=tuple(flat),
         score=score,
     )

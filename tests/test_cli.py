@@ -331,19 +331,36 @@ class TestExplainCommand:
         assert failed == [8, 9]
 
     @pytest.mark.parametrize("rows, message", [
-        ("id,on_slots\n1\n", "schedule.csv:2: too few fields"),
-        ("on_slots,id\n1;2\n", "schedule.csv:2: too few fields"),
-        ("id,on_slots\nx,1\n", "schedule.csv:2: invalid literal"),
-        ("id,on_slots\n1,1;a\n", "schedule.csv:2: invalid literal"),
-    ], ids=["short_row", "short_id", "id_text", "slot_text"])
+        (b"id,on_slots\n1\n", "schedule.csv:2: too few fields"),
+        (b"on_slots,id\n1;2\n", "schedule.csv:2: too few fields"),
+        (b"id,on_slots\nx,1\n", "schedule.csv:2: invalid literal"),
+        (b"id,on_slots\n1,1;a\n", "schedule.csv:2: invalid literal"),
+        (b"id,on_slots\n1,1\xff\n", "schedule.csv: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["short_row", "short_id", "id_text", "slot_text", "not_utf8"])
     def test_malformed_schedule_row_is_an_input_error(self, tmp_path, capsys, rows, message):
         config_path = write_config(tmp_path)
-        (tmp_path / "schedule.csv").write_text(rows)
+        (tmp_path / "schedule.csv").write_bytes(rows)
         rc = main(["explain", "--schedule", str(tmp_path / "schedule.csv"),
                    "--config", str(config_path)])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("key, name", [
+    ("appliances_csv", "appliances.csv"),
+    ("price_csv", "price.csv"),
+    ("pv_csv", "pv.csv"),
+    ("neighbors_csv", "neighbors.csv"),
+    ("feeder_json", "feeder.json"),
+])
+def test_non_utf8_data_file_is_an_input_error_naming_it(tmp_path, capsys, key, name):
+    (tmp_path / name).write_bytes(b"slot,value\n1,1\xff\n")
+    rc = main(["run", "--config", str(write_config(tmp_path, **{key: name}))])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: cannot read ")
+    assert f"{name}: 'utf-8' codec can't decode byte 0xff" in err
 
 
 def _with_row_field(**field):

@@ -6,7 +6,6 @@ import pytest
 import eval_reference
 from dsmsched.costing import ProblemContext, total_cost
 from dsmsched.csa import (
-    Antibody,
     CsaConfig,
     SearchSpace,
     _Evaluator,
@@ -14,7 +13,14 @@ from dsmsched.csa import (
     clone_counts,
     optimize,
 )
-from dsmsched.domain import Appliance, ApplianceClass, TimeGrid, schedule_from_on_slots
+from dsmsched.domain import (
+    Appliance,
+    ApplianceClass,
+    TimeGrid,
+    effective_window,
+    schedule_from_on_slots,
+)
+from dsmsched.oracle import SmallInstance, sweep_penalties
 from dsmsched.feeder import FeederLine, FeederModel
 from dsmsched.profiles import PriceSeries
 from small_instances import (
@@ -77,7 +83,7 @@ class TestSearchSpace:
         space = SearchSpace(steep_context())
         assert len(space.flex) == 2  # baseline not encoded
         original = space.original_antibody()
-        assert original.genes == (8, (8, 9))
+        assert original == ((8, 9, 10), (8, 9))
 
     def test_decode_round_trips_the_original(self):
         ctx = steep_context()
@@ -100,9 +106,10 @@ class TestSearchSpace:
         rng = np.random.default_rng(11)
         for _ in range(200):
             ab = space.random_antibody(rng)
-            start = ab.genes[0]
+            start = ab[0][0]
             assert 1 <= start <= 10  # window 1..12, duration 3
-            slots = ab.genes[1]
+            assert ab[0] == (start, start + 1, start + 2)
+            slots = ab[1]
             assert len(slots) == 2 and len(set(slots)) == 2
             assert slots == tuple(sorted(slots))
             assert all(2 <= s <= 11 for s in slots)
@@ -110,10 +117,10 @@ class TestSearchSpace:
     def test_mutate_gene_stays_in_bounds(self):
         space = SearchSpace(steep_context())
         rng = np.random.default_rng(5)
-        start, slots = 8, (8, 9)
+        run, slots = (8, 9, 10), (8, 9)
         for _ in range(500):
-            start = space.mutate_gene(0, start, rng)
-            assert 1 <= start <= 10
+            run = space.mutate_gene(0, run, rng)
+            assert 1 <= run[0] <= 10 and run == (run[0], run[0] + 1, run[0] + 2)
             slots = space.mutate_gene(1, slots, rng)
             assert len(slots) == 2 and slots == tuple(sorted(set(slots)))
             assert all(2 <= s <= 11 for s in slots)
@@ -126,8 +133,47 @@ class TestSearchSpace:
         )
         space = SearchSpace(ProblemContext(grid=GRID12, appliances=apps, price=FLAT))
         rng = np.random.default_rng(0)
-        assert space.mutate_gene(0, 4, rng) == 4
+        assert space.mutate_gene(0, (4, 5, 6), rng) == (4, 5, 6)
         assert space.mutate_gene(1, (7, 8), rng) == (7, 8)
+
+
+class TestGenotypeLayout:
+    """Genotypes of the canonical day, drawn and hypermutated."""
+
+    @pytest.fixture
+    def canonical(self, grid48, canonical_appliances, canonical_price):
+        space = SearchSpace(ProblemContext(
+            grid=grid48, appliances=canonical_appliances, price=canonical_price))
+        rng = np.random.default_rng(12)
+        population = [space.original_antibody()] + [
+            space.random_antibody(rng) for _ in range(29)]
+        offspring = clone_and_hypermutate(population, CsaConfig(population_size=30), rng, space)
+        return space, population + offspring
+
+    def test_genotype_order_is_flat_row_order(self, canonical):
+        space, genotypes = canonical
+        rows = [tuple(s for gene in ab for s in gene) for ab in genotypes]
+        rng = np.random.default_rng(13)
+        for i, j in rng.integers(0, len(genotypes), size=(5000, 2)):
+            a, b = genotypes[i], genotypes[j]
+            assert (a < b) == (rows[i] < rows[j])
+            assert (a == b) == (rows[i] == rows[j])
+        # sorting by genotype and by flat row agree as well
+        assert sorted(rows) == [rows[genotypes.index(ab)] for ab in sorted(genotypes)]
+
+    def test_uninterruptible_genes_are_runs_inside_the_window(self, canonical):
+        space, genotypes = canonical
+        runs = 0
+        for ab in genotypes:
+            for f, gene in zip(space.flex, ab):
+                appliance = space.context.appliances[f.row]
+                if appliance.appliance_class is not ApplianceClass.UNINTERRUPTIBLE:
+                    continue
+                lo, hi = effective_window(appliance)
+                assert gene == tuple(range(gene[0], gene[0] + appliance.duration))
+                assert lo <= gene[0] and gene[-1] <= hi
+                runs += 1
+        assert runs >= 7 * len(genotypes)
 
 
 class TestCloneAndHypermutate:
@@ -143,7 +189,7 @@ class TestCloneAndHypermutate:
         idx = 0
         for parent, k in zip(parents, counts):
             for _ in range(k):
-                assert offspring[idx].genes == parent.genes
+                assert offspring[idx] == parent
                 idx += 1
 
     def test_offspring_always_decode_inside_windows(self):
@@ -155,9 +201,9 @@ class TestCloneAndHypermutate:
         for _ in range(20):
             population = clone_and_hypermutate(population, config, rng, space)[:8]
             for ab in population:
-                start = ab.genes[0]
-                assert 1 <= start <= 10
-                assert all(2 <= s <= 11 for s in ab.genes[1])
+                start = ab[0][0]
+                assert 1 <= start <= 10 and ab[0] == (start, start + 1, start + 2)
+                assert all(2 <= s <= 11 for s in ab[1])
 
 
 def score(antibody, ctx, constraint_penalty_weight=0.0):
@@ -174,8 +220,8 @@ class TestAffinity:
 
     def test_cheaper_placement_scores_higher(self):
         ctx = steep_context()
-        in_valley = Antibody(genes=(1, (2, 3)))
-        at_peak = Antibody(genes=(8, (8, 9)))
+        in_valley = ((1, 2, 3), (2, 3))
+        at_peak = ((8, 9, 10), (8, 9))
         assert score(in_valley, ctx) > score(at_peak, ctx)
 
     def test_cap_violation_ranks_below_any_feasible(self):
@@ -183,8 +229,8 @@ class TestAffinity:
             grid=GRID12, appliances=_family_md(), price=STEEP, md_kw=3.0
         )
         # everything stacked on the same slots busts the 3 kW cap
-        stacked = Antibody(genes=(8, (8, 9), (8, 9)))
-        spread = Antibody(genes=(1, (4, 5), (11, 12)))
+        stacked = ((8, 9, 10), (8, 9), (8, 9))
+        spread = ((1, 2, 3), (4, 5), (11, 12))
         weight = 100.0
         assert score(stacked, ctx, constraint_penalty_weight=weight) < score(
             spread, ctx, constraint_penalty_weight=weight
@@ -219,11 +265,11 @@ class TestBatchedEvaluation:
         for batch in batches:
             evaluator.batch(batch)
             for ab in batch:
-                if ab.genes not in expected:
-                    expected[ab.genes] = eval_reference.evaluate(twin_space, ab, weight)
+                if ab not in expected:
+                    expected[ab] = eval_reference.evaluate(twin_space, ab, weight)
         assert evaluator.evaluations == len(expected)
-        for genes, rec in expected.items():
-            assert evaluator.cache[genes] == rec, genes
+        for ab, rec in expected.items():
+            assert evaluator.cache[ab] == rec, ab
         assert ctx._cache.flow == twin._cache.flow
         assert ctx._cache.baseline == twin._cache.baseline
         return list(expected.values())
@@ -366,6 +412,18 @@ class TestOptimize:
         assert not result.feasibility.feasible
         assert result.feasibility.max_demand
         assert result.schedule is not None
+
+    def test_baseline_only_context(self):
+        # no flexible appliance: the empty genotype is the only candidate
+        ctx = ProblemContext(grid=GRID12, appliances=(_baseline(),), price=STEEP)
+        result = optimize(ctx, CsaConfig(rng_seed=0, **FAST))
+        assert result.success
+        assert result.schedule == ctx.original_schedule()
+        assert result.breakdown.total_usd == pytest.approx(0.294, abs=1e-12)
+        assert result.evaluations == 1
+        oracle = sweep_penalties(SmallInstance(context=ctx), [0.0])[0.0]
+        assert oracle.total_usd == pytest.approx(0.294, abs=1e-12)
+        assert oracle.feasible_count == 1
 
     def test_stall_cuts_the_run_short(self):
         config = CsaConfig(rng_seed=0, population_size=12, generations=400,
