@@ -259,9 +259,7 @@ def _parse_config(data, path: Path) -> ScenarioConfig:
     power_factor = _number(data.get("power_factor", 0.95), "power_factor", where)
     neighbors = None
     if "neighbors_csv" in data:
-        neighbors = load_neighbor_loads(
-            _path(data, "neighbors_csv", base, where), grid, power_factor=power_factor
-        )
+        neighbors = load_neighbor_loads(_path(data, "neighbors_csv", base, where), grid)
 
     feeder = None
     if "feeder_json" in data:
@@ -280,8 +278,7 @@ def _parse_config(data, path: Path) -> ScenarioConfig:
         raise InputError(f"{where}: penalty price list must be non-empty")
 
     csa_data = dict(_typed(data, "csa", dict, where, {}))
-    types = {f.name: f.type for f in fields(CsaConfig)}
-    unknown = set(csa_data) - set(types)
+    unknown = set(csa_data) - {f.name for f in fields(CsaConfig)}
     if unknown:
         raise InputError(f"{where}: unknown csa options {sorted(unknown)}")
     seed = _number(data.get("seed", 0), "seed", where, whole_int)
@@ -290,9 +287,7 @@ def _parse_config(data, path: Path) -> ScenarioConfig:
     # csa.rng_seed, when given, overrides the scenario seed
     csa_data.setdefault("rng_seed", seed)
     for key, value in csa_data.items():
-        if value is not None or types[key] != "float | None":
-            kind = whole_int if types[key] == "int" else finite_float
-            csa_data[key] = _number(value, f"csa.{key}", where, kind)
+        csa_data[key] = _number(value, f"csa.{key}", where, whole_int)
     try:
         csa = CsaConfig(**csa_data)
     except (TypeError, ValueError) as exc:

@@ -97,18 +97,14 @@ def check_duration(
 
 
 def check_window(
-    schedule: Schedule,
-    appliances: Sequence[Appliance],
-    use_effective_window: bool = True,
+    schedule: Schedule, appliances: Sequence[Appliance]
 ) -> list[tuple[int, int]]:
-    """(appliance id, slot) pairs running outside the allowed window.
-
-    With `use_effective_window` the declared window is widened to cover the
-    appliance's original plan, matching what the optimizer may use.
-    """
+    """(appliance id, slot) pairs running outside the effective window: the
+    declared window widened to cover the appliance's original plan, as the
+    optimizer uses it."""
     violations = []
     for row, a in enumerate(appliances):
-        lo, hi = effective_window(a) if use_effective_window else a.window
+        lo, hi = effective_window(a)
         for s in schedule.on_slots(row):
             if s < lo or s > hi:
                 violations.append((a.id, s))
@@ -156,7 +152,7 @@ def is_feasible(schedule: Schedule, context: ProblemContext) -> FeasibilityRepor
     appliances = context.appliances
     report = FeasibilityReport()
     report.duration = check_duration(schedule, appliances)
-    report.window = check_window(schedule, appliances, use_effective_window=True)
+    report.window = check_window(schedule, appliances)
     report.max_demand = check_max_demand(schedule, appliances, context.md_kw)
     for aid, kind in check_contiguity(schedule, appliances):
         if kind == CONTIG_BASELINE:

@@ -102,7 +102,12 @@ class _FlowCache:
 
 @dataclass(frozen=True)
 class ProblemContext:
-    """One scheduling problem: inputs, limits, and evaluation settings."""
+    """One scheduling problem: inputs and limits.
+
+    Every house on the feeder, the smart home included, draws reactive power
+    at `power_factor`; sweeps run at `solve_power_flow_batch`'s own
+    tolerance and iteration limit.
+    """
 
     grid: TimeGrid
     appliances: tuple[Appliance, ...]
@@ -115,8 +120,6 @@ class ProblemContext:
     voltage_min: float = 0.95
     voltage_max: float = 1.05
     power_factor: float = 0.95
-    flow_tol: float = 1e-8
-    flow_max_iter: int = 50
     _cache: _FlowCache = field(
         default_factory=_FlowCache, repr=False, compare=False
     )
@@ -131,7 +134,7 @@ class ProblemContext:
         if self.penalty_price < 0:
             raise ValueError("penalty_price must be >= 0")
         if not 0 < self.power_factor <= 1:
-            raise ValueError("power_factor must be in (0, 1]")
+            raise ValueError(f"power_factor must be in (0, 1], got {self.power_factor}")
         if self.md_kw <= 0:
             raise ValueError("md_kw must be positive")
         if self.neighbors is not None and self.neighbors.slot_count != self.grid.slot_count:
@@ -171,20 +174,14 @@ class ProblemContext:
         self, idx: np.ndarray, gross_kw: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Bus demand p, q (cases x buses) and home PV of (slot index,
-        gross kW) cases: neighbours at their own power factor, the smart
-        home at the context's."""
+        gross kW) cases, every bus at the context's power factor."""
         feeder = self.feeder
         assert feeder is not None
         p = np.zeros((len(idx), feeder.bus_count))
-        q = np.zeros_like(p)
         if self.neighbors is not None:
-            tan_n = math.tan(math.acos(self.neighbors.power_factor))
-            buses = list(feeder.neighbor_buses)
-            p[:, buses] = self.neighbors.as_array()[:, idx].T
-            q[:, buses] = p[:, buses] * tan_n
-        home = feeder.smart_home_bus
-        p[:, home] = gross_kw
-        q[:, home] = gross_kw * math.tan(math.acos(self.power_factor))
+            p[:, list(feeder.neighbor_buses)] = self.neighbors.as_array()[:, idx].T
+        p[:, feeder.smart_home_bus] = gross_kw
+        q = p * math.tan(math.acos(self.power_factor))
         return p, q, self.pv_array()[idx]
 
     def baseline_loss(self, idx: int) -> float:
@@ -268,16 +265,17 @@ class ProblemContext:
         loss[reached] = billed[cells][reached]
         in_band = (vmin,) * self.feeder.bus_count
         mags = np.array([in_band if e is None else e[1] for e in entries])
-        bad = ((mags < vmin) | (mags > vmax)).any(axis=1)[cells] & reached
-        for row in np.flatnonzero(bad.any(axis=1)).tolist():
-            total = 0.0
-            for i in cells[row, reached[row]].tolist():
-                for mag in entries[i][1]:
-                    if mag < vmin:
-                        total += vmin - mag
-                    elif mag > vmax:
-                        total += mag - vmax
-            violation[row] = total
+        out_of_band = ((mags < vmin) | (mags > vmax)).any(axis=1)[cells] & reached
+        bad = np.flatnonzero(out_of_band.any(axis=1))
+        if bad.size:
+            # each bad row's distance outside the band per reached cell and
+            # bus, slot-major then bus-minor; cumsum adds left to right, as
+            # a slot-by-slot, bus-by-bus loop would
+            cell_mags = mags[cells[bad]]
+            terms = np.maximum(vmin - cell_mags, 0.0) + np.maximum(cell_mags - vmax, 0.0)
+            terms[~reached[bad]] = 0.0
+            terms = terms.reshape(len(bad), slots * self.feeder.bus_count)
+            violation[bad] = np.cumsum(terms, axis=1)[:, -1]
         return loss, violation, ~reached[:, -1]
 
     def _solve_cases(
@@ -303,8 +301,7 @@ class ProblemContext:
             watts = np.array([w or 0 for _, w in chunk])
             p, q, pv = self._injection_arrays(idx, watts / 1000.0)
             pv[[w is None for _, w in chunk]] = 0.0  # a baseline drops the home's PV too
-            sweep = solve_power_flow_batch(
-                self.feeder, p, q, pv, self.flow_tol, self.flow_max_iter)
+            sweep = solve_power_flow_batch(self.feeder, p, q, pv)
             fails, losses = sweep.failed.tolist(), sweep.loss_kw.tolist()
             mags = sweep.v_mag.tolist()
             for k, (slot, w) in enumerate(chunk):

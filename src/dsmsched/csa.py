@@ -7,7 +7,8 @@ appliances are drawn and mutated as one contiguous run of `duration`
 slots, genes of interruptible ones as any `duration` distinct slots.
 Duration, window, and contiguity therefore hold for every antibody ever
 decoded; the demand cap and the voltage band are handled as additive
-affinity penalties, and the incumbent is only ever updated with antibodies
+affinity penalties, weighted by ten times the original plan's energy cost
+(at least 1), and the incumbent is only ever updated with antibodies
 that satisfy them outright.  Every gene in one position has the same
 length, so comparing two genotypes orders them exactly as comparing their
 flat on-slot rows does; ties are broken by that order.
@@ -23,6 +24,7 @@ depends on which antibody reached a key first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -51,6 +53,13 @@ FLOW_FAILURE_PENALTY = 1e6
 # totals closer than this are treated as equal when picking the incumbent
 TIE_TOL = 1e-9
 
+# CLONALG's fixed rules (de Castro & Von Zuben, IEEE TEC 6(3), 2002): rank r
+# of N gets round(N / r) clones, each gene of which mutates with probability
+# HYPERMUTATION_SCALE * r / N; the worst REPLACEMENT_FRACTION of the
+# population is replaced by random immigrants every generation
+HYPERMUTATION_SCALE = 0.8
+REPLACEMENT_FRACTION = 0.15
+
 
 # genotype: one ascending on-slot tuple per flexible appliance, in order
 Antibody = tuple[tuple[int, ...], ...]
@@ -60,10 +69,6 @@ Antibody = tuple[tuple[int, ...], ...]
 class CsaConfig:
     population_size: int = 60
     generations: int = 400
-    clone_factor: float = 1.0
-    hypermutation_scale: float = 0.8
-    replacement_fraction: float = 0.15
-    constraint_penalty_weight: float | None = None  # None: 10 x original energy cost
     rng_seed: int = 0
     stall_generations: int = 60
 
@@ -72,12 +77,6 @@ class CsaConfig:
             raise ValueError("population_size must be >= 2")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
-        if not 0 <= self.replacement_fraction < 1:
-            raise ValueError("replacement_fraction must be in [0, 1)")
-        if self.clone_factor < 0 or self.hypermutation_scale < 0:
-            raise ValueError("clone_factor and hypermutation_scale must be >= 0")
-        if self.constraint_penalty_weight is not None and self.constraint_penalty_weight < 0:
-            raise ValueError("constraint_penalty_weight must be >= 0")
         if self.stall_generations < 1:
             raise ValueError("stall_generations must be >= 1")
         if self.rng_seed < 0:
@@ -338,13 +337,9 @@ class OptimResult:
     message: str = ""
 
 
-def clone_counts(config: CsaConfig, population_size: int) -> list[int]:
-    """Clones per rank (1-based): round(beta * N / rank), at least 1, at most N."""
-    n = population_size
-    beta = config.clone_factor
-    return [
-        min(n, max(1, int(beta * n / rank + 0.5))) for rank in range(1, n + 1)
-    ]
+def clone_counts(n: int) -> list[int]:
+    """Clones per rank 1..n of a population of n: round(n / rank)."""
+    return [int(n / rank + 0.5) for rank in range(1, n + 1)]
 
 
 def clone_and_hypermutate(
@@ -355,14 +350,16 @@ def clone_and_hypermutate(
 ) -> list[Antibody]:
     """Offspring of a ranked population (best first).
 
-    Better ranks get more clones; worse ranks mutate harder.  Every
-    offspring stays inside its appliance windows by construction.
+    Better ranks get more clones (`clone_counts`); worse ranks mutate
+    harder (per-gene probability HYPERMUTATION_SCALE * rank / N).  Every
+    offspring stays inside its appliance windows by construction.  `config`
+    is not read: these rules are fixed.
     """
-    counts = clone_counts(config, len(ranked))
-    offspring: list[Antibody] = []
     n = len(ranked)
+    counts = clone_counts(n)
+    offspring: list[Antibody] = []
     for rank, parent in enumerate(ranked, start=1):
-        gene_prob = min(1.0, config.hypermutation_scale * rank / n)
+        gene_prob = min(1.0, HYPERMUTATION_SCALE * rank / n)
         for _ in range(counts[rank - 1]):
             genes = list(parent)
             mutated = False
@@ -370,7 +367,7 @@ def clone_and_hypermutate(
                 if rng.random() < gene_prob:
                     genes[g] = space.mutate_gene(g, genes[g], rng)
                     mutated = True
-            if genes and gene_prob > 0 and not mutated:
+            if genes and not mutated:
                 # an identical clone is a wasted evaluation; probe a neighbor
                 g = int(rng.integers(0, len(genes)))
                 genes[g] = space.mutate_gene(g, genes[g], rng)
@@ -378,20 +375,18 @@ def clone_and_hypermutate(
     return offspring
 
 
-def _better_incumbent(
-    cand: Evaluation,
-    cand_antibody: Antibody,
-    best: Evaluation | None,
-    best_antibody: Antibody | None,
-) -> bool:
-    if best is None:
-        return True
-    diff = cand.total_usd - best.total_usd
+# incumbent key of no candidate at all: every candidate beats it
+_NO_INCUMBENT = (math.inf, 0, ())
+
+
+def _better_incumbent(cand: tuple, best: tuple) -> bool:
+    """Whether incumbent key `cand` beats `best`, both (total, shift_slots,
+    genotype): a lower total beyond TIE_TOL wins, otherwise the smaller
+    (shift_slots, genotype)."""
+    diff = cand[0] - best[0]
     if diff < -TIE_TOL:
         return True
-    if diff <= TIE_TOL:
-        return (cand.shift_slots, cand_antibody) < (best.shift_slots, best_antibody)
-    return False
+    return diff <= TIE_TOL and cand[1:] < best[1:]
 
 
 def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimResult:
@@ -404,18 +399,14 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     space = SearchSpace(context)
     original = space.original_antibody()
 
-    original_breakdown = total_cost(space.decode(original), context)
-    weight = config.constraint_penalty_weight
-    if weight is None:
-        weight = max(1.0, 10.0 * original_breakdown.energy_usd)
-    evaluator = _Evaluator(space, weight)
+    original_energy = total_cost(space.decode(original), context).energy_usd
+    evaluator = _Evaluator(space, max(1.0, 10.0 * original_energy))
 
     rng = np.random.default_rng(config.rng_seed)
     n = config.population_size
     population = [original] + [space.random_antibody(rng) for _ in range(n - 1)]
 
-    best: Evaluation | None = None
-    best_antibody: Antibody | None = None
+    best_key = _NO_INCUMBENT  # (total, shift_slots, genotype), feasible only
     top: Evaluation | None = None  # best score ever, feasible or not
     top_antibody: Antibody | None = None
     history: list[tuple[int, float, int]] = []
@@ -427,23 +418,28 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
 
     def scan(candidates: Sequence[Antibody]) -> bool:
         """Update incumbents; report whether the best total improved."""
-        nonlocal best, best_antibody, top, top_antibody
+        nonlocal best_key, top, top_antibody
         improved = False
         for ab in candidates:
             rec = evaluator.get(ab)
             if top is None or rec.score > top.score:
                 top, top_antibody = rec, ab
-            if rec.feasible and _better_incumbent(rec, ab, best, best_antibody):
-                if best is None or rec.total_usd < best.total_usd - 1e-12:
+            key = (rec.total_usd, rec.shift_slots, ab)
+            if rec.feasible and _better_incumbent(key, best_key):
+                if rec.total_usd < best_key[0] - 1e-12:
                     improved = True
-                best, best_antibody = rec, ab
+                best_key = key
         return improved
+
+    def record(generation: int) -> None:
+        total = best_key[0] if best_key is not _NO_INCUMBENT else math.nan
+        history.append((generation, total, evaluator.evaluations))
 
     evaluator.batch(population)
     scan(population)
-    history.append((0, best.total_usd if best else float("nan"), evaluator.evaluations))
+    record(0)
 
-    replace_count = int(round(config.replacement_fraction * n))
+    replace_count = int(round(REPLACEMENT_FRACTION * n))
     for generation in range(1, config.generations + 1):
         evaluator.batch(population)
         population.sort(key=rank_key)
@@ -464,18 +460,15 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
         while len(population) < n:
             population.append(pool[0])
         improved = scan(pool)
-        if replace_count:
-            immigrants = [space.random_antibody(rng) for _ in range(replace_count)]
-            population[n - replace_count:] = immigrants
-        history.append(
-            (generation, best.total_usd if best else float("nan"), evaluator.evaluations)
-        )
+        population[n - replace_count:] = [
+            space.random_antibody(rng) for _ in range(replace_count)]
+        record(generation)
         stall = 0 if improved else stall + 1
         if stall >= config.stall_generations:
             break
 
-    found = best_antibody is not None
-    schedule = space.decode(best_antibody if found else top_antibody)
+    found = best_key is not _NO_INCUMBENT
+    schedule = space.decode(best_key[2] if found else top_antibody)
     try:
         breakdown = total_cost(schedule, context)
     except PowerFlowError:

@@ -51,10 +51,6 @@ class TimeGrid:
         if self.slot_hours <= 0:
             raise ValueError(f"slot_hours must be > 0, got {self.slot_hours}")
 
-    @property
-    def horizon_hours(self) -> float:
-        return self.slot_count * self.slot_hours
-
     def slots(self) -> range:
         """All slot numbers, 1-based."""
         return range(1, self.slot_count + 1)
@@ -87,10 +83,6 @@ class Appliance:
     @property
     def window(self) -> tuple[int, int]:
         return (self.window_start, self.window_end)
-
-    @property
-    def is_flexible(self) -> bool:
-        return self.appliance_class is not ApplianceClass.BASELINE
 
 
 def effective_window(appliance: Appliance) -> tuple[int, int]:
@@ -208,11 +200,9 @@ class ValidationIssue:
 
 @dataclass
 class ValidationReport:
-    """Outcome of `validate_appliance_set`: issues plus, for appliances whose
-    original plan escapes the declared window, the widened window in force."""
+    """Outcome of `validate_appliance_set`: the issues found."""
 
     issues: list[ValidationIssue] = field(default_factory=list)
-    effective_windows: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -284,7 +274,6 @@ def validate_appliance_set(appliances: Sequence[Appliance], grid: TimeGrid) -> V
 
         if slots and (slots[0] < a.window_start or slots[-1] > a.window_end):
             lo, hi = effective_window(a)
-            report.effective_windows[a.id] = (lo, hi)
             issue(
                 a,
                 ISSUE_ORIGINAL_WINDOW,

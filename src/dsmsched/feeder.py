@@ -135,11 +135,6 @@ class FeederModel:
         return len(self._parent)
 
     @property
-    def house_buses(self) -> tuple[int, ...]:
-        """All non-slack buses, ascending."""
-        return tuple(range(1, self.bus_count))
-
-    @property
     def neighbor_buses(self) -> tuple[int, ...]:
         """House buses other than the smart home, ascending."""
         return tuple(b for b in range(1, self.bus_count) if b != self.smart_home_bus)

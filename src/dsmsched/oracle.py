@@ -3,10 +3,11 @@
 Serves as ground truth for the clonal-selection optimizer: it walks every
 schedule that satisfies duration, window, and contiguity by construction,
 filters the demand cap and (when a feeder is present) the voltage band,
-and returns the exact minimum of the same cost function, with the same
-tie rule (smaller total shift, then the lexicographically earliest
-genotype).  Candidates are the optimizer's own genotypes: one on-slot tuple
-per flexible appliance, a contiguous run for an uninterruptible one.
+and returns the exact minimum of the same cost function, with the
+optimizer's own tie rule, `csa._better_incumbent` (smaller total shift,
+then the lexicographically earliest genotype).  Candidates are the
+optimizer's own genotypes: one on-slot tuple per flexible appliance, a
+contiguous run for an uninterruptible one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .costing import CostBreakdown, ProblemContext, total_cost
-from .csa import TIE_TOL, Antibody, Evaluation, SearchSpace, _Evaluator, _Flex
+from .csa import (
+    _NO_INCUMBENT, TIE_TOL, Antibody, Evaluation, SearchSpace, _better_incumbent, _Evaluator,
+    _Flex,
+)
 from .domain import Schedule
 from .errors import EnumerationGuardError
 
@@ -31,18 +35,16 @@ __all__ = [
 
 MAX_FLEXIBLE = 4
 MAX_SLOTS = 16
+# most candidate schedules (product of per-appliance placement counts) an
+# instance may have; checked before any enumeration starts
+GUARD_LIMIT = 10_000_000
 
 
 @dataclass(frozen=True)
 class SmallInstance:
-    """A problem small enough for exhaustive search.
-
-    The guard limit bounds the number of candidate schedules (product of
-    per-appliance placement counts) computed before any enumeration starts.
-    """
+    """A problem small enough for exhaustive search."""
 
     context: ProblemContext
-    guard_limit: int = 10_000_000
 
     def __post_init__(self) -> None:
         space = SearchSpace(self.context)
@@ -64,11 +66,11 @@ class SmallInstance:
 
     def check_guard(self) -> None:
         count = self.candidate_count()
-        if count > self.guard_limit:
+        if count > GUARD_LIMIT:
             raise EnumerationGuardError(
-                f"{count} candidate schedules exceed the guard limit {self.guard_limit}",
+                f"{count} candidate schedules exceed the guard limit {GUARD_LIMIT}",
                 count=count,
-                limit=self.guard_limit,
+                limit=GUARD_LIMIT,
             )
 
 
@@ -126,25 +128,23 @@ class OracleResult:
 
 
 class _Best:
-    """Running minimum under the (total, shift, genotype) tie rule."""
+    """Running minimum under the optimizer's incumbent rule, and the
+    genotypes whose totals tie with it."""
 
-    __slots__ = ("total", "rec", "antibody", "ties")
+    __slots__ = ("key", "ties")
 
     def __init__(self) -> None:
-        self.total = math.inf
-        self.rec: Evaluation | None = None
-        self.antibody: Antibody | None = None
+        self.key = _NO_INCUMBENT  # (total, shift_slots, genotype)
         self.ties: list[Antibody] = []
 
-    def offer(self, total: float, antibody: Antibody, rec: Evaluation) -> None:
-        if total < self.total - TIE_TOL:
-            self.total, self.rec, self.antibody = total, rec, antibody
-            self.ties = [antibody]
-            return
-        if total <= self.total + TIE_TOL:
-            self.ties.append(antibody)
-            if (rec.shift_slots, antibody) < (self.rec.shift_slots, self.antibody):
-                self.total, self.rec, self.antibody = total, rec, antibody
+    def offer(self, key: tuple[float, int, Antibody]) -> None:
+        diff = key[0] - self.key[0]
+        if diff < -TIE_TOL:
+            self.ties = []
+        if diff <= TIE_TOL:
+            self.ties.append(key[2])
+        if _better_incumbent(key, self.key):
+            self.key = key
 
 
 def sweep_penalties(
@@ -163,13 +163,14 @@ def sweep_penalties(
     for antibody, rec in _iter_candidates(instance, space):
         count += 1
         for pi, best in bests.items():
-            best.offer(rec.energy_usd + hours * pi * rec.weighted_shift, antibody, rec)
+            best.offer(
+                (rec.energy_usd + hours * pi * rec.weighted_shift, rec.shift_slots, antibody))
 
     results: dict[float, OracleResult] = {}
     for pi, best in bests.items():
-        if best.antibody is None:
+        if best.key is _NO_INCUMBENT:
             raise ValueError("no feasible schedule exists for the instance")
-        schedule = space.decode(best.antibody)
+        schedule = space.decode(best.key[2])
         breakdown = total_cost(schedule, ctx.with_penalty(pi))
         results[pi] = OracleResult(
             schedule=schedule,

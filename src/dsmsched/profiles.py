@@ -68,12 +68,11 @@ class PvSeries:
 class NeighborLoads:
     """Active-power draw of the other houses on the feeder, kW per slot.
 
-    `per_house[h][t]` is house h's demand in slot t+1.  All houses share one
-    displacement power factor, used to derive reactive power.
+    `per_house[h][t]` is house h's demand in slot t+1.  Reactive power
+    follows from the problem context's power factor.
     """
 
     per_house: tuple[tuple[float, ...], ...]
-    power_factor: float = 0.95
 
     def __post_init__(self) -> None:
         if not self.per_house:
@@ -83,8 +82,6 @@ class NeighborLoads:
             raise ValueError(f"houses have differing series lengths {sorted(lengths)}")
         if any(v < 0 for house in self.per_house for v in house):
             raise ValueError("neighbor demand must be non-negative")
-        if not 0 < self.power_factor <= 1:
-            raise ValueError(f"power_factor must be in (0, 1], got {self.power_factor}")
 
     @property
     def house_count(self) -> int:
@@ -142,9 +139,7 @@ def write_series(path: str | Path, values: Iterable[float], value_name: str = "v
             writer.writerow([slot, f"{v:.6f}"])
 
 
-def load_neighbor_loads(
-    path: str | Path, grid: TimeGrid, power_factor: float = 0.95
-) -> NeighborLoads:
+def load_neighbor_loads(path: str | Path, grid: TimeGrid) -> NeighborLoads:
     """Read a `slot,h1,...,hN` CSV of per-house demand."""
     path = Path(path)
     rows: list[list[float]] = []
@@ -172,7 +167,7 @@ def load_neighbor_loads(
     if len(rows) != grid.slot_count:
         raise InputError(f"{path}: {len(rows)} rows, grid expects {grid.slot_count}")
     houses = tuple(tuple(row[h] for row in rows) for h in range(width))
-    return NeighborLoads(per_house=houses, power_factor=power_factor)
+    return NeighborLoads(per_house=houses)
 
 
 def write_neighbor_loads(path: str | Path, loads: NeighborLoads) -> None:
@@ -266,4 +261,4 @@ def canonical_neighbor_loads(house_count: int = 12) -> NeighborLoads:
         )
         house.append(kw)
     per_house = tuple(tuple(house) for _ in range(house_count))
-    return NeighborLoads(per_house=per_house, power_factor=0.95)
+    return NeighborLoads(per_house=per_house)

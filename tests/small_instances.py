@@ -86,7 +86,7 @@ def _tiny_feeder() -> FeederModel:
 
 def _tiny_neighbors() -> NeighborLoads:
     values = (1.5, 1.5, 1.5, 2.0, 2.0, 2.5, 2.5, 3.5, 3.5, 3.0, 2.0, 1.5)
-    return NeighborLoads(per_house=(values,), power_factor=0.95)
+    return NeighborLoads(per_house=(values,))
 
 
 def _family_steep() -> tuple[Appliance, ...]:

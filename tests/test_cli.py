@@ -88,6 +88,20 @@ class TestLoadScenarioConfig:
         assert "unknown csa options" in err
         assert "max_workers" in err and "parallel_evaluation" in err
 
+    @pytest.mark.parametrize("option, value", [
+        ("clone_factor", 1.0),
+        ("hypermutation_scale", 0.8),
+        ("replacement_fraction", 0.15),
+        ("constraint_penalty_weight", 5.0),
+    ])
+    def test_removed_clonalg_options_rejected(self, tmp_path, capsys, option, value):
+        # settable in older versions; the CLONALG rules are now fixed
+        path = write_config(tmp_path, csa={"population_size": 16, option: value})
+        rc = main(["run", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"error: {path}: unknown csa options ['{option}']\n"
+
     def test_missing_referenced_file_names_path(self, tmp_path, capsys):
         config = base_config(tmp_path / "out")
         del config["appliances"]

@@ -60,7 +60,6 @@ def test_effective_window_honors_original_plan():
     apps = (BASE, widened)
     s = schedule_from_on_slots([range(1, 9), (6, 7)], slot_count=8)
     assert check_window(s, apps) == []
-    assert check_window(s, apps, use_effective_window=False) == [(4, 6), (4, 7)]
     # the hull does not include slots between window and original hull edges
     beyond = schedule_from_on_slots([range(1, 9), (7, 8)], slot_count=8)
     assert check_window(beyond, apps) == [(4, 8)]

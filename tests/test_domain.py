@@ -45,7 +45,6 @@ class TestTimeGrid:
         grid = TimeGrid()
         assert grid.slot_count == 48
         assert grid.slot_hours == 0.5
-        assert grid.horizon_hours == 24.0
         assert list(grid.slots())[0] == 1
         assert list(grid.slots())[-1] == 48
 
@@ -63,9 +62,6 @@ class TestTimeGrid:
 def test_appliance_helpers():
     a = make(cls=ApplianceClass.UNINTERRUPTIBLE, window=(2, 9))
     assert a.window == (2, 9)
-    assert a.is_flexible
-    b = make(cls=ApplianceClass.BASELINE)
-    assert not b.is_flexible
 
 
 def test_effective_window_is_hull_of_window_and_original():
@@ -140,14 +136,14 @@ class TestValidation:
         return validate_appliance_set(list(apps), self.GRID)
 
     def test_clean_set(self):
-        report = self.check(
+        apps = (
             make(aid=1, cls=ApplianceClass.BASELINE, window=(1, 12), duration=12,
                  original=tuple(range(1, 13))),
             make(aid=2, cls=ApplianceClass.UNINTERRUPTIBLE, duration=3, original=(4, 5, 6)),
             make(aid=3, duration=2, original=(7, 9)),
         )
-        assert report.ok
-        assert report.effective_windows == {}
+        assert self.check(*apps).ok
+        assert [effective_window(a) for a in apps] == [a.window for a in apps]
 
     def test_window_out_of_range(self):
         assert ISSUE_WINDOW_RANGE in self.check(make(window=(0, 12))).kinds()
@@ -187,9 +183,11 @@ class TestValidation:
         assert ISSUE_NOT_CONTIGUOUS in report.kinds()
 
     def test_original_outside_window_records_widened_window(self):
-        report = self.check(make(aid=9, window=(2, 6), duration=2, original=(9, 10)))
+        a = make(aid=9, window=(2, 6), duration=2, original=(9, 10))
+        report = self.check(a)
         assert report.kinds() == {ISSUE_ORIGINAL_WINDOW}
-        assert report.effective_windows == {9: (2, 10)}
+        assert effective_window(a) == (2, 10)
+        assert report.issues[0].message.endswith("widened to 2..10")
 
     def test_duplicate_ids(self):
         report = self.check(make(aid=5), make(aid=5, original=(6, 7)))
@@ -202,8 +200,10 @@ def test_canonical_table_flags_only_widened_windows(canonical_appliances, grid48
     report = validate_appliance_set(canonical_appliances, grid48)
     assert report.kinds() == {ISSUE_ORIGINAL_WINDOW}
     assert sorted(i.appliance_id for i in report.issues) == [6, 7]
-    assert report.effective_windows[6] == (12, 26)
-    assert report.effective_windows[7] == (12, 28)
+    widened = {a.id: effective_window(a) for a in canonical_appliances if a.id in (6, 7)}
+    assert widened == {6: (12, 26), 7: (12, 28)}
+    assert [i.message.rsplit("; ", 1)[1] for i in report.issues] == [
+        "widened to 12..26", "widened to 12..28"]
 
 
 def test_canonical_table_shape(canonical_appliances):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -37,8 +38,8 @@ def two_bus(r=0.02, x=0.012, base_kva=50.0) -> FeederModel:
 
 
 def home_context(feeder, neighbor_kw, pv_kw=None, **limits) -> ProblemContext:
-    """A 0.5 kW always-on home on `feeder` with one neighbour house at unity
-    power factor, one series value per slot."""
+    """A 0.5 kW always-on home on `feeder` with one neighbour house, both at
+    unity power factor, one series value per slot."""
     slots = len(neighbor_kw)
     home = Appliance(
         id=1, appliance_class=ApplianceClass.BASELINE, window_start=1, window_end=slots,
@@ -49,8 +50,9 @@ def home_context(feeder, neighbor_kw, pv_kw=None, **limits) -> ProblemContext:
         appliances=(home,),
         price=PriceSeries(values=(0.1,) * slots),
         pv=None if pv_kw is None else PvSeries(values=pv_kw, capacity_kw=max(pv_kw)),
-        neighbors=NeighborLoads(per_house=(neighbor_kw,), power_factor=1.0),
+        neighbors=NeighborLoads(per_house=(neighbor_kw,)),
         feeder=feeder,
+        power_factor=1.0,
         **limits,
     )
 
@@ -117,7 +119,6 @@ class TestTopology:
     def test_bus_lists(self):
         feeder = chain(n_lines=4)
         assert feeder.bus_count == 5
-        assert feeder.house_buses == (1, 2, 3, 4)
         assert feeder.neighbor_buses == (1, 2, 3)
 
     def test_base_validation(self):
@@ -310,6 +311,16 @@ class TestHomeAttribution:
         assert ctx.baseline_loss(0) == stripped.loss_kw
         home = scalar_sweep(feeder, inj(feeder, [0.0, 2.0, 0.5], [0.0, 0.0, 0.5 * math.tan(
             math.acos(ctx.power_factor))], pv=3.0))
+        assert ctx.slot_flow(0, 0.5) == (
+            max(0.0, home.loss_kw - stripped.loss_kw), home.voltage_magnitudes())
+
+    def test_every_house_draws_at_the_context_power_factor(self):
+        feeder = chain(n_lines=2)
+        ctx = dataclasses.replace(home_context(feeder, neighbor_kw=(2.0,)), power_factor=0.8)
+        tan = math.tan(math.acos(0.8))
+        stripped = scalar_sweep(feeder, inj(feeder, [0.0, 2.0, 0.0], [0.0, 2.0 * tan, 0.0]))
+        home = scalar_sweep(feeder, inj(feeder, [0.0, 2.0, 0.5], [0.0, 2.0 * tan, 0.5 * tan]))
+        assert ctx.baseline_loss(0) == stripped.loss_kw
         assert ctx.slot_flow(0, 0.5) == (
             max(0.0, home.loss_kw - stripped.loss_kw), home.voltage_magnitudes())
 

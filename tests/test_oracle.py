@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -85,14 +86,18 @@ class TestLimits:
             SmallInstance(context=ProblemContext(grid=grid, appliances=apps, price=price))
 
     def test_guard_refuses_before_enumerating(self):
-        inst = SmallInstance(
-            context=ProblemContext(grid=GRID12, appliances=_family_steep(), price=STEEP),
-            guard_limit=100,
+        # four 8-of-16 interruptibles: C(16, 8)**4, about 2.7e16 candidates
+        grid = TimeGrid(slot_count=16, slot_hours=0.5)
+        apps = tuple(
+            _interruptible(i, (1, 16), 8, 1.0, original=tuple(range(1, 9)))
+            for i in range(1, 5)
         )
+        inst = SmallInstance(context=ProblemContext(
+            grid=grid, appliances=apps, price=PriceSeries(values=(0.1,) * 16)))
         with pytest.raises(EnumerationGuardError) as err:
             list(enumerate_feasible(inst))
-        assert err.value.count == 450
-        assert err.value.limit == 100
+        assert err.value.count == math.comb(16, 8) ** 4
+        assert err.value.limit == oracle.GUARD_LIMIT
 
 
 def test_enumeration_is_exactly_the_feasible_set():

@@ -53,8 +53,6 @@ class TestNeighborLoads:
             NeighborLoads(per_house=((1.0, 2.0), (0.5,)))
         with pytest.raises(ValueError):
             NeighborLoads(per_house=((1.0, -2.0),))
-        with pytest.raises(ValueError):
-            NeighborLoads(per_house=((1.0,),), power_factor=1.3)
 
 
 class TestSeriesCsv:
