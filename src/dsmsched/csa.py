@@ -20,6 +20,10 @@ one.  Per-slot power flows are cached on the problem context keyed by
 (slot, gross load in whole watts) and solved at that rounded load, so
 identical slot loads across antibodies reuse one solve and no result
 depends on which antibody reached a key first.
+
+Every random draw comes from `Draws`, a Python replay of the stream of
+numpy's `Generator(PCG64(seed))`: the same genotypes as calling the
+`Generator`, without numpy's per-call overhead on every gene.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from .errors import PowerFlowError
 __all__ = [
     "Antibody",
     "CsaConfig",
+    "Draws",
     "OptimResult",
     "SearchSpace",
     "clone_counts",
@@ -63,6 +68,68 @@ REPLACEMENT_FRACTION = 0.15
 
 # genotype: one ascending on-slot tuple per flexible appliance, in order
 Antibody = tuple[tuple[int, ...], ...]
+
+
+class Draws:
+    """The draws of numpy's `Generator(PCG64(seed))`, replayed in Python.
+
+    `random()`, `below(n)` and `sample(n, k)` return and consume exactly
+    what `Generator.random()`, `Generator.integers(0, n)` and the set of
+    `Generator.choice(n, size=k, replace=False)` do, for n < 2**32 (choice
+    also needs n <= 10000, where numpy uses Floyd's algorithm and then
+    shuffles the k picks).  They read raw PCG64 words in blocks; a bounded
+    draw takes the low 32-bit half of a word and keeps the high half for
+    the next one, as PCG64's `next_uint32` does, and applies Lemire's
+    multiply-shift with numpy's rejection threshold.
+    """
+
+    def __init__(self, seed: int):
+        self._bits = np.random.PCG64(seed)
+        self._words: Iterator[int] = iter(())
+        self._half: int | None = None
+
+    def _word(self) -> int:
+        try:
+            return next(self._words)
+        except StopIteration:
+            self._words = iter(self._bits.random_raw(512).tolist())
+            return next(self._words)
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def random(self) -> float:
+        """A float in [0, 1), as `Generator.random()`."""
+        return (self._word() >> 11) * 2.0**-53
+
+    def below(self, n: int) -> int:
+        """An int in [0, n), as `Generator.integers(0, n)`; n == 1 draws nothing."""
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        if (m & 0xFFFFFFFF) < n:
+            threshold = ((1 << 32) - n) % n
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def sample(self, n: int, k: int) -> set[int]:
+        """k distinct ints in [0, n), the set `Generator.choice(n, k,
+        replace=False)` returns; the shuffle of its picks is drawn and
+        dropped."""
+        picks: set[int] = set()
+        for j in range(n - k, n):
+            pick = self.below(j + 1)
+            picks.add(j if pick in picks else pick)
+        for i in range(k - 1, 0, -1):
+            self.below(i + 1)
+        return picks
 
 
 @dataclass(frozen=True)
@@ -141,21 +208,19 @@ class SearchSpace:
     def original_antibody(self) -> Antibody:
         return tuple(f.original_slots for f in self.flex)
 
-    def random_antibody(self, rng: np.random.Generator) -> Antibody:
+    def random_antibody(self, draws: Draws) -> Antibody:
         genes = []
         for f in self.flex:
             if f.uninterruptible:
-                start = int(rng.integers(f.start_lo, f.start_hi + 1))
+                start = f.start_lo + draws.below(f.start_hi - f.start_lo + 1)
                 genes.append(tuple(range(start, start + f.duration)))
             else:
                 width = f.window_hi - f.window_lo + 1
-                picks = rng.choice(width, size=f.duration, replace=False)
-                genes.append(tuple(sorted(int(p) + f.window_lo for p in picks)))
+                picks = draws.sample(width, f.duration)
+                genes.append(tuple(sorted(p + f.window_lo for p in picks)))
         return tuple(genes)
 
-    def mutate_gene(
-        self, index: int, gene: tuple[int, ...], rng: np.random.Generator
-    ) -> tuple[int, ...]:
+    def mutate_gene(self, index: int, gene: tuple[int, ...], draws: Draws) -> tuple[int, ...]:
         """One mutated copy of a gene, always inside the appliance window."""
         f = self.flex[index]
         if f.uninterruptible:
@@ -163,23 +228,22 @@ class SearchSpace:
             if span == 0:
                 return gene
             bound = max(1, span // 2)
-            delta = int(rng.integers(-bound, bound + 1))
+            delta = draws.below(2 * bound + 1) - bound
             start = min(f.start_hi, max(f.start_lo, gene[0] + delta))
             return tuple(range(start, start + f.duration))
 
         width = f.window_hi - f.window_lo + 1
         if width == f.duration:
             return gene
-        k = 1 + int(rng.integers(0, f.duration))
-        drop = rng.choice(f.duration, size=k, replace=False)
-        dropped = set(int(d) for d in drop)
+        k = 1 + draws.below(f.duration)
+        dropped = draws.sample(f.duration, k)
         kept = [s for j, s in enumerate(gene) if j not in dropped]
         kept_set = set(kept)
         candidates = [
             s for s in range(f.window_lo, f.window_hi + 1) if s not in kept_set
         ]
-        picks = rng.choice(len(candidates), size=k, replace=False)
-        return tuple(sorted(kept + [candidates[int(p)] for p in picks]))
+        picks = draws.sample(len(candidates), k)
+        return tuple(sorted(kept + [candidates[p] for p in picks]))
 
     def decode(self, antibody: Antibody) -> Schedule:
         """Full schedule for all appliances, baseline rows always on."""
@@ -343,17 +407,13 @@ def clone_counts(n: int) -> list[int]:
 
 
 def clone_and_hypermutate(
-    ranked: Sequence[Antibody],
-    config: CsaConfig,
-    rng: np.random.Generator,
-    space: SearchSpace,
+    ranked: Sequence[Antibody], draws: Draws, space: SearchSpace
 ) -> list[Antibody]:
     """Offspring of a ranked population (best first).
 
     Better ranks get more clones (`clone_counts`); worse ranks mutate
     harder (per-gene probability HYPERMUTATION_SCALE * rank / N).  Every
-    offspring stays inside its appliance windows by construction.  `config`
-    is not read: these rules are fixed.
+    offspring stays inside its appliance windows by construction.
     """
     n = len(ranked)
     counts = clone_counts(n)
@@ -364,13 +424,13 @@ def clone_and_hypermutate(
             genes = list(parent)
             mutated = False
             for g in range(len(genes)):
-                if rng.random() < gene_prob:
-                    genes[g] = space.mutate_gene(g, genes[g], rng)
+                if draws.random() < gene_prob:
+                    genes[g] = space.mutate_gene(g, genes[g], draws)
                     mutated = True
             if genes and not mutated:
                 # an identical clone is a wasted evaluation; probe a neighbor
-                g = int(rng.integers(0, len(genes)))
-                genes[g] = space.mutate_gene(g, genes[g], rng)
+                g = draws.below(len(genes))
+                genes[g] = space.mutate_gene(g, genes[g], draws)
             offspring.append(tuple(genes))
     return offspring
 
@@ -402,9 +462,9 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     original_energy = total_cost(space.decode(original), context).energy_usd
     evaluator = _Evaluator(space, max(1.0, 10.0 * original_energy))
 
-    rng = np.random.default_rng(config.rng_seed)
+    draws = Draws(config.rng_seed)
     n = config.population_size
-    population = [original] + [space.random_antibody(rng) for _ in range(n - 1)]
+    population = [original] + [space.random_antibody(draws) for _ in range(n - 1)]
 
     best_key = _NO_INCUMBENT  # (total, shift_slots, genotype), feasible only
     top: Evaluation | None = None  # best score ever, feasible or not
@@ -443,7 +503,7 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     for generation in range(1, config.generations + 1):
         evaluator.batch(population)
         population.sort(key=rank_key)
-        offspring = clone_and_hypermutate(population, config, rng, space)
+        offspring = clone_and_hypermutate(population, draws, space)
         evaluator.batch(offspring)
         pool = population + offspring
         pool.sort(key=rank_key)
@@ -461,7 +521,7 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
             population.append(pool[0])
         improved = scan(pool)
         population[n - replace_count:] = [
-            space.random_antibody(rng) for _ in range(replace_count)]
+            space.random_antibody(draws) for _ in range(replace_count)]
         record(generation)
         stall = 0 if improved else stall + 1
         if stall >= config.stall_generations:

@@ -80,10 +80,6 @@ class Appliance:
     rated_kw: float
     original_on_slots: tuple[int, ...]
 
-    @property
-    def window(self) -> tuple[int, int]:
-        return (self.window_start, self.window_end)
-
 
 def effective_window(appliance: Appliance) -> tuple[int, int]:
     """Scheduling window actually honored: the declared window widened, if

@@ -21,7 +21,7 @@ from dsmsched.constraints import (
 )
 from dsmsched.cli import ScenarioConfig, load_scenario_config, run_scenario
 from dsmsched.costing import ProblemContext, electricity_cost, penalty_cost, shift_distance, total_cost
-from dsmsched.csa import CsaConfig, SearchSpace, optimize
+from dsmsched.csa import CsaConfig, Draws, SearchSpace, optimize
 from dsmsched.domain import Appliance, ApplianceClass, TimeGrid, aggregate_power
 from dsmsched.feeder import SlotInjections, solve_power_flow
 from dsmsched.oracle import SmallInstance, sweep_penalties
@@ -353,10 +353,10 @@ def scenario_report(tmp_path_factory, canonical_appliances):
 def test_criterion_7_constraint_soundness(canonical_contexts, scenario_report):
     ctx = canonical_contexts["nopv"]
     space = SearchSpace(ctx)
-    rng = np.random.default_rng(17)
+    draws = Draws(17)
     bad = 0
     for _ in range(10_000):
-        schedule = space.decode(space.random_antibody(rng))
+        schedule = space.decode(space.random_antibody(draws))
         if (
             check_duration(schedule, ctx.appliances)
             or check_window(schedule, ctx.appliances)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import eval_reference
 from dsmsched.costing import ProblemContext, total_cost
 from dsmsched.csa import (
     CsaConfig,
+    Draws,
     SearchSpace,
     _Evaluator,
     clone_and_hypermutate,
@@ -78,6 +80,62 @@ class TestCloneCounts:
             assert all(1 <= c <= n for c in clone_counts(n))
 
 
+class TestDrawsMatchNumpy:
+    """`Draws` against the numpy `Generator` whose stream it replays.
+
+    Every genotype the optimizer draws, and so every report byte and both
+    goldens, rests on `Draws(seed)` giving exactly what
+    `np.random.default_rng(seed)` gives.  numpy does not promise that a
+    Generator's stream stays the same across versions (NEP 19), so this
+    test is the tripwire: if numpy changes how `random`, `integers` or
+    `choice(replace=False)` draw, it fails here first.
+    """
+
+    @staticmethod
+    def draw_both(draws, gen, plan):
+        """Apply one operation to both streams; return the pair of results."""
+        op, a, b = plan
+        if op == "random":
+            return draws.random(), gen.random()
+        if op == "integers":
+            return a + draws.below(b - a), int(gen.integers(a, b))
+        return draws.sample(a, b), set(gen.choice(a, size=b, replace=False).tolist())
+
+    @staticmethod
+    def plan(pick):
+        op = pick.choice(("random", "integers", "sample"))
+        if op == "integers":
+            lo = pick.randrange(-50, 50)
+            # a third of the ranges hold one value, which must draw nothing:
+            # every later operation of the mix would see the stream shifted
+            width = 1 if pick.random() < 1 / 3 else pick.randrange(2, 120)
+            return op, lo, lo + width
+        if op == "sample":
+            n = pick.randrange(1, 61)
+            return op, n, pick.randrange(1, n + 1)
+        return op, 0, 0
+
+    def test_random_integers_and_choice(self):
+        for seed in range(2000):
+            draws, gen = Draws(seed), np.random.default_rng(seed)
+            pick = random.Random(seed)
+            for _ in range(60):
+                plan = self.plan(pick)
+                mine, theirs = self.draw_both(draws, gen, plan)
+                assert mine == theirs, (seed, plan)
+
+    def test_rejection_heavy_range(self):
+        # (2**32 - n) % n == 2**30: a quarter of the 32-bit draws are
+        # rejected and redrawn
+        n = 3 << 30
+        for seed in range(300):
+            draws, gen = Draws(seed), np.random.default_rng(seed)
+            for i in range(200):
+                assert draws.below(n) == int(gen.integers(0, n)), (seed, i)
+                if i % 7 == 0:
+                    assert draws.random() == gen.random(), (seed, i)
+
+
 class TestSearchSpace:
     def test_only_flexible_appliances_are_encoded(self):
         space = SearchSpace(steep_context())
@@ -93,19 +151,19 @@ class TestSearchSpace:
     def test_gross_matches_decoded_schedule(self):
         ctx = steep_context()
         space = SearchSpace(ctx)
-        rng = np.random.default_rng(3)
+        draws = Draws(3)
         from dsmsched.domain import aggregate_power
         for _ in range(25):
-            ab = space.random_antibody(rng)
+            ab = space.random_antibody(draws)
             direct = space.gross(ab)
             via_schedule = aggregate_power(space.decode(ab), ctx.appliances)
             assert direct == pytest.approx(via_schedule.tolist())
 
     def test_random_antibodies_respect_windows(self):
         space = SearchSpace(steep_context())
-        rng = np.random.default_rng(11)
+        draws = Draws(11)
         for _ in range(200):
-            ab = space.random_antibody(rng)
+            ab = space.random_antibody(draws)
             start = ab[0][0]
             assert 1 <= start <= 10  # window 1..12, duration 3
             assert ab[0] == (start, start + 1, start + 2)
@@ -116,12 +174,12 @@ class TestSearchSpace:
 
     def test_mutate_gene_stays_in_bounds(self):
         space = SearchSpace(steep_context())
-        rng = np.random.default_rng(5)
+        draws = Draws(5)
         run, slots = (8, 9, 10), (8, 9)
         for _ in range(500):
-            run = space.mutate_gene(0, run, rng)
+            run = space.mutate_gene(0, run, draws)
             assert 1 <= run[0] <= 10 and run == (run[0], run[0] + 1, run[0] + 2)
-            slots = space.mutate_gene(1, slots, rng)
+            slots = space.mutate_gene(1, slots, draws)
             assert len(slots) == 2 and slots == tuple(sorted(set(slots)))
             assert all(2 <= s <= 11 for s in slots)
 
@@ -132,9 +190,9 @@ class TestSearchSpace:
             _interruptible(3, (7, 8), 2, 1.0, original=(7, 8)),  # window == duration
         )
         space = SearchSpace(ProblemContext(grid=GRID12, appliances=apps, price=FLAT))
-        rng = np.random.default_rng(0)
-        assert space.mutate_gene(0, (4, 5, 6), rng) == (4, 5, 6)
-        assert space.mutate_gene(1, (7, 8), rng) == (7, 8)
+        draws = Draws(0)
+        assert space.mutate_gene(0, (4, 5, 6), draws) == (4, 5, 6)
+        assert space.mutate_gene(1, (7, 8), draws) == (7, 8)
 
 
 class TestGenotypeLayout:
@@ -144,10 +202,10 @@ class TestGenotypeLayout:
     def canonical(self, grid48, canonical_appliances, canonical_price):
         space = SearchSpace(ProblemContext(
             grid=grid48, appliances=canonical_appliances, price=canonical_price))
-        rng = np.random.default_rng(12)
+        draws = Draws(12)
         population = [space.original_antibody()] + [
-            space.random_antibody(rng) for _ in range(29)]
-        offspring = clone_and_hypermutate(population, CsaConfig(population_size=30), rng, space)
+            space.random_antibody(draws) for _ in range(29)]
+        offspring = clone_and_hypermutate(population, draws, space)
         return space, population + offspring
 
     def test_genotype_order_is_flat_row_order(self, canonical):
@@ -180,11 +238,10 @@ class TestCloneAndHypermutate:
     def test_offspring_always_decode_inside_windows(self):
         ctx = steep_context()
         space = SearchSpace(ctx)
-        rng = np.random.default_rng(9)
-        population = [space.random_antibody(rng) for _ in range(8)]
-        config = CsaConfig(population_size=8)
+        draws = Draws(9)
+        population = [space.random_antibody(draws) for _ in range(8)]
         for _ in range(20):
-            population = clone_and_hypermutate(population, config, rng, space)[:8]
+            population = clone_and_hypermutate(population, draws, space)[:8]
             for ab in population:
                 start = ab[0][0]
                 assert 1 <= start <= 10 and ab[0] == (start, start + 1, start + 2)
@@ -260,13 +317,12 @@ class TestBatchedEvaluation:
         return list(expected.values())
 
     @staticmethod
-    def generations(space, rng, size=40, count=3):
+    def generations(space, draws, size=40, count=3):
         population = [space.original_antibody()] + [
-            space.random_antibody(rng) for _ in range(size - 1)]
+            space.random_antibody(draws) for _ in range(size - 1)]
         batches = [population]
-        config = CsaConfig(population_size=size)
         for _ in range(count):
-            batches.append(clone_and_hypermutate(batches[-1][:size], config, rng, space))
+            batches.append(clone_and_hypermutate(batches[-1][:size], draws, space))
         return batches
 
     @pytest.fixture
@@ -281,13 +337,13 @@ class TestBatchedEvaluation:
         return make
 
     def test_canonical_genotypes(self, make_canonical):
-        batches = self.generations(SearchSpace(make_canonical()), np.random.default_rng(4))
+        batches = self.generations(SearchSpace(make_canonical()), Draws(4))
         records = self.assert_matches_reference(make_canonical, batches)
         assert any(r.md_excess > 0 for r in records)
         assert any(r.feasible for r in records)
 
     def test_flow_cache_is_independent_of_evaluation_order(self, make_canonical):
-        batches = self.generations(SearchSpace(make_canonical()), np.random.default_rng(4))
+        batches = self.generations(SearchSpace(make_canonical()), Draws(4))
         forward, backward = make_canonical(), make_canonical()
         ahead = _Evaluator(SearchSpace(forward), 5.0)
         behind = _Evaluator(SearchSpace(backward), 5.0)
@@ -310,7 +366,7 @@ class TestBatchedEvaluation:
                 penalty_price=0.05,
             )
 
-        batches = self.generations(SearchSpace(make()), np.random.default_rng(6))
+        batches = self.generations(SearchSpace(make()), Draws(6))
         records = self.assert_matches_reference(make, batches)
         assert any(r.md_excess > 0 for r in records)
         assert any(r.md_excess == 0 for r in records)
@@ -319,7 +375,7 @@ class TestBatchedEvaluation:
         def make():
             return weak_feeder_context(0.15)
 
-        batches = self.generations(SearchSpace(make()), np.random.default_rng(8))
+        batches = self.generations(SearchSpace(make()), Draws(8))
         records = self.assert_matches_reference(make, batches)
         assert any(r.voltage_violation > 0 for r in records)
         assert any(r.voltage_violation == 0 for r in records)
@@ -329,7 +385,7 @@ class TestBatchedEvaluation:
         def make():
             return weak_feeder_context(1.0)
 
-        batches = self.generations(SearchSpace(make()), np.random.default_rng(10))
+        batches = self.generations(SearchSpace(make()), Draws(10))
         records = self.assert_matches_reference(make, batches)
         failed = [r for r in records if r.flow_failed]
         assert failed and len(failed) < len(records)

@@ -61,7 +61,7 @@ class TestTimeGrid:
 
 def test_appliance_helpers():
     a = make(cls=ApplianceClass.UNINTERRUPTIBLE, window=(2, 9))
-    assert a.window == (2, 9)
+    assert (a.window_start, a.window_end) == (2, 9)
 
 
 def test_effective_window_is_hull_of_window_and_original():
@@ -143,7 +143,7 @@ class TestValidation:
             make(aid=3, duration=2, original=(7, 9)),
         )
         assert self.check(*apps).ok
-        assert [effective_window(a) for a in apps] == [a.window for a in apps]
+        assert [effective_window(a) for a in apps] == [(a.window_start, a.window_end) for a in apps]
 
     def test_window_out_of_range(self):
         assert ISSUE_WINDOW_RANGE in self.check(make(window=(0, 12))).kinds()
