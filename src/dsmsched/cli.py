@@ -264,6 +264,9 @@ def _parse_config(data, path: Path) -> ScenarioConfig:
     feeder = None
     if "feeder_json" in data:
         feeder = load_feeder_json(_path(data, "feeder_json", base, where))
+    if neighbors is not None and feeder is None:
+        raise InputError(f"{where}: 'neighbors_csv' needs 'feeder_json': neighbour loads "
+                         "enter only the feeder's power flow")
 
     voltage_min, voltage_max = _load_voltage_band(data, where)
 
@@ -454,7 +457,7 @@ def explain(schedule_path: str | Path, config: ScenarioConfig, penalty_price: fl
     out: dict = {"feasibility": report.to_dict(), "penalty_usd_per_kwh": _round(pi)}
     try:
         out["cost"] = total_cost(schedule, ctx).to_dict()
-    except PowerFlowError as exc:
+    except (PowerFlowError, ValueError) as exc:  # a diverging flow; a plan of the wrong length
         out["cost"] = None
         out["cost_error"] = str(exc)
     return out

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -155,7 +155,6 @@ class _Flex:
     """Cached per-appliance search data for one flexible appliance."""
 
     row: int
-    appliance_id: int
     uninterruptible: bool
     window_lo: int
     window_hi: int
@@ -164,16 +163,33 @@ class _Flex:
     original_slots: tuple[int, ...]
 
     @property
-    def start_lo(self) -> int:
-        return self.window_lo
-
-    @property
     def start_hi(self) -> int:
         return self.window_hi - self.duration + 1
 
 
+@dataclass(frozen=True, slots=True)
+class Evaluation:
+    """Scored phenotype of one antibody.  Slotted: the optimizer caches one
+    per distinct genotype."""
+
+    energy_usd: float
+    penalty_usd: float
+    total_usd: float
+    md_excess: float
+    voltage_violation: float
+    flow_failed: bool
+    shift_slots: int
+    weighted_shift: float
+    score: float
+
+    @property
+    def feasible(self) -> bool:
+        return self.md_excess == 0.0 and self.voltage_violation == 0.0 and not self.flow_failed
+
+
 class SearchSpace:
-    """Genotype layout and decoding for one problem context."""
+    """The genotypes of one problem context: their layout, and every way
+    of drawing, mutating, listing, decoding and scoring them."""
 
     def __init__(self, context: ProblemContext):
         self.context = context
@@ -189,7 +205,6 @@ class SearchSpace:
             self.flex.append(
                 _Flex(
                     row=row,
-                    appliance_id=a.id,
                     uninterruptible=a.appliance_class is ApplianceClass.UNINTERRUPTIBLE,
                     window_lo=lo,
                     window_hi=hi,
@@ -204,6 +219,8 @@ class SearchSpace:
         self.rate_weights = np.repeat(
             [f.rated_kw for f in self.flex], [f.duration for f in self.flex]
         )
+        self._price = context.price_array()
+        self._pv = context.pv_array()
 
     def original_antibody(self) -> Antibody:
         return tuple(f.original_slots for f in self.flex)
@@ -212,7 +229,7 @@ class SearchSpace:
         genes = []
         for f in self.flex:
             if f.uninterruptible:
-                start = f.start_lo + draws.below(f.start_hi - f.start_lo + 1)
+                start = f.window_lo + draws.below(f.start_hi - f.window_lo + 1)
                 genes.append(tuple(range(start, start + f.duration)))
             else:
                 width = f.window_hi - f.window_lo + 1
@@ -224,12 +241,12 @@ class SearchSpace:
         """One mutated copy of a gene, always inside the appliance window."""
         f = self.flex[index]
         if f.uninterruptible:
-            span = f.start_hi - f.start_lo
+            span = f.start_hi - f.window_lo
             if span == 0:
                 return gene
             bound = max(1, span // 2)
             delta = draws.below(2 * bound + 1) - bound
-            start = min(f.start_hi, max(f.start_lo, gene[0] + delta))
+            start = min(f.start_hi, max(f.window_lo, gene[0] + delta))
             return tuple(range(start, start + f.duration))
 
         width = f.window_hi - f.window_lo + 1
@@ -244,6 +261,14 @@ class SearchSpace:
         ]
         picks = draws.sample(len(candidates), k)
         return tuple(sorted(kept + [candidates[p] for p in picks]))
+
+    def genes(self, index: int) -> list[tuple[int, ...]]:
+        """Every gene appliance `index` can take, lexicographic: each
+        contiguous run if uninterruptible, else each on-slot tuple."""
+        f = self.flex[index]
+        if f.uninterruptible:
+            return [tuple(range(s, s + f.duration)) for s in range(f.window_lo, f.start_hi + 1)]
+        return list(combinations(range(f.window_lo, f.window_hi + 1), f.duration))
 
     def decode(self, antibody: Antibody) -> Schedule:
         """Full schedule for all appliances, baseline rows always on."""
@@ -281,60 +306,12 @@ class SearchSpace:
         """Gross household kW per slot for a genotype."""
         return self.gross_rows(self.slot_matrix([antibody]))[0]
 
-
-@dataclass(frozen=True, slots=True)
-class Evaluation:
-    """Scored phenotype of one antibody.  Slotted: the optimizer caches one
-    per distinct genotype."""
-
-    energy_usd: float
-    penalty_usd: float
-    total_usd: float
-    md_excess: float
-    voltage_violation: float
-    flow_failed: bool
-    shift_slots: int
-    weighted_shift: float
-    score: float
-
-    @property
-    def feasible(self) -> bool:
-        return self.md_excess == 0.0 and self.voltage_violation == 0.0 and not self.flow_failed
-
-
-class _Evaluator:
-    """Caches genotype evaluations; counts distinct evaluations."""
-
-    def __init__(self, space: SearchSpace, penalty_weight: float):
-        self.space = space
-        self.ctx = space.context
-        self.weight = penalty_weight
-        self.cache: dict[tuple, Evaluation] = {}
-        self.evaluations = 0
-        self._price = self.ctx.price_array()
-        self._pv = self.ctx.pv_array()
-
-    def get(self, antibody: Antibody) -> Evaluation:
-        rec = self.cache.get(antibody)
-        if rec is None:
-            self.batch([antibody])
-            rec = self.cache[antibody]
-        return rec
-
-    def batch(self, antibodies: Sequence[Antibody]) -> None:
-        """Evaluate every genotype not yet cached, all in one pass."""
-        misses = list(dict.fromkeys(ab for ab in antibodies if ab not in self.cache))
-        if not misses:
-            return
-        self.cache.update(zip(misses, self.evaluate(misses)))
-        self.evaluations += len(misses)
-
-    def evaluate(self, antibodies: Sequence[Antibody]) -> list[Evaluation]:
-        """Evaluations of the genotypes, in order, without caching them."""
-        space = self.space
-        ctx = self.ctx
-        slots = space.slot_matrix(antibodies)
-        gross = space.gross_rows(slots)
+    def evaluate(self, antibodies: Sequence[Antibody], weight: float) -> list[Evaluation]:
+        """Evaluations of the genotypes, in order, with demand-cap and
+        voltage violations weighted by `weight` in the score."""
+        ctx = self.context
+        slots = self.slot_matrix(antibodies)
+        gross = self.gross_rows(slots)
 
         excess = gross - ctx.md_kw
         excess[excess <= KW_TOL] = 0.0
@@ -351,7 +328,7 @@ class _Evaluator:
         shift_slots = np.zeros(rows, dtype=np.intp)
         weighted = np.zeros(rows)
         pos = 0
-        for f in space.flex:
+        for f in self.flex:
             block = slots[:, pos:pos + f.duration]
             pos += f.duration
             delta = np.abs(block - np.array(f.original_slots, dtype=np.intp)).sum(axis=1)
@@ -360,7 +337,7 @@ class _Evaluator:
         penalty = hours * ctx.penalty_price * weighted
         total = energy + penalty
 
-        score = -total - self.weight * (md_excess + volt_violation)
+        score = -total - weight * (md_excess + volt_violation)
         score = np.where(flow_failed, score - FLOW_FAILURE_PENALTY, score)
 
         return [
@@ -460,7 +437,14 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     original = space.original_antibody()
 
     original_energy = total_cost(space.decode(original), context).energy_usd
-    evaluator = _Evaluator(space, max(1.0, 10.0 * original_energy))
+    weight = max(1.0, 10.0 * original_energy)
+    scores: dict[Antibody, Evaluation] = {}  # every distinct genotype scored so far
+
+    def score(antibodies: Sequence[Antibody]) -> None:
+        """Score the genotypes not yet in `scores`, all in one pass."""
+        misses = list(dict.fromkeys(ab for ab in antibodies if ab not in scores))
+        if misses:
+            scores.update(zip(misses, space.evaluate(misses, weight)))
 
     draws = Draws(config.rng_seed)
     n = config.population_size
@@ -473,15 +457,14 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     stall = 0
 
     def rank_key(ab: Antibody):
-        rec = evaluator.get(ab)
-        return (-rec.score, ab)
+        return (-scores[ab].score, ab)
 
     def scan(candidates: Sequence[Antibody]) -> bool:
         """Update incumbents; report whether the best total improved."""
         nonlocal best_key, top, top_antibody
         improved = False
         for ab in candidates:
-            rec = evaluator.get(ab)
+            rec = scores[ab]
             if top is None or rec.score > top.score:
                 top, top_antibody = rec, ab
             key = (rec.total_usd, rec.shift_slots, ab)
@@ -493,18 +476,18 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
 
     def record(generation: int) -> None:
         total = best_key[0] if best_key is not _NO_INCUMBENT else math.nan
-        history.append((generation, total, evaluator.evaluations))
+        history.append((generation, total, len(scores)))
 
-    evaluator.batch(population)
+    score(population)
     scan(population)
     record(0)
 
     replace_count = int(round(REPLACEMENT_FRACTION * n))
     for generation in range(1, config.generations + 1):
-        evaluator.batch(population)
+        score(population)
         population.sort(key=rank_key)
         offspring = clone_and_hypermutate(population, draws, space)
-        evaluator.batch(offspring)
+        score(offspring)
         pool = population + offspring
         pool.sort(key=rank_key)
         # survivors are distinct genotypes; clones of one incumbent would
@@ -546,7 +529,7 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
         breakdown=breakdown,
         feasibility=report,
         history=history,
-        evaluations=evaluator.evaluations,
+        evaluations=len(scores),
         seed=config.rng_seed,
         message=message,
     )

@@ -6,8 +6,7 @@ filters the demand cap and (when a feeder is present) the voltage band,
 and returns the exact minimum of the same cost function, with the
 optimizer's own tie rule, `csa._better_incumbent` (smaller total shift,
 then the lexicographically earliest genotype).  Candidates are the
-optimizer's own genotypes: one on-slot tuple per flexible appliance, a
-contiguous run for an uninterruptible one.
+optimizer's own genotypes, listed and scored by its `SearchSpace`.
 """
 
 from __future__ import annotations
@@ -18,10 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .costing import CostBreakdown, ProblemContext, total_cost
-from .csa import (
-    _NO_INCUMBENT, TIE_TOL, Antibody, Evaluation, SearchSpace, _better_incumbent, _Evaluator,
-    _Flex,
-)
+from .csa import _NO_INCUMBENT, TIE_TOL, Antibody, Evaluation, SearchSpace, _better_incumbent
 from .domain import Schedule
 from .errors import EnumerationGuardError
 
@@ -59,7 +55,8 @@ class SmallInstance:
             )
 
     def placement_counts(self) -> list[int]:
-        return [len(_placements(f)) for f in SearchSpace(self.context).flex]
+        space = SearchSpace(self.context)
+        return [len(space.genes(i)) for i in range(len(space.flex))]
 
     def candidate_count(self) -> int:
         return math.prod(self.placement_counts())
@@ -74,19 +71,9 @@ class SmallInstance:
             )
 
 
-# genotypes per call of the optimizer's evaluator; small chunks keep the
-# evaluator's working arrays, and so peak memory, small
+# genotypes per `SearchSpace.evaluate` call; small chunks keep its working
+# arrays, and so peak memory, small
 _CHUNK = 256
-
-
-def _placements(f: _Flex) -> list[tuple[int, ...]]:
-    """Every legal gene of one flexible appliance, lexicographic: each
-    contiguous run if uninterruptible, else each on-slot tuple."""
-    if f.uninterruptible:
-        return [tuple(range(s, s + f.duration)) for s in range(f.start_lo, f.start_hi + 1)]
-    return list(
-        itertools.combinations(range(f.window_lo, f.window_hi + 1), f.duration)
-    )
 
 
 def _iter_candidates(
@@ -94,14 +81,13 @@ def _iter_candidates(
 ) -> Iterator[tuple[Antibody, Evaluation]]:
     """Every feasible genotype with its evaluation, in lexicographic order.
 
-    Genotypes are scored in chunks by the optimizer's own evaluator, so the
+    Genotypes are scored in chunks by the optimizer's own `evaluate`, so the
     oracle prices and checks a candidate exactly as the optimizer does.
     """
     instance.check_guard()
-    evaluator = _Evaluator(space, penalty_weight=0.0)
-    genotypes = itertools.product(*(_placements(f) for f in space.flex))
+    genotypes = itertools.product(*(space.genes(i) for i in range(len(space.flex))))
     while chunk := list(itertools.islice(genotypes, _CHUNK)):
-        for antibody, rec in zip(chunk, evaluator.evaluate(chunk)):
+        for antibody, rec in zip(chunk, space.evaluate(chunk, 0.0)):
             if rec.feasible:
                 yield antibody, rec
 

@@ -344,6 +344,26 @@ class TestExplainCommand:
         failed = [v["slot"] for v in out["feasibility"]["voltage"] if v["bus"] == -1]
         assert failed == [8, 9]
 
+    @pytest.mark.parametrize("rows, appliance, on_count", [
+        ("1," + ";".join(str(s) for s in range(1, 13)) + "\n2,8;9\n3,8;9\n", 2, 2),
+        ("1," + ";".join(str(s) for s in range(1, 12)) + "\n2,8;9;10\n3,8;9\n", 1, 11),
+    ], ids=["uninterruptible_short", "baseline_short"])
+    def test_wrong_slot_count_is_reported_not_raised(self, tmp_path, capsys, rows,
+                                                     appliance, on_count):
+        config_path = write_config(tmp_path)
+        schedule_path = tmp_path / "schedule.csv"
+        schedule_path.write_text("id,on_slots\n" + rows)
+        rc = main(["explain", "--schedule", str(schedule_path),
+                   "--config", str(config_path)])
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert rc == 1
+        assert captured.err == ""
+        assert {"appliance": appliance, "on_count": on_count} in out["feasibility"]["duration"]
+        assert out["cost"] is None
+        assert out["cost_error"] == (f"appliance {appliance}: plan has {on_count} slots, "
+                                     f"expected {on_count + 1}")
+
     @pytest.mark.parametrize("rows, message", [
         (b"id,on_slots\n1\n", "schedule.csv:2: too few fields"),
         (b"on_slots,id\n1;2\n", "schedule.csv:2: too few fields"),
@@ -375,6 +395,19 @@ def test_non_utf8_data_file_is_an_input_error_naming_it(tmp_path, capsys, key, n
     assert rc == 2
     assert err.startswith("error: cannot read ")
     assert f"{name}: 'utf-8' codec can't decode byte 0xff" in err
+
+
+def test_neighbors_without_a_feeder_is_an_input_error(tmp_path, capsys):
+    # neighbour loads enter only the feeder's power flow; without a feeder
+    # they would be read and silently dropped
+    (tmp_path / "neighbors.csv").write_text(
+        "slot,h1\n" + "".join(f"{t},1.5\n" for t in range(1, 13)))
+    rc = main(["run", "--config", str(write_config(tmp_path, neighbors_csv="neighbors.csv"))])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "'neighbors_csv' needs 'feeder_json'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def _with_row_field(**field):

@@ -10,7 +10,6 @@ from dsmsched.csa import (
     CsaConfig,
     Draws,
     SearchSpace,
-    _Evaluator,
     clone_and_hypermutate,
     clone_counts,
     optimize,
@@ -36,6 +35,7 @@ from small_instances import (
     _interruptible,
     _tiny_neighbors,
     _uninterruptible,
+    build_suite,
 )
 
 FAST = dict(population_size=20, generations=60, stall_generations=20)
@@ -195,6 +195,49 @@ class TestSearchSpace:
         assert space.mutate_gene(1, (7, 8), draws) == (7, 8)
 
 
+class TestGenesListTheReachableSpace:
+    """`SearchSpace.genes(i)`, which the oracle enumerates, holds exactly
+    the legal genes of appliance i, and so every gene the optimizer can
+    draw or mutate into: oracle agreement then means the optimizer found
+    the optimum of its own search space."""
+
+    @pytest.fixture(scope="class")
+    def spaces(self):
+        contexts = {ctx.appliances: ctx for _, ctx in build_suite()}
+        return [SearchSpace(ctx) for ctx in contexts.values()]
+
+    def test_genes_are_every_legal_gene_in_order(self, spaces):
+        for space in spaces:
+            for i, f in enumerate(space.flex):
+                appliance = space.context.appliances[f.row]
+                lo, hi = effective_window(appliance)
+                duration = appliance.duration
+                genes = space.genes(i)
+                assert all(a < b for a, b in zip(genes, genes[1:]))
+                for gene in genes:
+                    assert len(gene) == duration
+                    assert list(gene) == sorted(set(gene))
+                    assert lo <= gene[0] and gene[-1] <= hi
+                if appliance.appliance_class is ApplianceClass.UNINTERRUPTIBLE:
+                    assert all(gene == tuple(range(gene[0], gene[0] + duration))
+                               for gene in genes)
+                    assert len(genes) == hi - duration + 1 - lo + 1
+                else:
+                    assert len(genes) == math.comb(hi - lo + 1, duration)
+                assert space.original_antibody()[i] in genes
+
+    def test_drawn_and_mutated_genes_are_listed(self, spaces):
+        for space in spaces:
+            listed = [set(space.genes(i)) for i in range(len(space.flex))]
+            for seed in range(300):
+                draws = Draws(seed)
+                genotype = space.random_antibody(draws)
+                for _ in range(5):
+                    assert all(g in genes for g, genes in zip(genotype, listed)), seed
+                    genotype = tuple(space.mutate_gene(i, g, draws)
+                                     for i, g in enumerate(genotype))
+
+
 class TestGenotypeLayout:
     """Genotypes of the canonical day, drawn and hypermutated."""
 
@@ -249,7 +292,7 @@ class TestCloneAndHypermutate:
 
 
 def score(antibody, ctx, constraint_penalty_weight=0.0):
-    return _Evaluator(SearchSpace(ctx), constraint_penalty_weight).get(antibody).score
+    return SearchSpace(ctx).evaluate([antibody], constraint_penalty_weight)[0].score
 
 
 class TestAffinity:
@@ -292,8 +335,20 @@ def weak_feeder_context(r_pu: float) -> ProblemContext:
     )
 
 
+def score_batches(space, batches, weight):
+    """Every distinct genotype of `batches`, scored as `optimize` scores
+    them: batch by batch, each batch's not yet scored genotypes in one
+    `evaluate` call."""
+    scores = {}
+    for batch in batches:
+        misses = list(dict.fromkeys(ab for ab in batch if ab not in scores))
+        if misses:
+            scores.update(zip(misses, space.evaluate(misses, weight)))
+    return scores
+
+
 class TestBatchedEvaluation:
-    """The batched evaluator against the scalar one in eval_reference."""
+    """`SearchSpace.evaluate` against the scalar evaluator in eval_reference."""
 
     @staticmethod
     def assert_matches_reference(make_context, batches, weight=5.0):
@@ -301,17 +356,16 @@ class TestBatchedEvaluation:
         context and one by one on a fresh twin; every Evaluation field and
         the flow-cache contents must agree."""
         ctx, twin = make_context(), make_context()
-        evaluator = _Evaluator(SearchSpace(ctx), weight)
+        scores = score_batches(SearchSpace(ctx), batches, weight)
         twin_space = SearchSpace(twin)
         expected = {}
         for batch in batches:
-            evaluator.batch(batch)
             for ab in batch:
                 if ab not in expected:
                     expected[ab] = eval_reference.evaluate(twin_space, ab, weight)
-        assert evaluator.evaluations == len(expected)
+        assert len(scores) == len(expected)
         for ab, rec in expected.items():
-            assert evaluator.cache[ab] == rec, ab
+            assert scores[ab] == rec, ab
         assert ctx._cache.flow == twin._cache.flow
         assert ctx._cache.baseline == twin._cache.baseline
         return list(expected.values())
@@ -345,14 +399,10 @@ class TestBatchedEvaluation:
     def test_flow_cache_is_independent_of_evaluation_order(self, make_canonical):
         batches = self.generations(SearchSpace(make_canonical()), Draws(4))
         forward, backward = make_canonical(), make_canonical()
-        ahead = _Evaluator(SearchSpace(forward), 5.0)
-        behind = _Evaluator(SearchSpace(backward), 5.0)
-        for batch in batches:
-            ahead.batch(batch)
-        for batch in reversed(batches):
-            behind.batch(batch)
+        ahead = score_batches(SearchSpace(forward), batches, 5.0)
+        behind = score_batches(SearchSpace(backward), batches[::-1], 5.0)
         assert forward._cache.flow == backward._cache.flow
-        assert ahead.cache == behind.cache
+        assert ahead == behind
         # each entry is the flow at its key's own load: solving every key
         # afresh, in one batch, gives the same entries
         keys = list(forward._cache.flow)
