@@ -13,7 +13,7 @@ from .domain import (
     schedule_from_on_slots,
     validate_appliance_set,
 )
-from .oracle import SmallInstance, enumerate_feasible, exhaustive_optimize
+from .oracle import SmallInstance, exhaustive_optimize
 
 __all__ = [
     "__version__",
@@ -27,7 +27,6 @@ __all__ = [
     "SmallInstance",
     "TimeGrid",
     "aggregate_power",
-    "enumerate_feasible",
     "exhaustive_optimize",
     "optimize",
     "schedule_from_on_slots",

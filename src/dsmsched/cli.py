@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .constraints import is_feasible
-from .costing import PenaltyPrice, ProblemContext, total_cost
+from .costing import ProblemContext, total_cost
 from .csa import CsaConfig, OptimResult, optimize
 from .domain import (
     Appliance,
@@ -270,11 +270,12 @@ def _parse_config(data, path: Path) -> ScenarioConfig:
 
     voltage_min, voltage_max = _load_voltage_band(data, where)
 
+    penalties = []
     try:
-        penalties = [
-            PenaltyPrice(finite_float(p)).usd_per_kwh
-            for p in _typed(data, "penalty_prices_usd_per_kwh", list, where, [0.0])
-        ]
+        for p in _typed(data, "penalty_prices_usd_per_kwh", list, where, [0.0]):
+            penalties.append(finite_float(p))
+            if penalties[-1] < 0:
+                raise ValueError(f"penalty price must be >= 0, got {penalties[-1]}")
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{where}: bad penalty_prices_usd_per_kwh: {exc}") from None
     if not penalties:
@@ -468,11 +469,12 @@ def explain(schedule_path: str | Path, config: ScenarioConfig, penalty_price: fl
 
 def _penalty_cents(text: str) -> list[float]:
     """A --penalty-cents value: comma-separated cents/kWh, as $/kWh prices."""
+    prices = []
     try:
-        prices = [
-            PenaltyPrice.from_cents(finite_float(c)).usd_per_kwh
-            for c in text.split(",") if c.strip()
-        ]
+        for c in filter(str.strip, text.split(",")):
+            prices.append(finite_float(c) / 100.0)
+            if prices[-1] < 0:
+                raise ValueError(f"penalty price must be >= 0, got {prices[-1]}")
     except ValueError as exc:
         raise InputError(f"bad --penalty-cents value {text!r}: {exc}") from None
     if not prices:
@@ -492,7 +494,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out:
         config.out_dir = Path(args.out)
 
-    outcome = run_scenario(config)
+    try:
+        outcome = run_scenario(config)
+    except OSError as exc:  # an output path that is a file, under one, or a directory
+        raise InputError(f"cannot write outputs to {config.out_dir}: {exc}") from None
     for row in outcome.report["runs"]:
         status = "ok" if row["feasible"] else "INFEASIBLE"
         total = row.get("total_usd")

@@ -1,4 +1,8 @@
-"""Feasibility checks: duration, window, demand cap, voltage band, structure.
+"""Feasibility checks: duration, window, structure, demand cap, voltage band.
+
+`check_duration`, `check_window` and `check_contiguity` read the schedule
+alone.  `is_feasible` runs them and checks the demand cap and the voltage
+band on one gross load series, the band through the context's power flows.
 
 The maximum-demand cap applies to gross appliance power; PV does not offset
 it because the cap protects the service connection, not the meter reading.
@@ -28,7 +32,6 @@ __all__ = [
     "FeasibilityReport",
     "check_duration",
     "check_window",
-    "check_max_demand",
     "check_contiguity",
     "is_feasible",
 ]
@@ -111,18 +114,6 @@ def check_window(
     return violations
 
 
-def check_max_demand(
-    schedule: Schedule, appliances: Sequence[Appliance], md_kw: float
-) -> list[tuple[int, float]]:
-    """(slot, aggregate kW) for slots whose gross demand exceeds the cap."""
-    gross = aggregate_power(schedule, appliances)
-    return [
-        (t + 1, float(kw))
-        for t, kw in enumerate(gross)
-        if kw > md_kw + KW_TOL
-    ]
-
-
 def check_contiguity(
     schedule: Schedule, appliances: Sequence[Appliance]
 ) -> list[tuple[int, str]]:
@@ -145,15 +136,19 @@ def check_contiguity(
 def is_feasible(schedule: Schedule, context: ProblemContext) -> FeasibilityReport:
     """Run every check for the given problem.
 
-    The voltage band is checked at each slot with neighbor loads and PV
-    applied; a non-convergent power flow counts as a voltage failure for
-    that slot (bus -1, magnitude NaN).
+    The demand cap flags (slot, gross kW) for each slot whose gross demand
+    exceeds `md_kw` by more than KW_TOL.  The voltage band is checked at
+    each slot with neighbor loads and PV applied; a non-convergent power
+    flow counts as a voltage failure for that slot (bus -1, magnitude NaN).
     """
     appliances = context.appliances
     report = FeasibilityReport()
     report.duration = check_duration(schedule, appliances)
     report.window = check_window(schedule, appliances)
-    report.max_demand = check_max_demand(schedule, appliances, context.md_kw)
+    gross = aggregate_power(schedule, appliances)
+    report.max_demand = [
+        (t + 1, float(kw)) for t, kw in enumerate(gross) if kw > context.md_kw + KW_TOL
+    ]
     for aid, kind in check_contiguity(schedule, appliances):
         if kind == CONTIG_BASELINE:
             report.baseline_fixed.append(aid)
@@ -161,7 +156,7 @@ def is_feasible(schedule: Schedule, context: ProblemContext) -> FeasibilityRepor
             report.contiguity.append(aid)
 
     if context.feeder is not None:
-        flows = context.slot_flows(aggregate_power(schedule, appliances))
+        flows = context.slot_flows(gross)
         for idx, flow in enumerate(flows):
             if isinstance(flow, PowerFlowError):
                 report.voltage.append(

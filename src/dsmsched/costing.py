@@ -1,8 +1,12 @@
 """Monetary evaluation of schedules: energy cost, shift penalty, PV metrics.
 
-`ProblemContext` bundles everything a cost or feasibility computation needs
-(grid, appliances, tariff, PV, neighbors, feeder, limits) and owns a shared
-power-flow cache so that repeated evaluations of similar schedules reuse
+`total_cost` is the reference scorer that prices every reported schedule:
+the energy bill on the net draw plus billed feeder losses, and the
+inconvenience charge on rating-weighted slot shifts (`shift_distance`).
+
+`ProblemContext` bundles everything a cost or feasibility computation
+needs (grid, appliances, tariff, PV, neighbors, feeder, limits) and owns a
+shared power-flow cache so that repeated evaluations of similar schedules reuse
 slot solves.  Every solve goes through `ProblemContext._solve_cases`: one
 call of the batched sweep for all of a reader's misses and the
 home-disconnected baselines of their slots.
@@ -12,41 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .domain import Appliance, Schedule, TimeGrid, aggregate_power
-from .errors import PowerFlowError, UndefinedMetricError
+from .errors import PowerFlowError
 from .feeder import FeederModel, solve_power_flow_batch
 from .profiles import NeighborLoads, PriceSeries, PvSeries
 
-__all__ = [
-    "PenaltyPrice",
-    "CostBreakdown",
-    "ProblemContext",
-    "net_household_load",
-    "electricity_cost",
-    "shift_distance",
-    "penalty_cost",
-    "total_cost",
-    "pv_utilization",
-]
-
-
-@dataclass(frozen=True)
-class PenaltyPrice:
-    """Inconvenience price in $/kWh applied to shifted appliance slots."""
-
-    usd_per_kwh: float
-
-    def __post_init__(self) -> None:
-        if self.usd_per_kwh < 0:
-            raise ValueError(f"penalty price must be >= 0, got {self.usd_per_kwh}")
-
-    @classmethod
-    def from_cents(cls, cents: float) -> "PenaltyPrice":
-        return cls(usd_per_kwh=cents / 100.0)
+__all__ = ["CostBreakdown", "ProblemContext", "shift_distance", "total_cost"]
 
 
 @dataclass(frozen=True)
@@ -315,50 +294,6 @@ class ProblemContext:
                     flow[(slot, w)] = (max(0.0, losses[k] - baseline[slot]), tuple(mags[k]))
         return failed
 
-    def billed_losses(self, gross: np.ndarray) -> np.ndarray:
-        """Billed loss series for a gross household load series.
-
-        Raises the PowerFlowError of the first slot whose sweep diverges.
-        """
-        loss = []
-        for flow in self.slot_flows(gross):
-            if isinstance(flow, PowerFlowError):
-                raise flow
-            loss.append(flow[0])
-        return np.array(loss)
-
-
-def net_household_load(
-    schedule: Schedule, appliances: Sequence[Appliance], pv: PvSeries | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Billable net draw and unused PV per slot, both clamped at zero.
-
-    net(t) = max(gross(t) - pv(t), 0); surplus(t) = max(pv(t) - gross(t), 0).
-    Surplus is exported without compensation.
-    """
-    gross = aggregate_power(schedule, appliances)
-    if pv is None:
-        return gross, np.zeros_like(gross)
-    pv_arr = pv.as_array()
-    if len(pv_arr) != len(gross):
-        raise ValueError("pv series length does not match schedule")
-    return np.maximum(gross - pv_arr, 0.0), np.maximum(pv_arr - gross, 0.0)
-
-
-def electricity_cost(
-    net_kw: np.ndarray | Sequence[float],
-    billed_loss_kw: np.ndarray | Sequence[float],
-    price: PriceSeries,
-    grid: TimeGrid,
-) -> float:
-    """Daily energy bill: sum of (net + billed loss) x price x slot width."""
-    net = np.asarray(net_kw, dtype=float)
-    loss = np.asarray(billed_loss_kw, dtype=float)
-    prices = price.as_array()
-    if not len(net) == len(loss) == len(prices) == grid.slot_count:
-        raise ValueError("series lengths disagree")
-    return float(np.dot(net + loss, prices) * grid.slot_hours)
-
 
 def shift_distance(appliance: Appliance, new_on_slots: Sequence[int]) -> int:
     """Slots of displacement between the original and new plan.
@@ -377,59 +312,53 @@ def shift_distance(appliance: Appliance, new_on_slots: Sequence[int]) -> int:
     return int(sum(abs(n - o) for n, o in zip(new, sorted(old))))
 
 
-def penalty_cost(
-    shifts: Mapping[int, int],
-    appliances: Sequence[Appliance],
-    penalty_price: float,
-    grid: TimeGrid,
-) -> float:
-    """Inconvenience charge: slot width x price x rating-weighted shifts."""
-    if penalty_price < 0:
-        raise ValueError("penalty_price must be >= 0")
-    weighted = sum(shifts.get(a.id, 0) * a.rated_kw for a in appliances)
-    return grid.slot_hours * penalty_price * weighted
-
-
-def pv_utilization(
-    gross_kw: np.ndarray | Sequence[float], pv: PvSeries, grid: TimeGrid
-) -> float:
-    """Fraction of available PV energy coincident with household demand."""
-    gross = np.asarray(gross_kw, dtype=float)
-    pv_arr = pv.as_array()
-    if len(gross) != len(pv_arr) or len(gross) != grid.slot_count:
-        raise ValueError("series lengths disagree")
-    available = pv_arr.sum() * grid.slot_hours
-    if available <= 0:
-        raise UndefinedMetricError("pv_utilization undefined: no PV energy available")
-    used = np.minimum(gross, pv_arr).sum() * grid.slot_hours
-    return float(used / available)
-
-
 def total_cost(schedule: Schedule, context: ProblemContext) -> CostBreakdown:
-    """Full evaluation of a schedule under one problem context."""
-    appliances = context.appliances
+    """Full evaluation of a schedule under one problem context.
+
+    Energy is sum((net + billed loss) x price) x slot width, where
+    net = max(gross - pv, 0): PV surplus is exported without compensation.
+    The penalty is slot width x penalty price x rating-weighted shifts.  PV
+    utilization is the fraction of the day's PV energy coincident with
+    gross demand; None without PV energy.
+
+    Raises ValueError when the schedule's slot count is not the grid's or
+    a plan has the wrong length, and the PowerFlowError of the first slot
+    whose sweep diverges.
+    """
+    appliances, grid = context.appliances, context.grid
+    if schedule.slot_count != grid.slot_count:
+        raise ValueError(
+            f"schedule has {schedule.slot_count} slots, grid expects {grid.slot_count}"
+        )
     gross = aggregate_power(schedule, appliances)
-    net, _surplus = net_household_load(schedule, appliances, context.pv)
-    loss = context.billed_losses(gross)
-    energy = electricity_cost(net, loss, context.price, context.grid)
+    pv = None if context.pv is None else context.pv.as_array()
+    net = gross if pv is None else np.maximum(gross - pv, 0.0)
+    losses = []
+    for flow in context.slot_flows(gross):
+        if isinstance(flow, PowerFlowError):
+            raise flow
+        losses.append(flow[0])
+    loss = np.array(losses)
+    energy = float(np.dot(net + loss, context.price_array()) * grid.slot_hours)
 
     shifts = {
         a.id: shift_distance(a, schedule.on_slots(row))
         for row, a in enumerate(appliances)
     }
-    penalty = penalty_cost(shifts, appliances, context.penalty_price, context.grid)
-    weighted = float(sum(shifts[a.id] * a.rated_kw for a in appliances))
+    weighted = sum(shifts[a.id] * a.rated_kw for a in appliances)
+    penalty = grid.slot_hours * context.penalty_price * weighted
 
     util = None
-    if context.pv is not None and context.pv.as_array().sum() > 0:
-        util = pv_utilization(gross, context.pv, context.grid)
+    pv_kwh = 0.0 if pv is None else pv.sum() * grid.slot_hours
+    if pv_kwh > 0:
+        util = float(np.minimum(gross, pv).sum() * grid.slot_hours / pv_kwh)
 
     return CostBreakdown(
         energy_usd=energy,
         penalty_usd=penalty,
         total_usd=energy + penalty,
         shifts=shifts,
-        weighted_shift=weighted,
+        weighted_shift=float(weighted),
         pv_utilization=util,
         net_load_kw=tuple(float(v) for v in net),
         billed_loss_kw=tuple(float(v) for v in loss),

@@ -22,10 +22,6 @@ class PowerFlowError(DsmError):
         self.mismatch = mismatch
 
 
-class UndefinedMetricError(DsmError):
-    """A requested metric has no defined value for the given inputs."""
-
-
 class EnumerationGuardError(DsmError):
     """Exhaustive search would exceed the configured schedule-count guard."""
 

@@ -24,7 +24,6 @@ from .errors import EnumerationGuardError
 __all__ = [
     "SmallInstance",
     "OracleResult",
-    "enumerate_feasible",
     "exhaustive_optimize",
     "sweep_penalties",
 ]
@@ -90,13 +89,6 @@ def _iter_candidates(
         for antibody, rec in zip(chunk, space.evaluate(chunk, 0.0)):
             if rec.feasible:
                 yield antibody, rec
-
-
-def enumerate_feasible(instance: SmallInstance) -> Iterator[Schedule]:
-    """Every feasible schedule exactly once, as full Schedule objects."""
-    space = SearchSpace(instance.context)
-    for antibody, _ in _iter_candidates(instance, space):
-        yield space.decode(antibody)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from dsmsched.constraints import (
     is_feasible,
 )
 from dsmsched.cli import ScenarioConfig, load_scenario_config, run_scenario
-from dsmsched.costing import ProblemContext, electricity_cost, penalty_cost, shift_distance, total_cost
+from dsmsched.costing import ProblemContext, total_cost
 from dsmsched.csa import CsaConfig, Draws, SearchSpace, optimize
 from dsmsched.domain import Appliance, ApplianceClass, TimeGrid, aggregate_power
 from dsmsched.feeder import SlotInjections, solve_power_flow
@@ -420,38 +420,57 @@ def test_criterion_8_deterministic_outputs(tmp_path):
 
 
 def test_criterion_9_unit_formulas():
+    # each hand-derived value is asserted exactly on both scorers: the
+    # reference `total_cost` and the search's `SearchSpace.evaluate`
     grid = TimeGrid()
-    flat = PriceSeries(values=(0.08,) * 48)
-    checks = {
-        "flat day $3.84": electricity_cost([2.0] * 48, [0.0] * 48, flat, grid) == 3.84,
-    }
+
+    def interruptible(aid, rated_kw, original, window=(1, 48)):
+        return Appliance(
+            id=aid, appliance_class=ApplianceClass.INTERRUPTIBLE, window_start=window[0],
+            window_end=window[1], duration=len(original), rated_kw=rated_kw,
+            original_on_slots=tuple(original),
+        )
+
+    def scored(appliance, plan, prices, penalty_price=0.0):
+        """(total_cost breakdown, SearchSpace evaluation) of one appliance on `plan`."""
+        ctx = ProblemContext(grid=grid, appliances=(appliance,),
+                             price=PriceSeries(values=tuple(prices)),
+                             penalty_price=penalty_price)
+        space = SearchSpace(ctx)
+        genotype = (tuple(plan),)
+        return total_cost(space.decode(genotype), ctx), space.evaluate([genotype], 0.0)[0]
+
+    # check -> (total_cost value, SearchSpace.evaluate value, hand-derived value)
+    values = {}
+
+    day = range(1, 49)
+    ref, ev = scored(interruptible(1, 2.0, day), day, (0.08,) * 48)
+    values["flat day $3.84"] = (ref.energy_usd, ev.energy_usd, 3.84)
 
     peak_prices = [0.0] * 48
     peak_prices[20] = 0.13
-    peak_net = [0.0] * 48
-    peak_net[20] = 1.0
-    checks["single slot $0.065"] = (
-        electricity_cost(peak_net, [0.0] * 48, PriceSeries(values=tuple(peak_prices)), grid)
-        == 0.065
-    )
+    ref, ev = scored(interruptible(1, 1.0, (21,)), (21,), peak_prices)
+    values["single slot $0.065"] = (ref.energy_usd, ev.energy_usd, 0.065)
 
-    block = Appliance(
-        id=1, appliance_class=ApplianceClass.INTERRUPTIBLE, window_start=1,
-        window_end=20, duration=4, rated_kw=1.26, original_on_slots=(5, 6, 7, 8),
-    )
-    checks["uniform shift 8"] = shift_distance(block, (7, 8, 9, 10)) == 8
+    block = interruptible(1, 1.26, (5, 6, 7, 8), window=(1, 20))
+    block_ref, block_ev = scored(block, (7, 8, 9, 10), (0.08,) * 48, penalty_price=0.05)
+    values["uniform shift 8"] = (block_ref.shifts[1], block_ev.shift_slots, 8)
 
-    ragged = Appliance(
-        id=2, appliance_class=ApplianceClass.INTERRUPTIBLE, window_start=1,
-        window_end=20, duration=4, rated_kw=1.0, original_on_slots=(10, 11, 12, 13),
-    )
-    checks["non-uniform shift 6"] = shift_distance(ragged, (10, 12, 14, 16)) == 6
+    ragged = interruptible(2, 1.0, (10, 11, 12, 13), window=(1, 20))
+    ref, ev = scored(ragged, (10, 12, 14, 16), (0.08,) * 48)
+    values["non-uniform shift 6"] = (ref.shifts[2], ev.shift_slots, 6)
 
-    checks["penalty $0.252"] = penalty_cost({1: 8}, [block], 0.05, grid) == 0.252
+    values["penalty $0.252"] = (block_ref.penalty_usd, block_ev.penalty_usd, 0.252)
 
-    failed = [name for name, ok in checks.items() if not ok]
+    failed = [
+        f"{name} ({scorer} gave {got!r})"
+        for name, (ref_value, ev_value, want) in values.items()
+        for scorer, got in (("total_cost", ref_value), ("SearchSpace.evaluate", ev_value))
+        if got != want
+    ]
     verdict(
         9, not failed,
-        "all hand-derived values exact: " + ", ".join(checks)
+        "all hand-derived values exact on total_cost and SearchSpace.evaluate: "
+        + ", ".join(values)
         if not failed else "mismatch in " + ", ".join(failed),
     )

@@ -261,6 +261,25 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: bad --seed value -1: rng_seed must be >= 0")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("out", ["taken", "taken/out"], ids=["a_file", "under_a_file"])
+    def test_out_path_blocked_by_a_file_is_an_input_error(self, tmp_path, capsys, out):
+        path = write_config(tmp_path, penalty_prices_usd_per_kwh=[0.0])
+        (tmp_path / "taken").write_text("kept\n")
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write outputs to {tmp_path / out}: ")
+        assert (tmp_path / "taken").read_text() == "kept\n"
+
+    def test_report_path_taken_by_a_directory_is_an_input_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, penalty_prices_usd_per_kwh=[0.0])
+        (tmp_path / "out" / "report.json").mkdir(parents=True)
+        rc = main(["run", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: cannot write outputs to {tmp_path / 'out'}: ")
+        assert "report.json" in err
+
     def test_infeasible_run_exits_nonzero(self, tmp_path, capsys):
         path = write_config(tmp_path, md_kw=0.3, penalty_prices_usd_per_kwh=[0.0])
         rc = main(["run", "--config", str(path)])
@@ -603,9 +622,12 @@ class TestGoldenReport:
         run_scenario(load_scenario_config(path))
         self.assert_golden((tmp_path / "out" / "report.json").read_bytes(), "report.json")
 
-    def test_feeder_day_report_bytes_are_stable(self, tmp_path):
-        # the canonical day with feeder, neighbors and PV: pins the bytes of
-        # the power-flow path (billed losses, voltage penalties)
+    @pytest.fixture(scope="class")
+    def feeder_day(self, tmp_path_factory):
+        """The canonical day with feeder, neighbors and PV, run once: its
+        outputs pin the bytes of the power-flow path (billed losses, voltage
+        penalties).  Returns the config path and the output directory."""
+        tmp_path = tmp_path_factory.mktemp("feeder_day")
         config = {
             "label": "golden-feeder-day",
             "appliances_csv": str(FIXTURES / "appliances_household.csv"),
@@ -624,7 +646,18 @@ class TestGoldenReport:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(config))
         run_scenario(load_scenario_config(path))
-        assert (tmp_path / "out" / "voltage_2.csv").exists()
-        self.assert_golden(
-            (tmp_path / "out" / "report.json").read_bytes(), "report_feeder_day.json"
-        )
+        return path, tmp_path / "out"
+
+    def test_feeder_day_report_bytes_are_stable(self, feeder_day):
+        _, out = feeder_day
+        assert (out / "voltage_2.csv").exists()
+        self.assert_golden((out / "report.json").read_bytes(), "report_feeder_day.json")
+
+    def test_feeder_day_explain_bytes_are_stable(self, feeder_day, capsys):
+        # explain prints every field of the cost breakdown: energy, penalty,
+        # shifts, net load, billed losses and PV utilization
+        path, out = feeder_day
+        rc = main(["explain", "--schedule", str(out / "schedule_2.csv"),
+                   "--config", str(path), "--penalty-cents", "2"])
+        assert rc == 0
+        self.assert_golden(capsys.readouterr().out.encode(), "explain_feeder_day.json")

@@ -8,7 +8,6 @@ from dsmsched.constraints import (
     KW_TOL,
     check_contiguity,
     check_duration,
-    check_max_demand,
     check_window,
     is_feasible,
 )
@@ -65,15 +64,23 @@ def test_effective_window_honors_original_plan():
     assert check_window(beyond, apps) == [(4, 8)]
 
 
+def max_demand(md_kw):
+    """is_feasible's demand-cap violations of sched() under a cap, no feeder."""
+    ctx = ProblemContext(
+        grid=GRID8, appliances=APPS, price=PriceSeries(values=(0.1,) * 8), md_kw=md_kw
+    )
+    return is_feasible(sched(), ctx).max_demand
+
+
 class TestMaxDemand:
     def test_flags_slot_and_kw(self):
         # slot 3: 0.5 + 1.5 + 2.0 = 4.0
-        assert check_max_demand(sched(), APPS, md_kw=3.9) == [(3, 4.0)]
-        assert check_max_demand(sched(), APPS, md_kw=4.0) == []
+        assert max_demand(3.9) == [(3, 4.0)]
+        assert max_demand(4.0) == []
 
     def test_tolerance_absorbs_float_dust(self):
-        assert check_max_demand(sched(), APPS, md_kw=4.0 - KW_TOL / 2) == []
-        assert check_max_demand(sched(), APPS, md_kw=4.0 - 1e-6) == [(3, 4.0)]
+        assert max_demand(4.0 - KW_TOL / 2) == []
+        assert max_demand(4.0 - 1e-6) == [(3, 4.0)]
 
     def test_gross_power_ignores_pv(self):
         # the cap protects the connection: PV does not offset it
@@ -170,6 +177,6 @@ class TestIsFeasible:
 
 def test_md_monotone_in_cap():
     # relaxing the cap never creates violations
-    tight = check_max_demand(sched(), APPS, md_kw=2.0)
-    loose = check_max_demand(sched(), APPS, md_kw=3.0)
+    tight = max_demand(2.0)
+    loose = max_demand(3.0)
     assert {s for s, _ in loose} <= {s for s, _ in tight}

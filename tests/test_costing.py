@@ -1,22 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dsmsched.costing import (
-    CostBreakdown,
-    PenaltyPrice,
-    ProblemContext,
-    electricity_cost,
-    net_household_load,
-    penalty_cost,
-    pv_utilization,
-    shift_distance,
-    total_cost,
-)
+from dsmsched.costing import CostBreakdown, ProblemContext, shift_distance, total_cost
 from dsmsched.domain import Appliance, ApplianceClass, TimeGrid, schedule_from_on_slots
-from dsmsched.errors import UndefinedMetricError
 from dsmsched.feeder import FeederLine, FeederModel
 from dsmsched.profiles import NeighborLoads, PriceSeries, PvSeries
 
@@ -43,64 +31,71 @@ def baseline4(aid=99, rated=0.5):
     )
 
 
-def test_penalty_price_validation():
-    assert PenaltyPrice.from_cents(5).usd_per_kwh == 0.05
-    with pytest.raises(ValueError):
-        PenaltyPrice(-0.01)
+def per_slot_day(loads_kw, prices, **ctx_kwargs):
+    """Context and original schedule of a day that draws loads_kw[t] kW in
+    slot t + 1: one single-slot appliance per slot."""
+    apps = tuple(
+        interruptible(aid=slot, rated=kw, original=(slot,), window=(slot, slot))
+        for slot, kw in enumerate(loads_kw, start=1)
+    )
+    ctx = ProblemContext(
+        grid=TimeGrid(slot_count=len(loads_kw), slot_hours=0.5), appliances=apps,
+        price=PriceSeries(values=tuple(prices)), **ctx_kwargs,
+    )
+    return ctx, ctx.original_schedule()
+
+
+def day_cost(loads_kw, prices, **ctx_kwargs):
+    """total_cost of the original plan of `per_slot_day`."""
+    ctx, sched = per_slot_day(loads_kw, prices, **ctx_kwargs)
+    return total_cost(sched, ctx)
 
 
 class TestNetLoad:
     def test_clamp_when_pv_exceeds_gross(self):
-        apps = [interruptible(rated=3.0, original=(1, 2))]
-        sched = schedule_from_on_slots([(1, 2)], slot_count=4)
         pv = PvSeries(values=(5.0, 1.0, 2.0, 0.0), capacity_kw=5.0)
-        net, surplus = net_household_load(sched, apps, pv)
-        assert net.tolist() == [0.0, 2.0, 0.0, 0.0]
-        assert surplus.tolist() == [2.0, 0.0, 2.0, 0.0]
+        out = day_cost([3.0, 3.0, 0.0, 0.0], (0.1,) * 4, pv=pv)
+        assert out.net_load_kw == (0.0, 2.0, 0.0, 0.0)
 
     def test_no_pv_means_net_equals_gross(self):
-        apps = [interruptible(rated=3.0)]
-        sched = schedule_from_on_slots([(1, 2)], slot_count=4)
-        net, surplus = net_household_load(sched, apps, None)
-        assert net.tolist() == [3.0, 3.0, 0.0, 0.0]
-        assert surplus.tolist() == [0.0] * 4
+        out = day_cost([3.0, 3.0, 0.0, 0.0], (0.1,) * 4)
+        assert out.net_load_kw == (3.0, 3.0, 0.0, 0.0)
 
     def test_length_mismatch(self):
-        apps = [interruptible()]
-        sched = schedule_from_on_slots([(1,)], slot_count=2)
-        pv = PvSeries(values=(1.0, 1.0, 1.0), capacity_kw=2.0)
-        with pytest.raises(ValueError):
-            net_household_load(sched, apps, pv)
+        # a PV series must cover the grid; the context refuses one that does not
+        with pytest.raises(ValueError, match="pv series length"):
+            per_slot_day([1.0] * 4, (0.1,) * 4,
+                         pv=PvSeries(values=(1.0, 1.0, 1.0), capacity_kw=2.0))
 
 
 class TestElectricityCost:
     def test_flat_price_day(self):
-        flat = PriceSeries(values=(0.08,) * 48)
-        cost = electricity_cost([2.0] * 48, [0.0] * 48, flat, GRID48)
-        assert cost == 3.84
+        assert day_cost([2.0] * 48, (0.08,) * 48).energy_usd == 3.84
 
     def test_single_peak_slot(self):
         prices = [0.0] * 48
         prices[30] = 0.13
         net = [0.0] * 48
         net[30] = 1.0
-        cost = electricity_cost(net, [0.0] * 48, PriceSeries(values=tuple(prices)), GRID48)
-        assert cost == 0.065
+        assert day_cost(net, prices).energy_usd == 0.065
 
     def test_zero_everything(self):
-        flat = PriceSeries(values=(0.08,) * 48)
-        assert electricity_cost([0.0] * 48, [0.0] * 48, flat, GRID48) == 0.0
+        assert day_cost([0.0] * 48, (0.08,) * 48).energy_usd == 0.0
 
     def test_losses_are_billed(self):
-        flat = PriceSeries(values=(0.1,) * 4)
-        with_loss = electricity_cost([1.0] * 4, [0.5] * 4, flat, GRID4)
-        without = electricity_cost([1.0] * 4, [0.0] * 4, flat, GRID4)
-        assert with_loss == pytest.approx(without * 1.5)
+        flat = (0.1,) * 4
+        without = day_cost([1.0] * 4, flat).energy_usd
+        out = day_cost([1.0] * 4, flat, feeder=tiny_feeder(),
+                       neighbors=NeighborLoads(per_house=((2.0,) * 4,)))
+        assert min(out.billed_loss_kw) > 0.0
+        billed = sum(loss * 0.1 * 0.5 for loss in out.billed_loss_kw)
+        assert out.energy_usd == pytest.approx(without + billed)
 
     def test_length_check(self):
-        flat = PriceSeries(values=(0.1,) * 4)
-        with pytest.raises(ValueError):
-            electricity_cost([1.0] * 3, [0.0] * 4, flat, GRID4)
+        ctx, _ = per_slot_day([1.0] * 4, (0.1,) * 4)
+        short = schedule_from_on_slots([(1,), (2,), (3,), ()], slot_count=3)
+        with pytest.raises(ValueError, match="schedule has 3 slots, grid expects 4"):
+            total_cost(short, ctx)
 
 
 class TestShiftDistance:
@@ -155,26 +150,32 @@ def test_shift_distance_triangle(u, v, w):
     assert shift_distance(au, w) <= shift_distance(au, v) + shift_distance(av, w)
 
 
+def penalty_of(appliance, plan, penalty_price):
+    """total_cost's penalty for running `appliance` alone on `plan`."""
+    ctx = ProblemContext(grid=GRID48, appliances=(appliance,),
+                         price=PriceSeries(values=(0.08,) * 48), penalty_price=penalty_price)
+    return total_cost(schedule_from_on_slots([plan], slot_count=48), ctx).penalty_usd
+
+
 class TestPenaltyCost:
     def test_hand_example(self):
         a = interruptible(rated=1.26, original=(5, 6, 7, 8), window=(1, 20))
-        assert penalty_cost({1: 8}, [a], 0.05, GRID48) == 0.252
+        assert penalty_of(a, (7, 8, 9, 10), 0.05) == 0.252
 
     def test_zero_price_and_zero_shift(self):
-        a = interruptible()
-        assert penalty_cost({1: 8}, [a], 0.0, GRID48) == 0.0
-        assert penalty_cost({1: 0}, [a], 0.25, GRID48) == 0.0
-        assert penalty_cost({}, [a], 0.25, GRID48) == 0.0
+        a = interruptible(original=(5, 6, 7, 8), window=(1, 20))
+        assert penalty_of(a, (7, 8, 9, 10), 0.0) == 0.0
+        assert penalty_of(a, (5, 6, 7, 8), 0.25) == 0.0
 
     def test_negative_price_rejected(self):
-        with pytest.raises(ValueError):
-            penalty_cost({1: 1}, [interruptible()], -0.1, GRID48)
+        with pytest.raises(ValueError, match="penalty_price"):
+            make_context(penalty_price=-0.1)
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.integers(0, 40))
     def test_linear_in_price(self, pi, shift):
-        a = interruptible(rated=1.7, window=(1, 48), original=(1, 2))
-        single = penalty_cost({1: shift}, [a], pi, GRID48)
-        assert penalty_cost({1: shift}, [a], 2 * pi, GRID48) == pytest.approx(2 * single)
+        a = interruptible(rated=1.7, window=(1, 48), original=(1,))
+        single = penalty_of(a, (1 + shift,), pi)
+        assert penalty_of(a, (1 + shift,), 2 * pi) == pytest.approx(2 * single)
 
 
 @given(
@@ -183,32 +184,31 @@ class TestPenaltyCost:
     st.floats(min_value=0.01, max_value=5.0),
 )
 def test_electricity_cost_monotone_in_net(net, idx, bump):
-    flat = PriceSeries(values=(0.02, 0.08, 0.13, 0.05))
-    lower = electricity_cost(net, [0.0] * 4, flat, GRID4)
+    prices = (0.02, 0.08, 0.13, 0.05)
+    lower = day_cost(net, prices).energy_usd
     bumped = list(net)
     bumped[idx] += bump
-    assert electricity_cost(bumped, [0.0] * 4, flat, GRID4) >= lower
+    assert day_cost(bumped, prices).energy_usd >= lower
 
 
 class TestPvUtilization:
     def test_full_absorption(self):
         pv = PvSeries(values=(1.0, 2.0, 1.0, 0.0), capacity_kw=2.0)
-        assert pv_utilization([5.0] * 4, pv, GRID4) == 1.0
+        assert day_cost([5.0] * 4, (0.1,) * 4, pv=pv).pv_utilization == 1.0
 
     def test_zero_demand(self):
         pv = PvSeries(values=(1.0, 2.0, 1.0, 0.0), capacity_kw=2.0)
-        assert pv_utilization([0.0] * 4, pv, GRID4) == 0.0
+        assert day_cost([0.0] * 4, (0.1,) * 4, pv=pv).pv_utilization == 0.0
 
     def test_partial(self):
         # 2 kWh available, 1.8 kWh coincident
         pv = PvSeries(values=(2.0, 2.0, 0.0, 0.0), capacity_kw=2.0)
         gross = [1.8, 1.8, 9.0, 9.0]
-        assert pv_utilization(gross, pv, GRID4) == pytest.approx(0.9)
+        assert day_cost(gross, (0.1,) * 4, pv=pv).pv_utilization == pytest.approx(0.9)
 
     def test_undefined_without_pv_energy(self):
         pv = PvSeries(values=(0.0,) * 4, capacity_kw=2.0)
-        with pytest.raises(UndefinedMetricError):
-            pv_utilization([1.0] * 4, pv, GRID4)
+        assert day_cost([1.0] * 4, (0.1,) * 4, pv=pv).pv_utilization is None
 
 
 def tiny_feeder():
@@ -266,13 +266,11 @@ class TestProblemContext:
         assert len(ctx._cache.flow) == 2
 
     def test_billed_losses_zero_without_feeder(self):
-        ctx = make_context()
-        assert ctx.billed_losses(np.array([5.0] * 4)).tolist() == [0.0] * 4
+        assert day_cost([5.0] * 4, (0.1,) * 4).billed_loss_kw == (0.0,) * 4
 
     def test_billed_loss_is_incremental_and_non_negative(self):
-        ctx = make_context(feeder=tiny_feeder(),
-                           neighbors=NeighborLoads(per_house=((2.0,) * 4,)))
-        losses = ctx.billed_losses(np.array([0.0, 1.0, 4.0, 8.0]))
+        losses = day_cost([0.0, 1.0, 4.0, 8.0], (0.1,) * 4, feeder=tiny_feeder(),
+                          neighbors=NeighborLoads(per_house=((2.0,) * 4,))).billed_loss_kw
         assert losses[0] == 0.0  # no home draw, nothing billed
         assert all(l >= 0.0 for l in losses)
         assert losses[3] > losses[1]

@@ -8,12 +8,7 @@ from dsmsched.constraints import is_feasible
 from dsmsched.costing import ProblemContext, total_cost
 from dsmsched.csa import SearchSpace
 from dsmsched.errors import EnumerationGuardError
-from dsmsched.oracle import (
-    SmallInstance,
-    enumerate_feasible,
-    exhaustive_optimize,
-    sweep_penalties,
-)
+from dsmsched.oracle import SmallInstance, exhaustive_optimize, sweep_penalties
 from dsmsched.domain import TimeGrid, schedule_from_on_slots
 from dsmsched.profiles import PriceSeries
 from small_instances import (
@@ -47,20 +42,20 @@ class TestEnumerationCounts:
         # window 1..8, D=3 -> 6 starts
         inst = single(_uninterruptible(2, (1, 8), 3, 1.0, original_start=2))
         assert inst.placement_counts() == [6]
-        assert sum(1 for _ in enumerate_feasible(inst)) == 6
+        assert exhaustive_optimize(inst).feasible_count == 6
 
     def test_interruptible_combinations(self):
         # window 1..5, D=2 -> C(5,2) = 10
         inst = single(_interruptible(2, (1, 5), 2, 1.0, original=(1, 2)))
         assert inst.placement_counts() == [10]
-        assert sum(1 for _ in enumerate_feasible(inst)) == 10
+        assert exhaustive_optimize(inst).feasible_count == 10
 
     def test_window_equal_to_duration_pins_the_plan(self):
         inst = single(_interruptible(2, (3, 4), 2, 1.0, original=(3, 4)))
         assert inst.candidate_count() == 1
-        schedules = list(enumerate_feasible(inst))
-        assert len(schedules) == 1
-        assert schedules[0].on_slots(0) == (3, 4)
+        result = exhaustive_optimize(inst)
+        assert result.feasible_count == 1
+        assert result.schedule.on_slots(0) == (3, 4)
 
     def test_candidate_count_is_the_product(self):
         inst = SmallInstance(
@@ -95,7 +90,7 @@ class TestLimits:
         inst = SmallInstance(context=ProblemContext(
             grid=grid, appliances=apps, price=PriceSeries(values=(0.1,) * 16)))
         with pytest.raises(EnumerationGuardError) as err:
-            list(enumerate_feasible(inst))
+            exhaustive_optimize(inst)
         assert err.value.count == math.comb(16, 8) ** 4
         assert err.value.limit == oracle.GUARD_LIMIT
 
@@ -122,10 +117,10 @@ def test_enumeration_is_exactly_the_feasible_set():
     assert any(r.max_demand for r in reports)
     assert any(r.voltage and not r.max_demand for r in reports)
     feasible = [s for s, r in zip(candidates, reports) if r.feasible]
-    assert list(enumerate_feasible(inst)) == feasible
-
     space = SearchSpace(ctx)
     scored = [(space.decode(ab), rec) for ab, rec in oracle._iter_candidates(inst, space)]
+    assert [s for s, _ in scored] == feasible
+
     hours = ctx.grid.slot_hours
     for pi, result in sweep_penalties(inst, PENALTY_GRID).items():
         rec = next(rec for s, rec in scored if s == result.schedule)
@@ -151,8 +146,8 @@ def test_md_cap_prunes_the_enumeration():
     )
     open_ctx = ProblemContext(grid=GRID12, appliances=apps, price=FLAT)
     capped = ProblemContext(grid=GRID12, appliances=apps, price=FLAT, md_kw=2.5)
-    total = sum(1 for _ in enumerate_feasible(SmallInstance(context=open_ctx)))
-    kept = sum(1 for _ in enumerate_feasible(SmallInstance(context=capped)))
+    total = exhaustive_optimize(SmallInstance(context=open_ctx)).feasible_count
+    kept = exhaustive_optimize(SmallInstance(context=capped)).feasible_count
     assert total == 66 * 66
     # overlapping placements are gone; a fixed pair collides with 21 others
     # (20 sharing one slot, 1 sharing both), leaving 45 disjoint partners

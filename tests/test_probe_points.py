@@ -1,14 +1,21 @@
 """The benchmark's probe points: every program name that `perfbench/run.py`
 wraps with its span tracer, or calls, exists, and the tracer puts every
-wrapped attribute back.  Fast: nothing is written and no workload runs."""
+wrapped attribute back.  Then a smoke run of the benchmark command itself:
+each workload, traced, at `--scale tiny`, must pass its own output checks."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def load_runner(monkeypatch):
@@ -59,3 +66,15 @@ def test_tracer_wraps_every_probe_point_and_restores_it(monkeypatch):
     small = P.oracle.SmallInstance
     assert "context" in small.__dataclass_fields__
     assert callable(small.check_guard) and callable(small.candidate_count)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_command_passes_its_checks(workload):
+    # a traced job also checks that tracing changes no count and no report byte
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload, "--seed", "5",
+         "--seconds", "1", "--trace", "1", "--scale", "tiny"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
