@@ -38,10 +38,9 @@ from .domain import (
     write_schedule_csv,
 )
 from .errors import DsmError, InputError, PowerFlowError
-from .feeder import FeederModel, load_feeder_json
+from .feeder import load_feeder_json
 from .oracle import SmallInstance, sweep_penalties
 from .profiles import (
-    NeighborLoads,
     PriceSeries,
     PvSeries,
     load_neighbor_loads,
@@ -70,37 +69,30 @@ def _pi_label(usd_per_kwh: float) -> str:
 
 @dataclass
 class ScenarioConfig:
-    """One runnable experiment, as read from a JSON config file."""
+    """One runnable experiment, as read from a JSON config file: one problem,
+    run at each penalty price; every context of it reads one flow cache."""
 
     label: str
-    grid: TimeGrid
-    appliances: tuple[Appliance, ...]
-    price: PriceSeries
-    pv: PvSeries | None  # None unless the config enables PV
-    neighbors: NeighborLoads | None
-    feeder: FeederModel | None
-    md_kw: float
+    problem: ProblemContext  # at penalty price 0
     penalties_usd_per_kwh: list[float]
-    power_factor: float
-    voltage_min: float
-    voltage_max: float
     out_dir: Path
     csa: CsaConfig  # csa.rng_seed is the seed of every run
 
+    # read-only views of the problem, read by perfbench/run.py and its tests
+    @property
+    def grid(self) -> TimeGrid:
+        return self.problem.grid
+
+    @property
+    def appliances(self) -> tuple[Appliance, ...]:
+        return self.problem.appliances
+
+    @property
+    def md_kw(self) -> float:
+        return self.problem.md_kw
+
     def context(self, penalty_price: float = 0.0) -> ProblemContext:
-        return ProblemContext(
-            grid=self.grid,
-            appliances=self.appliances,
-            price=self.price,
-            pv=self.pv,
-            neighbors=self.neighbors,
-            feeder=self.feeder,
-            md_kw=self.md_kw,
-            penalty_price=penalty_price,
-            voltage_min=self.voltage_min,
-            voltage_max=self.voltage_max,
-            power_factor=self.power_factor,
-        )
+        return self.problem.with_penalty(penalty_price)
 
 
 @dataclass
@@ -297,24 +289,24 @@ def _parse_config(data, path: Path) -> ScenarioConfig:
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: bad csa options: {exc}") from None
 
-    config = ScenarioConfig(
+    return ScenarioConfig(
         label=str(data.get("label", path.stem)),
-        grid=grid,
-        appliances=appliances,
-        price=price,
-        pv=pv,
-        neighbors=neighbors,
-        feeder=feeder,
-        md_kw=_number(_require(data, "md_kw", where), "md_kw", where),
+        problem=ProblemContext(  # checks the cap, the power factor and the feeder houses
+            grid=grid,
+            appliances=appliances,
+            price=price,
+            pv=pv,
+            neighbors=neighbors,
+            feeder=feeder,
+            md_kw=_number(_require(data, "md_kw", where), "md_kw", where),
+            voltage_min=voltage_min,
+            voltage_max=voltage_max,
+            power_factor=power_factor,
+        ),
         penalties_usd_per_kwh=penalties,
-        power_factor=power_factor,
-        voltage_min=voltage_min,
-        voltage_max=voltage_max,
         out_dir=_path(data, "out_dir", base, where, "out"),
         csa=csa,
     )
-    config.context()  # the problem's own limits (positive cap, power factor, feeder houses)
-    return config
 
 
 def _write_profile_csv(
@@ -355,13 +347,41 @@ def _write_convergence_csv(path: Path, history: list[tuple[int, float, int]]) ->
             writer.writerow([generation, total, evaluations])
 
 
+def _output_names(config: ScenarioConfig) -> list[dict[str, str]]:
+    """The files of each penalty price's run, by kind, once every output
+    name is known to be free: an InputError if two prices share a file
+    label, the IsADirectoryError of a name that a directory takes."""
+    kinds = ["convergence", "profile", "schedule"]
+    names = ["report.json"]
+    if config.problem.feeder is not None:
+        kinds.append("voltage")
+        names.append("voltage_original.csv")
+    runs, price_of = [], {}
+    for pi in config.penalties_usd_per_kwh:
+        label = _pi_label(pi)
+        if label in price_of:
+            raise InputError(f"penalty prices {price_of[label]!r} and {pi!r} $/kWh "
+                             f"share the output label '{label}'")
+        price_of[label] = pi
+        runs.append({kind: f"{kind}_{label}.csv" for kind in kinds})
+        names += runs[-1].values()
+    for name in names:
+        if (config.out_dir / name).is_dir():
+            raise IsADirectoryError(f"output name {name!r} is taken by a directory")
+    return runs
+
+
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
-    """Optimize each penalty price, write all output files, build the report."""
+    """Optimize each penalty price, write all output files, build the report.
+
+    Every output name is checked before the first optimization.
+    """
+    files_of = _output_names(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    base_ctx = config.context()
+    base_ctx = config.problem
     original = base_ctx.original_schedule()
     original_breakdown = total_cost(original, base_ctx)
-    original_gross = aggregate_power(original, config.appliances)
+    original_gross = aggregate_power(original, base_ctx.appliances)
     pv_kw = base_ctx.pv_array()
 
     if base_ctx.feeder is not None:
@@ -378,27 +398,20 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     runs = []
     results: dict[float, OptimResult] = {}
     all_feasible = True
-    for pi in config.penalties_usd_per_kwh:
+    for pi, files in zip(config.penalties_usd_per_kwh, files_of):
         ctx = base_ctx.with_penalty(pi)
         result = optimize(ctx, config.csa)
         results[pi] = result
         all_feasible = all_feasible and result.success
 
-        label = _pi_label(pi)
-        files = {
-            "convergence": f"convergence_{label}.csv",
-            "profile": f"profile_{label}.csv",
-            "schedule": f"schedule_{label}.csv",
-        }
-        dsm_gross = aggregate_power(result.schedule, config.appliances)
+        dsm_gross = aggregate_power(result.schedule, ctx.appliances)
         _write_profile_csv(
-            config.out_dir / files["profile"], config.grid,
-            original_gross, dsm_gross, pv_kw, config.price,
+            config.out_dir / files["profile"], ctx.grid,
+            original_gross, dsm_gross, pv_kw, ctx.price,
         )
         _write_convergence_csv(config.out_dir / files["convergence"], result.history)
-        write_schedule_csv(config.out_dir / files["schedule"], result.schedule, config.appliances)
-        if ctx.feeder is not None:
-            files["voltage"] = f"voltage_{label}.csv"
+        write_schedule_csv(config.out_dir / files["schedule"], result.schedule, ctx.appliances)
+        if "voltage" in files:
             _write_voltage_csv(config.out_dir / files["voltage"], ctx, dsm_gross)
 
         breakdown = result.breakdown
@@ -438,8 +451,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         "tool_version": __version__,
         "scenario": config.label,
         "seed": config.csa.rng_seed,
-        "pv_enabled": config.pv is not None,
-        "md_kw": _round(config.md_kw),
+        "pv_enabled": base_ctx.pv is not None,
+        "md_kw": _round(base_ctx.md_kw),
         "original": original_row,
         "runs": runs,
     }
@@ -453,7 +466,7 @@ def explain(schedule_path: str | Path, config: ScenarioConfig, penalty_price: fl
     """Evaluate a schedule file against a scenario config without optimizing."""
     pi = config.penalties_usd_per_kwh[0] if penalty_price is None else penalty_price
     ctx = config.context(penalty_price=pi)
-    schedule = load_schedule_csv(schedule_path, config.appliances, config.grid)
+    schedule = load_schedule_csv(schedule_path, ctx.appliances, ctx.grid)
     report = is_feasible(schedule, ctx)
     out: dict = {"feasibility": report.to_dict(), "penalty_usd_per_kwh": _round(pi)}
     try:

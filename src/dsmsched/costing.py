@@ -99,8 +99,10 @@ class ProblemContext:
     voltage_min: float = 0.95
     voltage_max: float = 1.05
     power_factor: float = 0.95
+    # not an argument: a context built by its constructor or by
+    # `dataclasses.replace` starts a cache of its own; `with_penalty` shares it
     _cache: _FlowCache = field(
-        default_factory=_FlowCache, repr=False, compare=False
+        default_factory=_FlowCache, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -127,8 +129,11 @@ class ProblemContext:
                 )
 
     def with_penalty(self, penalty_price: float) -> "ProblemContext":
-        """Same problem at a different penalty price; power-flow cache shared."""
-        return replace(self, penalty_price=penalty_price)
+        """Same problem at a different penalty price, reading this context's
+        power-flow cache: no flow depends on the penalty price."""
+        twin = replace(self, penalty_price=penalty_price)
+        object.__setattr__(twin, "_cache", self._cache)
+        return twin
 
     # lazily built numpy views ------------------------------------------------
 

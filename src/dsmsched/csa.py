@@ -436,6 +436,7 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     space = SearchSpace(context)
     original = space.original_antibody()
 
+    # total_cost, not space.evaluate: its energy differs in the last bit on some days (scenario_c)
     original_energy = total_cost(space.decode(original), context).energy_usd
     weight = max(1.0, 10.0 * original_energy)
     scores: dict[Antibody, Evaluation] = {}  # every distinct genotype scored so far

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -63,6 +64,22 @@ class TestLoadScenarioConfig:
         assert config.penalties_usd_per_kwh == [0.0, 0.10]
         assert config.csa.population_size == 16
         assert config.csa.rng_seed == 3  # defaults to the scenario seed
+
+    def test_a_config_holds_one_problem(self, tmp_path):
+        config = load_scenario_config(write_config(tmp_path))
+        assert [f.name for f in dataclasses.fields(config)] == [
+            "label", "problem", "penalties_usd_per_kwh", "out_dir", "csa"]
+        assert config.problem.penalty_price == 0.0
+        assert (config.grid, config.appliances, config.md_kw) == (
+            config.problem.grid, config.problem.appliances, config.problem.md_kw)
+        for name in ("grid", "appliances", "md_kw"):
+            with pytest.raises(AttributeError):
+                setattr(config, name, None)
+
+    def test_every_context_of_a_config_reads_one_flow_cache(self, tmp_path):
+        config = load_scenario_config(write_config(tmp_path))
+        assert config.context(0.1).penalty_price == 0.1
+        assert config.context(0.1)._cache is config.context()._cache
 
     def test_md_kw_is_required(self, tmp_path):
         config = base_config(tmp_path / "out")
@@ -279,6 +296,18 @@ class TestRunCommand:
         assert rc == 2
         assert err.startswith(f"error: cannot write outputs to {tmp_path / 'out'}: ")
         assert "report.json" in err
+        assert not (tmp_path / "out" / "schedule_0.csv").exists()  # found before optimizing
+
+    @pytest.mark.parametrize("prices, argv", [
+        ([0.05, 0.0500000001], []), ([0.0], ["--penalty-cents", "5,5"]),
+    ], ids=["config", "penalty_cents"])
+    def test_penalty_prices_sharing_a_file_label_are_an_input_error(self, tmp_path, capsys,
+                                                                     prices, argv):
+        path = write_config(tmp_path, penalty_prices_usd_per_kwh=prices)
+        rc = main(["run", "--config", str(path), *argv])
+        assert rc == 2
+        assert "share the output label '5'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_infeasible_run_exits_nonzero(self, tmp_path, capsys):
         path = write_config(tmp_path, md_kw=0.3, penalty_prices_usd_per_kwh=[0.0])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -254,6 +255,16 @@ class TestProblemContext:
         other = ctx.with_penalty(0.10)
         assert other.penalty_price == 0.10
         assert other._cache is ctx._cache
+
+    def test_any_other_copy_starts_its_own_flow_cache(self):
+        neighbors = NeighborLoads(per_house=((1.0,) * 4,))
+        ctx = make_context(feeder=tiny_feeder(), neighbors=neighbors)
+        at_095 = ctx.slot_flow(1, 5.0)
+        copy = dataclasses.replace(ctx, power_factor=0.8)
+        fresh = make_context(feeder=tiny_feeder(), neighbors=neighbors, power_factor=0.8)
+        assert copy.slot_flow(1, 5.0) == fresh.slot_flow(1, 5.0) != at_095
+        with pytest.raises(TypeError, match="_cache"):
+            make_context(_cache=ctx._cache)
 
     def test_slot_flow_caches_by_quantized_load(self):
         ctx = make_context(feeder=tiny_feeder(),

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 import eval_reference
+from conftest import FIXTURES
+from dsmsched.cli import load_scenario_config
+from dsmsched.constraints import is_feasible
 from dsmsched.costing import ProblemContext, total_cost
 from dsmsched.csa import (
     CsaConfig,
@@ -441,6 +444,35 @@ class TestBatchedEvaluation:
         assert failed and len(failed) < len(records)
         # a failed row keeps the violations of the slots before its failure
         assert any(r.voltage_violation > 0 for r in failed)
+
+
+class TestScorersAgreeOnTheFullDay:
+    """`SearchSpace.evaluate`, the objective the search minimises, against
+    `total_cost` and `is_feasible`, which price and check every reported
+    schedule, on the configured 48-slot days."""
+
+    @pytest.mark.parametrize("name, penalty", [
+        ("scenario_a", 0.0), ("scenario_b", 0.10), ("scenario_c", 0.05),  # c: feeder, PV, cap
+    ])
+    def test_evaluate_matches_the_reference_scorer(self, name, penalty):
+        ctx = load_scenario_config(FIXTURES.parent / "configs" / f"{name}.json").context(penalty)
+        space = SearchSpace(ctx)
+        draws = Draws(7)
+        drawn = [space.original_antibody()] + [space.random_antibody(draws) for _ in range(99)]
+        genotypes = drawn + clone_and_hypermutate(drawn[:40], draws, space)
+        feasible = []
+        for antibody, ev in zip(genotypes, space.evaluate(genotypes, 1.0)):
+            schedule = space.decode(antibody)
+            cost = total_cost(schedule, ctx)
+            assert (ev.shift_slots, ev.weighted_shift) == (
+                cost.total_shift_slots, cost.weighted_shift)
+            # the gross load sums the same ratings in another order (a matmul
+            # in aggregate_power, a bincount in gross_rows): last bits differ
+            assert ev.energy_usd == pytest.approx(cost.energy_usd, rel=1e-12, abs=0)
+            assert ev.total_usd == pytest.approx(cost.total_usd, rel=1e-12, abs=0)
+            assert ev.feasible == is_feasible(schedule, ctx).feasible
+            feasible.append(ev.feasible)
+        assert len(genotypes) == 270 and any(feasible) and not all(feasible)
 
 
 class TestOptimize:

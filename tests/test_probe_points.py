@@ -9,6 +9,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,24 @@ def test_tracer_wraps_every_probe_point_and_restores_it(monkeypatch):
     small = P.oracle.SmallInstance
     assert "context" in small.__dataclass_fields__
     assert callable(small.check_guard) and callable(small.candidate_count)
+
+
+def test_a_loaded_config_has_what_the_benchmark_reads(monkeypatch, tmp_path):
+    # perfbench/run.py and perfbench/tests read these of a config they load
+    runner = load_runner(monkeypatch)
+    P = runner.load_program()
+    for path in runner.write_family_configs(1, 1, tmp_path, {"generations": 5}):
+        with runner.quiet():
+            cfg = P.cli.load_scenario_config(path)
+        assert cfg.label == f"small-{path.stem}"
+        assert isinstance(cfg.grid, P.domain.TimeGrid) and cfg.grid.slot_count == 16
+        assert cfg.appliances and all(isinstance(a, P.domain.Appliance) for a in cfg.appliances)
+        assert cfg.md_kw > 0 and cfg.penalties_usd_per_kwh
+        assert cfg.csa.generations == 5 and replace(cfg.csa, rng_seed=9).rng_seed == 9
+        cfg.out_dir = tmp_path / "out"
+        assert cfg.out_dir == tmp_path / "out"
+        for pi in cfg.penalties_usd_per_kwh:
+            assert cfg.context(pi).penalty_price == pi
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
