@@ -16,10 +16,13 @@ flat on-slot rows does; ties are broken by that order.
 Evaluation is a pure function of the genotype and is cached keyed by the
 genotype itself.  Each generation's new genotypes are scored together as
 arrays, with the same arithmetic, in the same order, as scoring them one by
-one.  Per-slot power flows are cached on the problem context keyed by
-(slot, gross load in whole watts) and solved at that rounded load, so
-identical slot loads across antibodies reuse one solve and no result
-depends on which antibody reached a key first.
+one, and `SearchSpace.evaluate` returns the scores as columns (`Scores`),
+one row per genotype.  Energy is one `ddot` per row, as a one-genotype
+evaluation takes: a matrix product sums in another order and differs in
+the last bit on some rows.  Per-slot power flows are cached on the problem
+context keyed by (slot, gross load in whole watts) and solved at that
+rounded load, so identical slot loads across antibodies reuse one solve and
+no result depends on which antibody reached a key first.
 
 Every random draw comes from `Draws`, a Python replay of the stream of
 numpy's `Generator(PCG64(seed))`: the same genotypes as calling the
@@ -45,6 +48,7 @@ __all__ = [
     "CsaConfig",
     "Draws",
     "OptimResult",
+    "Scores",
     "SearchSpace",
     "clone_counts",
     "clone_and_hypermutate",
@@ -168,23 +172,21 @@ class _Flex:
 
 
 @dataclass(frozen=True, slots=True)
-class Evaluation:
-    """Scored phenotype of one antibody.  Slotted: the optimizer caches one
-    per distinct genotype."""
+class Scores:
+    """Scored phenotypes of a batch of genotypes: one array per field, one
+    row per genotype, in the order they were given."""
 
-    energy_usd: float
-    penalty_usd: float
-    total_usd: float
-    md_excess: float
-    voltage_violation: float
-    flow_failed: bool
-    shift_slots: int
-    weighted_shift: float
-    score: float
-
-    @property
-    def feasible(self) -> bool:
-        return self.md_excess == 0.0 and self.voltage_violation == 0.0 and not self.flow_failed
+    energy_usd: np.ndarray
+    penalty_usd: np.ndarray
+    total_usd: np.ndarray
+    md_excess: np.ndarray
+    voltage_violation: np.ndarray
+    flow_failed: np.ndarray
+    shift_slots: np.ndarray
+    weighted_shift: np.ndarray
+    score: np.ndarray
+    # within the demand cap and the voltage band, with every flow solved
+    feasible: np.ndarray
 
 
 class SearchSpace:
@@ -306,11 +308,14 @@ class SearchSpace:
         """Gross household kW per slot for a genotype."""
         return self.gross_rows(self.slot_matrix([antibody]))[0]
 
-    def evaluate(self, antibodies: Sequence[Antibody], weight: float) -> list[Evaluation]:
-        """Evaluations of the genotypes, in order, with demand-cap and
-        voltage violations weighted by `weight` in the score."""
+    def evaluate(self, antibodies: Sequence[Antibody], weight: float) -> Scores:
+        """Scores of the genotypes, one row each, in order, with demand-cap
+        and voltage violations weighted by `weight` in the score."""
+        return self.evaluate_rows(self.slot_matrix(antibodies), weight)
+
+    def evaluate_rows(self, slots: np.ndarray, weight: float) -> Scores:
+        """`evaluate` for the genotypes of a `slot_matrix`."""
         ctx = self.context
-        slots = self.slot_matrix(antibodies)
         gross = self.gross_rows(slots)
 
         excess = gross - ctx.md_kw
@@ -321,10 +326,12 @@ class SearchSpace:
 
         hours = ctx.grid.slot_hours
         billed = np.maximum(gross - self._pv, 0.0) + loss
-        energy = np.array([np.dot(row, self._price) * hours for row in billed])
+        # one ddot per row, as a scalar evaluation takes; `billed @ price`
+        # sums in another order and differs in the last bit on some rows
+        rows = len(slots)
+        energy = np.fromiter(map(self._price.dot, billed), float, rows) * hours
 
         # per-appliance displacement, accumulated in appliance order
-        rows = len(antibodies)
         shift_slots = np.zeros(rows, dtype=np.intp)
         weighted = np.zeros(rows)
         pos = 0
@@ -340,24 +347,18 @@ class SearchSpace:
         score = -total - weight * (md_excess + volt_violation)
         score = np.where(flow_failed, score - FLOW_FAILURE_PENALTY, score)
 
-        return [
-            Evaluation(
-                energy_usd=e,
-                penalty_usd=p,
-                total_usd=t,
-                md_excess=md,
-                voltage_violation=v,
-                flow_failed=fail,
-                shift_slots=sh,
-                weighted_shift=w,
-                score=sc,
-            )
-            for e, p, t, md, v, fail, sh, w, sc in zip(
-                energy.tolist(), penalty.tolist(), total.tolist(), md_excess.tolist(),
-                volt_violation.tolist(), flow_failed.tolist(), shift_slots.tolist(),
-                weighted.tolist(), score.tolist(),
-            )
-        ]
+        return Scores(
+            energy_usd=energy,
+            penalty_usd=penalty,
+            total_usd=total,
+            md_excess=md_excess,
+            voltage_violation=volt_violation,
+            flow_failed=flow_failed,
+            shift_slots=shift_slots,
+            weighted_shift=weighted,
+            score=score,
+            feasible=(md_excess == 0.0) & (volt_violation == 0.0) & ~flow_failed,
+        )
 
 
 @dataclass
@@ -439,38 +440,42 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     # total_cost, not space.evaluate: its energy differs in the last bit on some days (scenario_c)
     original_energy = total_cost(space.decode(original), context).energy_usd
     weight = max(1.0, 10.0 * original_energy)
-    scores: dict[Antibody, Evaluation] = {}  # every distinct genotype scored so far
+    # every distinct genotype scored so far: (score, total, shift_slots, feasible)
+    scores: dict[Antibody, tuple[float, float, int, bool]] = {}
 
     def score(antibodies: Sequence[Antibody]) -> None:
         """Score the genotypes not yet in `scores`, all in one pass."""
         misses = list(dict.fromkeys(ab for ab in antibodies if ab not in scores))
         if misses:
-            scores.update(zip(misses, space.evaluate(misses, weight)))
+            s = space.evaluate(misses, weight)
+            scores.update(zip(misses, zip(
+                s.score.tolist(), s.total_usd.tolist(), s.shift_slots.tolist(),
+                s.feasible.tolist())))
 
     draws = Draws(config.rng_seed)
     n = config.population_size
     population = [original] + [space.random_antibody(draws) for _ in range(n - 1)]
 
     best_key = _NO_INCUMBENT  # (total, shift_slots, genotype), feasible only
-    top: Evaluation | None = None  # best score ever, feasible or not
+    top: float | None = None  # best score ever, feasible or not
     top_antibody: Antibody | None = None
     history: list[tuple[int, float, int]] = []
     stall = 0
 
     def rank_key(ab: Antibody):
-        return (-scores[ab].score, ab)
+        return (-scores[ab][0], ab)
 
     def scan(candidates: Sequence[Antibody]) -> bool:
         """Update incumbents; report whether the best total improved."""
         nonlocal best_key, top, top_antibody
         improved = False
         for ab in candidates:
-            rec = scores[ab]
-            if top is None or rec.score > top.score:
-                top, top_antibody = rec, ab
-            key = (rec.total_usd, rec.shift_slots, ab)
-            if rec.feasible and _better_incumbent(key, best_key):
-                if rec.total_usd < best_key[0] - 1e-12:
+            sc, total, shift_slots, feasible = scores[ab]
+            if top is None or sc > top:
+                top, top_antibody = sc, ab
+            key = (total, shift_slots, ab)
+            if feasible and _better_incumbent(key, best_key):
+                if total < best_key[0] - 1e-12:
                     improved = True
                 best_key = key
         return improved

@@ -7,17 +7,31 @@ and returns the exact minimum of the same cost function, with the
 optimizer's own tie rule, `csa._better_incumbent` (smaller total shift,
 then the lexicographically earliest genotype).  Candidates are the
 optimizer's own genotypes, listed and scored by its `SearchSpace`.
+
+Candidates are enumerated by index k, the k-th genotype of
+`itertools.product` over the appliances' gene lists (the last appliance
+varies fastest).  A chunk's slot matrix is gathered from one
+(genes x duration) slot table per appliance by the mixed-radix digits of
+its indices, so no Python tuple is built per candidate.
+`SearchSpace.evaluate_rows` scores the chunk as columns, the feasible mask
+is applied with numpy, and each price's totals take the same IEEE
+operations, in the same order, as pricing one candidate at a time.  Only
+the candidates within TIE_TOL of the running optimum at their turn can
+change it; just those are decoded to genotypes and offered to it, so the
+optimum, its ties and their order are exactly those of offering every
+feasible candidate in turn.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .costing import CostBreakdown, ProblemContext, total_cost
-from .csa import _NO_INCUMBENT, TIE_TOL, Antibody, Evaluation, SearchSpace, _better_incumbent
+from .csa import _NO_INCUMBENT, TIE_TOL, Antibody, Scores, SearchSpace, _better_incumbent
 from .domain import Schedule
 from .errors import EnumerationGuardError
 
@@ -40,6 +54,7 @@ class SmallInstance:
     """A problem small enough for exhaustive search."""
 
     context: ProblemContext
+    space: SearchSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         space = SearchSpace(self.context)
@@ -52,10 +67,17 @@ class SmallInstance:
             raise ValueError(
                 f"instance has {self.context.grid.slot_count} slots, limit is {MAX_SLOTS}"
             )
+        object.__setattr__(self, "space", space)
 
     def placement_counts(self) -> list[int]:
-        space = SearchSpace(self.context)
-        return [len(space.genes(i)) for i in range(len(space.flex))]
+        """Genes per flexible appliance, counted without listing them: the
+        start slots of its run if uninterruptible, else the
+        `duration`-slot subsets of its window."""
+        return [
+            max(0, f.start_hi - f.window_lo + 1) if f.uninterruptible
+            else math.comb(f.window_hi - f.window_lo + 1, f.duration)
+            for f in self.space.flex
+        ]
 
     def candidate_count(self) -> int:
         return math.prod(self.placement_counts())
@@ -70,25 +92,50 @@ class SmallInstance:
             )
 
 
-# genotypes per `SearchSpace.evaluate` call; small chunks keep its working
+# candidates per `SearchSpace.evaluate_rows` call; chunks keep its working
 # arrays, and so peak memory, small
 _CHUNK = 256
 
 
-def _iter_candidates(
-    instance: SmallInstance, space: SearchSpace
-) -> Iterator[tuple[Antibody, Evaluation]]:
-    """Every feasible genotype with its evaluation, in lexicographic order.
+class _Enumeration:
+    """Every genotype of a space by index k: the k-th genotype of
+    `itertools.product` over its appliances' `genes`."""
 
-    Genotypes are scored in chunks by the optimizer's own `evaluate`, so the
-    oracle prices and checks a candidate exactly as the optimizer does.
-    """
-    instance.check_guard()
-    genotypes = itertools.product(*(space.genes(i) for i in range(len(space.flex))))
-    while chunk := list(itertools.islice(genotypes, _CHUNK)):
-        for antibody, rec in zip(chunk, space.evaluate(chunk, 0.0)):
-            if rec.feasible:
-                yield antibody, rec
+    def __init__(self, space: SearchSpace):
+        self.space = space
+        self.genes = [space.genes(i) for i in range(len(space.flex))]
+        # row j of table i: the on-slots of appliance i's gene j
+        self.tables = [
+            np.array(genes, dtype=np.intp).reshape(len(genes), f.duration)
+            for genes, f in zip(self.genes, space.flex)
+        ]
+        self.count = math.prod(len(genes) for genes in self.genes)
+
+    def genotype(self, k: int) -> Antibody:
+        genes = []
+        for options in reversed(self.genes):
+            k, digit = divmod(k, len(options))
+            genes.append(options[digit])
+        return tuple(reversed(genes))
+
+    def slot_rows(self, start: int, stop: int) -> np.ndarray:
+        """The `slot_matrix` of genotypes start..stop-1."""
+        rest = np.arange(start, stop)
+        end = len(self.space.rate_weights)
+        rows = np.empty((stop - start, end), dtype=np.intp)
+        for table in reversed(self.tables):
+            rest, digit = np.divmod(rest, len(table))
+            rows[:, end - table.shape[1]:end] = table[digit]
+            end -= table.shape[1]
+        return rows
+
+    def chunks(self) -> Iterator[tuple[int, Scores]]:
+        """(first index, scores) of each run of `_CHUNK` genotypes, in
+        order, scored by the optimizer's own `evaluate_rows`, so the oracle
+        prices and checks a candidate exactly as the optimizer does."""
+        for start in range(0, self.count, _CHUNK):
+            stop = min(start + _CHUNK, self.count)
+            yield start, self.space.evaluate_rows(self.slot_rows(start, stop), 0.0)
 
 
 @dataclass
@@ -125,6 +172,32 @@ class _Best:
             self.key = key
 
 
+def _offer_chunk(
+    best: _Best, total: np.ndarray, shift: np.ndarray, index: np.ndarray,
+    genotype: Callable[[int], Antibody],
+) -> None:
+    """Offer `best` a chunk of feasible candidates in order, as offering
+    each in turn would: their totals, shift slots and enumeration indices,
+    which `genotype` decodes.
+
+    `offer` ignores a candidate whose total exceeds the best's by more
+    than TIE_TOL, so only the others are decoded and offered.  The test is
+    `offer`'s own subtraction, and whenever the best's total moves (down
+    on a lower total, or up on an accepted near-tie) the rows after the
+    move are tested again against the new total.
+    """
+    pos = 0
+    while pos < len(total):
+        threshold = best.key[0]
+        hits = pos + np.flatnonzero(total[pos:] - threshold <= TIE_TOL)
+        pos = len(total)
+        for j in hits.tolist():
+            best.offer((total[j].item(), shift[j].item(), genotype(index[j].item())))
+            if best.key[0] != threshold:
+                pos = j + 1
+                break
+
+
 def sweep_penalties(
     instance: SmallInstance, penalties: Sequence[float]
 ) -> dict[float, OracleResult]:
@@ -133,16 +206,21 @@ def sweep_penalties(
     The billed energy cost of a candidate does not depend on the penalty
     price, so one pass suffices.
     """
+    instance.check_guard()
     ctx = instance.context
-    space = SearchSpace(ctx)
+    space = instance.space
+    enumeration = _Enumeration(space)
     hours = ctx.grid.slot_hours
     bests = {pi: _Best() for pi in penalties}
     count = 0
-    for antibody, rec in _iter_candidates(instance, space):
-        count += 1
+    for start, scores in enumeration.chunks():
+        keep = np.flatnonzero(scores.feasible)
+        count += len(keep)
+        energy, weighted = scores.energy_usd[keep], scores.weighted_shift[keep]
+        shift, index = scores.shift_slots[keep], start + keep
         for pi, best in bests.items():
-            best.offer(
-                (rec.energy_usd + hours * pi * rec.weighted_shift, rec.shift_slots, antibody))
+            _offer_chunk(best, energy + hours * pi * weighted, shift, index,
+                         enumeration.genotype)
 
     results: dict[float, OracleResult] = {}
     for pi, best in bests.items():

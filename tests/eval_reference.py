@@ -3,16 +3,18 @@
 One genotype at a time, slot by slot through `ProblemContext.slot_flows`
 up to the first failed flow, bus by bus through the voltage band: the
 per-genotype loop the optimizer used before it scored whole generations
-as arrays.  The batched evaluator must reproduce every field of its
-`Evaluation` exactly.
+as arrays.  Row i of the batched evaluator's column record must reproduce
+every field of the reference's record exactly.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from dsmsched.constraints import KW_TOL
-from dsmsched.csa import FLOW_FAILURE_PENALTY, Antibody, Evaluation, SearchSpace
+from dsmsched.csa import FLOW_FAILURE_PENALTY, Antibody, Scores, SearchSpace
 from dsmsched.errors import PowerFlowError
 
 
@@ -23,8 +25,16 @@ def gross(space: SearchSpace, antibody: Antibody) -> np.ndarray:
     return space.baseline_gross + moved[1:]
 
 
-def evaluate(space: SearchSpace, antibody: Antibody, weight: float) -> Evaluation:
-    """Score of one genotype under the space's context and penalty weight."""
+def rows(scores: Scores) -> list[dict]:
+    """The column record as one {field: value} record per genotype."""
+    names = [f.name for f in fields(scores)]
+    columns = [getattr(scores, name).tolist() for name in names]
+    return [dict(zip(names, row)) for row in zip(*columns)]
+
+
+def evaluate(space: SearchSpace, antibody: Antibody, weight: float) -> dict:
+    """Score of one genotype under the space's context and penalty weight,
+    as a {field: value} record with the fields of `Scores`."""
     ctx = space.context
     gross_kw = gross(space, antibody)
 
@@ -65,7 +75,7 @@ def evaluate(space: SearchSpace, antibody: Antibody, weight: float) -> Evaluatio
     if flow_failed:
         score -= FLOW_FAILURE_PENALTY
 
-    return Evaluation(
+    return dict(
         energy_usd=energy,
         penalty_usd=penalty,
         total_usd=total,
@@ -75,4 +85,5 @@ def evaluate(space: SearchSpace, antibody: Antibody, weight: float) -> Evaluatio
         shift_slots=shift_slots,
         weighted_shift=weighted,
         score=score,
+        feasible=md_excess == 0.0 and volt_violation == 0.0 and not flow_failed,
     )

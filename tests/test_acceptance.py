@@ -432,35 +432,35 @@ def test_criterion_9_unit_formulas():
         )
 
     def scored(appliance, plan, prices, penalty_price=0.0):
-        """(total_cost breakdown, SearchSpace evaluation) of one appliance on `plan`."""
+        """(total_cost breakdown, SearchSpace scores) of one appliance on `plan`."""
         ctx = ProblemContext(grid=grid, appliances=(appliance,),
                              price=PriceSeries(values=tuple(prices)),
                              penalty_price=penalty_price)
         space = SearchSpace(ctx)
         genotype = (tuple(plan),)
-        return total_cost(space.decode(genotype), ctx), space.evaluate([genotype], 0.0)[0]
+        return total_cost(space.decode(genotype), ctx), space.evaluate([genotype], 0.0)
 
     # check -> (total_cost value, SearchSpace.evaluate value, hand-derived value)
     values = {}
 
     day = range(1, 49)
     ref, ev = scored(interruptible(1, 2.0, day), day, (0.08,) * 48)
-    values["flat day $3.84"] = (ref.energy_usd, ev.energy_usd, 3.84)
+    values["flat day $3.84"] = (ref.energy_usd, ev.energy_usd[0], 3.84)
 
     peak_prices = [0.0] * 48
     peak_prices[20] = 0.13
     ref, ev = scored(interruptible(1, 1.0, (21,)), (21,), peak_prices)
-    values["single slot $0.065"] = (ref.energy_usd, ev.energy_usd, 0.065)
+    values["single slot $0.065"] = (ref.energy_usd, ev.energy_usd[0], 0.065)
 
     block = interruptible(1, 1.26, (5, 6, 7, 8), window=(1, 20))
     block_ref, block_ev = scored(block, (7, 8, 9, 10), (0.08,) * 48, penalty_price=0.05)
-    values["uniform shift 8"] = (block_ref.shifts[1], block_ev.shift_slots, 8)
+    values["uniform shift 8"] = (block_ref.shifts[1], block_ev.shift_slots[0], 8)
 
     ragged = interruptible(2, 1.0, (10, 11, 12, 13), window=(1, 20))
     ref, ev = scored(ragged, (10, 12, 14, 16), (0.08,) * 48)
-    values["non-uniform shift 6"] = (ref.shifts[2], ev.shift_slots, 6)
+    values["non-uniform shift 6"] = (ref.shifts[2], ev.shift_slots[0], 6)
 
-    values["penalty $0.252"] = (block_ref.penalty_usd, block_ev.penalty_usd, 0.252)
+    values["penalty $0.252"] = (block_ref.penalty_usd, block_ev.penalty_usd[0], 0.252)
 
     failed = [
         f"{name} ({scorer} gave {got!r})"

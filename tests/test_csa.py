@@ -295,7 +295,7 @@ class TestCloneAndHypermutate:
 
 
 def score(antibody, ctx, constraint_penalty_weight=0.0):
-    return SearchSpace(ctx).evaluate([antibody], constraint_penalty_weight)[0].score
+    return SearchSpace(ctx).evaluate([antibody], constraint_penalty_weight).score[0]
 
 
 class TestAffinity:
@@ -341,12 +341,12 @@ def weak_feeder_context(r_pu: float) -> ProblemContext:
 def score_batches(space, batches, weight):
     """Every distinct genotype of `batches`, scored as `optimize` scores
     them: batch by batch, each batch's not yet scored genotypes in one
-    `evaluate` call."""
+    `evaluate` call, as {field: value} records."""
     scores = {}
     for batch in batches:
         misses = list(dict.fromkeys(ab for ab in batch if ab not in scores))
         if misses:
-            scores.update(zip(misses, space.evaluate(misses, weight)))
+            scores.update(zip(misses, eval_reference.rows(space.evaluate(misses, weight))))
     return scores
 
 
@@ -356,8 +356,8 @@ class TestBatchedEvaluation:
     @staticmethod
     def assert_matches_reference(make_context, batches, weight=5.0):
         """Evaluate `batches` (lists of antibodies) batch by batch on one
-        context and one by one on a fresh twin; every Evaluation field and
-        the flow-cache contents must agree."""
+        context and one by one on a fresh twin; every field of every row,
+        the feasible mask included, and the flow-cache contents must agree."""
         ctx, twin = make_context(), make_context()
         scores = score_batches(SearchSpace(ctx), batches, weight)
         twin_space = SearchSpace(twin)
@@ -396,8 +396,8 @@ class TestBatchedEvaluation:
     def test_canonical_genotypes(self, make_canonical):
         batches = self.generations(SearchSpace(make_canonical()), Draws(4))
         records = self.assert_matches_reference(make_canonical, batches)
-        assert any(r.md_excess > 0 for r in records)
-        assert any(r.feasible for r in records)
+        assert any(r["md_excess"] > 0 for r in records)
+        assert any(r["feasible"] for r in records)
 
     def test_flow_cache_is_independent_of_evaluation_order(self, make_canonical):
         batches = self.generations(SearchSpace(make_canonical()), Draws(4))
@@ -421,8 +421,8 @@ class TestBatchedEvaluation:
 
         batches = self.generations(SearchSpace(make()), Draws(6))
         records = self.assert_matches_reference(make, batches)
-        assert any(r.md_excess > 0 for r in records)
-        assert any(r.md_excess == 0 for r in records)
+        assert any(r["md_excess"] > 0 for r in records)
+        assert any(r["md_excess"] == 0 for r in records)
 
     def test_voltage_binding_instance(self):
         def make():
@@ -430,9 +430,9 @@ class TestBatchedEvaluation:
 
         batches = self.generations(SearchSpace(make()), Draws(8))
         records = self.assert_matches_reference(make, batches)
-        assert any(r.voltage_violation > 0 for r in records)
-        assert any(r.voltage_violation == 0 for r in records)
-        assert not any(r.flow_failed for r in records)
+        assert any(r["voltage_violation"] > 0 for r in records)
+        assert any(r["voltage_violation"] == 0 for r in records)
+        assert not any(r["flow_failed"] for r in records)
 
     def test_genotypes_whose_flow_fails(self):
         def make():
@@ -440,10 +440,10 @@ class TestBatchedEvaluation:
 
         batches = self.generations(SearchSpace(make()), Draws(10))
         records = self.assert_matches_reference(make, batches)
-        failed = [r for r in records if r.flow_failed]
+        failed = [r for r in records if r["flow_failed"]]
         assert failed and len(failed) < len(records)
         # a failed row keeps the violations of the slots before its failure
-        assert any(r.voltage_violation > 0 for r in failed)
+        assert any(r["voltage_violation"] > 0 for r in failed)
 
 
 class TestScorersAgreeOnTheFullDay:
@@ -461,17 +461,18 @@ class TestScorersAgreeOnTheFullDay:
         drawn = [space.original_antibody()] + [space.random_antibody(draws) for _ in range(99)]
         genotypes = drawn + clone_and_hypermutate(drawn[:40], draws, space)
         feasible = []
-        for antibody, ev in zip(genotypes, space.evaluate(genotypes, 1.0)):
+        scores = eval_reference.rows(space.evaluate(genotypes, 1.0))
+        for antibody, ev in zip(genotypes, scores):
             schedule = space.decode(antibody)
             cost = total_cost(schedule, ctx)
-            assert (ev.shift_slots, ev.weighted_shift) == (
+            assert (ev["shift_slots"], ev["weighted_shift"]) == (
                 cost.total_shift_slots, cost.weighted_shift)
             # the gross load sums the same ratings in another order (a matmul
             # in aggregate_power, a bincount in gross_rows): last bits differ
-            assert ev.energy_usd == pytest.approx(cost.energy_usd, rel=1e-12, abs=0)
-            assert ev.total_usd == pytest.approx(cost.total_usd, rel=1e-12, abs=0)
-            assert ev.feasible == is_feasible(schedule, ctx).feasible
-            feasible.append(ev.feasible)
+            assert ev["energy_usd"] == pytest.approx(cost.energy_usd, rel=1e-12, abs=0)
+            assert ev["total_usd"] == pytest.approx(cost.total_usd, rel=1e-12, abs=0)
+            assert ev["feasible"] == is_feasible(schedule, ctx).feasible
+            feasible.append(ev["feasible"])
         assert len(genotypes) == 270 and any(feasible) and not all(feasible)
 
 

@@ -1,12 +1,14 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+import oracle_reference
 from dsmsched import oracle
 from dsmsched.constraints import is_feasible
 from dsmsched.costing import ProblemContext, total_cost
-from dsmsched.csa import SearchSpace
+from dsmsched.csa import TIE_TOL, SearchSpace
 from dsmsched.errors import EnumerationGuardError
 from dsmsched.oracle import SmallInstance, exhaustive_optimize, sweep_penalties
 from dsmsched.domain import TimeGrid, schedule_from_on_slots
@@ -80,7 +82,7 @@ class TestLimits:
         with pytest.raises(ValueError, match="slots"):
             SmallInstance(context=ProblemContext(grid=grid, appliances=apps, price=price))
 
-    def test_guard_refuses_before_enumerating(self):
+    def test_guard_refuses_before_enumerating(self, monkeypatch):
         # four 8-of-16 interruptibles: C(16, 8)**4, about 2.7e16 candidates
         grid = TimeGrid(slot_count=16, slot_hours=0.5)
         apps = tuple(
@@ -89,6 +91,12 @@ class TestLimits:
         )
         inst = SmallInstance(context=ProblemContext(
             grid=grid, appliances=apps, price=PriceSeries(values=(0.1,) * 16)))
+
+        def unlisted(space, index):
+            raise AssertionError("a gene list was built before the guard")
+
+        # the guard counts placements arithmetically: no gene list is built
+        monkeypatch.setattr(SearchSpace, "genes", unlisted)
         with pytest.raises(EnumerationGuardError) as err:
             exhaustive_optimize(inst)
         assert err.value.count == math.comb(16, 8) ** 4
@@ -117,14 +125,19 @@ def test_enumeration_is_exactly_the_feasible_set():
     assert any(r.max_demand for r in reports)
     assert any(r.voltage and not r.max_demand for r in reports)
     feasible = [s for s, r in zip(candidates, reports) if r.feasible]
-    space = SearchSpace(ctx)
-    scored = [(space.decode(ab), rec) for ab, rec in oracle._iter_candidates(inst, space)]
-    assert [s for s, _ in scored] == feasible
+    enumeration = oracle._Enumeration(inst.space)
+    scored = [
+        (inst.space.decode(enumeration.genotype(start + j)),
+         scores.energy_usd[j], scores.weighted_shift[j])
+        for start, scores in enumeration.chunks()
+        for j in np.flatnonzero(scores.feasible).tolist()
+    ]
+    assert [s for s, _, _ in scored] == feasible
 
     hours = ctx.grid.slot_hours
     for pi, result in sweep_penalties(inst, PENALTY_GRID).items():
-        rec = next(rec for s, rec in scored if s == result.schedule)
-        selected = rec.energy_usd + hours * pi * rec.weighted_shift
+        energy, weighted = next((e, w) for s, e, w in scored if s == result.schedule)
+        selected = energy + hours * pi * weighted
         assert abs(selected - result.total_usd) <= 1e-9
         reference = [total_cost(s, ctx.with_penalty(pi)).total_usd for s in feasible]
         assert result.total_usd <= min(reference) + 1e-9
@@ -216,3 +229,141 @@ class TestSweep:
         assert all(a >= b - 1e-12 for a, b in zip(shifts, shifts[1:]))
         # at zero penalty the optimizer moves load; at 20c it barely does
         assert shifts[0] > shifts[-1]
+
+
+def test_placements_are_counted_as_listed():
+    for name, ctx in build_suite():
+        inst = SmallInstance(context=ctx)
+        listed = [len(inst.space.genes(i)) for i in range(len(inst.space.flex))]
+        assert inst.placement_counts() == listed, name
+
+
+@pytest.mark.parametrize("name, ctx", build_suite(), ids=[n for n, _ in build_suite()])
+def test_sweep_matches_the_sequential_reference(name, ctx):
+    inst = SmallInstance(context=ctx)
+    swept = sweep_penalties(inst, PENALTY_GRID)
+    reference = oracle_reference.sweep_penalties(inst, PENALTY_GRID)
+    for pi in PENALTY_GRID:
+        got, want = swept[pi], reference[pi]
+        assert got.total_usd == want.total_usd, pi
+        assert got.schedule == want.schedule, pi
+        assert got.ties == want.ties, pi
+        assert got.feasible_count == want.feasible_count, pi
+
+
+def enumeration_cases():
+    feeder = dict(build_suite())["feeder_pi0"]
+    radix_one = ProblemContext(grid=GRID12, price=STEEP, appliances=(
+        _baseline(),
+        _uninterruptible(2, (1, 8), 3, 1.0, original_start=2),
+        _interruptible(3, (3, 4), 2, 0.5, original=(3, 4)),  # window == duration
+        _interruptible(4, (1, 5), 2, 1.5, original=(1, 2)),
+    ))
+    lone = single(_interruptible(1, (2, 7), 3, 1.0, original=(2, 3, 4))).context
+    baseline_only = ProblemContext(grid=GRID12, price=STEEP, appliances=(_baseline(),))
+    return [("feeder", feeder), ("radix_one", radix_one), ("one_appliance", lone),
+            ("baseline_only", baseline_only)]
+
+
+@pytest.mark.parametrize("name, ctx", enumeration_cases(),
+                         ids=[n for n, _ in enumeration_cases()])
+def test_index_k_decodes_to_the_kth_product_genotype(name, ctx):
+    space = SearchSpace(ctx)
+    enumeration = oracle._Enumeration(space)
+    product = list(itertools.product(*(space.genes(i) for i in range(len(space.flex)))))
+    assert enumeration.count == len(product)
+    assert [enumeration.genotype(k) for k in range(len(product))] == product
+    rows = enumeration.slot_rows(0, len(product))
+    assert rows.dtype == np.intp
+    assert np.array_equal(rows, space.slot_matrix(product))
+    # a range starting mid-way, as a chunk after the first does
+    start = len(product) // 3
+    assert np.array_equal(enumeration.slot_rows(start, len(product)),
+                          space.slot_matrix(product[start:]))
+
+
+class TestOfferChunk:
+    """`_offer_chunk` skips candidates, and must leave the running optimum
+    exactly as offering every candidate to `_Best.offer` in turn does."""
+
+    @staticmethod
+    def genotype(k):
+        return ((k,),)  # index order is genotype order, as in the oracle
+
+    def sequential(self, chunks):
+        best = oracle._Best()
+        k = 0
+        for total, shift in chunks:
+            for t, s in zip(total, shift):
+                best.offer((t, s, self.genotype(k)))
+                k += 1
+        return best
+
+    def reduced(self, chunks):
+        best = oracle._Best()
+        decoded = []
+
+        def genotype(k):
+            decoded.append(k)
+            return self.genotype(k)
+
+        k = 0
+        for total, shift in chunks:
+            oracle._offer_chunk(best, np.array(total, dtype=float),
+                                np.array(shift, dtype=np.intp),
+                                np.arange(k, k + len(total)), genotype)
+            k += len(total)
+        return best, decoded
+
+    def assert_same(self, chunks):
+        want = self.sequential(chunks)
+        got, decoded = self.reduced(chunks)
+        assert got.key == want.key
+        assert got.ties == want.ties
+        return got, decoded
+
+    def test_first_offer_beats_the_initial_infinite_best(self):
+        best, decoded = self.assert_same([([0.5, 0.3, 0.7, 0.3], [2, 1, 0, 0])])
+        assert best.key == (0.3, 0, ((3,),))
+        assert decoded == [0, 1, 3]  # 0.7 is skipped, never decoded
+
+    def test_a_total_exactly_tie_tol_above_is_a_tie(self):
+        above = np.nextafter(TIE_TOL, 1.0)
+        assert TIE_TOL - 0.0 == TIE_TOL and above - 0.0 > TIE_TOL
+        best, decoded = self.assert_same([([0.0, TIE_TOL, above], [0, 1, 2])])
+        assert best.ties == [((0,),), ((1,),)]
+        assert decoded == [0, 1]
+
+    def drifting(self):
+        """Near-ties with falling shift slots, each accepted: the best
+        climbs to 3.0 TIE_TOL above the first.  A candidate at 1.9 TIE_TOL
+        is skipped before the climb; the one after it is more than TIE_TOL
+        below the climbed best, so it becomes the optimum."""
+        t = TIE_TOL
+        total = [0.0, 1.9 * t, 0.6 * t, 1.2 * t, 1.8 * t, 2.4 * t, 3.0 * t, 1.9 * t, 5.0 * t]
+        shift = [5, 0, 4, 3, 2, 1, 0, 6, 0]
+        return total, shift
+
+    def test_near_ties_carry_the_best_past_the_first_plus_tie_tol(self):
+        total, shift = self.drifting()
+        best, decoded = self.assert_same([(total, shift)])
+        assert best.key[0] > total[0] + TIE_TOL
+        assert best.key == (total[7], 6, ((7,),)) and best.ties == [((7,),)]
+        assert 1 not in decoded and 8 not in decoded
+        assert {6, 7} <= set(decoded)
+
+    @pytest.mark.parametrize("cut", range(1, 9))
+    def test_drift_across_a_chunk_boundary(self, cut):
+        total, shift = self.drifting()
+        best, _ = self.assert_same([(total[:cut], shift[:cut]), (total[cut:], shift[cut:])])
+        assert best.key[0] > total[0] + TIE_TOL
+
+    def test_random_chunks_of_near_ties(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            chunks = [
+                ((rng.integers(0, 8, size) * 0.45 * TIE_TOL).tolist(),
+                 rng.integers(0, 4, size).tolist())
+                for size in rng.integers(0, 12, rng.integers(1, 4))
+            ]
+            self.assert_same(chunks)
