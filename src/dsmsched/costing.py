@@ -7,9 +7,11 @@ inconvenience charge on rating-weighted slot shifts (`shift_distance`).
 `ProblemContext` bundles everything a cost or feasibility computation
 needs (grid, appliances, tariff, PV, neighbors, feeder, limits) and owns a
 shared power-flow cache so that repeated evaluations of similar schedules reuse
-slot solves.  Every solve goes through `ProblemContext._solve_cases`: one
-call of the batched sweep for all of a reader's misses and the
-home-disconnected baselines of their slots.
+slot solves.  The cache is arrays: sorted int64 (slot, W) codes indexing
+append-only rows of billed loss and per-bus |V|, so a reader looks up all of
+its keys with one `np.searchsorted`.  Every solve goes through
+`ProblemContext._solve_cases`: one call of the batched sweep for all of a
+reader's misses and the home-disconnected baselines of their slots.
 """
 
 from __future__ import annotations
@@ -65,18 +67,59 @@ _SWEEP_CHUNK = 256
 class _FlowCache:
     """Per-slot power-flow results shared by every evaluation on a context.
 
-    Key: (slot index, gross household load in whole watts).  Value:
-    (billed incremental loss kW, per-bus voltage magnitudes), solved at the
-    key's own load, watts / 1000 kW, so each entry is a fixed function of
-    its key whatever order the evaluations reached it in.  Failed solves
-    are not cached.
+    One entry per converged (slot index, gross household load in whole
+    watts) key, coded `W x slot count + slot`: the billed incremental loss
+    kW and the per-bus voltage magnitudes, solved at the key's own load,
+    watts / 1000 kW, so each entry is a fixed function of its key whatever
+    order the evaluations reached it in.  Failed solves are not cached.
+
+    The entries are arrays, not Python objects.  `codes` holds the cached
+    codes in ascending order and `rows` the row of each in `loss` and
+    `mags` (entries x buses); those two are only appended to, never
+    reordered, and grow geometrically from the size of the first solve, so
+    their first `size` rows are the entries.  `baseline` maps a slot index
+    to its home-disconnected feeder loss.
     """
 
-    __slots__ = ("flow", "baseline")
+    __slots__ = ("codes", "rows", "loss", "mags", "size", "baseline")
 
     def __init__(self) -> None:
-        self.flow: dict[tuple[int, int], tuple[float, tuple[float, ...]]] = {}
+        self.codes = np.empty(0, dtype=np.int64)
+        self.rows = np.empty(0, dtype=np.intp)
+        self.loss = np.empty(0)
+        self.mags = np.empty((0, 0))
+        self.size = 0
         self.baseline: dict[int, float] = {}
+
+    def find(self, codes: np.ndarray) -> np.ndarray:
+        """Row of each code's entry, -1 where the code is not cached."""
+        if not self.size:
+            return np.full(len(codes), -1, dtype=np.intp)
+        at = np.minimum(np.searchsorted(self.codes, codes), self.size - 1)
+        return np.where(self.codes[at] == codes, self.rows[at], -1)
+
+    def add(self, codes: np.ndarray, loss: np.ndarray, mags: np.ndarray) -> None:
+        """Append the entries of distinct codes not yet cached."""
+        start, end = self.size, self.size + len(codes)
+        if end > len(self.loss):
+            grown = max(end, 2 * len(self.loss))
+            old_loss, old_mags = self.loss, self.mags
+            self.loss, self.mags = np.empty(grown), np.empty((grown, mags.shape[1]))
+            if start:
+                self.loss[:start], self.mags[:start] = old_loss[:start], old_mags[:start]
+        self.loss[start:end] = loss
+        self.mags[start:end] = mags
+        # merge the new codes into the index, as np.insert would without its
+        # per-call overhead; the entries stay where they are
+        order = np.argsort(codes)
+        new = codes[order]
+        at = np.searchsorted(self.codes, new) + np.arange(len(new))
+        kept = np.ones(end, dtype=bool)
+        kept[at] = False
+        merged, rows = np.empty(end, dtype=np.int64), np.empty(end, dtype=np.intp)
+        merged[at], merged[kept] = new, self.codes
+        rows[at], rows[kept] = start + order, self.rows
+        self.codes, self.rows, self.size = merged, rows, end
 
 
 @dataclass(frozen=True)
@@ -176,7 +219,7 @@ class ProblemContext:
         if self.feeder is None:
             return 0.0
         if idx not in self._cache.baseline:
-            failed = self._solve_cases([], (idx,))
+            failed = self._solve_cases(np.empty(0, dtype=np.int64), (idx,))
             if idx in failed:
                 raise failed[idx]
         return self._cache.baseline[idx]
@@ -191,32 +234,46 @@ class ProblemContext:
         """
         if self.feeder is None:
             return (0.0, None)
-        key = (idx, round(gross_kw * 1000.0))
-        (entry,), failed = self._flows([key])
-        if entry is None:
-            raise failed[key]
-        return entry
+        watts = round(gross_kw * 1000.0)
+        (row,), failed = self._flows(np.array([watts * self.grid.slot_count + idx]))
+        if row < 0:
+            raise failed[(idx, watts)]
+        cache = self._cache
+        return float(cache.loss[row]), tuple(cache.mags[row].tolist())
 
     def slot_flows(self, gross: Sequence[float]) -> list[tuple | PowerFlowError]:
         """`slot_flow` of every slot of a gross kW series, each the result
         or the PowerFlowError it raises; the misses are solved together."""
         if self.feeder is None:
             return [(0.0, None)] * len(gross)
-        keys = [(i, round(float(kw) * 1000.0)) for i, kw in enumerate(gross)]
-        entries, failed = self._flows(keys)
-        return [failed[k] if e is None else e for k, e in zip(keys, entries)]
+        codes = self._codes(np.asarray(gross, dtype=float))
+        rows, failed = self._flows(codes)
+        cache = self._cache
+        hits = rows[rows >= 0]
+        found = zip(cache.loss[hits].tolist(), map(tuple, cache.mags[hits].tolist()))
+        count = self.grid.slot_count
+        return [
+            next(found) if row >= 0 else failed[(idx, int(codes[idx]) // count)]
+            for idx, row in enumerate(rows.tolist())
+        ]
 
-    def _flows(self, keys: list[tuple[int, int]]) -> tuple[list, dict]:
-        """Cache entries of (slot index, gross W) keys, None where the flow
-        fails, and the PowerFlowError of each such key; the misses are
-        solved in one `_solve_cases` call."""
-        flow = self._cache.flow
-        entries = [flow.get(k) for k in keys]
-        missing = [i for i, e in enumerate(entries) if e is None]
-        failed = self._solve_cases([keys[i] for i in missing])
-        for i in missing:
-            entries[i] = flow.get(keys[i])
-        return entries, failed
+    def _codes(self, gross: np.ndarray) -> np.ndarray:
+        """Cache code, W x slot count + slot, of each cell of a gross kW
+        series or (rows x slots) matrix, at the load rounded to whole watts."""
+        count = self.grid.slot_count
+        return np.rint(gross * 1000.0).astype(np.int64) * count + np.arange(count)
+
+    def _flows(self, codes: np.ndarray) -> tuple[np.ndarray, dict]:
+        """Cache row of each of distinct codes, -1 where its flow fails, and
+        the PowerFlowError of each failed key; the misses are solved in one
+        `_solve_cases` call."""
+        rows = self._cache.find(codes)
+        missing = rows < 0
+        if not missing.any():
+            return rows, {}
+        failed = self._solve_cases(codes[missing])
+        rows[missing] = self._cache.find(codes[missing])
+        return rows, failed
 
     def batch_flows(self, gross: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`slot_flow` over every cell of a (rows x slots) gross kW matrix.
@@ -235,20 +292,19 @@ class ProblemContext:
         if self.feeder is None:
             return loss, violation, np.zeros(rows, dtype=bool)
         vmin, vmax = self.voltage_min, self.voltage_max
-        # one code per (slot, gross W) cache key
-        codes = np.rint(gross * 1000.0).astype(np.int64) * slots + np.arange(slots)
-        codes, inverse = np.unique(codes.ravel(), return_inverse=True)
-        keys = list(zip((codes % slots).tolist(), (codes // slots).tolist()))
-        entries, _ = self._flows(keys)
+        codes, inverse = np.unique(self._codes(gross).ravel(), return_inverse=True)
+        found, _ = self._flows(codes)
 
         cells = inverse.reshape(rows, slots)
         # a row reaches the slots before its first failed flow
-        ok = np.array([e is not None for e in entries])
+        ok = found >= 0
         reached = np.logical_and.accumulate(ok[cells], axis=1)
-        billed = np.array([0.0 if e is None else e[0] for e in entries])
+        cache = self._cache
+        billed = np.zeros(len(codes))
+        billed[ok] = cache.loss[found[ok]]
         loss[reached] = billed[cells][reached]
-        in_band = (vmin,) * self.feeder.bus_count
-        mags = np.array([in_band if e is None else e[1] for e in entries])
+        mags = np.full((len(codes), self.feeder.bus_count), vmin)  # a failed key is in band
+        mags[ok] = cache.mags[found[ok]]
         out_of_band = ((mags < vmin) | (mags > vmax)).any(axis=1)[cells] & reached
         bad = np.flatnonzero(out_of_band.any(axis=1))
         if bad.size:
@@ -263,40 +319,51 @@ class ProblemContext:
         return loss, violation, ~reached[:, -1]
 
     def _solve_cases(
-        self, keys: list[tuple[int, int]], slots: Sequence[int] = ()
+        self, codes: np.ndarray, slots: Sequence[int] = ()
     ) -> dict[tuple[int, int] | int, PowerFlowError]:
-        """Solve (slot index, gross W) keys, and the uncached home-disconnected
-        baselines of their slots and of `slots`, by `solve_power_flow_batch`.
+        """Solve distinct uncached (slot, W) codes, and the uncached
+        home-disconnected baselines of their slots and of `slots`, by
+        `solve_power_flow_batch`.
 
         Caches every flow entry and baseline that converges.  Returns the
-        PowerFlowError of each failure: by key for a flow, its own or else
-        its slot's baseline failure, in that order, as `slot_flow` raises
-        them; by slot index for a baseline.
+        PowerFlowError of each failure: by (slot index, W) key for a flow,
+        its own or else its slot's baseline failure, in that order, as
+        `slot_flow` raises them; by slot index for a baseline.
         """
-        flow, baseline = self._cache.flow, self._cache.baseline
-        todo = sorted({*slots, *(s for s, _ in keys)} - baseline.keys())
-        # baselines first, so each is known before the flows of its slot
-        cases = [(s, None) for s in todo] + keys
+        cache = self._cache
+        count = self.grid.slot_count
+        todo = sorted({*slots, *(codes % count).tolist()} - cache.baseline.keys())
+        # baselines first, so each is known before the flows of its slot; a
+        # baseline's case has code W x count + slot with W = 0
+        case_codes = np.concatenate([np.array(todo, dtype=np.int64), codes])
         failed: dict = {}
         # chunks bound the sweep's working arrays (about 2 kB per case)
-        for lo in range(0, len(cases), _SWEEP_CHUNK):
-            chunk = cases[lo:lo + _SWEEP_CHUNK]
-            idx = np.array([s for s, _ in chunk], dtype=np.intp)
-            watts = np.array([w or 0 for _, w in chunk])
+        for lo in range(0, len(case_codes), _SWEEP_CHUNK):
+            chunk = case_codes[lo:lo + _SWEEP_CHUNK]
+            idx, watts = chunk % count, chunk // count
             p, q, pv = self._injection_arrays(idx, watts / 1000.0)
-            pv[[w is None for _, w in chunk]] = 0.0  # a baseline drops the home's PV too
+            homes = max(0, len(todo) - lo)  # the chunk's leading baselines
+            pv[:homes] = 0.0  # a baseline drops the home's PV too
             sweep = solve_power_flow_batch(self.feeder, p, q, pv)
             fails, losses = sweep.failed.tolist(), sweep.loss_kw.tolist()
-            mags = sweep.v_mag.tolist()
-            for k, (slot, w) in enumerate(chunk):
+            for k, slot in enumerate(idx[:homes].tolist()):
                 if fails[k]:
-                    failed[slot if w is None else (slot, w)] = sweep.error(k, slot + 1)
-                elif w is None:
-                    baseline[slot] = losses[k]
-                elif slot in failed:
-                    failed[(slot, w)] = failed[slot]
+                    failed[slot] = sweep.error(k, slot + 1)
                 else:
-                    flow[(slot, w)] = (max(0.0, losses[k] - baseline[slot]), tuple(mags[k]))
+                    cache.baseline[slot] = losses[k]
+            # NaN where the flow or its slot's baseline failed
+            base = np.array([cache.baseline.get(s, math.nan) for s in range(count)])
+            diff = sweep.loss_kw[homes:] - base[idx[homes:]]
+            bad = np.isnan(diff)
+            for case in (homes + np.flatnonzero(bad)).tolist():
+                slot, w = int(idx[case]), int(watts[case])
+                failed[(slot, w)] = sweep.error(case, slot + 1) if fails[case] else failed[slot]
+            ok = ~bad
+            if ok.any():
+                # Python's max(0.0, d): a -0.0 difference bills 0.0, where
+                # np.maximum would keep -0.0
+                cache.add(chunk[homes:][ok], np.where(diff[ok] > 0.0, diff[ok], 0.0),
+                          sweep.v_mag[homes:][ok])
         return failed
 
 

@@ -87,3 +87,28 @@ def evaluate(space: SearchSpace, antibody: Antibody, weight: float) -> dict:
         score=score,
         feasible=md_excess == 0.0 and volt_violation == 0.0 and not flow_failed,
     )
+
+
+def flow_entries(ctx) -> dict[tuple[int, int], tuple[float, tuple[float, ...]]]:
+    """The context's flow cache as a {(slot, W): (billed loss kW, per-bus
+    |V| pu)} mapping, read from its arrays."""
+    cache = ctx._cache
+    count = ctx.grid.slot_count
+    rows = cache.rows
+    return {
+        (code % count, code // count): (loss, tuple(mags))
+        for code, loss, mags in zip(
+            cache.codes.tolist(), cache.loss[rows].tolist(), cache.mags[rows].tolist())
+    }
+
+
+def bits(value):
+    """`value` with every float replaced by its exact hex form, so that ==
+    compares bit for bit: -0.0 differs from 0.0, and NaN equals NaN."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: bits(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return tuple(bits(v) for v in value)
+    return value

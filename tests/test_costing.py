@@ -4,6 +4,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from eval_reference import bits, flow_entries
+
+from dsmsched import costing
 from dsmsched.costing import CostBreakdown, ProblemContext, shift_distance, total_cost
 from dsmsched.domain import Appliance, ApplianceClass, TimeGrid, schedule_from_on_slots
 from dsmsched.feeder import FeederLine, FeederModel
@@ -266,15 +269,21 @@ class TestProblemContext:
         with pytest.raises(TypeError, match="_cache"):
             make_context(_cache=ctx._cache)
 
-    def test_slot_flow_caches_by_quantized_load(self):
+    def test_slot_flow_caches_by_quantized_load(self, monkeypatch):
         ctx = make_context(feeder=tiny_feeder(),
                            neighbors=NeighborLoads(per_house=((1.0,) * 4,)))
+        sweeps, solve = [], costing.solve_power_flow_batch
+        monkeypatch.setattr(costing, "solve_power_flow_batch",
+                            lambda *args: sweeps.append(args) or solve(*args))
         first = ctx.slot_flow(0, 2.5)
-        again = ctx.slot_flow(0, 2.5)
-        assert first is again
-        assert len(ctx._cache.flow) == 1
+        assert len(sweeps) == 1
+        again = ctx.slot_flow(0, 2.5004)  # the same watt bucket: no solve
+        assert len(sweeps) == 1
+        assert bits(again) == bits(first)
+        assert list(flow_entries(ctx)) == [(0, 2500)]
         ctx.slot_flow(0, 2.5006)  # rounds to a different watt bucket
-        assert len(ctx._cache.flow) == 2
+        assert len(sweeps) == 2
+        assert list(flow_entries(ctx)) == [(0, 2500), (0, 2501)]
 
     def test_billed_losses_zero_without_feeder(self):
         assert day_cost([5.0] * 4, (0.1,) * 4).billed_loss_kw == (0.0,) * 4

@@ -1,13 +1,18 @@
+import gc
 import math
 import random
+import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
 
 import eval_reference
 from conftest import FIXTURES
+from eval_reference import bits, flow_entries
 from dsmsched.cli import load_scenario_config
 from dsmsched.constraints import is_feasible
+from dsmsched import costing
 from dsmsched.costing import ProblemContext, total_cost
 from dsmsched.csa import (
     CsaConfig,
@@ -24,6 +29,7 @@ from dsmsched.domain import (
     effective_window,
     schedule_from_on_slots,
 )
+from dsmsched.errors import PowerFlowError
 from dsmsched.oracle import SmallInstance, sweep_penalties
 from dsmsched.feeder import FeederLine, FeederModel
 from dsmsched.profiles import PriceSeries
@@ -350,6 +356,29 @@ def score_batches(space, batches, weight):
     return scores
 
 
+@pytest.fixture
+def make_canonical(grid48, canonical_appliances, canonical_price, canonical_pv,
+                   canonical_neighbors, canonical_feeder):
+    def make():
+        return ProblemContext(
+            grid=grid48, appliances=canonical_appliances, price=canonical_price,
+            pv=canonical_pv, neighbors=canonical_neighbors, feeder=canonical_feeder,
+            md_kw=12.4, penalty_price=0.05,
+        )
+    return make
+
+
+def generations(space, draws, size=40, count=3):
+    """An initial population and `count` generations of its clones, each
+    cloned from the first `size` genotypes of the one before."""
+    population = [space.original_antibody()] + [
+        space.random_antibody(draws) for _ in range(size - 1)]
+    batches = [population]
+    for _ in range(count):
+        batches.append(clone_and_hypermutate(batches[-1][:size], draws, space))
+    return batches
+
+
 class TestBatchedEvaluation:
     """`SearchSpace.evaluate` against the scalar evaluator in eval_reference."""
 
@@ -357,7 +386,8 @@ class TestBatchedEvaluation:
     def assert_matches_reference(make_context, batches, weight=5.0):
         """Evaluate `batches` (lists of antibodies) batch by batch on one
         context and one by one on a fresh twin; every field of every row,
-        the feasible mask included, and the flow-cache contents must agree."""
+        the feasible mask included, and the flow-cache contents, bit for
+        bit, must agree."""
         ctx, twin = make_context(), make_context()
         scores = score_batches(SearchSpace(ctx), batches, weight)
         twin_space = SearchSpace(twin)
@@ -369,48 +399,31 @@ class TestBatchedEvaluation:
         assert len(scores) == len(expected)
         for ab, rec in expected.items():
             assert scores[ab] == rec, ab
-        assert ctx._cache.flow == twin._cache.flow
-        assert ctx._cache.baseline == twin._cache.baseline
+        assert bits(flow_entries(ctx)) == bits(flow_entries(twin))
+        assert bits(ctx._cache.baseline) == bits(twin._cache.baseline)
         return list(expected.values())
 
-    @staticmethod
-    def generations(space, draws, size=40, count=3):
-        population = [space.original_antibody()] + [
-            space.random_antibody(draws) for _ in range(size - 1)]
-        batches = [population]
-        for _ in range(count):
-            batches.append(clone_and_hypermutate(batches[-1][:size], draws, space))
-        return batches
-
-    @pytest.fixture
-    def make_canonical(self, grid48, canonical_appliances, canonical_price, canonical_pv,
-                       canonical_neighbors, canonical_feeder):
-        def make():
-            return ProblemContext(
-                grid=grid48, appliances=canonical_appliances, price=canonical_price,
-                pv=canonical_pv, neighbors=canonical_neighbors, feeder=canonical_feeder,
-                md_kw=12.4, penalty_price=0.05,
-            )
-        return make
-
     def test_canonical_genotypes(self, make_canonical):
-        batches = self.generations(SearchSpace(make_canonical()), Draws(4))
+        batches = generations(SearchSpace(make_canonical()), Draws(4))
         records = self.assert_matches_reference(make_canonical, batches)
         assert any(r["md_excess"] > 0 for r in records)
         assert any(r["feasible"] for r in records)
 
     def test_flow_cache_is_independent_of_evaluation_order(self, make_canonical):
-        batches = self.generations(SearchSpace(make_canonical()), Draws(4))
+        batches = generations(SearchSpace(make_canonical()), Draws(4))
         forward, backward = make_canonical(), make_canonical()
         ahead = score_batches(SearchSpace(forward), batches, 5.0)
         behind = score_batches(SearchSpace(backward), batches[::-1], 5.0)
-        assert forward._cache.flow == backward._cache.flow
+        entries = flow_entries(forward)
+        assert bits(entries) == bits(flow_entries(backward))
         assert ahead == behind
         # each entry is the flow at its key's own load: solving every key
         # afresh, in one batch, gives the same entries
-        keys = list(forward._cache.flow)
-        entries, _ = make_canonical()._flows(keys)
-        assert entries == [forward._cache.flow[k] for k in keys]
+        fresh = make_canonical()
+        codes = np.array([w * 48 + slot for slot, w in entries])
+        rows, failed = fresh._flows(codes)
+        assert not failed and (rows >= 0).all()
+        assert bits(flow_entries(fresh)) == bits(entries)
 
     def test_cap_binding_instance(self):
         def make():
@@ -419,7 +432,7 @@ class TestBatchedEvaluation:
                 penalty_price=0.05,
             )
 
-        batches = self.generations(SearchSpace(make()), Draws(6))
+        batches = generations(SearchSpace(make()), Draws(6))
         records = self.assert_matches_reference(make, batches)
         assert any(r["md_excess"] > 0 for r in records)
         assert any(r["md_excess"] == 0 for r in records)
@@ -428,7 +441,7 @@ class TestBatchedEvaluation:
         def make():
             return weak_feeder_context(0.15)
 
-        batches = self.generations(SearchSpace(make()), Draws(8))
+        batches = generations(SearchSpace(make()), Draws(8))
         records = self.assert_matches_reference(make, batches)
         assert any(r["voltage_violation"] > 0 for r in records)
         assert any(r["voltage_violation"] == 0 for r in records)
@@ -438,12 +451,173 @@ class TestBatchedEvaluation:
         def make():
             return weak_feeder_context(1.0)
 
-        batches = self.generations(SearchSpace(make()), Draws(10))
+        batches = generations(SearchSpace(make()), Draws(10))
         records = self.assert_matches_reference(make, batches)
         failed = [r for r in records if r["flow_failed"]]
         assert failed and len(failed) < len(records)
         # a failed row keeps the violations of the slots before its failure
         assert any(r["voltage_violation"] > 0 for r in failed)
+
+
+def batch_keys(space, batches):
+    """Every (slot, W) key the genotypes of `batches` load."""
+    keys = set()
+    for batch in batches:
+        gross = space.gross_rows(space.slot_matrix(batch))
+        watts = np.rint(gross * 1000.0).astype(np.int64).tolist()
+        keys.update((slot, w) for row in watts for slot, w in enumerate(row))
+    return keys
+
+
+def assert_cache_is_indexed(ctx):
+    """The cache's codes ascend strictly and index every entry row once."""
+    cache = ctx._cache
+    assert len(cache.codes) == len(cache.rows) == cache.size
+    assert (np.diff(cache.codes) > 0).all()
+    assert sorted(cache.rows.tolist()) == list(range(cache.size))
+
+
+class TestFlowCacheArrays:
+    """The array flow cache against fresh one-key solves of its keys."""
+
+    @pytest.fixture
+    def instances(self, make_canonical):
+        """name: (context factory, draws seed, population size); the
+        canonical day's population is small because every key it loads is
+        solved alone, one sweep call each."""
+        def cap_binding():
+            return ProblemContext(grid=GRID12, appliances=_family_md(), price=STEEP,
+                                  md_kw=3.0, penalty_price=0.05)
+
+        return {
+            "canonical": (make_canonical, 4, 6),
+            "cap_binding": (cap_binding, 6, 40),
+            "voltage_binding": (lambda: weak_feeder_context(0.15), 8, 40),
+            "failing_flows": (lambda: weak_feeder_context(1.0), 10, 40),
+        }
+
+    @staticmethod
+    def scored(make, seed, size, order=lambda batches: batches):
+        ctx = make()
+        space = SearchSpace(ctx)
+        batches = generations(space, Draws(seed), size=size)
+        score_batches(space, order(batches), 5.0)
+        return ctx, space, batches
+
+    @pytest.mark.parametrize("name", ["canonical", "cap_binding", "voltage_binding",
+                                      "failing_flows"])
+    def test_every_entry_is_its_key_solved_alone(self, instances, name):
+        make, seed, size = instances[name]
+        ctx, space, batches = self.scored(make, seed, size)
+        entries = flow_entries(ctx)
+        if ctx.feeder is None:
+            assert not entries and ctx._cache.size == 0
+            return
+        assert_cache_is_indexed(ctx)
+        fresh = make()
+        alone = {(slot, w): fresh.slot_flow(slot, w / 1000.0) for slot, w in entries}
+        assert bits(alone) == bits(entries)
+        # a key is cached exactly when its flow converges
+        failed = batch_keys(space, batches) - entries.keys()
+        assert bool(failed) == (name == "failing_flows")
+        for slot, w in sorted(failed):
+            with pytest.raises(PowerFlowError) as cached:
+                ctx.slot_flow(slot, w / 1000.0)
+            with pytest.raises(PowerFlowError) as solved_alone:
+                make().slot_flow(slot, w / 1000.0)
+            assert str(cached.value) == str(solved_alone.value)
+        assert not failed & flow_entries(ctx).keys()
+
+    @pytest.mark.parametrize("name", ["canonical", "voltage_binding", "failing_flows"])
+    def test_contents_do_not_depend_on_batch_order(self, instances, name):
+        make, seed, size = instances[name]
+
+        def shuffled(batches):
+            mixer = random.Random(seed)
+            return [mixer.sample(batch, len(batch)) for batch in batches[::-1]]
+
+        ahead, _, _ = self.scored(make, seed, size)
+        behind, _, _ = self.scored(make, seed, size, shuffled)
+        assert bits(flow_entries(ahead)) == bits(flow_entries(behind))
+        assert bits(ahead._cache.baseline) == bits(behind._cache.baseline)
+        assert_cache_is_indexed(behind)
+
+    def test_with_penalty_contexts_share_one_cache(self, make_canonical, monkeypatch):
+        ctx = make_canonical()
+        twin = ctx.with_penalty(0.10)
+        batches = generations(SearchSpace(ctx), Draws(4), size=10)
+        score_batches(SearchSpace(ctx), batches[:2], 5.0)
+        score_batches(SearchSpace(twin), batches[2:], 5.0)
+        assert twin._cache is ctx._cache
+        alone, _, _ = self.scored(make_canonical, 4, 10)
+        assert bits(flow_entries(twin)) == bits(flow_entries(alone))
+        # every key is now cached: scoring it all again on either context
+        # solves nothing
+        sweeps, solve = [], costing.solve_power_flow_batch
+        monkeypatch.setattr(costing, "solve_power_flow_batch",
+                            lambda *args: sweeps.append(args) or solve(*args))
+        score_batches(SearchSpace(twin), batches, 5.0)
+        score_batches(SearchSpace(ctx), batches, 5.0)
+        assert sweeps == []
+
+    def test_merges_keep_the_index_sorted(self):
+        # one genotype per merge: each merge's codes fall between cached ones
+        ctx = weak_feeder_context(0.15)
+        space = SearchSpace(ctx)
+        interleaved = 0
+        for ab in chain.from_iterable(generations(space, Draws(8), size=10)):
+            before = ctx._cache.codes
+            space.evaluate([ab], 5.0)
+            assert_cache_is_indexed(ctx)
+            new = np.setdiff1d(ctx._cache.codes, before)
+            if before.size:
+                interleaved += bool(((new > before[0]) & (new < before[-1])).any())
+        assert interleaved > 10
+
+    def test_cache_against_a_dict(self):
+        # random codes merged in random-sized batches, across several
+        # capacity doublings, read back through `find` against a plain dict
+        cache = costing._FlowCache()
+        rng = np.random.default_rng(5)
+        reference = {}
+        for _ in range(40):
+            codes = rng.choice(np.arange(-500, 5000), size=rng.integers(1, 60), replace=False)
+            codes = np.array([c for c in codes.tolist() if c not in reference], dtype=np.int64)
+            loss = rng.random(len(codes))
+            mags = rng.random((len(codes), 3))
+            cache.add(codes, loss, mags)
+            reference.update(zip(codes.tolist(), zip(loss.tolist(), mags.tolist())))
+            assert (np.diff(cache.codes) > 0).all()
+            assert sorted(cache.rows.tolist()) == list(range(cache.size))
+            probe = np.arange(-600, 5100)
+            rows = cache.find(probe)
+            assert (rows >= 0).tolist() == [c in reference for c in probe.tolist()]
+            got = {c: (cache.loss[r], cache.mags[r].tolist())
+                   for c, r in zip(probe.tolist(), rows.tolist()) if r >= 0}
+            assert got == reference
+        assert len(cache.loss) < 2 * cache.size
+
+
+class TestFlowCacheMemory:
+    def test_heap_per_entry(self, make_canonical):
+        # about 730 bytes per entry as a dict of tuples of Python floats;
+        # as arrays, 16 bytes of index plus 8 + 8 x buses bytes of loss and
+        # |V| per entry, with up to 2x growth headroom on the latter
+        ctx = make_canonical()
+        space = SearchSpace(ctx)
+        batches = generations(space, Draws(4))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            score_batches(space, batches, 5.0)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        entries = len(flow_entries(ctx))
+        assert entries > 1000
+        assert retained / entries < 300
 
 
 class TestScorersAgreeOnTheFullDay:
