@@ -7,9 +7,9 @@ the package's canonical builders, so tests can check the files stay in sync.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
+from dsmsched.domain import write_csv
 from dsmsched.feeder import canonical_feeder, write_feeder_json
 from dsmsched.profiles import (
     canonical_neighbor_loads,
@@ -61,23 +61,19 @@ APPLIANCES = [
 
 
 def write_appliances(path: Path) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["id", "class", "window_start", "window_end",
-             "duration", "rated_kw", "original_slots"]
-        )
-        for aid, cls, lo, hi, dur, kw, slots in APPLIANCES:
-            writer.writerow(
-                [aid, cls, lo, hi, dur, f"{kw:.2f}", ";".join(str(s) for s in slots)]
-            )
+    write_csv(
+        path,
+        ["id", "class", "window_start", "window_end", "duration", "rated_kw", "original_slots"],
+        ([aid, cls, lo, hi, dur, f"{kw:.2f}", ";".join(map(str, slots))]
+         for aid, cls, lo, hi, dur, kw, slots in APPLIANCES),
+    )
 
 
 def main() -> None:
     FIXTURES.mkdir(exist_ok=True)
     write_appliances(FIXTURES / "appliances_household.csv")
-    write_series(FIXTURES / "price_day_ahead.csv", canonical_price_profile().values, "value")
-    write_series(FIXTURES / "pv_6kw.csv", canonical_pv_profile().values, "value")
+    write_series(FIXTURES / "price_day_ahead.csv", canonical_price_profile().values)
+    write_series(FIXTURES / "pv_6kw.csv", canonical_pv_profile().values)
     write_neighbor_loads(FIXTURES / "neighbor_loads.csv", canonical_neighbor_loads())
     write_feeder_json(FIXTURES / "feeder_13bus.json", canonical_feeder())
     print(f"wrote fixtures to {FIXTURES}")

@@ -11,18 +11,17 @@ fixed to 6 decimals and JSON keys are sorted.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .constraints import is_feasible
-from .costing import ProblemContext, total_cost
+from .costing import CostBreakdown, ProblemContext, total_cost
 from .csa import CsaConfig, OptimResult, optimize
 from .domain import (
     Appliance,
@@ -35,17 +34,13 @@ from .domain import (
     parse_appliance_row,
     validate_appliance_set,
     whole_int,
+    write_csv,
     write_schedule_csv,
 )
 from .errors import DsmError, InputError, PowerFlowError
 from .feeder import load_feeder_json
 from .oracle import SmallInstance, sweep_penalties
-from .profiles import (
-    PriceSeries,
-    PvSeries,
-    load_neighbor_loads,
-    load_series,
-)
+from .profiles import PriceSeries, PvSeries, load_neighbor_loads, load_series
 
 __all__ = ["ScenarioConfig", "ScenarioReport", "run_scenario", "explain", "main"]
 
@@ -101,7 +96,10 @@ class ScenarioReport:
 
     report: dict
     results: dict[float, OptimResult]
-    all_feasible: bool
+
+    @property
+    def all_feasible(self) -> bool:
+        return all(result.success for result in self.results.values())
 
 
 # every key a scenario config may hold; any other key is an input error
@@ -160,6 +158,23 @@ def _load_voltage_band(data: dict, where: str) -> tuple[float, float]:
         if low < high:
             return low, high
     raise InputError(f"{where}: voltage_band must be [low, high]")
+
+
+def _penalty_prices(values: Iterable, per_usd: float, bad: str, empty: str) -> list[float]:
+    """Each of `values` over `per_usd`, as penalty prices in $/kWh: an
+    InputError `bad: <reason>` unless each is a finite number >= 0, and
+    the InputError `empty` if there are none."""
+    prices = []
+    try:
+        for value in values:
+            prices.append(finite_float(value) / per_usd)
+            if prices[-1] < 0:
+                raise ValueError(f"penalty price must be >= 0, got {prices[-1]}")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{bad}: {exc}") from None
+    if not prices:
+        raise InputError(empty)
+    return prices
 
 
 def _load_appliances(data: dict, base: Path, where: str, grid: TimeGrid) -> tuple[Appliance, ...]:
@@ -262,16 +277,9 @@ def _parse_config(data, path: Path) -> ScenarioConfig:
 
     voltage_min, voltage_max = _load_voltage_band(data, where)
 
-    penalties = []
-    try:
-        for p in _typed(data, "penalty_prices_usd_per_kwh", list, where, [0.0]):
-            penalties.append(finite_float(p))
-            if penalties[-1] < 0:
-                raise ValueError(f"penalty price must be >= 0, got {penalties[-1]}")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{where}: bad penalty_prices_usd_per_kwh: {exc}") from None
-    if not penalties:
-        raise InputError(f"{where}: penalty price list must be non-empty")
+    penalties = _penalty_prices(_typed(data, "penalty_prices_usd_per_kwh", list, where, [0.0]),
+                                1.0, f"{where}: bad penalty_prices_usd_per_kwh",
+                                f"{where}: penalty price list must be non-empty")
 
     csa_data = dict(_typed(data, "csa", dict, where, {}))
     unknown = set(csa_data) - {f.name for f in fields(CsaConfig)}
@@ -309,42 +317,25 @@ def _parse_config(data, path: Path) -> ScenarioConfig:
     )
 
 
-def _write_profile_csv(
-    path: Path,
-    grid: TimeGrid,
-    original_kw: np.ndarray,
-    dsm_kw: np.ndarray,
-    pv_kw: np.ndarray,
-    price: PriceSeries,
-) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "original_kw", "dsm_kw", "pv_kw", "price"])
-        for t in range(grid.slot_count):
-            writer.writerow(
-                [t + 1, _fmt(original_kw[t]), _fmt(dsm_kw[t]),
-                 _fmt(pv_kw[t]), _fmt(price.values[t])]
-            )
+def _voltage_rows(context: ProblemContext, gross: np.ndarray) -> Iterable[list]:
+    """`slot, bus, v_pu` rows of `gross`'s power flows; raises the first
+    flow's PowerFlowError."""
+    for slot, flow in enumerate(context.slot_flows(gross), start=1):
+        if isinstance(flow, PowerFlowError):
+            raise flow
+        for bus, mag in enumerate(flow[1]):
+            yield [slot, bus, _fmt(mag)]
 
 
-def _write_voltage_csv(path: Path, context: ProblemContext, gross: np.ndarray) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "bus", "v_pu"])
-        for idx, flow in enumerate(context.slot_flows(gross)):
-            if isinstance(flow, PowerFlowError):
-                raise flow
-            for bus, mag in enumerate(flow[1]):
-                writer.writerow([idx + 1, bus, _fmt(mag)])
-
-
-def _write_convergence_csv(path: Path, history: list[tuple[int, float, int]]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generation", "best_total_usd", "evaluations"])
-        for generation, best_total, evaluations in history:
-            total = "" if best_total != best_total else _fmt(best_total)  # NaN check
-            writer.writerow([generation, total, evaluations])
+def _cost_fields(breakdown: CostBreakdown, gross: np.ndarray) -> dict:
+    """The report fields shared by the original plan and every run."""
+    return {
+        "c_e_usd": _round(breakdown.energy_usd),
+        "c_p_usd": _round(breakdown.penalty_usd),
+        "total_usd": _round(breakdown.total_usd),
+        "peak_kw": _round(float(gross.max())),
+        "pv_utilization": _round(breakdown.pv_utilization),
+    }
 
 
 def _output_names(config: ScenarioConfig) -> list[dict[str, str]]:
@@ -377,7 +368,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     Every output name is checked before the first optimization.
     """
     files_of = _output_names(config)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    out = config.out_dir
+    out.mkdir(parents=True, exist_ok=True)
     base_ctx = config.problem
     original = base_ctx.original_schedule()
     original_breakdown = total_cost(original, base_ctx)
@@ -385,34 +377,28 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     pv_kw = base_ctx.pv_array()
 
     if base_ctx.feeder is not None:
-        _write_voltage_csv(config.out_dir / "voltage_original.csv", base_ctx, original_gross)
-
-    original_row = {
-        "c_e_usd": _round(original_breakdown.energy_usd),
-        "c_p_usd": _round(original_breakdown.penalty_usd),
-        "total_usd": _round(original_breakdown.total_usd),
-        "peak_kw": _round(float(original_gross.max())),
-        "pv_utilization": _round(original_breakdown.pv_utilization),
-    }
+        write_csv(out / "voltage_original.csv", ["slot", "bus", "v_pu"],
+                  _voltage_rows(base_ctx, original_gross))
 
     runs = []
     results: dict[float, OptimResult] = {}
-    all_feasible = True
     for pi, files in zip(config.penalties_usd_per_kwh, files_of):
         ctx = base_ctx.with_penalty(pi)
-        result = optimize(ctx, config.csa)
-        results[pi] = result
-        all_feasible = all_feasible and result.success
+        result = results[pi] = optimize(ctx, config.csa)
 
         dsm_gross = aggregate_power(result.schedule, ctx.appliances)
-        _write_profile_csv(
-            config.out_dir / files["profile"], ctx.grid,
-            original_gross, dsm_gross, pv_kw, ctx.price,
-        )
-        _write_convergence_csv(config.out_dir / files["convergence"], result.history)
-        write_schedule_csv(config.out_dir / files["schedule"], result.schedule, ctx.appliances)
+        write_csv(out / files["profile"], ["slot", "original_kw", "dsm_kw", "pv_kw", "price"], (
+            [slot, *map(_fmt, values)] for slot, *values in
+            zip(ctx.grid.slots(), original_gross, dsm_gross, pv_kw, ctx.price.values)
+        ))
+        write_csv(out / files["convergence"], ["generation", "best_total_usd", "evaluations"], (
+            [generation, "" if total != total else _fmt(total), evaluations]  # NaN: none feasible
+            for generation, total, evaluations in result.history
+        ))
+        write_schedule_csv(out / files["schedule"], result.schedule, ctx.appliances)
         if "voltage" in files:
-            _write_voltage_csv(config.out_dir / files["voltage"], ctx, dsm_gross)
+            write_csv(out / files["voltage"], ["slot", "bus", "v_pu"],
+                      _voltage_rows(ctx, dsm_gross))
 
         breakdown = result.breakdown
         row = {
@@ -424,23 +410,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
             "files": files,
         }
         if breakdown is not None:
-            saving = None
-            if original_breakdown.total_usd > 0:
-                saving = (
-                    (original_breakdown.total_usd - breakdown.total_usd)
-                    / original_breakdown.total_usd * 100.0
-                )
+            before = original_breakdown.total_usd
+            saving = (before - breakdown.total_usd) / before * 100.0 if before > 0 else None
+            row.update(_cost_fields(breakdown, dsm_gross))
             row.update(
-                {
-                    "c_e_usd": _round(breakdown.energy_usd),
-                    "c_p_usd": _round(breakdown.penalty_usd),
-                    "total_usd": _round(breakdown.total_usd),
-                    "peak_kw": _round(float(dsm_gross.max())),
-                    "shift_slots_total": breakdown.total_shift_slots,
-                    "weighted_shift_kw_slots": _round(breakdown.weighted_shift),
-                    "pv_utilization": _round(breakdown.pv_utilization),
-                    "saving_vs_original_pct": _round(saving),
-                }
+                shift_slots_total=breakdown.total_shift_slots,
+                weighted_shift_kw_slots=_round(breakdown.weighted_shift),
+                saving_vs_original_pct=_round(saving),
             )
         if not result.success:
             row["message"] = result.message
@@ -453,13 +429,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         "seed": config.csa.rng_seed,
         "pv_enabled": base_ctx.pv is not None,
         "md_kw": _round(base_ctx.md_kw),
-        "original": original_row,
+        "original": _cost_fields(original_breakdown, original_gross),
         "runs": runs,
     }
-    with (config.out_dir / "report.json").open("w") as fh:
+    with (out / "report.json").open("w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return ScenarioReport(report=report, results=results, all_feasible=all_feasible)
+    return ScenarioReport(report=report, results=results)
 
 
 def explain(schedule_path: str | Path, config: ScenarioConfig, penalty_price: float | None = None) -> dict:
@@ -482,17 +458,9 @@ def explain(schedule_path: str | Path, config: ScenarioConfig, penalty_price: fl
 
 def _penalty_cents(text: str) -> list[float]:
     """A --penalty-cents value: comma-separated cents/kWh, as $/kWh prices."""
-    prices = []
-    try:
-        for c in filter(str.strip, text.split(",")):
-            prices.append(finite_float(c) / 100.0)
-            if prices[-1] < 0:
-                raise ValueError(f"penalty price must be >= 0, got {prices[-1]}")
-    except ValueError as exc:
-        raise InputError(f"bad --penalty-cents value {text!r}: {exc}") from None
-    if not prices:
-        raise InputError("--penalty-cents needs at least one value")
-    return prices
+    return _penalty_prices(filter(str.strip, text.split(",")), 100.0,
+                           f"bad --penalty-cents value {text!r}",
+                           "--penalty-cents needs at least one value")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -11,8 +11,9 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import zip_longest
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,6 +33,8 @@ __all__ = [
     "finite_float",
     "whole_int",
     "parse_appliance_row",
+    "read_csv",
+    "write_csv",
     "load_appliances_csv",
     "load_schedule_csv",
     "write_schedule_csv",
@@ -338,6 +341,31 @@ def parse_appliance_row(row) -> Appliance:
         raise ValueError(str(exc)) from None
 
 
+def read_csv(path: Path, what: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header of the CSV file at `path` and its non-blank rows, each with
+    its line number.
+
+    The file is read as UTF-8, a leading byte-order mark (as spreadsheet
+    tools write) dropped; a file that cannot be read, decoded or split
+    into fields is an InputError naming `what` and the path.
+    """
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            return header, [(reader.line_num, row) for row in reader if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from None
+
+
+def write_csv(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write `header` and then `rows` to `path` as CSV with CRLF line ends."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def load_appliances_csv(path: str | Path) -> list[Appliance]:
     """Read an appliance table.
 
@@ -345,24 +373,20 @@ def load_appliances_csv(path: str | Path) -> list[Appliance]:
     original_slots (semicolon-separated slot numbers).
     """
     path = Path(path)
+    header, rows = read_csv(path, "appliance table")
     required = {
         "id", "class", "window_start", "window_end",
         "duration", "rated_kw", "original_slots",
     }
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                missing = sorted(required - set(reader.fieldnames or ()))
-                raise InputError(f"{path}: missing columns {missing}")
-            appliances = []
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    appliances.append(parse_appliance_row(row))
-                except ValueError as exc:
-                    raise InputError(f"{path}:{lineno}: {exc}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read appliance table {path}: {exc}") from None
+    missing = sorted(required - set(header))
+    if missing:
+        raise InputError(f"{path}: missing columns {missing}")
+    appliances = []
+    for lineno, row in rows:
+        try:
+            appliances.append(parse_appliance_row(dict(zip_longest(header, row))))
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
     if not appliances:
         raise InputError(f"{path}: no appliance rows")
     return appliances
@@ -377,25 +401,22 @@ def load_schedule_csv(
     irrelevant, the result follows `appliances` order.
     """
     path = Path(path)
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"id", "on_slots"}.issubset(reader.fieldnames):
-                raise InputError(f"{path}: expected columns id,on_slots")
-            by_id: dict[int, tuple[int, ...]] = {}
-            for lineno, row in enumerate(reader, start=2):
-                if row["id"] is None or row["on_slots"] is None:
-                    raise InputError(f"{path}:{lineno}: too few fields, expected id,on_slots")
-                try:
-                    aid = int(row["id"])
-                    slots = _parse_on_slots(row["on_slots"])
-                except ValueError as exc:
-                    raise InputError(f"{path}:{lineno}: {exc}") from None
-                if aid in by_id:
-                    raise InputError(f"{path}:{lineno}: duplicate appliance id {aid}")
-                by_id[aid] = slots
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read schedule {path}: {exc}") from None
+    header, rows = read_csv(path, "schedule")
+    if not {"id", "on_slots"}.issubset(header):
+        raise InputError(f"{path}: expected columns id,on_slots")
+    by_id: dict[int, tuple[int, ...]] = {}
+    for lineno, row in rows:
+        row = dict(zip_longest(header, row))
+        if row["id"] is None or row["on_slots"] is None:
+            raise InputError(f"{path}:{lineno}: too few fields, expected id,on_slots")
+        try:
+            aid = int(row["id"])
+            slots = _parse_on_slots(row["on_slots"])
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        if aid in by_id:
+            raise InputError(f"{path}:{lineno}: duplicate appliance id {aid}")
+        by_id[aid] = slots
 
     missing = [a.id for a in appliances if a.id not in by_id]
     if missing:
@@ -412,8 +433,7 @@ def load_schedule_csv(
 def write_schedule_csv(
     path: str | Path, schedule: Schedule, appliances: Sequence[Appliance]
 ) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "on_slots"])
-        for a, slots in zip(appliances, schedule.to_on_slots()):
-            writer.writerow([a.id, ";".join(str(s) for s in slots)])
+    write_csv(path, ["id", "on_slots"], (
+        [a.id, ";".join(map(str, slots))]
+        for a, slots in zip(appliances, schedule.to_on_slots())
+    ))

@@ -7,7 +7,6 @@ per house) with 1-based slot numbers and values rounded to 6 decimals.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .domain import TimeGrid, finite_float
+from .domain import TimeGrid, finite_float, read_csv, write_csv
 from .errors import InputError
 
 __all__ = [
@@ -99,83 +98,54 @@ class NeighborLoads:
 # file IO ---------------------------------------------------------------------
 
 
-def load_series(path: str | Path, grid: TimeGrid) -> list[float]:
-    """Read a `slot,value` CSV; slots must be exactly 1..T in order."""
+def _load_slot_table(
+    path: str | Path, grid: TimeGrid, what: str, columns: str, width: int | None = None
+) -> list[list[float]]:
+    """The value columns of a `slot,c1,...,cN` CSV, one list of N floats per
+    slot: slots exactly 1..T in order, every row N + 1 fields.  `width`, if
+    given, is the N the file must have; `columns` spells the expected header."""
     path = Path(path)
-    values: list[float] = []
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or len(header) < 2 or header[0].strip() != "slot":
-                raise InputError(f"{path}: expected header starting with 'slot'")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    slot = int(row[0])
-                    value = finite_float(row[1])
-                except (ValueError, IndexError):
-                    raise InputError(f"{path}:{lineno}: bad row {row!r}") from None
-                if slot != len(values) + 1:
-                    raise InputError(
-                        f"{path}:{lineno}: slot {slot} out of order, expected {len(values) + 1}"
-                    )
-                values.append(value)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read series {path}: {exc}") from None
-    if len(values) != grid.slot_count:
-        raise InputError(
-            f"{path}: {len(values)} rows, grid expects {grid.slot_count}"
-        )
-    return values
+    header, body = read_csv(path, what)
+    if len(header) < 2 or header[0].strip() != "slot" or width not in (None, len(header) - 1):
+        raise InputError(f"{path}: expected header {columns}")
+    rows: list[list[float]] = []
+    for lineno, row in body:
+        if len(row) != len(header):
+            raise InputError(f"{path}:{lineno}: expected {len(header)} columns")
+        try:
+            slot = int(row[0])
+            rows.append([finite_float(v) for v in row[1:]])
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: bad row {row!r}") from None
+        if slot != len(rows):
+            raise InputError(f"{path}:{lineno}: slot {slot} out of order, expected {len(rows)}")
+    if len(rows) != grid.slot_count:
+        raise InputError(f"{path}: {len(rows)} rows, grid expects {grid.slot_count}")
+    return rows
 
 
-def write_series(path: str | Path, values: Iterable[float], value_name: str = "value") -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", value_name])
-        for slot, v in enumerate(values, start=1):
-            writer.writerow([slot, f"{v:.6f}"])
+def load_series(path: str | Path, grid: TimeGrid) -> list[float]:
+    """Read a `slot,value` CSV: exactly two columns, the second of any name,
+    and slots exactly 1..T in order."""
+    return [value for value, in _load_slot_table(path, grid, "series", "slot,value", width=1)]
+
+
+def write_series(path: str | Path, values: Iterable[float]) -> None:
+    write_csv(path, ["slot", "value"],
+              ([slot, f"{v:.6f}"] for slot, v in enumerate(values, start=1)))
 
 
 def load_neighbor_loads(path: str | Path, grid: TimeGrid) -> NeighborLoads:
     """Read a `slot,h1,...,hN` CSV of per-house demand."""
-    path = Path(path)
-    rows: list[list[float]] = []
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or header[0].strip() != "slot" or len(header) < 2:
-                raise InputError(f"{path}: expected header slot,h1,...")
-            width = len(header) - 1
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != width + 1:
-                    raise InputError(f"{path}:{lineno}: expected {width + 1} columns")
-                try:
-                    slot = int(row[0])
-                    rows.append([finite_float(v) for v in row[1:]])
-                except ValueError:
-                    raise InputError(f"{path}:{lineno}: bad row {row!r}") from None
-                if slot != len(rows):
-                    raise InputError(f"{path}:{lineno}: slot {slot} out of order")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read neighbor loads {path}: {exc}") from None
-    if len(rows) != grid.slot_count:
-        raise InputError(f"{path}: {len(rows)} rows, grid expects {grid.slot_count}")
-    houses = tuple(tuple(row[h] for row in rows) for h in range(width))
-    return NeighborLoads(per_house=houses)
+    rows = _load_slot_table(path, grid, "neighbor loads", "slot,h1,...")
+    return NeighborLoads(per_house=tuple(zip(*rows)))
 
 
 def write_neighbor_loads(path: str | Path, loads: NeighborLoads) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot"] + [f"h{i}" for i in range(1, loads.house_count + 1)])
-        for t in range(loads.slot_count):
-            writer.writerow([t + 1] + [f"{house[t]:.6f}" for house in loads.per_house])
+    write_csv(path, ["slot", *(f"h{i}" for i in range(1, loads.house_count + 1))], (
+        [slot, *(f"{v:.6f}" for v in kw)]
+        for slot, kw in enumerate(zip(*loads.per_house), start=1)
+    ))
 
 
 # synthesis --------------------------------------------------------------------

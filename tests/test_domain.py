@@ -24,7 +24,10 @@ from dsmsched.domain import (
     validate_appliance_set,
     write_schedule_csv,
 )
+from conftest import FIXTURES
 from dsmsched.errors import InputError
+
+BOM = b"\xef\xbb\xbf"
 
 
 def make(aid=1, cls=ApplianceClass.INTERRUPTIBLE, window=(1, 12), duration=2,
@@ -270,6 +273,12 @@ class TestApplianceCsv:
         with pytest.raises(InputError, match="cannot read"):
             load_appliances_csv(tmp_path / "nope.csv")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, canonical_appliances):
+        # spreadsheet tools save "CSV UTF-8" with a leading BOM
+        p = tmp_path / "bom.csv"
+        p.write_bytes(BOM + (FIXTURES / "appliances_household.csv").read_bytes())
+        assert tuple(load_appliances_csv(p)) == canonical_appliances
+
 
 class TestScheduleCsv:
     GRID = TimeGrid(slot_count=6, slot_hours=0.5)
@@ -282,6 +291,15 @@ class TestScheduleCsv:
         write_schedule_csv(p, sched, self.APPS)
         again = load_schedule_csv(p, self.APPS, self.GRID)
         assert again == sched
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = b"id,on_slots\r\n7,1;6\r\n3,2;4\r\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text)
+        bom.write_bytes(BOM + text)
+        sched = load_schedule_csv(bom, self.APPS, self.GRID)
+        assert sched == load_schedule_csv(plain, self.APPS, self.GRID)
+        assert sched.to_on_slots() == [(2, 4), (1, 6)]
 
     def test_file_order_irrelevant(self, tmp_path):
         p = tmp_path / "sched.csv"

@@ -1,3 +1,5 @@
+import importlib.util
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,14 @@ from dsmsched.profiles import (
 )
 
 GRID6 = TimeGrid(slot_count=6, slot_hours=0.5)
+BOM = b"\xef\xbb\xbf"
+
+
+def _bom_copy(tmp_path, name):
+    """A copy of fixture `name` with a leading UTF-8 byte-order mark."""
+    p = tmp_path / name
+    p.write_bytes(BOM + (FIXTURES / name).read_bytes())
+    return p
 
 
 def test_price_series_rejects_negative():
@@ -86,6 +96,29 @@ class TestSeriesCsv:
         with pytest.raises(InputError, match=r"s.csv:3"):
             load_series(p, GRID6)
 
+    @pytest.mark.parametrize("text, message", [
+        ("slot,value,junk\n1,0.1,x\n", r"s.csv: expected header slot,value"),
+        ("slot,value\n1,0.1\n2,0.2,9\n", r"s.csv:3: expected 2 columns"),
+        ("slot,value\n1,0.1\n2\n", r"s.csv:3: expected 2 columns"),
+    ], ids=["extra_header_column", "long_row", "short_row"])
+    def test_exactly_two_columns(self, tmp_path, text, message):
+        p = tmp_path / "s.csv"
+        p.write_text(text)
+        with pytest.raises(InputError, match=message):
+            load_series(p, GRID6)
+
+    def test_overlong_field_is_an_input_error(self, tmp_path):
+        # csv's field size limit raises csv.Error, not an OSError
+        p = tmp_path / "s.csv"
+        p.write_text("slot,value\n1," + "9" * 200_000 + "\n")
+        with pytest.raises(InputError, match=r"cannot read series .*s.csv: field larger"):
+            load_series(p, GRID6)
+
+    @pytest.mark.parametrize("name", ["price_day_ahead.csv", "pv_6kw.csv"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, grid48, name):
+        bom = load_series(_bom_copy(tmp_path, name), grid48)
+        assert bom == load_series(FIXTURES / name, grid48)
+
 
 class TestNeighborCsv:
     def test_round_trip(self, tmp_path):
@@ -100,6 +133,10 @@ class TestNeighborCsv:
         p.write_text("slot,h1,h2\n1,1.0\n")
         with pytest.raises(InputError, match="columns"):
             load_neighbor_loads(p, TimeGrid(slot_count=1, slot_hours=0.5))
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, grid48, canonical_neighbors):
+        bom = load_neighbor_loads(_bom_copy(tmp_path, "neighbor_loads.csv"), grid48)
+        assert bom == canonical_neighbors
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_names_line(self, tmp_path, value):
@@ -198,3 +235,21 @@ def test_neighbor_fixture_matches_builder(grid48):
     assert np.allclose(
         on_disk.as_array(), canonical_neighbor_loads().as_array(), atol=5e-7
     )
+
+
+def test_fixture_writers_are_byte_exact(tmp_path, monkeypatch, capsys):
+    # scripts/generate_fixtures.py, pointed at an empty directory, must
+    # rewrite every file under fixtures/ byte for byte, CRLF line ends included
+    spec = importlib.util.spec_from_file_location(
+        "generate_fixtures", FIXTURES.parent / "scripts" / "generate_fixtures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "FIXTURES", tmp_path)
+    script.main()
+    names = sorted(p.name for p in FIXTURES.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        data = (tmp_path / name).read_bytes()
+        assert data == (FIXTURES / name).read_bytes(), name
+        if name.endswith(".csv"):
+            assert data.count(b"\r\n") == data.count(b"\n") > 0, name
