@@ -191,12 +191,12 @@ def _load_appliances(data: dict, base: Path, where: str, grid: TimeGrid) -> tupl
     else:
         raise InputError(f"{where}: need 'appliances_csv' or inline 'appliances'")
 
-    report = validate_appliance_set(appliances, grid)
-    hard = [i for i in report.issues if i.kind != ISSUE_ORIGINAL_WINDOW]
+    issues = validate_appliance_set(appliances, grid)
+    hard = [i for i in issues if i.kind != ISSUE_ORIGINAL_WINDOW]
     if hard:
         lines = "; ".join(f"appliance {i.appliance_id}: {i.message}" for i in hard)
         raise InputError(f"{where}: invalid appliance set: {lines}")
-    for i in report.issues:
+    for i in issues:
         print(f"warning: {i.message}", file=sys.stderr)
     return appliances
 
@@ -254,14 +254,14 @@ def _parse_config(data, path: Path) -> ScenarioConfig:
         raise InputError(f"{where}: need 'price_csv' or inline 'price'")
     price = PriceSeries(values=tuple(price_values))
 
-    pv = None
+    pv = capacity = None
     pv_values = _load_series_field(data, base, where, grid, "pv_csv", "pv")
+    if "pv_capacity_kw" in data:  # checked as PvSeries checks it, PV used or not
+        capacity = PvSeries((), _number(data["pv_capacity_kw"], "pv_capacity_kw", where)).capacity_kw
     if _typed(data, "pv_enabled", bool, where, False):
         if pv_values is None:
             raise InputError(f"{where}: pv_enabled is true but no 'pv_csv' or 'pv' given")
-        capacity = _number(data.get("pv_capacity_kw", max(pv_values) or 1.0),
-                           "pv_capacity_kw", where)
-        pv = PvSeries(values=tuple(pv_values), capacity_kw=capacity)
+        pv = PvSeries(values=tuple(pv_values), capacity_kw=capacity or max(pv_values) or 1.0)
 
     power_factor = _number(data.get("power_factor", 0.95), "power_factor", where)
     neighbors = None
@@ -282,23 +282,22 @@ def _parse_config(data, path: Path) -> ScenarioConfig:
                                 f"{where}: penalty price list must be non-empty")
 
     csa_data = dict(_typed(data, "csa", dict, where, {}))
-    unknown = set(csa_data) - {f.name for f in fields(CsaConfig)}
+    # the search seed is the scenario's `seed`, not a csa option
+    unknown = set(csa_data) - {f.name for f in fields(CsaConfig) if f.name != "rng_seed"}
     if unknown:
         raise InputError(f"{where}: unknown csa options {sorted(unknown)}")
     seed = _number(data.get("seed", 0), "seed", where, whole_int)
     if seed < 0:
         raise InputError(f"{where}: 'seed' must be >= 0, got {seed}")
-    # csa.rng_seed, when given, overrides the scenario seed
-    csa_data.setdefault("rng_seed", seed)
     for key, value in csa_data.items():
         csa_data[key] = _number(value, f"csa.{key}", where, whole_int)
     try:
-        csa = CsaConfig(**csa_data)
+        csa = CsaConfig(rng_seed=seed, **csa_data)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: bad csa options: {exc}") from None
 
     return ScenarioConfig(
-        label=str(data.get("label", path.stem)),
+        label=_typed(data, "label", str, where, path.stem),
         problem=ProblemContext(  # checks the cap, the power factor and the feeder houses
             grid=grid,
             appliances=appliances,

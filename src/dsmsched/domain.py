@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import zip_longest
 from pathlib import Path
@@ -25,7 +25,6 @@ __all__ = [
     "Appliance",
     "Schedule",
     "ValidationIssue",
-    "ValidationReport",
     "effective_window",
     "validate_appliance_set",
     "aggregate_power",
@@ -197,28 +196,14 @@ class ValidationIssue:
     message: str
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of `validate_appliance_set`: the issues found."""
-
-    issues: list[ValidationIssue] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def kinds(self) -> set[str]:
-        return {i.kind for i in self.issues}
-
-
-def validate_appliance_set(appliances: Sequence[Appliance], grid: TimeGrid) -> ValidationReport:
-    """Check appliance definitions against the grid; reports, never raises."""
-    report = ValidationReport()
+def validate_appliance_set(appliances: Sequence[Appliance], grid: TimeGrid) -> list[ValidationIssue]:
+    """The issues of the appliance definitions on the grid; never raises."""
+    issues: list[ValidationIssue] = []
     slot_count = grid.slot_count
     seen_ids: set[int] = set()
 
     def issue(a: Appliance, kind: str, message: str) -> None:
-        report.issues.append(ValidationIssue(a.id, kind, message))
+        issues.append(ValidationIssue(a.id, kind, message))
 
     for a in appliances:
         if a.id in seen_ids:
@@ -280,7 +265,7 @@ def validate_appliance_set(appliances: Sequence[Appliance], grid: TimeGrid) -> V
                 f"{a.window_start}..{a.window_end}; widened to {lo}..{hi}",
             )
 
-    return report
+    return issues
 
 
 # file formats ---------------------------------------------------------------
@@ -383,8 +368,10 @@ def load_appliances_csv(path: str | Path) -> list[Appliance]:
         raise InputError(f"{path}: missing columns {missing}")
     appliances = []
     for lineno, row in rows:
+        if len(row) != len(header):
+            raise InputError(f"{path}:{lineno}: expected {len(header)} columns")
         try:
-            appliances.append(parse_appliance_row(dict(zip_longest(header, row))))
+            appliances.append(parse_appliance_row(dict(zip(header, row))))
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from None
     if not appliances:
@@ -406,6 +393,8 @@ def load_schedule_csv(
         raise InputError(f"{path}: expected columns id,on_slots")
     by_id: dict[int, tuple[int, ...]] = {}
     for lineno, row in rows:
+        if len(row) > len(header):
+            raise InputError(f"{path}:{lineno}: expected {len(header)} columns")
         row = dict(zip_longest(header, row))
         if row["id"] is None or row["on_slots"] is None:
             raise InputError(f"{path}:{lineno}: too few fields, expected id,on_slots")

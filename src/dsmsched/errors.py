@@ -9,10 +9,6 @@ class InputError(DsmError):
     """A fixture, config, or schedule file is missing or malformed."""
 
 
-class TopologyError(DsmError):
-    """Feeder description is not a usable radial network."""
-
-
 class PowerFlowError(DsmError):
     """Backward/forward sweep failed to converge."""
 

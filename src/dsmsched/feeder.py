@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import finite_float, whole_int
-from .errors import InputError, PowerFlowError, TopologyError
+from .errors import InputError, PowerFlowError
 
 __all__ = [
     "FeederLine",
@@ -47,11 +47,9 @@ class FeederLine:
 
     def __post_init__(self) -> None:
         if self.from_bus == self.to_bus:
-            raise TopologyError(f"line connects bus {self.from_bus} to itself")
+            raise ValueError(f"line connects bus {self.from_bus} to itself")
         if self.r_pu < 0 or self.x_pu < 0:
-            raise TopologyError(
-                f"line {self.from_bus}-{self.to_bus} has negative impedance"
-            )
+            raise ValueError(f"line {self.from_bus}-{self.to_bus} has negative impedance")
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,7 @@ class FeederModel:
 
     Bus ids must be the contiguous range 0..N with 0 the slack bus, and the
     lines must form a tree over them.  The smart home bus has to sit at
-    maximal depth (end of the feeder).
+    maximal depth (end of the feeder).  Any other layout is a ValueError.
     """
 
     base_kva: float
@@ -76,11 +74,11 @@ class FeederModel:
 
     def __post_init__(self) -> None:
         if self.base_kva <= 0 or self.base_kv <= 0:
-            raise TopologyError("base_kva and base_kv must be positive")
+            raise ValueError("base_kva and base_kv must be positive")
         if self.slack_voltage_pu <= 0:
-            raise TopologyError("slack_voltage_pu must be positive")
+            raise ValueError("slack_voltage_pu must be positive")
         if not self.lines:
-            raise TopologyError("feeder has no lines")
+            raise ValueError("feeder has no lines")
 
         buses = {0}
         for line in self.lines:
@@ -88,13 +86,11 @@ class FeederModel:
             buses.add(line.to_bus)
         count = len(buses)
         if buses != set(range(count)):
-            raise TopologyError(f"bus ids must be contiguous 0..{count - 1}, got {sorted(buses)}")
+            raise ValueError(f"bus ids must be contiguous 0..{count - 1}, got {sorted(buses)}")
         if len(self.lines) != count - 1:
-            raise TopologyError(
-                f"{len(self.lines)} lines over {count} buses cannot form a tree"
-            )
+            raise ValueError(f"{len(self.lines)} lines over {count} buses cannot form a tree")
         if not 0 < self.smart_home_bus < count:
-            raise TopologyError(f"smart_home_bus {self.smart_home_bus} is not a house bus")
+            raise ValueError(f"smart_home_bus {self.smart_home_bus} is not a house bus")
 
         adjacency: dict[int, list[tuple[int, complex]]] = {b: [] for b in range(count)}
         for line in self.lines:
@@ -120,11 +116,9 @@ class FeederModel:
                 order.append(nb)
                 queue.append(nb)
         if len(seen) != count:
-            raise TopologyError("feeder is not connected")
+            raise ValueError("feeder is not connected")
         if depth[self.smart_home_bus] != max(depth):
-            raise TopologyError(
-                f"smart_home_bus {self.smart_home_bus} is not at the end of the feeder"
-            )
+            raise ValueError(f"smart_home_bus {self.smart_home_bus} is not at the end of the feeder")
 
         object.__setattr__(self, "_parent", tuple(parent))
         object.__setattr__(self, "_order", tuple(order))

@@ -166,26 +166,6 @@ class TestLoadScenarioConfig:
         assert err.startswith("error: ")
         assert "appliance 2" in err and message in err
 
-    def test_csa_rng_seed_overrides_the_scenario_seed(self, tmp_path):
-        csa = {"population_size": 16, "generations": 40, "stall_generations": 12}
-        path = write_config(tmp_path, seed=1, csa=dict(csa, rng_seed=99),
-                            penalty_prices_usd_per_kwh=[0.0])
-        assert load_scenario_config(path).csa.rng_seed == 99
-        assert main(["run", "--config", str(path)]) == 0
-        report = (tmp_path / "out" / "report.json").read_text()
-        assert json.loads(report)["seed"] == 99
-
-        plain = tmp_path / "plain"
-        plain.mkdir()
-        plain_path = write_config(plain, seed=99, penalty_prices_usd_per_kwh=[0.0])
-        assert main(["run", "--config", str(plain_path)]) == 0
-        assert (plain / "out" / "report.json").read_text() == report
-
-        other = tmp_path / "flag"
-        assert main(["run", "--config", str(path), "--out", str(other), "--seed", "7"]) == 0
-        assert json.loads((other / "report.json").read_text())["seed"] == 7
-
-
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         # keys of the old oracle instance format, and a typo
         path = write_config(tmp_path, guard_limit=10, penalty_usd_per_kwh=0.05,
@@ -418,7 +398,8 @@ class TestExplainCommand:
         (b"id,on_slots\nx,1\n", "schedule.csv:2: invalid literal"),
         (b"id,on_slots\n1,1;a\n", "schedule.csv:2: invalid literal"),
         (b"id,on_slots\n1,1\xff\n", "schedule.csv: 'utf-8' codec can't decode byte 0xff"),
-    ], ids=["short_row", "short_id", "id_text", "slot_text", "not_utf8"])
+        (b"id,on_slots\n1,1;2,junk\n", "schedule.csv:2: expected 2 columns"),
+    ], ids=["short_row", "short_id", "id_text", "slot_text", "not_utf8", "wide_row"])
     def test_malformed_schedule_row_is_an_input_error(self, tmp_path, capsys, rows, message):
         config_path = write_config(tmp_path)
         (tmp_path / "schedule.csv").write_bytes(rows)
@@ -443,6 +424,24 @@ def test_non_utf8_data_file_is_an_input_error_naming_it(tmp_path, capsys, key, n
     assert rc == 2
     assert err.startswith("error: cannot read ")
     assert f"{name}: 'utf-8' codec can't decode byte 0xff" in err
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("lines", 0, "r_pu"), -0.006, "line 0-1 has negative impedance"),
+    (("smart_home_bus",), 5, "smart_home_bus 5 is not at the end of the feeder"),
+], ids=["negative_impedance", "home_mid_feeder"])
+def test_bad_feeder_topology_is_an_input_error_naming_it(tmp_path, capsys, path, value, message):
+    feeder = json.loads((FIXTURES / "feeder_13bus.json").read_text())
+    *parents, key = path
+    target = feeder
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    (tmp_path / "feeder.json").write_text(json.dumps(feeder))
+    rc = main(["run", "--config", str(write_config(tmp_path, feeder_json="feeder.json"))])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'feeder.json'}: bad feeder description: {message}\n")
 
 
 def test_neighbors_without_a_feeder_is_an_input_error(tmp_path, capsys):
@@ -487,21 +486,22 @@ _CSA = base_config("out")["csa"]
     ({"price_csv": "price_nan.csv"}, "price_nan.csv:13: bad row"),
     ({"grid": {"slot_count": 12.9}}, "'grid.slot_count' must be a number (an integer)"),
     ({"appliances": _with_row_field(duration=2.7)}, "appliance 2: not a whole number"),
-    ({"csa": dict(_CSA, rng_seed=2.5)}, "'csa.rng_seed' must be a number"),
     ({"csa": dict(_CSA, population_size=8.5)}, "'csa.population_size' must be a number"),
     ({"csa": dict(_CSA, generations=3.5)}, "'csa.generations' must be a number"),
     ({"md_kw": True}, "'md_kw' must be a number"),
     ({"seed": True}, "'seed' must be a number"),
     ({"seed": -1}, "'seed' must be >= 0"),
-    ({"seed": -1, "csa": dict(_CSA, rng_seed=5)}, "'seed' must be >= 0"),
-    ({"csa": dict(_CSA, rng_seed=-1)}, "rng_seed must be >= 0"),
+    ({"csa": dict(_CSA, rng_seed=5)}, "unknown csa options ['rng_seed']"),
+    ({"label": None}, "'label' must be a string, got None"),
+    ({"label": {"a": 1}}, "'label' must be a string, got {'a': 1}"),
+    ({"pv_capacity_kw": -3, "pv_enabled": False}, "capacity_kw must be positive, got -3.0"),
 ], ids=["md_kw_text", "md_kw_zero", "voltage_band_text", "slot_count_text", "penalty_negative",
         "grid_number", "appliances_number", "appliances_csv_number", "price_number",
         "pv_enabled_text", "csa_list", "slot_hours_nan", "price_nan", "penalty_nan",
         "md_kw_minus_inf", "rated_kw_nan", "price_csv_nan", "slot_count_fraction",
-        "duration_fraction", "rng_seed_fraction", "population_size_fraction",
+        "duration_fraction", "population_size_fraction",
         "generations_fraction", "md_kw_bool", "seed_bool", "seed_negative",
-        "seed_negative_overridden", "rng_seed_negative"])
+        "csa_rng_seed", "label_null", "label_object", "pv_capacity_negative_pv_off"])
 def test_malformed_value_is_an_input_error(tmp_path, capsys, command, change, message):
     rows = "".join(f"{slot},{price}\n" for slot, price in enumerate(STEEP_PRICE[:-1], start=1))
     (tmp_path / "price_nan.csv").write_text("slot,price\n" + rows + "12,nan\n")

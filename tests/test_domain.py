@@ -132,6 +132,10 @@ def test_aggregate_power():
         aggregate_power(sched, apps[:1])
 
 
+def kinds(issues):
+    return {i.kind for i in issues}
+
+
 class TestValidation:
     GRID = TimeGrid(slot_count=12, slot_hours=0.5)
 
@@ -145,67 +149,67 @@ class TestValidation:
             make(aid=2, cls=ApplianceClass.UNINTERRUPTIBLE, duration=3, original=(4, 5, 6)),
             make(aid=3, duration=2, original=(7, 9)),
         )
-        assert self.check(*apps).ok
+        assert not self.check(*apps)
         assert [effective_window(a) for a in apps] == [(a.window_start, a.window_end) for a in apps]
 
     def test_window_out_of_range(self):
-        assert ISSUE_WINDOW_RANGE in self.check(make(window=(0, 12))).kinds()
-        assert ISSUE_WINDOW_RANGE in self.check(make(window=(1, 13))).kinds()
-        assert ISSUE_WINDOW_RANGE in self.check(make(window=(9, 3))).kinds()
+        assert ISSUE_WINDOW_RANGE in kinds(self.check(make(window=(0, 12))))
+        assert ISSUE_WINDOW_RANGE in kinds(self.check(make(window=(1, 13))))
+        assert ISSUE_WINDOW_RANGE in kinds(self.check(make(window=(9, 3))))
 
     def test_duration_must_fit_window(self):
-        assert ISSUE_DURATION in self.check(
+        assert ISSUE_DURATION in kinds(self.check(
             make(window=(4, 6), duration=4, original=(4, 5, 6, 7))
-        ).kinds()
-        assert ISSUE_DURATION in self.check(make(duration=0, original=())).kinds()
+        ))
+        assert ISSUE_DURATION in kinds(self.check(make(duration=0, original=())))
 
     def test_rated_power(self):
-        assert ISSUE_RATED in self.check(make(rated=0.0)).kinds()
-        assert ISSUE_RATED in self.check(make(rated=-1.2)).kinds()
+        assert ISSUE_RATED in kinds(self.check(make(rated=0.0)))
+        assert ISSUE_RATED in kinds(self.check(make(rated=-1.2)))
 
     def test_original_plan_shape(self):
-        assert ISSUE_ORIGINAL_LENGTH in self.check(
+        assert ISSUE_ORIGINAL_LENGTH in kinds(self.check(
             make(duration=3, original=(4, 5))
-        ).kinds()
-        assert ISSUE_ORIGINAL_ORDER in self.check(make(original=(5, 4))).kinds()
-        assert ISSUE_ORIGINAL_ORDER in self.check(make(original=(4, 4))).kinds()
+        ))
+        assert ISSUE_ORIGINAL_ORDER in kinds(self.check(make(original=(5, 4))))
+        assert ISSUE_ORIGINAL_ORDER in kinds(self.check(make(original=(4, 4))))
 
     def test_baseline_must_run_every_slot(self):
-        report = self.check(
+        issues = self.check(
             make(aid=1, cls=ApplianceClass.BASELINE, window=(1, 12), duration=12,
                  original=tuple(range(1, 13))[:-1] + (12,)),
             make(aid=2, cls=ApplianceClass.BASELINE, window=(1, 12), duration=11,
                  original=tuple(range(1, 12))),
         )
-        assert report.kinds() == {ISSUE_BASELINE_FIXED}
+        assert kinds(issues) == {ISSUE_BASELINE_FIXED}
 
     def test_uninterruptible_original_contiguous(self):
-        report = self.check(
+        issues = self.check(
             make(cls=ApplianceClass.UNINTERRUPTIBLE, duration=3, original=(4, 5, 7))
         )
-        assert ISSUE_NOT_CONTIGUOUS in report.kinds()
+        assert ISSUE_NOT_CONTIGUOUS in kinds(issues)
 
     def test_original_outside_window_records_widened_window(self):
         a = make(aid=9, window=(2, 6), duration=2, original=(9, 10))
-        report = self.check(a)
-        assert report.kinds() == {ISSUE_ORIGINAL_WINDOW}
+        issues = self.check(a)
+        assert kinds(issues) == {ISSUE_ORIGINAL_WINDOW}
         assert effective_window(a) == (2, 10)
-        assert report.issues[0].message.endswith("widened to 2..10")
+        assert issues[0].message.endswith("widened to 2..10")
 
     def test_duplicate_ids(self):
-        report = self.check(make(aid=5), make(aid=5, original=(6, 7)))
-        assert ISSUE_DUPLICATE_ID in report.kinds()
+        issues = self.check(make(aid=5), make(aid=5, original=(6, 7)))
+        assert ISSUE_DUPLICATE_ID in kinds(issues)
 
 
 def test_canonical_table_flags_only_widened_windows(canonical_appliances, grid48):
     # two evening appliances declare a daytime window but originally run at
     # night; everything else in the table is clean
-    report = validate_appliance_set(canonical_appliances, grid48)
-    assert report.kinds() == {ISSUE_ORIGINAL_WINDOW}
-    assert sorted(i.appliance_id for i in report.issues) == [6, 7]
+    issues = validate_appliance_set(canonical_appliances, grid48)
+    assert kinds(issues) == {ISSUE_ORIGINAL_WINDOW}
+    assert sorted(i.appliance_id for i in issues) == [6, 7]
     widened = {a.id: effective_window(a) for a in canonical_appliances if a.id in (6, 7)}
     assert widened == {6: (12, 26), 7: (12, 28)}
-    assert [i.message.rsplit("; ", 1)[1] for i in report.issues] == [
+    assert [i.message.rsplit("; ", 1)[1] for i in issues] == [
         "widened to 12..26", "widened to 12..28"]
 
 
@@ -261,6 +265,18 @@ class TestApplianceCsv:
             "1,interruptible,1,4\n"
         )
         with pytest.raises(InputError, match=r"bad.csv:2"):
+            load_appliances_csv(p)
+
+    @pytest.mark.parametrize("row", ["1,interruptible,1,4,2,1.0,1;2,junk", "1,interruptible,1,4"],
+                             ids=["wide", "short"])
+    def test_row_of_the_wrong_width_names_line_and_width(self, tmp_path, row):
+        p = tmp_path / "bad.csv"
+        p.write_text(
+            "id,class,window_start,window_end,duration,rated_kw,original_slots\n"
+            "2,interruptible,1,4,2,1.0,1;2\n"
+            f"{row}\n"
+        )
+        with pytest.raises(InputError, match=r"bad.csv:3: expected 7 columns"):
             load_appliances_csv(p)
 
     def test_empty_table(self, tmp_path):

@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dsmsched.constraints import is_feasible
 from dsmsched.costing import ProblemContext
 from dsmsched.domain import Appliance, ApplianceClass, TimeGrid
-from dsmsched.errors import InputError, PowerFlowError, TopologyError
+from dsmsched.errors import InputError, PowerFlowError
 from dsmsched.feeder import (
     BusState,
     FeederLine,
@@ -24,6 +24,7 @@ from dsmsched.feeder import (
 from dsmsched.feeder import canonical_feeder as build_canonical_feeder
 from dsmsched.profiles import NeighborLoads, PriceSeries, PvSeries
 from pf_reference import nr_two_bus, scalar_sweep
+from test_cli import _JSON
 from test_csa import weak_feeder_context
 
 
@@ -77,13 +78,13 @@ def inj(feeder, p, q=None, pv=0.0, slot=1) -> SlotInjections:
 
 class TestTopology:
     def test_line_validation(self):
-        with pytest.raises(TopologyError, match="itself"):
+        with pytest.raises(ValueError, match="itself"):
             FeederLine(from_bus=2, to_bus=2, r_pu=0.01, x_pu=0.01)
-        with pytest.raises(TopologyError, match="negative"):
+        with pytest.raises(ValueError, match="negative"):
             FeederLine(from_bus=0, to_bus=1, r_pu=-0.01, x_pu=0.01)
 
     def test_bus_ids_must_be_contiguous(self):
-        with pytest.raises(TopologyError, match="contiguous"):
+        with pytest.raises(ValueError, match="contiguous"):
             FeederModel(
                 base_kva=50, base_kv=12.47, slack_voltage_pu=1.0,
                 lines=(FeederLine(0, 2, 0.01, 0.01),),
@@ -96,7 +97,7 @@ class TestTopology:
             FeederLine(1, 2, 0.01, 0.01),
             FeederLine(0, 2, 0.01, 0.01),  # cycle
         )
-        with pytest.raises(TopologyError, match="tree"):
+        with pytest.raises(ValueError, match="tree"):
             FeederModel(base_kva=50, base_kv=12.47, slack_voltage_pu=1.0,
                         lines=lines, smart_home_bus=2)
 
@@ -106,14 +107,14 @@ class TestTopology:
             FeederLine(1, 0, 0.01, 0.01),  # duplicate edge eats the budget
             FeederLine(2, 3, 0.01, 0.01),
         )
-        with pytest.raises(TopologyError, match="not connected"):
+        with pytest.raises(ValueError, match="not connected"):
             FeederModel(base_kva=50, base_kv=12.47, slack_voltage_pu=1.0,
                         lines=lines, smart_home_bus=3)
 
     def test_smart_home_must_sit_at_the_end(self):
-        with pytest.raises(TopologyError, match="end of the feeder"):
+        with pytest.raises(ValueError, match="end of the feeder"):
             chain(n_lines=3, home=1)
-        with pytest.raises(TopologyError, match="not a house bus"):
+        with pytest.raises(ValueError, match="not a house bus"):
             chain(n_lines=3, home=0)
 
     def test_bus_lists(self):
@@ -122,10 +123,10 @@ class TestTopology:
         assert feeder.neighbor_buses == (1, 2, 3)
 
     def test_base_validation(self):
-        with pytest.raises(TopologyError):
+        with pytest.raises(ValueError):
             FeederModel(base_kva=0, base_kv=12.47, slack_voltage_pu=1.0,
                         lines=(FeederLine(0, 1, 0.01, 0.01),), smart_home_bus=1)
-        with pytest.raises(TopologyError):
+        with pytest.raises(ValueError):
             FeederModel(base_kva=50, base_kv=12.47, slack_voltage_pu=0.0,
                         lines=(FeederLine(0, 1, 0.01, 0.01),), smart_home_bus=1)
 
@@ -407,6 +408,45 @@ class TestFeederJson:
         p.write_text(json.dumps(data))
         with pytest.raises(InputError, match="bad feeder description: not a"):
             load_feeder_json(p)
+
+
+_FEEDER_DOC = {
+    "base_kva": 50.0, "base_kv": 12.47, "slack_voltage_pu": 1.0, "smart_home_bus": 3,
+    "lines": [{"from": b, "to": b + 1, "r_pu": 0.01, "x_pu": 0.006} for b in range(3)],
+}
+
+
+@st.composite
+def _fuzzed_feeders(draw):
+    """The 3-line feeder document with one key or one line field replaced,
+    added or removed."""
+    document = json.loads(json.dumps(_FEEDER_DOC))
+    target = document
+    if draw(st.booleans()):
+        target = document["lines"][draw(st.integers(0, len(_FEEDER_DOC["lines"]) - 1))]
+    key = draw(st.sampled_from(sorted(target)) | st.text(max_size=6))
+    if draw(st.booleans()):
+        target.pop(key, None)
+    else:
+        target[key] = draw(_JSON)
+    return document
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(document=_fuzzed_feeders())
+@example(document=dict(_FEEDER_DOC, lines=_FEEDER_DOC["lines"][:2] + [
+    {"from": 3, "to": 3, "r_pu": 0.01, "x_pu": 0.006}]))
+def test_any_json_is_a_feeder_or_an_input_error(tmp_path, document):
+    # a bad value and a bad topology alike end as an InputError naming the file
+    path = tmp_path / "feeder.json"
+    path.write_text(json.dumps(document))
+    try:
+        feeder = load_feeder_json(path)
+    except InputError as exc:
+        assert str(path) in str(exc)
+        return
+    assert isinstance(feeder, FeederModel)
 
 
 def test_canonical_feeder_layout(canonical_feeder):
