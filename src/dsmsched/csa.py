@@ -27,6 +27,10 @@ no result depends on which antibody reached a key first.
 Every random draw comes from `Draws`, a Python replay of the stream of
 numpy's `Generator(PCG64(seed))`: the same genotypes as calling the
 `Generator`, without numpy's per-call overhead on every gene.
+Hypermutation makes no call for a gene that keeps its value: `Draws.skip`
+consumes the draws of the genes between two mutating ones.  Each gene's
+moves (fixed or not, a run's clamp bounds, a slot set's window) are tabled
+once per `SearchSpace`.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterator, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,6 +73,9 @@ TIE_TOL = 1e-9
 HYPERMUTATION_SCALE = 0.8
 REPLACEMENT_FRACTION = 0.15
 
+# raw PCG64 words `Draws` reads per numpy call
+_BLOCK = 512
+
 
 # genotype: one ascending on-slot tuple per flexible appliance, in order
 Antibody = tuple[tuple[int, ...], ...]
@@ -81,59 +88,112 @@ class Draws:
     what `Generator.random()`, `Generator.integers(0, n)` and the set of
     `Generator.choice(n, size=k, replace=False)` do, for n < 2**32 (choice
     also needs n <= 10000, where numpy uses Floyd's algorithm and then
-    shuffles the k picks).  They read raw PCG64 words in blocks; a bounded
-    draw takes the low 32-bit half of a word and keeps the high half for
-    the next one, as PCG64's `next_uint32` does, and applies Lemire's
-    multiply-shift with numpy's rejection threshold.
+    shuffles the k picks).  `skip(limit, p)` consumes `random()` draws up
+    to the first one below p and counts those that were not.
+
+    Raw PCG64 words are read `_BLOCK` at a time into a list read by index.
+    `random()` is a word's top 53 bits times 2**-53.  A bounded draw takes
+    the low 32-bit half of a word and keeps the high half (`-1` when none
+    is kept) for the next one, as PCG64's `next_uint32` does, and applies
+    Lemire's multiply-shift with numpy's rejection threshold.  `below` and
+    `sample` do this inline, and `sample` and `skip` walk the block in
+    local variables, so a run of draws is one Python call.
     """
 
     def __init__(self, seed: int):
         self._bits = np.random.PCG64(seed)
-        self._words: Iterator[int] = iter(())
-        self._half: int | None = None
+        self._block: list[int] = []
+        self._pos = _BLOCK  # next unread word; _BLOCK means read a new block
+        self._half = -1  # kept high half of the last split word, or -1
 
-    def _word(self) -> int:
-        try:
-            return next(self._words)
-        except StopIteration:
-            self._words = iter(self._bits.random_raw(512).tolist())
-            return next(self._words)
-
-    def _uint32(self) -> int:
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        word = self._word()
-        self._half = word >> 32
-        return word & 0xFFFFFFFF
+    def _refill(self) -> list[int]:
+        self._block = self._bits.random_raw(_BLOCK).tolist()
+        return self._block
 
     def random(self) -> float:
         """A float in [0, 1), as `Generator.random()`."""
-        return (self._word() >> 11) * 2.0**-53
+        pos = self._pos
+        if pos == _BLOCK:
+            self._refill()
+            pos = 0
+        self._pos = pos + 1
+        return (self._block[pos] >> 11) * 2.0**-53
 
     def below(self, n: int) -> int:
         """An int in [0, n), as `Generator.integers(0, n)`; n == 1 draws nothing."""
         if n == 1:
             return 0
-        m = self._uint32() * n
-        if (m & 0xFFFFFFFF) < n:
-            threshold = ((1 << 32) - n) % n
-            while (m & 0xFFFFFFFF) < threshold:
-                m = self._uint32() * n
-        return m >> 32
+        half = self._half
+        while True:
+            if half >= 0:
+                low, half = half, -1
+            else:
+                pos = self._pos
+                if pos == _BLOCK:
+                    self._refill()
+                    pos = 0
+                word = self._block[pos]
+                self._pos = pos + 1
+                low, half = word & 0xFFFFFFFF, word >> 32
+            m = low * n
+            low = m & 0xFFFFFFFF
+            # numpy redraws while low < (2**32 - n) % n, a bound below n
+            if low >= n or low >= (0x100000000 - n) % n:
+                self._half = half
+                return m >> 32
 
     def sample(self, n: int, k: int) -> set[int]:
         """k distinct ints in [0, n), the set `Generator.choice(n, k,
         replace=False)` returns; the shuffle of its picks is drawn and
         dropped."""
         picks: set[int] = set()
-        for j in range(n - k, n):
-            pick = self.below(j + 1)
-            picks.add(j if pick in picks else pick)
-        for i in range(k - 1, 0, -1):
-            self.below(i + 1)
+        first = n - k + 1
+        if first == 1:  # below(1) draws nothing and picks 0
+            picks.add(0)
+            first = 2
+        # i in first..n is Floyd's bound i; i in n+1..n+k-1 is the
+        # shuffle's bound n+k+1-i, that is k down to 2
+        mirror = n + k + 1
+        block, pos, half = self._block, self._pos, self._half
+        for i in range(first, mirror - 1):
+            bound = i if i <= n else mirror - i
+            while True:
+                if half >= 0:
+                    low, half = half, -1
+                else:
+                    if pos == _BLOCK:
+                        block, pos = self._refill(), 0
+                    word = block[pos]
+                    pos += 1
+                    low, half = word & 0xFFFFFFFF, word >> 32
+                m = low * bound
+                low = m & 0xFFFFFFFF
+                if low >= bound or low >= (0x100000000 - bound) % bound:
+                    break
+            if i <= n:
+                pick = m >> 32
+                picks.add(i - 1 if pick in picks else pick)
+        self._pos, self._half = pos, half
         return picks
+
+    def skip(self, limit: int, p: float) -> int:
+        """Consume `random()` draws until one is below p, or `limit` draws;
+        return how many were not below p."""
+        # random() < p exactly when word >> 11 < p * 2**53, and so when
+        # word < ceil(p * 2**53) << 11
+        cut = math.ceil(p * 2.0**53) << 11
+        block, pos = self._block, self._pos
+        count = 0
+        while count < limit:
+            if pos == _BLOCK:
+                block, pos = self._refill(), 0
+            word = block[pos]
+            pos += 1
+            if word < cut:
+                break
+            count += 1
+        self._pos = pos
+        return count
 
 
 @dataclass(frozen=True)
@@ -169,6 +229,29 @@ class _Flex:
     @property
     def start_hi(self) -> int:
         return self.window_hi - self.duration + 1
+
+
+class _Move(NamedTuple):
+    """How one gene is drawn and mutated."""
+
+    # the gene can take one value only, so mutation returns it unchanged
+    fixed: bool
+    # a run's start is clamped to lo..hi; a slot set's window is lo..hi
+    lo: int
+    hi: int
+    # a run's start moves by at most this many slots per mutation
+    reach: int
+    duration: int
+    # a slot set's window slots, ascending; None for a run
+    window: list[int] | None
+
+
+def _move(f: _Flex) -> _Move:
+    if f.uninterruptible:
+        span = f.start_hi - f.window_lo
+        return _Move(span == 0, f.window_lo, f.start_hi, max(1, span // 2), f.duration, None)
+    window = list(range(f.window_lo, f.window_hi + 1))
+    return _Move(len(window) == f.duration, f.window_lo, f.window_hi, 0, f.duration, window)
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,6 +298,7 @@ class SearchSpace:
                     original_slots=tuple(a.original_on_slots),
                 )
             )
+        self._moves = [_move(f) for f in self.flex]
         self.baseline_gross = np.full(self.slot_count, baseline_kw)
         # rating repeated once per required on-slot, aligned with the
         # chained genes of a genotype
@@ -229,38 +313,31 @@ class SearchSpace:
 
     def random_antibody(self, draws: Draws) -> Antibody:
         genes = []
-        for f in self.flex:
-            if f.uninterruptible:
-                start = f.window_lo + draws.below(f.start_hi - f.window_lo + 1)
-                genes.append(tuple(range(start, start + f.duration)))
+        for _, lo, hi, _, duration, window in self._moves:
+            if window is None:
+                start = lo + draws.below(hi - lo + 1)
+                genes.append(tuple(range(start, start + duration)))
             else:
-                width = f.window_hi - f.window_lo + 1
-                picks = draws.sample(width, f.duration)
-                genes.append(tuple(sorted(p + f.window_lo for p in picks)))
+                picks = draws.sample(len(window), duration)
+                genes.append(tuple(sorted(p + lo for p in picks)))
         return tuple(genes)
 
     def mutate_gene(self, index: int, gene: tuple[int, ...], draws: Draws) -> tuple[int, ...]:
         """One mutated copy of a gene, always inside the appliance window."""
-        f = self.flex[index]
-        if f.uninterruptible:
-            span = f.start_hi - f.window_lo
-            if span == 0:
-                return gene
-            bound = max(1, span // 2)
-            delta = draws.below(2 * bound + 1) - bound
-            start = min(f.start_hi, max(f.window_lo, gene[0] + delta))
-            return tuple(range(start, start + f.duration))
-
-        width = f.window_hi - f.window_lo + 1
-        if width == f.duration:
+        fixed, lo, hi, reach, duration, window = self._moves[index]
+        if fixed:
             return gene
-        k = 1 + draws.below(f.duration)
-        dropped = draws.sample(f.duration, k)
+        if window is None:
+            start = gene[0] + draws.below(2 * reach + 1) - reach
+            start = lo if start < lo else hi if start > hi else start
+            return tuple(range(start, start + duration))
+
+        k = 1 + draws.below(duration)
+        dropped = draws.sample(duration, k)
         kept = [s for j, s in enumerate(gene) if j not in dropped]
-        kept_set = set(kept)
-        candidates = [
-            s for s in range(f.window_lo, f.window_hi + 1) if s not in kept_set
-        ]
+        candidates = window.copy()
+        for s in reversed(kept):  # descending, so each index is still s - lo
+            del candidates[s - lo]
         picks = draws.sample(len(candidates), k)
         return tuple(sorted(kept + [candidates[p] for p in picks]))
 
@@ -395,20 +472,24 @@ def clone_and_hypermutate(
     """
     n = len(ranked)
     counts = clone_counts(n)
+    mutate = space.mutate_gene
     offspring: list[Antibody] = []
     for rank, parent in enumerate(ranked, start=1):
         gene_prob = min(1.0, HYPERMUTATION_SCALE * rank / n)
+        size = len(parent)
         for _ in range(counts[rank - 1]):
             genes = list(parent)
-            mutated = False
-            for g in range(len(genes)):
-                if draws.random() < gene_prob:
-                    genes[g] = space.mutate_gene(g, genes[g], draws)
-                    mutated = True
-            if genes and not mutated:
+            # gene g mutates when its own random() draw is below gene_prob;
+            # skip consumes the draws of the genes in between
+            g = draws.skip(size, gene_prob)
+            if g == size and size:
                 # an identical clone is a wasted evaluation; probe a neighbor
-                g = draws.below(len(genes))
-                genes[g] = space.mutate_gene(g, genes[g], draws)
+                g = draws.below(size)
+                genes[g] = mutate(g, genes[g], draws)
+            else:
+                while g < size:
+                    genes[g] = mutate(g, genes[g], draws)
+                    g += 1 + draws.skip(size - g - 1, gene_prob)
             offspring.append(tuple(genes))
     return offspring
 

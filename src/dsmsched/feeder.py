@@ -409,6 +409,17 @@ def canonical_feeder() -> FeederModel:
     )
 
 
+# the keys of a feeder file, and of each of its lines; any other is an error
+_FEEDER_KEYS = frozenset({"base_kva", "base_kv", "slack_voltage_pu", "smart_home_bus", "lines"})
+_LINE_KEYS = frozenset({"from", "to", "r_pu", "x_pu"})
+
+
+def _known_keys(obj, keys: frozenset[str], where: str = "") -> None:
+    """Raise if `obj` is an object that names a key outside `keys`."""
+    if isinstance(obj, dict) and not keys.issuperset(obj):
+        raise ValueError(f"unknown keys {sorted(set(obj) - keys)}{where}")
+
+
 def load_feeder_json(path: str | Path) -> FeederModel:
     path = Path(path)
     try:
@@ -419,20 +430,21 @@ def load_feeder_json(path: str | Path) -> FeederModel:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     try:
-        lines = tuple(
-            FeederLine(
+        _known_keys(data, _FEEDER_KEYS)
+        lines = []
+        for i, line in enumerate(data["lines"]):
+            _known_keys(line, _LINE_KEYS, f" in line {i}")
+            lines.append(FeederLine(
                 from_bus=whole_int(line["from"]),
                 to_bus=whole_int(line["to"]),
                 r_pu=finite_float(line["r_pu"]),
                 x_pu=finite_float(line["x_pu"]),
-            )
-            for line in data["lines"]
-        )
+            ))
         return FeederModel(
             base_kva=finite_float(data["base_kva"]),
             base_kv=finite_float(data["base_kv"]),
             slack_voltage_pu=finite_float(data["slack_voltage_pu"]),
-            lines=lines,
+            lines=tuple(lines),
             smart_home_bus=whole_int(data["smart_home_bus"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -429,7 +429,10 @@ def test_non_utf8_data_file_is_an_input_error_naming_it(tmp_path, capsys, key, n
 @pytest.mark.parametrize("path, value, message", [
     (("lines", 0, "r_pu"), -0.006, "line 0-1 has negative impedance"),
     (("smart_home_bus",), 5, "smart_home_bus 5 is not at the end of the feeder"),
-], ids=["negative_impedance", "home_mid_feeder"])
+    # a misspelt key would otherwise be dropped and its value never used
+    (("slack_voltage",), 1.05, "unknown keys ['slack_voltage']"),
+    (("lines", 2, "r_ohm"), 5, "unknown keys ['r_ohm'] in line 2"),
+], ids=["negative_impedance", "home_mid_feeder", "misspelt_key", "misspelt_line_key"])
 def test_bad_feeder_topology_is_an_input_error_naming_it(tmp_path, capsys, path, value, message):
     feeder = json.loads((FIXTURES / "feeder_13bus.json").read_text())
     *parents, key = path

@@ -7,6 +7,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
+import csa_reference
 import eval_reference
 from conftest import FIXTURES
 from eval_reference import bits, flow_entries
@@ -143,6 +144,153 @@ class TestDrawsMatchNumpy:
                 assert draws.below(n) == int(gen.integers(0, n)), (seed, i)
                 if i % 7 == 0:
                     assert draws.random() == gen.random(), (seed, i)
+
+
+class TestDrawsMatchReference:
+    """`Draws` against `csa_reference.Draws`, the one-call-per-draw replay,
+    where numpy has no call to compare with: `skip`, `sample` over more
+    than numpy's 10,000-item Floyd range, and crafted words."""
+
+    # (2**32 - n) % n == 2**30: a quarter of the 32-bit draws are rejected
+    HEAVY = 3 << 30
+
+    @staticmethod
+    def draw_both(draws, ref, plan):
+        op, a, b = plan
+        if op == "random":
+            return draws.random(), ref.random()
+        if op == "below":
+            return draws.below(a), ref.below(a)
+        if op == "sample":
+            return draws.sample(a, b), ref.sample(a, b)
+        return draws.skip(a, b), csa_reference.skip(ref, a, b)
+
+    def plan(self, pick):
+        op = pick.choice(("random", "below", "sample", "skip"))
+        if op == "below":
+            # a third draw nothing (n == 1), a third from the rejection-heavy range
+            return op, pick.choice((1, self.HEAVY, pick.randrange(2, 100))), 0
+        if op == "sample":
+            n = pick.choice((self.HEAVY, pick.randrange(1, 40)))
+            return op, n, pick.randrange(1, min(n, 12) + 1)
+        if op == "skip":
+            # limits past a 512-word block; p at the ends, at the search's
+            # rank fractions, and anywhere
+            p = pick.choice((0.0, 1.0, 0.8 * pick.randrange(1, 61) / 60, pick.random()))
+            return op, pick.choice((0, 1, pick.randrange(2, 40), pick.randrange(500, 700))), p
+        return op, 0, 0
+
+    def test_mixed_draws(self):
+        for seed in range(600):
+            draws, ref = Draws(seed), csa_reference.Draws(seed)
+            pick = random.Random(seed)
+            for _ in range(40):
+                plan = self.plan(pick)
+                mine, theirs = self.draw_both(draws, ref, plan)
+                assert mine == theirs, (seed, plan)
+                # the next word and the kept half are where the reference's are
+                assert draws.below(7) == ref.below(7), (seed, plan)
+
+    def test_skip_counts_the_draws_not_below_p(self):
+        for seed in range(200):
+            draws, ref = Draws(seed), csa_reference.Draws(seed)
+            draws.below(5), ref.below(5)  # a kept half must survive the skip
+            for limit, p in ((0, 0.5), (3, 0.0), (700, 0.001), (40, 1.0), (40, 0.3)):
+                assert draws.skip(limit, p) == csa_reference.skip(ref, limit, p), seed
+                assert draws.below(9) == ref.below(9), seed
+                assert draws.random() == ref.random(), seed
+
+    def test_skip_threshold_is_exact(self):
+        # words whose top 53 bits sit at either side of p * 2**53, which
+        # random draws hit with probability 2**-53: the test must be
+        # random() < p, bit for bit
+        for p in (0.1, 0.8 * 7 / 60, 1 / 3, 0.5, 2.0**-53, 1.0 - 2.0**-53):
+            edge = p * 2.0**53
+            for top in {math.floor(edge) - 1, math.floor(edge), math.ceil(edge),
+                        min(math.ceil(edge) + 1, 2**53 - 1)}:
+                for low in (0, 2**11 - 1):
+                    draws = Draws(0)
+                    draws._block, draws._pos = [top << 11 | low], 0
+                    assert draws.skip(1, p) == (0 if top * 2.0**-53 < p else 1), (p, top)
+
+    def test_rejections_on_crafted_words(self):
+        # a zero 32-bit half is rejected by every bound that is not a power
+        # of two, and by no other: a zero at each position tells apart
+        # bounds that random words almost never do, such as a shuffle that
+        # draws from k + 1..3 instead of k..2
+        pick = random.Random(0)
+        for n, k in ((2, 2), (3, 3), (5, 2), (6, 6), (7, 4), (9, 1)):
+            draws_needed = 2 * (n + k)
+            for zero in range(draws_needed):
+                words = [pick.getrandbits(64) for _ in range(draws_needed)]
+                words[zero // 2] &= 0xFFFFFFFF00000000 if zero % 2 == 0 else 0xFFFFFFFF
+                draws, ref = Draws(0), csa_reference.Draws(0)
+                draws._block, draws._pos = words + [0] * (512 - len(words)), 0
+                ref._words = iter(words)
+                assert draws.sample(n, k) == ref.sample(n, k), (n, k, zero)
+                assert draws.below(n + 2) == ref.below(n + 2), (n, k, zero)
+
+    def test_heavy_rejection_sample(self):
+        for seed in range(300):
+            draws, ref = Draws(seed), csa_reference.Draws(seed)
+            for k in (1, 2, 5, 9):
+                assert draws.sample(self.HEAVY, k) == ref.sample(self.HEAVY, k), (seed, k)
+                assert draws.random() == ref.random(), (seed, k)
+            assert draws.below(self.HEAVY) == ref.below(self.HEAVY), seed
+
+
+class TestHypermutationMatchesReference:
+    """Random antibodies, mutated genes and offspring against the scalar
+    reference in csa_reference: the same genotypes, and the stream left at
+    the same place after every call, on every small-suite space, the
+    canonical day, a space with fixed genes and a one-gene space."""
+
+    @pytest.fixture(scope="class")
+    def spaces(self, grid48, canonical_appliances, canonical_price):
+        contexts = {ctx.appliances: ctx for _, ctx in build_suite()}
+        spaces = {f"suite{i}": SearchSpace(ctx) for i, ctx in enumerate(contexts.values())}
+        spaces["canonical"] = SearchSpace(ProblemContext(
+            grid=grid48, appliances=canonical_appliances, price=canonical_price))
+        spaces["fixed_genes"] = SearchSpace(ProblemContext(grid=GRID12, price=FLAT, appliances=(
+            _baseline(),
+            _uninterruptible(2, (4, 6), 3, 1.0, original_start=4),  # one start only
+            _interruptible(3, (7, 8), 2, 1.0, original=(7, 8)),  # window == duration
+            _interruptible(4, (1, 12), 3, 1.0, original=(2, 5, 9)),
+            _uninterruptible(5, (1, 12), 4, 1.0, original_start=3),
+            _uninterruptible(6, (9, 12), 3, 1.0, original_start=9),  # two starts
+        )))
+        spaces["one_gene"] = SearchSpace(ProblemContext(grid=GRID12, price=FLAT, appliances=(
+            _baseline(), _interruptible(2, (3, 11), 4, 1.0, original=(3, 4, 5, 6)))))
+        return spaces
+
+    @staticmethod
+    def check(space, seeds, size, generations):
+        for seed in seeds:
+            draws, ref = Draws(seed), csa_reference.Draws(seed)
+            population = [space.original_antibody()]
+            for _ in range(size - 1):
+                ab = space.random_antibody(draws)
+                assert ab == csa_reference.random_antibody(space, ref), seed
+                assert draws.random() == ref.random(), seed
+                population.append(ab)
+            for g, gene in enumerate(population[-1]):
+                mutated = space.mutate_gene(g, gene, draws)
+                assert mutated == csa_reference.mutate_gene(space, g, gene, ref), (seed, g)
+                assert draws.random() == ref.random(), (seed, g)
+            for generation in range(generations):
+                offspring = clone_and_hypermutate(population, draws, space)
+                expected = csa_reference.clone_and_hypermutate(population, ref, space)
+                assert offspring == expected, (seed, generation)
+                assert draws.random() == ref.random(), (seed, generation)
+                population = offspring[:size]
+
+    def test_small_spaces(self, spaces):
+        for name, space in spaces.items():
+            if name != "canonical":
+                self.check(space, range(200), size=6, generations=3)
+
+    def test_canonical_day(self, spaces):
+        self.check(spaces["canonical"], range(200), size=5, generations=3)
 
 
 class TestSearchSpace:

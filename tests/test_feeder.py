@@ -419,33 +419,41 @@ _FEEDER_DOC = {
 @st.composite
 def _fuzzed_feeders(draw):
     """The 3-line feeder document with one key or one line field replaced,
-    added or removed."""
+    added or removed, and whether that added a key outside the schema."""
     document = json.loads(json.dumps(_FEEDER_DOC))
     target = document
     if draw(st.booleans()):
         target = document["lines"][draw(st.integers(0, len(_FEEDER_DOC["lines"]) - 1))]
     key = draw(st.sampled_from(sorted(target)) | st.text(max_size=6))
+    added = key not in target
     if draw(st.booleans()):
         target.pop(key, None)
+        added = False
     else:
         target[key] = draw(_JSON)
-    return document
+    return document, added
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(document=_fuzzed_feeders())
-@example(document=dict(_FEEDER_DOC, lines=_FEEDER_DOC["lines"][:2] + [
-    {"from": 3, "to": 3, "r_pu": 0.01, "x_pu": 0.006}]))
-def test_any_json_is_a_feeder_or_an_input_error(tmp_path, document):
-    # a bad value and a bad topology alike end as an InputError naming the file
+@given(case=_fuzzed_feeders())
+@example(case=(dict(_FEEDER_DOC, lines=_FEEDER_DOC["lines"][:2] + [
+    {"from": 3, "to": 3, "r_pu": 0.01, "x_pu": 0.006}]), False))
+@example(case=(dict(_FEEDER_DOC, slack_voltage=1.05), True))
+def test_any_json_is_a_feeder_or_an_input_error(tmp_path, case):
+    # a bad value and a bad topology alike end as an InputError naming the
+    # file, and so does an added key outside the schema: none is dropped
+    document, added = case
     path = tmp_path / "feeder.json"
     path.write_text(json.dumps(document))
     try:
         feeder = load_feeder_json(path)
     except InputError as exc:
         assert str(path) in str(exc)
+        if added:  # only one field changed, so the added key is the only fault
+            assert "bad feeder description: unknown keys" in str(exc)
         return
+    assert not added
     assert isinstance(feeder, FeederModel)
 
 
