@@ -16,6 +16,7 @@ reader's misses and the home-disconnected baselines of their slots.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -78,10 +79,12 @@ class _FlowCache:
     `mags` (entries x buses); those two are only appended to, never
     reordered, and grow geometrically from the size of the first solve, so
     their first `size` rows are the entries.  `baseline` maps a slot index
-    to its home-disconnected feeder loss.
+    to its home-disconnected feeder loss, and `baseline_failed` to the
+    PowerFlowError of that sweep where it diverged, so neither is solved
+    twice.
     """
 
-    __slots__ = ("codes", "rows", "loss", "mags", "size", "baseline")
+    __slots__ = ("codes", "rows", "loss", "mags", "size", "baseline", "baseline_failed")
 
     def __init__(self) -> None:
         self.codes = np.empty(0, dtype=np.int64)
@@ -90,6 +93,7 @@ class _FlowCache:
         self.mags = np.empty((0, 0))
         self.size = 0
         self.baseline: dict[int, float] = {}
+        self.baseline_failed: dict[int, PowerFlowError] = {}
 
     def find(self, codes: np.ndarray) -> np.ndarray:
         """Row of each code's entry, -1 where the code is not cached."""
@@ -325,18 +329,23 @@ class ProblemContext:
         home-disconnected baselines of their slots and of `slots`, by
         `solve_power_flow_batch`.
 
-        Caches every flow entry and baseline that converges.  Returns the
-        PowerFlowError of each failure: by (slot index, W) key for a flow,
-        its own or else its slot's baseline failure, in that order, as
-        `slot_flow` raises them; by slot index for a baseline.
+        Caches every flow entry and baseline that converges, and every
+        baseline failure.  Returns the PowerFlowError of each failure: by
+        (slot index, W) key for a flow, its own or else its slot's baseline
+        failure, in that order, as `slot_flow` raises them; by slot index
+        for a baseline.
         """
         cache = self._cache
         count = self.grid.slot_count
-        todo = sorted({*slots, *(codes % count).tolist()} - cache.baseline.keys())
+        touched = {*slots, *(codes % count).tolist()}
+        # a known baseline failure is handed out as a copy, so that raising
+        # it never grows the cached error's traceback
+        failed: dict = {slot: copy.copy(cache.baseline_failed[slot])
+                        for slot in touched & cache.baseline_failed.keys()}
+        todo = sorted(touched - cache.baseline.keys() - failed.keys())
         # baselines first, so each is known before the flows of its slot; a
         # baseline's case has code W x count + slot with W = 0
         case_codes = np.concatenate([np.array(todo, dtype=np.int64), codes])
-        failed: dict = {}
         # chunks bound the sweep's working arrays (about 2 kB per case)
         for lo in range(0, len(case_codes), _SWEEP_CHUNK):
             chunk = case_codes[lo:lo + _SWEEP_CHUNK]
@@ -349,6 +358,7 @@ class ProblemContext:
             for k, slot in enumerate(idx[:homes].tolist()):
                 if fails[k]:
                     failed[slot] = sweep.error(k, slot + 1)
+                    cache.baseline_failed[slot] = copy.copy(failed[slot])
                 else:
                     cache.baseline[slot] = losses[k]
             # NaN where the flow or its slot's baseline failed

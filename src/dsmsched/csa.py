@@ -28,9 +28,12 @@ Every random draw comes from `Draws`, a Python replay of the stream of
 numpy's `Generator(PCG64(seed))`: the same genotypes as calling the
 `Generator`, without numpy's per-call overhead on every gene.
 Hypermutation makes no call for a gene that keeps its value: `Draws.skip`
-consumes the draws of the genes between two mutating ones.  Each gene's
-moves (fixed or not, a run's clamp bounds, a slot set's window) are tabled
-once per `SearchSpace`.
+consumes the draws of the genes between two mutating ones.  Each flexible
+appliance is one `Flexible` record, built once per `SearchSpace`: its
+rating, duration and original plan, a run's start range or a slot set's
+window, and its count of legal genes.  Drawing, mutating, listing,
+decoding and scoring a gene, and the oracle's count of candidates, all
+read that record.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 
 from .constraints import KW_TOL, FeasibilityReport, is_feasible
 from .costing import CostBreakdown, ProblemContext, total_cost
-from .domain import ApplianceClass, Schedule, effective_window, schedule_from_on_slots
+from .domain import Appliance, ApplianceClass, Schedule, effective_window, schedule_from_on_slots
 from .errors import PowerFlowError
 
 __all__ = [
@@ -214,44 +217,36 @@ class CsaConfig:
             raise ValueError("rng_seed must be >= 0")
 
 
-@dataclass(frozen=True)
-class _Flex:
-    """Cached per-appliance search data for one flexible appliance."""
+class Flexible(NamedTuple):
+    """One flexible appliance's gene: everything drawing, mutating,
+    listing, decoding and scoring it reads."""
 
     row: int
-    uninterruptible: bool
-    window_lo: int
-    window_hi: int
-    duration: int
     rated_kw: float
-    original_slots: tuple[int, ...]
-
-    @property
-    def start_hi(self) -> int:
-        return self.window_hi - self.duration + 1
-
-
-class _Move(NamedTuple):
-    """How one gene is drawn and mutated."""
-
-    # the gene can take one value only, so mutation returns it unchanged
-    fixed: bool
-    # a run's start is clamped to lo..hi; a slot set's window is lo..hi
+    duration: int
+    # the original plan's on-slots, ascending
+    original: tuple[int, ...]
+    # a run's start range, or a slot set's window
     lo: int
     hi: int
     # a run's start moves by at most this many slots per mutation
     reach: int
-    duration: int
     # a slot set's window slots, ascending; None for a run
     window: list[int] | None
+    # legal genes; with one only, mutation returns the gene unchanged
+    count: int
 
 
-def _move(f: _Flex) -> _Move:
-    if f.uninterruptible:
-        span = f.start_hi - f.window_lo
-        return _Move(span == 0, f.window_lo, f.start_hi, max(1, span // 2), f.duration, None)
-    window = list(range(f.window_lo, f.window_hi + 1))
-    return _Move(len(window) == f.duration, f.window_lo, f.window_hi, 0, f.duration, window)
+def _flexible(row: int, a: Appliance) -> Flexible:
+    lo, hi = effective_window(a)
+    if a.appliance_class is ApplianceClass.UNINTERRUPTIBLE:
+        hi -= a.duration - 1
+        window, reach, count = None, max(1, (hi - lo) // 2), max(0, hi - lo + 1)
+    else:
+        window = list(range(lo, hi + 1))
+        reach, count = 0, math.comb(len(window), a.duration)
+    return Flexible(row, a.rated_kw, a.duration, tuple(a.original_on_slots),
+                    lo, hi, reach, window, count)
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,42 +275,34 @@ class SearchSpace:
         self.context = context
         grid = context.grid
         self.slot_count = grid.slot_count
-        self.flex: list[_Flex] = []
+        self.flex: list[Flexible] = []
         baseline_kw = 0.0
         for row, a in enumerate(context.appliances):
             if a.appliance_class is ApplianceClass.BASELINE:
                 baseline_kw += a.rated_kw
-                continue
-            lo, hi = effective_window(a)
-            self.flex.append(
-                _Flex(
-                    row=row,
-                    uninterruptible=a.appliance_class is ApplianceClass.UNINTERRUPTIBLE,
-                    window_lo=lo,
-                    window_hi=hi,
-                    duration=a.duration,
-                    rated_kw=a.rated_kw,
-                    original_slots=tuple(a.original_on_slots),
-                )
-            )
-        self._moves = [_move(f) for f in self.flex]
+            else:
+                self.flex.append(_flexible(row, a))
         self.baseline_gross = np.full(self.slot_count, baseline_kw)
+        ratings = [f.rated_kw for f in self.flex]
+        durations = [f.duration for f in self.flex]
         # rating repeated once per required on-slot, aligned with the
         # chained genes of a genotype
-        self.rate_weights = np.repeat(
-            [f.rated_kw for f in self.flex], [f.duration for f in self.flex]
-        )
+        self.rate_weights = np.repeat(ratings, durations)
+        self._ratings = np.array(ratings)
+        # the original genotype's chained genes, and where each gene starts
+        self._original = np.fromiter(chain.from_iterable(self.original_antibody()), np.intp)
+        self._gene_starts = np.cumsum([0] + durations[:-1])
         self._price = context.price_array()
         self._pv = context.pv_array()
 
     def original_antibody(self) -> Antibody:
-        return tuple(f.original_slots for f in self.flex)
+        return tuple(f.original for f in self.flex)
 
     def random_antibody(self, draws: Draws) -> Antibody:
         genes = []
-        for _, lo, hi, _, duration, window in self._moves:
+        for _, _, duration, _, lo, _, _, window, count in self.flex:
             if window is None:
-                start = lo + draws.below(hi - lo + 1)
+                start = lo + draws.below(count)
                 genes.append(tuple(range(start, start + duration)))
             else:
                 picks = draws.sample(len(window), duration)
@@ -324,8 +311,8 @@ class SearchSpace:
 
     def mutate_gene(self, index: int, gene: tuple[int, ...], draws: Draws) -> tuple[int, ...]:
         """One mutated copy of a gene, always inside the appliance window."""
-        fixed, lo, hi, reach, duration, window = self._moves[index]
-        if fixed:
+        _, _, duration, _, lo, hi, reach, window, count = self.flex[index]
+        if count == 1:
             return gene
         if window is None:
             start = gene[0] + draws.below(2 * reach + 1) - reach
@@ -345,9 +332,9 @@ class SearchSpace:
         """Every gene appliance `index` can take, lexicographic: each
         contiguous run if uninterruptible, else each on-slot tuple."""
         f = self.flex[index]
-        if f.uninterruptible:
-            return [tuple(range(s, s + f.duration)) for s in range(f.window_lo, f.start_hi + 1)]
-        return list(combinations(range(f.window_lo, f.window_hi + 1), f.duration))
+        if f.window is None:
+            return [tuple(range(s, s + f.duration)) for s in range(f.lo, f.hi + 1)]
+        return list(combinations(f.window, f.duration))
 
     def decode(self, antibody: Antibody) -> Schedule:
         """Full schedule for all appliances, baseline rows always on."""
@@ -408,16 +395,15 @@ class SearchSpace:
         rows = len(slots)
         energy = np.fromiter(map(self._price.dot, billed), float, rows) * hours
 
-        # per-appliance displacement, accumulated in appliance order
-        shift_slots = np.zeros(rows, dtype=np.intp)
-        weighted = np.zeros(rows)
-        pos = 0
-        for f in self.flex:
-            block = slots[:, pos:pos + f.duration]
-            pos += f.duration
-            delta = np.abs(block - np.array(f.original_slots, dtype=np.intp)).sum(axis=1)
-            shift_slots += delta
-            weighted = weighted + delta * f.rated_kw
+        moved = np.abs(slots - self._original)
+        shift_slots = moved.sum(axis=1)
+        if self.flex:
+            # per-gene displacement times rating; cumsum adds them left to
+            # right, in appliance order, as a per-appliance loop would
+            delta = np.add.reduceat(moved, self._gene_starts, axis=1)
+            weighted = np.cumsum(delta * self._ratings, axis=1)[:, -1]
+        else:  # reduceat takes no empty index
+            weighted = np.zeros(rows)
         penalty = hours * ctx.penalty_price * weighted
         total = energy + penalty
 

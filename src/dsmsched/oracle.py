@@ -70,14 +70,8 @@ class SmallInstance:
         object.__setattr__(self, "space", space)
 
     def placement_counts(self) -> list[int]:
-        """Genes per flexible appliance, counted without listing them: the
-        start slots of its run if uninterruptible, else the
-        `duration`-slot subsets of its window."""
-        return [
-            max(0, f.start_hi - f.window_lo + 1) if f.uninterruptible
-            else math.comb(f.window_hi - f.window_lo + 1, f.duration)
-            for f in self.space.flex
-        ]
+        """Genes per flexible appliance, counted without listing them."""
+        return [f.count for f in self.space.flex]
 
     def candidate_count(self) -> int:
         return math.prod(self.placement_counts())

@@ -5,7 +5,9 @@
 `_word`, and `sample` calls `below` once per Floyd pick and once per
 dropped shuffle draw.  `random_antibody`, `mutate_gene` and
 `clone_and_hypermutate` draw genes through it one gene at a time, testing
-every gene of every clone with its own `random()` call.  `csa.Draws`,
+every gene of every clone with its own `random()` call; they read each
+appliance's class, window, and duration from its `Appliance`, not from
+the `SearchSpace` record they check.  `csa.Draws`,
 `SearchSpace.random_antibody`, `SearchSpace.mutate_gene` and
 `csa.clone_and_hypermutate` must match them exactly: the same genotypes and
 the same stream position after every call.
@@ -18,6 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from dsmsched.csa import HYPERMUTATION_SCALE, Antibody, SearchSpace, clone_counts
+from dsmsched.domain import ApplianceClass, effective_window
 
 
 class Draws:
@@ -72,42 +75,49 @@ class Draws:
         return picks
 
 
+def appliance(space: SearchSpace, index: int) -> tuple[bool, int, int, int]:
+    """(uninterruptible, window start, window end, duration) of flexible
+    appliance `index`, read from its `Appliance`, not from `space.flex`."""
+    a = space.context.appliances[space.flex[index].row]
+    lo, hi = effective_window(a)
+    return a.appliance_class is ApplianceClass.UNINTERRUPTIBLE, lo, hi, a.duration
+
+
 def random_antibody(space: SearchSpace, draws: Draws) -> Antibody:
     genes = []
-    for f in space.flex:
-        if f.uninterruptible:
-            start = f.window_lo + draws.below(f.start_hi - f.window_lo + 1)
-            genes.append(tuple(range(start, start + f.duration)))
+    for index in range(len(space.flex)):
+        uninterruptible, lo, hi, duration = appliance(space, index)
+        if uninterruptible:
+            start_hi = hi - duration + 1
+            start = lo + draws.below(start_hi - lo + 1)
+            genes.append(tuple(range(start, start + duration)))
         else:
-            width = f.window_hi - f.window_lo + 1
-            picks = draws.sample(width, f.duration)
-            genes.append(tuple(sorted(p + f.window_lo for p in picks)))
+            picks = draws.sample(hi - lo + 1, duration)
+            genes.append(tuple(sorted(p + lo for p in picks)))
     return tuple(genes)
 
 
 def mutate_gene(space: SearchSpace, index: int, gene: tuple[int, ...],
                 draws: Draws) -> tuple[int, ...]:
     """One mutated copy of a gene, always inside the appliance window."""
-    f = space.flex[index]
-    if f.uninterruptible:
-        span = f.start_hi - f.window_lo
+    uninterruptible, lo, hi, duration = appliance(space, index)
+    if uninterruptible:
+        start_hi = hi - duration + 1
+        span = start_hi - lo
         if span == 0:
             return gene
         bound = max(1, span // 2)
         delta = draws.below(2 * bound + 1) - bound
-        start = min(f.start_hi, max(f.window_lo, gene[0] + delta))
-        return tuple(range(start, start + f.duration))
+        start = min(start_hi, max(lo, gene[0] + delta))
+        return tuple(range(start, start + duration))
 
-    width = f.window_hi - f.window_lo + 1
-    if width == f.duration:
+    if hi - lo + 1 == duration:
         return gene
-    k = 1 + draws.below(f.duration)
-    dropped = draws.sample(f.duration, k)
+    k = 1 + draws.below(duration)
+    dropped = draws.sample(duration, k)
     kept = [s for j, s in enumerate(gene) if j not in dropped]
     kept_set = set(kept)
-    candidates = [
-        s for s in range(f.window_lo, f.window_hi + 1) if s not in kept_set
-    ]
+    candidates = [s for s in range(lo, hi + 1) if s not in kept_set]
     picks = draws.sample(len(candidates), k)
     return tuple(sorted(kept + [candidates[p] for p in picks]))
 

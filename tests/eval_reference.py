@@ -65,9 +65,10 @@ def evaluate(space: SearchSpace, antibody: Antibody, weight: float) -> dict:
     shift_slots = 0
     weighted = 0.0
     for f, gene in zip(space.flex, antibody):
-        delta = sum(abs(n - o) for n, o in zip(gene, f.original_slots))
+        appliance = ctx.appliances[f.row]
+        delta = sum(abs(n - o) for n, o in zip(gene, appliance.original_on_slots))
         shift_slots += delta
-        weighted += delta * f.rated_kw
+        weighted += delta * appliance.rated_kw
     penalty = ctx.grid.slot_hours * ctx.penalty_price * weighted
     total = energy + penalty
 

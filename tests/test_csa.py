@@ -6,6 +6,7 @@ from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import csa_reference
 import eval_reference
@@ -49,6 +50,23 @@ from small_instances import (
 )
 
 FAST = dict(population_size=20, generations=60, stall_generations=20)
+
+GRID16 = TimeGrid(slot_count=16)
+FLAT16 = PriceSeries(values=(0.08,) * 16)
+
+
+@st.composite
+def _flexible_on_16_slots(draw):
+    """A flexible appliance of either class on `GRID16`, its original plan
+    inside its window."""
+    lo = draw(st.integers(1, 16))
+    hi = draw(st.integers(lo, 16))
+    duration = draw(st.integers(1, hi - lo + 1))
+    if draw(st.booleans()):
+        start = draw(st.integers(lo, hi - duration + 1))
+        return _uninterruptible(0, (lo, hi), duration, 1.0, original_start=start)
+    slots = draw(st.sets(st.integers(lo, hi), min_size=duration, max_size=duration))
+    return _interruptible(0, (lo, hi), duration, 1.0, original=tuple(sorted(slots)))
 
 
 def steep_context(penalty=0.0, **overrides):
@@ -393,6 +411,39 @@ class TestGenesListTheReachableSpace:
                     assert all(g in genes for g, genes in zip(genotype, listed)), seed
                     genotype = tuple(space.mutate_gene(i, g, draws)
                                      for i, g in enumerate(genotype))
+
+    @settings(max_examples=150, deadline=None)
+    @given(appliances=st.lists(_flexible_on_16_slots(), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    @example(appliances=[
+        _uninterruptible(1, (5, 7), 3, 1.0, original_start=5),  # one start
+        _interruptible(2, (9, 10), 2, 1.0, original=(9, 10)),  # window == duration
+        _uninterruptible(3, (1, 4), 3, 1.0, original_start=2),  # two starts
+        _interruptible(4, (15, 16), 1, 1.0, original=(16,)),  # two genes
+    ], seed=0)
+    def test_counted_drawn_and_mutated_genes_agree(self, appliances, seed):
+        # the oracle's count is the length of the gene list; every gene
+        # drawn or mutated is listed; a gene stays put under mutation
+        # exactly when it is the only one its appliance can take
+        instance = SmallInstance(
+            ProblemContext(grid=GRID16, appliances=tuple(appliances), price=FLAT16))
+        space, counts = instance.space, instance.placement_counts()
+        listed = [space.genes(i) for i in range(len(appliances))]
+        assert counts == [len(genes) for genes in listed]
+        listed = [set(genes) for genes in listed]
+        draws = Draws(seed)
+        genotype = space.random_antibody(draws)
+        for i, gene in enumerate(genotype):
+            assert gene in listed[i]
+            moved = False
+            # a gene with two or more legal values moves with probability
+            # >= 1/3 per call, so 60 calls all miss with odds under 1e-10
+            for _ in range(60):
+                mutated = space.mutate_gene(i, gene, draws)
+                assert mutated in listed[i]
+                moved |= mutated != gene
+                gene = mutated
+            assert moved == (counts[i] != 1), (i, counts[i])
 
 
 class TestGenotypeLayout:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from dsmsched import costing
 from dsmsched.constraints import is_feasible
 from dsmsched.costing import ProblemContext
 from dsmsched.domain import Appliance, ApplianceClass, TimeGrid
@@ -336,6 +337,34 @@ class TestHomeAttribution:
         assert str(flow.value) == str(baseline.value)
         report = is_feasible(ctx.original_schedule(), ctx)
         assert [(v.slot, v.bus) for v in report.voltage] == [(1, -1)]
+
+    def test_failed_baseline_is_solved_once(self, monkeypatch):
+        # the slot's baseline failure is kept, so each later call sweeps
+        # only its own flow, one case: re-solving the baseline as well
+        # would take 6 sweep calls of 9 cases for these 6 calls
+        ctx = home_context(chain(n_lines=2, r=0.3, x=0.18), neighbor_kw=(40.0,), pv_kw=(30.0,))
+        cases = []
+
+        def counting(feeder, p, q, pv):
+            cases.append(len(p))
+            return solve_power_flow_batch(feeder, p, q, pv)
+
+        monkeypatch.setattr(costing, "solve_power_flow_batch", counting)
+        texts = []
+        for call in [lambda: ctx.baseline_loss(0), lambda: ctx.slot_flow(0, 0.5)] * 3:
+            with pytest.raises(PowerFlowError, match="did not converge") as exc:
+                call()
+            texts.append(str(exc.value))
+        assert len(set(texts)) == 1
+        assert cases == [1, 1, 1, 1]
+        # a flow that diverges itself still reports its own failure first,
+        # as on a context that knows nothing yet
+        with pytest.raises(PowerFlowError) as own:
+            ctx.slot_flow(0, 200.0)
+        with pytest.raises(PowerFlowError) as fresh:
+            dataclasses.replace(ctx).slot_flow(0, 200.0)
+        assert str(own.value) == str(fresh.value) != texts[0]
+        assert cases == [1, 1, 1, 1, 1, 2]
 
     def test_incremental_loss_positive_when_home_draws(self):
         ctx = home_context(chain(n_lines=2), neighbor_kw=(2.0,))
