@@ -153,11 +153,9 @@ def _load_grid(data: dict, where: str) -> TimeGrid:
 
 def _load_voltage_band(data: dict, where: str) -> tuple[float, float]:
     band = data.get("voltage_band", [0.95, 1.05])
-    if isinstance(band, list) and len(band) == 2:
-        low, high = (_number(v, "voltage_band", where) for v in band)
-        if low < high:
-            return low, high
-    raise InputError(f"{where}: voltage_band must be [low, high]")
+    if not (isinstance(band, list) and len(band) == 2):
+        raise InputError(f"{where}: voltage_band must be [low, high]")
+    return tuple(_number(v, "voltage_band", where) for v in band)
 
 
 def _penalty_prices(values: Iterable, per_usd: float, bad: str, empty: str) -> list[float]:
@@ -298,7 +296,7 @@ def _parse_config(data, path: Path) -> ScenarioConfig:
 
     return ScenarioConfig(
         label=_typed(data, "label", str, where, path.stem),
-        problem=ProblemContext(  # checks the cap, the power factor and the feeder houses
+        problem=ProblemContext(  # checks the cap, the band, the power factor, the houses
             grid=grid,
             appliances=appliances,
             price=price,
@@ -318,11 +316,12 @@ def _parse_config(data, path: Path) -> ScenarioConfig:
 
 def _voltage_rows(context: ProblemContext, gross: np.ndarray) -> Iterable[list]:
     """`slot, bus, v_pu` rows of `gross`'s power flows; raises the first
-    flow's PowerFlowError."""
-    for slot, flow in enumerate(context.slot_flows(gross), start=1):
-        if isinstance(flow, PowerFlowError):
-            raise flow
-        for bus, mag in enumerate(flow[1]):
+    failed flow's PowerFlowError."""
+    _, mags, errors = context.slot_flows(gross)
+    if errors:
+        raise next(iter(errors.values()))
+    for slot, row in enumerate(mags.tolist(), start=1):
+        for bus, mag in enumerate(row):
             yield [slot, bus, _fmt(mag)]
 
 

@@ -24,7 +24,6 @@ from .domain import (
     aggregate_power,
     effective_window,
 )
-from .errors import PowerFlowError
 from .feeder import VoltageViolation
 
 __all__ = [
@@ -155,17 +154,12 @@ def is_feasible(schedule: Schedule, context: ProblemContext) -> FeasibilityRepor
         else:
             report.contiguity.append(aid)
 
-    if context.feeder is not None:
-        flows = context.slot_flows(gross)
-        for idx, flow in enumerate(flows):
-            if isinstance(flow, PowerFlowError):
-                report.voltage.append(
-                    VoltageViolation(slot=idx + 1, bus=-1, v_pu=float("nan"))
-                )
-                continue
-            for bus, mag in enumerate(flow[1]):
-                if mag < context.voltage_min or mag > context.voltage_max:
-                    report.voltage.append(
-                        VoltageViolation(slot=idx + 1, bus=bus, v_pu=mag)
-                    )
+    _, mags, errors = context.slot_flows(gross)
+    for idx, row in enumerate(mags.tolist()):
+        if idx in errors:
+            report.voltage.append(VoltageViolation(slot=idx + 1, bus=-1, v_pu=float("nan")))
+            continue
+        for bus, mag in enumerate(row):
+            if mag < context.voltage_min or mag > context.voltage_max:
+                report.voltage.append(VoltageViolation(slot=idx + 1, bus=bus, v_pu=mag))
     return report

@@ -8,10 +8,10 @@ inconvenience charge on rating-weighted slot shifts (`shift_distance`).
 needs (grid, appliances, tariff, PV, neighbors, feeder, limits) and owns a
 shared power-flow cache so that repeated evaluations of similar schedules reuse
 slot solves.  The cache is arrays: sorted int64 (slot, W) codes indexing
-append-only rows of billed loss and per-bus |V|, so a reader looks up all of
-its keys with one `np.searchsorted`.  Every solve goes through
-`ProblemContext._solve_cases`: one call of the batched sweep for all of a
-reader's misses and the home-disconnected baselines of their slots.
+append-only rows of billed loss and per-bus |V|, NaN for a failed key, so a
+reader looks up all of its keys with one `np.searchsorted`.  Every solve
+goes through `ProblemContext._solve_cases`: one sweep call for all of a
+reader's misses, and on the first, for every slot's baseline.
 """
 
 from __future__ import annotations
@@ -68,23 +68,23 @@ _SWEEP_CHUNK = 256
 class _FlowCache:
     """Per-slot power-flow results shared by every evaluation on a context.
 
-    One entry per converged (slot index, gross household load in whole
-    watts) key, coded `W x slot count + slot`: the billed incremental loss
-    kW and the per-bus voltage magnitudes, solved at the key's own load,
-    watts / 1000 kW, so each entry is a fixed function of its key whatever
-    order the evaluations reached it in.  Failed solves are not cached.
+    One entry per solved (slot index, gross household load in whole watts)
+    key, coded `W x slot count + slot`: the billed incremental loss kW and
+    the per-bus voltage magnitudes, solved at the key's own load, watts /
+    1000 kW, so each entry is a fixed function of its key whatever order the
+    evaluations reached it in.  A failed key's loss and |V| are NaN, and
+    `errors` holds its PowerFlowError by code.
 
     The entries are arrays, not Python objects.  `codes` holds the cached
     codes in ascending order and `rows` the row of each in `loss` and
     `mags` (entries x buses); those two are only appended to, never
     reordered, and grow geometrically from the size of the first solve, so
-    their first `size` rows are the entries.  `baseline` maps a slot index
-    to its home-disconnected feeder loss, and `baseline_failed` to the
-    PowerFlowError of that sweep where it diverged, so neither is solved
-    twice.
+    their first `size` rows are the entries.  `baseline` is every slot's
+    home-disconnected feeder loss, None until the first solve, NaN where the
+    sweep failed, with its PowerFlowError in `baseline_errors` by slot.
     """
 
-    __slots__ = ("codes", "rows", "loss", "mags", "size", "baseline", "baseline_failed")
+    __slots__ = ("codes", "rows", "loss", "mags", "size", "errors", "baseline", "baseline_errors")
 
     def __init__(self) -> None:
         self.codes = np.empty(0, dtype=np.int64)
@@ -92,8 +92,9 @@ class _FlowCache:
         self.loss = np.empty(0)
         self.mags = np.empty((0, 0))
         self.size = 0
-        self.baseline: dict[int, float] = {}
-        self.baseline_failed: dict[int, PowerFlowError] = {}
+        self.errors: dict[int, PowerFlowError] = {}
+        self.baseline: np.ndarray | None = None
+        self.baseline_errors: dict[int, PowerFlowError] = {}
 
     def find(self, codes: np.ndarray) -> np.ndarray:
         """Row of each code's entry, -1 where the code is not cached."""
@@ -104,6 +105,8 @@ class _FlowCache:
 
     def add(self, codes: np.ndarray, loss: np.ndarray, mags: np.ndarray) -> None:
         """Append the entries of distinct codes not yet cached."""
+        if not len(codes):
+            return
         start, end = self.size, self.size + len(codes)
         if end > len(self.loss):
             grown = max(end, 2 * len(self.loss))
@@ -165,6 +168,9 @@ class ProblemContext:
             raise ValueError(f"power_factor must be in (0, 1], got {self.power_factor}")
         if self.md_kw <= 0:
             raise ValueError("md_kw must be positive")
+        if not self.voltage_min < self.voltage_max:
+            raise ValueError(f"voltage band [{self.voltage_min}, {self.voltage_max}]: "
+                             "voltage_min must be below voltage_max")
         if self.neighbors is not None and self.neighbors.slot_count != self.grid.slot_count:
             raise ValueError("neighbor series length does not match grid")
         if self.feeder is not None and self.neighbors is not None:
@@ -215,18 +221,24 @@ class ProblemContext:
         q = p * math.tan(math.acos(self.power_factor))
         return p, q, self.pv_array()[idx]
 
+    def _check_slot(self, idx: int) -> None:
+        if not 0 <= idx < self.grid.slot_count:
+            raise ValueError(f"slot index {idx} is outside 0..{self.grid.slot_count - 1}")
+
     def baseline_loss(self, idx: int) -> float:
         """Feeder loss in slot idx with the smart home disconnected.
 
-        Raises PowerFlowError when the sweep diverges.
+        Raises ValueError for a slot outside the grid, and PowerFlowError
+        when the sweep diverges.
         """
+        self._check_slot(idx)
         if self.feeder is None:
             return 0.0
-        if idx not in self._cache.baseline:
-            failed = self._solve_cases(np.empty(0, dtype=np.int64), (idx,))
-            if idx in failed:
-                raise failed[idx]
-        return self._cache.baseline[idx]
+        if self._cache.baseline is None:
+            self._solve_cases(np.empty(0, dtype=np.int64))
+        if idx in self._cache.baseline_errors:
+            raise copy.copy(self._cache.baseline_errors[idx])
+        return float(self._cache.baseline[idx])
 
     def slot_flow(self, idx: int, gross_kw: float) -> tuple[float, tuple[float, ...] | None]:
         """(billed incremental loss kW, per-bus |V| pu) for one slot.
@@ -234,32 +246,36 @@ class ProblemContext:
         Billed loss is the with-home minus without-home feeder loss, floored
         at zero, at the load rounded to whole watts (the cache key).
         Returns (0, None) when the problem has no feeder.
-        Raises PowerFlowError when the sweep diverges.
+        Raises ValueError for a slot outside the grid, and PowerFlowError
+        when the sweep diverges.
         """
+        self._check_slot(idx)
         if self.feeder is None:
             return (0.0, None)
-        watts = round(gross_kw * 1000.0)
-        (row,), failed = self._flows(np.array([watts * self.grid.slot_count + idx]))
-        if row < 0:
-            raise failed[(idx, watts)]
+        code = round(gross_kw * 1000.0) * self.grid.slot_count + idx
+        (row,) = self._flows(np.array([code]))
         cache = self._cache
+        if code in cache.errors:
+            raise copy.copy(cache.errors[code])
         return float(cache.loss[row]), tuple(cache.mags[row].tolist())
 
-    def slot_flows(self, gross: Sequence[float]) -> list[tuple | PowerFlowError]:
-        """`slot_flow` of every slot of a gross kW series, each the result
-        or the PowerFlowError it raises; the misses are solved together."""
-        if self.feeder is None:
-            return [(0.0, None)] * len(gross)
-        codes = self._codes(np.asarray(gross, dtype=float))
-        rows, failed = self._flows(codes)
-        cache = self._cache
-        hits = rows[rows >= 0]
-        found = zip(cache.loss[hits].tolist(), map(tuple, cache.mags[hits].tolist()))
+    def slot_flows(self, gross: Sequence[float]) -> tuple[np.ndarray, np.ndarray, dict]:
+        """`slot_flow` of every slot of a gross kW series, the misses solved
+        together: billed loss kW and per-bus |V| pu per slot, NaN in a failed
+        slot, and a copy of each failed slot's PowerFlowError by slot index,
+        in slot order; a copy, so raising it never grows the cached
+        traceback.  Without a feeder: zeros, no |V| columns and no errors.
+        """
         count = self.grid.slot_count
-        return [
-            next(found) if row >= 0 else failed[(idx, int(codes[idx]) // count)]
-            for idx, row in enumerate(rows.tolist())
-        ]
+        if self.feeder is None:
+            return np.zeros(count), np.empty((count, 0)), {}
+        codes = self._codes(np.asarray(gross, dtype=float))
+        rows = self._flows(codes)
+        cache = self._cache
+        loss = cache.loss[rows]
+        errors = {slot: copy.copy(cache.errors[int(codes[slot])])
+                  for slot in np.flatnonzero(np.isnan(loss)).tolist()}
+        return loss, cache.mags[rows], errors
 
     def _codes(self, gross: np.ndarray) -> np.ndarray:
         """Cache code, W x slot count + slot, of each cell of a gross kW
@@ -267,17 +283,15 @@ class ProblemContext:
         count = self.grid.slot_count
         return np.rint(gross * 1000.0).astype(np.int64) * count + np.arange(count)
 
-    def _flows(self, codes: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Cache row of each of distinct codes, -1 where its flow fails, and
-        the PowerFlowError of each failed key; the misses are solved in one
+    def _flows(self, codes: np.ndarray) -> np.ndarray:
+        """Cache row of each of distinct codes; the misses are solved in one
         `_solve_cases` call."""
         rows = self._cache.find(codes)
         missing = rows < 0
-        if not missing.any():
-            return rows, {}
-        failed = self._solve_cases(codes[missing])
-        rows[missing] = self._cache.find(codes[missing])
-        return rows, failed
+        if missing.any():
+            self._solve_cases(codes[missing])
+            rows[missing] = self._cache.find(codes[missing])
+        return rows
 
     def batch_flows(self, gross: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`slot_flow` over every cell of a (rows x slots) gross kW matrix.
@@ -297,18 +311,17 @@ class ProblemContext:
             return loss, violation, np.zeros(rows, dtype=bool)
         vmin, vmax = self.voltage_min, self.voltage_max
         codes, inverse = np.unique(self._codes(gross).ravel(), return_inverse=True)
-        found, _ = self._flows(codes)
+        found = self._flows(codes)
 
         cells = inverse.reshape(rows, slots)
-        # a row reaches the slots before its first failed flow
-        ok = found >= 0
-        reached = np.logical_and.accumulate(ok[cells], axis=1)
         cache = self._cache
-        billed = np.zeros(len(codes))
-        billed[ok] = cache.loss[found[ok]]
+        billed = cache.loss[found]
+        # a row reaches the slots before its first failed flow
+        ok = ~np.isnan(billed)
+        reached = np.logical_and.accumulate(ok[cells], axis=1)
         loss[reached] = billed[cells][reached]
-        mags = np.full((len(codes), self.feeder.bus_count), vmin)  # a failed key is in band
-        mags[ok] = cache.mags[found[ok]]
+        mags = cache.mags[found]
+        mags[~ok] = vmin  # a failed key is in band
         out_of_band = ((mags < vmin) | (mags > vmax)).any(axis=1)[cells] & reached
         bad = np.flatnonzero(out_of_band.any(axis=1))
         if bad.size:
@@ -322,59 +335,47 @@ class ProblemContext:
             violation[bad] = np.cumsum(terms, axis=1)[:, -1]
         return loss, violation, ~reached[:, -1]
 
-    def _solve_cases(
-        self, codes: np.ndarray, slots: Sequence[int] = ()
-    ) -> dict[tuple[int, int] | int, PowerFlowError]:
-        """Solve distinct uncached (slot, W) codes, and the uncached
-        home-disconnected baselines of their slots and of `slots`, by
+    def _solve_cases(self, codes: np.ndarray) -> None:
+        """Solve and cache distinct uncached (slot, W) codes by
         `solve_power_flow_batch`.
 
-        Caches every flow entry and baseline that converges, and every
-        baseline failure.  Returns the PowerFlowError of each failure: by
-        (slot index, W) key for a flow, its own or else its slot's baseline
-        failure, in that order, as `slot_flow` raises them; by slot index
-        for a baseline.
+        On the cache's first solve, every slot's home-disconnected baseline
+        goes ahead of the flows, in the same sweep call.  A key whose flow
+        or slot baseline fails is cached with NaN loss and |V| and its
+        PowerFlowError: its own failure or else its slot's baseline
+        failure, in that order.
         """
         cache = self._cache
         count = self.grid.slot_count
-        touched = {*slots, *(codes % count).tolist()}
-        # a known baseline failure is handed out as a copy, so that raising
-        # it never grows the cached error's traceback
-        failed: dict = {slot: copy.copy(cache.baseline_failed[slot])
-                        for slot in touched & cache.baseline_failed.keys()}
-        todo = sorted(touched - cache.baseline.keys() - failed.keys())
-        # baselines first, so each is known before the flows of its slot; a
-        # baseline's case has code W x count + slot with W = 0
-        case_codes = np.concatenate([np.array(todo, dtype=np.int64), codes])
+        homes = count if cache.baseline is None else 0
+        if homes:
+            # a baseline's case has code W x count + slot with W = 0
+            codes = np.concatenate([np.arange(count, dtype=np.int64), codes])
+            cache.baseline = np.full(count, math.nan)
         # chunks bound the sweep's working arrays (about 2 kB per case)
-        for lo in range(0, len(case_codes), _SWEEP_CHUNK):
-            chunk = case_codes[lo:lo + _SWEEP_CHUNK]
+        for lo in range(0, len(codes), _SWEEP_CHUNK):
+            chunk = codes[lo:lo + _SWEEP_CHUNK]
             idx, watts = chunk % count, chunk // count
             p, q, pv = self._injection_arrays(idx, watts / 1000.0)
-            homes = max(0, len(todo) - lo)  # the chunk's leading baselines
-            pv[:homes] = 0.0  # a baseline drops the home's PV too
+            first = max(0, homes - lo)  # the chunk's leading baselines
+            pv[:first] = 0.0  # a baseline drops the home's PV too
             sweep = solve_power_flow_batch(self.feeder, p, q, pv)
-            fails, losses = sweep.failed.tolist(), sweep.loss_kw.tolist()
-            for k, slot in enumerate(idx[:homes].tolist()):
-                if fails[k]:
-                    failed[slot] = sweep.error(k, slot + 1)
-                    cache.baseline_failed[slot] = copy.copy(failed[slot])
-                else:
-                    cache.baseline[slot] = losses[k]
+            cache.baseline[idx[:first]] = sweep.loss_kw[:first]
+            for case in np.flatnonzero(sweep.failed[:first]).tolist():
+                slot = int(idx[case])
+                cache.baseline_errors[slot] = sweep.error(case, slot + 1)
             # NaN where the flow or its slot's baseline failed
-            base = np.array([cache.baseline.get(s, math.nan) for s in range(count)])
-            diff = sweep.loss_kw[homes:] - base[idx[homes:]]
+            diff = sweep.loss_kw[first:] - cache.baseline[idx[first:]]
             bad = np.isnan(diff)
-            for case in (homes + np.flatnonzero(bad)).tolist():
-                slot, w = int(idx[case]), int(watts[case])
-                failed[(slot, w)] = sweep.error(case, slot + 1) if fails[case] else failed[slot]
-            ok = ~bad
-            if ok.any():
-                # Python's max(0.0, d): a -0.0 difference bills 0.0, where
-                # np.maximum would keep -0.0
-                cache.add(chunk[homes:][ok], np.where(diff[ok] > 0.0, diff[ok], 0.0),
-                          sweep.v_mag[homes:][ok])
-        return failed
+            for case in (first + np.flatnonzero(bad)).tolist():
+                slot = int(idx[case])
+                cache.errors[int(chunk[case])] = (sweep.error(case, slot + 1) if sweep.failed[case]
+                                                  else cache.baseline_errors[slot])
+            mags = sweep.v_mag[first:]
+            mags[bad] = math.nan
+            # Python's max(0.0, d): a -0.0 difference bills 0.0, where
+            # np.maximum would keep -0.0; NaN stays NaN
+            cache.add(chunk[first:], np.where(diff <= 0.0, 0.0, diff), mags)
 
 
 def shift_distance(appliance: Appliance, new_on_slots: Sequence[int]) -> int:
@@ -415,12 +416,9 @@ def total_cost(schedule: Schedule, context: ProblemContext) -> CostBreakdown:
     gross = aggregate_power(schedule, appliances)
     pv = None if context.pv is None else context.pv.as_array()
     net = gross if pv is None else np.maximum(gross - pv, 0.0)
-    losses = []
-    for flow in context.slot_flows(gross):
-        if isinstance(flow, PowerFlowError):
-            raise flow
-        losses.append(flow[0])
-    loss = np.array(losses)
+    loss, _, errors = context.slot_flows(gross)
+    if errors:
+        raise next(iter(errors.values()))
     energy = float(np.dot(net + loss, context.price_array()) * grid.slot_hours)
 
     shifts = {

@@ -15,7 +15,6 @@ import numpy as np
 
 from dsmsched.constraints import KW_TOL
 from dsmsched.csa import FLOW_FAILURE_PENALTY, Antibody, Scores, SearchSpace
-from dsmsched.errors import PowerFlowError
 
 
 def gross(space: SearchSpace, antibody: Antibody) -> np.ndarray:
@@ -45,19 +44,18 @@ def evaluate(space: SearchSpace, antibody: Antibody, weight: float) -> dict:
     volt_violation = 0.0
     flow_failed = False
     loss = np.zeros(space.slot_count)
-    if ctx.feeder is not None:
-        vmin, vmax = ctx.voltage_min, ctx.voltage_max
-        for idx, flow in enumerate(ctx.slot_flows(gross_kw)):
-            if isinstance(flow, PowerFlowError):
-                flow_failed = True
-                break
-            billed, vmags = flow
-            loss[idx] = billed
-            for mag in vmags:
-                if mag < vmin:
-                    volt_violation += vmin - mag
-                elif mag > vmax:
-                    volt_violation += mag - vmax
+    vmin, vmax = ctx.voltage_min, ctx.voltage_max
+    billed, mags, errors = ctx.slot_flows(gross_kw)
+    for idx in range(space.slot_count):
+        if idx in errors:
+            flow_failed = True
+            break
+        loss[idx] = billed[idx]
+        for mag in mags[idx].tolist():
+            if mag < vmin:
+                volt_violation += vmin - mag
+            elif mag > vmax:
+                volt_violation += mag - vmax
 
     net = np.maximum(gross_kw - ctx.pv_array(), 0.0)
     energy = float(np.dot(net + loss, ctx.price_array()) * ctx.grid.slot_hours)
@@ -92,7 +90,7 @@ def evaluate(space: SearchSpace, antibody: Antibody, weight: float) -> dict:
 
 def flow_entries(ctx) -> dict[tuple[int, int], tuple[float, tuple[float, ...]]]:
     """The context's flow cache as a {(slot, W): (billed loss kW, per-bus
-    |V| pu)} mapping, read from its arrays."""
+    |V| pu)} mapping, read from its arrays; a failed key's values are NaN."""
     cache = ctx._cache
     count = ctx.grid.slot_count
     rows = cache.rows
@@ -108,6 +106,8 @@ def bits(value):
     compares bit for bit: -0.0 differs from 0.0, and NaN equals NaN."""
     if isinstance(value, float):
         return value.hex()
+    if isinstance(value, np.ndarray):
+        return bits(value.tolist())
     if isinstance(value, dict):
         return {k: bits(v) for k, v in value.items()}
     if isinstance(value, (tuple, list)):

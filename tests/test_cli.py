@@ -473,6 +473,7 @@ _CSA = base_config("out")["csa"]
     ({"md_kw": "abc"}, "'md_kw' must be a number"),
     ({"md_kw": 0}, "md_kw must be positive"),
     ({"voltage_band": ["a", "b"]}, "'voltage_band' must be a number"),
+    ({"voltage_band": [1.05, 0.95]}, "voltage_min must be below voltage_max"),
     ({"grid": {"slot_count": "x"}}, "'grid.slot_count' must be a number"),
     ({"penalty_prices_usd_per_kwh": [-1]}, "must be >= 0"),
     ({"grid": 5}, "'grid' must be an object"),
@@ -498,7 +499,8 @@ _CSA = base_config("out")["csa"]
     ({"label": None}, "'label' must be a string, got None"),
     ({"label": {"a": 1}}, "'label' must be a string, got {'a': 1}"),
     ({"pv_capacity_kw": -3, "pv_enabled": False}, "capacity_kw must be positive, got -3.0"),
-], ids=["md_kw_text", "md_kw_zero", "voltage_band_text", "slot_count_text", "penalty_negative",
+], ids=["md_kw_text", "md_kw_zero", "voltage_band_text", "voltage_band_inverted",
+        "slot_count_text", "penalty_negative",
         "grid_number", "appliances_number", "appliances_csv_number", "price_number",
         "pv_enabled_text", "csa_list", "slot_hours_nan", "price_nan", "penalty_nan",
         "md_kw_minus_inf", "rated_kw_nan", "price_csv_nan", "slot_count_fraction",

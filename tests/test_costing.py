@@ -246,6 +246,26 @@ class TestProblemContext:
         with pytest.raises(ValueError, match="at least one appliance"):
             make_context(appliances=())
 
+    @pytest.mark.parametrize("band", [(1.05, 0.95), (1.0, 1.0)], ids=["inverted", "empty"])
+    def test_voltage_band_must_have_its_low_end_below_its_high_end(self, band):
+        low, high = band
+        with pytest.raises(ValueError) as exc:
+            make_context(voltage_min=low, voltage_max=high)
+        assert str(exc.value) == (
+            f"voltage band [{low}, {high}]: voltage_min must be below voltage_max")
+
+    @pytest.mark.parametrize("idx", [-1, 4, 48])
+    @pytest.mark.parametrize("feeder", [False, True], ids=["no_feeder", "feeder"])
+    def test_slot_index_outside_the_grid_is_rejected(self, idx, feeder):
+        # a code W x slot count + slot would otherwise read another slot's
+        # flow at another load
+        neighbors = NeighborLoads(per_house=((1.0,) * 4,))
+        ctx = make_context(feeder=tiny_feeder(), neighbors=neighbors) if feeder else make_context()
+        with pytest.raises(ValueError, match=f"slot index {idx} is outside 0\\.\\.3"):
+            ctx.slot_flow(idx, 1.0)
+        with pytest.raises(ValueError, match=f"slot index {idx} is outside 0\\.\\.3"):
+            ctx.baseline_loss(idx)
+
     def test_neighbor_feeder_consistency(self):
         # feeder has one neighbor bus; two house series must be rejected
         neighbors = NeighborLoads(per_house=((1.0,) * 4, (1.0,) * 4))

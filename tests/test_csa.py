@@ -620,8 +620,8 @@ class TestBatchedEvaluation:
         # afresh, in one batch, gives the same entries
         fresh = make_canonical()
         codes = np.array([w * 48 + slot for slot, w in entries])
-        rows, failed = fresh._flows(codes)
-        assert not failed and (rows >= 0).all()
+        rows = fresh._flows(codes)
+        assert not fresh._cache.errors and (rows >= 0).all()
         assert bits(flow_entries(fresh)) == bits(entries)
 
     def test_cap_binding_instance(self):
@@ -713,19 +713,23 @@ class TestFlowCacheArrays:
             assert not entries and ctx._cache.size == 0
             return
         assert_cache_is_indexed(ctx)
-        fresh = make()
-        alone = {(slot, w): fresh.slot_flow(slot, w / 1000.0) for slot, w in entries}
-        assert bits(alone) == bits(entries)
-        # a key is cached exactly when its flow converges
-        failed = batch_keys(space, batches) - entries.keys()
+        # every key is cached, a failed one with NaN loss and |V|
+        assert entries.keys() == batch_keys(space, batches)
+        failed = {key for key, (loss, _) in entries.items() if math.isnan(loss)}
         assert bool(failed) == (name == "failing_flows")
+        fresh = make()
+        alone = {(slot, w): fresh.slot_flow(slot, w / 1000.0)
+                 for slot, w in entries if (slot, w) not in failed}
+        assert bits(alone) == bits({key: entries[key] for key in alone})
         for slot, w in sorted(failed):
+            assert all(math.isnan(mag) for mag in entries[slot, w][1])
+            # with the error a context that knows nothing yet raises for it
             with pytest.raises(PowerFlowError) as cached:
                 ctx.slot_flow(slot, w / 1000.0)
             with pytest.raises(PowerFlowError) as solved_alone:
                 make().slot_flow(slot, w / 1000.0)
             assert str(cached.value) == str(solved_alone.value)
-        assert not failed & flow_entries(ctx).keys()
+        assert bits(flow_entries(ctx)) == bits(entries)
 
     @pytest.mark.parametrize("name", ["canonical", "voltage_binding", "failing_flows"])
     def test_contents_do_not_depend_on_batch_order(self, instances, name):
@@ -739,9 +743,13 @@ class TestFlowCacheArrays:
         behind, _, _ = self.scored(make, seed, size, shuffled)
         assert bits(flow_entries(ahead)) == bits(flow_entries(behind))
         assert bits(ahead._cache.baseline) == bits(behind._cache.baseline)
+        errors = [{code: str(error) for code, error in ctx._cache.errors.items()}
+                  for ctx in (ahead, behind)]
+        assert errors[0] == errors[1] and bool(errors[0]) == (name == "failing_flows")
         assert_cache_is_indexed(behind)
 
-    def test_with_penalty_contexts_share_one_cache(self, make_canonical, monkeypatch):
+    def test_with_penalty_contexts_share_one_cache(self, instances, make_canonical,
+                                                   monkeypatch):
         ctx = make_canonical()
         twin = ctx.with_penalty(0.10)
         batches = generations(SearchSpace(ctx), Draws(4), size=10)
@@ -750,13 +758,15 @@ class TestFlowCacheArrays:
         assert twin._cache is ctx._cache
         alone, _, _ = self.scored(make_canonical, 4, 10)
         assert bits(flow_entries(twin)) == bits(flow_entries(alone))
-        # every key is now cached: scoring it all again on either context
-        # solves nothing
+        failing, _, failing_batches = self.scored(*instances["failing_flows"])
+        # every key is now cached, a failed one too: scoring it all again on
+        # either context, or on the failing instance, solves nothing
         sweeps, solve = [], costing.solve_power_flow_batch
         monkeypatch.setattr(costing, "solve_power_flow_batch",
                             lambda *args: sweeps.append(args) or solve(*args))
         score_batches(SearchSpace(twin), batches, 5.0)
         score_batches(SearchSpace(ctx), batches, 5.0)
+        score_batches(SearchSpace(failing), failing_batches, 5.0)
         assert sweeps == []
 
     def test_merges_keep_the_index_sorted(self):

@@ -339,9 +339,10 @@ class TestHomeAttribution:
         assert [(v.slot, v.bus) for v in report.voltage] == [(1, -1)]
 
     def test_failed_baseline_is_solved_once(self, monkeypatch):
-        # the slot's baseline failure is kept, so each later call sweeps
-        # only its own flow, one case: re-solving the baseline as well
-        # would take 6 sweep calls of 9 cases for these 6 calls
+        # every failed key is cached with its error, so each is swept once:
+        # the baseline, the 0.5 kW flow that fails through it, and the
+        # 200 kW flow that fails itself; re-solving the failed flows would
+        # take 7 sweep calls for these 9 reads
         ctx = home_context(chain(n_lines=2, r=0.3, x=0.18), neighbor_kw=(40.0,), pv_kw=(30.0,))
         cases = []
 
@@ -356,15 +357,24 @@ class TestHomeAttribution:
                 call()
             texts.append(str(exc.value))
         assert len(set(texts)) == 1
-        assert cases == [1, 1, 1, 1]
+        assert cases == [1, 1]
         # a flow that diverges itself still reports its own failure first,
         # as on a context that knows nothing yet
-        with pytest.raises(PowerFlowError) as own:
-            ctx.slot_flow(0, 200.0)
+        owns = []
+        for _ in range(3):
+            with pytest.raises(PowerFlowError) as own:
+                ctx.slot_flow(0, 200.0)
+            owns.append(str(own.value))
+        assert cases == [1, 1, 1]
         with pytest.raises(PowerFlowError) as fresh:
             dataclasses.replace(ctx).slot_flow(0, 200.0)
-        assert str(own.value) == str(fresh.value) != texts[0]
-        assert cases == [1, 1, 1, 1, 1, 2]
+        assert set(owns) == {str(fresh.value)} and owns[0] != texts[0]
+        assert cases == [1, 1, 1, 2]
+        # each read raised a copy: the cached errors carry no traceback
+        cache = ctx._cache
+        assert len(cache.errors) == 2 and len(cache.baseline_errors) == 1
+        assert all(error.__traceback__ is None
+                   for error in [*cache.errors.values(), *cache.baseline_errors.values()])
 
     def test_incremental_loss_positive_when_home_draws(self):
         ctx = home_context(chain(n_lines=2), neighbor_kw=(2.0,))
