@@ -463,14 +463,16 @@ def _penalty_cents(text: str) -> list[float]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_scenario_config(args.config)
-    if args.penalty_cents:
+    if args.penalty_cents is not None:
         config.penalties_usd_per_kwh = _penalty_cents(args.penalty_cents)
     if args.seed is not None:
         try:
             config.csa = replace(config.csa, rng_seed=args.seed)
         except ValueError as exc:
             raise InputError(f"bad --seed value {args.seed}: {exc}") from None
-    if args.out:
+    if args.out is not None:
+        if not args.out.strip():
+            raise InputError(f"bad --out value {args.out!r}: needs a directory path")
         config.out_dir = Path(args.out)
 
     try:

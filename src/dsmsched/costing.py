@@ -61,10 +61,6 @@ class CostBreakdown:
         }
 
 
-# cases per vectorized sweep call
-_SWEEP_CHUNK = 256
-
-
 class _FlowCache:
     """Per-slot power-flow results shared by every evaluation on a context.
 
@@ -79,35 +75,36 @@ class _FlowCache:
     codes in ascending order and `rows` the row of each in `loss` and
     `mags` (entries x buses); those two are only appended to, never
     reordered, and grow geometrically from the size of the first solve, so
-    their first `size` rows are the entries.  `baseline` is every slot's
-    home-disconnected feeder loss, None until the first solve, NaN where the
-    sweep failed, with its PowerFlowError in `baseline_errors` by slot.
+    their first `len(codes)` rows are the entries.  `baseline` is every
+    slot's home-disconnected feeder loss, None until the first solve, NaN
+    where the sweep failed, with its PowerFlowError in `baseline_errors` by
+    slot.
     """
 
-    __slots__ = ("codes", "rows", "loss", "mags", "size", "errors", "baseline", "baseline_errors")
+    __slots__ = ("codes", "rows", "loss", "mags", "errors", "baseline", "baseline_errors")
 
     def __init__(self) -> None:
         self.codes = np.empty(0, dtype=np.int64)
         self.rows = np.empty(0, dtype=np.intp)
         self.loss = np.empty(0)
         self.mags = np.empty((0, 0))
-        self.size = 0
         self.errors: dict[int, PowerFlowError] = {}
         self.baseline: np.ndarray | None = None
         self.baseline_errors: dict[int, PowerFlowError] = {}
 
     def find(self, codes: np.ndarray) -> np.ndarray:
         """Row of each code's entry, -1 where the code is not cached."""
-        if not self.size:
+        if not len(self.codes):
             return np.full(len(codes), -1, dtype=np.intp)
-        at = np.minimum(np.searchsorted(self.codes, codes), self.size - 1)
+        at = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
         return np.where(self.codes[at] == codes, self.rows[at], -1)
 
     def add(self, codes: np.ndarray, loss: np.ndarray, mags: np.ndarray) -> None:
         """Append the entries of distinct codes not yet cached."""
         if not len(codes):
             return
-        start, end = self.size, self.size + len(codes)
+        start = len(self.codes)
+        end = start + len(codes)
         if end > len(self.loss):
             grown = max(end, 2 * len(self.loss))
             old_loss, old_mags = self.loss, self.mags
@@ -116,17 +113,13 @@ class _FlowCache:
                 self.loss[:start], self.mags[:start] = old_loss[:start], old_mags[:start]
         self.loss[start:end] = loss
         self.mags[start:end] = mags
-        # merge the new codes into the index, as np.insert would without its
-        # per-call overhead; the entries stay where they are
+        # insert the new codes into the sorted index; the entries stay where
+        # they are
         order = np.argsort(codes)
         new = codes[order]
-        at = np.searchsorted(self.codes, new) + np.arange(len(new))
-        kept = np.ones(end, dtype=bool)
-        kept[at] = False
-        merged, rows = np.empty(end, dtype=np.int64), np.empty(end, dtype=np.intp)
-        merged[at], merged[kept] = new, self.codes
-        rows[at], rows[kept] = start + order, self.rows
-        self.codes, self.rows, self.size = merged, rows, end
+        at = np.searchsorted(self.codes, new)
+        self.codes = np.insert(self.codes, at, new)
+        self.rows = np.insert(self.rows, at, start + order)
 
 
 @dataclass(frozen=True)
@@ -351,31 +344,26 @@ class ProblemContext:
         if homes:
             # a baseline's case has code W x count + slot with W = 0
             codes = np.concatenate([np.arange(count, dtype=np.int64), codes])
-            cache.baseline = np.full(count, math.nan)
-        # chunks bound the sweep's working arrays (about 2 kB per case)
-        for lo in range(0, len(codes), _SWEEP_CHUNK):
-            chunk = codes[lo:lo + _SWEEP_CHUNK]
-            idx, watts = chunk % count, chunk // count
-            p, q, pv = self._injection_arrays(idx, watts / 1000.0)
-            first = max(0, homes - lo)  # the chunk's leading baselines
-            pv[:first] = 0.0  # a baseline drops the home's PV too
-            sweep = solve_power_flow_batch(self.feeder, p, q, pv)
-            cache.baseline[idx[:first]] = sweep.loss_kw[:first]
-            for case in np.flatnonzero(sweep.failed[:first]).tolist():
-                slot = int(idx[case])
-                cache.baseline_errors[slot] = sweep.error(case, slot + 1)
-            # NaN where the flow or its slot's baseline failed
-            diff = sweep.loss_kw[first:] - cache.baseline[idx[first:]]
-            bad = np.isnan(diff)
-            for case in (first + np.flatnonzero(bad)).tolist():
-                slot = int(idx[case])
-                cache.errors[int(chunk[case])] = (sweep.error(case, slot + 1) if sweep.failed[case]
-                                                  else cache.baseline_errors[slot])
-            mags = sweep.v_mag[first:]
-            mags[bad] = math.nan
-            # Python's max(0.0, d): a -0.0 difference bills 0.0, where
-            # np.maximum would keep -0.0; NaN stays NaN
-            cache.add(chunk[first:], np.where(diff <= 0.0, 0.0, diff), mags)
+        idx, watts = codes % count, codes // count
+        p, q, pv = self._injection_arrays(idx, watts / 1000.0)
+        pv[:homes] = 0.0  # a baseline drops the home's PV too
+        sweep = solve_power_flow_batch(self.feeder, p, q, pv)
+        if homes:
+            cache.baseline = sweep.loss_kw[:homes].copy()
+            for slot in np.flatnonzero(sweep.failed[:homes]).tolist():
+                cache.baseline_errors[slot] = sweep.error(slot, slot + 1)
+        # NaN where the flow or its slot's baseline failed
+        diff = sweep.loss_kw[homes:] - cache.baseline[idx[homes:]]
+        bad = np.isnan(diff)
+        for case in (homes + np.flatnonzero(bad)).tolist():
+            slot = int(idx[case])
+            cache.errors[int(codes[case])] = (sweep.error(case, slot + 1) if sweep.failed[case]
+                                              else cache.baseline_errors[slot])
+        mags = sweep.v_mag[homes:]
+        mags[bad] = math.nan
+        # Python's max(0.0, d): a -0.0 difference bills 0.0, where
+        # np.maximum would keep -0.0; NaN stays NaN
+        cache.add(codes[homes:], np.where(diff <= 0.0, 0.0, diff), mags)
 
 
 def shift_distance(appliance: Appliance, new_on_slots: Sequence[int]) -> int:
@@ -414,8 +402,8 @@ def total_cost(schedule: Schedule, context: ProblemContext) -> CostBreakdown:
             f"schedule has {schedule.slot_count} slots, grid expects {grid.slot_count}"
         )
     gross = aggregate_power(schedule, appliances)
-    pv = None if context.pv is None else context.pv.as_array()
-    net = gross if pv is None else np.maximum(gross - pv, 0.0)
+    pv = context.pv_array()
+    net = np.maximum(gross - pv, 0.0)
     loss, _, errors = context.slot_flows(gross)
     if errors:
         raise next(iter(errors.values()))
@@ -429,7 +417,7 @@ def total_cost(schedule: Schedule, context: ProblemContext) -> CostBreakdown:
     penalty = grid.slot_hours * context.penalty_price * weighted
 
     util = None
-    pv_kwh = 0.0 if pv is None else pv.sum() * grid.slot_hours
+    pv_kwh = pv.sum() * grid.slot_hours
     if pv_kwh > 0:
         util = float(np.minimum(gross, pv).sum() * grid.slot_hours / pv_kwh)
 

@@ -258,6 +258,23 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: bad --seed value -1: rng_seed must be >= 0")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("cents", ["", " , "], ids=["empty", "blank"])
+    def test_empty_penalty_cents_is_an_input_error(self, tmp_path, capsys, cents):
+        path = write_config(tmp_path, penalty_prices_usd_per_kwh=[0.0])
+        rc = main(["run", "--config", str(path), f"--penalty-cents={cents}"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --penalty-cents needs at least one value\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", ["", "  "], ids=["empty", "blank"])
+    def test_empty_out_is_an_input_error(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)  # a blank name is a relative path
+        path = write_config(tmp_path, penalty_prices_usd_per_kwh=[0.0])
+        rc = main(["run", "--config", str(path), f"--out={out}"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: bad --out value {out!r}")
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
     @pytest.mark.parametrize("out", ["taken", "taken/out"], ids=["a_file", "under_a_file"])
     def test_out_path_blocked_by_a_file_is_an_input_error(self, tmp_path, capsys, out):
         path = write_config(tmp_path, penalty_prices_usd_per_kwh=[0.0])

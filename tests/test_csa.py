@@ -671,9 +671,9 @@ def batch_keys(space, batches):
 def assert_cache_is_indexed(ctx):
     """The cache's codes ascend strictly and index every entry row once."""
     cache = ctx._cache
-    assert len(cache.codes) == len(cache.rows) == cache.size
+    assert len(cache.codes) == len(cache.rows)
     assert (np.diff(cache.codes) > 0).all()
-    assert sorted(cache.rows.tolist()) == list(range(cache.size))
+    assert sorted(cache.rows.tolist()) == list(range(len(cache.codes)))
 
 
 class TestFlowCacheArrays:
@@ -710,7 +710,7 @@ class TestFlowCacheArrays:
         ctx, space, batches = self.scored(make, seed, size)
         entries = flow_entries(ctx)
         if ctx.feeder is None:
-            assert not entries and ctx._cache.size == 0
+            assert not entries and len(ctx._cache.codes) == 0
             return
         assert_cache_is_indexed(ctx)
         # every key is cached, a failed one with NaN loss and |V|
@@ -769,6 +769,20 @@ class TestFlowCacheArrays:
         score_batches(SearchSpace(failing), failing_batches, 5.0)
         assert sweeps == []
 
+    def test_a_miss_set_is_one_sweep_call(self, make_canonical, monkeypatch):
+        # a fresh day's first population: every miss and every slot's
+        # baseline go to the sweep in one call, however many cases they are
+        ctx = make_canonical()
+        space = SearchSpace(ctx)
+        (population,) = generations(space, Draws(4), size=60, count=0)
+        cases, solve = [], costing.solve_power_flow_batch
+        monkeypatch.setattr(costing, "solve_power_flow_batch",
+                            lambda *args: cases.append(len(args[1])) or solve(*args))
+        space.evaluate(population, 5.0)
+        misses = len(ctx._cache.codes)
+        assert misses > 1500
+        assert cases == [ctx.grid.slot_count + misses]
+
     def test_merges_keep_the_index_sorted(self):
         # one genotype per merge: each merge's codes fall between cached ones
         ctx = weak_feeder_context(0.15)
@@ -797,14 +811,14 @@ class TestFlowCacheArrays:
             cache.add(codes, loss, mags)
             reference.update(zip(codes.tolist(), zip(loss.tolist(), mags.tolist())))
             assert (np.diff(cache.codes) > 0).all()
-            assert sorted(cache.rows.tolist()) == list(range(cache.size))
+            assert sorted(cache.rows.tolist()) == list(range(len(cache.codes)))
             probe = np.arange(-600, 5100)
             rows = cache.find(probe)
             assert (rows >= 0).tolist() == [c in reference for c in probe.tolist()]
             got = {c: (cache.loss[r], cache.mags[r].tolist())
                    for c, r in zip(probe.tolist(), rows.tolist()) if r >= 0}
             assert got == reference
-        assert len(cache.loss) < 2 * cache.size
+        assert len(cache.loss) < 2 * len(cache.codes)
 
 
 class TestFlowCacheMemory:
