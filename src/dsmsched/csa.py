@@ -1,23 +1,28 @@
 """Clonal selection optimizer for the appliance scheduling problem.
 
-An antibody (genotype) is a tuple with one gene per flexible appliance, in
-appliance order, and every gene is the ascending tuple of that appliance's
-on-slots inside its (effective) window.  Genes of uninterruptible
-appliances are drawn and mutated as one contiguous run of `duration`
-slots, genes of interruptible ones as any `duration` distinct slots.
-Duration, window, and contiguity therefore hold for every antibody ever
-decoded; the demand cap and the voltage band are handled as additive
-affinity penalties, weighted by ten times the original plan's energy cost
-(at least 1), and the incumbent is only ever updated with antibodies
-that satisfy them outright.  Every gene in one position has the same
-length, so comparing two genotypes orders them exactly as comparing their
-flat on-slot rows does; ties are broken by that order.
+An antibody (genotype) is one `bytes` row: the flexible appliances'
+on-slots, chained in appliance order, each appliance's gene the ascending
+on-slots inside its (effective) window.  A slot takes one byte, or two
+big-endian bytes when the grid has more than 255 slots, so comparing two
+genotypes orders them exactly as comparing their slot rows, or their
+nested per-gene tuples, does; ties are broken by that order.  Bytes cache
+their hash, so the score cache, the ranking sorts and the survivor set
+never rehash a genotype.  `SearchSpace` owns the one pack/unpack pair,
+and `key`/`genes_of` convert to and from the per-gene tuples.  Genes of
+uninterruptible appliances are drawn and mutated as one contiguous run of
+`duration` slots, genes of interruptible ones as any `duration` distinct
+slots.  Duration, window, and contiguity therefore hold for every
+antibody ever decoded; the demand cap and the voltage band are handled as
+additive affinity penalties, weighted by ten times the original plan's
+energy cost (at least 1), and the incumbent is only ever updated with
+antibodies that satisfy them outright.
 
 Evaluation is a pure function of the genotype and is cached keyed by the
 genotype itself.  Each generation's new genotypes are scored together as
 arrays, with the same arithmetic, in the same order, as scoring them one by
-one, and `SearchSpace.evaluate` returns the scores as columns (`Scores`),
-one row per genotype.  Energy is one `ddot` per row, as a one-genotype
+one: one `np.frombuffer` reads the batch's slot matrix, and
+`SearchSpace.evaluate` returns the scores as columns (`Scores`), one row
+per genotype.  Energy is one `ddot` per row, as a one-genotype
 evaluation takes: a matrix product sums in another order and differs in
 the last bit on some rows.  Per-slot power flows are cached on the problem
 context keyed by (slot, gross load in whole watts) and solved at that
@@ -27,21 +32,23 @@ no result depends on which antibody reached a key first.
 Every random draw comes from `Draws`, a Python replay of the stream of
 numpy's `Generator(PCG64(seed))`: the same genotypes as calling the
 `Generator`, without numpy's per-call overhead on every gene.
-Hypermutation makes no call for a gene that keeps its value: `Draws.skip`
-consumes the draws of the genes between two mutating ones.  Each flexible
-appliance is one `Flexible` record, built once per `SearchSpace`: its
-rating, duration and original plan, a run's start range or a slot set's
-window, and its count of legal genes.  Drawing, mutating, listing,
-decoding and scoring a gene, and the oracle's count of candidates, all
-read that record.
+`clone_and_hypermutate` builds each child in one pass over a copy of its
+parent's slot row, reading `Draws`' block in local variables, with no call
+per gene or per draw.  Each flexible appliance is one `Flexible` record,
+built once per `SearchSpace`: its rating, duration and original plan, a
+run's start range or a slot set's window, its count of legal genes, where
+its slots sit in the row, and the bounds and rejection thresholds of every
+draw a mutation of it makes.  Drawing, mutating, listing, decoding and
+scoring a gene, and the oracle's count of candidates, all read that record.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,8 +87,9 @@ REPLACEMENT_FRACTION = 0.15
 _BLOCK = 512
 
 
-# genotype: one ascending on-slot tuple per flexible appliance, in order
-Antibody = tuple[tuple[int, ...], ...]
+# genotype: the flexible appliances' ascending on-slots, chained in
+# appliance order, one byte per slot (two, big-endian, past 255 slots)
+Antibody = bytes
 
 
 class Draws:
@@ -91,16 +99,16 @@ class Draws:
     what `Generator.random()`, `Generator.integers(0, n)` and the set of
     `Generator.choice(n, size=k, replace=False)` do, for n < 2**32 (choice
     also needs n <= 10000, where numpy uses Floyd's algorithm and then
-    shuffles the k picks).  `skip(limit, p)` consumes `random()` draws up
-    to the first one below p and counts those that were not.
+    shuffles the k picks).
 
     Raw PCG64 words are read `_BLOCK` at a time into a list read by index.
     `random()` is a word's top 53 bits times 2**-53.  A bounded draw takes
     the low 32-bit half of a word and keeps the high half (`-1` when none
     is kept) for the next one, as PCG64's `next_uint32` does, and applies
     Lemire's multiply-shift with numpy's rejection threshold.  `below` and
-    `sample` do this inline, and `sample` and `skip` walk the block in
-    local variables, so a run of draws is one Python call.
+    `sample` do this inline, and `sample` walks the block in local
+    variables, so a run of draws is one Python call;
+    `clone_and_hypermutate` walks it the same way in its own loop.
     """
 
     def __init__(self, seed: int):
@@ -179,25 +187,6 @@ class Draws:
         self._pos, self._half = pos, half
         return picks
 
-    def skip(self, limit: int, p: float) -> int:
-        """Consume `random()` draws until one is below p, or `limit` draws;
-        return how many were not below p."""
-        # random() < p exactly when word >> 11 < p * 2**53, and so when
-        # word < ceil(p * 2**53) << 11
-        cut = math.ceil(p * 2.0**53) << 11
-        block, pos = self._block, self._pos
-        count = 0
-        while count < limit:
-            if pos == _BLOCK:
-                block, pos = self._refill(), 0
-            word = block[pos]
-            pos += 1
-            if word < cut:
-                break
-            count += 1
-        self._pos = pos
-        return count
-
 
 @dataclass(frozen=True)
 class CsaConfig:
@@ -233,20 +222,53 @@ class Flexible(NamedTuple):
     reach: int
     # a slot set's window slots, ascending; None for a run
     window: list[int] | None
-    # legal genes; with one only, mutation returns the gene unchanged
+    # legal genes; with one only, mutation leaves the gene unchanged
     count: int
+    # index of the gene's first slot in a genotype's slot row
+    offset: int
+    # a mutation's first draw as (bound, rejection threshold): a run's
+    # start step in [0, 2 * reach], or a slot set's k - 1 in [0, duration);
+    # bound 1, and so every gene with count 1, draws nothing
+    first: tuple[int, int]
+    # a slot set's other draws, per k - 1, as (bound, threshold, into):
+    # those of `Draws.sample(duration, k)`, the genes it drops (into 1),
+    # then of `Draws.sample(len(window) - duration + k, k)`, the slots it
+    # adds (into 2); empty for a run
+    plans: tuple[tuple[tuple[int, int, int], ...], ...]
 
 
-def _flexible(row: int, a: Appliance) -> Flexible:
+def _threshold(bound: int) -> int:
+    """numpy's rejection threshold for a draw below `bound`: a 32-bit
+    product whose low half is below it is redrawn."""
+    return (0x100000000 - bound) % bound if bound > 1 else 0
+
+
+def _sample_plan(n: int, k: int, into: int) -> list[tuple[int, int, int]]:
+    """The draws of `Draws.sample(n, k)` as (bound, threshold, into): each
+    Floyd pick, kept in set `into`, then the shuffle's, dropped (into 0).
+    Floyd's pick below 1 draws nothing and is not listed."""
+    floyd = [(i, _threshold(i), into) for i in range(max(2, n - k + 1), n + 1)]
+    return floyd + [(i, _threshold(i), 0) for i in range(k, 1, -1)]
+
+
+def _flexible(row: int, a: Appliance, offset: int) -> Flexible:
     lo, hi = effective_window(a)
+    duration = a.duration
     if a.appliance_class is ApplianceClass.UNINTERRUPTIBLE:
-        hi -= a.duration - 1
+        hi -= duration - 1
         window, reach, count = None, max(1, (hi - lo) // 2), max(0, hi - lo + 1)
+        bound, plans = 2 * reach + 1, ()
     else:
         window = list(range(lo, hi + 1))
-        reach, count = 0, math.comb(len(window), a.duration)
-    return Flexible(row, a.rated_kw, a.duration, tuple(a.original_on_slots),
-                    lo, hi, reach, window, count)
+        reach, count = 0, math.comb(len(window), duration)
+        bound = duration
+        plans = tuple(
+            tuple(_sample_plan(duration, k, 1) + _sample_plan(len(window) - duration + k, k, 2))
+            for k in range(1, duration + 1))
+    if count == 1:
+        bound = 1
+    return Flexible(row, a.rated_kw, duration, tuple(a.original_on_slots), lo, hi, reach,
+                    window, count, offset, (bound, _threshold(bound)), plans)
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,7 +291,12 @@ class Scores:
 
 class SearchSpace:
     """The genotypes of one problem context: their layout, and every way
-    of drawing, mutating, listing, decoding and scoring them."""
+    of drawing, mutating, listing, decoding and scoring them.
+
+    `pack` turns a slot row (ints) into its genotype and `unpack` a
+    genotype back into a list of ints: `bytes` and `list` with one byte
+    per slot, a big-endian `struct` of unsigned shorts past 255 slots.
+    """
 
     def __init__(self, context: ProblemContext):
         self.context = context
@@ -277,11 +304,24 @@ class SearchSpace:
         self.slot_count = grid.slot_count
         self.flex: list[Flexible] = []
         baseline_kw = 0.0
+        width = 0
         for row, a in enumerate(context.appliances):
             if a.appliance_class is ApplianceClass.BASELINE:
                 baseline_kw += a.rated_kw
             else:
-                self.flex.append(_flexible(row, a))
+                self.flex.append(_flexible(row, a, width))
+                width += a.duration
+        self.width = width
+        self.pack: Callable[[Sequence[int]], Antibody]
+        self.unpack: Callable[[Antibody], list[int]]
+        if self.slot_count <= 0xFF:
+            self._dtype = np.dtype(np.uint8)
+            self.pack, self.unpack = bytes, list
+        else:  # a `TimeGrid` has at most 0xFFFF slots
+            self._dtype = np.dtype(">u2")
+            layout = struct.Struct(f">{width}H")
+            self.pack = lambda slots: layout.pack(*slots)
+            self.unpack = lambda antibody: list(layout.unpack(antibody))
         self.baseline_gross = np.full(self.slot_count, baseline_kw)
         ratings = [f.rated_kw for f in self.flex]
         durations = [f.duration for f in self.flex]
@@ -289,44 +329,34 @@ class SearchSpace:
         # chained genes of a genotype
         self.rate_weights = np.repeat(ratings, durations)
         self._ratings = np.array(ratings)
-        # the original genotype's chained genes, and where each gene starts
-        self._original = np.fromiter(chain.from_iterable(self.original_antibody()), np.intp)
-        self._gene_starts = np.cumsum([0] + durations[:-1])
+        # the original genotype's slot row, and where each gene starts
+        self._original = self.slot_matrix([self.original_antibody()])[0].astype(np.intp)
+        self._gene_starts = np.array([f.offset for f in self.flex], dtype=np.intp)
         self._price = context.price_array()
         self._pv = context.pv_array()
 
+    def key(self, genes: Iterable[Sequence[int]]) -> Antibody:
+        """The genotype of one on-slot gene per flexible appliance, in order."""
+        return self.pack(list(chain.from_iterable(genes)))
+
+    def genes_of(self, antibody: Antibody) -> tuple[tuple[int, ...], ...]:
+        """A genotype's genes: one on-slot tuple per flexible appliance."""
+        slots = self.unpack(antibody)
+        return tuple(tuple(slots[f.offset:f.offset + f.duration]) for f in self.flex)
+
     def original_antibody(self) -> Antibody:
-        return tuple(f.original for f in self.flex)
+        return self.key(f.original for f in self.flex)
 
     def random_antibody(self, draws: Draws) -> Antibody:
-        genes = []
-        for _, _, duration, _, lo, _, _, window, count in self.flex:
-            if window is None:
-                start = lo + draws.below(count)
-                genes.append(tuple(range(start, start + duration)))
+        slots: list[int] = []
+        for f in self.flex:
+            if f.window is None:
+                start = f.lo + draws.below(f.count)
+                slots.extend(range(start, start + f.duration))
             else:
-                picks = draws.sample(len(window), duration)
-                genes.append(tuple(sorted(p + lo for p in picks)))
-        return tuple(genes)
-
-    def mutate_gene(self, index: int, gene: tuple[int, ...], draws: Draws) -> tuple[int, ...]:
-        """One mutated copy of a gene, always inside the appliance window."""
-        _, _, duration, _, lo, hi, reach, window, count = self.flex[index]
-        if count == 1:
-            return gene
-        if window is None:
-            start = gene[0] + draws.below(2 * reach + 1) - reach
-            start = lo if start < lo else hi if start > hi else start
-            return tuple(range(start, start + duration))
-
-        k = 1 + draws.below(duration)
-        dropped = draws.sample(duration, k)
-        kept = [s for j, s in enumerate(gene) if j not in dropped]
-        candidates = window.copy()
-        for s in reversed(kept):  # descending, so each index is still s - lo
-            del candidates[s - lo]
-        picks = draws.sample(len(candidates), k)
-        return tuple(sorted(kept + [candidates[p] for p in picks]))
+                picks = draws.sample(len(f.window), f.duration)
+                slots.extend(sorted(p + f.lo for p in picks))
+        return self.pack(slots)
 
     def genes(self, index: int) -> list[tuple[int, ...]]:
         """Every gene appliance `index` can take, lexicographic: each
@@ -338,7 +368,7 @@ class SearchSpace:
 
     def decode(self, antibody: Antibody) -> Schedule:
         """Full schedule for all appliances, baseline rows always on."""
-        flex_slots = dict(zip((f.row for f in self.flex), antibody))
+        flex_slots = dict(zip((f.row for f in self.flex), self.genes_of(antibody)))
         on_slots: list[Sequence[int]] = []
         for row, a in enumerate(self.context.appliances):
             if row in flex_slots:
@@ -348,13 +378,9 @@ class SearchSpace:
         return schedule_from_on_slots(on_slots, self.slot_count)
 
     def slot_matrix(self, antibodies: Sequence[Antibody]) -> np.ndarray:
-        """The genotypes' chained genes, one row per genotype."""
-        rows, width = len(antibodies), len(self.rate_weights)
-        flat = np.fromiter(
-            chain.from_iterable(chain.from_iterable(antibodies)),
-            dtype=np.intp, count=rows * width,
-        )
-        return flat.reshape(rows, width)
+        """The genotypes' slot rows, one row per genotype."""
+        flat = np.frombuffer(b"".join(antibodies), self._dtype)
+        return flat.reshape(len(antibodies), self.width)
 
     def gross_rows(self, slots: np.ndarray) -> np.ndarray:
         """Gross household kW per slot (rows x slots) for a `slot_matrix`."""
@@ -455,33 +481,122 @@ def clone_and_hypermutate(
     Better ranks get more clones (`clone_counts`); worse ranks mutate
     harder (per-gene probability HYPERMUTATION_SCALE * rank / N).  Every
     offspring stays inside its appliance windows by construction.
+
+    Each child is one pass over a copy of its parent's slot row, with
+    `draws`' block, position and kept half in local variables.  Gene g
+    mutates when its own `random()` draw is below the rank's probability;
+    a child with no such gene mutates one gene drawn with `below(genes)`.
+    A run moves its start by a step drawn below `2 * reach + 1`, clamped
+    to its range.  A slot set draws k - 1 below its duration, then drops k
+    of its slots (`sample(duration, k)`) and adds k of the window's other
+    slots (`sample(len(window) - duration + k, k)`).  Every bound and
+    threshold comes from the gene's `Flexible` record.
     """
     n = len(ranked)
     counts = clone_counts(n)
-    mutate = space.mutate_gene
+    flex = space.flex
+    size = len(flex)
+    pack, unpack = space.pack, space.unpack
+    probe = (size, _threshold(size))
+    block, pos, half = draws._block, draws._pos, draws._half
     offspring: list[Antibody] = []
     for rank, parent in enumerate(ranked, start=1):
-        gene_prob = min(1.0, HYPERMUTATION_SCALE * rank / n)
-        size = len(parent)
+        # random() < p exactly when word >> 11 < p * 2**53, and so when
+        # word < ceil(p * 2**53) << 11
+        cut = math.ceil(min(1.0, HYPERMUTATION_SCALE * rank / n) * 2.0**53) << 11
+        slots = unpack(parent)
         for _ in range(counts[rank - 1]):
-            genes = list(parent)
-            # gene g mutates when its own random() draw is below gene_prob;
-            # skip consumes the draws of the genes in between
-            g = draws.skip(size, gene_prob)
-            if g == size and size:
-                # an identical clone is a wasted evaluation; probe a neighbor
-                g = draws.below(size)
-                genes[g] = mutate(g, genes[g], draws)
-            else:
-                while g < size:
-                    genes[g] = mutate(g, genes[g], draws)
-                    g += 1 + draws.skip(size - g - 1, gene_prob)
-            offspring.append(tuple(genes))
+            child = slots.copy()
+            g, mutated = 0, False
+            while True:
+                if g < size:
+                    if pos == _BLOCK:
+                        block, pos = draws._refill(), 0
+                    word = block[pos]
+                    pos += 1
+                    g += 1
+                    if word >= cut:
+                        continue
+                    f: Flexible | None = flex[g - 1]
+                    bound, threshold = f.first
+                elif mutated or not size:
+                    break
+                else:
+                    # an identical clone is a wasted evaluation; probe a neighbor
+                    f = None
+                    bound, threshold = probe
+                mutated = True
+                # one bounded draw: the probed gene's index, then the gene's first
+                while True:
+                    value = 0
+                    if bound > 1:
+                        while True:
+                            if half >= 0:
+                                low, half = half, -1
+                            else:
+                                if pos == _BLOCK:
+                                    block, pos = draws._refill(), 0
+                                word = block[pos]
+                                pos += 1
+                                low, half = word & 0xFFFFFFFF, word >> 32
+                            m = low * bound
+                            if m & 0xFFFFFFFF >= threshold:
+                                break
+                        value = m >> 32
+                    if f is not None:
+                        break
+                    f = flex[value]
+                    bound, threshold = f.first
+                if f.count == 1:
+                    continue
+                offset, duration = f.offset, f.duration
+                if f.window is None:
+                    start = child[offset] + value - f.reach
+                    start = f.lo if start < f.lo else f.hi if start > f.hi else start
+                    child[offset:offset + duration] = range(start, start + duration)
+                    continue
+                # k = value + 1; with k == duration, Floyd's first pick is
+                # below 1 and draws nothing
+                dropped = {0} if value == duration - 1 else set()
+                added: set[int] = set()
+                for bound, threshold, into in f.plans[value]:
+                    while True:
+                        if half >= 0:
+                            low, half = half, -1
+                        else:
+                            if pos == _BLOCK:
+                                block, pos = draws._refill(), 0
+                            word = block[pos]
+                            pos += 1
+                            low, half = word & 0xFFFFFFFF, word >> 32
+                        m = low * bound
+                        if m & 0xFFFFFFFF >= threshold:
+                            break
+                    if into:
+                        picks = dropped if into == 1 else added
+                        pick = m >> 32
+                        picks.add(bound - 1 if pick in picks else pick)
+                kept = [s for j, s in enumerate(child[offset:offset + duration])
+                        if j not in dropped]
+                gene = kept.copy()
+                for slot in added:
+                    # the slot-th window slot not kept: step over the kept
+                    # slots at or below it, in ascending order
+                    slot += f.lo
+                    for s in kept:
+                        if s > slot:
+                            break
+                        slot += 1
+                    gene.append(slot)
+                gene.sort()
+                child[offset:offset + duration] = gene
+            offspring.append(pack(child))
+    draws._block, draws._pos, draws._half = block, pos, half
     return offspring
 
 
 # incumbent key of no candidate at all: every candidate beats it
-_NO_INCUMBENT = (math.inf, 0, ())
+_NO_INCUMBENT = (math.inf, 0, b"")
 
 
 def _better_incumbent(cand: tuple, best: tuple) -> bool:

@@ -50,6 +50,9 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if self.slot_count < 1:
             raise ValueError(f"slot_count must be >= 1, got {self.slot_count}")
+        if self.slot_count > 0xFFFF:
+            # the optimizer's genotypes hold a slot number in two bytes at most
+            raise ValueError(f"slot_count must be <= 65535, got {self.slot_count}")
         if self.slot_hours <= 0:
             raise ValueError(f"slot_hours must be > 0, got {self.slot_hours}")
 

@@ -12,14 +12,14 @@ Candidates are enumerated by index k, the k-th genotype of
 `itertools.product` over the appliances' gene lists (the last appliance
 varies fastest).  A chunk's slot matrix is gathered from one
 (genes x duration) slot table per appliance by the mixed-radix digits of
-its indices, so no Python tuple is built per candidate.
+its indices, so no Python object is built per candidate.
 `SearchSpace.evaluate_rows` scores the chunk as columns, the feasible mask
 is applied with numpy, and each price's totals take the same IEEE
 operations, in the same order, as pricing one candidate at a time.  Only
 the candidates within TIE_TOL of the running optimum at their turn can
-change it; just those are decoded to genotypes and offered to it, so the
-optimum, its ties and their order are exactly those of offering every
-feasible candidate in turn.
+change it; just those have their slot rows packed into the optimizer's
+genotype bytes and offered to it, so the optimum, its ties and their order
+are exactly those of offering every feasible candidate in turn.
 """
 
 from __future__ import annotations
@@ -97,20 +97,10 @@ class _Enumeration:
 
     def __init__(self, space: SearchSpace):
         self.space = space
-        self.genes = [space.genes(i) for i in range(len(space.flex))]
         # row j of table i: the on-slots of appliance i's gene j
-        self.tables = [
-            np.array(genes, dtype=np.intp).reshape(len(genes), f.duration)
-            for genes, f in zip(self.genes, space.flex)
-        ]
-        self.count = math.prod(len(genes) for genes in self.genes)
-
-    def genotype(self, k: int) -> Antibody:
-        genes = []
-        for options in reversed(self.genes):
-            k, digit = divmod(k, len(options))
-            genes.append(options[digit])
-        return tuple(reversed(genes))
+        self.tables = [np.array(space.genes(i), dtype=np.intp).reshape(-1, f.duration)
+                       for i, f in enumerate(space.flex)]
+        self.count = math.prod(len(table) for table in self.tables)
 
     def slot_rows(self, start: int, stop: int) -> np.ndarray:
         """The `slot_matrix` of genotypes start..stop-1."""
@@ -123,13 +113,13 @@ class _Enumeration:
             end -= table.shape[1]
         return rows
 
-    def chunks(self) -> Iterator[tuple[int, Scores]]:
-        """(first index, scores) of each run of `_CHUNK` genotypes, in
+    def chunks(self) -> Iterator[tuple[np.ndarray, Scores]]:
+        """(slot matrix, scores) of each run of `_CHUNK` genotypes, in
         order, scored by the optimizer's own `evaluate_rows`, so the oracle
         prices and checks a candidate exactly as the optimizer does."""
         for start in range(0, self.count, _CHUNK):
-            stop = min(start + _CHUNK, self.count)
-            yield start, self.space.evaluate_rows(self.slot_rows(start, stop), 0.0)
+            rows = self.slot_rows(start, min(start + _CHUNK, self.count))
+            yield rows, self.space.evaluate_rows(rows, 0.0)
 
 
 @dataclass
@@ -167,15 +157,15 @@ class _Best:
 
 
 def _offer_chunk(
-    best: _Best, total: np.ndarray, shift: np.ndarray, index: np.ndarray,
-    genotype: Callable[[int], Antibody],
+    best: _Best, total: np.ndarray, shift: np.ndarray, rows: np.ndarray,
+    pack: Callable[[list[int]], Antibody],
 ) -> None:
     """Offer `best` a chunk of feasible candidates in order, as offering
-    each in turn would: their totals, shift slots and enumeration indices,
-    which `genotype` decodes.
+    each in turn would: their totals, shift slots and slot rows, which
+    `pack` turns into genotypes.
 
     `offer` ignores a candidate whose total exceeds the best's by more
-    than TIE_TOL, so only the others are decoded and offered.  The test is
+    than TIE_TOL, so only the others are packed and offered.  The test is
     `offer`'s own subtraction, and whenever the best's total moves (down
     on a lower total, or up on an accepted near-tie) the rows after the
     move are tested again against the new total.
@@ -186,7 +176,7 @@ def _offer_chunk(
         hits = pos + np.flatnonzero(total[pos:] - threshold <= TIE_TOL)
         pos = len(total)
         for j in hits.tolist():
-            best.offer((total[j].item(), shift[j].item(), genotype(index[j].item())))
+            best.offer((total[j].item(), shift[j].item(), pack(rows[j].tolist())))
             if best.key[0] != threshold:
                 pos = j + 1
                 break
@@ -207,14 +197,13 @@ def sweep_penalties(
     hours = ctx.grid.slot_hours
     bests = {pi: _Best() for pi in penalties}
     count = 0
-    for start, scores in enumeration.chunks():
+    for rows, scores in enumeration.chunks():
         keep = np.flatnonzero(scores.feasible)
         count += len(keep)
         energy, weighted = scores.energy_usd[keep], scores.weighted_shift[keep]
-        shift, index = scores.shift_slots[keep], start + keep
+        shift, rows = scores.shift_slots[keep], rows[keep]
         for pi, best in bests.items():
-            _offer_chunk(best, energy + hours * pi * weighted, shift, index,
-                         enumeration.genotype)
+            _offer_chunk(best, energy + hours * pi * weighted, shift, rows, space.pack)
 
     results: dict[float, OracleResult] = {}
     for pi, best in bests.items():

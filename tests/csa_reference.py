@@ -7,19 +7,22 @@ dropped shuffle draw.  `random_antibody`, `mutate_gene` and
 `clone_and_hypermutate` draw genes through it one gene at a time, testing
 every gene of every clone with its own `random()` call; they read each
 appliance's class, window, and duration from its `Appliance`, not from
-the `SearchSpace` record they check.  `csa.Draws`,
-`SearchSpace.random_antibody`, `SearchSpace.mutate_gene` and
-`csa.clone_and_hypermutate` must match them exactly: the same genotypes and
-the same stream position after every call.
-"""
+the `SearchSpace` record they check, and their genotypes are tuples of
+per-gene on-slot tuples.  `csa.Draws`, `SearchSpace.random_antibody` and
+`csa.clone_and_hypermutate` must match them exactly, through
+`SearchSpace.key` and `SearchSpace.genes_of`: the same genotypes and the
+same stream position after every call."""
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+# genotype: one ascending on-slot tuple per flexible appliance, in order
+Genotype = tuple[tuple[int, ...], ...]
+
 import numpy as np
 
-from dsmsched.csa import HYPERMUTATION_SCALE, Antibody, SearchSpace, clone_counts
+from dsmsched.csa import HYPERMUTATION_SCALE, SearchSpace, clone_counts
 from dsmsched.domain import ApplianceClass, effective_window
 
 
@@ -83,7 +86,7 @@ def appliance(space: SearchSpace, index: int) -> tuple[bool, int, int, int]:
     return a.appliance_class is ApplianceClass.UNINTERRUPTIBLE, lo, hi, a.duration
 
 
-def random_antibody(space: SearchSpace, draws: Draws) -> Antibody:
+def random_antibody(space: SearchSpace, draws: Draws) -> Genotype:
     genes = []
     for index in range(len(space.flex)):
         uninterruptible, lo, hi, duration = appliance(space, index)
@@ -123,12 +126,12 @@ def mutate_gene(space: SearchSpace, index: int, gene: tuple[int, ...],
 
 
 def clone_and_hypermutate(
-    ranked: Sequence[Antibody], draws: Draws, space: SearchSpace
-) -> list[Antibody]:
+    ranked: Sequence[Genotype], draws: Draws, space: SearchSpace
+) -> list[Genotype]:
     """Offspring of a ranked population (best first)."""
     n = len(ranked)
     counts = clone_counts(n)
-    offspring: list[Antibody] = []
+    offspring: list[Genotype] = []
     for rank, parent in enumerate(ranked, start=1):
         gene_prob = min(1.0, HYPERMUTATION_SCALE * rank / n)
         for _ in range(counts[rank - 1]):
@@ -145,11 +148,3 @@ def clone_and_hypermutate(
             offspring.append(tuple(genes))
     return offspring
 
-
-def skip(draws: Draws, limit: int, p: float) -> int:
-    """What `csa.Draws.skip` replaces: one `random()` call per gene tested,
-    up to the first draw below p or `limit` draws."""
-    for count in range(limit):
-        if draws.random() < p:
-            return count
-    return limit

@@ -18,8 +18,9 @@ from dsmsched.csa import FLOW_FAILURE_PENALTY, Antibody, Scores, SearchSpace
 
 
 def gross(space: SearchSpace, antibody: Antibody) -> np.ndarray:
-    """Gross household kW per slot: one bincount of the genotype's slots."""
-    buf = np.array([s for gene in antibody for s in gene], dtype=np.intp)
+    """Gross household kW per slot: one bincount of the genotype's slots,
+    read gene by gene."""
+    buf = np.array([s for gene in space.genes_of(antibody) for s in gene], dtype=np.intp)
     moved = np.bincount(buf, weights=space.rate_weights, minlength=space.slot_count + 1)
     return space.baseline_gross + moved[1:]
 
@@ -62,7 +63,7 @@ def evaluate(space: SearchSpace, antibody: Antibody, weight: float) -> dict:
 
     shift_slots = 0
     weighted = 0.0
-    for f, gene in zip(space.flex, antibody):
+    for f, gene in zip(space.flex, space.genes_of(antibody)):
         appliance = ctx.appliances[f.row]
         delta = sum(abs(n - o) for n, o in zip(gene, appliance.original_on_slots))
         shift_slots += delta

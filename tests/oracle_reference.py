@@ -1,11 +1,12 @@
 """Sequential exhaustive search, the reference for the oracle's enumeration.
 
 Every genotype of `itertools.product` over the appliances' `SearchSpace.genes`,
-scored in chunks by `SearchSpace.evaluate`, and every feasible one offered
-to the running optimum one by one, in that order: the enumeration the
-oracle used before it listed candidates by index and skipped those that
-cannot change its optimum.  `oracle.sweep_penalties` must match it
-exactly: total, schedule, ties (same list, same order) and feasible count.
+as a tuple of genes, scored in chunks by `SearchSpace.evaluate`, and every
+feasible one offered to the running optimum one by one, in that order: the
+enumeration the oracle used before it listed candidates by index and
+skipped those that cannot change its optimum.  `oracle.sweep_penalties`
+must match it exactly: total, schedule, ties (same list, same order, the
+oracle's read through `SearchSpace.genes_of`) and feasible count.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def sweep_penalties(
     count = 0
     genotypes = itertools.product(*(space.genes(i) for i in range(len(space.flex))))
     while batch := list(itertools.islice(genotypes, 256)):
-        scores = space.evaluate(batch, 0.0)
+        scores = space.evaluate([space.key(genes) for genes in batch], 0.0)
         for antibody, energy, weighted, shift, feasible in zip(
             batch, scores.energy_usd.tolist(), scores.weighted_shift.tolist(),
             scores.shift_slots.tolist(), scores.feasible.tolist(),
@@ -42,7 +43,7 @@ def sweep_penalties(
 
     results = {}
     for pi, best in bests.items():
-        schedule = space.decode(best.key[2])
+        schedule = space.decode(space.key(best.key[2]))
         results[pi] = OracleResult(
             schedule=schedule,
             breakdown=total_cost(schedule, ctx.with_penalty(pi)),

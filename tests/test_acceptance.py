@@ -437,7 +437,7 @@ def test_criterion_9_unit_formulas():
                              price=PriceSeries(values=tuple(prices)),
                              penalty_price=penalty_price)
         space = SearchSpace(ctx)
-        genotype = (tuple(plan),)
+        genotype = space.key([plan])
         return total_cost(space.decode(genotype), ctx), space.evaluate([genotype], 0.0)
 
     # check -> (total_cost value, SearchSpace.evaluate value, hand-derived value)

@@ -506,6 +506,7 @@ _CSA = base_config("out")["csa"]
     ({"appliances": _with_row_field(rated_kw="nan")}, "appliance 2: not a finite number"),
     ({"price_csv": "price_nan.csv"}, "price_nan.csv:13: bad row"),
     ({"grid": {"slot_count": 12.9}}, "'grid.slot_count' must be a number (an integer)"),
+    ({"grid": {"slot_count": 70000}}, "slot_count must be <= 65535, got 70000"),
     ({"appliances": _with_row_field(duration=2.7)}, "appliance 2: not a whole number"),
     ({"csa": dict(_CSA, population_size=8.5)}, "'csa.population_size' must be a number"),
     ({"csa": dict(_CSA, generations=3.5)}, "'csa.generations' must be a number"),
@@ -521,6 +522,7 @@ _CSA = base_config("out")["csa"]
         "grid_number", "appliances_number", "appliances_csv_number", "price_number",
         "pv_enabled_text", "csa_list", "slot_hours_nan", "price_nan", "penalty_nan",
         "md_kw_minus_inf", "rated_kw_nan", "price_csv_nan", "slot_count_fraction",
+        "slot_count_past_two_bytes",
         "duration_fraction", "population_size_fraction",
         "generations_fraction", "md_kw_bool", "seed_bool", "seed_negative",
         "csa_rng_seed", "label_null", "label_object", "pv_capacity_negative_pv_off"])

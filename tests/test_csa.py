@@ -17,6 +17,7 @@ from dsmsched.constraints import is_feasible
 from dsmsched import costing
 from dsmsched.costing import ProblemContext, total_cost
 from dsmsched.csa import (
+    HYPERMUTATION_SCALE,
     CsaConfig,
     Draws,
     SearchSpace,
@@ -67,6 +68,125 @@ def _flexible_on_16_slots(draw):
         return _uninterruptible(0, (lo, hi), duration, 1.0, original_start=start)
     slots = draw(st.sets(st.integers(lo, hi), min_size=duration, max_size=duration))
     return _interruptible(0, (lo, hi), duration, 1.0, original=tuple(sorted(slots)))
+
+
+GRID300 = TimeGrid(slot_count=300, slot_hours=0.08)
+
+
+def edge_context(name):
+    """The edge spaces of the genotype encoding: no flexible appliance (the
+    empty genotype), every gene fixed (each clone is an identical-clone
+    probe), and a grid of more than 255 slots (two bytes per slot)."""
+    if name == "no_flexible":
+        return ProblemContext(grid=GRID12, appliances=(_baseline(),), price=STEEP)
+    if name == "fixed_genes":
+        return ProblemContext(grid=GRID12, price=STEEP, penalty_price=0.05, appliances=(
+            _baseline(),
+            _uninterruptible(2, (4, 6), 3, 1.0, original_start=4),  # one start only
+            _interruptible(3, (7, 8), 2, 1.0, original=(7, 8)),  # window == duration
+        ))
+    baseline = Appliance(id=1, appliance_class=ApplianceClass.BASELINE, window_start=1,
+                         window_end=300, duration=300, rated_kw=0.4,
+                         original_on_slots=tuple(range(1, 301)))
+    price = PriceSeries(values=tuple(0.05 + 0.02 * ((s * 37) % 17) for s in range(300)))
+    return ProblemContext(grid=GRID300, price=price, md_kw=3.0, penalty_price=0.05, appliances=(
+        baseline,
+        _uninterruptible(2, (200, 290), 5, 1.0, original_start=250),  # runs across 255/256
+        _interruptible(3, (240, 300), 4, 1.5, original=(254, 255, 256, 257)),
+        _interruptible(4, (1, 280), 3, 1.2, original=(3, 128, 256)),
+        _uninterruptible(5, (10, 270), 6, 0.8, original_start=100),
+    ))
+
+
+EDGE_CONFIG = dict(population_size=12, generations=14, stall_generations=8)
+
+# the tuple-genotype optimizer's results on the edge spaces, per (space,
+# seed) at EDGE_CONFIG: history, evaluations, the flexible rows' on-slots
+# and the total
+EDGE_PINS = {
+    ("no_flexible", 0): (
+        [
+            (0, 0.29400000000000004, 1), (1, 0.29400000000000004, 1),
+            (2, 0.29400000000000004, 1), (3, 0.29400000000000004, 1),
+            (4, 0.29400000000000004, 1), (5, 0.29400000000000004, 1),
+            (6, 0.29400000000000004, 1), (7, 0.29400000000000004, 1),
+            (8, 0.29400000000000004, 1),
+        ],
+        1,
+        [],
+        0.29400000000000004,
+    ),
+    ("no_flexible", 7): (
+        [
+            (0, 0.29400000000000004, 1), (1, 0.29400000000000004, 1),
+            (2, 0.29400000000000004, 1), (3, 0.29400000000000004, 1),
+            (4, 0.29400000000000004, 1), (5, 0.29400000000000004, 1),
+            (6, 0.29400000000000004, 1), (7, 0.29400000000000004, 1),
+            (8, 0.29400000000000004, 1),
+        ],
+        1,
+        [],
+        0.29400000000000004,
+    ),
+    ("fixed_genes", 0): (
+        [
+            (0, 0.6040000000000001, 1), (1, 0.6040000000000001, 1),
+            (2, 0.6040000000000001, 1), (3, 0.6040000000000001, 1),
+            (4, 0.6040000000000001, 1), (5, 0.6040000000000001, 1),
+            (6, 0.6040000000000001, 1), (7, 0.6040000000000001, 1),
+            (8, 0.6040000000000001, 1),
+        ],
+        1,
+        [
+            (4, 5, 6), (7, 8),
+        ],
+        0.6040000000000001,
+    ),
+    ("fixed_genes", 7): (
+        [
+            (0, 0.6040000000000001, 1), (1, 0.6040000000000001, 1),
+            (2, 0.6040000000000001, 1), (3, 0.6040000000000001, 1),
+            (4, 0.6040000000000001, 1), (5, 0.6040000000000001, 1),
+            (6, 0.6040000000000001, 1), (7, 0.6040000000000001, 1),
+            (8, 0.6040000000000001, 1),
+        ],
+        1,
+        [
+            (4, 5, 6), (7, 8),
+        ],
+        0.6040000000000001,
+    ),
+    ("grid300", 0): (
+        [
+            (0, 4.046, 12), (1, 3.17424, 49), (2, 3.17424, 88),
+            (3, 2.7758400000000005, 127), (4, 2.7758400000000005, 165), (5, 2.69616, 204),
+            (6, 2.61552, 241), (7, 2.58416, 280), (8, 2.56272, 317), (9, 2.56272, 356),
+            (10, 2.56272, 394), (11, 2.56272, 433), (12, 2.56272, 468), (13, 2.56272, 505),
+            (14, 2.56272, 543),
+        ],
+        543,
+        [
+            (250, 251, 252, 253, 254), (254, 257, 262, 263), (26, 120, 268),
+            (100, 101, 102, 103, 104, 105),
+        ],
+        2.56272,
+    ),
+    ("grid300", 7): (
+        [
+            (0, 4.23312, 12), (1, 2.6448000000000005, 47), (2, 2.5404, 86),
+            (3, 2.4744, 124), (4, 2.4744, 163), (5, 2.4744, 201), (6, 2.4744, 239),
+            (7, 2.4744, 275), (8, 2.4744, 312), (9, 2.4744, 351), (10, 2.4744, 389),
+            (11, 2.4588000000000005, 425), (12, 2.4336, 462), (13, 2.4336, 501),
+            (14, 2.4336, 540),
+        ],
+        540,
+        [
+            (250, 251, 252, 253, 254), (248, 251, 257, 270), (3, 128, 256),
+            (100, 101, 102, 103, 104, 105),
+        ],
+        2.4336,
+    ),
+}
 
 
 def steep_context(penalty=0.0, **overrides):
@@ -166,8 +286,8 @@ class TestDrawsMatchNumpy:
 
 class TestDrawsMatchReference:
     """`Draws` against `csa_reference.Draws`, the one-call-per-draw replay,
-    where numpy has no call to compare with: `skip`, `sample` over more
-    than numpy's 10,000-item Floyd range, and crafted words."""
+    where numpy has no call to compare with: `sample` over more than
+    numpy's 10,000-item Floyd range, and crafted words."""
 
     # (2**32 - n) % n == 2**30: a quarter of the 32-bit draws are rejected
     HEAVY = 3 << 30
@@ -179,23 +299,16 @@ class TestDrawsMatchReference:
             return draws.random(), ref.random()
         if op == "below":
             return draws.below(a), ref.below(a)
-        if op == "sample":
-            return draws.sample(a, b), ref.sample(a, b)
-        return draws.skip(a, b), csa_reference.skip(ref, a, b)
+        return draws.sample(a, b), ref.sample(a, b)
 
     def plan(self, pick):
-        op = pick.choice(("random", "below", "sample", "skip"))
+        op = pick.choice(("random", "below", "sample"))
         if op == "below":
             # a third draw nothing (n == 1), a third from the rejection-heavy range
             return op, pick.choice((1, self.HEAVY, pick.randrange(2, 100))), 0
         if op == "sample":
             n = pick.choice((self.HEAVY, pick.randrange(1, 40)))
             return op, n, pick.randrange(1, min(n, 12) + 1)
-        if op == "skip":
-            # limits past a 512-word block; p at the ends, at the search's
-            # rank fractions, and anywhere
-            p = pick.choice((0.0, 1.0, 0.8 * pick.randrange(1, 61) / 60, pick.random()))
-            return op, pick.choice((0, 1, pick.randrange(2, 40), pick.randrange(500, 700))), p
         return op, 0, 0
 
     def test_mixed_draws(self):
@@ -208,28 +321,6 @@ class TestDrawsMatchReference:
                 assert mine == theirs, (seed, plan)
                 # the next word and the kept half are where the reference's are
                 assert draws.below(7) == ref.below(7), (seed, plan)
-
-    def test_skip_counts_the_draws_not_below_p(self):
-        for seed in range(200):
-            draws, ref = Draws(seed), csa_reference.Draws(seed)
-            draws.below(5), ref.below(5)  # a kept half must survive the skip
-            for limit, p in ((0, 0.5), (3, 0.0), (700, 0.001), (40, 1.0), (40, 0.3)):
-                assert draws.skip(limit, p) == csa_reference.skip(ref, limit, p), seed
-                assert draws.below(9) == ref.below(9), seed
-                assert draws.random() == ref.random(), seed
-
-    def test_skip_threshold_is_exact(self):
-        # words whose top 53 bits sit at either side of p * 2**53, which
-        # random draws hit with probability 2**-53: the test must be
-        # random() < p, bit for bit
-        for p in (0.1, 0.8 * 7 / 60, 1 / 3, 0.5, 2.0**-53, 1.0 - 2.0**-53):
-            edge = p * 2.0**53
-            for top in {math.floor(edge) - 1, math.floor(edge), math.ceil(edge),
-                        min(math.ceil(edge) + 1, 2**53 - 1)}:
-                for low in (0, 2**11 - 1):
-                    draws = Draws(0)
-                    draws._block, draws._pos = [top << 11 | low], 0
-                    assert draws.skip(1, p) == (0 if top * 2.0**-53 < p else 1), (p, top)
 
     def test_rejections_on_crafted_words(self):
         # a zero 32-bit half is rejected by every bound that is not a power
@@ -258,10 +349,12 @@ class TestDrawsMatchReference:
 
 
 class TestHypermutationMatchesReference:
-    """Random antibodies, mutated genes and offspring against the scalar
-    reference in csa_reference: the same genotypes, and the stream left at
-    the same place after every call, on every small-suite space, the
-    canonical day, a space with fixed genes and a one-gene space."""
+    """Random antibodies and offspring against the scalar reference in
+    csa_reference, which breeds tuple genotypes: the parents encoded with
+    `key`, the offspring decoded with `genes_of`, the same genotypes, and
+    the stream left at the same place after every call, on every
+    small-suite space, the canonical day, and the fixed-gene, one-gene,
+    zero-gene and 300-slot spaces."""
 
     @pytest.fixture(scope="class")
     def spaces(self, grid48, canonical_appliances, canonical_price):
@@ -279,28 +372,28 @@ class TestHypermutationMatchesReference:
         )))
         spaces["one_gene"] = SearchSpace(ProblemContext(grid=GRID12, price=FLAT, appliances=(
             _baseline(), _interruptible(2, (3, 11), 4, 1.0, original=(3, 4, 5, 6)))))
+        spaces["zero_genes"] = SearchSpace(edge_context("no_flexible"))
+        spaces["every_gene_fixed"] = SearchSpace(edge_context("fixed_genes"))
+        spaces["grid300"] = SearchSpace(edge_context("grid300"))
         return spaces
 
     @staticmethod
     def check(space, seeds, size, generations):
         for seed in seeds:
             draws, ref = Draws(seed), csa_reference.Draws(seed)
-            population = [space.original_antibody()]
+            population = [space.genes_of(space.original_antibody())]
             for _ in range(size - 1):
                 ab = space.random_antibody(draws)
-                assert ab == csa_reference.random_antibody(space, ref), seed
+                assert space.genes_of(ab) == csa_reference.random_antibody(space, ref), seed
                 assert draws.random() == ref.random(), seed
-                population.append(ab)
-            for g, gene in enumerate(population[-1]):
-                mutated = space.mutate_gene(g, gene, draws)
-                assert mutated == csa_reference.mutate_gene(space, g, gene, ref), (seed, g)
-                assert draws.random() == ref.random(), (seed, g)
+                population.append(space.genes_of(ab))
             for generation in range(generations):
-                offspring = clone_and_hypermutate(population, draws, space)
+                offspring = clone_and_hypermutate(
+                    [space.key(genes) for genes in population], draws, space)
                 expected = csa_reference.clone_and_hypermutate(population, ref, space)
-                assert offspring == expected, (seed, generation)
+                assert [space.genes_of(ab) for ab in offspring] == expected, (seed, generation)
                 assert draws.random() == ref.random(), (seed, generation)
-                population = offspring[:size]
+                population = expected[:size]
 
     def test_small_spaces(self, spaces):
         for name, space in spaces.items():
@@ -310,13 +403,57 @@ class TestHypermutationMatchesReference:
     def test_canonical_day(self, spaces):
         self.check(spaces["canonical"], range(200), size=5, generations=3)
 
+    def test_rejections_on_crafted_words(self, spaces):
+        # a zero 32-bit half is rejected by every bound that is not a power
+        # of two and accepted by every other; one at each position of the
+        # first words meets the probes, the runs' steps, the slot sets' k
+        # and both of their samples
+        pick = random.Random(1)
+        for name in ("fixed_genes", "one_gene"):
+            space = spaces[name]
+            parents = [space.genes_of(space.random_antibody(Draws(seed))) for seed in range(3)]
+            for zero in range(160):
+                words = [pick.getrandbits(64) for _ in range(512)]
+                words[zero // 2] &= 0xFFFFFFFF00000000 if zero % 2 == 0 else 0xFFFFFFFF
+                draws, ref = Draws(0), csa_reference.Draws(0)
+                draws._block, draws._pos = words, 0
+                ref._words = iter(words)
+                offspring = clone_and_hypermutate(
+                    [space.key(genes) for genes in parents], draws, space)
+                expected = csa_reference.clone_and_hypermutate(parents, ref, space)
+                assert [space.genes_of(ab) for ab in offspring] == expected, (name, zero)
+                assert draws.random() == ref.random(), (name, zero)
+
+    def test_mutation_threshold_is_exact(self, spaces):
+        # a first word whose top 53 bits sit at either side of p * 2**53,
+        # which random words hit with probability 2**-53: gene 0 of rank
+        # 1's first clone mutates exactly when random() < p, p = 0.8 / n
+        space = spaces["fixed_genes"]
+        parent = space.original_antibody()
+        pick = random.Random(0)
+        for n in (2, 3, 5, 6, 7, 8, 60):
+            edge = HYPERMUTATION_SCALE / n * 2.0**53
+            for top in {math.floor(edge) - 1, math.floor(edge), math.ceil(edge),
+                        math.ceil(edge) + 1}:
+                for low in (0, 2**11 - 1):
+                    words = [top << 11 | low] + [pick.getrandbits(64) for _ in range(511)]
+                    draws, ref = Draws(n), csa_reference.Draws(n)
+                    draws._block, draws._pos = words, 0
+                    ref._words = iter(words)
+                    offspring = clone_and_hypermutate([parent] * n, draws, space)
+                    expected = csa_reference.clone_and_hypermutate(
+                        [space.genes_of(parent)] * n, ref, space)
+                    assert [space.genes_of(ab) for ab in offspring] == expected, (n, top)
+                    assert draws.random() == ref.random(), (n, top)
+
 
 class TestSearchSpace:
     def test_only_flexible_appliances_are_encoded(self):
         space = SearchSpace(steep_context())
         assert len(space.flex) == 2  # baseline not encoded
         original = space.original_antibody()
-        assert original == ((8, 9, 10), (8, 9))
+        assert space.genes_of(original) == ((8, 9, 10), (8, 9))
+        assert original == bytes([8, 9, 10, 8, 9])
 
     def test_decode_round_trips_the_original(self):
         ctx = steep_context()
@@ -338,36 +475,36 @@ class TestSearchSpace:
         space = SearchSpace(steep_context())
         draws = Draws(11)
         for _ in range(200):
-            ab = space.random_antibody(draws)
-            start = ab[0][0]
+            run, slots = space.genes_of(space.random_antibody(draws))
+            start = run[0]
             assert 1 <= start <= 10  # window 1..12, duration 3
-            assert ab[0] == (start, start + 1, start + 2)
-            slots = ab[1]
+            assert run == (start, start + 1, start + 2)
             assert len(slots) == 2 and len(set(slots)) == 2
             assert slots == tuple(sorted(slots))
             assert all(2 <= s <= 11 for s in slots)
 
     def test_mutate_gene_stays_in_bounds(self):
+        # a line of single children, each gene mutating with probability 0.8
         space = SearchSpace(steep_context())
         draws = Draws(5)
-        run, slots = (8, 9, 10), (8, 9)
+        child = space.original_antibody()
         for _ in range(500):
-            run = space.mutate_gene(0, run, draws)
+            (child,) = clone_and_hypermutate([child], draws, space)
+            run, slots = space.genes_of(child)
             assert 1 <= run[0] <= 10 and run == (run[0], run[0] + 1, run[0] + 2)
-            slots = space.mutate_gene(1, slots, draws)
             assert len(slots) == 2 and slots == tuple(sorted(set(slots)))
             assert all(2 <= s <= 11 for s in slots)
 
     def test_mutation_is_identity_when_gene_has_no_freedom(self):
-        apps = (
-            _baseline(),
-            _uninterruptible(2, (4, 6), 3, 1.0, original_start=4),  # one start only
-            _interruptible(3, (7, 8), 2, 1.0, original=(7, 8)),  # window == duration
-        )
-        space = SearchSpace(ProblemContext(grid=GRID12, appliances=apps, price=FLAT))
+        # every clone of a count-1 gene is the gene itself, probes included
+        space = SearchSpace(edge_context("fixed_genes"))
+        original = space.original_antibody()
         draws = Draws(0)
-        assert space.mutate_gene(0, (4, 5, 6), draws) == (4, 5, 6)
-        assert space.mutate_gene(1, (7, 8), draws) == (7, 8)
+        for _ in range(20):
+            offspring = clone_and_hypermutate([original] * 8, draws, space)
+            assert len(offspring) == sum(clone_counts(8))
+            assert set(offspring) == {original}
+        assert space.genes_of(original) == ((4, 5, 6), (7, 8))
 
 
 class TestGenesListTheReachableSpace:
@@ -399,7 +536,7 @@ class TestGenesListTheReachableSpace:
                     assert len(genes) == hi - duration + 1 - lo + 1
                 else:
                     assert len(genes) == math.comb(hi - lo + 1, duration)
-                assert space.original_antibody()[i] in genes
+                assert space.genes_of(space.original_antibody())[i] in genes
 
     def test_drawn_and_mutated_genes_are_listed(self, spaces):
         for space in spaces:
@@ -408,9 +545,9 @@ class TestGenesListTheReachableSpace:
                 draws = Draws(seed)
                 genotype = space.random_antibody(draws)
                 for _ in range(5):
-                    assert all(g in genes for g, genes in zip(genotype, listed)), seed
-                    genotype = tuple(space.mutate_gene(i, g, draws)
-                                     for i, g in enumerate(genotype))
+                    genes = space.genes_of(genotype)
+                    assert all(g in options for g, options in zip(genes, listed)), seed
+                    (genotype,) = clone_and_hypermutate([genotype], draws, space)
 
     @settings(max_examples=150, deadline=None)
     @given(appliances=st.lists(_flexible_on_16_slots(), min_size=1, max_size=4),
@@ -433,21 +570,63 @@ class TestGenesListTheReachableSpace:
         listed = [set(genes) for genes in listed]
         draws = Draws(seed)
         genotype = space.random_antibody(draws)
-        for i, gene in enumerate(genotype):
-            assert gene in listed[i]
-            moved = False
-            # a gene with two or more legal values moves with probability
-            # >= 1/3 per call, so 60 calls all miss with odds under 1e-10
-            for _ in range(60):
-                mutated = space.mutate_gene(i, gene, draws)
-                assert mutated in listed[i]
-                moved |= mutated != gene
-                gene = mutated
-            assert moved == (counts[i] != 1), (i, counts[i])
+        first = space.genes_of(genotype)
+        moved = [False] * len(appliances)
+        # a lone child mutates each gene with probability 0.8, and a gene
+        # with two or more legal values moves with probability >= 1/3 per
+        # mutation, so 100 children all miss with odds under 1e-13
+        for _ in range(100):
+            (genotype,) = clone_and_hypermutate([genotype], draws, space)
+            genes = space.genes_of(genotype)
+            assert all(gene in options for gene, options in zip(genes, listed))
+            moved = [m or gene != start for m, gene, start in zip(moved, genes, first)]
+        assert moved == [count != 1 for count in counts], counts
+
+
+@st.composite
+def _space_and_two_genotypes(draw):
+    """A space of one to four flexible appliances on a grid of up to 600
+    slots, and two legal genotypes of it as tuples of genes; the second
+    keeps each of the first's genes with probability one half."""
+    slot_count = draw(st.sampled_from((1, 12, 255, 256, 300, 600)))
+    appliances, genes = [], []
+    for aid in range(2, 2 + draw(st.integers(1, 4))):
+        lo = draw(st.integers(1, slot_count))
+        hi = draw(st.integers(lo, min(slot_count, lo + 30)))
+        duration = draw(st.integers(1, min(4, hi - lo + 1)))
+        if draw(st.booleans()):
+            def gene():
+                start = draw(st.integers(lo, hi - duration + 1))
+                return tuple(range(start, start + duration))
+            appliances.append(_uninterruptible(aid, (lo, hi), duration, 1.0,
+                                               original_start=lo))
+        else:
+            def gene():
+                slots = draw(st.sets(st.integers(lo, hi), min_size=duration,
+                                     max_size=duration))
+                return tuple(sorted(slots))
+            appliances.append(_interruptible(aid, (lo, hi), duration, 1.0,
+                                             original=tuple(range(lo, lo + duration))))
+        first = gene()
+        genes.append((first, first if draw(st.booleans()) else gene()))
+    ctx = ProblemContext(grid=TimeGrid(slot_count=slot_count), appliances=tuple(appliances),
+                         price=PriceSeries(values=(0.1,) * slot_count))
+    return SearchSpace(ctx), tuple(g for g, _ in genes), tuple(g for _, g in genes)
 
 
 class TestGenotypeLayout:
     """Genotypes of the canonical day, drawn and hypermutated."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_space_and_two_genotypes())
+    def test_keys_order_as_genotypes_and_round_trip(self, case):
+        space, a, b = case
+        ka, kb = space.key(a), space.key(b)
+        assert (ka < kb) == (a < b) and (ka == kb) == (a == b) and (ka > kb) == (a > b)
+        assert space.genes_of(ka) == a and space.genes_of(kb) == b
+        assert len(ka) == space.width * (1 if space.slot_count <= 255 else 2)
+        assert space.slot_matrix([ka, kb]).tolist() == [
+            [s for gene in a for s in gene], [s for gene in b for s in gene]]
 
     @pytest.fixture
     def canonical(self, grid48, canonical_appliances, canonical_price):
@@ -461,11 +640,13 @@ class TestGenotypeLayout:
 
     def test_genotype_order_is_flat_row_order(self, canonical):
         space, genotypes = canonical
-        rows = [tuple(s for gene in ab for s in gene) for ab in genotypes]
+        genes = [space.genes_of(ab) for ab in genotypes]
+        rows = [tuple(s for gene in g for s in gene) for g in genes]
+        assert space.slot_matrix(genotypes).tolist() == [list(row) for row in rows]
         rng = np.random.default_rng(13)
         for i, j in rng.integers(0, len(genotypes), size=(5000, 2)):
             a, b = genotypes[i], genotypes[j]
-            assert (a < b) == (rows[i] < rows[j])
+            assert (a < b) == (rows[i] < rows[j]) == (genes[i] < genes[j])
             assert (a == b) == (rows[i] == rows[j])
         # sorting by genotype and by flat row agree as well
         assert sorted(rows) == [rows[genotypes.index(ab)] for ab in sorted(genotypes)]
@@ -474,7 +655,7 @@ class TestGenotypeLayout:
         space, genotypes = canonical
         runs = 0
         for ab in genotypes:
-            for f, gene in zip(space.flex, ab):
+            for f, gene in zip(space.flex, space.genes_of(ab)):
                 appliance = space.context.appliances[f.row]
                 if appliance.appliance_class is not ApplianceClass.UNINTERRUPTIBLE:
                     continue
@@ -494,20 +675,21 @@ class TestCloneAndHypermutate:
         for _ in range(20):
             population = clone_and_hypermutate(population, draws, space)[:8]
             for ab in population:
-                start = ab[0][0]
-                assert 1 <= start <= 10 and ab[0] == (start, start + 1, start + 2)
-                assert all(2 <= s <= 11 for s in ab[1])
+                run, slots = space.genes_of(ab)
+                assert 1 <= run[0] <= 10 and run == (run[0], run[0] + 1, run[0] + 2)
+                assert all(2 <= s <= 11 for s in slots)
 
 
-def score(antibody, ctx, constraint_penalty_weight=0.0):
-    return SearchSpace(ctx).evaluate([antibody], constraint_penalty_weight).score[0]
+def score(genes, ctx, constraint_penalty_weight=0.0):
+    space = SearchSpace(ctx)
+    return space.evaluate([space.key(genes)], constraint_penalty_weight).score[0]
 
 
 class TestAffinity:
     def test_original_scores_minus_energy_cost(self):
         ctx = steep_context()
         space = SearchSpace(ctx)
-        original = space.original_antibody()
+        original = space.genes_of(space.original_antibody())
         expected = total_cost(ctx.original_schedule(), ctx).energy_usd
         assert score(original, ctx) == pytest.approx(-expected)
 
@@ -951,3 +1133,23 @@ class TestOptimize:
                            stall_generations=5)
         result = optimize(steep_context(), config)
         assert result.history[-1][0] < 400
+
+
+class TestEdgeSpaces:
+    """`optimize` on the edge spaces of `edge_context`, against the results
+    the tuple genotypes gave."""
+
+    @pytest.mark.parametrize("name, seed", list(EDGE_PINS))
+    def test_results_are_pinned(self, name, seed):
+        ctx = edge_context(name)
+        result = optimize(ctx, CsaConfig(rng_seed=seed, **EDGE_CONFIG))
+        history, evaluations, on_slots, total = EDGE_PINS[name, seed]
+        assert result.success
+        assert result.history == history
+        assert result.evaluations == evaluations
+        rows = [f.row for f in SearchSpace(ctx).flex]
+        assert [result.schedule.on_slots(row) for row in rows] == on_slots
+        every_slot = tuple(ctx.grid.slots())
+        assert all(result.schedule.on_slots(row) == every_slot
+                   for row in range(len(ctx.appliances)) if row not in rows)
+        assert result.breakdown.total_usd == total

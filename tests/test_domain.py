@@ -54,6 +54,7 @@ class TestTimeGrid:
     @pytest.mark.parametrize("kwargs", [
         {"slot_count": 0},
         {"slot_count": -3},
+        {"slot_count": 0x10000},  # a genotype holds a slot in two bytes at most
         {"slot_hours": 0.0},
         {"slot_hours": -0.5},
     ])

@@ -127,9 +127,9 @@ def test_enumeration_is_exactly_the_feasible_set():
     feasible = [s for s, r in zip(candidates, reports) if r.feasible]
     enumeration = oracle._Enumeration(inst.space)
     scored = [
-        (inst.space.decode(enumeration.genotype(start + j)),
+        (inst.space.decode(inst.space.pack(rows[j].tolist())),
          scores.energy_usd[j], scores.weighted_shift[j])
-        for start, scores in enumeration.chunks()
+        for rows, scores in enumeration.chunks()
         for j in np.flatnonzero(scores.feasible).tolist()
     ]
     assert [s for s, _, _ in scored] == feasible
@@ -247,7 +247,7 @@ def test_sweep_matches_the_sequential_reference(name, ctx):
         got, want = swept[pi], reference[pi]
         assert got.total_usd == want.total_usd, pi
         assert got.schedule == want.schedule, pi
-        assert got.ties == want.ties, pi
+        assert [inst.space.genes_of(tie) for tie in got.ties] == want.ties, pi
         assert got.feasible_count == want.feasible_count, pi
 
 
@@ -271,15 +271,16 @@ def test_index_k_decodes_to_the_kth_product_genotype(name, ctx):
     space = SearchSpace(ctx)
     enumeration = oracle._Enumeration(space)
     product = list(itertools.product(*(space.genes(i) for i in range(len(space.flex)))))
+    keys = [space.key(genes) for genes in product]
     assert enumeration.count == len(product)
-    assert [enumeration.genotype(k) for k in range(len(product))] == product
     rows = enumeration.slot_rows(0, len(product))
     assert rows.dtype == np.intp
-    assert np.array_equal(rows, space.slot_matrix(product))
+    assert [space.genes_of(space.pack(row)) for row in rows.tolist()] == product
+    assert np.array_equal(rows, space.slot_matrix(keys))
     # a range starting mid-way, as a chunk after the first does
     start = len(product) // 3
     assert np.array_equal(enumeration.slot_rows(start, len(product)),
-                          space.slot_matrix(product[start:]))
+                          space.slot_matrix(keys[start:]))
 
 
 class TestOfferChunk:
@@ -288,7 +289,7 @@ class TestOfferChunk:
 
     @staticmethod
     def genotype(k):
-        return ((k,),)  # index order is genotype order, as in the oracle
+        return bytes([k])  # candidate k's slot row is (k,): index order is genotype order
 
     def sequential(self, chunks):
         best = oracle._Best()
@@ -301,38 +302,38 @@ class TestOfferChunk:
 
     def reduced(self, chunks):
         best = oracle._Best()
-        decoded = []
+        packed = []
 
-        def genotype(k):
-            decoded.append(k)
-            return self.genotype(k)
+        def pack(row):
+            packed.append(row[0])
+            return bytes(row)
 
         k = 0
         for total, shift in chunks:
             oracle._offer_chunk(best, np.array(total, dtype=float),
                                 np.array(shift, dtype=np.intp),
-                                np.arange(k, k + len(total)), genotype)
+                                np.arange(k, k + len(total))[:, None], pack)
             k += len(total)
-        return best, decoded
+        return best, packed
 
     def assert_same(self, chunks):
         want = self.sequential(chunks)
-        got, decoded = self.reduced(chunks)
+        got, packed = self.reduced(chunks)
         assert got.key == want.key
         assert got.ties == want.ties
-        return got, decoded
+        return got, packed
 
     def test_first_offer_beats_the_initial_infinite_best(self):
-        best, decoded = self.assert_same([([0.5, 0.3, 0.7, 0.3], [2, 1, 0, 0])])
-        assert best.key == (0.3, 0, ((3,),))
-        assert decoded == [0, 1, 3]  # 0.7 is skipped, never decoded
+        best, packed = self.assert_same([([0.5, 0.3, 0.7, 0.3], [2, 1, 0, 0])])
+        assert best.key == (0.3, 0, bytes([3]))
+        assert packed == [0, 1, 3]  # 0.7 is skipped, never packed
 
     def test_a_total_exactly_tie_tol_above_is_a_tie(self):
         above = np.nextafter(TIE_TOL, 1.0)
         assert TIE_TOL - 0.0 == TIE_TOL and above - 0.0 > TIE_TOL
-        best, decoded = self.assert_same([([0.0, TIE_TOL, above], [0, 1, 2])])
-        assert best.ties == [((0,),), ((1,),)]
-        assert decoded == [0, 1]
+        best, packed = self.assert_same([([0.0, TIE_TOL, above], [0, 1, 2])])
+        assert best.ties == [bytes([0]), bytes([1])]
+        assert packed == [0, 1]
 
     def drifting(self):
         """Near-ties with falling shift slots, each accepted: the best
@@ -346,11 +347,11 @@ class TestOfferChunk:
 
     def test_near_ties_carry_the_best_past_the_first_plus_tie_tol(self):
         total, shift = self.drifting()
-        best, decoded = self.assert_same([(total, shift)])
+        best, packed = self.assert_same([(total, shift)])
         assert best.key[0] > total[0] + TIE_TOL
-        assert best.key == (total[7], 6, ((7,),)) and best.ties == [((7,),)]
-        assert 1 not in decoded and 8 not in decoded
-        assert {6, 7} <= set(decoded)
+        assert best.key == (total[7], 6, bytes([7])) and best.ties == [bytes([7])]
+        assert 1 not in packed and 8 not in packed
+        assert {6, 7} <= set(packed)
 
     @pytest.mark.parametrize("cut", range(1, 9))
     def test_drift_across_a_chunk_boundary(self, cut):
