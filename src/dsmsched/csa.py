@@ -24,7 +24,11 @@ one: one `np.frombuffer` reads the batch's slot matrix, and
 `SearchSpace.evaluate` returns the scores as columns (`Scores`), one row
 per genotype.  Energy is one `ddot` per row, as a one-genotype
 evaluation takes: a matrix product sums in another order and differs in
-the last bit on some rows.  Per-slot power flows are cached on the problem
+the last bit on some rows.  `SearchSpace._exact_energy` is the one place
+that prices energy exactly; `_loads` computes everything else, and the
+oracle shares it, pricing most of its candidates by one matrix product
+with a proven error margin and running `_exact_energy` only on the rows
+that can reach its optimum.  Per-slot power flows are cached on the problem
 context keyed by (slot, gross load in whole watts) and solved at that
 rounded load, so identical slot loads across antibodies reuse one solve and
 no result depends on which antibody reached a key first.
@@ -289,6 +293,19 @@ class Scores:
     feasible: np.ndarray
 
 
+class _Loads(NamedTuple):
+    """A batch's phenotypes before pricing: billed kW per slot (rows x
+    slots) and every other column `Scores` is built from."""
+
+    billed: np.ndarray
+    md_excess: np.ndarray
+    voltage_violation: np.ndarray
+    flow_failed: np.ndarray
+    shift_slots: np.ndarray
+    weighted_shift: np.ndarray
+    feasible: np.ndarray
+
+
 class SearchSpace:
     """The genotypes of one problem context: their layout, and every way
     of drawing, mutating, listing, decoding and scoring them.
@@ -406,6 +423,31 @@ class SearchSpace:
     def evaluate_rows(self, slots: np.ndarray, weight: float) -> Scores:
         """`evaluate` for the genotypes of a `slot_matrix`."""
         ctx = self.context
+        loads = self._loads(slots)
+        energy = self._exact_energy(loads.billed)
+        penalty = ctx.grid.slot_hours * ctx.penalty_price * loads.weighted_shift
+        total = energy + penalty
+
+        score = -total - weight * (loads.md_excess + loads.voltage_violation)
+        score = np.where(loads.flow_failed, score - FLOW_FAILURE_PENALTY, score)
+
+        return Scores(
+            energy_usd=energy,
+            penalty_usd=penalty,
+            total_usd=total,
+            md_excess=loads.md_excess,
+            voltage_violation=loads.voltage_violation,
+            flow_failed=loads.flow_failed,
+            shift_slots=loads.shift_slots,
+            weighted_shift=loads.weighted_shift,
+            score=score,
+            feasible=loads.feasible,
+        )
+
+    def _loads(self, slots: np.ndarray) -> _Loads:
+        """Everything `evaluate_rows` scores a `slot_matrix` by, except the
+        price of its billed energy."""
+        ctx = self.context
         gross = self.gross_rows(slots)
 
         excess = gross - ctx.md_kw
@@ -413,13 +455,7 @@ class SearchSpace:
         md_excess = excess.sum(axis=1)
 
         loss, volt_violation, flow_failed = ctx.batch_flows(gross)
-
-        hours = ctx.grid.slot_hours
         billed = np.maximum(gross - self._pv, 0.0) + loss
-        # one ddot per row, as a scalar evaluation takes; `billed @ price`
-        # sums in another order and differs in the last bit on some rows
-        rows = len(slots)
-        energy = np.fromiter(map(self._price.dot, billed), float, rows) * hours
 
         moved = np.abs(slots - self._original)
         shift_slots = moved.sum(axis=1)
@@ -429,25 +465,25 @@ class SearchSpace:
             delta = np.add.reduceat(moved, self._gene_starts, axis=1)
             weighted = np.cumsum(delta * self._ratings, axis=1)[:, -1]
         else:  # reduceat takes no empty index
-            weighted = np.zeros(rows)
-        penalty = hours * ctx.penalty_price * weighted
-        total = energy + penalty
+            weighted = np.zeros(len(slots))
 
-        score = -total - weight * (md_excess + volt_violation)
-        score = np.where(flow_failed, score - FLOW_FAILURE_PENALTY, score)
-
-        return Scores(
-            energy_usd=energy,
-            penalty_usd=penalty,
-            total_usd=total,
+        return _Loads(
+            billed=billed,
             md_excess=md_excess,
             voltage_violation=volt_violation,
             flow_failed=flow_failed,
             shift_slots=shift_slots,
             weighted_shift=weighted,
-            score=score,
             feasible=(md_excess == 0.0) & (volt_violation == 0.0) & ~flow_failed,
         )
+
+    def _exact_energy(self, billed: np.ndarray) -> np.ndarray:
+        """Energy cost of each row of billed kW, as a one-genotype evaluation
+        prices it: one `ddot` per row.  `billed @ price` sums in another
+        order and differs in the last bit on some rows.  Rows must be
+        C-contiguous, as a strided row can take another BLAS path."""
+        hours = self.context.grid.slot_hours
+        return np.fromiter(map(self._price.dot, billed), float, len(billed)) * hours
 
 
 @dataclass

@@ -13,25 +13,33 @@ Candidates are enumerated by index k, the k-th genotype of
 varies fastest).  A chunk's slot matrix is gathered from one
 (genes x duration) slot table per appliance by the mixed-radix digits of
 its indices, so no Python object is built per candidate.
-`SearchSpace.evaluate_rows` scores the chunk as columns, the feasible mask
-is applied with numpy, and each price's totals take the same IEEE
-operations, in the same order, as pricing one candidate at a time.  Only
-the candidates within TIE_TOL of the running optimum at their turn can
-change it; just those have their slot rows packed into the optimizer's
-genotype bytes and offered to it, so the optimum, its ties and their order
-are exactly those of offering every feasible candidate in turn.
+`SearchSpace._loads`, the optimizer's own evaluation short of pricing
+energy, gives the chunk's billed kW, feasibility and shifts as columns, and
+the feasible mask is applied with numpy.  Only the candidates within
+TIE_TOL of the running optimum at their turn can change it.  One matrix
+product prices every feasible row approximately, within a margin proven
+to cover its distance from the exact total (see `_ULP_SLACK`), and only
+rows whose approximate total comes within TIE_TOL plus that margin of the
+running optimum are priced exactly, by the optimizer's one `ddot` per row
+(`SearchSpace._exact_energy`), at most once per chunk across prices.  Each
+such row is decided by its exact total, with the same IEEE operations, in
+the same order, as pricing one candidate at a time; just those that pass
+have their slot rows packed into the optimizer's genotype bytes and offered
+to it, so the optimum, its ties and their order are exactly those of
+offering every feasible candidate in turn.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .costing import CostBreakdown, ProblemContext, total_cost
-from .csa import _NO_INCUMBENT, TIE_TOL, Antibody, Scores, SearchSpace, _better_incumbent
+from .csa import _NO_INCUMBENT, TIE_TOL, Antibody, SearchSpace, _better_incumbent, _Loads
 from .domain import Schedule
 from .errors import EnumerationGuardError
 
@@ -113,13 +121,14 @@ class _Enumeration:
             end -= table.shape[1]
         return rows
 
-    def chunks(self) -> Iterator[tuple[np.ndarray, Scores]]:
-        """(slot matrix, scores) of each run of `_CHUNK` genotypes, in
-        order, scored by the optimizer's own `evaluate_rows`, so the oracle
-        prices and checks a candidate exactly as the optimizer does."""
+    def chunks(self) -> Iterator[tuple[np.ndarray, _Loads]]:
+        """(slot matrix, loads) of each run of `_CHUNK` genotypes, in
+        order, from the optimizer's own `SearchSpace._loads`, so the oracle
+        checks a candidate, and bills its energy, exactly as the optimizer
+        does."""
         for start in range(0, self.count, _CHUNK):
             rows = self.slot_rows(start, min(start + _CHUNK, self.count))
-            yield rows, self.space.evaluate_rows(rows, 0.0)
+            yield rows, self.space._loads(rows)
 
 
 @dataclass
@@ -157,29 +166,72 @@ class _Best:
 
 
 def _offer_chunk(
-    best: _Best, total: np.ndarray, shift: np.ndarray, rows: np.ndarray,
+    best: _Best, approx: np.ndarray, margin: np.ndarray,
+    exact: Callable[[int], float], shift: np.ndarray, rows: np.ndarray,
     pack: Callable[[list[int]], Antibody],
 ) -> None:
     """Offer `best` a chunk of feasible candidates in order, as offering
-    each in turn would: their totals, shift slots and slot rows, which
+    each at its exact total in turn would.  The chunk is given as its
+    approximate totals, each within its `margin` of the exact one; `exact`,
+    the exact total of row j; its shift slots; and its slot rows, which
     `pack` turns into genotypes.
 
     `offer` ignores a candidate whose total exceeds the best's by more
-    than TIE_TOL, so only the others are packed and offered.  The test is
-    `offer`'s own subtraction, and whenever the best's total moves (down
-    on a lower total, or up on an accepted near-tie) the rows after the
-    move are tested again against the new total.
+    than TIE_TOL.  A row whose approximate total exceeds it by more than
+    TIE_TOL plus its margin cannot pass that test, so only the others are
+    priced exactly, and just those that pass `offer`'s own subtraction at
+    their exact total are packed and offered.  Whenever the best's total
+    moves (down on a lower total, or up on an accepted near-tie) the rows
+    after the move are tested again against the new total.
     """
     pos = 0
-    while pos < len(total):
+    while pos < len(approx):
         threshold = best.key[0]
-        hits = pos + np.flatnonzero(total[pos:] - threshold <= TIE_TOL)
-        pos = len(total)
+        hits = pos + np.flatnonzero(approx[pos:] - threshold <= TIE_TOL + margin[pos:])
+        pos = len(approx)
         for j in hits.tolist():
-            best.offer((total[j].item(), shift[j].item(), pack(rows[j].tolist())))
+            total = exact(j)
+            if total - threshold > TIE_TOL:
+                continue
+            best.offer((total, shift[j].item(), pack(rows[j].tolist())))
             if best.key[0] != threshold:
                 pos = j + 1
                 break
+
+
+# Every row of a chunk is priced with one matrix product, `billed @ price`,
+# which sums in another order than the row's own `ddot` (`SearchSpace.
+# _exact_energy`); only the `ddot` total may decide.  Let u = 2^-53, n the
+# slot count and S = |billed| . |price| for the row.  Any order of summing
+# n products, with or without FMA, is within γ_n·S of the true dot product,
+# γ_n = n·u / (1 - n·u) (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., 2002, §3.1); the product by `hours` is one more
+# rounding, so either energy is within γ_{n+1}·hours·S of the true one.
+# The penalty term is the same on both sides and its addition rounds once
+# more on each, so the exact total T and the approximate total A differ by
+#     W <= 2γ_{n+1}·hours·S + u·(|T| + |A|)
+#       ~= (n + 1)·2^-52·hours·S + 2^-52·|A|.
+# The margin is
+#     M = (n + 1)·2^-50·hours·S' + 2^-50·(|A| + TIE_TOL),
+# S' the computed |billed| @ |price| (at least S·(1 - γ_n)): 4·W, up to a
+# relative O(n·u) that also absorbs M's own roundings.  Its TIE_TOL term
+# pays for the rounding of the two tests' subtractions.  If `offer` would
+# take the row, fl(T - t) <= TIE_TOL against the threshold t; then
+# T - t <= TIE_TOL·(1 + u), A - t <= TIE_TOL·(1 + u) + W, and
+#     fl(A - t) <= (TIE_TOL·(1 + u) + W)·(1 + u)
+#               <= (TIE_TOL + M)·(1 - u) <= fl(TIE_TOL + M),
+# since M·(1 - u) > W·(1 + u) + 3·u·TIE_TOL.  So `_offer_chunk` prices
+# exactly every row that sequential offering would take.
+_ULP_SLACK = 2.0 ** -50
+
+
+def _approx_energy(
+    billed: np.ndarray, price: np.ndarray, hours: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's energy cost by one matrix product, and the energy part
+    of its margin, (n + 1)·2^-50·hours·(|billed| @ |price|)."""
+    bound = (np.abs(billed) @ np.abs(price)) * (hours * (len(price) + 1) * _ULP_SLACK)
+    return (billed @ price) * hours, bound
 
 
 def sweep_penalties(
@@ -188,22 +240,37 @@ def sweep_penalties(
     """Exact optimum for several penalty prices in a single enumeration.
 
     The billed energy cost of a candidate does not depend on the penalty
-    price, so one pass suffices.
+    price, so one pass suffices, and a candidate's exact energy is priced
+    at most once, and only if some price's test needs it.
     """
     instance.check_guard()
     ctx = instance.context
     space = instance.space
     enumeration = _Enumeration(space)
     hours = ctx.grid.slot_hours
+    price = ctx.price_array()
     bests = {pi: _Best() for pi in penalties}
     count = 0
-    for rows, scores in enumeration.chunks():
-        keep = np.flatnonzero(scores.feasible)
+    for rows, loads in enumeration.chunks():
+        keep = np.flatnonzero(loads.feasible)
         count += len(keep)
-        energy, weighted = scores.energy_usd[keep], scores.weighted_shift[keep]
-        shift, rows = scores.shift_slots[keep], rows[keep]
+        # a copy: its rows are C-contiguous, as `_exact_energy` needs
+        billed = loads.billed[keep]
+        energy, energy_margin = _approx_energy(billed, price, hours)
+        weighted, shift, rows = loads.weighted_shift[keep], loads.shift_slots[keep], rows[keep]
+        priced: dict[int, np.float64] = {}
+
+        def exact(j: int, penalty: np.ndarray) -> float:
+            if j not in priced:
+                priced[j] = space._exact_energy(billed[j:j + 1])[0]
+            return (priced[j] + penalty[j]).item()
+
         for pi, best in bests.items():
-            _offer_chunk(best, energy + hours * pi * weighted, shift, rows, space.pack)
+            penalty = hours * pi * weighted
+            approx = energy + penalty
+            margin = energy_margin + _ULP_SLACK * (np.abs(approx) + TIE_TOL)
+            _offer_chunk(best, approx, margin, partial(exact, penalty=penalty),
+                         shift, rows, space.pack)
 
     results: dict[float, OracleResult] = {}
     for pi, best in bests.items():

@@ -16,7 +16,10 @@ from dsmsched.cli import (
 )
 from dsmsched.domain import TimeGrid, load_schedule_csv
 from dsmsched.errors import InputError
+from dsmsched.feeder import write_feeder_json
 from dsmsched.oracle import SmallInstance, sweep_penalties
+from dsmsched.profiles import write_neighbor_loads
+from small_instances import build_suite
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -714,3 +717,39 @@ class TestGoldenReport:
                    "--config", str(path), "--penalty-cents", "2"])
         assert rc == 0
         self.assert_golden(capsys.readouterr().out.encode(), "explain_feeder_day.json")
+
+    @pytest.mark.parametrize("name, penalties", [
+        # a flat tariff at no penalty: every placement ties on energy
+        ("flat_pi0", [0.0]),
+        # the band rejects some placements, the original plan among them
+        ("feeder_pi0", [0.0, 0.05, 0.10, 0.20]),
+    ], ids=["flat", "feeder"])
+    def test_oracle_stdout_is_stable(self, tmp_path, capsys, name, penalties):
+        ctx = dict(build_suite())[name]
+        config = {
+            "grid": {"slot_count": ctx.grid.slot_count, "slot_hours": ctx.grid.slot_hours},
+            "appliances": [
+                {"id": a.id, "class": a.appliance_class.value,
+                 "window_start": a.window_start, "window_end": a.window_end,
+                 "duration": a.duration, "rated_kw": a.rated_kw,
+                 "original_slots": list(a.original_on_slots)}
+                for a in ctx.appliances
+            ],
+            "price": list(ctx.price.values),
+            # above any gross load of the family, as the suite's uncapped inf is
+            "md_kw": ctx.md_kw if ctx.md_kw < float("inf") else 100.0,
+            "voltage_band": [ctx.voltage_min, ctx.voltage_max],
+            "penalty_prices_usd_per_kwh": penalties,
+        }
+        if ctx.feeder is not None:
+            write_feeder_json(tmp_path / "feeder.json", ctx.feeder)
+            write_neighbor_loads(tmp_path / "neighbors.csv", ctx.neighbors)
+            config.update(feeder_json="feeder.json", neighbors_csv="neighbors.csv")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        loaded = load_scenario_config(path).context()
+        assert (loaded.appliances, loaded.price, loaded.neighbors, loaded.feeder) == (
+            ctx.appliances, ctx.price, ctx.neighbors, ctx.feeder)
+
+        assert main(["oracle", "--config", str(path)]) == 0
+        self.assert_golden(capsys.readouterr().out.encode(), f"oracle_{name}.json")

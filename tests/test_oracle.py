@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracle_reference
 from dsmsched import oracle
@@ -11,7 +12,7 @@ from dsmsched.costing import ProblemContext, total_cost
 from dsmsched.csa import TIE_TOL, SearchSpace
 from dsmsched.errors import EnumerationGuardError
 from dsmsched.oracle import SmallInstance, exhaustive_optimize, sweep_penalties
-from dsmsched.domain import TimeGrid, schedule_from_on_slots
+from dsmsched.domain import Appliance, ApplianceClass, TimeGrid, schedule_from_on_slots
 from dsmsched.profiles import PriceSeries
 from small_instances import (
     FLAT,
@@ -126,12 +127,16 @@ def test_enumeration_is_exactly_the_feasible_set():
     assert any(r.voltage and not r.max_demand for r in reports)
     feasible = [s for s, r in zip(candidates, reports) if r.feasible]
     enumeration = oracle._Enumeration(inst.space)
-    scored = [
-        (inst.space.decode(inst.space.pack(rows[j].tolist())),
-         scores.energy_usd[j], scores.weighted_shift[j])
-        for rows, scores in enumeration.chunks()
-        for j in np.flatnonzero(scores.feasible).tolist()
-    ]
+    scored = []
+    for rows, loads in enumeration.chunks():
+        # the chunk's rows re-scored as the optimizer scores them
+        scores = inst.space.evaluate_rows(rows, 0.0)
+        assert np.array_equal(scores.feasible, loads.feasible)
+        scored.extend(
+            (inst.space.decode(inst.space.pack(rows[j].tolist())),
+             scores.energy_usd[j], scores.weighted_shift[j])
+            for j in np.flatnonzero(loads.feasible).tolist()
+        )
     assert [s for s, _, _ in scored] == feasible
 
     hours = ctx.grid.slot_hours
@@ -251,6 +256,77 @@ def test_sweep_matches_the_sequential_reference(name, ctx):
         assert got.feasible_count == want.feasible_count, pi
 
 
+@pytest.mark.parametrize("name", ["md_pi5", "pv_pi5", "mixed_pi5"])
+def test_exact_energy_is_priced_for_few_candidates(monkeypatch, name):
+    # a single optimum, no ties: only candidates that come within TIE_TOL
+    # of the running optimum, plus margin, are priced with a `ddot` each
+    priced = []
+    exact_energy = SearchSpace._exact_energy
+
+    def counted(space, billed):
+        priced.append(len(billed))
+        return exact_energy(space, billed)
+
+    monkeypatch.setattr(SearchSpace, "_exact_energy", counted)
+    result = exhaustive_optimize(SmallInstance(context=dict(build_suite())[name]))
+    assert len(result.ties) == 1
+    assert 0 < sum(priced) < 0.05 * result.feasible_count
+
+
+def _space_pricing(price, hours):
+    """The search space of one baseline appliance on a grid of len(price)
+    slots of `hours` each, at tariff `price`."""
+    n = len(price)
+    return SearchSpace(ProblemContext(
+        grid=TimeGrid(slot_count=n, slot_hours=hours),
+        appliances=(Appliance(id=1, appliance_class=ApplianceClass.BASELINE,
+                              window_start=1, window_end=n, duration=n, rated_kw=1.0,
+                              original_on_slots=tuple(range(1, n + 1))),),
+        price=PriceSeries(values=tuple(price)),
+    ))
+
+
+@st.composite
+def _billed_rows(draw):
+    """(billed kW rows x n slots, n tariff values, slot hours): values of
+    magnitude 1e-6 to 1e3, log-uniform, some of them 0."""
+    n = draw(st.integers(1, 64))
+    rows = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.floats(0.0, 0.5))
+    values = 10.0 ** rng.uniform(-6.0, 3.0, (rows + 1, n))
+    values[rng.random((rows + 1, n)) < zeros] = 0.0
+    return values[:rows], values[rows].tolist(), draw(st.sampled_from([0.25, 1 / 3, 0.5, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_billed_rows())
+# the second row's `ddot` is 0.7069000000000001, its matrix product 0.7069
+@example(case=(np.array([[2.4, 0.8], [3.67, 0.57]]), [0.16, 0.21], 0.5))
+def test_matrix_priced_energy_is_within_the_margin(case):
+    billed, price, hours = case
+    exact = _space_pricing(price, hours)._exact_energy(billed)
+    approx, margin = oracle._approx_energy(billed, np.array(price), hours)
+    assert np.all(np.abs(exact - approx) <= margin)
+
+
+def test_margin_holds_where_the_matrix_product_differs():
+    # 20,000 random 48-slot rows in 256-row chunks, as the oracle prices
+    # them: on an x86 OpenBLAS build about a third differ in the last bits
+    rng = np.random.default_rng(2)
+    price = rng.uniform(0.01, 0.4, 48)
+    billed = rng.uniform(0.0, 12.0, (20_000, 48))
+    hours = 0.5
+    exact = _space_pricing(price.tolist(), hours)._exact_energy(billed)
+    differ = 0
+    for start in range(0, len(billed), oracle._CHUNK):
+        chunk = slice(start, start + oracle._CHUNK)
+        approx, margin = oracle._approx_energy(billed[chunk], price, hours)
+        assert np.all(np.abs(exact[chunk] - approx) <= margin)
+        differ += int(np.count_nonzero(exact[chunk] != approx))
+    assert differ > 0
+
+
 def enumeration_cases():
     feeder = dict(build_suite())["feeder_pi0"]
     radix_one = ProblemContext(grid=GRID12, price=STEEP, appliances=(
@@ -300,7 +376,9 @@ class TestOfferChunk:
                 k += 1
         return best
 
-    def reduced(self, chunks):
+    def reduced(self, chunks, margin=0.0, error=lambda k: 0.0):
+        """Offer the chunks through `_offer_chunk`, each approximate total
+        `error(k)` (within +-`margin`) off candidate k's exact total."""
         best = oracle._Best()
         packed = []
 
@@ -310,15 +388,18 @@ class TestOfferChunk:
 
         k = 0
         for total, shift in chunks:
-            oracle._offer_chunk(best, np.array(total, dtype=float),
+            exact = np.array(total, dtype=float)
+            approx = exact + [error(i) for i in range(k, k + len(total))]
+            oracle._offer_chunk(best, approx, np.full(len(total), margin),
+                                lambda j: exact[j].item(),
                                 np.array(shift, dtype=np.intp),
                                 np.arange(k, k + len(total))[:, None], pack)
             k += len(total)
         return best, packed
 
-    def assert_same(self, chunks):
+    def assert_same(self, chunks, margin=0.0, error=lambda k: 0.0):
         want = self.sequential(chunks)
-        got, packed = self.reduced(chunks)
+        got, packed = self.reduced(chunks, margin, error)
         assert got.key == want.key
         assert got.ties == want.ties
         return got, packed
@@ -368,3 +449,25 @@ class TestOfferChunk:
                 for size in rng.integers(0, 12, rng.integers(1, 4))
             ]
             self.assert_same(chunks)
+
+    MARGIN = 0.3 * TIE_TOL
+
+    @pytest.mark.parametrize("error", [
+        lambda k: -TestOfferChunk.MARGIN,
+        lambda k: TestOfferChunk.MARGIN,
+        lambda k: TestOfferChunk.MARGIN if k % 2 else -TestOfferChunk.MARGIN,
+        lambda k: np.random.default_rng(k).uniform(-TestOfferChunk.MARGIN, TestOfferChunk.MARGIN),
+    ], ids=["low", "high", "alternating", "random"])
+    def test_approximate_totals_within_the_margin_change_nothing(self, error):
+        """Approximate totals off by up to the margin, across the TIE_TOL
+        boundary and along the drifting near-tie chain: the same optimum,
+        ties and packed rows as offering every candidate at its exact
+        total."""
+        above = np.nextafter(TIE_TOL, 1.0)
+        total, shift = self.drifting()
+        for chunks in ([([0.0, TIE_TOL, above], [0, 1, 2])],
+                       [(total, shift)],
+                       [(total[:4], shift[:4]), (total[4:], shift[4:])]):
+            _, want = self.reduced(chunks)
+            _, packed = self.assert_same(chunks, self.MARGIN, error)
+            assert packed == want
