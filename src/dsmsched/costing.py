@@ -413,7 +413,11 @@ def total_cost(schedule: Schedule, context: ProblemContext) -> CostBreakdown:
         a.id: shift_distance(a, schedule.on_slots(row))
         for row, a in enumerate(appliances)
     }
-    weighted = sum(shifts[a.id] * a.rated_kw for a in appliances)
+    # left to right, in appliance order, as `SearchSpace.evaluate` adds it:
+    # the builtin `sum` of floats is compensated from Python 3.12 on
+    weighted = 0.0
+    for a in appliances:
+        weighted += shifts[a.id] * a.rated_kw
     penalty = grid.slot_hours * context.penalty_price * weighted
 
     util = None

@@ -18,9 +18,11 @@ energy cost (at least 1), and the incumbent is only ever updated with
 antibodies that satisfy them outright.
 
 Evaluation is a pure function of the genotype and is cached keyed by the
-genotype itself.  Each generation's new genotypes are scored together as
-arrays, with the same arithmetic, in the same order, as scoring them one by
-one: one `np.frombuffer` reads the batch's slot matrix, and
+genotype itself.  Each generation's new genotypes, its offspring and the
+immigrants drawn right after them, are scored in one `SearchSpace.evaluate`
+call, so a run of G generations makes G + 1 calls.  A batch is scored as
+arrays, with the same arithmetic, in the same order, as scoring its
+genotypes one by one: one `np.frombuffer` reads the batch's slot matrix, and
 `SearchSpace.evaluate` returns the scores as columns (`Scores`), one row
 per genotype.  Energy is one `ddot` per row, as a one-genotype
 evaluation takes: a matrix product sums in another order and differs in
@@ -651,6 +653,13 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     The original schedule is always injected into generation 0, so when it
     is feasible the result never costs more than it.  Identical (context,
     config) pairs give identical results.
+
+    Each generation makes one `SearchSpace.evaluate` call: its offspring
+    and the immigrants that will replace the population's worst, drawn
+    right after breeding, as selection draws nothing.  An immigrant's score
+    row waits until it joins the population at the next generation, so
+    `evaluations` and `history` count it there; the last generation's
+    immigrants are scored but never counted.
     """
     space = SearchSpace(context)
     original = space.original_antibody()
@@ -661,14 +670,21 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     # every distinct genotype scored so far: (score, total, shift_slots, feasible)
     scores: dict[Antibody, tuple[float, float, int, bool]] = {}
 
-    def score(antibodies: Sequence[Antibody]) -> None:
-        """Score the genotypes not yet in `scores`, all in one pass."""
-        misses = list(dict.fromkeys(ab for ab in antibodies if ab not in scores))
-        if misses:
-            s = space.evaluate(misses, weight)
-            scores.update(zip(misses, zip(
-                s.score.tolist(), s.total_usd.tolist(), s.shift_slots.tolist(),
-                s.feasible.tolist())))
+    def score(antibodies: Sequence[Antibody], immigrants: Sequence[Antibody] = ()) -> dict:
+        """Score the genotypes not yet in `scores` into it, and the
+        `immigrants` not yet scored with them, in one `evaluate` call;
+        return the immigrants' rows, which `scores` takes when they join
+        the population."""
+        misses = dict.fromkeys(ab for ab in antibodies if ab not in scores)
+        later = [ab for ab in dict.fromkeys(immigrants)
+                 if ab not in scores and ab not in misses]
+        if not misses and not later:
+            return {}
+        s = space.evaluate([*misses, *later], weight)
+        rows = list(zip(s.score.tolist(), s.total_usd.tolist(), s.shift_slots.tolist(),
+                        s.feasible.tolist()))
+        scores.update(zip(misses, rows))
+        return dict(zip(later, rows[len(misses):]))
 
     draws = Draws(config.rng_seed)
     n = config.population_size
@@ -707,11 +723,16 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     record(0)
 
     replace_count = int(round(REPLACEMENT_FRACTION * n))
+    waiting: dict[Antibody, tuple[float, float, int, bool]] = {}
     for generation in range(1, config.generations + 1):
-        score(population)
+        # the last generation's immigrants have joined the population
+        scores.update(waiting)
         population.sort(key=rank_key)
         offspring = clone_and_hypermutate(population, draws, space)
-        score(offspring)
+        # selection and the scan draw nothing, so these are the immigrants
+        # drawn after selection, as CLONALG orders it
+        immigrants = [space.random_antibody(draws) for _ in range(replace_count)]
+        waiting = score(offspring, immigrants)
         pool = population + offspring
         pool.sort(key=rank_key)
         # survivors are distinct genotypes; clones of one incumbent would
@@ -727,8 +748,7 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
         while len(population) < n:
             population.append(pool[0])
         improved = scan(pool)
-        population[n - replace_count:] = [
-            space.random_antibody(draws) for _ in range(replace_count)]
+        population[n - replace_count:] = immigrants
         record(generation)
         stall = 0 if improved else stall + 1
         if stall >= config.stall_generations:

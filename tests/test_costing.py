@@ -8,6 +8,7 @@ from eval_reference import bits, flow_entries
 
 from dsmsched import costing
 from dsmsched.costing import CostBreakdown, ProblemContext, shift_distance, total_cost
+from dsmsched.csa import SearchSpace
 from dsmsched.domain import Appliance, ApplianceClass, TimeGrid, schedule_from_on_slots
 from dsmsched.feeder import FeederLine, FeederModel
 from dsmsched.profiles import NeighborLoads, PriceSeries, PvSeries
@@ -348,6 +349,26 @@ class TestTotalCost:
             total_cost(sched, with_pv).energy_usd
             <= total_cost(sched, no_pv).energy_usd
         )
+
+    def test_weighted_shift_adds_left_to_right(self):
+        # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right, 0.6 exactly
+        # rounded (math.fsum, or the builtin sum from Python 3.12 on)
+        ratings = (0.1, 0.2, 0.3)
+        apps = tuple(interruptible(aid=aid, rated=kw, original=(1,), window=(1, 4))
+                     for aid, kw in enumerate(ratings, start=1))
+        ctx = ProblemContext(grid=GRID4, appliances=apps,
+                             price=PriceSeries(values=(0.05,) * 4), penalty_price=0.1)
+        sched = schedule_from_on_slots([(2,)] * 3, slot_count=4)
+        left_to_right = 0.0
+        for kw in ratings:
+            left_to_right += kw
+        assert left_to_right != math.fsum(ratings)
+        out = total_cost(sched, ctx)
+        space = SearchSpace(ctx)
+        scored = space.evaluate([space.pack([2, 2, 2])], 1.0)
+        assert out.weighted_shift.hex() == left_to_right.hex()
+        assert float(scored.weighted_shift[0]).hex() == left_to_right.hex()
+        assert out.penalty_usd.hex() == float(scored.penalty_usd[0]).hex()
 
     def test_to_dict_fields(self):
         ctx = make_context(pv=PvSeries(values=(0.0, 1.0, 1.0, 0.0), capacity_kw=2.0))

@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import tracemalloc
+from collections import Counter
 from itertools import chain
 
 import numpy as np
@@ -14,7 +15,7 @@ from conftest import FIXTURES
 from eval_reference import bits, flow_entries
 from dsmsched.cli import load_scenario_config
 from dsmsched.constraints import is_feasible
-from dsmsched import costing
+from dsmsched import costing, csa
 from dsmsched.costing import ProblemContext, total_cost
 from dsmsched.csa import (
     HYPERMUTATION_SCALE,
@@ -965,6 +966,24 @@ class TestFlowCacheArrays:
         assert misses > 1500
         assert cases == [ctx.grid.slot_count + misses]
 
+    def test_a_generation_is_one_evaluate_and_one_sweep_call(self, make_canonical,
+                                                              monkeypatch):
+        # each generation scores its offspring and the immigrants drawn
+        # beside them in one evaluate call, whose flow misses are one sweep
+        # call: the first population and 30 generations make 31 of each.
+        # The original's day is priced first, as `cli.run_scenario` does
+        ctx = make_canonical()
+        total_cost(ctx.original_schedule(), ctx)
+        calls, sweeps = [], []
+        evaluate, solve = SearchSpace.evaluate, costing.solve_power_flow_batch
+        monkeypatch.setattr(SearchSpace, "evaluate",
+                            lambda self, *args: calls.append(args) or evaluate(self, *args))
+        monkeypatch.setattr(costing, "solve_power_flow_batch",
+                            lambda *args: sweeps.append(args) or solve(*args))
+        result = optimize(ctx, CsaConfig(rng_seed=0, generations=30, stall_generations=400))
+        assert result.history[-1][0] == 30
+        assert (len(calls), len(sweeps)) == (31, 31)
+
     def test_merges_keep_the_index_sorted(self):
         # one genotype per merge: each merge's codes fall between cached ones
         ctx = weak_feeder_context(0.15)
@@ -1133,6 +1152,85 @@ class TestOptimize:
                            stall_generations=5)
         result = optimize(steep_context(), config)
         assert result.history[-1][0] < 400
+
+
+def immigrant_context():
+    """60 genotypes: a population of 20 draws 3 immigrants a generation,
+    which are often already scored, bred as offspring in their own
+    generation, or drawn twice."""
+    return ProblemContext(grid=GRID12, price=STEEP, penalty_price=0.05, appliances=(
+        _baseline(),
+        _uninterruptible(2, (1, 8), 3, 1.0, original_start=5),
+        _interruptible(3, (7, 11), 2, 1.5, original=(8, 9)),
+    ))
+
+
+# the results of scoring each generation's immigrants in a call of their
+# own, after selection: per run, its config, history and evaluations
+IMMIGRANT_PINS = {
+    "generation_limit": (
+        dict(rng_seed=3, generations=12, stall_generations=400),
+        [
+            (0, 0.6465000000000001, 18), (1, 0.6465000000000001, 38),
+            (2, 0.6465000000000001, 48), (3, 0.6465000000000001, 55),
+            (4, 0.6465000000000001, 55), (5, 0.6465000000000001, 56),
+            (6, 0.6465000000000001, 56), (7, 0.6465000000000001, 57),
+            (8, 0.6465000000000001, 59), (9, 0.6465000000000001, 59),
+            (10, 0.6465000000000001, 59), (11, 0.6465000000000001, 59),
+            (12, 0.6465000000000001, 59),
+        ],
+        59,
+    ),
+    "stall": (
+        dict(rng_seed=12, generations=400, stall_generations=8),
+        [
+            (0, 0.7365, 19), (1, 0.6465000000000001, 42), (2, 0.6465000000000001, 48),
+            (3, 0.6465000000000001, 51), (4, 0.6465000000000001, 53),
+            (5, 0.6465000000000001, 53), (6, 0.6465000000000001, 53),
+            (7, 0.6465000000000001, 54), (8, 0.6465000000000001, 55),
+            (9, 0.6465000000000001, 56),
+        ],
+        56,
+    ),
+}
+
+
+class TestImmigrantsScoredWithOffspring:
+    """`optimize` scores each generation's immigrants in its offspring's
+    evaluate call, and counts them when they join the population."""
+
+    @pytest.mark.parametrize("name", list(IMMIGRANT_PINS))
+    def test_history_and_evaluations_are_pinned(self, name, monkeypatch):
+        config, history, evaluations = IMMIGRANT_PINS[name]
+        log = []
+        breed, draw = csa.clone_and_hypermutate, SearchSpace.random_antibody
+        monkeypatch.setattr(csa, "clone_and_hypermutate",
+                            lambda *args: log.append(breed(*args)) or log[-1])
+        monkeypatch.setattr(SearchSpace, "random_antibody",
+                            lambda self, draws: log.append(draw(self, draws)) or log[-1])
+        result = optimize(immigrant_context(), CsaConfig(population_size=20, **config))
+        assert result.history == history
+        assert result.evaluations == evaluations
+        if name == "stall":
+            assert result.history[-1][0] < config["generations"]
+
+        # the log is the first population's draws, then per generation its
+        # offspring (a list) and its immigrants (the draws after it)
+        first = next(i for i, entry in enumerate(log) if isinstance(entry, list))
+        bred = []
+        for entry in log[first:]:
+            if isinstance(entry, list):
+                bred.append((entry, []))
+            else:
+                bred[-1][1].append(entry)
+        scored = set(log[:first])
+        cases = Counter()
+        for offspring, immigrants in bred:
+            for i, ab in enumerate(immigrants):
+                cases["scored" if ab in scored else "offspring" if ab in offspring
+                      else "immigrant" if ab in immigrants[:i] else "new"] += 1
+            scored.update(offspring, immigrants)
+        assert cases.keys() == {"scored", "offspring", "immigrant", "new"}
 
 
 class TestEdgeSpaces:
