@@ -36,16 +36,24 @@ rounded load, so identical slot loads across antibodies reuse one solve and
 no result depends on which antibody reached a key first.
 
 Every random draw comes from `Draws`, a Python replay of the stream of
-numpy's `Generator(PCG64(seed))`: the same genotypes as calling the
-`Generator`, without numpy's per-call overhead on every gene.
-`clone_and_hypermutate` builds each child in one pass over a copy of its
-parent's slot row, reading `Draws`' block in local variables, with no call
-per gene or per draw.  Each flexible appliance is one `Flexible` record,
-built once per `SearchSpace`: its rating, duration and original plan, a
-run's start range or a slot set's window, its count of legal genes, where
-its slots sit in the row, and the bounds and rejection thresholds of every
-draw a mutation of it makes.  Drawing, mutating, listing, decoding and
-scoring a gene, and the oracle's count of candidates, all read that record.
+numpy's `Generator(PCG64(seed))`, without numpy's per-call overhead on
+every gene.  Its `random()` and `below(n)` are the `Generator`'s
+`random()` and `integers(0, n)` for n < 2**32; its `sample(n, k)` is the
+set `choice(n, k, replace=False)` returns when n <= 10000 or
+k <= n // 50, where numpy draws Floyd's k picks and shuffles them (past
+that, numpy shuffles the tail of a full permutation instead, and the two
+differ).  `clone_and_hypermutate` breeds a generation in two passes over
+the same stream: `_walk` reads `Draws`' block in local variables and makes
+the gene tests, probes and first draws of every mutation in stream order,
+stepping over each slot set's sample draws by counting them; `_breed`
+then prices those counted draws and builds every child as arrays, with a
+fixed number of numpy calls per generation.  Each flexible appliance is one
+`Flexible` record, built once per `SearchSpace`: its rating, duration and
+original plan, a run's start range or a slot set's window, its count of
+legal genes, where its slots sit in the row, and the bound and rejection
+threshold of a mutation's first draw.  Drawing, mutating, listing,
+decoding and scoring a gene, and the oracle's count of candidates, all
+read that record.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -92,6 +100,9 @@ REPLACEMENT_FRACTION = 0.15
 # raw PCG64 words `Draws` reads per numpy call
 _BLOCK = 512
 
+# rows of `SearchSpace._gene_at`
+_RUN, _SHIFT, _LO, _HI, _DURATION, _WINDOW = range(6)
+
 
 # genotype: the flexible appliances' ascending on-slots, chained in
 # appliance order, one byte per slot (two, big-endian, past 255 slots)
@@ -103,9 +114,10 @@ class Draws:
 
     `random()`, `below(n)` and `sample(n, k)` return and consume exactly
     what `Generator.random()`, `Generator.integers(0, n)` and the set of
-    `Generator.choice(n, size=k, replace=False)` do, for n < 2**32 (choice
-    also needs n <= 10000, where numpy uses Floyd's algorithm and then
-    shuffles the k picks).
+    `Generator.choice(n, size=k, replace=False)` do, for n < 2**32.  For
+    choice that also needs n <= 10000 or k <= n // 50, where numpy uses
+    Floyd's algorithm and then shuffles the k picks; past that it
+    shuffles the tail of a full permutation, which `sample` does not.
 
     Raw PCG64 words are read `_BLOCK` at a time into a list read by index.
     `random()` is a word's top 53 bits times 2**-53.  A bounded draw takes
@@ -114,7 +126,8 @@ class Draws:
     Lemire's multiply-shift with numpy's rejection threshold.  `below` and
     `sample` do this inline, and `sample` walks the block in local
     variables, so a run of draws is one Python call;
-    `clone_and_hypermutate` walks it the same way in its own loop.
+    `clone_and_hypermutate` walks it the same way in its own loop, and
+    reads the block's words as an array too (`_raw`).
     """
 
     def __init__(self, seed: int):
@@ -122,9 +135,13 @@ class Draws:
         self._block: list[int] = []
         self._pos = _BLOCK  # next unread word; _BLOCK means read a new block
         self._half = -1  # kept high half of the last split word, or -1
+        # the block `_refill` last read, and the same words as an array
+        self._raw: tuple[list[int], np.ndarray] = (self._block, np.zeros(0, np.uint64))
 
     def _refill(self) -> list[int]:
-        self._block = self._bits.random_raw(_BLOCK).tolist()
+        raw = self._bits.random_raw(_BLOCK)
+        self._block = raw.tolist()
+        self._raw = (self._block, raw)
         return self._block
 
     def random(self) -> float:
@@ -232,15 +249,13 @@ class Flexible(NamedTuple):
     count: int
     # index of the gene's first slot in a genotype's slot row
     offset: int
-    # a mutation's first draw as (bound, rejection threshold): a run's
-    # start step in [0, 2 * reach], or a slot set's k - 1 in [0, duration);
-    # bound 1, and so every gene with count 1, draws nothing
-    first: tuple[int, int]
-    # a slot set's other draws, per k - 1, as (bound, threshold, into):
-    # those of `Draws.sample(duration, k)`, the genes it drops (into 1),
-    # then of `Draws.sample(len(window) - duration + k, k)`, the slots it
-    # adds (into 2); empty for a run
-    plans: tuple[tuple[tuple[int, int, int], ...], ...]
+    # what breeding reads of a mutation, as (bound, rejection threshold,
+    # offset, duration): its first draw is a run's start step in
+    # [0, 2 * reach], a slot set's k - 1 in [0, duration), or a one-slot
+    # set's new slot in [0, len(window)); bound 1, and so every gene with
+    # count 1, draws nothing; duration 0 for a gene that the first draw
+    # alone moves, a run or a one-slot set
+    mutation: tuple[int, int, int, int]
 
 
 def _threshold(bound: int) -> int:
@@ -249,32 +264,23 @@ def _threshold(bound: int) -> int:
     return (0x100000000 - bound) % bound if bound > 1 else 0
 
 
-def _sample_plan(n: int, k: int, into: int) -> list[tuple[int, int, int]]:
-    """The draws of `Draws.sample(n, k)` as (bound, threshold, into): each
-    Floyd pick, kept in set `into`, then the shuffle's, dropped (into 0).
-    Floyd's pick below 1 draws nothing and is not listed."""
-    floyd = [(i, _threshold(i), into) for i in range(max(2, n - k + 1), n + 1)]
-    return floyd + [(i, _threshold(i), 0) for i in range(k, 1, -1)]
-
-
 def _flexible(row: int, a: Appliance, offset: int) -> Flexible:
     lo, hi = effective_window(a)
     duration = a.duration
     if a.appliance_class is ApplianceClass.UNINTERRUPTIBLE:
         hi -= duration - 1
         window, reach, count = None, max(1, (hi - lo) // 2), max(0, hi - lo + 1)
-        bound, plans = 2 * reach + 1, ()
+        bound, sampled = 2 * reach + 1, 0
     else:
         window = list(range(lo, hi + 1))
         reach, count = 0, math.comb(len(window), duration)
-        bound = duration
-        plans = tuple(
-            tuple(_sample_plan(duration, k, 1) + _sample_plan(len(window) - duration + k, k, 2))
-            for k in range(1, duration + 1))
+        # one slot: k is 1 without a draw, and the slot added is the draw
+        bound = duration if duration > 1 else len(window)
+        sampled = duration if duration > 1 else 0
     if count == 1:
         bound = 1
     return Flexible(row, a.rated_kw, duration, tuple(a.original_on_slots), lo, hi, reach,
-                    window, count, offset, (bound, _threshold(bound)), plans)
+                    window, count, offset, (bound, _threshold(bound), offset, sampled))
 
 
 @dataclass(frozen=True, slots=True)
@@ -351,6 +357,18 @@ class SearchSpace:
         # the original genotype's slot row, and where each gene starts
         self._original = self.slot_matrix([self.original_antibody()])[0].astype(np.intp)
         self._gene_starts = np.array([f.offset for f in self.flex], dtype=np.intp)
+        # what breeding reads of the gene that starts at each offset of the
+        # slot row, one row per field _RUN.._WINDOW: a moved gene starts at
+        # parent start * _RUN + _SHIFT + the value drawn, clipped to
+        # [_LO, _HI], so a run steps from its parent's start and a one-slot
+        # set is placed from lo
+        self._gene_at = np.zeros((6, width), np.int64)
+        for f in self.flex:
+            self._gene_at[:, f.offset] = (
+                (1, -f.reach, f.lo, f.hi, f.duration, 0) if f.window is None
+                else (0, f.lo, f.lo, f.hi, f.duration, len(f.window)))
+        # 0 .. the longest gene's duration - 1
+        self._columns = np.arange(max(durations, default=0))
         self._price = context.price_array()
         self._pv = context.pv_array()
 
@@ -520,46 +538,95 @@ def clone_and_hypermutate(
     harder (per-gene probability HYPERMUTATION_SCALE * rank / N).  Every
     offspring stays inside its appliance windows by construction.
 
-    Each child is one pass over a copy of its parent's slot row, with
-    `draws`' block, position and kept half in local variables.  Gene g
-    mutates when its own `random()` draw is below the rank's probability;
-    a child with no such gene mutates one gene drawn with `below(genes)`.
-    A run moves its start by a step drawn below `2 * reach + 1`, clamped
-    to its range.  A slot set draws k - 1 below its duration, then drops k
-    of its slots (`sample(duration, k)`) and adds k of the window's other
-    slots (`sample(len(window) - duration + k, k)`).  Every bound and
-    threshold comes from the gene's `Flexible` record.
+    Gene g of a clone mutates when its own `random()` draw is below the
+    rank's probability; a clone with no such gene mutates one gene drawn
+    with `below(genes)`.  A run moves its start by a step drawn below
+    `2 * reach + 1`, clamped to its range.  A slot set draws k - 1 below
+    its duration, then drops k of its slots (`sample(duration, k)`) and
+    adds k of the window's other slots (`sample(len(window) - duration +
+    k, k)`); a one-slot set draws its new slot below `len(window)`.
+
+    Breeding is two passes over the same stream.  `_walk` reads `draws`'
+    block in local variables and makes every draw but a slot set's two
+    samples, whose 4k - 2 - [k == duration] bounded draws it steps over
+    by counting 32-bit halves.  `_breed` then builds every child at once
+    as arrays: it reads the counted halves from the blocks, prices them
+    against their bounds, resolves Floyd's picks and writes each mutated
+    gene into a copy of its parent's slot row.  When one of the counted
+    draws would be rejected, which the walk cannot know without drawing
+    it, `draws` is put back where it was and walked again, drawing those
+    draws one by one.
+    """
+    counts = clone_counts(len(ranked))
+    saved = draws._bits.state, draws._block, draws._pos, draws._half, draws._raw
+    offspring = _breed(ranked, counts, space, _walk(ranked, counts, draws, space, False))
+    if offspring is None:
+        draws._bits.state, draws._block, draws._pos, draws._half, draws._raw = saved
+        offspring = _breed(ranked, counts, space, _walk(ranked, counts, draws, space, True))
+    return offspring
+
+
+class _Walk(NamedTuple):
+    """What `_walk` drew, for `_breed` to build the children from."""
+
+    # one per run or one-slot set mutated: the index of the gene's first
+    # slot in the flattened children, times 2**16, plus the value drawn
+    moves: list[int]
+    # per k, two per slot set mutated with that k: the index of the gene's
+    # first slot in the flattened children, then that of its first
+    # sample draw's half in `halves`
+    sets: list[list[int]]
+    # the 32-bit halves the sample draws read, in stream order; when
+    # `exact`, a half per draw whose product with its bound gives its value
+    halves: np.ndarray
+    # whether the sample draws were drawn one by one, and so are accepted
+    exact: bool
+
+
+def _walk(ranked: Sequence[Antibody], counts: list[int], draws: Draws,
+          space: SearchSpace, exact: bool) -> _Walk:
+    """Make a generation's gene tests, probes and first draws in stream
+    order, and count (or, when `exact`, draw) each slot set's sample
+    draws; leave `draws` where breeding leaves it.
+
+    A slot set's sample draws follow its k draw, and no `random()` word
+    comes between them: they are the next 4k - 2 - [k == duration]
+    halves of the stream, starting with the one the k draw kept, if any.
     """
     n = len(ranked)
-    counts = clone_counts(n)
     flex = space.flex
     size = len(flex)
-    pack, unpack = space.pack, space.unpack
+    width = space.width
     probe = (size, _threshold(size))
     block, pos, half = draws._block, draws._pos, draws._half
-    offspring: list[Antibody] = []
-    for rank, parent in enumerate(ranked, start=1):
+    listed, raw = draws._raw
+    # the blocks this walk reads, and the index of `block`'s first word in them
+    blocks = [raw if listed is block else np.array(block, np.uint64)]
+    base = 0
+    moves: list[int] = []
+    sets: list[list[int]] = [[] for _ in range(len(space._columns) + 1)]
+    drawn: list[int] = []
+    row = 0  # the current child's first index in the flattened children
+    for rank in range(1, n + 1):
         # random() < p exactly when word >> 11 < p * 2**53, and so when
         # word < ceil(p * 2**53) << 11
         cut = math.ceil(min(1.0, HYPERMUTATION_SCALE * rank / n) * 2.0**53) << 11
-        slots = unpack(parent)
         for _ in range(counts[rank - 1]):
-            child = slots.copy()
-            g, mutated = 0, False
+            genes, mutated = iter(flex), False
             while True:
-                if g < size:
+                for f in genes:
                     if pos == _BLOCK:
+                        base += len(block)
                         block, pos = draws._refill(), 0
+                        blocks.append(draws._raw[1])
                     word = block[pos]
                     pos += 1
-                    g += 1
-                    if word >= cut:
-                        continue
-                    f: Flexible | None = flex[g - 1]
-                    bound, threshold = f.first
-                elif mutated or not size:
-                    break
+                    if word < cut:
+                        bound, threshold, offset, duration = f.mutation
+                        break
                 else:
+                    if mutated or not size:
+                        break
                     # an identical clone is a wasted evaluation; probe a neighbor
                     f = None
                     bound, threshold = probe
@@ -573,7 +640,9 @@ def clone_and_hypermutate(
                                 low, half = half, -1
                             else:
                                 if pos == _BLOCK:
+                                    base += len(block)
                                     block, pos = draws._refill(), 0
+                                    blocks.append(draws._raw[1])
                                 word = block[pos]
                                 pos += 1
                                 low, half = word & 0xFFFFFFFF, word >> 32
@@ -584,53 +653,175 @@ def clone_and_hypermutate(
                     if f is not None:
                         break
                     f = flex[value]
-                    bound, threshold = f.first
-                if f.count == 1:
+                    bound, threshold, offset, duration = f.mutation
+                if bound == 1:
                     continue
-                offset, duration = f.offset, f.duration
-                if f.window is None:
-                    start = child[offset] + value - f.reach
-                    start = f.lo if start < f.lo else f.hi if start > f.hi else start
-                    child[offset:offset + duration] = range(start, start + duration)
+                if not duration:
+                    moves.append((row + offset) << 16 | value)
                     continue
-                # k = value + 1; with k == duration, Floyd's first pick is
-                # below 1 and draws nothing
-                dropped = {0} if value == duration - 1 else set()
-                added: set[int] = set()
-                for bound, threshold, into in f.plans[value]:
-                    while True:
-                        if half >= 0:
-                            low, half = half, -1
-                        else:
-                            if pos == _BLOCK:
-                                block, pos = draws._refill(), 0
-                            word = block[pos]
-                            pos += 1
-                            low, half = word & 0xFFFFFFFF, word >> 32
-                        m = low * bound
-                        if m & 0xFFFFFFFF >= threshold:
-                            break
-                    if into:
-                        picks = dropped if into == 1 else added
-                        pick = m >> 32
-                        picks.add(bound - 1 if pick in picks else pick)
-                kept = [s for j, s in enumerate(child[offset:offset + duration])
-                        if j not in dropped]
-                gene = kept.copy()
-                for slot in added:
-                    # the slot-th window slot not kept: step over the kept
-                    # slots at or below it, in ascending order
-                    slot += f.lo
-                    for s in kept:
-                        if s > slot:
-                            break
-                        slot += 1
-                    gene.append(slot)
-                gene.sort()
-                child[offset:offset + duration] = gene
-            offspring.append(pack(child))
+                k = value + 1
+                bucket = sets[k]
+                bucket.append(row + offset)
+                if exact:
+                    # draw them one by one, keeping for each a half whose
+                    # product with the bound gives the value drawn; the
+                    # blocks go unread in this mode
+                    draws._block, draws._pos, draws._half = block, pos, half
+                    bucket.append(len(drawn))
+                    for bound in _sample_bounds(duration, len(f.window), k):
+                        drawn.append(-(-(draws.below(bound) << 32) // bound))
+                    block, pos, half = draws._block, draws._pos, draws._half
+                    continue
+                # the half after the k draw's: a kept high half is that of
+                # the word before `pos`
+                at = 2 * (base + pos) - (half >= 0)
+                bucket.append(at)
+                at += 4 * k - 2 - (k == duration)
+                # step to the word of half `at`; an odd one is a high half,
+                # kept from a word whose low half was read
+                pos = (at >> 1) - base
+                while pos >= _BLOCK + 1 - (at & 1):
+                    base += len(block)
+                    block, pos = draws._refill(), pos - _BLOCK
+                    blocks.append(draws._raw[1])
+                if at & 1:
+                    half = block[pos] >> 32
+                    pos += 1
+                else:
+                    half = -1
+            row += width
     draws._block, draws._pos, draws._half = block, pos, half
-    return offspring
+    if exact:
+        halves = np.array(drawn, np.uint32)
+    else:
+        words = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        # halves in stream order: the low one of each word first
+        halves = words.astype("<u8", copy=False).view("<u4")
+    return _Walk(moves, sets, halves, exact)
+
+
+def _sample_bounds(duration: int, window: int, k: int) -> Iterable[int]:
+    """The bounds of a slot set's sample draws, in stream order: Floyd's
+    drop picks (the one below 1, when k == duration, draws nothing), the
+    dropped shuffle of k, Floyd's add picks, the dropped shuffle of k."""
+    first = duration - k + 1 + (k == duration)
+    add = window - duration
+    return chain(range(first, duration + 1), range(k, 1, -1),
+                 range(add + 1, add + k + 1), range(k, 1, -1))
+
+
+def _rejected(products: np.ndarray, bounds: np.ndarray) -> bool:
+    """Whether numpy rejects any of the draws whose products of a 32-bit
+    half and its bound are `products`: those whose low 32 bits are below
+    (2**32 - bound) % bound, a threshold below the bound."""
+    low = products & 0xFFFFFFFF
+    near = low < bounds
+    if not near.any():
+        return False
+    bounds = np.broadcast_to(bounds, low.shape)[near]
+    return bool((low[near] < (0x100000000 - bounds) % bounds).any())
+
+
+# above every slot and every count of window slots (both below 2**16):
+# adding a set's index times it keeps the sets' slots apart in one sort
+_KEY = 1 << 17
+
+
+def _breed(ranked: Sequence[Antibody], counts: list[int], space: SearchSpace,
+           walk: _Walk) -> list[Antibody] | None:
+    """The children `walk` drew, packed; None when one of its counted
+    sample draws is rejected, so that the walk must draw them one by one."""
+    children = np.repeat(space.slot_matrix(ranked), counts, axis=0)
+    slots = children.reshape(-1)
+    if walk.moves:
+        _move(slots, space, walk.moves)
+    if any(walk.sets) and not _resample(slots, space, walk):
+        return None
+    if not space.width:
+        return [b""] * len(children)
+    return children.view(f"V{children.itemsize * space.width}").ravel().tolist()
+
+
+def _move(slots: np.ndarray, space: SearchSpace, moves: list[int]) -> None:
+    """Write each run, or one-slot set, that `moves` records into the
+    flattened children `slots`."""
+    records = np.fromiter(moves, np.int64, len(moves))
+    at = records >> 16
+    gene = space._gene_at[:, at % space.width]
+    start = slots[at] * gene[_RUN] + gene[_SHIFT] + (records & 0xFFFF)
+    start = np.minimum(np.maximum(start, gene[_LO]), gene[_HI])
+    # past a gene's last slot, write its last slot again
+    j = np.minimum(space._columns, gene[_DURATION, :, None] - 1)
+    slots[at[:, None] + j] = start[:, None] + j
+
+
+def _resample(slots: np.ndarray, space: SearchSpace, walk: _Walk) -> bool:
+    """Write each slot set that `walk.sets` records into the flattened
+    children `slots`; False, writing nothing, when one of the counted
+    sample draws is rejected."""
+    columns = space._columns
+    per_k = [len(bucket) >> 1 for bucket in walk.sets]
+    kmax = max(k for k, count in enumerate(per_k) if count)
+    descending = per_k[kmax:0:-1]
+    # the records run from the largest k down, so the sets that draw pick
+    # j, those with k > j, are the first drawing[j]
+    drawing = list(accumulate(descending))[::-1]
+    records = np.fromiter(chain.from_iterable(walk.sets[kmax:0:-1]), np.int64,
+                          2 * drawing[0])
+    at, first = records[0::2], records[1::2]
+    k = np.repeat(np.arange(kmax, 0, -1), descending)
+    gene = space._gene_at[:, at % space.width]
+    d, lo = gene[_DURATION], gene[_LO]
+    # rows: the slots dropped, then the window slots added.  Floyd's pick
+    # j of `sample(n, k)` is below n - k + 1 + j; when k == n the first is
+    # below 1, draws nothing and reads the half before, which it maps to 0
+    n = np.array((d, gene[_WINDOW] - d + k))
+    full = k == d
+    drops = k - full
+    last = (k - 1)[:, None]
+    floyd = np.minimum(columns[:kmax], last)  # past a set's last pick, its last again
+    bounds = (n - k + 1)[:, :, None] + floyd
+    picks = walk.halves[np.array((first - full, first + drops + k - 1))[:, :, None] + floyd]
+    picks = picks * bounds
+    # the shuffles' draws, below k down to 2, matter only when rejected; a
+    # shuffle of one pick draws nothing, and reads one of Floyd's halves
+    # at bound 2, which rejects nothing
+    shuffle = np.minimum(np.maximum(columns[:kmax], 1), last)
+    shuffle_bounds = (k + 1)[:, None] - shuffle
+    shuffles = walk.halves[np.array((first + drops - 1, first + drops + 2 * k - 2))[:, :, None]
+                           + shuffle] * shuffle_bounds
+    if not walk.exact and (_rejected(picks, bounds) or _rejected(shuffles, shuffle_bounds)):
+        return False
+    picks >>= 32
+    # Floyd, one pick at a time across all samples: a pick already taken
+    # is replaced by its bound - 1, which never is
+    starts = (np.cumsum(n) - n.ravel()).reshape(n.shape)
+    taken = np.zeros(int(starts[1, -1] + n[1, -1]), bool)
+    for j, rows in enumerate(drawing):
+        pick = picks[:, :rows, j]
+        np.copyto(pick, bounds[:, :rows, j] - 1, where=taken[starts[:, :rows] + pick])
+        taken[starts[:, :rows] + pick] = True
+    # each set's gene in the children, and its slots keyed apart by row;
+    # the drop samples' flags open `taken`, in the same order
+    dmax = int(d.max())
+    cells = (at[:, None] + columns[:dmax])[columns[:dmax] < d[:, None]]
+    keep = ~taken[:len(cells)]
+    row_key = np.arange(len(k)) * _KEY
+    keyed = slots[cells] + np.repeat(row_key, d)
+    # a kept slot has slot - lo - (its rank among its row's kept slots)
+    # free window slots below it
+    held = d - k
+    held_before = np.cumsum(held) - held
+    free_below = (keyed - np.cumsum(keep) + np.repeat(held_before + 1 - lo, d))[keep]
+    # the slot added for pick p is the p-th free one: lo + p + the kept
+    # slots with at most p free slots below them
+    added = picks[1]
+    added += np.searchsorted(free_below, row_key[:, None] + added, "right")
+    added += (row_key + lo - held_before)[:, None]
+    genes = np.concatenate((keyed[keep], added[columns[:kmax] < k[:, None]]))
+    genes.sort()
+    slots[cells] = genes & (_KEY - 1)
+    return True
 
 
 # incumbent key of no candidate at all: every candidate beats it

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from dsmsched.domain import TimeGrid, load_appliances_csv
 from dsmsched.feeder import load_feeder_json
 from dsmsched.profiles import PriceSeries, PvSeries, load_neighbor_loads, load_series
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# under CI, Hypothesis draws the same examples on every run and keeps no
+# example database, so a failing run replays from its log
+settings.register_profile("ci", derandomize=True, database=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # one line per acceptance criterion, echoed in the terminal summary so the
 # pass/fail verdicts survive pytest's output capture

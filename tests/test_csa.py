@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 from itertools import chain
@@ -69,6 +70,41 @@ def _flexible_on_16_slots(draw):
         return _uninterruptible(0, (lo, hi), duration, 1.0, original_start=start)
     slots = draw(st.sets(st.integers(lo, hi), min_size=duration, max_size=duration))
     return _interruptible(0, (lo, hi), duration, 1.0, original=tuple(sorted(slots)))
+
+
+@st.composite
+def _breeding_space(draw):
+    """A space of one to five flexible appliances on a grid of 1 to 600
+    slots: runs and slot sets of 1 to 8 slots, whose windows are as long
+    as the gene (one legal gene), a few slots longer, or anything up to
+    the whole grid."""
+    slot_count = draw(st.integers(1, 600))
+    appliances = []
+    for aid in range(2, 2 + draw(st.integers(1, 5))):
+        duration = draw(st.integers(1, min(8, slot_count)))
+        span = draw(st.one_of(st.just(duration),
+                              st.integers(duration, min(slot_count, duration + 3)),
+                              st.integers(duration, slot_count)))
+        lo = draw(st.integers(1, slot_count - span + 1))
+        hi = lo + span - 1
+        if draw(st.booleans()):
+            start = draw(st.integers(lo, hi - duration + 1))
+            appliances.append(_uninterruptible(aid, (lo, hi), duration, 1.0,
+                                               original_start=start))
+        else:
+            slots = draw(st.sets(st.integers(lo, hi), min_size=duration, max_size=duration))
+            appliances.append(_interruptible(aid, (lo, hi), duration, 1.0,
+                                             original=tuple(sorted(slots))))
+    return SearchSpace(ProblemContext(grid=TimeGrid(slot_count=slot_count),
+                                      appliances=tuple(appliances),
+                                      price=PriceSeries(values=(0.1,) * slot_count)))
+
+
+def sample_bounds(n, k):
+    """The bounds of `Draws.sample(n, k)`'s draws, in stream order:
+    Floyd's picks (the one below 1 draws nothing), then the dropped
+    shuffle of the k picks."""
+    return [*range(max(2, n - k + 1), n + 1), *range(k, 1, -1)]
 
 
 GRID300 = TimeGrid(slot_count=300, slot_hours=0.08)
@@ -273,6 +309,16 @@ class TestDrawsMatchNumpy:
                 mine, theirs = self.draw_both(draws, gen, plan)
                 assert mine == theirs, (seed, plan)
 
+    def test_choice_past_ten_thousand_items(self):
+        # past 10,000 items numpy keeps Floyd's algorithm only while
+        # k <= n // 50; these sit at and inside that edge
+        for n, k in ((10001, 200), (20000, 1), (20000, 300), (20000, 400), (65535, 1310)):
+            for seed in range(3):
+                draws, gen = Draws(seed), np.random.default_rng(seed)
+                picks = set(gen.choice(n, size=k, replace=False).tolist())
+                assert draws.sample(n, k) == picks, (n, k, seed)
+                assert draws.below(n) == int(gen.integers(0, n)), (n, k, seed)
+
     def test_rejection_heavy_range(self):
         # (2**32 - n) % n == 2**30: a quarter of the 32-bit draws are
         # rejected and redrawn
@@ -424,6 +470,79 @@ class TestHypermutationMatchesReference:
                 expected = csa_reference.clone_and_hypermutate(parents, ref, space)
                 assert [space.genes_of(ab) for ab in offspring] == expected, (name, zero)
                 assert draws.random() == ref.random(), (name, zero)
+
+    def test_rejections_inside_sample_draws(self, spaces, monkeypatch):
+        # a slot set's sample draws are counted, not drawn, by the first
+        # walk; a zero 32-bit half on one of them is rejected by its bound
+        # unless the bound is a power of two, and then breeding must walk
+        # again, drawing them one by one. The zeros go on 40 of those
+        # halves, picked from anywhere in the crafted block.
+        walk = csa._walk
+        walks = []
+
+        def spy(ranked, counts, draws, space, exact):
+            walks.append(exact)
+            return walk(ranked, counts, draws, space, exact)
+
+        monkeypatch.setattr(csa, "_walk", spy)
+        pick = random.Random(2)
+        for name, size in (("canonical", 5), ("grid300", 12)):
+            space = spaces[name]
+            parents = [space.genes_of(space.random_antibody(Draws(seed))) for seed in range(size)]
+            keys = [space.key(genes) for genes in parents]
+            words = [pick.getrandbits(64) for _ in range(512)]
+            # each sample draw's half and bound, from a walk of these words
+            draws = Draws(0)
+            draws._block, draws._pos = list(words), 0
+            counted = walk(keys, clone_counts(len(keys)), draws, space, False)
+            halves = []
+            for k, records in enumerate(counted.sets):
+                for at, first in zip(records[0::2], records[1::2]):
+                    f = next(f for f in space.flex if f.offset == at % space.width)
+                    bounds = (sample_bounds(f.duration, k)
+                              + sample_bounds(len(f.window) - f.duration + k, k))
+                    halves += [(first + i, bound) for i, bound in enumerate(bounds)
+                               if first + i < 2 * len(words)]
+            rejecting = [(h, b) for h, b in halves if b & (b - 1)]
+            kept = [(h, b) for h, b in halves if not b & (b - 1)]
+            chosen = pick.sample(rejecting, 30) + pick.sample(kept, 10)
+            assert max(h for h, _ in chosen) > 400, name
+            for half, bound in chosen:
+                crafted = list(words)
+                crafted[half // 2] &= 0xFFFFFFFF00000000 if half % 2 == 0 else 0xFFFFFFFF
+                draws, ref = Draws(0), csa_reference.Draws(0)
+                draws._block, draws._pos = crafted, 0
+                ref._words = iter(crafted)
+                walks.clear()
+                offspring = clone_and_hypermutate(keys, draws, space)
+                expected = csa_reference.clone_and_hypermutate(parents, ref, space)
+                assert [space.genes_of(ab) for ab in offspring] == expected, (name, half)
+                assert draws.random() == ref.random(), (name, half)
+                assert walks == ([False, True] if bound & (bound - 1) else [False]), (
+                    name, half, bound)
+
+    def test_long_gene_on_a_wide_grid(self):
+        # a gene's draws are bounded arithmetically from its duration, k
+        # and window; a table of them per k held O(duration**2) entries,
+        # 1.5 s and 74 MB to build for this gene
+        grid = TimeGrid(slot_count=4000, slot_hours=0.01)
+        ctx = ProblemContext(grid=grid, price=PriceSeries(values=(0.1,) * 4000), appliances=(
+            _interruptible(2, (1, 4000), 600, 1.0, original=tuple(range(1001, 1601))),))
+        tracemalloc.start()
+        try:
+            began = time.perf_counter()
+            space = SearchSpace(ctx)
+            took = time.perf_counter() - began
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert took < 0.5 and peak < 8e6, (took, peak)
+        self.check(space, range(3), size=3, generations=1)
+
+    @settings(max_examples=120, deadline=None)
+    @given(space=_breeding_space(), size=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    def test_random_spaces(self, space, size, seed):
+        self.check(space, [seed], size=size, generations=3)
 
     def test_mutation_threshold_is_exact(self, spaces):
         # a first word whose top 53 bits sit at either side of p * 2**53,
