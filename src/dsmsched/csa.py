@@ -37,12 +37,11 @@ no result depends on which antibody reached a key first.
 
 Every random draw comes from `Draws`, a Python replay of the stream of
 numpy's `Generator(PCG64(seed))`, without numpy's per-call overhead on
-every gene.  Its `random()` and `below(n)` are the `Generator`'s
-`random()` and `integers(0, n)` for n < 2**32; its `sample(n, k)` is the
-set `choice(n, k, replace=False)` returns when n <= 10000 or
-k <= n // 50, where numpy draws Floyd's k picks and shuffles them (past
-that, numpy shuffles the tail of a full permutation instead, and the two
-differ).  `clone_and_hypermutate` breeds a generation in two passes over
+every gene.  Its one draw call, `integers(bounds)`, returns what the
+`Generator`'s `integers(0, bounds)` does, for bounds below 2**32.  A
+random antibody is one such call over the bounds `SearchSpace` lists
+once: a run's start, and a slot set's Floyd picks and their dropped
+shuffle.  `clone_and_hypermutate` breeds a generation in two passes over
 the same stream: `_walk` reads `Draws`' block in local variables and makes
 the gene tests, probes and first draws of every mutation in stream order,
 stepping over each slot set's sample draws by counting them; `_breed`
@@ -112,22 +111,18 @@ Antibody = bytes
 class Draws:
     """The draws of numpy's `Generator(PCG64(seed))`, replayed in Python.
 
-    `random()`, `below(n)` and `sample(n, k)` return and consume exactly
-    what `Generator.random()`, `Generator.integers(0, n)` and the set of
-    `Generator.choice(n, size=k, replace=False)` do, for n < 2**32.  For
-    choice that also needs n <= 10000 or k <= n // 50, where numpy uses
-    Floyd's algorithm and then shuffles the k picks; past that it
-    shuffles the tail of a full permutation, which `sample` does not.
+    `integers(bounds)` returns and consumes exactly what
+    `Generator.integers(0, bounds)` does, for bounds below 2**32.
 
     Raw PCG64 words are read `_BLOCK` at a time into a list read by index.
-    `random()` is a word's top 53 bits times 2**-53.  A bounded draw takes
-    the low 32-bit half of a word and keeps the high half (`-1` when none
-    is kept) for the next one, as PCG64's `next_uint32` does, and applies
-    Lemire's multiply-shift with numpy's rejection threshold.  `below` and
-    `sample` do this inline, and `sample` walks the block in local
-    variables, so a run of draws is one Python call;
-    `clone_and_hypermutate` walks it the same way in its own loop, and
-    reads the block's words as an array too (`_raw`).
+    A bounded draw takes the low 32-bit half of a word and keeps the high
+    half (`-1` when none is kept) for the next one, as PCG64's
+    `next_uint32` does, and applies Lemire's multiply-shift with numpy's
+    rejection threshold.  `integers` walks the block in local variables,
+    so a list of draws is one Python call; `clone_and_hypermutate` walks it
+    the same way in its own loop, where a gene test reads a whole word as
+    `Generator.random()` does, and reads the block's words as an array too
+    (`_raw`).
     """
 
     def __init__(self, seed: int):
@@ -144,53 +139,17 @@ class Draws:
         self._raw = (self._block, raw)
         return self._block
 
-    def random(self) -> float:
-        """A float in [0, 1), as `Generator.random()`."""
-        pos = self._pos
-        if pos == _BLOCK:
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return (self._block[pos] >> 11) * 2.0**-53
-
-    def below(self, n: int) -> int:
-        """An int in [0, n), as `Generator.integers(0, n)`; n == 1 draws nothing."""
-        if n == 1:
-            return 0
-        half = self._half
-        while True:
-            if half >= 0:
-                low, half = half, -1
-            else:
-                pos = self._pos
-                if pos == _BLOCK:
-                    self._refill()
-                    pos = 0
-                word = self._block[pos]
-                self._pos = pos + 1
-                low, half = word & 0xFFFFFFFF, word >> 32
-            m = low * n
-            low = m & 0xFFFFFFFF
-            # numpy redraws while low < (2**32 - n) % n, a bound below n
-            if low >= n or low >= (0x100000000 - n) % n:
-                self._half = half
-                return m >> 32
-
-    def sample(self, n: int, k: int) -> set[int]:
-        """k distinct ints in [0, n), the set `Generator.choice(n, k,
-        replace=False)` returns; the shuffle of its picks is drawn and
-        dropped."""
-        picks: set[int] = set()
-        first = n - k + 1
-        if first == 1:  # below(1) draws nothing and picks 0
-            picks.add(0)
-            first = 2
-        # i in first..n is Floyd's bound i; i in n+1..n+k-1 is the
-        # shuffle's bound n+k+1-i, that is k down to 2
-        mirror = n + k + 1
+    def integers(self, bounds: Iterable[int]) -> list[int]:
+        """One int in [0, bound) per bound, in order: the list
+        `Generator.integers(0, bounds)` returns, for bounds below 2**32.
+        A bound of 1 draws nothing.  Bounds are Python ints: a numpy
+        integer overflows the 64-bit product."""
+        values: list[int] = []
         block, pos, half = self._block, self._pos, self._half
-        for i in range(first, mirror - 1):
-            bound = i if i <= n else mirror - i
+        for bound in bounds:
+            if bound == 1:
+                values.append(0)
+                continue
             while True:
                 if half >= 0:
                     low, half = half, -1
@@ -202,13 +161,12 @@ class Draws:
                     low, half = word & 0xFFFFFFFF, word >> 32
                 m = low * bound
                 low = m & 0xFFFFFFFF
+                # numpy redraws while low < (2**32 - bound) % bound, a threshold below bound
                 if low >= bound or low >= (0x100000000 - bound) % bound:
                     break
-            if i <= n:
-                pick = m >> 32
-                picks.add(i - 1 if pick in picks else pick)
+            values.append(m >> 32)
         self._pos, self._half = pos, half
-        return picks
+        return values
 
 
 @dataclass(frozen=True)
@@ -369,6 +327,21 @@ class SearchSpace:
                 else (0, f.lo, f.lo, f.hi, f.duration, len(f.window)))
         # 0 .. the longest gene's duration - 1
         self._columns = np.arange(max(durations, default=0))
+        # a random antibody's draw bounds, in stream order, and per gene
+        # (lo, duration, floyd): a run draws its start - lo below its count
+        # of starts (floyd -1); a slot set draws Floyd's picks j = floyd ..
+        # floyd + duration - 1 below j + 1, then their shuffle, dropped
+        self._draw_bounds: list[int] = []
+        self._draw_genes: list[tuple[int, int, int]] = []
+        for f in self.flex:
+            if f.window is None:
+                floyd = -1
+                self._draw_bounds.append(f.count)
+            else:
+                floyd = len(f.window) - f.duration
+                self._draw_bounds += [*range(floyd + 1, floyd + f.duration + 1),
+                                      *range(f.duration, 1, -1)]
+            self._draw_genes.append((f.lo, f.duration, floyd))
         self._price = context.price_array()
         self._pv = context.pv_array()
 
@@ -385,14 +358,32 @@ class SearchSpace:
         return self.key(f.original for f in self.flex)
 
     def random_antibody(self, draws: Draws) -> Antibody:
+        """A genotype drawn uniformly, gene by gene, in one `integers` call.
+
+        A run's start is the `Generator`'s `integers(0, count)`; a slot
+        set's slots are the set `choice(len(window), duration,
+        replace=False)` returns, whose Floyd picks resolve here and whose
+        shuffle is drawn and dropped.  That set is numpy's only when the
+        window has at most 10,000 slots or duration <= len(window) // 50:
+        past that, numpy shuffles the tail of a full permutation instead.
+        """
+        values = draws.integers(self._draw_bounds)
         slots: list[int] = []
-        for f in self.flex:
-            if f.window is None:
-                start = f.lo + draws.below(f.count)
-                slots.extend(range(start, start + f.duration))
-            else:
-                picks = draws.sample(len(f.window), f.duration)
-                slots.extend(sorted(p + f.lo for p in picks))
+        at = 0
+        for lo, duration, floyd in self._draw_genes:
+            if floyd < 0:
+                start = lo + values[at]
+                slots += range(start, start + duration)
+                at += 1
+                continue
+            # a Floyd pick already taken becomes j, which never is
+            picks: set[int] = set()
+            for j in range(floyd, floyd + duration):
+                pick = values[at]
+                picks.add(j if pick in picks else pick)
+                at += 1
+            slots += sorted(p + lo for p in picks)
+            at += duration - 1  # the shuffle's draws
         return self.pack(slots)
 
     def genes(self, index: int) -> list[tuple[int, ...]]:
@@ -538,13 +529,14 @@ def clone_and_hypermutate(
     harder (per-gene probability HYPERMUTATION_SCALE * rank / N).  Every
     offspring stays inside its appliance windows by construction.
 
-    Gene g of a clone mutates when its own `random()` draw is below the
-    rank's probability; a clone with no such gene mutates one gene drawn
-    with `below(genes)`.  A run moves its start by a step drawn below
-    `2 * reach + 1`, clamped to its range.  A slot set draws k - 1 below
-    its duration, then drops k of its slots (`sample(duration, k)`) and
-    adds k of the window's other slots (`sample(len(window) - duration +
-    k, k)`); a one-slot set draws its new slot below `len(window)`.
+    In the `Generator`'s calls: gene g of a clone mutates when its own
+    `random()` draw is below the rank's probability; a clone with no such
+    gene mutates one gene drawn with `integers(0, genes)`.  A run moves its
+    start by a step drawn below `2 * reach + 1`, clamped to its range.  A
+    slot set draws k - 1 below its duration, then drops k of its slots
+    (`choice(duration, k, replace=False)`) and adds k of the window's other
+    slots (`choice(len(window) - duration + k, k, replace=False)`); a
+    one-slot set draws its new slot below `len(window)`.
 
     Breeding is two passes over the same stream.  `_walk` reads `draws`'
     block in local variables and makes every draw but a slot set's two
@@ -587,9 +579,10 @@ def _walk(ranked: Sequence[Antibody], counts: list[int], draws: Draws,
           space: SearchSpace, exact: bool) -> _Walk:
     """Make a generation's gene tests, probes and first draws in stream
     order, and count (or, when `exact`, draw) each slot set's sample
-    draws; leave `draws` where breeding leaves it.
+    draws, with one `Draws.integers` call per set; leave `draws` where
+    breeding leaves it.
 
-    A slot set's sample draws follow its k draw, and no `random()` word
+    A slot set's sample draws follow its k draw, and no gene test's word
     comes between them: they are the next 4k - 2 - [k == duration]
     halves of the stream, starting with the one the k draw kept, if any.
     """
@@ -668,8 +661,9 @@ def _walk(ranked: Sequence[Antibody], counts: list[int], draws: Draws,
                     # blocks go unread in this mode
                     draws._block, draws._pos, draws._half = block, pos, half
                     bucket.append(len(drawn))
-                    for bound in _sample_bounds(duration, len(f.window), k):
-                        drawn.append(-(-(draws.below(bound) << 32) // bound))
+                    bounds = list(_sample_bounds(duration, len(f.window), k))
+                    drawn += [-(-(value << 32) // bound)
+                              for value, bound in zip(draws.integers(bounds), bounds)]
                     block, pos, half = draws._block, draws._pos, draws._half
                     continue
                 # the half after the k draw's: a kept high half is that of

@@ -101,7 +101,7 @@ def _breeding_space(draw):
 
 
 def sample_bounds(n, k):
-    """The bounds of `Draws.sample(n, k)`'s draws, in stream order:
+    """The bounds of `csa_reference.Draws.sample(n, k)`'s draws, in stream order:
     Floyd's picks (the one below 1 draws nothing), then the dropped
     shuffle of the k picks."""
     return [*range(max(2, n - k + 1), n + 1), *range(k, 1, -1)]
@@ -265,26 +265,65 @@ class TestCloneCounts:
             assert all(1 <= c <= n for c in clone_counts(n))
 
 
+# (2**32 - n) % n == 2**30: a quarter of the 32-bit draws are rejected
+HEAVY = 3 << 30
+
+# no power of two, and near 2**32: two streams that stand at different
+# words, or keep different halves, all but never agree on a draw below it
+NEXT = (1 << 32) - 5
+
+
+def same_position(draws, ref):
+    """Whether `Draws` and the reference's `Draws` stand at the same word
+    and keep the same half: their next bounded draw agrees."""
+    return draws.integers([NEXT]) == [ref.below(NEXT)]
+
+
+def random_bounds(pick, longest):
+    """A list of up to `longest` draw bounds: a quarter 1s, which draw
+    nothing, the rejection-heavy bound, the largest bound, and small and
+    large bounds."""
+    return [pick.choice((1, 1, HEAVY, (1 << 32) - 1, pick.randrange(2, 100),
+                         pick.randrange(2, 100), pick.randrange(2, 1 << 32),
+                         pick.randrange(2, 1 << 32)))
+            for _ in range(pick.randrange(longest + 1))]
+
+
 class TestDrawsMatchNumpy:
-    """`Draws` against the numpy `Generator` whose stream it replays.
+    """`Draws` and `csa_reference.Draws` against the numpy `Generator`
+    whose stream they replay.
 
     Every genotype the optimizer draws, and so every report byte and both
     goldens, rests on `Draws(seed)` giving exactly what
     `np.random.default_rng(seed)` gives.  numpy does not promise that a
     Generator's stream stays the same across versions (NEP 19), so this
     test is the tripwire: if numpy changes how `random`, `integers` or
-    `choice(replace=False)` draw, it fails here first.
+    `choice(replace=False)` draw, it fails here first.  `Draws.integers`
+    is checked against `integers` directly; `random` and `choice`, which
+    the walk and `random_antibody` replay without a call of their own, are
+    checked on the reference, against which both are checked in turn.
     """
 
+    def test_integers(self):
+        # lists long enough to cross several 512-word blocks, and the
+        # stream carried from one call to the next
+        for seed in range(200):
+            draws, gen = Draws(seed), np.random.default_rng(seed)
+            pick = random.Random(seed)
+            for longest in (3, 40, 3000 if seed % 10 == 0 else 600):
+                bounds = random_bounds(pick, longest)
+                assert draws.integers(bounds) == gen.integers(0, bounds).tolist(), (
+                    seed, longest)
+
     @staticmethod
-    def draw_both(draws, gen, plan):
+    def draw_both(ref, gen, plan):
         """Apply one operation to both streams; return the pair of results."""
         op, a, b = plan
         if op == "random":
-            return draws.random(), gen.random()
+            return ref.random(), gen.random()
         if op == "integers":
-            return a + draws.below(b - a), int(gen.integers(a, b))
-        return draws.sample(a, b), set(gen.choice(a, size=b, replace=False).tolist())
+            return a + ref.below(b - a), int(gen.integers(a, b))
+        return ref.sample(a, b), set(gen.choice(a, size=b, replace=False).tolist())
 
     @staticmethod
     def plan(pick):
@@ -302,11 +341,11 @@ class TestDrawsMatchNumpy:
 
     def test_random_integers_and_choice(self):
         for seed in range(2000):
-            draws, gen = Draws(seed), np.random.default_rng(seed)
+            ref, gen = csa_reference.Draws(seed), np.random.default_rng(seed)
             pick = random.Random(seed)
             for _ in range(60):
                 plan = self.plan(pick)
-                mine, theirs = self.draw_both(draws, gen, plan)
+                mine, theirs = self.draw_both(ref, gen, plan)
                 assert mine == theirs, (seed, plan)
 
     def test_choice_past_ten_thousand_items(self):
@@ -314,85 +353,69 @@ class TestDrawsMatchNumpy:
         # k <= n // 50; these sit at and inside that edge
         for n, k in ((10001, 200), (20000, 1), (20000, 300), (20000, 400), (65535, 1310)):
             for seed in range(3):
-                draws, gen = Draws(seed), np.random.default_rng(seed)
+                ref, gen = csa_reference.Draws(seed), np.random.default_rng(seed)
                 picks = set(gen.choice(n, size=k, replace=False).tolist())
-                assert draws.sample(n, k) == picks, (n, k, seed)
-                assert draws.below(n) == int(gen.integers(0, n)), (n, k, seed)
+                assert ref.sample(n, k) == picks, (n, k, seed)
+                assert ref.below(n) == int(gen.integers(0, n)), (n, k, seed)
 
     def test_rejection_heavy_range(self):
-        # (2**32 - n) % n == 2**30: a quarter of the 32-bit draws are
-        # rejected and redrawn
-        n = 3 << 30
         for seed in range(300):
             draws, gen = Draws(seed), np.random.default_rng(seed)
+            for i in range(60):
+                # calls of 1 to 7 draws, so that some end on a kept half
+                size = i % 7 + 1
+                assert draws.integers([HEAVY] * size) == gen.integers(0, HEAVY, size).tolist(), (
+                    seed, i)
+            ref, gen = csa_reference.Draws(seed), np.random.default_rng(seed)
             for i in range(200):
-                assert draws.below(n) == int(gen.integers(0, n)), (seed, i)
+                assert ref.below(HEAVY) == int(gen.integers(0, HEAVY)), (seed, i)
                 if i % 7 == 0:
-                    assert draws.random() == gen.random(), (seed, i)
+                    assert ref.random() == gen.random(), (seed, i)
 
 
 class TestDrawsMatchReference:
-    """`Draws` against `csa_reference.Draws`, the one-call-per-draw replay,
-    where numpy has no call to compare with: `sample` over more than
-    numpy's 10,000-item Floyd range, and crafted words."""
-
-    # (2**32 - n) % n == 2**30: a quarter of the 32-bit draws are rejected
-    HEAVY = 3 << 30
-
-    @staticmethod
-    def draw_both(draws, ref, plan):
-        op, a, b = plan
-        if op == "random":
-            return draws.random(), ref.random()
-        if op == "below":
-            return draws.below(a), ref.below(a)
-        return draws.sample(a, b), ref.sample(a, b)
-
-    def plan(self, pick):
-        op = pick.choice(("random", "below", "sample"))
-        if op == "below":
-            # a third draw nothing (n == 1), a third from the rejection-heavy range
-            return op, pick.choice((1, self.HEAVY, pick.randrange(2, 100))), 0
-        if op == "sample":
-            n = pick.choice((self.HEAVY, pick.randrange(1, 40)))
-            return op, n, pick.randrange(1, min(n, 12) + 1)
-        return op, 0, 0
+    """`Draws.integers` against `csa_reference.Draws.below`, one call per
+    bound: on mixed and rejection-heavy lists, and on crafted words,
+    which numpy has no call to take."""
 
     def test_mixed_draws(self):
         for seed in range(600):
             draws, ref = Draws(seed), csa_reference.Draws(seed)
             pick = random.Random(seed)
             for _ in range(40):
-                plan = self.plan(pick)
-                mine, theirs = self.draw_both(draws, ref, plan)
-                assert mine == theirs, (seed, plan)
+                bounds = random_bounds(pick, 12)
+                assert draws.integers(bounds) == [ref.below(b) for b in bounds], (seed, bounds)
                 # the next word and the kept half are where the reference's are
-                assert draws.below(7) == ref.below(7), (seed, plan)
+                assert same_position(draws, ref), (seed, bounds)
 
     def test_rejections_on_crafted_words(self):
         # a zero 32-bit half is rejected by every bound that is not a power
         # of two, and by no other: a zero at each position tells apart
         # bounds that random words almost never do, such as a shuffle that
-        # draws from k + 1..3 instead of k..2
+        # draws from k + 1..3 instead of k..2.  The lists are a slot set's
+        # random draws, Floyd's picks of k of n slots (the one below 1, when
+        # k == n, draws nothing) and the dropped shuffle, then one more.
         pick = random.Random(0)
         for n, k in ((2, 2), (3, 3), (5, 2), (6, 6), (7, 4), (9, 1)):
-            draws_needed = 2 * (n + k)
-            for zero in range(draws_needed):
-                words = [pick.getrandbits(64) for _ in range(draws_needed)]
+            bounds = [*range(n - k + 1, n + 1), *range(k, 1, -1), n + 2]
+            for zero in range(2 * len(bounds)):
+                words = [pick.getrandbits(64) for _ in range(2 * len(bounds))]
                 words[zero // 2] &= 0xFFFFFFFF00000000 if zero % 2 == 0 else 0xFFFFFFFF
                 draws, ref = Draws(0), csa_reference.Draws(0)
                 draws._block, draws._pos = words + [0] * (512 - len(words)), 0
                 ref._words = iter(words)
-                assert draws.sample(n, k) == ref.sample(n, k), (n, k, zero)
-                assert draws.below(n + 2) == ref.below(n + 2), (n, k, zero)
+                assert draws.integers(bounds) == [ref.below(b) for b in bounds], (n, k, zero)
+                assert same_position(draws, ref), (n, k, zero)
 
     def test_heavy_rejection_sample(self):
+        # the draws of k of HEAVY items: Floyd's picks, then the shuffle
         for seed in range(300):
             draws, ref = Draws(seed), csa_reference.Draws(seed)
             for k in (1, 2, 5, 9):
-                assert draws.sample(self.HEAVY, k) == ref.sample(self.HEAVY, k), (seed, k)
-                assert draws.random() == ref.random(), (seed, k)
-            assert draws.below(self.HEAVY) == ref.below(self.HEAVY), seed
+                bounds = [*range(HEAVY - k + 1, HEAVY + 1), *range(k, 1, -1)]
+                assert draws.integers(bounds) == [ref.below(b) for b in bounds], (seed, k)
+                assert same_position(draws, ref), (seed, k)
+            assert draws.integers([HEAVY]) == [ref.below(HEAVY)], seed
 
 
 class TestHypermutationMatchesReference:
@@ -432,14 +455,14 @@ class TestHypermutationMatchesReference:
             for _ in range(size - 1):
                 ab = space.random_antibody(draws)
                 assert space.genes_of(ab) == csa_reference.random_antibody(space, ref), seed
-                assert draws.random() == ref.random(), seed
+                assert same_position(draws, ref), seed
                 population.append(space.genes_of(ab))
             for generation in range(generations):
                 offspring = clone_and_hypermutate(
                     [space.key(genes) for genes in population], draws, space)
                 expected = csa_reference.clone_and_hypermutate(population, ref, space)
                 assert [space.genes_of(ab) for ab in offspring] == expected, (seed, generation)
-                assert draws.random() == ref.random(), (seed, generation)
+                assert same_position(draws, ref), (seed, generation)
                 population = expected[:size]
 
     def test_small_spaces(self, spaces):
@@ -469,7 +492,31 @@ class TestHypermutationMatchesReference:
                     [space.key(genes) for genes in parents], draws, space)
                 expected = csa_reference.clone_and_hypermutate(parents, ref, space)
                 assert [space.genes_of(ab) for ab in offspring] == expected, (name, zero)
-                assert draws.random() == ref.random(), (name, zero)
+                assert same_position(draws, ref), (name, zero)
+
+    def test_rejections_inside_random_antibodies(self, spaces):
+        # a zero 32-bit half at each position of the first 2 * (draws of
+        # one antibody) halves meets every draw of the first antibody and
+        # some of the second's; bound-1 draws (fixed_genes' one-start run
+        # and its slot set as long as its window) must read nothing
+        pick = random.Random(3)
+        for name in ("fixed_genes", "one_gene", "canonical", "grid300"):
+            space = spaces[name]
+            draw_count = 0
+            for index in range(len(space.flex)):
+                uninterruptible, _, _, duration = csa_reference.appliance(space, index)
+                draw_count += 1 if uninterruptible else 2 * duration - 1
+            for zero in range(2 * draw_count):
+                words = [pick.getrandbits(64) for _ in range(512)]
+                words[zero // 2] &= 0xFFFFFFFF00000000 if zero % 2 == 0 else 0xFFFFFFFF
+                draws, ref = Draws(0), csa_reference.Draws(0)
+                draws._block, draws._pos = words, 0
+                ref._words = iter(words)
+                for call in range(2):
+                    ab = space.random_antibody(draws)
+                    assert space.genes_of(ab) == csa_reference.random_antibody(space, ref), (
+                        name, zero, call)
+                    assert same_position(draws, ref), (name, zero, call)
 
     def test_rejections_inside_sample_draws(self, spaces, monkeypatch):
         # a slot set's sample draws are counted, not drawn, by the first
@@ -517,7 +564,7 @@ class TestHypermutationMatchesReference:
                 offspring = clone_and_hypermutate(keys, draws, space)
                 expected = csa_reference.clone_and_hypermutate(parents, ref, space)
                 assert [space.genes_of(ab) for ab in offspring] == expected, (name, half)
-                assert draws.random() == ref.random(), (name, half)
+                assert same_position(draws, ref), (name, half)
                 assert walks == ([False, True] if bound & (bound - 1) else [False]), (
                     name, half, bound)
 
@@ -564,7 +611,7 @@ class TestHypermutationMatchesReference:
                     expected = csa_reference.clone_and_hypermutate(
                         [space.genes_of(parent)] * n, ref, space)
                     assert [space.genes_of(ab) for ab in offspring] == expected, (n, top)
-                    assert draws.random() == ref.random(), (n, top)
+                    assert same_position(draws, ref), (n, top)
 
 
 class TestSearchSpace:
