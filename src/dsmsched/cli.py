@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .constraints import is_feasible
-from .costing import CostBreakdown, ProblemContext, total_cost
+from .costing import CostBreakdown, ProblemContext, assess, total_cost
 from .csa import CsaConfig, OptimResult, optimize
 from .domain import (
     Appliance,
@@ -317,10 +317,9 @@ def _parse_config(data, path: Path) -> ScenarioConfig:
 def _voltage_rows(context: ProblemContext, gross: np.ndarray) -> Iterable[list]:
     """`slot, bus, v_pu` rows of `gross`'s power flows; raises the first
     failed flow's PowerFlowError."""
-    _, mags, errors = context.slot_flows(gross)
-    if errors:
-        raise next(iter(errors.values()))
-    for slot, row in enumerate(mags.tolist(), start=1):
+    loads = assess(context, gross[None])
+    loads.raise_failure(0)
+    for slot, row in enumerate(loads.mags[loads.cells[0]].tolist(), start=1):
         for bus, mag in enumerate(row):
             yield [slot, bus, _fmt(mag)]
 

@@ -1,22 +1,21 @@
 """Feasibility checks: duration, window, structure, demand cap, voltage band.
 
 `check_duration`, `check_window` and `check_contiguity` read the schedule
-alone.  `is_feasible` runs them and checks the demand cap and the voltage
-band on one gross load series, the band through the context's power flows.
-
-The maximum-demand cap applies to gross appliance power; PV does not offset
-it because the cap protects the service connection, not the meter reading.
-A small absolute tolerance absorbs float dust when summing rated powers.
+alone.  `is_feasible` runs them and lists the slots over the demand cap
+and the buses outside the voltage band that `costing.assess`, the kernel
+the search scores every genotype with, finds in the schedule's gross load.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from .costing import ProblemContext
+from .costing import KW_TOL, ProblemContext, assess
 from .domain import (
     Appliance,
     ApplianceClass,
@@ -34,9 +33,6 @@ __all__ = [
     "check_contiguity",
     "is_feasible",
 ]
-
-# absolute slack on kW comparisons (sums of two-decimal ratings)
-KW_TOL = 1e-9
 
 CONTIG_GAP = "gap"
 CONTIG_BASELINE = "baseline_off"
@@ -144,22 +140,22 @@ def is_feasible(schedule: Schedule, context: ProblemContext) -> FeasibilityRepor
     report = FeasibilityReport()
     report.duration = check_duration(schedule, appliances)
     report.window = check_window(schedule, appliances)
-    gross = aggregate_power(schedule, appliances)
-    report.max_demand = [
-        (t + 1, float(kw)) for t, kw in enumerate(gross) if kw > context.md_kw + KW_TOL
-    ]
     for aid, kind in check_contiguity(schedule, appliances):
         if kind == CONTIG_BASELINE:
             report.baseline_fixed.append(aid)
         else:
             report.contiguity.append(aid)
 
-    _, mags, errors = context.slot_flows(gross)
-    for idx, row in enumerate(mags.tolist()):
-        if idx in errors:
-            report.voltage.append(VoltageViolation(slot=idx + 1, bus=-1, v_pu=float("nan")))
-            continue
-        for bus, mag in enumerate(row):
-            if mag < context.voltage_min or mag > context.voltage_max:
-                report.voltage.append(VoltageViolation(slot=idx + 1, bus=bus, v_pu=mag))
+    gross = aggregate_power(schedule, appliances)
+    loads = assess(context, gross[None])
+    report.max_demand = [(t + 1, gross[t].item())
+                         for t in np.flatnonzero(loads.excess[0]).tolist()]
+    keys = loads.cells[0]
+    slots, buses = np.nonzero(loads.outside[keys])
+    found = [VoltageViolation(s + 1, b, v) for s, b, v in
+             zip(slots.tolist(), buses.tolist(), loads.mags[keys[slots], buses].tolist())]
+    found += [VoltageViolation(s + 1, -1, math.nan)
+              for s, key in enumerate(keys.tolist()) if key in loads.errors]
+    # a failed slot has no bus outside the band; the stable sort keeps bus order
+    report.voltage = sorted(found, key=attrgetter("slot"))
     return report

@@ -1,8 +1,14 @@
-"""Monetary evaluation of schedules: energy cost, shift penalty, PV metrics.
+"""Monetary evaluation of schedules: the objective and its constraints.
 
-`total_cost` is the reference scorer that prices every reported schedule:
-the energy bill on the net draw plus billed feeder losses, and the
-inconvenience charge on rating-weighted slot shifts (`shift_distance`).
+`assess` is the costing kernel.  Over a (rows x slots) gross kW matrix it
+gives each row's billed kW (the net draw after PV plus billed feeder
+loss), demand-cap excess, voltage-band violation and flow failure, and the
+per-cell cap and band facts the feasibility report lists; `energy_cost`
+prices billed kW, one `ddot` per row.  The search scores every genotype
+through them, and `total_cost`, which prices every reported schedule, and
+`constraints.is_feasible` run each schedule through them too, so the
+search, the oracle and the reports agree bit for bit.  `total_cost` adds
+the inconvenience charge on rating-weighted slot shifts (`shift_distance`).
 
 `ProblemContext` bundles everything a cost or feasibility computation
 needs (grid, appliances, tariff, PV, neighbors, feeder, limits) and owns a
@@ -19,7 +25,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,7 +34,11 @@ from .errors import PowerFlowError
 from .feeder import FeederModel, solve_power_flow_batch
 from .profiles import NeighborLoads, PriceSeries, PvSeries
 
-__all__ = ["CostBreakdown", "ProblemContext", "shift_distance", "total_cost"]
+__all__ = ["KW_TOL", "CostBreakdown", "Loads", "ProblemContext", "assess", "energy_cost",
+           "shift_distance", "total_cost"]
+
+# absolute slack on kW comparisons (sums of two-decimal ratings)
+KW_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -252,30 +262,6 @@ class ProblemContext:
             raise copy.copy(cache.errors[code])
         return float(cache.loss[row]), tuple(cache.mags[row].tolist())
 
-    def slot_flows(self, gross: Sequence[float]) -> tuple[np.ndarray, np.ndarray, dict]:
-        """`slot_flow` of every slot of a gross kW series, the misses solved
-        together: billed loss kW and per-bus |V| pu per slot, NaN in a failed
-        slot, and a copy of each failed slot's PowerFlowError by slot index,
-        in slot order; a copy, so raising it never grows the cached
-        traceback.  Without a feeder: zeros, no |V| columns and no errors.
-        """
-        count = self.grid.slot_count
-        if self.feeder is None:
-            return np.zeros(count), np.empty((count, 0)), {}
-        codes = self._codes(np.asarray(gross, dtype=float))
-        rows = self._flows(codes)
-        cache = self._cache
-        loss = cache.loss[rows]
-        errors = {slot: copy.copy(cache.errors[int(codes[slot])])
-                  for slot in np.flatnonzero(np.isnan(loss)).tolist()}
-        return loss, cache.mags[rows], errors
-
-    def _codes(self, gross: np.ndarray) -> np.ndarray:
-        """Cache code, W x slot count + slot, of each cell of a gross kW
-        series or (rows x slots) matrix, at the load rounded to whole watts."""
-        count = self.grid.slot_count
-        return np.rint(gross * 1000.0).astype(np.int64) * count + np.arange(count)
-
     def _flows(self, codes: np.ndarray) -> np.ndarray:
         """Cache row of each of distinct codes; the misses are solved in one
         `_solve_cases` call."""
@@ -285,48 +271,6 @@ class ProblemContext:
             self._solve_cases(codes[missing])
             rows[missing] = self._cache.find(codes[missing])
         return rows
-
-    def batch_flows(self, gross: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`slot_flow` over every cell of a (rows x slots) gross kW matrix.
-
-        Returns (billed loss kW per cell, voltage-band violation per row,
-        flow failed per row), exactly what calling `slot_flow` row by row,
-        slot by slot would give: a row stops at its first slot whose flow
-        fails, so its loss and violation cover only the slots before it,
-        and violations sum slot by slot, then bus by bus.  Each distinct
-        (slot, W) key is looked up once; the keys missing from the cache
-        are solved together, in one `_solve_cases` call.
-        """
-        rows, slots = gross.shape
-        loss = np.zeros((rows, slots))
-        violation = np.zeros(rows)
-        if self.feeder is None:
-            return loss, violation, np.zeros(rows, dtype=bool)
-        vmin, vmax = self.voltage_min, self.voltage_max
-        codes, inverse = np.unique(self._codes(gross).ravel(), return_inverse=True)
-        found = self._flows(codes)
-
-        cells = inverse.reshape(rows, slots)
-        cache = self._cache
-        billed = cache.loss[found]
-        # a row reaches the slots before its first failed flow
-        ok = ~np.isnan(billed)
-        reached = np.logical_and.accumulate(ok[cells], axis=1)
-        loss[reached] = billed[cells][reached]
-        mags = cache.mags[found]
-        mags[~ok] = vmin  # a failed key is in band
-        out_of_band = ((mags < vmin) | (mags > vmax)).any(axis=1)[cells] & reached
-        bad = np.flatnonzero(out_of_band.any(axis=1))
-        if bad.size:
-            # each bad row's distance outside the band per reached cell and
-            # bus, slot-major then bus-minor; cumsum adds left to right, as
-            # a slot-by-slot, bus-by-bus loop would
-            cell_mags = mags[cells[bad]]
-            terms = np.maximum(vmin - cell_mags, 0.0) + np.maximum(cell_mags - vmax, 0.0)
-            terms[~reached[bad]] = 0.0
-            terms = terms.reshape(len(bad), slots * self.feeder.bus_count)
-            violation[bad] = np.cumsum(terms, axis=1)[:, -1]
-        return loss, violation, ~reached[:, -1]
 
     def _solve_cases(self, codes: np.ndarray) -> None:
         """Solve and cache distinct uncached (slot, W) codes by
@@ -366,6 +310,103 @@ class ProblemContext:
         cache.add(codes[homes:], np.where(diff <= 0.0, 0.0, diff), mags)
 
 
+class Loads(NamedTuple):
+    """What `assess` finds of a (rows x slots) gross kW matrix: the
+    objective's billed kW and each row's standing against the demand cap
+    and the voltage band, as the search scores it and the reports list it.
+    A row's flows stop at its first slot whose flow fails: its loss and
+    band violation cover only the slots before it."""
+
+    # rows x slots: net = max(gross - pv, 0), as PV surplus is exported
+    # without compensation; billed loss; billed kW, net plus billed loss;
+    # kW over md_kw past KW_TOL, else 0
+    net: np.ndarray
+    loss: np.ndarray
+    billed: np.ndarray
+    excess: np.ndarray
+    # one per row
+    md_excess: np.ndarray
+    voltage_violation: np.ndarray
+    flow_failed: np.ndarray
+    feasible: np.ndarray
+    # each cell's flow, a row of `mags` (flows x buses |V| pu, voltage_min
+    # where the flow failed) and of `outside` (|V| outside the band); each
+    # failed flow's PowerFlowError by its row there
+    cells: np.ndarray
+    mags: np.ndarray
+    outside: np.ndarray
+    errors: dict[int, PowerFlowError]
+
+    def raise_failure(self, row: int) -> None:
+        """Raise the PowerFlowError of the row's first failed flow, if any;
+        a copy, so raising it never grows the cached traceback."""
+        if self.errors:
+            for key in self.cells[row].tolist():
+                if key in self.errors:
+                    raise copy.copy(self.errors[key])
+
+
+def assess(context: ProblemContext, gross: np.ndarray) -> Loads:
+    """The costing kernel: `Loads` of a (rows x slots) gross kW matrix;
+    a ValueError when its slot count is not the grid's.
+
+    The demand cap is on gross load, which PV does not offset: the cap
+    protects the service connection, not the meter reading.  A cell is
+    over it when gross - md_kw > KW_TOL.  Each distinct (slot, W) key is
+    looked up once in the context's flow cache, the misses solved in one
+    `_solve_cases` call.  A row's band violation sums its reached cells'
+    distances outside the band slot by slot, then bus by bus.
+    """
+    rows, slots = gross.shape
+    if slots != context.grid.slot_count:
+        raise ValueError(f"schedule has {slots} slots, grid expects {context.grid.slot_count}")
+    excess = gross - context.md_kw
+    excess[excess <= KW_TOL] = 0.0
+    md_excess = excess.sum(axis=1)
+    net = np.maximum(gross - context.pv_array(), 0.0)
+    loss, violation, failed = np.zeros((rows, slots)), np.zeros(rows), np.zeros(rows, bool)
+    # without a feeder, every cell reads one flow of no buses
+    cells, mags, outside, errors = (np.zeros((rows, slots), np.intp), np.empty((1, 0)),
+                                    np.empty((1, 0), bool), {})
+    if context.feeder is not None:
+        vmin, vmax = context.voltage_min, context.voltage_max
+        codes = np.rint(gross * 1000.0).astype(np.int64) * slots + np.arange(slots)
+        codes, inverse = np.unique(codes.ravel(), return_inverse=True)
+        found = context._flows(codes)
+        cells = inverse.reshape(rows, slots)
+        cache = context._cache
+        key_loss = cache.loss[found]
+        ok = ~np.isnan(key_loss)
+        errors = {key: cache.errors[code] for key, code in
+                  zip(np.flatnonzero(~ok).tolist(), codes[~ok].tolist())}
+        # a row reaches the slots before its first failed flow
+        reached = np.logical_and.accumulate(ok[cells], axis=1)
+        loss[reached] = key_loss[cells][reached]
+        failed = ~reached[:, -1]
+        mags = cache.mags[found]
+        mags[~ok] = vmin  # a failed flow is in band
+        outside = (mags < vmin) | (mags > vmax)
+        bad = np.flatnonzero((outside.any(axis=1)[cells] & reached).any(axis=1))
+        if bad.size:
+            # each bad row's distance outside the band per reached cell and
+            # bus, slot-major then bus-minor; cumsum adds left to right, as
+            # a slot-by-slot, bus-by-bus loop would
+            cell_mags = mags[cells[bad]]
+            terms = np.maximum(vmin - cell_mags, 0.0) + np.maximum(cell_mags - vmax, 0.0)
+            terms[~reached[bad]] = 0.0
+            violation[bad] = np.cumsum(terms.reshape(len(bad), -1), axis=1)[:, -1]
+    feasible = (md_excess == 0.0) & (violation == 0.0) & ~failed
+    return Loads(net, loss, net + loss, excess, md_excess, violation, failed, feasible,
+                 cells, mags, outside, errors)
+
+def energy_cost(billed: np.ndarray, price: np.ndarray, hours: float) -> np.ndarray:
+    """Energy cost of each row of billed kW, the objective's one pricing:
+    one `ddot` per row.  `billed @ price` sums in another order and
+    differs in the last bit on some rows.  Rows must be C-contiguous, as a
+    strided row can take another BLAS path."""
+    return np.fromiter(map(price.dot, billed), float, len(billed)) * hours
+
+
 def shift_distance(appliance: Appliance, new_on_slots: Sequence[int]) -> int:
     """Slots of displacement between the original and new plan.
 
@@ -397,17 +438,10 @@ def total_cost(schedule: Schedule, context: ProblemContext) -> CostBreakdown:
     whose sweep diverges.
     """
     appliances, grid = context.appliances, context.grid
-    if schedule.slot_count != grid.slot_count:
-        raise ValueError(
-            f"schedule has {schedule.slot_count} slots, grid expects {grid.slot_count}"
-        )
     gross = aggregate_power(schedule, appliances)
-    pv = context.pv_array()
-    net = np.maximum(gross - pv, 0.0)
-    loss, _, errors = context.slot_flows(gross)
-    if errors:
-        raise next(iter(errors.values()))
-    energy = float(np.dot(net + loss, context.price_array()) * grid.slot_hours)
+    loads = assess(context, gross[None])
+    loads.raise_failure(0)
+    energy = energy_cost(loads.billed, context.price_array(), grid.slot_hours).item()
 
     shifts = {
         a.id: shift_distance(a, schedule.on_slots(row))
@@ -421,6 +455,7 @@ def total_cost(schedule: Schedule, context: ProblemContext) -> CostBreakdown:
     penalty = grid.slot_hours * context.penalty_price * weighted
 
     util = None
+    pv = context.pv_array()
     pv_kwh = pv.sum() * grid.slot_hours
     if pv_kwh > 0:
         util = float(np.minimum(gross, pv).sum() * grid.slot_hours / pv_kwh)
@@ -432,6 +467,6 @@ def total_cost(schedule: Schedule, context: ProblemContext) -> CostBreakdown:
         shifts=shifts,
         weighted_shift=float(weighted),
         pv_utilization=util,
-        net_load_kw=tuple(float(v) for v in net),
-        billed_loss_kw=tuple(float(v) for v in loss),
+        net_load_kw=tuple(loads.net[0].tolist()),
+        billed_loss_kw=tuple(loads.loss[0].tolist()),
     )

@@ -21,19 +21,16 @@ Evaluation is a pure function of the genotype and is cached keyed by the
 genotype itself.  Each generation's new genotypes, its offspring and the
 immigrants drawn right after them, are scored in one `SearchSpace.evaluate`
 call, so a run of G generations makes G + 1 calls.  A batch is scored as
-arrays, with the same arithmetic, in the same order, as scoring its
-genotypes one by one: one `np.frombuffer` reads the batch's slot matrix, and
-`SearchSpace.evaluate` returns the scores as columns (`Scores`), one row
-per genotype.  Energy is one `ddot` per row, as a one-genotype
-evaluation takes: a matrix product sums in another order and differs in
-the last bit on some rows.  `SearchSpace._exact_energy` is the one place
-that prices energy exactly; `_loads` computes everything else, and the
-oracle shares it, pricing most of its candidates by one matrix product
-with a proven error margin and running `_exact_energy` only on the rows
-that can reach its optimum.  Per-slot power flows are cached on the problem
-context keyed by (slot, gross load in whole watts) and solved at that
-rounded load, so identical slot loads across antibodies reuse one solve and
-no result depends on which antibody reached a key first.
+arrays: one `np.frombuffer` reads the batch's slot matrix, `gross_rows`
+sums its gross load in `aggregate_power`'s order, and the costing kernel
+(`costing.assess`, `costing.energy_cost`) bills, checks and prices it as
+`total_cost` and `is_feasible` do one schedule, so a genotype's score and
+its reported total agree bit for bit.  `SearchSpace.evaluate` returns the
+scores as columns (`Scores`), one row per genotype.  Per-slot power flows
+are cached on the problem context keyed by (slot, gross load in whole
+watts) and solved at that rounded load, so identical slot loads across
+antibodies reuse one solve and no result depends on which antibody
+reached a key first.
 
 Every random draw comes from `Draws`, a Python replay of the stream of
 numpy's `Generator(PCG64(seed))`, without numpy's per-call overhead on
@@ -65,8 +62,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .constraints import KW_TOL, FeasibilityReport, is_feasible
-from .costing import CostBreakdown, ProblemContext, total_cost
+from .constraints import FeasibilityReport, is_feasible
+from .costing import CostBreakdown, ProblemContext, assess, energy_cost, total_cost
 from .domain import Appliance, ApplianceClass, Schedule, effective_window, schedule_from_on_slots
 from .errors import PowerFlowError
 
@@ -259,19 +256,6 @@ class Scores:
     feasible: np.ndarray
 
 
-class _Loads(NamedTuple):
-    """A batch's phenotypes before pricing: billed kW per slot (rows x
-    slots) and every other column `Scores` is built from."""
-
-    billed: np.ndarray
-    md_excess: np.ndarray
-    voltage_violation: np.ndarray
-    flow_failed: np.ndarray
-    shift_slots: np.ndarray
-    weighted_shift: np.ndarray
-    feasible: np.ndarray
-
-
 class SearchSpace:
     """The genotypes of one problem context: their layout, and every way
     of drawing, mutating, listing, decoding and scoring them.
@@ -343,7 +327,6 @@ class SearchSpace:
                                       *range(f.duration, 1, -1)]
             self._draw_genes.append((f.lo, f.duration, floyd))
         self._price = context.price_array()
-        self._pv = context.pv_array()
 
     def key(self, genes: Iterable[Sequence[int]]) -> Antibody:
         """The genotype of one on-slot gene per flexible appliance, in order."""
@@ -434,9 +417,10 @@ class SearchSpace:
     def evaluate_rows(self, slots: np.ndarray, weight: float) -> Scores:
         """`evaluate` for the genotypes of a `slot_matrix`."""
         ctx = self.context
-        loads = self._loads(slots)
-        energy = self._exact_energy(loads.billed)
-        penalty = ctx.grid.slot_hours * ctx.penalty_price * loads.weighted_shift
+        loads = assess(ctx, self.gross_rows(slots))
+        shift_slots, weighted = self.shifts(slots)
+        energy = energy_cost(loads.billed, self._price, ctx.grid.slot_hours)
+        penalty = ctx.grid.slot_hours * ctx.penalty_price * weighted
         total = energy + penalty
 
         score = -total - weight * (loads.md_excess + loads.voltage_violation)
@@ -449,52 +433,22 @@ class SearchSpace:
             md_excess=loads.md_excess,
             voltage_violation=loads.voltage_violation,
             flow_failed=loads.flow_failed,
-            shift_slots=loads.shift_slots,
-            weighted_shift=loads.weighted_shift,
+            shift_slots=shift_slots,
+            weighted_shift=weighted,
             score=score,
             feasible=loads.feasible,
         )
 
-    def _loads(self, slots: np.ndarray) -> _Loads:
-        """Everything `evaluate_rows` scores a `slot_matrix` by, except the
-        price of its billed energy."""
-        ctx = self.context
-        gross = self.gross_rows(slots)
-
-        excess = gross - ctx.md_kw
-        excess[excess <= KW_TOL] = 0.0
-        md_excess = excess.sum(axis=1)
-
-        loss, volt_violation, flow_failed = ctx.batch_flows(gross)
-        billed = np.maximum(gross - self._pv, 0.0) + loss
-
+    def shifts(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Shift slots and rating-weighted shift of each row of a
+        `slot_matrix`."""
         moved = np.abs(slots - self._original)
-        shift_slots = moved.sum(axis=1)
-        if self.flex:
-            # per-gene displacement times rating; cumsum adds them left to
-            # right, in appliance order, as a per-appliance loop would
-            delta = np.add.reduceat(moved, self._gene_starts, axis=1)
-            weighted = np.cumsum(delta * self._ratings, axis=1)[:, -1]
-        else:  # reduceat takes no empty index
-            weighted = np.zeros(len(slots))
-
-        return _Loads(
-            billed=billed,
-            md_excess=md_excess,
-            voltage_violation=volt_violation,
-            flow_failed=flow_failed,
-            shift_slots=shift_slots,
-            weighted_shift=weighted,
-            feasible=(md_excess == 0.0) & (volt_violation == 0.0) & ~flow_failed,
-        )
-
-    def _exact_energy(self, billed: np.ndarray) -> np.ndarray:
-        """Energy cost of each row of billed kW, as a one-genotype evaluation
-        prices it: one `ddot` per row.  `billed @ price` sums in another
-        order and differs in the last bit on some rows.  Rows must be
-        C-contiguous, as a strided row can take another BLAS path."""
-        hours = self.context.grid.slot_hours
-        return np.fromiter(map(self._price.dot, billed), float, len(billed)) * hours
+        if not self.flex:  # reduceat takes no empty index
+            return moved.sum(axis=1), np.zeros(len(slots))
+        # per-gene displacement times rating; cumsum adds them left to
+        # right, in appliance order, as a per-appliance loop would
+        delta = np.add.reduceat(moved, self._gene_starts, axis=1)
+        return moved.sum(axis=1), np.cumsum(delta * self._ratings, axis=1)[:, -1]
 
 
 @dataclass
@@ -849,7 +803,6 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     space = SearchSpace(context)
     original = space.original_antibody()
 
-    # total_cost, not space.evaluate: its energy differs in the last bit on some days (scenario_c)
     original_energy = total_cost(space.decode(original), context).energy_usd
     weight = max(1.0, 10.0 * original_energy)
     # every distinct genotype scored so far: (score, total, shift_slots, feasible)

@@ -168,14 +168,24 @@ def schedule_from_on_slots(on_slots: Sequence[Sequence[int]], slot_count: int) -
 
 
 def aggregate_power(schedule: Schedule, appliances: Sequence[Appliance]) -> np.ndarray:
-    """Total connected power per slot in kW: sum of rated_kw over on rows."""
+    """Gross household kW per slot, in the one order gross load is summed:
+    the baseline rows' ratings, then the flexible rows', each added in
+    appliance order from zero, and the two sums added.
+    `SearchSpace.gross_rows` is its batched form."""
     if schedule.appliance_count != len(appliances):
         raise ValueError(
             f"schedule has {schedule.appliance_count} rows but "
             f"{len(appliances)} appliances were given"
         )
-    rates = np.array([a.rated_kw for a in appliances], dtype=float)
-    return rates @ schedule.matrix
+    count = schedule.slot_count
+    rows, slots = np.nonzero(schedule.matrix)  # row by row
+    rated = np.array([a.rated_kw for a in appliances])
+    flexible = np.array([a.appliance_class is not ApplianceClass.BASELINE for a in appliances], bool)
+    # bincount adds each cell's weights in the order given, from zero; the
+    # float cast covers a schedule with nothing on, where it counts ints
+    sums = np.bincount(slots + count * flexible[rows], rated[rows], 2 * count)
+    base, flex = sums.reshape(2, -1).astype(float, copy=False)
+    return base + flex
 
 
 # validation ----------------------------------------------------------------

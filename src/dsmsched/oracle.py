@@ -13,20 +13,22 @@ Candidates are enumerated by index k, the k-th genotype of
 varies fastest).  A chunk's slot matrix is gathered from one
 (genes x duration) slot table per appliance by the mixed-radix digits of
 its indices, so no Python object is built per candidate.
-`SearchSpace._loads`, the optimizer's own evaluation short of pricing
-energy, gives the chunk's billed kW, feasibility and shifts as columns, and
+The costing kernel, `costing.assess`, over `SearchSpace.gross_rows`, and
+`SearchSpace.shifts`, the optimizer's own evaluation short of pricing
+energy, give the chunk's billed kW, feasibility and shifts as columns, and
 the feasible mask is applied with numpy.  Only the candidates within
 TIE_TOL of the running optimum at their turn can change it.  One matrix
 product prices every feasible row approximately, within a margin proven
 to cover its distance from the exact total (see `_ULP_SLACK`), and only
 rows whose approximate total comes within TIE_TOL plus that margin of the
-running optimum are priced exactly, by the optimizer's one `ddot` per row
-(`SearchSpace._exact_energy`), at most once per chunk across prices.  Each
+running optimum are priced exactly, by the objective's one `ddot` per row
+(`costing.energy_cost`), at most once per chunk across prices.  Each
 such row is decided by its exact total, with the same IEEE operations, in
 the same order, as pricing one candidate at a time; just those that pass
 have their slot rows packed into the optimizer's genotype bytes and offered
 to it, so the optimum, its ties and their order are exactly those of
-offering every feasible candidate in turn.
+offering every feasible candidate in turn.  The total reported, that of
+`total_cost`, is the total the optimum was decided by.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .costing import CostBreakdown, ProblemContext, total_cost
-from .csa import _NO_INCUMBENT, TIE_TOL, Antibody, SearchSpace, _better_incumbent, _Loads
+from .costing import CostBreakdown, Loads, ProblemContext, assess, energy_cost, total_cost
+from .csa import _NO_INCUMBENT, TIE_TOL, Antibody, SearchSpace, _better_incumbent
 from .domain import Schedule
 from .errors import EnumerationGuardError
 
@@ -121,14 +123,15 @@ class _Enumeration:
             end -= table.shape[1]
         return rows
 
-    def chunks(self) -> Iterator[tuple[np.ndarray, _Loads]]:
-        """(slot matrix, loads) of each run of `_CHUNK` genotypes, in
-        order, from the optimizer's own `SearchSpace._loads`, so the oracle
-        checks a candidate, and bills its energy, exactly as the optimizer
-        does."""
+    def chunks(self) -> Iterator[tuple[np.ndarray, Loads, tuple[np.ndarray, np.ndarray]]]:
+        """(slot matrix, loads, shifts) of each run of `_CHUNK` genotypes,
+        in order, as the optimizer's `SearchSpace.evaluate_rows` reads
+        them, so the oracle checks a candidate, and bills its energy,
+        exactly as the optimizer does."""
+        space = self.space
         for start in range(0, self.count, _CHUNK):
             rows = self.slot_rows(start, min(start + _CHUNK, self.count))
-            yield rows, self.space._loads(rows)
+            yield rows, assess(space.context, space.gross_rows(rows)), space.shifts(rows)
 
 
 @dataclass
@@ -200,8 +203,8 @@ def _offer_chunk(
 
 
 # Every row of a chunk is priced with one matrix product, `billed @ price`,
-# which sums in another order than the row's own `ddot` (`SearchSpace.
-# _exact_energy`); only the `ddot` total may decide.  Let u = 2^-53, n the
+# which sums in another order than the row's own `ddot` (`costing.
+# energy_cost`); only the `ddot` total may decide.  Let u = 2^-53, n the
 # slot count and S = |billed| . |price| for the row.  Any order of summing
 # n products, with or without FMA, is within γ_n·S of the true dot product,
 # γ_n = n·u / (1 - n·u) (Higham, Accuracy and Stability of Numerical
@@ -251,18 +254,18 @@ def sweep_penalties(
     price = ctx.price_array()
     bests = {pi: _Best() for pi in penalties}
     count = 0
-    for rows, loads in enumeration.chunks():
+    for rows, loads, (shift, weighted) in enumeration.chunks():
         keep = np.flatnonzero(loads.feasible)
         count += len(keep)
-        # a copy: its rows are C-contiguous, as `_exact_energy` needs
+        # a copy: its rows are C-contiguous, as `energy_cost` needs
         billed = loads.billed[keep]
         energy, energy_margin = _approx_energy(billed, price, hours)
-        weighted, shift, rows = loads.weighted_shift[keep], loads.shift_slots[keep], rows[keep]
+        weighted, shift, rows = weighted[keep], shift[keep], rows[keep]
         priced: dict[int, np.float64] = {}
 
         def exact(j: int, penalty: np.ndarray) -> float:
             if j not in priced:
-                priced[j] = space._exact_energy(billed[j:j + 1])[0]
+                priced[j] = energy_cost(billed[j:j + 1], price, hours)[0]
             return (priced[j] + penalty[j]).item()
 
         for pi, best in bests.items():

@@ -1,6 +1,6 @@
 """Scalar genotype evaluation, the reference for the batched evaluator.
 
-One genotype at a time, slot by slot through `ProblemContext.slot_flows`
+One genotype at a time, slot by slot through `ProblemContext.slot_flow`
 up to the first failed flow, bus by bus through the voltage band: the
 per-genotype loop the optimizer used before it scored whole generations
 as arrays.  Row i of the batched evaluator's column record must reproduce
@@ -15,6 +15,7 @@ import numpy as np
 
 from dsmsched.constraints import KW_TOL
 from dsmsched.csa import FLOW_FAILURE_PENALTY, Antibody, Scores, SearchSpace
+from dsmsched.errors import PowerFlowError
 
 
 def gross(space: SearchSpace, antibody: Antibody) -> np.ndarray:
@@ -46,13 +47,19 @@ def evaluate(space: SearchSpace, antibody: Antibody, weight: float) -> dict:
     flow_failed = False
     loss = np.zeros(space.slot_count)
     vmin, vmax = ctx.voltage_min, ctx.voltage_max
-    billed, mags, errors = ctx.slot_flows(gross_kw)
+    if ctx.feeder is not None:
+        # the day's uncached (slot, W) keys in one sweep call, as the batched
+        # evaluator solves them; each `slot_flow` then reads the cache
+        count = space.slot_count
+        ctx._flows(np.unique(np.rint(gross_kw * 1000.0).astype(np.int64) * count
+                             + np.arange(count)))
     for idx in range(space.slot_count):
-        if idx in errors:
+        try:
+            loss[idx], mags = ctx.slot_flow(idx, gross_kw[idx])
+        except PowerFlowError:
             flow_failed = True
             break
-        loss[idx] = billed[idx]
-        for mag in mags[idx].tolist():
+        for mag in mags or ():
             if mag < vmin:
                 volt_violation += vmin - mag
             elif mag > vmax:

@@ -12,6 +12,7 @@ from dsmsched.constraints import (
     is_feasible,
 )
 from dsmsched.costing import ProblemContext
+from dsmsched.csa import SearchSpace
 from dsmsched.domain import (
     Appliance,
     ApplianceClass,
@@ -81,6 +82,18 @@ class TestMaxDemand:
     def test_tolerance_absorbs_float_dust(self):
         assert max_demand(4.0 - KW_TOL / 2) == []
         assert max_demand(4.0 - 1e-6) == [(3, 4.0)]
+        # gross = fl(md_kw + KW_TOL) is over the cap, as gross - md_kw
+        # rounds above KW_TOL: is_feasible and the search's evaluate agree
+        for md_kw in (3.3, 4.0, 10.0, 12.4):
+            rated = md_kw + KW_TOL
+            ctx = ProblemContext(
+                grid=GRID8, price=PriceSeries(values=(0.1,) * 8), md_kw=md_kw,
+                appliances=(app(1, ApplianceClass.UNINTERRUPTIBLE, (1, 8), 1, rated, (3,)),),
+            )
+            assert is_feasible(ctx.original_schedule(), ctx).max_demand == [(3, rated)]
+            space = SearchSpace(ctx)
+            scores = space.evaluate([space.original_antibody()], 1.0)
+            assert scores.md_excess[0] > 0 and not scores.feasible[0]
 
     def test_gross_power_ignores_pv(self):
         # the cap protects the connection: PV does not offset it

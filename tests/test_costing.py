@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from eval_reference import bits, flow_entries
 
 from dsmsched import costing
+from dsmsched.constraints import is_feasible
 from dsmsched.costing import CostBreakdown, ProblemContext, shift_distance, total_cost
 from dsmsched.csa import SearchSpace
 from dsmsched.domain import Appliance, ApplianceClass, TimeGrid, schedule_from_on_slots
@@ -99,8 +100,9 @@ class TestElectricityCost:
     def test_length_check(self):
         ctx, _ = per_slot_day([1.0] * 4, (0.1,) * 4)
         short = schedule_from_on_slots([(1,), (2,), (3,), ()], slot_count=3)
-        with pytest.raises(ValueError, match="schedule has 3 slots, grid expects 4"):
-            total_cost(short, ctx)
+        for check in (total_cost, is_feasible):
+            with pytest.raises(ValueError, match="schedule has 3 slots, grid expects 4"):
+                check(short, ctx)
 
 
 class TestShiftDistance:

@@ -8,11 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 import oracle_reference
 from dsmsched import oracle
 from dsmsched.constraints import is_feasible
-from dsmsched.costing import ProblemContext, total_cost
+from dsmsched.costing import ProblemContext, energy_cost, total_cost
 from dsmsched.csa import TIE_TOL, SearchSpace
 from dsmsched.errors import EnumerationGuardError
 from dsmsched.oracle import SmallInstance, exhaustive_optimize, sweep_penalties
-from dsmsched.domain import Appliance, ApplianceClass, TimeGrid, schedule_from_on_slots
+from dsmsched.domain import TimeGrid, schedule_from_on_slots
 from dsmsched.profiles import PriceSeries
 from small_instances import (
     FLAT,
@@ -128,7 +128,7 @@ def test_enumeration_is_exactly_the_feasible_set():
     feasible = [s for s, r in zip(candidates, reports) if r.feasible]
     enumeration = oracle._Enumeration(inst.space)
     scored = []
-    for rows, loads in enumeration.chunks():
+    for rows, loads, _ in enumeration.chunks():
         # the chunk's rows re-scored as the optimizer scores them
         scores = inst.space.evaluate_rows(rows, 0.0)
         assert np.array_equal(scores.feasible, loads.feasible)
@@ -256,34 +256,31 @@ def test_sweep_matches_the_sequential_reference(name, ctx):
         assert got.feasible_count == want.feasible_count, pi
 
 
+@pytest.mark.parametrize("name, ctx", build_suite(), ids=[n for n, _ in build_suite()])
+def test_reported_total_is_the_total_decided_by(name, ctx):
+    # the optimum's reported total, from `total_cost`, is the search's own
+    # score of its genotype, bit for bit
+    inst = SmallInstance(context=ctx)
+    result = exhaustive_optimize(inst)
+    space = inst.space
+    optimum = space.key(result.schedule.on_slots(f.row) for f in space.flex)
+    assert result.total_usd == space.evaluate([optimum], 1.0).total_usd[0]
+
+
 @pytest.mark.parametrize("name", ["md_pi5", "pv_pi5", "mixed_pi5"])
 def test_exact_energy_is_priced_for_few_candidates(monkeypatch, name):
     # a single optimum, no ties: only candidates that come within TIE_TOL
     # of the running optimum, plus margin, are priced with a `ddot` each
     priced = []
-    exact_energy = SearchSpace._exact_energy
 
-    def counted(space, billed):
+    def counted(billed, price, hours):
         priced.append(len(billed))
-        return exact_energy(space, billed)
+        return energy_cost(billed, price, hours)
 
-    monkeypatch.setattr(SearchSpace, "_exact_energy", counted)
+    monkeypatch.setattr(oracle, "energy_cost", counted)
     result = exhaustive_optimize(SmallInstance(context=dict(build_suite())[name]))
     assert len(result.ties) == 1
     assert 0 < sum(priced) < 0.05 * result.feasible_count
-
-
-def _space_pricing(price, hours):
-    """The search space of one baseline appliance on a grid of len(price)
-    slots of `hours` each, at tariff `price`."""
-    n = len(price)
-    return SearchSpace(ProblemContext(
-        grid=TimeGrid(slot_count=n, slot_hours=hours),
-        appliances=(Appliance(id=1, appliance_class=ApplianceClass.BASELINE,
-                              window_start=1, window_end=n, duration=n, rated_kw=1.0,
-                              original_on_slots=tuple(range(1, n + 1))),),
-        price=PriceSeries(values=tuple(price)),
-    ))
 
 
 @st.composite
@@ -305,7 +302,7 @@ def _billed_rows(draw):
 @example(case=(np.array([[2.4, 0.8], [3.67, 0.57]]), [0.16, 0.21], 0.5))
 def test_matrix_priced_energy_is_within_the_margin(case):
     billed, price, hours = case
-    exact = _space_pricing(price, hours)._exact_energy(billed)
+    exact = energy_cost(billed, np.array(price), hours)
     approx, margin = oracle._approx_energy(billed, np.array(price), hours)
     assert np.all(np.abs(exact - approx) <= margin)
 
@@ -317,7 +314,7 @@ def test_margin_holds_where_the_matrix_product_differs():
     price = rng.uniform(0.01, 0.4, 48)
     billed = rng.uniform(0.0, 12.0, (20_000, 48))
     hours = 0.5
-    exact = _space_pricing(price.tolist(), hours)._exact_energy(billed)
+    exact = energy_cost(billed, price, hours)
     differ = 0
     for start in range(0, len(billed), oracle._CHUNK):
         chunk = slice(start, start + oracle._CHUNK)
