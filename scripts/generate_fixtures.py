@@ -1,23 +1,25 @@
 #!/usr/bin/env python3
 """Regenerate the canonical fixture files under fixtures/.
 
-The appliance table is authored here; the series and feeder files come from
-the package's canonical builders, so tests can check the files stay in sync.
+Every fixture is authored here: the appliance table, the tariff, PV and
+neighbor-load series, and the feeder.  The package only reads these
+files.  Tests import this module (pytest's `pythonpath` puts scripts/ on
+the path) to check the files against their builders and to write inputs
+of their own.
+
+Usage: python scripts/generate_fixtures.py
 """
 
 from __future__ import annotations
 
+import json
+import math
 from pathlib import Path
+from typing import Iterable, Sequence
 
-from dsmsched.domain import write_csv
-from dsmsched.feeder import canonical_feeder, write_feeder_json
-from dsmsched.profiles import (
-    canonical_neighbor_loads,
-    canonical_price_profile,
-    canonical_pv_profile,
-    write_neighbor_loads,
-    write_series,
-)
+from dsmsched.domain import TimeGrid, write_csv
+from dsmsched.feeder import FeederLine, FeederModel
+from dsmsched.profiles import NeighborLoads, PriceSeries, PvSeries
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -67,6 +69,142 @@ def write_appliances(path: Path) -> None:
         ([aid, cls, lo, hi, dur, f"{kw:.2f}", ";".join(map(str, slots))]
          for aid, cls, lo, hi, dur, kw, slots in APPLIANCES),
     )
+
+
+# series ----------------------------------------------------------------------
+
+
+def write_series(path: str | Path, values: Iterable[float]) -> None:
+    write_csv(path, ["slot", "value"],
+              ([slot, f"{v:.6f}"] for slot, v in enumerate(values, start=1)))
+
+
+def write_neighbor_loads(path: str | Path, loads: NeighborLoads) -> None:
+    write_csv(path, ["slot", *(f"h{i}" for i in range(1, loads.house_count + 1))], (
+        [slot, *(f"{v:.6f}" for v in kw)]
+        for slot, kw in enumerate(zip(*loads.per_house), start=1)
+    ))
+
+
+def synth_pv_profile(
+    capacity_kw: float,
+    sunrise_slot: int,
+    sunset_slot: int,
+    cloud_dips: Sequence[tuple[int, float]] = (),
+    grid: TimeGrid = TimeGrid(),
+) -> PvSeries:
+    """Half-sine daylight bell, zero outside [sunrise_slot, sunset_slot).
+
+    The bell is normalized so its sampled maximum equals `capacity_kw`.
+    `cloud_dips` scales individual slots by a fraction in [0, 1].
+    """
+    if capacity_kw <= 0:
+        raise ValueError(f"capacity_kw must be positive, got {capacity_kw}")
+    if not 1 <= sunrise_slot < sunset_slot <= grid.slot_count + 1:
+        raise ValueError(
+            f"need 1 <= sunrise < sunset <= {grid.slot_count + 1}, "
+            f"got {sunrise_slot}, {sunset_slot}"
+        )
+    for slot, frac in cloud_dips:
+        if not 1 <= slot <= grid.slot_count:
+            raise ValueError(f"cloud dip slot {slot} outside grid")
+        if not 0 <= frac <= 1:
+            raise ValueError(f"cloud dip fraction {frac} outside [0, 1]")
+
+    n = sunset_slot - sunrise_slot
+    raw = [math.sin(math.pi * (k + 0.5) / n) for k in range(n)]
+    scale = capacity_kw / max(raw)
+    values = [0.0] * grid.slot_count
+    for k in range(n):
+        values[sunrise_slot - 1 + k] = raw[k] * scale
+    for slot, frac in cloud_dips:
+        values[slot - 1] *= frac
+    return PvSeries(values=tuple(values), capacity_kw=capacity_kw)
+
+
+def canonical_price_profile() -> PriceSeries:
+    """Three-tier day-ahead tariff: cheap night, mid day, evening peak.
+
+    Night (00:00-06:00 and 22:00-24:00) 4 c/kWh, day 8 c/kWh, and a
+    13 c/kWh peak over 17:00-20:00.
+    """
+    values = [0.0] * 48
+    for t in range(1, 49):
+        if t <= 12 or t >= 45:
+            values[t - 1] = 0.04
+        elif 35 <= t <= 40:
+            values[t - 1] = 0.13
+        else:
+            values[t - 1] = 0.08
+    return PriceSeries(values=tuple(values))
+
+
+def canonical_pv_profile() -> PvSeries:
+    """6 kW rooftop array, daylight 06:00-18:00, brief midday cloud dip."""
+    return synth_pv_profile(
+        capacity_kw=6.0,
+        sunrise_slot=13,
+        sunset_slot=37,
+        cloud_dips=((27, 0.5), (28, 0.5)),
+    )
+
+
+def canonical_neighbor_loads(house_count: int = 12) -> NeighborLoads:
+    """Smooth double-hump residential profile for the non-optimized houses.
+
+    Each house idles near 0.6 kW with a small morning bump and a ~5.6 kW
+    evening peak around 18:00, so twelve houses peak near 67 kW together.
+    """
+    grid = TimeGrid()
+    house: list[float] = []
+    for t in grid.slots():
+        hour = (t - 0.5) * grid.slot_hours
+        kw = (
+            0.6
+            + 2.6 * math.exp(-(((hour - 7.75) / 1.3) ** 2))
+            + 5.0 * math.exp(-(((hour - 18.0) / 1.8) ** 2))
+        )
+        house.append(kw)
+    per_house = tuple(tuple(house) for _ in range(house_count))
+    return NeighborLoads(per_house=per_house)
+
+
+# feeder ----------------------------------------------------------------------
+
+
+def canonical_feeder() -> FeederModel:
+    """Single 13-house lateral: slack, 12 neighbors, smart home at the end.
+
+    Uniform short segments whose impedance keeps the feeder inside the
+    0.95 pu limit at the coincident evening peak of roughly 80 kW.
+    """
+    lines = tuple(
+        FeederLine(from_bus=b, to_bus=b + 1, r_pu=0.006, x_pu=0.00375)
+        for b in range(13)
+    )
+    return FeederModel(
+        base_kva=100.0,
+        base_kv=12.47,
+        slack_voltage_pu=1.0,
+        lines=lines,
+        smart_home_bus=13,
+    )
+
+
+def write_feeder_json(path: str | Path, feeder: FeederModel) -> None:
+    data = {
+        "base_kva": feeder.base_kva,
+        "base_kv": feeder.base_kv,
+        "slack_voltage_pu": feeder.slack_voltage_pu,
+        "smart_home_bus": feeder.smart_home_bus,
+        "lines": [
+            {"from": ln.from_bus, "to": ln.to_bus, "r_pu": ln.r_pu, "x_pu": ln.x_pu}
+            for ln in feeder.lines
+        ],
+    }
+    with Path(path).open("w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def main() -> None:

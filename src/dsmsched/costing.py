@@ -4,11 +4,11 @@
 gives each row's billed kW (the net draw after PV plus billed feeder
 loss), demand-cap excess, voltage-band violation and flow failure, and the
 per-cell cap and band facts the feasibility report lists; `energy_cost`
-prices billed kW, one `ddot` per row.  The search scores every genotype
-through them, and `total_cost`, which prices every reported schedule, and
-`constraints.is_feasible` run each schedule through them too, so the
-search, the oracle and the reports agree bit for bit.  `total_cost` adds
-the inconvenience charge on rating-weighted slot shifts (`shift_distance`).
+prices billed kW, one `ddot` per row; `charge` adds the shift penalty.
+The search scores every genotype through them, and `total_cost`, which
+prices every reported schedule, and `constraints.is_feasible` run each
+schedule through them too, so the search, the oracle and the reports
+agree bit for bit.
 
 `ProblemContext` bundles everything a cost or feasibility computation
 needs (grid, appliances, tariff, PV, neighbors, feeder, limits) and owns a
@@ -25,7 +25,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,8 @@ from .errors import PowerFlowError
 from .feeder import FeederModel, solve_power_flow_batch
 from .profiles import NeighborLoads, PriceSeries, PvSeries
 
-__all__ = ["KW_TOL", "CostBreakdown", "Loads", "ProblemContext", "assess", "energy_cost",
-           "shift_distance", "total_cost"]
+__all__ = ["KW_TOL", "CostBreakdown", "Loads", "ProblemContext", "assess", "charge",
+           "energy_cost", "total_cost"]
 
 # absolute slack on kW comparisons (sums of two-decimal ratings)
 KW_TOL = 1e-9
@@ -161,6 +161,10 @@ class ProblemContext:
     def __post_init__(self) -> None:
         if not self.appliances:
             raise ValueError("context needs at least one appliance")
+        ids = [a.id for a in self.appliances]
+        if len(set(ids)) != len(ids):
+            dup = next(aid for n, aid in enumerate(ids) if aid in ids[:n])
+            raise ValueError(f"appliance id {dup} appears more than once")
         if len(self.price.values) != self.grid.slot_count:
             raise ValueError("price series length does not match grid")
         if self.pv is not None and len(self.pv.values) != self.grid.slot_count:
@@ -407,21 +411,30 @@ def energy_cost(billed: np.ndarray, price: np.ndarray, hours: float) -> np.ndarr
     return np.fromiter(map(price.dot, billed), float, len(billed)) * hours
 
 
-def shift_distance(appliance: Appliance, new_on_slots: Sequence[int]) -> int:
-    """Slots of displacement between the original and new plan.
+def charge(
+    slots: np.ndarray, original: np.ndarray, owner: np.ndarray, ratings: np.ndarray,
+    energy: np.ndarray, hours: float, penalty_price: float | np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """The shift kernel, the objective's one inconvenience charge, over a
+    (rows x cells) slot matrix of energy cost `energy`: the slots each
+    appliance moved (rows x appliances, as floats), and per row the shift
+    slots, the rating-weighted shift, the penalty and the total cost.
 
-    Both on-slot vectors are taken in ascending order and matched
-    elementwise; the distance is the sum of absolute slot differences, so
-    every moved operation slot counts.
-    """
-    old = appliance.original_on_slots
-    if len(new_on_slots) != len(old):
-        raise ValueError(
-            f"appliance {appliance.id}: plan has {len(new_on_slots)} slots, "
-            f"expected {len(old)}"
-        )
-    new = sorted(int(s) for s in new_on_slots)
-    return int(sum(abs(n - o) for n, o in zip(new, sorted(old))))
+    Cell j of a row is an on-slot of appliance `owner[j]`, ascending per
+    appliance as in `original`, so it counts its distance from the
+    original slot of the same rank; an appliance without cells shifts 0.
+    The weighted shift adds shift x rating left to right over `ratings`
+    (one per appliance, at least one), as a per-appliance loop would.  A
+    column of penalty prices gives one row of penalties and totals per
+    price."""
+    rows, count = len(slots), len(ratings)
+    moved = np.abs(slots - original)
+    cells = owner + (np.arange(rows) * count)[:, None]
+    shifts = np.bincount(cells.ravel(), weights=moved.ravel(),
+                         minlength=rows * count).reshape(rows, count)
+    weighted = np.cumsum(shifts * ratings, axis=1)[:, -1]
+    penalty = hours * penalty_price * weighted
+    return shifts, moved.sum(axis=1), weighted, penalty, energy + penalty
 
 
 def total_cost(schedule: Schedule, context: ProblemContext) -> CostBreakdown:
@@ -429,7 +442,7 @@ def total_cost(schedule: Schedule, context: ProblemContext) -> CostBreakdown:
 
     Energy is sum((net + billed loss) x price) x slot width, where
     net = max(gross - pv, 0): PV surplus is exported without compensation.
-    The penalty is slot width x penalty price x rating-weighted shifts.  PV
+    The penalty is `charge`'s, over every appliance's on-slots.  PV
     utilization is the fraction of the day's PV energy coincident with
     gross demand; None without PV energy.
 
@@ -441,18 +454,18 @@ def total_cost(schedule: Schedule, context: ProblemContext) -> CostBreakdown:
     gross = aggregate_power(schedule, appliances)
     loads = assess(context, gross[None])
     loads.raise_failure(0)
-    energy = energy_cost(loads.billed, context.price_array(), grid.slot_hours).item()
+    energy = energy_cost(loads.billed, context.price_array(), grid.slot_hours)
 
-    shifts = {
-        a.id: shift_distance(a, schedule.on_slots(row))
-        for row, a in enumerate(appliances)
-    }
-    # left to right, in appliance order, as `SearchSpace.evaluate` adds it:
-    # the builtin `sum` of floats is compensated from Python 3.12 on
-    weighted = 0.0
-    for a in appliances:
-        weighted += shifts[a.id] * a.rated_kw
-    penalty = grid.slot_hours * context.penalty_price * weighted
+    # every appliance's on-slots, row by row, ascending
+    owner, slots = np.nonzero(schedule.matrix)
+    for a, count in zip(appliances, np.bincount(owner, minlength=len(appliances)).tolist()):
+        if count != len(a.original_on_slots):
+            raise ValueError(f"appliance {a.id}: plan has {count} slots, "
+                             f"expected {len(a.original_on_slots)}")
+    original = np.array([s for a in appliances for s in sorted(a.original_on_slots)], np.intp)
+    shifts, _, weighted, penalty, total = charge(
+        (slots + 1)[None], original, owner, np.array([a.rated_kw for a in appliances]),
+        energy, grid.slot_hours, context.penalty_price)
 
     util = None
     pv = context.pv_array()
@@ -461,11 +474,11 @@ def total_cost(schedule: Schedule, context: ProblemContext) -> CostBreakdown:
         util = float(np.minimum(gross, pv).sum() * grid.slot_hours / pv_kwh)
 
     return CostBreakdown(
-        energy_usd=energy,
-        penalty_usd=penalty,
-        total_usd=energy + penalty,
-        shifts=shifts,
-        weighted_shift=float(weighted),
+        energy_usd=energy.item(),
+        penalty_usd=penalty.item(),
+        total_usd=total.item(),
+        shifts=dict(zip((a.id for a in appliances), shifts[0].astype(int).tolist())),
+        weighted_shift=weighted.item(),
         pv_utilization=util,
         net_load_kw=tuple(loads.net[0].tolist()),
         billed_loss_kw=tuple(loads.loss[0].tolist()),

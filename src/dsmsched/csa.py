@@ -23,7 +23,7 @@ immigrants drawn right after them, are scored in one `SearchSpace.evaluate`
 call, so a run of G generations makes G + 1 calls.  A batch is scored as
 arrays: one `np.frombuffer` reads the batch's slot matrix, `gross_rows`
 sums its gross load in `aggregate_power`'s order, and the costing kernel
-(`costing.assess`, `costing.energy_cost`) bills, checks and prices it as
+(`assess`, `energy_cost`, `charge`) bills, checks and prices it as
 `total_cost` and `is_feasible` do one schedule, so a genotype's score and
 its reported total agree bit for bit.  `SearchSpace.evaluate` returns the
 scores as columns (`Scores`), one row per genotype.  Per-slot power flows
@@ -63,7 +63,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .constraints import FeasibilityReport, is_feasible
-from .costing import CostBreakdown, ProblemContext, assess, energy_cost, total_cost
+from .costing import CostBreakdown, ProblemContext, assess, charge, energy_cost, total_cost
 from .domain import Appliance, ApplianceClass, Schedule, effective_window, schedule_from_on_slots
 from .errors import PowerFlowError
 
@@ -290,15 +290,14 @@ class SearchSpace:
             self.pack = lambda slots: layout.pack(*slots)
             self.unpack = lambda antibody: list(layout.unpack(antibody))
         self.baseline_gross = np.full(self.slot_count, baseline_kw)
-        ratings = [f.rated_kw for f in self.flex]
         durations = [f.duration for f in self.flex]
-        # rating repeated once per required on-slot, aligned with the
-        # chained genes of a genotype
-        self.rate_weights = np.repeat(ratings, durations)
-        self._ratings = np.array(ratings)
-        # the original genotype's slot row, and where each gene starts
+        # what `charge` reads: the original genotype's slot row, each
+        # slot's appliance row in the context, and every appliance's rating
         self._original = self.slot_matrix([self.original_antibody()])[0].astype(np.intp)
-        self._gene_starts = np.array([f.offset for f in self.flex], dtype=np.intp)
+        self._owner = np.repeat(np.array([f.row for f in self.flex], np.intp), durations)
+        self._ratings = np.array([a.rated_kw for a in context.appliances])
+        # each slot's rating, aligned with the chained genes of a genotype
+        self.rate_weights = self._ratings[self._owner]
         # what breeding reads of the gene that starts at each offset of the
         # slot row, one row per field _RUN.._WINDOW: a moved gene starts at
         # parent start * _RUN + _SHIFT + the value drawn, clipped to
@@ -418,10 +417,8 @@ class SearchSpace:
         """`evaluate` for the genotypes of a `slot_matrix`."""
         ctx = self.context
         loads = assess(ctx, self.gross_rows(slots))
-        shift_slots, weighted = self.shifts(slots)
         energy = energy_cost(loads.billed, self._price, ctx.grid.slot_hours)
-        penalty = ctx.grid.slot_hours * ctx.penalty_price * weighted
-        total = energy + penalty
+        _, shift_slots, weighted, penalty, total = self.charge(slots, energy, ctx.penalty_price)
 
         score = -total - weight * (loads.md_excess + loads.voltage_violation)
         score = np.where(loads.flow_failed, score - FLOW_FAILURE_PENALTY, score)
@@ -439,16 +436,11 @@ class SearchSpace:
             feasible=loads.feasible,
         )
 
-    def shifts(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Shift slots and rating-weighted shift of each row of a
-        `slot_matrix`."""
-        moved = np.abs(slots - self._original)
-        if not self.flex:  # reduceat takes no empty index
-            return moved.sum(axis=1), np.zeros(len(slots))
-        # per-gene displacement times rating; cumsum adds them left to
-        # right, in appliance order, as a per-appliance loop would
-        delta = np.add.reduceat(moved, self._gene_starts, axis=1)
-        return moved.sum(axis=1), np.cumsum(delta * self._ratings, axis=1)[:, -1]
+    def charge(self, slots: np.ndarray, energy: np.ndarray,
+               penalty_price: float | np.ndarray) -> tuple[np.ndarray, ...]:
+        """`costing.charge` of a `slot_matrix` whose rows cost `energy`."""
+        return charge(slots, self._original, self._owner, self._ratings, energy,
+                      self.context.grid.slot_hours, penalty_price)
 
 
 @dataclass

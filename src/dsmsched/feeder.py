@@ -8,7 +8,8 @@ in kW / kvar / per-unit voltage.
 There is one sweep, `solve_power_flow_batch`, vectorized over load cases;
 `solve_power_flow` is its one-case call.  It matches a per-case sweep over
 Python complex numbers bit for bit; that reference lives with the tests
-(`tests/pf_reference.py`).
+(`tests/pf_reference.py`).  The canonical feeder and the feeder writer
+live with the fixture generator, `scripts/generate_fixtures.py`.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ __all__ = [
     "solve_power_flow",
     "SweepBatch",
     "solve_power_flow_batch",
-    "canonical_feeder",
     "load_feeder_json",
-    "write_feeder_json",
 ]
 
 
@@ -390,25 +389,6 @@ def solve_power_flow_batch(
     )
 
 
-def canonical_feeder() -> FeederModel:
-    """Single 13-house lateral: slack, 12 neighbors, smart home at the end.
-
-    Uniform short segments whose impedance keeps the feeder inside the
-    0.95 pu limit at the coincident evening peak of roughly 80 kW.
-    """
-    lines = tuple(
-        FeederLine(from_bus=b, to_bus=b + 1, r_pu=0.006, x_pu=0.00375)
-        for b in range(13)
-    )
-    return FeederModel(
-        base_kva=100.0,
-        base_kv=12.47,
-        slack_voltage_pu=1.0,
-        lines=lines,
-        smart_home_bus=13,
-    )
-
-
 # the keys of a feeder file, and of each of its lines; any other is an error
 _FEEDER_KEYS = frozenset({"base_kva", "base_kv", "slack_voltage_pu", "smart_home_bus", "lines"})
 _LINE_KEYS = frozenset({"from", "to", "r_pu", "x_pu"})
@@ -449,19 +429,3 @@ def load_feeder_json(path: str | Path) -> FeederModel:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: bad feeder description: {exc}") from None
-
-
-def write_feeder_json(path: str | Path, feeder: FeederModel) -> None:
-    data = {
-        "base_kva": feeder.base_kva,
-        "base_kv": feeder.base_kv,
-        "slack_voltage_pu": feeder.slack_voltage_pu,
-        "smart_home_bus": feeder.smart_home_bus,
-        "lines": [
-            {"from": ln.from_bus, "to": ln.to_bus, "r_pu": ln.r_pu, "x_pu": ln.x_pu}
-            for ln in feeder.lines
-        ],
-    }
-    with Path(path).open("w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")

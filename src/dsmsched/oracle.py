@@ -13,10 +13,10 @@ Candidates are enumerated by index k, the k-th genotype of
 varies fastest).  A chunk's slot matrix is gathered from one
 (genes x duration) slot table per appliance by the mixed-radix digits of
 its indices, so no Python object is built per candidate.
-The costing kernel, `costing.assess`, over `SearchSpace.gross_rows`, and
-`SearchSpace.shifts`, the optimizer's own evaluation short of pricing
-energy, give the chunk's billed kW, feasibility and shifts as columns, and
-the feasible mask is applied with numpy.  Only the candidates within
+The costing kernels, `costing.assess` over `SearchSpace.gross_rows` and
+`SearchSpace.charge` over the feasible rows (every penalty price at once),
+give the chunk's feasibility, billed kW, shifts and penalties as columns,
+as the optimizer's own evaluation does.  Only the candidates within
 TIE_TOL of the running optimum at their turn can change it.  One matrix
 product prices every feasible row approximately, within a margin proven
 to cover its distance from the exact total (see `_ULP_SLACK`), and only
@@ -123,15 +123,15 @@ class _Enumeration:
             end -= table.shape[1]
         return rows
 
-    def chunks(self) -> Iterator[tuple[np.ndarray, Loads, tuple[np.ndarray, np.ndarray]]]:
-        """(slot matrix, loads, shifts) of each run of `_CHUNK` genotypes,
-        in order, as the optimizer's `SearchSpace.evaluate_rows` reads
-        them, so the oracle checks a candidate, and bills its energy,
-        exactly as the optimizer does."""
+    def chunks(self) -> Iterator[tuple[np.ndarray, Loads]]:
+        """(slot matrix, loads) of each run of `_CHUNK` genotypes, in
+        order, as the optimizer's `SearchSpace.evaluate_rows` reads them,
+        so the oracle checks a candidate, and bills its energy, exactly as
+        the optimizer does."""
         space = self.space
         for start in range(0, self.count, _CHUNK):
             rows = self.slot_rows(start, min(start + _CHUNK, self.count))
-            yield rows, assess(space.context, space.gross_rows(rows)), space.shifts(rows)
+            yield rows, assess(space.context, space.gross_rows(rows))
 
 
 @dataclass
@@ -253,14 +253,17 @@ def sweep_penalties(
     hours = ctx.grid.slot_hours
     price = ctx.price_array()
     bests = {pi: _Best() for pi in penalties}
+    # one row of penalties and approximate totals per price
+    prices = np.array(list(bests), dtype=float)[:, None]
     count = 0
-    for rows, loads, (shift, weighted) in enumeration.chunks():
+    for rows, loads in enumeration.chunks():
         keep = np.flatnonzero(loads.feasible)
         count += len(keep)
         # a copy: its rows are C-contiguous, as `energy_cost` needs
         billed = loads.billed[keep]
         energy, energy_margin = _approx_energy(billed, price, hours)
-        weighted, shift, rows = weighted[keep], shift[keep], rows[keep]
+        rows = rows[keep]
+        _, shift, _, penalty_rows, approx_rows = space.charge(rows, energy, prices)
         priced: dict[int, np.float64] = {}
 
         def exact(j: int, penalty: np.ndarray) -> float:
@@ -268,9 +271,7 @@ def sweep_penalties(
                 priced[j] = energy_cost(billed[j:j + 1], price, hours)[0]
             return (priced[j] + penalty[j]).item()
 
-        for pi, best in bests.items():
-            penalty = hours * pi * weighted
-            approx = energy + penalty
+        for best, penalty, approx in zip(bests.values(), penalty_rows, approx_rows):
             margin = energy_margin + _ULP_SLACK * (np.abs(approx) + TIE_TOL)
             _offer_chunk(best, approx, margin, partial(exact, penalty=penalty),
                          shift, rows, space.pack)

@@ -16,9 +16,8 @@ from dsmsched.cli import (
 )
 from dsmsched.domain import TimeGrid, load_schedule_csv
 from dsmsched.errors import InputError
-from dsmsched.feeder import write_feeder_json
 from dsmsched.oracle import SmallInstance, sweep_penalties
-from dsmsched.profiles import write_neighbor_loads
+from generate_fixtures import write_feeder_json, write_neighbor_loads
 from small_instances import build_suite
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"

@@ -8,9 +8,10 @@ from eval_reference import bits, flow_entries
 
 from dsmsched import costing
 from dsmsched.constraints import is_feasible
-from dsmsched.costing import CostBreakdown, ProblemContext, shift_distance, total_cost
+from dsmsched.costing import CostBreakdown, ProblemContext, total_cost
 from dsmsched.csa import SearchSpace
 from dsmsched.domain import Appliance, ApplianceClass, TimeGrid, schedule_from_on_slots
+from dsmsched.errors import PowerFlowError
 from dsmsched.feeder import FeederLine, FeederModel
 from dsmsched.profiles import NeighborLoads, PriceSeries, PvSeries
 
@@ -105,6 +106,18 @@ class TestElectricityCost:
                 check(short, ctx)
 
 
+def alone(appliance, plan, penalty_price=0.0):
+    """total_cost of `appliance` running alone on `plan`, a 48-slot day."""
+    ctx = ProblemContext(grid=GRID48, appliances=(appliance,),
+                         price=PriceSeries(values=(0.08,) * 48), penalty_price=penalty_price)
+    return total_cost(schedule_from_on_slots([plan], slot_count=48), ctx)
+
+
+def shift_distance(appliance, plan):
+    """total_cost's shift slots for `appliance` alone on `plan`."""
+    return alone(appliance, plan).shifts[appliance.id]
+
+
 class TestShiftDistance:
     def test_uniform_block_shift(self):
         a = interruptible(rated=1.26, original=(5, 6, 7, 8), window=(1, 20))
@@ -124,8 +137,24 @@ class TestShiftDistance:
 
     def test_length_mismatch(self):
         a = interruptible(original=(3, 4))
-        with pytest.raises(ValueError, match="expected 2"):
+        with pytest.raises(ValueError, match="^appliance 1: plan has 3 slots, expected 2$"):
             shift_distance(a, (3, 4, 5))
+
+    def test_raise_order(self):
+        # a wrong slot count, then a failed flow, then a wrong plan length
+        ctx = make_context(feeder=tiny_feeder(), neighbors=NeighborLoads(per_house=((1.0,) * 4,)))
+        long_plan = [(1, 2, 3), (1, 2, 3)]
+        with pytest.raises(ValueError, match="schedule has 3 slots, grid expects 4"):
+            total_cost(schedule_from_on_slots(long_plan, slot_count=3), ctx)
+        long_plan[0] = (1, 2, 3, 4)
+        schedule = schedule_from_on_slots(long_plan, slot_count=4)
+        # a 1,000 kW baseline collapses the sweep in every slot
+        collapsed = dataclasses.replace(
+            ctx, appliances=(baseline4(rated=1000.0), ctx.appliances[1]))
+        with pytest.raises(PowerFlowError):
+            total_cost(schedule, collapsed)
+        with pytest.raises(ValueError, match="^appliance 1: plan has 3 slots, expected 2$"):
+            total_cost(schedule, ctx)
 
 
 ascending = st.lists(
@@ -159,9 +188,7 @@ def test_shift_distance_triangle(u, v, w):
 
 def penalty_of(appliance, plan, penalty_price):
     """total_cost's penalty for running `appliance` alone on `plan`."""
-    ctx = ProblemContext(grid=GRID48, appliances=(appliance,),
-                         price=PriceSeries(values=(0.08,) * 48), penalty_price=penalty_price)
-    return total_cost(schedule_from_on_slots([plan], slot_count=48), ctx).penalty_usd
+    return alone(appliance, plan, penalty_price).penalty_usd
 
 
 class TestPenaltyCost:
@@ -248,6 +275,12 @@ class TestProblemContext:
             make_context(power_factor=0.0)
         with pytest.raises(ValueError, match="at least one appliance"):
             make_context(appliances=())
+
+    def test_duplicate_appliance_ids_are_rejected(self):
+        # shifts are reported by id: a shared id would drop an appliance's
+        twins = (baseline4(aid=7), interruptible(aid=7, rated=2.0, original=(1, 2)))
+        with pytest.raises(ValueError, match="^appliance id 7 appears more than once$"):
+            make_context(appliances=twins)
 
     @pytest.mark.parametrize("band", [(1.05, 0.95), (1.0, 1.0)], ids=["inverted", "empty"])
     def test_voltage_band_must_have_its_low_end_below_its_high_end(self, band):

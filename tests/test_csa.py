@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from itertools import chain
 
 import numpy as np
@@ -113,9 +114,17 @@ GRID300 = TimeGrid(slot_count=300, slot_hours=0.08)
 def edge_context(name):
     """The edge spaces of the genotype encoding: no flexible appliance (the
     empty genotype), every gene fixed (each clone is an identical-clone
-    probe), and a grid of more than 255 slots (two bytes per slot)."""
+    probe), an empty gene between two others (a zero-duration slot set),
+    and a grid of more than 255 slots (two bytes per slot)."""
     if name == "no_flexible":
         return ProblemContext(grid=GRID12, appliances=(_baseline(),), price=STEEP)
+    if name == "empty_gene":
+        return ProblemContext(grid=GRID12, price=STEEP, penalty_price=0.05, appliances=(
+            _baseline(),
+            _uninterruptible(2, (1, 12), 3, 1.0, original_start=4),
+            _interruptible(3, (1, 12), 0, 2.5, original=()),
+            _interruptible(4, (1, 12), 2, 1.5, original=(7, 8)),
+        ))
     if name == "fixed_genes":
         return ProblemContext(grid=GRID12, price=STEEP, penalty_price=0.05, appliances=(
             _baseline(),
@@ -719,7 +728,8 @@ class TestGenesListTheReachableSpace:
                     (genotype,) = clone_and_hypermutate([genotype], draws, space)
 
     @settings(max_examples=150, deadline=None)
-    @given(appliances=st.lists(_flexible_on_16_slots(), min_size=1, max_size=4),
+    @given(appliances=st.lists(_flexible_on_16_slots(), min_size=1, max_size=4).map(
+               lambda apps: [replace(a, id=aid) for aid, a in enumerate(apps, start=1)]),
            seed=st.integers(0, 2**32 - 1))
     @example(appliances=[
         _uninterruptible(1, (5, 7), 3, 1.0, original_start=5),  # one start
@@ -1215,16 +1225,12 @@ class TestFlowCacheMemory:
 class TestScorersAgreeOnTheFullDay:
     """`SearchSpace.evaluate`, the objective the search minimises, against
     `total_cost` and `is_feasible`, which price and check every reported
-    schedule, on the configured 48-slot days."""
+    schedule, on the configured 48-slot days and on the edge spaces."""
 
-    # every (config, penalty price) pair `dsm-sched run` optimizes; c has
-    # the feeder, PV and the cap
-    @pytest.mark.parametrize("name, penalty", [
-        ("scenario_a", 0.0), *(("scenario_b", pi) for pi in (0.05, 0.10, 0.20)),
-        *(("scenario_c", pi) for pi in (0.0, 0.05, 0.10, 0.20)),
-    ])
-    def test_evaluate_matches_the_reference_scorer(self, name, penalty):
-        ctx = load_scenario_config(FIXTURES.parent / "configs" / f"{name}.json").context(penalty)
+    @staticmethod
+    def assert_scorers_agree(ctx):
+        """Check the scorers on the original plan, 99 random genotypes and
+        their offspring; return whether each of them is feasible."""
         space = SearchSpace(ctx)
         draws = Draws(7)
         drawn = [space.original_antibody()] + [space.random_antibody(draws) for _ in range(99)]
@@ -1239,7 +1245,23 @@ class TestScorersAgreeOnTheFullDay:
             assert (ev["energy_usd"], ev["total_usd"]) == (cost.energy_usd, cost.total_usd)
             assert ev["feasible"] == is_feasible(schedule, ctx).feasible
             feasible.append(ev["feasible"])
-        assert len(genotypes) == 270 and any(feasible) and not all(feasible)
+        return feasible
+
+    # every (config, penalty price) pair `dsm-sched run` optimizes; c has
+    # the feeder, PV and the cap
+    @pytest.mark.parametrize("name, penalty", [
+        ("scenario_a", 0.0), *(("scenario_b", pi) for pi in (0.05, 0.10, 0.20)),
+        *(("scenario_c", pi) for pi in (0.0, 0.05, 0.10, 0.20)),
+    ])
+    def test_evaluate_matches_the_reference_scorer(self, name, penalty):
+        ctx = load_scenario_config(FIXTURES.parent / "configs" / f"{name}.json").context(penalty)
+        feasible = self.assert_scorers_agree(ctx)
+        assert len(feasible) == 270 and any(feasible) and not all(feasible)
+
+    # an empty gene shifts nothing, whatever the gene after it does
+    @pytest.mark.parametrize("name", ["no_flexible", "fixed_genes", "empty_gene", "grid300"])
+    def test_evaluate_matches_the_reference_scorer_on_the_edge_spaces(self, name):
+        self.assert_scorers_agree(edge_context(name))
 
 
 class TestOptimize:

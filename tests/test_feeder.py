@@ -20,10 +20,9 @@ from dsmsched.feeder import (
     load_feeder_json,
     solve_power_flow,
     solve_power_flow_batch,
-    write_feeder_json,
 )
-from dsmsched.feeder import canonical_feeder as build_canonical_feeder
 from dsmsched.profiles import NeighborLoads, PriceSeries, PvSeries
+from generate_fixtures import canonical_feeder as build_canonical_feeder, write_feeder_json
 from pf_reference import nr_two_bus, scalar_sweep
 from test_cli import _JSON
 from test_csa import weak_feeder_context

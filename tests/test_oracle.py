@@ -128,7 +128,7 @@ def test_enumeration_is_exactly_the_feasible_set():
     feasible = [s for s, r in zip(candidates, reports) if r.feasible]
     enumeration = oracle._Enumeration(inst.space)
     scored = []
-    for rows, loads, _ in enumeration.chunks():
+    for rows, loads in enumeration.chunks():
         # the chunk's rows re-scored as the optimizer scores them
         scores = inst.space.evaluate_rows(rows, 0.0)
         assert np.array_equal(scores.feasible, loads.feasible)

@@ -10,11 +10,13 @@ from dsmsched.profiles import (
     NeighborLoads,
     PriceSeries,
     PvSeries,
+    load_neighbor_loads,
+    load_series,
+)
+from generate_fixtures import (
     canonical_neighbor_loads,
     canonical_price_profile,
     canonical_pv_profile,
-    load_neighbor_loads,
-    load_series,
     synth_pv_profile,
     write_neighbor_loads,
     write_series,
