@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -138,7 +139,9 @@ class ProblemContext:
 
     Every house on the feeder, the smart home included, draws reactive power
     at `power_factor`; sweeps run at `solve_power_flow_batch`'s own
-    tolerance and iteration limit.
+    tolerance and iteration limit.  Appliance ids are distinct and every
+    original plan is strictly ascending, as the search and `total_cost`
+    read it.
     """
 
     grid: TimeGrid
@@ -165,6 +168,11 @@ class ProblemContext:
         if len(set(ids)) != len(ids):
             dup = next(aid for n, aid in enumerate(ids) if aid in ids[:n])
             raise ValueError(f"appliance id {dup} appears more than once")
+        for a in self.appliances:
+            slots = a.original_on_slots
+            if not all(map(operator.lt, slots, slots[1:])):
+                raise ValueError(f"appliance {a.id}: original on-slots {slots} "
+                                 "are not strictly ascending")
         if len(self.price.values) != self.grid.slot_count:
             raise ValueError("price series length does not match grid")
         if self.pv is not None and len(self.pv.values) != self.grid.slot_count:
@@ -462,7 +470,8 @@ def total_cost(schedule: Schedule, context: ProblemContext) -> CostBreakdown:
         if count != len(a.original_on_slots):
             raise ValueError(f"appliance {a.id}: plan has {count} slots, "
                              f"expected {len(a.original_on_slots)}")
-    original = np.array([s for a in appliances for s in sorted(a.original_on_slots)], np.intp)
+    # the original plans, ascending, as the context requires
+    original = np.array([s for a in appliances for s in a.original_on_slots], np.intp)
     shifts, _, weighted, penalty, total = charge(
         (slots + 1)[None], original, owner, np.array([a.rated_kw for a in appliances]),
         energy, grid.slot_hours, context.penalty_price)

@@ -34,11 +34,15 @@ reached a key first.
 
 Every random draw comes from `Draws`, a Python replay of the stream of
 numpy's `Generator(PCG64(seed))`, without numpy's per-call overhead on
-every gene.  Its one draw call, `integers(bounds)`, returns what the
-`Generator`'s `integers(0, bounds)` does, for bounds below 2**32.  A
-random antibody is one such call over the bounds `SearchSpace` lists
-once: a run's start, and a slot set's Floyd picks and their dropped
-shuffle.  `clone_and_hypermutate` breeds a generation in two passes over
+every gene.  Its draw call, `integers(bounds)`, returns what the
+`Generator`'s `integers(0, bounds)` does, for bounds below 2**32;
+`integers_array` returns the same as an array, in one numpy pass over the
+32-bit halves those draws read, unless one of them is rejected.  A batch
+of random antibodies, the first population or a generation's immigrants,
+is one `integers_array` call over copies of the bounds `SearchSpace`
+lists once: a run's start, and a slot set's Floyd picks and their dropped
+shuffle; `random_antibodies` then builds every gene of the batch as
+arrays.  `clone_and_hypermutate` breeds a generation in two passes over
 the same stream: `_walk` reads `Draws`' block in local variables and makes
 the gene tests, probes and first draws of every mutation in stream order,
 stepping over each slot set's sample draws by counting them; `_breed`
@@ -119,7 +123,10 @@ class Draws:
     so a list of draws is one Python call; `clone_and_hypermutate` walks it
     the same way in its own loop, where a gene test reads a whole word as
     `Generator.random()` does, and reads the block's words as an array too
-    (`_raw`).
+    (`_raw`).  `integers_array` takes the halves a list of draws reads as
+    one array, prices them all at once, and tests them with `_rejected`;
+    when one is rejected it puts the stream back (`_mark`, `_rewind`) and
+    calls `integers`, so the rejection rule is written once.
     """
 
     def __init__(self, seed: int):
@@ -164,6 +171,55 @@ class Draws:
             values.append(m >> 32)
         self._pos, self._half = pos, half
         return values
+
+    def integers_array(self, bounds: np.ndarray) -> np.ndarray:
+        """`integers(bounds)` for a uint64 array of bounds, as an int64
+        array: one numpy pass over the halves the draws read, unless one of
+        them is rejected, when the stream is put back and `integers` draws
+        them one by one."""
+        drawing = bounds > 1
+        bounds = bounds[drawing]
+        saved = self._mark()
+        products = self._halves(len(bounds)) * bounds
+        values = np.zeros(len(drawing), np.int64)
+        if _rejected(products, bounds):
+            self._rewind(saved)
+            values[drawing] = self.integers(bounds.tolist())
+        else:
+            values[drawing] = products >> 32
+        return values
+
+    def _halves(self, count: int) -> np.ndarray:
+        """The next `count` 32-bit halves of the stream as uint64: the kept
+        half first, then each word's low half before its high one; a word
+        whose low half is the last one read keeps its high half."""
+        parts = []
+        if count and self._half >= 0:
+            parts.append(np.array([self._half], np.uint64))
+            self._half = -1
+            count -= 1
+        while count:
+            if self._pos == _BLOCK:
+                self._refill()
+                self._pos = 0
+            listed, raw = self._raw
+            if listed is not self._block:
+                raw = np.array(self._block, np.uint64)
+            words = raw[self._pos:self._pos + min(_BLOCK - self._pos, (count + 1) >> 1)]
+            halves = words.astype("<u8", copy=False).view("<u4")[:count]
+            if len(halves) < 2 * len(words):
+                self._half = int(words[-1]) >> 32
+            self._pos += len(words)
+            count -= len(halves)
+            parts.append(halves.astype(np.uint64))
+        return np.concatenate(parts) if parts else np.zeros(0, np.uint64)
+
+    def _mark(self) -> tuple:
+        """Where the stream stands, for `_rewind` to put it back."""
+        return self._bits.state, self._block, self._pos, self._half, self._raw
+
+    def _rewind(self, mark: tuple) -> None:
+        self._bits.state, self._block, self._pos, self._half, self._raw = mark
 
 
 @dataclass(frozen=True)
@@ -310,21 +366,51 @@ class SearchSpace:
                 else (0, f.lo, f.lo, f.hi, f.duration, len(f.window)))
         # 0 .. the longest gene's duration - 1
         self._columns = np.arange(max(durations, default=0))
-        # a random antibody's draw bounds, in stream order, and per gene
-        # (lo, duration, floyd): a run draws its start - lo below its count
-        # of starts (floyd -1); a slot set draws Floyd's picks j = floyd ..
-        # floyd + duration - 1 below j + 1, then their shuffle, dropped
-        self._draw_bounds: list[int] = []
-        self._draw_genes: list[tuple[int, int, int]] = []
+        # a random antibody's draw bounds, in stream order: a run draws its
+        # start - lo below its count of starts; a slot set of d slots in a
+        # window of n draws Floyd's picks j = n - d .. n - 1 below j + 1,
+        # then their shuffle, dropped
+        bounds: list[int] = []
+        # each run slot's index in the row, its run's draw, and its slot
+        # less that draw: lo + its index in the run
+        run_cells: list[int] = []
+        run_draws: list[int] = []
+        run_slots: list[int] = []
+        # each slot set's slots in the row and its lo, per slot; per set,
+        # its picks' draws and its first pick's j, n - d
+        set_cells: list[int] = []
+        set_lo: list[int] = []
+        pick_draws: list[range] = []
+        floyd: list[int] = []
         for f in self.flex:
+            cells = range(f.offset, f.offset + f.duration)
             if f.window is None:
-                floyd = -1
-                self._draw_bounds.append(f.count)
-            else:
-                floyd = len(f.window) - f.duration
-                self._draw_bounds += [*range(floyd + 1, floyd + f.duration + 1),
-                                      *range(f.duration, 1, -1)]
-            self._draw_genes.append((f.lo, f.duration, floyd))
+                run_cells += cells
+                run_draws += [len(bounds)] * f.duration
+                run_slots += range(f.lo, f.lo + f.duration)
+                bounds.append(f.count)
+                continue
+            n = len(f.window)
+            set_cells += cells
+            set_lo += [f.lo] * f.duration
+            pick_draws.append(range(len(bounds), len(bounds) + f.duration))
+            floyd.append(n - f.duration)
+            bounds += [*range(n - f.duration + 1, n + 1), *range(f.duration, 1, -1)]
+        self._draw_bounds = np.array(bounds, np.uint64)
+        self._run_cells = np.array(run_cells, np.intp)
+        self._run_draws = np.array(run_draws, np.intp)
+        self._run_slots = np.array(run_slots, np.int64)
+        self._set_cells = np.array(set_cells, np.intp)
+        self._set_lo = np.array(set_lo, np.int64)
+        # the sets' picks as a (set x pick) matrix, padded to the longest
+        # set; a padding cell in column c reads the row's first draw plus
+        # (c + 1) << 32
+        columns = np.arange(max(map(len, pick_draws), default=0))
+        self._pick_live = columns < np.array([len(r) for r in pick_draws], np.intp)[:, None]
+        self._pick_draws = np.zeros(self._pick_live.shape, np.intp)
+        self._pick_draws[self._pick_live] = [*chain.from_iterable(pick_draws)]
+        self._pick_pad = np.where(self._pick_live, 0, (columns + 1) << 32)
+        self._pick_floyd = np.array(floyd, np.int64)[:, None] + columns
         self._price = context.price_array()
 
     def key(self, genes: Iterable[Sequence[int]]) -> Antibody:
@@ -340,33 +426,40 @@ class SearchSpace:
         return self.key(f.original for f in self.flex)
 
     def random_antibody(self, draws: Draws) -> Antibody:
-        """A genotype drawn uniformly, gene by gene, in one `integers` call.
+        """One genotype drawn as `random_antibodies` draws it."""
+        return self.random_antibodies(draws, 1)[0]
 
-        A run's start is the `Generator`'s `integers(0, count)`; a slot
+    def random_antibodies(self, draws: Draws, count: int) -> list[Antibody]:
+        """`count` genotypes drawn uniformly, gene by gene, one after
+        another, in one `Draws.integers_array` call.
+
+        A run's start is the `Generator`'s `integers(0, starts)`; a slot
         set's slots are the set `choice(len(window), duration,
         replace=False)` returns, whose Floyd picks resolve here and whose
         shuffle is drawn and dropped.  That set is numpy's only when the
         window has at most 10,000 slots or duration <= len(window) // 50:
         past that, numpy shuffles the tail of a full permutation instead.
+        Every gene is built as arrays, with a fixed number of numpy calls.
         """
-        values = draws.integers(self._draw_bounds)
-        slots: list[int] = []
-        at = 0
-        for lo, duration, floyd in self._draw_genes:
-            if floyd < 0:
-                start = lo + values[at]
-                slots += range(start, start + duration)
-                at += 1
-                continue
-            # a Floyd pick already taken becomes j, which never is
-            picks: set[int] = set()
-            for j in range(floyd, floyd + duration):
-                pick = values[at]
-                picks.add(j if pick in picks else pick)
-                at += 1
-            slots += sorted(p + lo for p in picks)
-            at += duration - 1  # the shuffle's draws
-        return self.pack(slots)
+        values = draws.integers_array(np.tile(self._draw_bounds, count))
+        values = values.reshape(count, len(self._draw_bounds))
+        rows = np.empty((count, self.width), np.int64)
+        rows[:, self._run_cells] = values[:, self._run_draws] + self._run_slots
+        # Floyd, one pick column c at a time across every genotype's sets:
+        # a pick taken before in its set becomes its j = n - d + c, which
+        # never is.  A padding cell is above every pick and unlike every
+        # other cell of its set, so it is never taken and sorts last
+        picks = values[:, self._pick_draws] + self._pick_pad
+        for c in range(1, picks.shape[2]):
+            pick = picks[:, :, c]
+            taken = (picks[:, :, :c] == pick[:, :, None]).any(axis=2)
+            np.copyto(pick, self._pick_floyd[:, c], where=taken)
+        picks.sort(axis=2)
+        rows[:, self._set_cells] = picks[:, self._pick_live] + self._set_lo
+        if not self.width:
+            return [b""] * count
+        rows = rows.astype(self._dtype)
+        return rows.view(f"V{rows.itemsize * self.width}").ravel().tolist()
 
     def genes(self, index: int) -> list[tuple[int, ...]]:
         """Every gene appliance `index` can take, lexicographic: each
@@ -496,10 +589,10 @@ def clone_and_hypermutate(
     draws one by one.
     """
     counts = clone_counts(len(ranked))
-    saved = draws._bits.state, draws._block, draws._pos, draws._half, draws._raw
+    saved = draws._mark()
     offspring = _breed(ranked, counts, space, _walk(ranked, counts, draws, space, False))
     if offspring is None:
-        draws._bits.state, draws._block, draws._pos, draws._half, draws._raw = saved
+        draws._rewind(saved)
         offspring = _breed(ranked, counts, space, _walk(ranked, counts, draws, space, True))
     return offspring
 
@@ -818,7 +911,7 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
 
     draws = Draws(config.rng_seed)
     n = config.population_size
-    population = [original] + [space.random_antibody(draws) for _ in range(n - 1)]
+    population = [original] + space.random_antibodies(draws, n - 1)
 
     best_key = _NO_INCUMBENT  # (total, shift_slots, genotype), feasible only
     top: float | None = None  # best score ever, feasible or not
@@ -861,7 +954,7 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
         offspring = clone_and_hypermutate(population, draws, space)
         # selection and the scan draw nothing, so these are the immigrants
         # drawn after selection, as CLONALG orders it
-        immigrants = [space.random_antibody(draws) for _ in range(replace_count)]
+        immigrants = space.random_antibodies(draws, replace_count)
         waiting = score(offspring, immigrants)
         pool = population + offspring
         pool.sort(key=rank_key)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -281,6 +282,27 @@ class TestProblemContext:
         twins = (baseline4(aid=7), interruptible(aid=7, rated=2.0, original=(1, 2)))
         with pytest.raises(ValueError, match="^appliance id 7 appears more than once$"):
             make_context(appliances=twins)
+
+    @pytest.mark.parametrize("original", [(5, 3), (3, 3)], ids=["descending", "repeated"])
+    def test_unsorted_original_on_slots_are_rejected(self, original):
+        # the search read an original plan in the order given and
+        # `total_cost` sorted it: with (5, 3) on 6 slots, `evaluate` charged
+        # the genotype (3, 5) 4 shift slots and `total_cost` 0, and the
+        # original antibody (5, 3) was no gene of `genes(0)`
+        grid = TimeGrid(slot_count=6)
+        price = PriceSeries(values=(0.1,) * 6)
+        message = f"appliance 7: original on-slots {original} are not strictly ascending"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProblemContext(grid=grid, price=price, appliances=(
+                interruptible(aid=7, original=original, window=(1, 6)),))
+        ctx = ProblemContext(grid=grid, price=price, appliances=(
+            interruptible(aid=7, original=(3, 5), window=(1, 6)),))
+        space = SearchSpace(ctx)
+        sorted_gene = space.key([(3, 5)])
+        assert space.original_antibody() == sorted_gene
+        assert (3, 5) in space.genes(0)
+        assert space.evaluate([sorted_gene], 1.0).shift_slots.tolist() == [0]
+        assert total_cost(space.decode(sorted_gene), ctx).shifts == {7: 0}
 
     @pytest.mark.parametrize("band", [(1.05, 0.95), (1.0, 1.0)], ids=["inverted", "empty"])
     def test_voltage_band_must_have_its_low_end_below_its_high_end(self, band):

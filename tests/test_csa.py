@@ -381,6 +381,37 @@ class TestDrawsMatchNumpy:
                 if i % 7 == 0:
                     assert ref.random() == gen.random(), (seed, i)
 
+    def test_integers_array(self, monkeypatch):
+        # one list of draws that starts and ends on a kept half and reads
+        # across two block boundaries: on plain bounds, one array pass;
+        # with the rejection-heavy bound among them, a rejection puts the
+        # stream back and `integers` draws the list one by one
+        scalar, calls = Draws.integers, []
+        monkeypatch.setattr(Draws, "integers",
+                            lambda self, bounds: calls.append(bounds) or scalar(self, bounds))
+        for seed in range(20):
+            pick = random.Random(seed)
+            for heavy in (False, True):
+                draws, gen = Draws(seed), np.random.default_rng(seed)
+                assert draws.integers([7]) == gen.integers(0, [7]).tolist(), seed
+                # 2300 draws from a kept half: 1150 words from the second on
+                bounds = [pick.choice((2, 3, 48, 255, 1000, 65535, (1 << 32) - 1))
+                          for _ in range(2300)]
+                if heavy:
+                    for at in pick.sample(range(2300), 12):
+                        bounds[at] = HEAVY
+                for _ in range(400):
+                    bounds.insert(pick.randrange(len(bounds) + 1), 1)
+                calls.clear()
+                assert draws._half >= 0, seed
+                values = draws.integers_array(np.array(bounds, np.uint64))
+                assert values.dtype == np.int64, seed
+                assert values.tolist() == gen.integers(0, bounds).tolist(), (seed, heavy)
+                assert len(calls) == heavy, (seed, heavy)
+                # a rejected draw reads one half more
+                assert draws._half >= 0 or heavy, seed
+                assert draws.integers([NEXT]) == gen.integers(0, [NEXT]).tolist(), (seed, heavy)
+
 
 class TestDrawsMatchReference:
     """`Draws.integers` against `csa_reference.Draws.below`, one call per
@@ -599,6 +630,23 @@ class TestHypermutationMatchesReference:
     @given(space=_breeding_space(), size=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
     def test_random_spaces(self, space, size, seed):
         self.check(space, [seed], size=size, generations=3)
+
+    @settings(max_examples=80, deadline=None)
+    @given(space=_breeding_space(), count=st.sampled_from((0, 1, 9, 59)),
+           seed=st.integers(0, 2**32 - 1), kept=st.booleans())
+    @example(space=SearchSpace(edge_context("no_flexible")), count=9, seed=0, kept=True)
+    @example(space=SearchSpace(edge_context("fixed_genes")), count=9, seed=1, kept=True)
+    @example(space=SearchSpace(edge_context("grid300")), count=59, seed=2, kept=True)
+    def test_random_antibodies_in_one_call(self, space, count, seed, kept):
+        # `count` genotypes in one call are `count` of the reference's, one
+        # after another, from a stream with or without a kept half
+        draws, ref = Draws(seed), csa_reference.Draws(seed)
+        if kept:
+            assert draws.integers([7]) == [ref.below(7)]
+        drawn = space.random_antibodies(draws, count)
+        assert [space.genes_of(ab) for ab in drawn] == [
+            csa_reference.random_antibody(space, ref) for _ in range(count)]
+        assert same_position(draws, ref) and same_position(draws, ref)
 
     def test_mutation_threshold_is_exact(self, spaces):
         # a first word whose top 53 bits sit at either side of p * 2**53,
@@ -1393,11 +1441,12 @@ class TestImmigrantsScoredWithOffspring:
     def test_history_and_evaluations_are_pinned(self, name, monkeypatch):
         config, history, evaluations = IMMIGRANT_PINS[name]
         log = []
-        breed, draw = csa.clone_and_hypermutate, SearchSpace.random_antibody
+        breed, draw = csa.clone_and_hypermutate, SearchSpace.random_antibodies
         monkeypatch.setattr(csa, "clone_and_hypermutate",
-                            lambda *args: log.append(breed(*args)) or log[-1])
-        monkeypatch.setattr(SearchSpace, "random_antibody",
-                            lambda self, draws: log.append(draw(self, draws)) or log[-1])
+                            lambda *args: log.append(("bred", breed(*args))) or log[-1][1])
+        monkeypatch.setattr(SearchSpace, "random_antibodies",
+                            lambda self, draws, count:
+                            log.append(("drawn", draw(self, draws, count))) or log[-1][1])
         result = optimize(immigrant_context(), CsaConfig(population_size=20, **config))
         assert result.history == history
         assert result.evaluations == evaluations
@@ -1405,15 +1454,11 @@ class TestImmigrantsScoredWithOffspring:
             assert result.history[-1][0] < config["generations"]
 
         # the log is the first population's draws, then per generation its
-        # offspring (a list) and its immigrants (the draws after it)
-        first = next(i for i, entry in enumerate(log) if isinstance(entry, list))
-        bred = []
-        for entry in log[first:]:
-            if isinstance(entry, list):
-                bred.append((entry, []))
-            else:
-                bred[-1][1].append(entry)
-        scored = set(log[:first])
+        # offspring and its immigrants, drawn in one call right after it
+        generations = result.history[-1][0]
+        assert [kind for kind, _ in log] == ["drawn"] + ["bred", "drawn"] * generations
+        bred = [(log[i][1], log[i + 1][1]) for i in range(1, len(log), 2)]
+        scored = set(log[0][1])
         cases = Counter()
         for offspring, immigrants in bred:
             for i, ab in enumerate(immigrants):
