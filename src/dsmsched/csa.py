@@ -21,16 +21,19 @@ Evaluation is a pure function of the genotype and is cached keyed by the
 genotype itself.  Each generation's new genotypes, its offspring and the
 immigrants drawn right after them, are scored in one `SearchSpace.evaluate`
 call, so a run of G generations makes G + 1 calls.  A batch is scored as
-arrays: one `np.frombuffer` reads the batch's slot matrix, `gross_rows`
-sums its gross load in `aggregate_power`'s order, and the costing kernel
-(`assess`, `energy_cost`, `charge`) bills, checks and prices it as
-`total_cost` and `is_feasible` do one schedule, so a genotype's score and
-its reported total agree bit for bit.  `SearchSpace.evaluate` returns the
-scores as columns (`Scores`), one row per genotype.  Per-slot power flows
-are cached on the problem context keyed by (slot, gross load in whole
-watts) and solved at that rounded load, so identical slot loads across
-antibodies reuse one solve and no result depends on which antibody
-reached a key first.
+arrays: one `np.frombuffer` reads the batch's slot matrix, `price` sums its
+gross load in `aggregate_power`'s order (`gross_rows`) and charges its
+shifts, and the costing kernel (`assess`, `energy_cost`) bills and checks
+it as `total_cost` and `is_feasible` do one schedule, so a genotype's
+score and its reported total agree bit for bit.  `SearchSpace.evaluate`
+returns the scores as columns (`Scores`), one row per genotype.  Per-slot
+power flows are cached on the problem context keyed by (slot, gross load
+in whole watts) and solved at that rounded load, so identical slot loads
+across antibodies reuse one solve and no result depends on which antibody
+reached a key first.  On a feeder, the offspring that provably can neither
+survive selection nor take the incumbent are only bounded
+(`SearchSpace.bounds`, flow-free), never scored; `optimize` says how its
+result stays that of scoring every genotype.
 
 Every random draw comes from `Draws`, a Python replay of the stream of
 numpy's `Generator(PCG64(seed))`, without numpy's per-call overhead on
@@ -61,13 +64,14 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, compress, repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .constraints import FeasibilityReport, is_feasible
-from .costing import CostBreakdown, ProblemContext, assess, charge, energy_cost, total_cost
+from .costing import (CostBreakdown, ProblemContext, assess, cap_excess, charge, energy_cost,
+                      energy_floor, net_load, total_cost)
 from .domain import Appliance, ApplianceClass, Schedule, effective_window, schedule_from_on_slots
 from .errors import PowerFlowError
 
@@ -76,6 +80,7 @@ __all__ = [
     "CsaConfig",
     "Draws",
     "OptimResult",
+    "Priced",
     "Scores",
     "SearchSpace",
     "clone_counts",
@@ -312,6 +317,21 @@ class Scores:
     feasible: np.ndarray
 
 
+class Priced(NamedTuple):
+    """What scoring a batch of genotypes reads before any flow: their
+    slot rows, gross kW per slot, and shift charge, one row per genotype."""
+
+    slots: np.ndarray
+    gross: np.ndarray
+    shift_slots: np.ndarray
+    weighted: np.ndarray
+    penalty: np.ndarray
+
+    def take(self, rows: np.ndarray) -> Priced:
+        """The batch of the genotypes at `rows`."""
+        return Priced(*(field[rows] for field in self))
+
+
 class SearchSpace:
     """The genotypes of one problem context: their layout, and every way
     of drawing, mutating, listing, decoding and scoring them.
@@ -501,33 +521,59 @@ class SearchSpace:
         """Gross household kW per slot for a genotype."""
         return self.gross_rows(self.slot_matrix([antibody]))[0]
 
-    def evaluate(self, antibodies: Sequence[Antibody], weight: float) -> Scores:
-        """Scores of the genotypes, one row each, in order, with demand-cap
-        and voltage violations weighted by `weight` in the score."""
-        return self.evaluate_rows(self.slot_matrix(antibodies), weight)
+    def price(self, slots: np.ndarray) -> Priced:
+        """The flow-free part of scoring the genotypes of a `slot_matrix`:
+        their gross load and their shift charge."""
+        _, shift_slots, weighted, penalty, _ = self.charge(slots, 0.0, self.context.penalty_price)
+        return Priced(slots, self.gross_rows(slots), shift_slots, weighted, penalty)
 
-    def evaluate_rows(self, slots: np.ndarray, weight: float) -> Scores:
-        """`evaluate` for the genotypes of a `slot_matrix`."""
+    def bounds(self, batch: Priced, weight: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flow-free bounds of a priced batch, as IEEE values: a ceiling
+        on each row's score, a floor under its total, and whether it is
+        over the demand cap.
+
+        The cap excess and the penalty are exact from the gross load; the
+        energy floor prices net load, which billed load never undercuts
+        (`costing.energy_floor`).  Billed loss, band violation and a failed
+        flow only lower a score, so leaving them out keeps the ceiling
+        above it."""
         ctx = self.context
-        loads = assess(ctx, self.gross_rows(slots))
+        _, md_excess = cap_excess(ctx, batch.gross)
+        floor = energy_floor(net_load(ctx, batch.gross), self._price, ctx.grid.slot_hours)
+        total = floor + batch.penalty
+        return -total - weight * md_excess, total, md_excess > 0.0
+
+    def evaluate(self, batch: Sequence[Antibody] | Priced, weight: float) -> Scores:
+        """Scores of the genotypes, or of a `Priced` batch of them, one row
+        each, in order, with demand-cap and voltage violations weighted by
+        `weight` in the score."""
+        if not isinstance(batch, Priced):
+            batch = self.price(self.slot_matrix(batch))
+        ctx = self.context
+        loads = assess(ctx, batch.gross)
         energy = energy_cost(loads.billed, self._price, ctx.grid.slot_hours)
-        _, shift_slots, weighted, penalty, total = self.charge(slots, energy, ctx.penalty_price)
+        # `charge`'s total
+        total = energy + batch.penalty
 
         score = -total - weight * (loads.md_excess + loads.voltage_violation)
         score = np.where(loads.flow_failed, score - FLOW_FAILURE_PENALTY, score)
 
         return Scores(
             energy_usd=energy,
-            penalty_usd=penalty,
+            penalty_usd=batch.penalty,
             total_usd=total,
             md_excess=loads.md_excess,
             voltage_violation=loads.voltage_violation,
             flow_failed=loads.flow_failed,
-            shift_slots=shift_slots,
-            weighted_shift=weighted,
+            shift_slots=batch.shift_slots,
+            weighted_shift=batch.weighted,
             score=score,
             feasible=loads.feasible,
         )
+
+    def evaluate_rows(self, slots: np.ndarray, weight: float) -> Scores:
+        """`evaluate` for the genotypes of a `slot_matrix`."""
+        return self.evaluate(self.price(slots), weight)
 
     def charge(self, slots: np.ndarray, energy: np.ndarray,
                penalty_price: float | np.ndarray) -> tuple[np.ndarray, ...]:
@@ -857,6 +903,10 @@ def _resample(slots: np.ndarray, space: SearchSpace, walk: _Walk) -> bool:
     return True
 
 
+# `optimize`'s row of a genotype not yet scored; like a bounded one's, it
+# has no feasibility
+_NO_ROW = (None, None, None, None)
+
 # incumbent key of no candidate at all: every candidate beats it
 _NO_INCUMBENT = (math.inf, 0, b"")
 
@@ -869,6 +919,22 @@ def _better_incumbent(cand: tuple, best: tuple) -> bool:
     if diff < -TIE_TOL:
         return True
     return diff <= TIE_TOL and cand[1:] < best[1:]
+
+
+def _predicted_floor(values: np.ndarray, n: int, gap: float) -> float:
+    """The score below which an offspring's ceiling predicts that it will
+    not survive selection: the n-th best distinct of `values`, less `gap`;
+    -inf when there are fewer than n."""
+    values = np.sort(values)
+    # the last of each run of equal values; `np.unique` would import numpy.ma
+    distinct = values[np.append(values[1:] != values[:-1], True)]
+    return float(distinct[-n]) - gap if len(distinct) >= n else -math.inf
+
+
+def _rows(s: Scores) -> list[tuple[float, float, int, bool]]:
+    """`optimize`'s (score, total, shift_slots, feasible) row per genotype."""
+    return list(zip(s.score.tolist(), s.total_usd.tolist(), s.shift_slots.tolist(),
+                    s.feasible.tolist()))
 
 
 def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimResult:
@@ -884,30 +950,30 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     row waits until it joins the population at the next generation, so
     `evaluations` and `history` count it there; the last generation's
     immigrants are scored but never counted.
+
+    On a feeder, an offspring that provably can neither survive selection
+    nor take the incumbent is only bounded, never power-flowed: its
+    flow-free ceiling (`SearchSpace.bounds`) is below a predicted survivor
+    floor, and it is over the demand cap or its total floor is more than
+    TIE_TOL above the incumbent's total.  Two checks make the result exact
+    whatever the prediction: no bounded genotype may come before the pool's
+    n-th distinct scored one in the ranking, and each must be over the cap
+    or more than TIE_TOL above the highest incumbent total the scan reached.
+    A bounded genotype that fails one is scored, in one more `evaluate`
+    call, and selection and the scan run again, so the survivors, the
+    incumbents, `history` and `evaluations`, which counts every distinct
+    genotype scored or bounded, are those of scoring every genotype.
     """
     space = SearchSpace(context)
     original = space.original_antibody()
 
     original_energy = total_cost(space.decode(original), context).energy_usd
     weight = max(1.0, 10.0 * original_energy)
-    # every distinct genotype scored so far: (score, total, shift_slots, feasible)
-    scores: dict[Antibody, tuple[float, float, int, bool]] = {}
-
-    def score(antibodies: Sequence[Antibody], immigrants: Sequence[Antibody] = ()) -> dict:
-        """Score the genotypes not yet in `scores` into it, and the
-        `immigrants` not yet scored with them, in one `evaluate` call;
-        return the immigrants' rows, which `scores` takes when they join
-        the population."""
-        misses = dict.fromkeys(ab for ab in antibodies if ab not in scores)
-        later = [ab for ab in dict.fromkeys(immigrants)
-                 if ab not in scores and ab not in misses]
-        if not misses and not later:
-            return {}
-        s = space.evaluate([*misses, *later], weight)
-        rows = list(zip(s.score.tolist(), s.total_usd.tolist(), s.shift_slots.tolist(),
-                        s.feasible.tolist()))
-        scores.update(zip(misses, rows))
-        return dict(zip(later, rows[len(misses):]))
+    # every distinct genotype scored so far, (score, total, shift_slots,
+    # feasible), or only bounded, (ceiling, None, None, None)
+    scores: dict[Antibody, tuple] = {}
+    # without a feeder a flow costs nothing, and every genotype is scored
+    bounding = context.feeder is not None
 
     draws = Draws(config.rng_seed)
     n = config.population_size
@@ -922,10 +988,12 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     def rank_key(ab: Antibody):
         return (-scores[ab][0], ab)
 
-    def scan(candidates: Sequence[Antibody]) -> bool:
-        """Update incumbents; report whether the best total improved."""
+    def scan(candidates: Sequence[Antibody]) -> tuple[bool, float]:
+        """Update incumbents; report whether the best total improved, and
+        the highest incumbent total the scan reached."""
         nonlocal best_key, top, top_antibody
         improved = False
+        highest = best_key[0]
         for ab in candidates:
             sc, total, shift_slots, feasible = scores[ab]
             if top is None or sc > top:
@@ -935,13 +1003,43 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
                 if total < best_key[0] - 1e-12:
                     improved = True
                 best_key = key
-        return improved
+                highest = max(highest, total)
+        return improved, highest
+
+    def select(pool: list[Antibody]) -> tuple[list[Antibody], list[Antibody]]:
+        """The first n distinct genotypes of a ranked pool, and the bounded
+        ones ranked before its n-th distinct scored one."""
+        survivors: list[Antibody] = []
+        early: list[Antibody] = []
+        seen: set[Antibody] = set()
+        scored = 0
+        for ab in pool:
+            if ab in seen:
+                continue
+            seen.add(ab)
+            if len(survivors) < n:
+                survivors.append(ab)
+            if scores[ab][3] is None:
+                early.append(ab)
+            else:
+                scored += 1
+                if scored == n:
+                    break
+        while len(survivors) < n:
+            survivors.append(pool[0])
+        return survivors, early
 
     def record(generation: int) -> None:
         total = best_key[0] if best_key is not _NO_INCUMBENT else math.nan
         history.append((generation, total, len(scores)))
 
-    score(population)
+    first = list(dict.fromkeys(population))
+    batch = space.price(space.slot_matrix(first))
+    s = space.evaluate(batch, weight)
+    scores.update(zip(first, _rows(s)))
+    # the largest ceiling - score of the last offspring scored, or at
+    # first of the first population
+    gap = float((space.bounds(batch, weight)[0] - s.score).max()) if bounding else math.inf
     scan(population)
     record(0)
 
@@ -950,27 +1048,73 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     for generation in range(1, config.generations + 1):
         # the last generation's immigrants have joined the population
         scores.update(waiting)
+        waiting = {}
         population.sort(key=rank_key)
         offspring = clone_and_hypermutate(population, draws, space)
         # selection and the scan draw nothing, so these are the immigrants
         # drawn after selection, as CLONALG orders it
         immigrants = space.random_antibodies(draws, replace_count)
-        waiting = score(offspring, immigrants)
+
+        # the distinct offspring without a score, then the immigrants', by
+        # their rows in `batch`
+        fresh = dict.fromkeys(ab for ab in offspring if scores.get(ab, _NO_ROW)[3] is None)
+        later = [ab for ab in dict.fromkeys(immigrants)
+                 if scores.get(ab, _NO_ROW)[3] is None and ab not in fresh]
+        genotypes = [*fresh, *later]
+        bred = len(fresh)
+        skip = np.zeros(len(genotypes), bool)
+        if genotypes:
+            batch = space.price(space.slot_matrix(genotypes))
+        if bounding and bred:
+            ceiling, floor, over = space.bounds(batch, weight)
+            values = np.concatenate(([scores[ab][0] for ab in population], ceiling[:bred]))
+            cut = _predicted_floor(values, n, gap)
+            # over the cap, or too far above the incumbent's total to take it
+            apart = over[:bred] | (floor[:bred] - best_key[0] > TIE_TOL)
+            skip[:bred] = (ceiling[:bred] < cut) & apart
+            # an immigrant joins the population, so it is always scored
+            for ab in immigrants:
+                if ab in fresh:
+                    skip[genotypes.index(ab)] = False
+        keep = ~skip
+        bounded = np.flatnonzero(skip)
+        if keep.any():
+            s = space.evaluate(batch.take(keep) if len(bounded) else batch, weight)
+            rows = _rows(s)
+            bred_scored = len(rows) - len(later)
+            scores.update(zip(compress(fresh, keep.tolist()), rows))
+            for ab, row in zip(later, rows[bred_scored:]):
+                if ab in scores:
+                    scores[ab] = row
+                else:
+                    waiting[ab] = row
+            # the scored offspring lead the rows
+            if bounding and bred_scored:
+                gap = float((ceiling[:bred][keep[:bred]] - s.score[:bred_scored]).max())
+        if len(bounded):
+            unknown = repeat(None)
+            scores.update(zip(compress(fresh, skip.tolist()),
+                              zip(ceiling[skip].tolist(), unknown, unknown, unknown)))
+
         pool = population + offspring
-        pool.sort(key=rank_key)
-        # survivors are distinct genotypes; clones of one incumbent would
-        # otherwise crowd the population and stall the search
-        population = []
-        seen: set[Antibody] = set()
-        for ab in pool:
-            if ab not in seen:
-                seen.add(ab)
-                population.append(ab)
-                if len(population) == n:
-                    break
-        while len(population) < n:
-            population.append(pool[0])
-        improved = scan(pool)
+        start = (best_key, top, top_antibody)
+        while True:
+            pool.sort(key=rank_key)
+            # survivors are distinct genotypes; clones of one incumbent
+            # would otherwise crowd the population and stall the search
+            population, early = select(pool)
+            best_key, top, top_antibody = start
+            improved, highest = scan(pool)
+            failing = dict.fromkeys(early)
+            if len(bounded):
+                near = bounded[~over[bounded] & ~(floor[bounded] - highest > TIE_TOL)]
+                failing.update(dict.fromkeys(genotypes[i] for i in near.tolist()))
+            if not failing:
+                break
+            at = np.array([genotypes.index(ab) for ab in failing], np.intp)
+            scores.update(zip(failing, _rows(space.evaluate(batch.take(at), weight))))
+            skip[at] = False
+            bounded = np.flatnonzero(skip)
         population[n - replace_count:] = immigrants
         record(generation)
         stall = 0 if improved else stall + 1

@@ -19,7 +19,7 @@ give the chunk's feasibility, billed kW, shifts and penalties as columns,
 as the optimizer's own evaluation does.  Only the candidates within
 TIE_TOL of the running optimum at their turn can change it.  One matrix
 product prices every feasible row approximately, within a margin proven
-to cover its distance from the exact total (see `_ULP_SLACK`), and only
+to cover its distance from the exact total (see `_approx_energy`), and only
 rows whose approximate total comes within TIE_TOL plus that margin of the
 running optimum are priced exactly, by the objective's one `ddot` per row
 (`costing.energy_cost`), at most once per chunk across prices.  Each
@@ -40,7 +40,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .costing import CostBreakdown, Loads, ProblemContext, assess, energy_cost, total_cost
+from .costing import (ULP_SLACK, CostBreakdown, Loads, ProblemContext, assess, energy_cost,
+                      energy_margin, total_cost)
 from .csa import _NO_INCUMBENT, TIE_TOL, Antibody, SearchSpace, _better_incumbent
 from .domain import Schedule
 from .errors import EnumerationGuardError
@@ -202,16 +203,12 @@ def _offer_chunk(
                 break
 
 
-# Every row of a chunk is priced with one matrix product, `billed @ price`,
-# which sums in another order than the row's own `ddot` (`costing.
-# energy_cost`); only the `ddot` total may decide.  Let u = 2^-53, n the
-# slot count and S = |billed| . |price| for the row.  Any order of summing
-# n products, with or without FMA, is within γ_n·S of the true dot product,
-# γ_n = n·u / (1 - n·u) (Higham, Accuracy and Stability of Numerical
-# Algorithms, 2nd ed., 2002, §3.1); the product by `hours` is one more
-# rounding, so either energy is within γ_{n+1}·hours·S of the true one.
-# The penalty term is the same on both sides and its addition rounds once
-# more on each, so the exact total T and the approximate total A differ by
+# Every row of a chunk is priced with one matrix product, whose energy is
+# within 2γ_{n+1}·hours·S of the row's `ddot` energy, and `costing.
+# energy_margin` is twice that (see the proof above `costing.ULP_SLACK`:
+# u = 2^-53, n the slot count, S = |billed| . |price|).  The penalty term
+# is the same on both sides and its addition rounds once more on each, so
+# the exact total T and the approximate total A differ by
 #     W <= 2γ_{n+1}·hours·S + u·(|T| + |A|)
 #       ~= (n + 1)·2^-52·hours·S + 2^-52·|A|.
 # The margin is
@@ -225,16 +222,13 @@ def _offer_chunk(
 #               <= (TIE_TOL + M)·(1 - u) <= fl(TIE_TOL + M),
 # since M·(1 - u) > W·(1 + u) + 3·u·TIE_TOL.  So `_offer_chunk` prices
 # exactly every row that sequential offering would take.
-_ULP_SLACK = 2.0 ** -50
-
-
 def _approx_energy(
     billed: np.ndarray, price: np.ndarray, hours: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each row's energy cost by one matrix product, and the energy part
-    of its margin, (n + 1)·2^-50·hours·(|billed| @ |price|)."""
-    bound = (np.abs(billed) @ np.abs(price)) * (hours * (len(price) + 1) * _ULP_SLACK)
-    return (billed @ price) * hours, bound
+    of its margin, `costing.energy_margin`."""
+    magnitude = np.abs(billed) @ np.abs(price)
+    return (billed @ price) * hours, energy_margin(magnitude, hours, len(price))
 
 
 def sweep_penalties(
@@ -261,7 +255,7 @@ def sweep_penalties(
         count += len(keep)
         # a copy: its rows are C-contiguous, as `energy_cost` needs
         billed = loads.billed[keep]
-        energy, energy_margin = _approx_energy(billed, price, hours)
+        energy, energy_bound = _approx_energy(billed, price, hours)
         rows = rows[keep]
         _, shift, _, penalty_rows, approx_rows = space.charge(rows, energy, prices)
         priced: dict[int, np.float64] = {}
@@ -272,7 +266,7 @@ def sweep_penalties(
             return (priced[j] + penalty[j]).item()
 
         for best, penalty, approx in zip(bests.values(), penalty_rows, approx_rows):
-            margin = energy_margin + _ULP_SLACK * (np.abs(approx) + TIE_TOL)
+            margin = energy_bound + ULP_SLACK * (np.abs(approx) + TIE_TOL)
             _offer_chunk(best, approx, margin, partial(exact, penalty=penalty),
                          shift, rows, space.pack)
 

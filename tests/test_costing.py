@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -446,3 +447,32 @@ def test_breakdown_total_is_sum():
     )
     assert b.total_usd == b.energy_usd + b.penalty_usd
     assert b.total_shift_slots == 2
+
+
+class TestEnergyFloor:
+    """`costing.energy_floor` is below the exact energy, `energy_cost`, of
+    every billed row at least as large as its net row, as IEEE values."""
+
+    def test_floor_holds_where_the_matrix_product_overshoots(self):
+        # billed == net, the tightest case: 20,000 random 48-slot rows, a
+        # third of whose matrix products differ from their `ddot`
+        rng = np.random.default_rng(4)
+        price = rng.uniform(0.01, 0.4, 48)
+        net = rng.uniform(0.0, 12.0, (20_000, 48))
+        net[rng.random(net.shape) < 0.1] = 0.0
+        exact = costing.energy_cost(net, price, 0.5)
+        assert ((net @ price) * 0.5 > exact).any()
+        floor = costing.energy_floor(net, price, 0.5)
+        assert (floor <= exact).all()
+        # and for every billed row above it
+        billed = net + rng.uniform(0.0, 1e-9, net.shape) * (rng.random(net.shape) < 0.05)
+        assert (floor <= costing.energy_cost(billed, price, 0.5)).all()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.sampled_from([0.25, 1 / 3, 0.5]))
+    def test_floor_holds_on_random_magnitudes(self, seed, slots, hours):
+        rng = np.random.default_rng(seed)
+        net = 10.0 ** rng.uniform(-6.0, 3.0, (16, slots))
+        price = 10.0 ** rng.uniform(-4.0, 0.0, slots)
+        net[rng.random(net.shape) < 0.2] = 0.0
+        floor = costing.energy_floor(net, price, hours)
+        assert (floor <= costing.energy_cost(net, price, hours)).all()

@@ -1486,3 +1486,167 @@ class TestEdgeSpaces:
         assert all(result.schedule.on_slots(row) == every_slot
                    for row in range(len(ctx.appliances)) if row not in rows)
         assert result.breakdown.total_usd == total
+
+
+def canonical_contexts():
+    """The three shipped configs, each at penalty prices 0, 3, 5 and 20 c,
+    every price of a config reading its one flow cache."""
+    for name in ("scenario_a", "scenario_b", "scenario_c"):
+        cfg = load_scenario_config(FIXTURES.parent / "configs" / f"{name}.json")
+        for pi in (0.0, 0.03, 0.05, 0.20):
+            yield f"{name}_{pi}", cfg.context(pi)
+
+
+def unbounded(monkeypatch):
+    """Make every ceiling +inf, so that `optimize` scores every genotype."""
+    bounds = SearchSpace.bounds
+
+    def ceilings(self, batch, weight):
+        ceiling, floor, over = bounds(self, batch, weight)
+        return np.full_like(ceiling, math.inf), floor, over
+    monkeypatch.setattr(SearchSpace, "bounds", ceilings)
+
+
+def outcome(result):
+    """Every field of an `OptimResult`, floats bit for bit."""
+    return (result.success, result.schedule.matrix.tolist(), bits(result.breakdown.to_dict()
+            if result.breakdown else None), repr(result.feasibility), bits(result.history),
+            result.evaluations, result.seed, result.message)
+
+
+def count_rows(monkeypatch, counts):
+    """Count `evaluate` calls and the rows they score into `counts`."""
+    evaluate = SearchSpace.evaluate
+
+    def counted(self, batch, weight):
+        scores = evaluate(self, batch, weight)
+        counts["calls"] += 1
+        counts["rows"] += len(scores.score)
+        return scores
+    monkeypatch.setattr(SearchSpace, "evaluate", counted)
+
+
+DIFF_CONFIG = dict(population_size=30, generations=8, stall_generations=8)
+
+
+def differential_runs():
+    """(label, context, config) of at least 50 runs: the canonical days, a
+    feeder whose band binds, the small suite's feeder family and the edge
+    spaces."""
+    for label, ctx in canonical_contexts():
+        for seed in (3, 4):
+            yield label, ctx, CsaConfig(rng_seed=seed, **DIFF_CONFIG)
+    for r_pu in (0.05, 0.10, 0.15):
+        ctx = weak_feeder_context(r_pu)
+        for seed in (0, 1, 2, 3):
+            yield f"weak_{r_pu}", ctx, CsaConfig(rng_seed=seed, **FAST)
+    for label, ctx in build_suite():
+        if label.startswith("feeder"):
+            for seed in (5, 6):
+                yield label, ctx, CsaConfig(rng_seed=seed, **FAST)
+    for name in ("no_flexible", "fixed_genes", "empty_gene", "grid300"):
+        for seed in (0, 7):
+            yield name, edge_context(name), CsaConfig(rng_seed=seed, **EDGE_CONFIG)
+
+
+class TestBoundedOffspring:
+    """`optimize` only bounds the offspring that provably can neither
+    survive selection nor take the incumbent; its results are those of
+    scoring every genotype."""
+
+    def test_results_equal_scoring_every_genotype(self, monkeypatch):
+        runs = list(differential_runs())
+        assert len(runs) >= 50
+        shipped, counts = [], Counter()
+        with monkeypatch.context() as patch:
+            count_rows(patch, counts)
+            for _, ctx, config in runs:
+                shipped.append(outcome(optimize(ctx, config)))
+        scored = Counter()
+        count_rows(monkeypatch, scored)
+        unbounded(monkeypatch)
+        for (label, ctx, config), result in zip(runs, shipped):
+            assert outcome(optimize(ctx, config)) == result, (label, config.rng_seed)
+        # the same calls, and 15,085 rows scored instead of 39,574
+        assert counts["calls"] == scored["calls"]
+        assert counts["rows"] < 0.5 * scored["rows"]
+
+    # a wide tie tolerance lets the incumbent creep up, past the total a
+    # bounded offspring was checked against when it was bounded: on
+    # feeder_pi0 with a tolerance of 10 c, at seed 5, only the check
+    # against the highest total the scan reached keeps the result
+    @pytest.mark.parametrize("label, tie_tol, config", [
+        ("scenario_c_0.2", csa.TIE_TOL, CsaConfig(rng_seed=2, **DIFF_CONFIG)),
+        ("scenario_c_0.2", 0.05, CsaConfig(rng_seed=2, **DIFF_CONFIG)),
+        ("weak_0.15", csa.TIE_TOL, CsaConfig(rng_seed=2, **DIFF_CONFIG)),
+        ("feeder_pi0", 0.1, CsaConfig(rng_seed=5, population_size=12, generations=10,
+                                      stall_generations=10)),
+    ])
+    def test_a_floor_that_skips_everything_falls_back(self, label, tie_tol, config,
+                                                      monkeypatch):
+        contexts = {"weak_0.15": weak_feeder_context(0.15), **dict(build_suite())}
+        ctx = contexts[label] if label in contexts else dict(canonical_contexts())[label]
+        monkeypatch.setattr(csa, "TIE_TOL", tie_tol)
+        with monkeypatch.context() as patch:
+            unbounded(patch)
+            reference = outcome(optimize(ctx, config))
+        counts = Counter()
+        count_rows(monkeypatch, counts)
+        monkeypatch.setattr(csa, "_predicted_floor", lambda *args: math.inf)
+        result = optimize(ctx, config)
+        assert outcome(result) == reference
+        # the fallbacks score in calls of their own
+        assert counts["calls"] > result.history[-1][0] + 1
+
+    # every (config, penalty price) pair `dsm-sched run` optimizes, a feeder
+    # whose band binds and one whose flows fail
+    @pytest.mark.parametrize("name, penalty", [
+        ("scenario_a", 0.0), *(("scenario_b", pi) for pi in (0.05, 0.10, 0.20)),
+        *(("scenario_c", pi) for pi in (0.0, 0.05, 0.10, 0.20)),
+        ("weak", 0.15), ("weak", 1.0),
+    ])
+    def test_bounds_hold_as_ieee_values(self, name, penalty):
+        ctx = (weak_feeder_context(penalty) if name == "weak" else
+               load_scenario_config(FIXTURES.parent / "configs" / f"{name}.json").context(penalty))
+        space = SearchSpace(ctx)
+        draws = Draws(11)
+        drawn = [space.original_antibody()] + space.random_antibodies(draws, 199)
+        genotypes = drawn + clone_and_hypermutate(drawn[:60], draws, space)
+        batch = space.price(space.slot_matrix(genotypes))
+        for weight in (1.0, 60.0):
+            ceiling, floor, over = space.bounds(batch, weight)
+            scores = space.evaluate(batch, weight)
+            assert (ceiling >= scores.score).all()
+            assert (floor <= scores.total_usd).all()
+            assert np.array_equal(over, scores.md_excess > 0.0)
+            assert bits(eval_reference.rows(scores)) == bits(
+                eval_reference.rows(space.evaluate(genotypes, weight)))
+        if penalty == 1.0:
+            assert scores.flow_failed.any()
+
+    def test_bound_and_sweep_counts_are_pinned(self, monkeypatch):
+        # scenario_c's day at 20 c, its original priced first, as
+        # `cli.run_scenario` does: the rows bounded and scored, and the
+        # sweep's calls and cases
+        ctx = load_scenario_config(FIXTURES.parent / "configs" / "scenario_c.json").context(0.20)
+        total_cost(ctx.original_schedule(), ctx)
+        counts = Counter()
+        count_rows(monkeypatch, counts)
+        bounds, solve = SearchSpace.bounds, costing.solve_power_flow_batch
+
+        def bounded(self, batch, weight):
+            counts["bounded"] += len(batch.gross)
+            return bounds(self, batch, weight)
+
+        def swept(*args):
+            counts["sweeps"] += 1
+            counts["cases"] += len(args[1])
+            return solve(*args)
+        monkeypatch.setattr(SearchSpace, "bounds", bounded)
+        monkeypatch.setattr(costing, "solve_power_flow_batch", swept)
+        result = optimize(ctx, CsaConfig(rng_seed=5, generations=12, stall_generations=12))
+        # one evaluate and one sweep call per generation and for the first
+        # population; 499 of the 3,419 rows bounded are scored
+        assert dict(counts) == {"bounded": 3419, "calls": 13, "rows": 499,
+                                "sweeps": 13, "cases": 4970}
+        assert result.evaluations == 3384

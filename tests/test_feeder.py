@@ -23,6 +23,7 @@ from dsmsched.feeder import (
 )
 from dsmsched.profiles import NeighborLoads, PriceSeries, PvSeries
 from generate_fixtures import canonical_feeder as build_canonical_feeder, write_feeder_json
+from eval_reference import bits
 from pf_reference import nr_two_bus, scalar_sweep
 from test_cli import _JSON
 from test_csa import weak_feeder_context
@@ -271,6 +272,92 @@ class TestBatchSweep:
         batch = self.assert_matches_scalar(feeder, p, np.zeros_like(p), np.zeros(2))
         assert batch.failed.tolist() == [True, False]
         assert batch.collapsed_bus.tolist() == [1, -1]
+
+
+def random_tree(rng) -> FeederModel:
+    """A radial feeder of 2-15 buses: each house hangs off a random earlier
+    bus, every line's direction is flipped at random and the lines are
+    shuffled, so the sweep's bus order varies; the smart home is a random
+    bus of maximum depth."""
+    buses = int(rng.integers(2, 16))
+    parent = [0] + [int(rng.integers(0, b)) for b in range(1, buses)]
+    depth = [0] * buses
+    for b in range(1, buses):
+        depth[b] = depth[parent[b]] + 1
+    deepest = [b for b in range(buses) if depth[b] == max(depth)]
+    # one feeder in four is purely resistive
+    reactance = float(rng.uniform(0.2, 1.2)) if rng.random() < 0.75 else 0.0
+    lines = []
+    for b in range(1, buses):
+        r = float(rng.uniform(0.002, 0.05))
+        ends = (parent[b], b) if rng.random() < 0.5 else (b, parent[b])
+        lines.append(FeederLine(*ends, r, r * reactance))
+    order = rng.permutation(len(lines))
+    return FeederModel(base_kva=50.0, base_kv=12.47, slack_voltage_pu=1.0,
+                       lines=tuple(lines[i] for i in order),
+                       smart_home_bus=int(rng.choice(deepest)))
+
+
+class TestBranchedSweep:
+    """solve_power_flow_batch on random radial trees, where the backward
+    pass adds each bus's children in the tree's own order, against the
+    scalar reference: every SweepBatch field of every case, bit for bit,
+    or the same PowerFlowError."""
+
+    def test_random_trees_match_the_scalar_sweep(self):
+        rng = np.random.default_rng(29)
+        branched = solved = failed = collapsed = 0
+        for _ in range(80):
+            feeder = random_tree(rng)
+            branched += len(set(feeder._parent[1:])) < feeder.bus_count - 1
+            cases = 30
+            p = rng.uniform(0.0, 4.0, (cases, feeder.bus_count))
+            p[:, 0] = 0.0
+            p[rng.random(p.shape) < 0.2] = 0.0  # unloaded houses
+            # a few heavy homes diverge or collapse the feeder
+            p[:, feeder.smart_home_bus] = rng.uniform(0.0, 15.0, cases)
+            p[:4, feeder.smart_home_bus] = rng.uniform(100.0, 3000.0, 4)
+            q = p * rng.uniform(0.0, 0.5, p.shape)
+            pv = np.where(rng.random(cases) < 0.3, rng.uniform(0.0, 8.0, cases), 0.0)
+            if not any(z.imag for z in feeder._z):
+                # the home alone, at the load whose first sweep drops its
+                # voltage by 1 pu, to within rounding: the next sweep
+                # finds it collapsed
+                home, path = feeder.smart_home_bus, 0.0
+                bus = home
+                while bus:
+                    path += feeder._z[bus].real
+                    bus = feeder._parent[bus]
+                p[4], q[4], pv[4] = 0.0, 0.0, 0.0
+                p[4, home] = feeder.base_kva / path
+            batch = solve_power_flow_batch(feeder, p, q, pv)
+            for i in range(cases):
+                try:
+                    state = scalar_sweep(feeder, inj(feeder, p[i], q[i], pv[i], slot=i + 1))
+                except PowerFlowError as exc:
+                    failed += 1
+                    collapsed += batch.collapsed_bus[i] >= 0
+                    assert batch.failed[i]
+                    assert batch.iterations[i] == exc.iterations
+                    error = batch.error(i, i + 1)
+                    assert (str(error), bits(error.mismatch)) == (str(exc), bits(exc.mismatch))
+                    assert np.isnan([batch.loss_kw[i], batch.loss_kvar[i], batch.slack_p_kw[i],
+                                     batch.slack_q_kvar[i]]).all()
+                    assert np.isnan(batch.v_mag[i]).all() and np.isnan(batch.voltages[i]).all()
+                    continue
+                solved += 1
+                assert not batch.failed[i]
+                assert batch.collapsed_bus[i] == -1
+                assert batch.iterations[i] == state.iterations
+                assert bits([batch.loss_kw[i], batch.loss_kvar[i], batch.slack_p_kw[i],
+                             batch.slack_q_kvar[i]]) == bits(
+                    [state.loss_kw, state.loss_kvar, state.slack_p_kw, state.slack_q_kvar])
+                assert bits(batch.voltages[i].real) == bits([v.real for v in state.voltages])
+                assert bits(batch.voltages[i].imag) == bits([v.imag for v in state.voltages])
+                assert bits(batch.v_mag[i]) == bits(state.voltage_magnitudes())
+        # 73 of the 80 trees branch; 2,078 cases solve, 322 fail, 17 by collapse
+        assert branched > 60 and solved > 2000
+        assert failed > 300 and 10 < collapsed < failed
 
 
 class TestOneCaseSweep:
