@@ -7,23 +7,26 @@ big-endian bytes when the grid has more than 255 slots, so comparing two
 genotypes orders them exactly as comparing their slot rows, or their
 nested per-gene tuples, does; ties are broken by that order.  Bytes cache
 their hash, so the score cache, the ranking sorts and the survivor set
-never rehash a genotype.  `SearchSpace` owns the one pack/unpack pair,
-and `key`/`genes_of` convert to and from the per-gene tuples.  Genes of
-uninterruptible appliances are drawn and mutated as one contiguous run of
-`duration` slots, genes of interruptible ones as any `duration` distinct
-slots.  Duration, window, and contiguity therefore hold for every
+never rehash a genotype.  `SearchSpace.pack` is the one encoder, a slot
+matrix to its genotypes by one view, and `SearchSpace.slot_matrix` the one
+decoder; `key` and `genes_of` convert the per-gene tuples through them.
+Genes of uninterruptible appliances are drawn and mutated as one contiguous
+run of `duration` slots, genes of interruptible ones as any `duration`
+distinct slots.  Duration, window, and contiguity therefore hold for every
 antibody ever decoded; the demand cap and the voltage band are handled as
 additive affinity penalties, weighted by ten times the original plan's
-energy cost (at least 1), and the incumbent is only ever updated with
-antibodies that satisfy them outright.
+energy cost (at least 1), billed from its row of the first batch, and the
+incumbent is only ever updated with antibodies that satisfy them outright.
 
 Evaluation is a pure function of the genotype and is cached keyed by the
 genotype itself.  Each generation's new genotypes, its offspring and the
 immigrants drawn right after them, are scored in one `SearchSpace.evaluate`
-call, so a run of G generations makes G + 1 calls.  A batch is scored as
-arrays: one `np.frombuffer` reads the batch's slot matrix, `price` sums its
-gross load in `aggregate_power`'s order (`gross_rows`) and charges its
-shifts, and the costing kernel (`assess`, `energy_cost`) bills and checks
+call, so a run of G generations makes G + 1 calls.  Every row goes into
+one score table at once; an immigrant counts as an evaluation only when it
+joins the population, a generation later.  A batch is scored as arrays:
+one `np.frombuffer` reads the batch's slot matrix, `price` sums its gross
+load in `aggregate_power`'s order (`gross_rows`) and charges its shifts,
+and the costing kernel (`assess`, `energy_cost`) bills and checks
 it as `total_cost` and `is_feasible` do one schedule, so a genotype's
 score and its reported total agree bit for bit.  `SearchSpace.evaluate`
 returns the scores as columns (`Scores`), one row per genotype.  Per-slot
@@ -62,10 +65,9 @@ read that record.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, compress, repeat
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,7 +126,7 @@ class Draws:
     A bounded draw takes the low 32-bit half of a word and keeps the high
     half (`-1` when none is kept) for the next one, as PCG64's
     `next_uint32` does, and applies Lemire's multiply-shift with numpy's
-    rejection threshold.  `integers` walks the block in local variables,
+    rejection threshold (`_threshold`).  `integers` walks the block in local variables,
     so a list of draws is one Python call; `clone_and_hypermutate` walks it
     the same way in its own loop, where a gene test reads a whole word as
     `Generator.random()` does, and reads the block's words as an array too
@@ -159,6 +161,7 @@ class Draws:
             if bound == 1:
                 values.append(0)
                 continue
+            threshold = _threshold(bound)
             while True:
                 if half >= 0:
                     low, half = half, -1
@@ -169,9 +172,7 @@ class Draws:
                     pos += 1
                     low, half = word & 0xFFFFFFFF, word >> 32
                 m = low * bound
-                low = m & 0xFFFFFFFF
-                # numpy redraws while low < (2**32 - bound) % bound, a threshold below bound
-                if low >= bound or low >= (0x100000000 - bound) % bound:
+                if m & 0xFFFFFFFF >= threshold:
                     break
             values.append(m >> 32)
         self._pos, self._half = pos, half
@@ -336,9 +337,9 @@ class SearchSpace:
     """The genotypes of one problem context: their layout, and every way
     of drawing, mutating, listing, decoding and scoring them.
 
-    `pack` turns a slot row (ints) into its genotype and `unpack` a
-    genotype back into a list of ints: `bytes` and `list` with one byte
-    per slot, a big-endian `struct` of unsigned shorts past 255 slots.
+    `pack` turns a slot matrix into its genotypes and `slot_matrix` turns
+    genotypes back into one: a slot is one byte, or a big-endian unsigned
+    short past 255 slots.
     """
 
     def __init__(self, context: ProblemContext):
@@ -355,16 +356,8 @@ class SearchSpace:
                 self.flex.append(_flexible(row, a, width))
                 width += a.duration
         self.width = width
-        self.pack: Callable[[Sequence[int]], Antibody]
-        self.unpack: Callable[[Antibody], list[int]]
-        if self.slot_count <= 0xFF:
-            self._dtype = np.dtype(np.uint8)
-            self.pack, self.unpack = bytes, list
-        else:  # a `TimeGrid` has at most 0xFFFF slots
-            self._dtype = np.dtype(">u2")
-            layout = struct.Struct(f">{width}H")
-            self.pack = lambda slots: layout.pack(*slots)
-            self.unpack = lambda antibody: list(layout.unpack(antibody))
+        # a `TimeGrid` has at most 0xFFFF slots
+        self._dtype = np.dtype(np.uint8 if self.slot_count <= 0xFF else ">u2")
         self.baseline_gross = np.full(self.slot_count, baseline_kw)
         durations = [f.duration for f in self.flex]
         # what `charge` reads: the original genotype's slot row, each
@@ -433,13 +426,20 @@ class SearchSpace:
         self._pick_floyd = np.array(floyd, np.int64)[:, None] + columns
         self._price = context.price_array()
 
+    def pack(self, rows: np.ndarray) -> list[Antibody]:
+        """The genotypes of a slot matrix, one per row."""
+        if not self.width:
+            return [b""] * len(rows)
+        rows = np.ascontiguousarray(rows, self._dtype)
+        return rows.view(f"V{rows.itemsize * self.width}").ravel().tolist()
+
     def key(self, genes: Iterable[Sequence[int]]) -> Antibody:
         """The genotype of one on-slot gene per flexible appliance, in order."""
-        return self.pack(list(chain.from_iterable(genes)))
+        return self.pack(np.array([[*chain.from_iterable(genes)]]))[0]
 
     def genes_of(self, antibody: Antibody) -> tuple[tuple[int, ...], ...]:
         """A genotype's genes: one on-slot tuple per flexible appliance."""
-        slots = self.unpack(antibody)
+        slots = self.slot_matrix([antibody])[0].tolist()
         return tuple(tuple(slots[f.offset:f.offset + f.duration]) for f in self.flex)
 
     def original_antibody(self) -> Antibody:
@@ -476,10 +476,7 @@ class SearchSpace:
             np.copyto(pick, self._pick_floyd[:, c], where=taken)
         picks.sort(axis=2)
         rows[:, self._set_cells] = picks[:, self._pick_live] + self._set_lo
-        if not self.width:
-            return [b""] * count
-        rows = rows.astype(self._dtype)
-        return rows.view(f"V{rows.itemsize * self.width}").ravel().tolist()
+        return self.pack(rows)
 
     def genes(self, index: int) -> list[tuple[int, ...]]:
         """Every gene appliance `index` can take, lexicographic: each
@@ -570,10 +567,6 @@ class SearchSpace:
             score=score,
             feasible=loads.feasible,
         )
-
-    def evaluate_rows(self, slots: np.ndarray, weight: float) -> Scores:
-        """`evaluate` for the genotypes of a `slot_matrix`."""
-        return self.evaluate(self.price(slots), weight)
 
     def charge(self, slots: np.ndarray, energy: np.ndarray,
                penalty_price: float | np.ndarray) -> tuple[np.ndarray, ...]:
@@ -816,9 +809,7 @@ def _breed(ranked: Sequence[Antibody], counts: list[int], space: SearchSpace,
         _move(slots, space, walk.moves)
     if any(walk.sets) and not _resample(slots, space, walk):
         return None
-    if not space.width:
-        return [b""] * len(children)
-    return children.view(f"V{children.itemsize * space.width}").ravel().tolist()
+    return space.pack(children)
 
 
 def _move(slots: np.ndarray, space: SearchSpace, moves: list[int]) -> None:
@@ -947,9 +938,9 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     Each generation makes one `SearchSpace.evaluate` call: its offspring
     and the immigrants that will replace the population's worst, drawn
     right after breeding, as selection draws nothing.  An immigrant's score
-    row waits until it joins the population at the next generation, so
-    `evaluations` and `history` count it there; the last generation's
-    immigrants are scored but never counted.
+    row goes into the score table at once, but `evaluations` and `history`
+    count it only when it joins the population at the next generation; the
+    last generation's immigrants are scored but never counted.
 
     On a feeder, an offspring that provably can neither survive selection
     nor take the incumbent is only bounded, never power-flowed: its
@@ -967,11 +958,11 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     space = SearchSpace(context)
     original = space.original_antibody()
 
-    original_energy = total_cost(space.decode(original), context).energy_usd
-    weight = max(1.0, 10.0 * original_energy)
     # every distinct genotype scored so far, (score, total, shift_slots,
     # feasible), or only bounded, (ceiling, None, None, None)
     scores: dict[Antibody, tuple] = {}
+    # this generation's immigrants new to `scores`, not yet counted
+    waiting = 0
     # without a feeder a flow costs nothing, and every genotype is scored
     bounding = context.feeder is not None
 
@@ -1031,10 +1022,15 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
 
     def record(generation: int) -> None:
         total = best_key[0] if best_key is not _NO_INCUMBENT else math.nan
-        history.append((generation, total, len(scores)))
+        history.append((generation, total, len(scores) - waiting))
 
     first = list(dict.fromkeys(population))
     batch = space.price(space.slot_matrix(first))
+    # the original leads the first batch: ten times its energy, billed as
+    # `evaluate` bills it, weighs the penalties
+    energy = energy_cost(assess(context, batch.gross[:1]).billed, space._price,
+                         context.grid.slot_hours)
+    weight = max(1.0, 10.0 * energy.item())
     s = space.evaluate(batch, weight)
     scores.update(zip(first, _rows(s)))
     # the largest ceiling - score of the last offspring scored, or at
@@ -1044,11 +1040,9 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     record(0)
 
     replace_count = int(round(REPLACEMENT_FRACTION * n))
-    waiting: dict[Antibody, tuple[float, float, int, bool]] = {}
     for generation in range(1, config.generations + 1):
         # the last generation's immigrants have joined the population
-        scores.update(waiting)
-        waiting = {}
+        waiting = 0
         population.sort(key=rank_key)
         offspring = clone_and_hypermutate(population, draws, space)
         # selection and the scan draw nothing, so these are the immigrants
@@ -1083,11 +1077,8 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
             rows = _rows(s)
             bred_scored = len(rows) - len(later)
             scores.update(zip(compress(fresh, keep.tolist()), rows))
-            for ab, row in zip(later, rows[bred_scored:]):
-                if ab in scores:
-                    scores[ab] = row
-                else:
-                    waiting[ab] = row
+            waiting = sum(ab not in scores for ab in later)
+            scores.update(zip(later, rows[bred_scored:]))
             # the scored offspring lead the rows
             if bounding and bred_scored:
                 gap = float((ceiling[:bred][keep[:bred]] - s.score[:bred_scored]).max())
@@ -1140,7 +1131,7 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
         breakdown=breakdown,
         feasibility=report,
         history=history,
-        evaluations=len(scores),
+        evaluations=len(scores) - waiting,
         seed=config.rng_seed,
         message=message,
     )

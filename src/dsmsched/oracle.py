@@ -97,8 +97,8 @@ class SmallInstance:
             )
 
 
-# candidates per `SearchSpace.evaluate_rows` call; chunks keep its working
-# arrays, and so peak memory, small
+# candidates per chunk; chunks keep the costing kernel's working arrays,
+# and so peak memory, small
 _CHUNK = 256
 
 
@@ -126,7 +126,7 @@ class _Enumeration:
 
     def chunks(self) -> Iterator[tuple[np.ndarray, Loads]]:
         """(slot matrix, loads) of each run of `_CHUNK` genotypes, in
-        order, as the optimizer's `SearchSpace.evaluate_rows` reads them,
+        order, as the optimizer's `SearchSpace.evaluate` reads a batch,
         so the oracle checks a candidate, and bills its energy, exactly as
         the optimizer does."""
         space = self.space
@@ -172,7 +172,7 @@ class _Best:
 def _offer_chunk(
     best: _Best, approx: np.ndarray, margin: np.ndarray,
     exact: Callable[[int], float], shift: np.ndarray, rows: np.ndarray,
-    pack: Callable[[list[int]], Antibody],
+    pack: Callable[[np.ndarray], list[Antibody]],
 ) -> None:
     """Offer `best` a chunk of feasible candidates in order, as offering
     each at its exact total in turn would.  The chunk is given as its
@@ -197,7 +197,7 @@ def _offer_chunk(
             total = exact(j)
             if total - threshold > TIE_TOL:
                 continue
-            best.offer((total, shift[j].item(), pack(rows[j].tolist())))
+            best.offer((total, shift[j].item(), pack(rows[j:j + 1])[0]))
             if best.key[0] != threshold:
                 pos = j + 1
                 break

@@ -423,7 +423,7 @@ class TestTotalCost:
         assert left_to_right != math.fsum(ratings)
         out = total_cost(sched, ctx)
         space = SearchSpace(ctx)
-        scored = space.evaluate([space.pack([2, 2, 2])], 1.0)
+        scored = space.evaluate(space.pack(np.array([[2, 2, 2]])), 1.0)
         assert out.weighted_shift.hex() == left_to_right.hex()
         assert float(scored.weighted_shift[0]).hex() == left_to_right.hex()
         assert out.penalty_usd.hex() == float(scored.penalty_usd[0]).hex()

@@ -854,6 +854,16 @@ class TestGenotypeLayout:
         assert len(ka) == space.width * (1 if space.slot_count <= 255 else 2)
         assert space.slot_matrix([ka, kb]).tolist() == [
             [s for gene in a for s in gene], [s for gene in b for s in gene]]
+        assert space.pack(space.slot_matrix([ka, kb])) == [ka, kb]
+        assert space.pack(space.slot_matrix([])) == []
+
+    def test_no_flexible_appliance_packs_to_empty_genotypes(self):
+        space = SearchSpace(edge_context("no_flexible"))
+        assert space.width == 0
+        assert space.pack(np.zeros((2, 0), np.intp)) == [b"", b""]
+        assert space.pack(space.slot_matrix([])) == []
+        assert space.key([]) == space.original_antibody() == b""
+        assert space.genes_of(b"") == ()
 
     @pytest.fixture
     def canonical(self, grid48, canonical_appliances, canonical_price):
@@ -1373,6 +1383,17 @@ class TestOptimize:
         assert result.feasibility.max_demand
         assert result.schedule is not None
 
+    def test_failed_original_flow_reports_least_infeasible(self):
+        # the original plan's own flow diverges in slot 8; the run prices
+        # it from its batch row instead of raising, and returns a result
+        ctx = weak_feeder_context(1.0)
+        with pytest.raises(PowerFlowError):
+            total_cost(ctx.original_schedule(), ctx)
+        result = optimize(ctx, CsaConfig(rng_seed=0, **FAST))
+        assert not result.success
+        assert result.message == "no feasible antibody found; returning least-infeasible candidate"
+        assert not result.feasibility.feasible
+
     def test_baseline_only_context(self):
         # no flexible appliance: the empty genotype is the only candidate
         ctx = ProblemContext(grid=GRID12, appliances=(_baseline(),), price=STEEP)
@@ -1536,7 +1557,7 @@ def differential_runs():
     for label, ctx in canonical_contexts():
         for seed in (3, 4):
             yield label, ctx, CsaConfig(rng_seed=seed, **DIFF_CONFIG)
-    for r_pu in (0.05, 0.10, 0.15):
+    for r_pu in (0.05, 0.10, 0.15, 1.0):
         ctx = weak_feeder_context(r_pu)
         for seed in (0, 1, 2, 3):
             yield f"weak_{r_pu}", ctx, CsaConfig(rng_seed=seed, **FAST)

@@ -130,10 +130,11 @@ def test_enumeration_is_exactly_the_feasible_set():
     scored = []
     for rows, loads in enumeration.chunks():
         # the chunk's rows re-scored as the optimizer scores them
-        scores = inst.space.evaluate_rows(rows, 0.0)
+        genotypes = inst.space.pack(rows)
+        scores = inst.space.evaluate(genotypes, 0.0)
         assert np.array_equal(scores.feasible, loads.feasible)
         scored.extend(
-            (inst.space.decode(inst.space.pack(rows[j].tolist())),
+            (inst.space.decode(genotypes[j]),
              scores.energy_usd[j], scores.weighted_shift[j])
             for j in np.flatnonzero(loads.feasible).tolist()
         )
@@ -348,7 +349,7 @@ def test_index_k_decodes_to_the_kth_product_genotype(name, ctx):
     assert enumeration.count == len(product)
     rows = enumeration.slot_rows(0, len(product))
     assert rows.dtype == np.intp
-    assert [space.genes_of(space.pack(row)) for row in rows.tolist()] == product
+    assert [space.genes_of(ab) for ab in space.pack(rows)] == product
     assert np.array_equal(rows, space.slot_matrix(keys))
     # a range starting mid-way, as a chunk after the first does
     start = len(product) // 3
@@ -379,9 +380,9 @@ class TestOfferChunk:
         best = oracle._Best()
         packed = []
 
-        def pack(row):
-            packed.append(row[0])
-            return bytes(row)
+        def pack(rows):
+            packed.extend(rows[:, 0].tolist())
+            return [bytes(row) for row in rows.tolist()]
 
         k = 0
         for total, shift in chunks:
