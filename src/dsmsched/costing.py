@@ -375,16 +375,22 @@ def assess(context: ProblemContext, gross: np.ndarray) -> Loads:
         raise ValueError(f"schedule has {slots} slots, grid expects {context.grid.slot_count}")
     excess, md_excess = cap_excess(context, gross)
     net = net_load(context, gross)
-    loss, violation, failed = np.zeros((rows, slots)), np.zeros(rows), np.zeros(rows, bool)
-    # without a feeder, every cell reads one flow of no buses
-    cells, mags, outside, errors = (np.zeros((rows, slots), np.intp), np.empty((1, 0)),
-                                    np.empty((1, 0), bool), {})
-    if context.feeder is not None:
+    violation = np.zeros(rows)
+    if context.feeder is None:
+        # every cell reads one flow of no buses
+        loss, failed = np.zeros((rows, slots)), np.zeros(rows, bool)
+        cells, mags, outside, errors = (np.zeros((rows, slots), np.intp), np.empty((1, 0)),
+                                        np.empty((1, 0), bool), {})
+    else:
         vmin, vmax = context.voltage_min, context.voltage_max
         codes = np.rint(gross * 1000.0).astype(np.int64) * slots + np.arange(slots)
-        codes, inverse = np.unique(codes.ravel(), return_inverse=True)
+        if rows == 1:
+            # each slot's code is distinct, as its remainder is the slot
+            codes, cells = codes[0], np.arange(slots)[None]
+        else:
+            codes, inverse = np.unique(codes.ravel(), return_inverse=True)
+            cells = inverse.reshape(rows, slots)
         found = context._flows(codes)
-        cells = inverse.reshape(rows, slots)
         cache = context._cache
         key_loss = cache.loss[found]
         ok = ~np.isnan(key_loss)
@@ -392,7 +398,7 @@ def assess(context: ProblemContext, gross: np.ndarray) -> Loads:
                   zip(np.flatnonzero(~ok).tolist(), codes[~ok].tolist())}
         # a row reaches the slots before its first failed flow
         reached = np.logical_and.accumulate(ok[cells], axis=1)
-        loss[reached] = key_loss[cells][reached]
+        loss = np.where(reached, key_loss[cells], 0.0)
         failed = ~reached[:, -1]
         mags = cache.mags[found]
         mags[~ok] = vmin  # a failed flow is in band

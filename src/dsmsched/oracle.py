@@ -10,25 +10,30 @@ optimizer's own genotypes, listed and scored by its `SearchSpace`.
 
 Candidates are enumerated by index k, the k-th genotype of
 `itertools.product` over the appliances' gene lists (the last appliance
-varies fastest).  A chunk's slot matrix is gathered from one
-(genes x duration) slot table per appliance by the mixed-radix digits of
-its indices, so no Python object is built per candidate.
-The costing kernels, `costing.assess` over `SearchSpace.gross_rows` and
-`SearchSpace.charge` over the feasible rows (every penalty price at once),
-give the chunk's feasibility, billed kW, shifts and penalties as columns,
-as the optimizer's own evaluation does.  Only the candidates within
-TIE_TOL of the running optimum at their turn can change it.  One matrix
-product prices every feasible row approximately, within a margin proven
-to cover its distance from the exact total (see `_approx_energy`), and only
-rows whose approximate total comes within TIE_TOL plus that margin of the
-running optimum are priced exactly, by the objective's one `ddot` per row
-(`costing.energy_cost`), at most once per chunk across prices.  Each
-such row is decided by its exact total, with the same IEEE operations, in
-the same order, as pricing one candidate at a time; just those that pass
-have their slot rows packed into the optimizer's genotype bytes and offered
-to it, so the optimum, its ties and their order are exactly those of
-offering every feasible candidate in turn.  The total reported, that of
-`total_cost`, is the total the optimum was decided by.
+varies fastest), so no Python object is built per candidate.  Gross load
+and the shift charge are functions of each appliance's gene alone, so
+each appliance has small gene tables, built once: each gene's kW per slot
+and its shift slots and weighted shift, the latter from
+`SearchSpace.charge` itself.  A chunk turns the mixed-radix digits of its
+indices into gene numbers and adds up one table row per appliance in
+context order, the summation order of `SearchSpace.gross_rows` and
+`charge`, so its gross load and shift charge are theirs bit for bit, with
+no slot matrix built.  `costing.assess` of that gross load gives the
+chunk's feasibility and billed kW as columns, as the optimizer's own
+evaluation does.  Only the candidates within TIE_TOL of the running
+optimum at their turn can change it.  One matrix product prices every
+feasible row's energy approximately, and each penalty price adds its
+penalties to give its approximate totals, within a margin proven to cover
+their distance from the exact totals (see `_approx_energy`).  Only rows
+whose approximate total at some price comes within TIE_TOL plus that
+margin of its running optimum are priced exactly, by the objective's one
+`ddot` per row (`costing.energy_cost`), at most once per chunk across
+prices.  Each such row is decided by its exact total, with the same IEEE
+operations, in the same order, as pricing one candidate at a time; just
+those that pass have their index decoded into the optimizer's genotype
+bytes and offered to it, so the optimum, its ties and their order are
+exactly those of offering every feasible candidate in turn.  The total
+reported, that of `total_cost`, is the total the optimum was decided by.
 """
 
 from __future__ import annotations
@@ -36,12 +41,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .costing import (ULP_SLACK, CostBreakdown, Loads, ProblemContext, assess, energy_cost,
-                      energy_margin, total_cost)
+from .costing import (ULP_SLACK, CostBreakdown, ProblemContext, assess, energy_cost, energy_margin,
+                      total_cost)
 from .csa import _NO_INCUMBENT, TIE_TOL, Antibody, SearchSpace, _better_incumbent
 from .domain import Schedule
 from .errors import EnumerationGuardError
@@ -97,42 +102,117 @@ class SmallInstance:
             )
 
 
-# candidates per chunk; chunks keep the costing kernel's working arrays,
-# and so peak memory, small
-_CHUNK = 256
+# candidates per chunk.  A chunk's working arrays, `assess`'s handful of
+# (candidates x slots) arrays, are dropped before the next chunk is built,
+# so peak memory is one chunk's
+_CHUNK = 512
+
+
+class _Genes(NamedTuple):
+    """One flexible appliance's genes, row j of each table its gene j in
+    `SearchSpace.genes` order."""
+
+    # (genes x duration): the on-slots
+    slots: np.ndarray
+    # (genes x slots): kW, the rating on the on-slots and 0.0 elsewhere
+    kw: np.ndarray
+    # the shift slots and rating-weighted shift `charge` finds of the gene,
+    # with every other appliance at its original plan
+    shift_slots: np.ndarray
+    weighted: np.ndarray
+
+
+class _Chunk(NamedTuple):
+    """The feasible genotypes of a run of indices, as the optimizer's
+    `SearchSpace.evaluate` scores them: their indices, billed kW, shift
+    slots and weighted shift."""
+
+    index: np.ndarray
+    # a copy of `Loads.billed`'s rows: C-contiguous, as `energy_cost` needs
+    billed: np.ndarray
+    shift_slots: np.ndarray
+    weighted: np.ndarray
 
 
 class _Enumeration:
     """Every genotype of a space by index k: the k-th genotype of
-    `itertools.product` over its appliances' `genes`."""
+    `itertools.product` over its appliances' `genes`.  The mixed-radix
+    digits of k (the last appliance's varies fastest) are its appliances'
+    gene numbers."""
 
     def __init__(self, space: SearchSpace):
         self.space = space
-        # row j of table i: the on-slots of appliance i's gene j
-        self.tables = [np.array(space.genes(i), dtype=np.intp).reshape(-1, f.duration)
-                       for i, f in enumerate(space.flex)]
-        self.count = math.prod(len(table) for table in self.tables)
+        self.genes: list[_Genes] = []
+        original = space.slot_matrix([space.original_antibody()]).astype(np.intp)
+        for i, f in enumerate(space.flex):
+            listed = space.genes(i)
+            slots = np.array(listed, dtype=np.intp).reshape(len(listed), f.duration)
+            kw = np.zeros((len(slots), space.slot_count))
+            np.put_along_axis(kw, slots - 1, f.rated_kw, axis=1)
+            # each gene with every other appliance at its original plan
+            rows = original.repeat(len(slots), axis=0)
+            rows[:, f.offset:f.offset + f.duration] = slots
+            _, shift_slots, weighted, _, _ = space.charge(rows, 0.0, 0.0)
+            # a copy: `charge`'s weighted shift is a column of a wider array
+            self.genes.append(_Genes(slots, kw, shift_slots, weighted.copy()))
+        self.count = math.prod(len(genes.slots) for genes in self.genes)
+
+    def _digits(self, start: int, stop: int) -> list[np.ndarray]:
+        """The gene numbers of genotypes start..stop-1, one array per
+        appliance."""
+        rest = np.arange(start, stop)
+        digits = []
+        for genes in reversed(self.genes):
+            rest, digit = np.divmod(rest, len(genes.slots))
+            digits.append(digit)
+        return digits[::-1]
 
     def slot_rows(self, start: int, stop: int) -> np.ndarray:
         """The `slot_matrix` of genotypes start..stop-1."""
-        rest = np.arange(start, stop)
-        end = len(self.space.rate_weights)
-        rows = np.empty((stop - start, end), dtype=np.intp)
-        for table in reversed(self.tables):
-            rest, digit = np.divmod(rest, len(table))
-            rows[:, end - table.shape[1]:end] = table[digit]
-            end -= table.shape[1]
+        rows = np.empty((stop - start, self.space.width), dtype=np.intp)
+        for f, genes, digit in zip(self.space.flex, self.genes, self._digits(start, stop)):
+            rows[:, f.offset:f.offset + f.duration] = genes.slots[digit]
         return rows
 
-    def chunks(self) -> Iterator[tuple[np.ndarray, Loads]]:
-        """(slot matrix, loads) of each run of `_CHUNK` genotypes, in
-        order, as the optimizer's `SearchSpace.evaluate` reads a batch,
-        so the oracle checks a candidate, and bills its energy, exactly as
-        the optimizer does."""
+    def pack(self, index: np.ndarray) -> list[Antibody]:
+        """The genotype of one index, in a list, as `_offer_chunk` packs a row."""
+        (k,) = index.tolist()
+        return self.space.pack(self.slot_rows(k, k + 1))
+
+    def chunk(self, start: int) -> _Chunk:
+        """The feasible genotypes among the `_CHUNK` from index `start` on,
+        scored from the gene tables, with no slot matrix, bit for bit as
+        `assess` over `SearchSpace.gross_rows` and `charge` score them."""
+        stop = min(start + _CHUNK, self.count)
+        digits = self._digits(start, stop)
+        # the gross load and `assess`'s arrays are dropped on return; only
+        # the feasible rows' billed kW are kept
+        loads = assess(self.space.context, self._gross(stop - start, digits))
+        keep = np.flatnonzero(loads.feasible)
+        shift_slots, weighted = self._shifts(len(keep), [digit[keep] for digit in digits])
+        return _Chunk(start + keep, loads.billed[keep], shift_slots, weighted)
+
+    def _gross(self, count: int, digits: list[np.ndarray]) -> np.ndarray:
+        """Gross kW of `count` genotypes by their gene numbers: each
+        appliance's kW row added from zero in context order, as
+        `SearchSpace.gross_rows` adds ratings, then the baseline's kW
+        (IEEE addition commutes)."""
         space = self.space
-        for start in range(0, self.count, _CHUNK):
-            rows = self.slot_rows(start, min(start + _CHUNK, self.count))
-            yield rows, assess(space.context, space.gross_rows(rows))
+        gross = np.zeros((count, space.slot_count))
+        for genes, digit in zip(self.genes, digits):
+            gross += genes.kw.take(digit, axis=0)
+        gross += space.baseline_gross
+        return gross
+
+    def _shifts(self, count: int, digits: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Shift slots and weighted shift of `count` genotypes by their gene
+        numbers: each appliance's added from zero in context order, as
+        `charge` adds the weighted shift."""
+        shift_slots, weighted = np.zeros(count, np.intp), np.zeros(count)
+        for genes, digit in zip(self.genes, digits):
+            shift_slots += genes.shift_slots[digit]
+            weighted += genes.weighted[digit]
+        return shift_slots, weighted
 
 
 @dataclass
@@ -231,6 +311,33 @@ def _approx_energy(
     return (billed @ price) * hours, energy_margin(magnitude, hours, len(price))
 
 
+def _offer_feasible(bests: dict[float, _Best], chunk: _Chunk,
+                    enumeration: _Enumeration) -> int:
+    """Offer each price's best a chunk's candidates, in order; their count.
+    The chunk's arrays die with this call, before the next chunk is built."""
+    ctx = enumeration.space.context
+    hours = ctx.grid.slot_hours
+    price = ctx.price_array()
+    billed = chunk.billed
+    energy, energy_bound = _approx_energy(billed, price, hours)
+    # `charge`'s penalties and totals, in its order of operations, one row
+    # per price
+    penalty_rows = hours * np.array(list(bests), dtype=float)[:, None] * chunk.weighted
+    approx_rows = energy + penalty_rows
+    priced: dict[int, np.float64] = {}
+
+    def exact(j: int, penalty: np.ndarray) -> float:
+        if j not in priced:
+            priced[j] = energy_cost(billed[j:j + 1], price, hours)[0]
+        return (priced[j] + penalty[j]).item()
+
+    for best, penalty, approx in zip(bests.values(), penalty_rows, approx_rows):
+        margin = energy_bound + ULP_SLACK * (np.abs(approx) + TIE_TOL)
+        _offer_chunk(best, approx, margin, partial(exact, penalty=penalty),
+                     chunk.shift_slots, chunk.index, enumeration.pack)
+    return len(billed)
+
+
 def sweep_penalties(
     instance: SmallInstance, penalties: Sequence[float]
 ) -> dict[float, OracleResult]:
@@ -244,31 +351,10 @@ def sweep_penalties(
     ctx = instance.context
     space = instance.space
     enumeration = _Enumeration(space)
-    hours = ctx.grid.slot_hours
-    price = ctx.price_array()
     bests = {pi: _Best() for pi in penalties}
-    # one row of penalties and approximate totals per price
-    prices = np.array(list(bests), dtype=float)[:, None]
     count = 0
-    for rows, loads in enumeration.chunks():
-        keep = np.flatnonzero(loads.feasible)
-        count += len(keep)
-        # a copy: its rows are C-contiguous, as `energy_cost` needs
-        billed = loads.billed[keep]
-        energy, energy_bound = _approx_energy(billed, price, hours)
-        rows = rows[keep]
-        _, shift, _, penalty_rows, approx_rows = space.charge(rows, energy, prices)
-        priced: dict[int, np.float64] = {}
-
-        def exact(j: int, penalty: np.ndarray) -> float:
-            if j not in priced:
-                priced[j] = energy_cost(billed[j:j + 1], price, hours)[0]
-            return (priced[j] + penalty[j]).item()
-
-        for best, penalty, approx in zip(bests.values(), penalty_rows, approx_rows):
-            margin = energy_bound + ULP_SLACK * (np.abs(approx) + TIE_TOL)
-            _offer_chunk(best, approx, margin, partial(exact, penalty=penalty),
-                         shift, rows, space.pack)
+    for start in range(0, enumeration.count, _CHUNK):
+        count += _offer_feasible(bests, enumeration.chunk(start), enumeration)
 
     results: dict[float, OracleResult] = {}
     for pi, best in bests.items():

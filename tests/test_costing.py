@@ -367,6 +367,42 @@ class TestProblemContext:
     def test_billed_losses_zero_without_feeder(self):
         assert day_cost([5.0] * 4, (0.1,) * 4).billed_loss_kw == (0.0,) * 4
 
+    def test_one_row_assess_is_its_row_of_a_batch(self):
+        # 1 pu segments: 2-4 kW leave the band, 6 kW and more diverge; the
+        # first row fails in slot 3, the second in slots 1 and 3
+        feeder = FeederModel(
+            base_kva=50.0, base_kv=12.47, slack_voltage_pu=1.0,
+            lines=(FeederLine(0, 1, 1.0, 0.6), FeederLine(1, 2, 1.0, 0.6)), smart_home_bus=2,
+        )
+        gross = np.array([[0.5, 2.0, 6.0, 3.0], [8.0, 0.5, 6.0, 1.0], [1.0, 3.0, 0.5, 2.0]])
+
+        def context():
+            return make_context(feeder=feeder, neighbors=NeighborLoads(per_house=((1.0,) * 4,)),
+                                md_kw=5.0, voltage_min=0.9)
+
+        def by_row(loads, row):
+            """The row's fields, its flows' |V| and errors read by slot."""
+            keys = loads.cells[row].tolist()
+            return bits((loads.net[row], loads.loss[row], loads.billed[row], loads.excess[row],
+                         loads.md_excess[row], loads.voltage_violation[row],
+                         loads.flow_failed[row], loads.feasible[row],
+                         loads.mags[keys], loads.outside[keys],
+                         {slot: str(loads.errors[key]) for slot, key in enumerate(keys)
+                          if key in loads.errors}))
+
+        batch = costing.assess(context(), gross)
+        assert batch.flow_failed.tolist() == [True, True, False]
+        assert batch.voltage_violation[2] > 0.0 and batch.md_excess[1] > 0.0
+        for row in range(3):
+            one = costing.assess(context(), gross[row:row + 1])
+            assert by_row(one, 0) == by_row(batch, row)
+            if row < 2:
+                with pytest.raises(PowerFlowError) as alone:
+                    one.raise_failure(0)
+                with pytest.raises(PowerFlowError) as batched:
+                    batch.raise_failure(row)
+                assert str(alone.value) == str(batched.value)
+
     def test_billed_loss_is_incremental_and_non_negative(self):
         losses = day_cost([0.0, 1.0, 4.0, 8.0], (0.1,) * 4, feeder=tiny_feeder(),
                           neighbors=NeighborLoads(per_house=((2.0,) * 4,))).billed_loss_kw

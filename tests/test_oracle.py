@@ -1,14 +1,15 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracle_reference
 from dsmsched import oracle
 from dsmsched.constraints import is_feasible
-from dsmsched.costing import ProblemContext, energy_cost, total_cost
+from dsmsched.costing import ProblemContext, assess, energy_cost, total_cost
 from dsmsched.csa import TIE_TOL, SearchSpace
 from dsmsched.errors import EnumerationGuardError
 from dsmsched.oracle import SmallInstance, exhaustive_optimize, sweep_penalties
@@ -128,15 +129,17 @@ def test_enumeration_is_exactly_the_feasible_set():
     feasible = [s for s, r in zip(candidates, reports) if r.feasible]
     enumeration = oracle._Enumeration(inst.space)
     scored = []
-    for rows, loads in enumeration.chunks():
+    for start in range(0, enumeration.count, oracle._CHUNK):
+        stop = min(start + oracle._CHUNK, enumeration.count)
+        index = enumeration.chunk(start).index
         # the chunk's rows re-scored as the optimizer scores them
-        genotypes = inst.space.pack(rows)
+        genotypes = inst.space.pack(enumeration.slot_rows(start, stop))
         scores = inst.space.evaluate(genotypes, 0.0)
-        assert np.array_equal(scores.feasible, loads.feasible)
+        assert np.array_equal(start + np.flatnonzero(scores.feasible), index)
         scored.extend(
             (inst.space.decode(genotypes[j]),
              scores.energy_usd[j], scores.weighted_shift[j])
-            for j in np.flatnonzero(loads.feasible).tolist()
+            for j in (index - start).tolist()
         )
     assert [s for s, _, _ in scored] == feasible
 
@@ -309,7 +312,7 @@ def test_matrix_priced_energy_is_within_the_margin(case):
 
 
 def test_margin_holds_where_the_matrix_product_differs():
-    # 20,000 random 48-slot rows in 256-row chunks, as the oracle prices
+    # 20,000 random 48-slot rows in `_CHUNK`-row chunks, as the oracle prices
     # them: on an x86 OpenBLAS build about a third differ in the last bits
     rng = np.random.default_rng(2)
     price = rng.uniform(0.01, 0.4, 48)
@@ -335,8 +338,13 @@ def enumeration_cases():
     ))
     lone = single(_interruptible(1, (2, 7), 3, 1.0, original=(2, 3, 4))).context
     baseline_only = ProblemContext(grid=GRID12, price=STEEP, appliances=(_baseline(),))
+    # three genes on one slot draw 0.1 + 0.2 + 0.3 kW: 0.6000000000000001
+    # added left to right, 0.6 right to left
+    three_on_a_slot = ProblemContext(grid=GRID12, price=STEEP, appliances=tuple(
+        _interruptible(aid, (1, 4), 2, rated, original=(1, 2))
+        for aid, rated in ((2, 0.1), (3, 0.2), (4, 0.3))))
     return [("feeder", feeder), ("radix_one", radix_one), ("one_appliance", lone),
-            ("baseline_only", baseline_only)]
+            ("baseline_only", baseline_only), ("three_on_a_slot", three_on_a_slot)]
 
 
 @pytest.mark.parametrize("name, ctx", enumeration_cases(),
@@ -355,6 +363,135 @@ def test_index_k_decodes_to_the_kth_product_genotype(name, ctx):
     start = len(product) // 3
     assert np.array_equal(enumeration.slot_rows(start, len(product)),
                           space.slot_matrix(keys[start:]))
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def assert_tables_are_the_kernels(ctx):
+    """Every chunk of the enumeration, and one starting a third of the way
+    in, mid-table as a later chunk starts, scored from the gene tables: bit
+    for bit `gross_rows`, `charge` and `assess` over the slot matrix of the
+    same indices."""
+    space = SearchSpace(ctx)
+    enumeration = oracle._Enumeration(space)
+    starts = [*range(0, enumeration.count, oracle._CHUNK), enumeration.count // 3]
+    for start in starts:
+        stop = min(start + oracle._CHUNK, enumeration.count)
+        rows = enumeration.slot_rows(start, stop)
+        digits = enumeration._digits(start, stop)
+        gross = space.gross_rows(rows)
+        assert same_bits(enumeration._gross(stop - start, digits), gross)
+        _, shift_slots, weighted, _, _ = space.charge(rows, 0.0, 0.0)
+        got_shift, got_weighted = enumeration._shifts(stop - start, digits)
+        assert same_bits(got_shift, shift_slots) and same_bits(got_weighted, weighted)
+        # the chunk is the feasible rows of the slot matrix's own scoring
+        loads = assess(ctx, gross)
+        keep = np.flatnonzero(loads.feasible)
+        chunk = enumeration.chunk(start)
+        assert same_bits(chunk.index, start + keep)
+        assert same_bits(chunk.billed, loads.billed[keep])
+        assert same_bits(chunk.shift_slots, shift_slots[keep])
+        assert same_bits(chunk.weighted, weighted[keep])
+
+
+@pytest.mark.parametrize("name, ctx", build_suite() + enumeration_cases(),
+                         ids=[n for n, _ in build_suite() + enumeration_cases()])
+def test_gene_tables_score_each_chunk_as_the_slot_matrix_does(name, ctx):
+    assert_tables_are_the_kernels(ctx)
+
+
+def test_without_flexible_appliances_the_one_genotype_is_the_baseline():
+    ctx = dict(enumeration_cases())["baseline_only"]
+    enumeration = oracle._Enumeration(SearchSpace(ctx))
+    assert enumeration.genes == [] and enumeration.count == 1
+    assert np.array_equal(enumeration._gross(1, []), [SearchSpace(ctx).baseline_gross])
+    chunk = enumeration.chunk(0)
+    assert chunk.index.tolist() == [0]
+    assert chunk.shift_slots.tolist() == [0] and chunk.weighted.tolist() == [0.0]
+
+
+def test_a_sweep_decodes_only_the_candidates_it_offers(monkeypatch):
+    # no slot matrix per chunk: `charge` builds the gene tables, once per
+    # appliance, and `slot_rows` decodes one offered index at a time
+    calls = {"gross_rows": 0, "charge": 0, "slot_rows": []}
+    gross_rows, charge = SearchSpace.gross_rows, SearchSpace.charge
+    slot_rows = oracle._Enumeration.slot_rows
+
+    def counted_gross_rows(space, slots):
+        calls["gross_rows"] += 1
+        return gross_rows(space, slots)
+
+    def counted_charge(space, *args):
+        calls["charge"] += 1
+        return charge(space, *args)
+
+    def counted_slot_rows(enumeration, start, stop):
+        calls["slot_rows"].append(stop - start)
+        return slot_rows(enumeration, start, stop)
+
+    monkeypatch.setattr(SearchSpace, "gross_rows", counted_gross_rows)
+    monkeypatch.setattr(SearchSpace, "charge", counted_charge)
+    monkeypatch.setattr(oracle._Enumeration, "slot_rows", counted_slot_rows)
+    instance = SmallInstance(context=dict(build_suite())["mixed_pi0"])
+    result = sweep_penalties(instance, PENALTY_GRID)[0.0]
+    assert result.feasible_count > 100 * oracle._CHUNK
+    assert calls["gross_rows"] == 0 and calls["charge"] == len(instance.space.flex)
+    assert 0 < len(calls["slot_rows"]) < 0.01 * result.feasible_count
+    assert set(calls["slot_rows"]) == {1}
+
+
+@st.composite
+def _small_contexts(draw):
+    """A 12-slot context of up to two baseline rows and up to four flexible
+    appliances of either class, each in a window of up to 6 slots (a slot
+    set between two others may be empty), with ratings of many digits and
+    a demand cap that may bind; at most 5,000 candidates."""
+    rating = st.floats(0.01, 5.0)
+    appliances = [_baseline(aid, draw(rating)) for aid in range(1, 1 + draw(st.integers(0, 2)))]
+    flexible = draw(st.integers(0 if appliances else 1, 4))
+    for aid in range(10, 10 + flexible):
+        lo = draw(st.integers(1, 12))
+        hi = draw(st.integers(lo, min(12, lo + 5)))
+        if draw(st.booleans()):
+            duration = draw(st.integers(1, hi - lo + 1))
+            start = draw(st.integers(lo, hi - duration + 1))
+            appliances.append(_uninterruptible(aid, (lo, hi), duration, draw(rating), start))
+        else:
+            inner = 10 < aid < 9 + flexible
+            duration = draw(st.integers(0 if inner else 1, hi - lo + 1))
+            slots = draw(st.sets(st.integers(lo, hi), min_size=duration, max_size=duration))
+            appliances.append(_interruptible(aid, (lo, hi), duration, draw(rating),
+                                             tuple(sorted(slots))))
+    ctx = ProblemContext(grid=GRID12, appliances=tuple(appliances), price=STEEP,
+                         md_kw=draw(st.sampled_from([math.inf, 2.0, 4.0, 6.0])))
+    assume(SmallInstance(context=ctx).candidate_count() <= 5000)
+    return ctx
+
+
+@settings(max_examples=60, deadline=None)
+@given(ctx=_small_contexts())
+def test_gene_tables_score_random_instances_as_the_slot_matrix_does(ctx):
+    assert_tables_are_the_kernels(ctx)
+
+
+# the peaks of the 256-row enumeration, whose chunks carried slot matrices,
+# were 474 KiB and 440 KiB (Python 3.11, numpy 2.4); the gene tables may not
+# buy speed with more than 64 KiB over them
+@pytest.mark.parametrize("name, bound_kib", [("feeder_pi0", 474 + 64), ("mixed_pi0", 440 + 64)])
+def test_sweep_peak_memory_is_bounded(name, bound_kib):
+    # a first sweep on a context of its own leaves nothing that a second
+    # one reuses, but numpy's first-call allocations
+    sweep_penalties(SmallInstance(context=dict(build_suite())[name]), PENALTY_GRID)
+    instance = SmallInstance(context=dict(build_suite())[name])
+    tracemalloc.start()
+    try:
+        sweep_penalties(instance, PENALTY_GRID)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_kib * 1024
 
 
 class TestOfferChunk:
