@@ -4,11 +4,11 @@
 gives each row's billed kW (the net draw after PV plus billed feeder
 loss), demand-cap excess, voltage-band violation and flow failure, and the
 per-cell cap and band facts the feasibility report lists; `energy_cost`
-prices billed kW, one `ddot` per row; `charge` adds the shift penalty.
-The search scores every genotype through them, and `total_cost`, which
-prices every reported schedule, and `constraints.is_feasible` run each
-schedule through them too, so the search, the oracle and the reports
-agree bit for bit.
+prices billed kW, each row added left to right in a fixed order, free of
+BLAS; `charge` adds the shift penalty.  The search scores every genotype
+through them, and `total_cost`, which prices every reported schedule, and
+`constraints.is_feasible` run each schedule through them too, so the
+search, the oracle and the reports agree bit for bit, on any CPU.
 
 `ProblemContext` bundles everything a cost or feasibility computation
 needs (grid, appliances, tariff, PV, neighbors, feeder, limits) and owns a
@@ -35,9 +35,8 @@ from .errors import PowerFlowError
 from .feeder import FeederModel, solve_power_flow_batch
 from .profiles import NeighborLoads, PriceSeries, PvSeries
 
-__all__ = ["KW_TOL", "ULP_SLACK", "CostBreakdown", "Loads", "ProblemContext", "assess",
-           "cap_excess", "charge", "energy_cost", "energy_floor", "energy_margin", "net_load",
-           "total_cost"]
+__all__ = ["KW_TOL", "CostBreakdown", "Loads", "ProblemContext", "assess", "cap_excess",
+           "charge", "energy_cost", "net_load", "total_cost"]
 
 # absolute slack on kW comparisons (sums of two-decimal ratings)
 KW_TOL = 1e-9
@@ -433,51 +432,14 @@ def net_load(context: ProblemContext, gross: np.ndarray) -> np.ndarray:
 
 def energy_cost(billed: np.ndarray, price: np.ndarray, hours: float) -> np.ndarray:
     """Energy cost of each row of billed kW, the objective's one pricing:
-    one `ddot` per row.  `billed @ price` sums in another order and
-    differs in the last bit on some rows.  Rows must be C-contiguous, as a
-    strided row can take another BLAS path."""
-    return np.fromiter(map(price.dot, billed), float, len(billed)) * hours
-
-
-# A matrix product, `billed @ price`, sums each row in another order than
-# its own `ddot` (`energy_cost`); only the `ddot` total may decide.  Let
-# u = 2^-53, n the slot count and S = |billed| . |price| for the row.  Any
-# order of summing n products, with or without FMA, is within γ_n·S of the
-# true dot product, γ_n = n·u / (1 - n·u) (Higham, Accuracy and Stability
-# of Numerical Algorithms, 2nd ed., 2002, §3.1); the product by `hours` is
-# one more rounding, so either energy is within γ_{n+1}·hours·S of the true
-# one, and the two within 2γ_{n+1}·hours·S of each other.
-# `energy_margin` is M = (n + 1)·2^-50·hours·S', S' the computed
-# |billed| @ |price| (at least S·(1 - γ_n)): twice that distance, up to a
-# relative O(n·u) that also absorbs M's own roundings.  The oracle adds
-# 2^-50·(|A| + TIE_TOL) to it for the rounding of a total's addition and
-# of its tests' subtractions (see the proof above `oracle._approx_energy`).
-#
-# `energy_floor` prices a row of net kW, under any billed row at least as
-# large cell by cell, at non-negative prices (`PriceSeries` holds no
-# negative value).  Every term is then non-negative, S = T, the true dot
-# product, and T(net) <= T(billed).  The matrix-priced A of the net row is
-# at most T(net)·hours·(1 + γ_{n+1}), the exact energy E of the billed row
-# at least T(billed)·hours·(1 - γ_{n+1}) >= T(net)·hours·(1 - γ_{n+1}),
-# and M >= 2γ_{n+1}·T(net)·hours; so A - M <= E, and as E is a float,
-# fl(A - M) <= E.  Adding the same penalty to both rounds monotonically,
-# so the floor's total is at most the exact total, as IEEE values.
-ULP_SLACK = 2.0 ** -50
-
-
-def energy_margin(magnitude: np.ndarray, hours: float, slots: int) -> np.ndarray:
-    """M of each row of `slots` slots whose |billed| @ |price| is
-    `magnitude`: a bound on the distance between its matrix-priced energy,
-    `(billed @ price) * hours`, and `energy_cost`."""
-    return magnitude * (hours * (slots + 1) * ULP_SLACK)
-
-
-def energy_floor(net: np.ndarray, price: np.ndarray, hours: float) -> np.ndarray:
-    """A lower bound, as IEEE values, on the `energy_cost` of any billed
-    rows at least as large as the rows of `net` (>= 0) cell by cell."""
-    # no term is negative, so the product is its own |net| @ |price|
-    product = net @ price
-    return product * hours - energy_margin(product, hours, len(price))
+    the row's kW x price products added strictly left to right, times
+    `hours`.  `cumsum` fixes that order, where a BLAS dot product's depends
+    on the CPU's kernel, so the bits are the same on every CPU."""
+    # in one fixed order each product and sum rounds monotonically in its
+    # non-negative arguments: at non-negative prices (a `PriceSeries` holds
+    # none below 0), a row 0 <= net <= billed cell by cell never costs more
+    # than the billed row, as IEEE values
+    return np.cumsum(billed * price, axis=1)[:, -1] * hours
 
 
 def charge(

@@ -73,7 +73,7 @@ import numpy as np
 
 from .constraints import FeasibilityReport, is_feasible
 from .costing import (CostBreakdown, ProblemContext, assess, cap_excess, charge, energy_cost,
-                      energy_floor, net_load, total_cost)
+                      net_load, total_cost)
 from .domain import Appliance, ApplianceClass, Schedule, effective_window, schedule_from_on_slots
 from .errors import PowerFlowError
 
@@ -371,9 +371,11 @@ class SearchSpace:
         # slot row, one row per field _RUN.._WINDOW: a moved gene starts at
         # parent start * _RUN + _SHIFT + the value drawn, clipped to
         # [_LO, _HI], so a run steps from its parent's start and a one-slot
-        # set is placed from lo
+        # set is placed from lo; an empty gene, never moved, has no start
         self._gene_at = np.zeros((6, width), np.int64)
         for f in self.flex:
+            if not f.duration:
+                continue
             self._gene_at[:, f.offset] = (
                 (1, -f.reach, f.lo, f.hi, f.duration, 0) if f.window is None
                 else (0, f.lo, f.lo, f.hi, f.duration, len(f.window)))
@@ -530,13 +532,14 @@ class SearchSpace:
         over the demand cap.
 
         The cap excess and the penalty are exact from the gross load; the
-        energy floor prices net load, which billed load never undercuts
-        (`costing.energy_floor`).  Billed loss, band violation and a failed
+        energy floor is `energy_cost` of the net load, which billed load
+        never undercuts, so it is at most the billed energy (see
+        `costing.energy_cost`).  Billed loss, band violation and a failed
         flow only lower a score, so leaving them out keeps the ceiling
         above it."""
         ctx = self.context
         _, md_excess = cap_excess(ctx, batch.gross)
-        floor = energy_floor(net_load(ctx, batch.gross), self._price, ctx.grid.slot_hours)
+        floor = energy_cost(net_load(ctx, batch.gross), self._price, ctx.grid.slot_hours)
         total = floor + batch.penalty
         return -total - weight * md_excess, total, md_excess > 0.0
 

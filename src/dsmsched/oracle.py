@@ -19,34 +19,27 @@ indices into gene numbers and adds up one table row per appliance in
 context order, the summation order of `SearchSpace.gross_rows` and
 `charge`, so its gross load and shift charge are theirs bit for bit, with
 no slot matrix built.  `costing.assess` of that gross load gives the
-chunk's feasibility and billed kW as columns, as the optimizer's own
-evaluation does.  Only the candidates within TIE_TOL of the running
-optimum at their turn can change it.  One matrix product prices every
-feasible row's energy approximately, and each penalty price adds its
-penalties to give its approximate totals, within a margin proven to cover
-their distance from the exact totals (see `_approx_energy`).  Only rows
-whose approximate total at some price comes within TIE_TOL plus that
-margin of its running optimum are priced exactly, by the objective's one
-`ddot` per row (`costing.energy_cost`), at most once per chunk across
-prices.  Each such row is decided by its exact total, with the same IEEE
-operations, in the same order, as pricing one candidate at a time; just
-those that pass have their index decoded into the optimizer's genotype
-bytes and offered to it, so the optimum, its ties and their order are
-exactly those of offering every feasible candidate in turn.  The total
-reported, that of `total_cost`, is the total the optimum was decided by.
+chunk's feasibility and billed kW as columns, and `costing.energy_cost`
+prices the feasible rows' energy, as the optimizer's own evaluation does;
+each penalty price adds its penalties in `charge`'s order, so every total
+is the exact total, with the same IEEE operations, in the same order, as
+pricing one candidate at a time.  Only the candidates within TIE_TOL of
+the running optimum at their turn can change it: just those have their
+index decoded into the optimizer's genotype bytes and offered to it, so
+the optimum, its ties and their order are exactly those of offering every
+feasible candidate in turn.  The total reported, that of `total_cost`, is
+the total the optimum was decided by.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .costing import (ULP_SLACK, CostBreakdown, ProblemContext, assess, energy_cost, energy_margin,
-                      total_cost)
+from .costing import CostBreakdown, ProblemContext, assess, energy_cost, total_cost
 from .csa import _NO_INCUMBENT, TIE_TOL, Antibody, SearchSpace, _better_incumbent
 from .domain import Schedule
 from .errors import EnumerationGuardError
@@ -124,12 +117,11 @@ class _Genes(NamedTuple):
 
 class _Chunk(NamedTuple):
     """The feasible genotypes of a run of indices, as the optimizer's
-    `SearchSpace.evaluate` scores them: their indices, billed kW, shift
+    `SearchSpace.evaluate` scores them: their indices, energy cost, shift
     slots and weighted shift."""
 
     index: np.ndarray
-    # a copy of `Loads.billed`'s rows: C-contiguous, as `energy_cost` needs
-    billed: np.ndarray
+    energy: np.ndarray
     shift_slots: np.ndarray
     weighted: np.ndarray
 
@@ -167,17 +159,16 @@ class _Enumeration:
             digits.append(digit)
         return digits[::-1]
 
-    def slot_rows(self, start: int, stop: int) -> np.ndarray:
-        """The `slot_matrix` of genotypes start..stop-1."""
-        rows = np.empty((stop - start, self.space.width), dtype=np.intp)
-        for f, genes, digit in zip(self.space.flex, self.genes, self._digits(start, stop)):
-            rows[:, f.offset:f.offset + f.duration] = genes.slots[digit]
-        return rows
-
     def pack(self, index: np.ndarray) -> list[Antibody]:
-        """The genotype of one index, in a list, as `_offer_chunk` packs a row."""
-        (k,) = index.tolist()
-        return self.space.pack(self.slot_rows(k, k + 1))
+        """The genotype of one index, in a list, as `_offer_chunk` packs a
+        row: its gene numbers by integer `divmod`, one gene-table row per
+        appliance."""
+        (rest,) = index.tolist()
+        row = np.empty((1, self.space.width), dtype=np.intp)
+        for f, genes in zip(reversed(self.space.flex), reversed(self.genes)):
+            rest, digit = divmod(rest, len(genes.slots))
+            row[0, f.offset:f.offset + f.duration] = genes.slots[digit]
+        return self.space.pack(row)
 
     def chunk(self, start: int) -> _Chunk:
         """The feasible genotypes among the `_CHUNK` from index `start` on,
@@ -185,12 +176,14 @@ class _Enumeration:
         `assess` over `SearchSpace.gross_rows` and `charge` score them."""
         stop = min(start + _CHUNK, self.count)
         digits = self._digits(start, stop)
+        ctx = self.space.context
         # the gross load and `assess`'s arrays are dropped on return; only
-        # the feasible rows' billed kW are kept
-        loads = assess(self.space.context, self._gross(stop - start, digits))
+        # the feasible rows' energy is kept
+        loads = assess(ctx, self._gross(stop - start, digits))
         keep = np.flatnonzero(loads.feasible)
+        energy = energy_cost(loads.billed[keep], ctx.price_array(), ctx.grid.slot_hours)
         shift_slots, weighted = self._shifts(len(keep), [digit[keep] for digit in digits])
-        return _Chunk(start + keep, loads.billed[keep], shift_slots, weighted)
+        return _Chunk(start + keep, energy, shift_slots, weighted)
 
     def _gross(self, count: int, digits: list[np.ndarray]) -> np.ndarray:
         """Gross kW of `count` genotypes by their gene numbers: each
@@ -250,92 +243,42 @@ class _Best:
 
 
 def _offer_chunk(
-    best: _Best, approx: np.ndarray, margin: np.ndarray,
-    exact: Callable[[int], float], shift: np.ndarray, rows: np.ndarray,
+    best: _Best, totals: np.ndarray, shift: np.ndarray, rows: np.ndarray,
     pack: Callable[[np.ndarray], list[Antibody]],
 ) -> None:
     """Offer `best` a chunk of feasible candidates in order, as offering
-    each at its exact total in turn would.  The chunk is given as its
-    approximate totals, each within its `margin` of the exact one; `exact`,
-    the exact total of row j; its shift slots; and its slot rows, which
-    `pack` turns into genotypes.
+    each in turn would.  The chunk is given as its exact totals, its shift
+    slots and its rows, which `pack` turns into genotypes.
 
     `offer` ignores a candidate whose total exceeds the best's by more
-    than TIE_TOL.  A row whose approximate total exceeds it by more than
-    TIE_TOL plus its margin cannot pass that test, so only the others are
-    priced exactly, and just those that pass `offer`'s own subtraction at
-    their exact total are packed and offered.  Whenever the best's total
-    moves (down on a lower total, or up on an accepted near-tie) the rows
-    after the move are tested again against the new total.
+    than TIE_TOL, so only the others, found by `offer`'s own subtraction,
+    are packed and offered.  Whenever the best's total moves (down on a
+    lower total, or up on an accepted near-tie) the rows after the move
+    are tested again against the new total.
     """
     pos = 0
-    while pos < len(approx):
+    while pos < len(totals):
         threshold = best.key[0]
-        hits = pos + np.flatnonzero(approx[pos:] - threshold <= TIE_TOL + margin[pos:])
-        pos = len(approx)
+        hits = pos + np.flatnonzero(totals[pos:] - threshold <= TIE_TOL)
+        pos = len(totals)
         for j in hits.tolist():
-            total = exact(j)
-            if total - threshold > TIE_TOL:
-                continue
-            best.offer((total, shift[j].item(), pack(rows[j:j + 1])[0]))
+            best.offer((totals[j].item(), shift[j].item(), pack(rows[j:j + 1])[0]))
             if best.key[0] != threshold:
                 pos = j + 1
                 break
-
-
-# Every row of a chunk is priced with one matrix product, whose energy is
-# within 2γ_{n+1}·hours·S of the row's `ddot` energy, and `costing.
-# energy_margin` is twice that (see the proof above `costing.ULP_SLACK`:
-# u = 2^-53, n the slot count, S = |billed| . |price|).  The penalty term
-# is the same on both sides and its addition rounds once more on each, so
-# the exact total T and the approximate total A differ by
-#     W <= 2γ_{n+1}·hours·S + u·(|T| + |A|)
-#       ~= (n + 1)·2^-52·hours·S + 2^-52·|A|.
-# The margin is
-#     M = (n + 1)·2^-50·hours·S' + 2^-50·(|A| + TIE_TOL),
-# S' the computed |billed| @ |price| (at least S·(1 - γ_n)): 4·W, up to a
-# relative O(n·u) that also absorbs M's own roundings.  Its TIE_TOL term
-# pays for the rounding of the two tests' subtractions.  If `offer` would
-# take the row, fl(T - t) <= TIE_TOL against the threshold t; then
-# T - t <= TIE_TOL·(1 + u), A - t <= TIE_TOL·(1 + u) + W, and
-#     fl(A - t) <= (TIE_TOL·(1 + u) + W)·(1 + u)
-#               <= (TIE_TOL + M)·(1 - u) <= fl(TIE_TOL + M),
-# since M·(1 - u) > W·(1 + u) + 3·u·TIE_TOL.  So `_offer_chunk` prices
-# exactly every row that sequential offering would take.
-def _approx_energy(
-    billed: np.ndarray, price: np.ndarray, hours: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's energy cost by one matrix product, and the energy part
-    of its margin, `costing.energy_margin`."""
-    magnitude = np.abs(billed) @ np.abs(price)
-    return (billed @ price) * hours, energy_margin(magnitude, hours, len(price))
 
 
 def _offer_feasible(bests: dict[float, _Best], chunk: _Chunk,
                     enumeration: _Enumeration) -> int:
     """Offer each price's best a chunk's candidates, in order; their count.
     The chunk's arrays die with this call, before the next chunk is built."""
-    ctx = enumeration.space.context
-    hours = ctx.grid.slot_hours
-    price = ctx.price_array()
-    billed = chunk.billed
-    energy, energy_bound = _approx_energy(billed, price, hours)
+    hours = enumeration.space.context.grid.slot_hours
     # `charge`'s penalties and totals, in its order of operations, one row
     # per price
     penalty_rows = hours * np.array(list(bests), dtype=float)[:, None] * chunk.weighted
-    approx_rows = energy + penalty_rows
-    priced: dict[int, np.float64] = {}
-
-    def exact(j: int, penalty: np.ndarray) -> float:
-        if j not in priced:
-            priced[j] = energy_cost(billed[j:j + 1], price, hours)[0]
-        return (priced[j] + penalty[j]).item()
-
-    for best, penalty, approx in zip(bests.values(), penalty_rows, approx_rows):
-        margin = energy_bound + ULP_SLACK * (np.abs(approx) + TIE_TOL)
-        _offer_chunk(best, approx, margin, partial(exact, penalty=penalty),
-                     chunk.shift_slots, chunk.index, enumeration.pack)
-    return len(billed)
+    for best, totals in zip(bests.values(), chunk.energy + penalty_rows):
+        _offer_chunk(best, totals, chunk.shift_slots, chunk.index, enumeration.pack)
+    return len(chunk.index)
 
 
 def sweep_penalties(
@@ -344,8 +287,8 @@ def sweep_penalties(
     """Exact optimum for several penalty prices in a single enumeration.
 
     The billed energy cost of a candidate does not depend on the penalty
-    price, so one pass suffices, and a candidate's exact energy is priced
-    at most once, and only if some price's test needs it.
+    price, so one pass suffices, pricing each feasible candidate's energy
+    once.
     """
     instance.check_guard()
     ctx = instance.context

@@ -4,7 +4,9 @@ One genotype at a time, slot by slot through `ProblemContext.slot_flow`
 up to the first failed flow, bus by bus through the voltage band: the
 per-genotype loop the optimizer used before it scored whole generations
 as arrays.  Row i of the batched evaluator's column record must reproduce
-every field of the reference's record exactly.
+every field of the reference's record exactly.  `energy_cost` prices one
+row in the objective's order, the products added left to right in a Python
+loop, with no numpy and no BLAS, so its bits do not depend on the CPU.
 """
 
 from __future__ import annotations
@@ -16,6 +18,16 @@ import numpy as np
 from dsmsched.constraints import KW_TOL
 from dsmsched.csa import FLOW_FAILURE_PENALTY, Antibody, Scores, SearchSpace
 from dsmsched.errors import PowerFlowError
+
+
+def energy_cost(billed, price, hours: float) -> float:
+    """Energy cost of one row of billed kW: each kW x price product added
+    to a running total left to right, then times `hours`.  Not `sum`,
+    which compensates its rounding from Python 3.12 on."""
+    total = 0.0
+    for kw, tariff in zip(billed, price):
+        total += kw * tariff
+    return total * hours
 
 
 def gross(space: SearchSpace, antibody: Antibody) -> np.ndarray:
@@ -66,7 +78,7 @@ def evaluate(space: SearchSpace, antibody: Antibody, weight: float) -> dict:
                 volt_violation += mag - vmax
 
     net = np.maximum(gross_kw - ctx.pv_array(), 0.0)
-    energy = float(np.dot(net + loss, ctx.price_array()) * ctx.grid.slot_hours)
+    energy = energy_cost((net + loss).tolist(), ctx.price.values, ctx.grid.slot_hours)
 
     shift_slots = 0
     weighted = 0.0

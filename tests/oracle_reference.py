@@ -7,6 +7,10 @@ enumeration the oracle used before it listed candidates by index and
 skipped those that cannot change its optimum.  `oracle.sweep_penalties`
 must match it exactly: total, schedule, ties (same list, same order, the
 oracle's read through `SearchSpace.genes_of`) and feasible count.
+
+`slot_rows` decodes a range of the oracle's indices into a slot matrix, as
+the enumeration did before it built chunks from gene tables, for tests
+that check the tables against the optimizer's own kernels.
 """
 
 from __future__ import annotations
@@ -14,9 +18,20 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
+import numpy as np
+
 from dsmsched.costing import total_cost
 from dsmsched.csa import SearchSpace
-from dsmsched.oracle import OracleResult, SmallInstance, _Best
+from dsmsched.oracle import OracleResult, SmallInstance, _Best, _Enumeration
+
+
+def slot_rows(enumeration: _Enumeration, start: int, stop: int) -> np.ndarray:
+    """The `slot_matrix` of the enumeration's genotypes start..stop-1."""
+    space = enumeration.space
+    rows = np.empty((stop - start, space.width), dtype=np.intp)
+    for f, genes, digit in zip(space.flex, enumeration.genes, enumeration._digits(start, stop)):
+        rows[:, f.offset:f.offset + f.duration] = genes.slots[digit]
+    return rows
 
 
 def sweep_penalties(

@@ -445,7 +445,12 @@ def test_criterion_9_unit_formulas():
 
     day = range(1, 49)
     ref, ev = scored(interruptible(1, 2.0, day), day, (0.08,) * 48)
-    values["flat day $3.84"] = (ref.energy_usd, ev.energy_usd[0], 3.84)
+    # $3.84 in the objective's order: 48 products of 2 kW x $0.08 added
+    # left to right, then x 0.5 h, 3.840000000000002
+    flat_day = 0.0
+    for _ in day:
+        flat_day += 2.0 * 0.08
+    values["flat day $3.84"] = (ref.energy_usd, ev.energy_usd[0], flat_day * 0.5)
 
     peak_prices = [0.0] * 48
     peak_prices[20] = 0.13

@@ -1,11 +1,16 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import eval_reference
 from eval_reference import bits, flow_entries
 
 from dsmsched import costing
@@ -79,7 +84,11 @@ class TestNetLoad:
 
 class TestElectricityCost:
     def test_flat_price_day(self):
-        assert day_cost([2.0] * 48, (0.08,) * 48).energy_usd == 3.84
+        # $3.84 by hand; in the objective's order, 48 products of 2 kW x
+        # $0.08 added left to right, then x 0.5 h, it is 3.840000000000002
+        want = eval_reference.energy_cost([2.0] * 48, [0.08] * 48, 0.5)
+        assert want == pytest.approx(3.84, rel=1e-15)
+        assert day_cost([2.0] * 48, (0.08,) * 48).energy_usd == want
 
     def test_single_peak_slot(self):
         prices = [0.0] * 48
@@ -486,29 +495,69 @@ def test_breakdown_total_is_sum():
 
 
 class TestEnergyFloor:
-    """`costing.energy_floor` is below the exact energy, `energy_cost`, of
-    every billed row at least as large as its net row, as IEEE values."""
+    """The search's energy floor, `energy_cost` of a net row, is at most
+    the `energy_cost` of every billed row at least as large cell by cell,
+    at non-negative prices, as IEEE values: one fixed summation order is
+    monotone in non-negative terms."""
 
-    def test_floor_holds_where_the_matrix_product_overshoots(self):
-        # billed == net, the tightest case: 20,000 random 48-slot rows, a
-        # third of whose matrix products differ from their `ddot`
-        rng = np.random.default_rng(4)
-        price = rng.uniform(0.01, 0.4, 48)
-        net = rng.uniform(0.0, 12.0, (20_000, 48))
-        net[rng.random(net.shape) < 0.1] = 0.0
-        exact = costing.energy_cost(net, price, 0.5)
-        assert ((net @ price) * 0.5 > exact).any()
-        floor = costing.energy_floor(net, price, 0.5)
-        assert (floor <= exact).all()
-        # and for every billed row above it
-        billed = net + rng.uniform(0.0, 1e-9, net.shape) * (rng.random(net.shape) < 0.05)
-        assert (floor <= costing.energy_cost(billed, price, 0.5)).all()
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.sampled_from([0.25, 1 / 3, 0.5]))
-    def test_floor_holds_on_random_magnitudes(self, seed, slots, hours):
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.floats(0.0, 0.5),
+           st.sampled_from([0.25, 1 / 3, 0.5, 1.0]))
+    def test_floor_holds_on_random_magnitudes(self, seed, slots, zeros, hours):
+        # magnitudes 1e-6 to 1e3, some cells 0; each net cell is its billed
+        # cell, one ulp below it, or a random fraction of it
         rng = np.random.default_rng(seed)
-        net = 10.0 ** rng.uniform(-6.0, 3.0, (16, slots))
+        billed = 10.0 ** rng.uniform(-6.0, 3.0, (16, slots))
         price = 10.0 ** rng.uniform(-4.0, 0.0, slots)
-        net[rng.random(net.shape) < 0.2] = 0.0
-        floor = costing.energy_floor(net, price, hours)
-        assert (floor <= costing.energy_cost(net, price, hours)).all()
+        billed[rng.random(billed.shape) < zeros] = 0.0
+        price[rng.random(slots) < zeros] = 0.0
+        kind = rng.integers(0, 3, billed.shape)
+        net = np.select([kind == 0, kind == 1], [billed, np.nextafter(billed, 0.0)],
+                        billed * rng.random(billed.shape))
+        assert ((0.0 <= net) & (net <= billed)).all()
+        assert (costing.energy_cost(net, price, hours)
+                <= costing.energy_cost(billed, price, hours)).all()
+
+
+# prices the rows saved in the directory argv[1] under the BLAS kernel of
+# this process's environment; also saves each row's `ddot`, which does
+# depend on the kernel
+PRICE_ROWS = """
+import sys
+from pathlib import Path
+import numpy as np
+from dsmsched.costing import energy_cost
+out = Path(sys.argv[1])
+billed, price = np.load(out / "billed.npy"), np.load(out / "price.npy")
+np.save(out / "energy.npy", energy_cost(billed, price, 0.5))
+np.save(out / "ddot.npy", np.fromiter(map(price.dot, billed), float, len(billed)))
+"""
+
+
+def test_energy_cost_bits_do_not_depend_on_the_blas_kernel(tmp_path):
+    # 20,000 random 48-slot rows priced here, in a process under OpenBLAS's
+    # Haswell kernel and in one under its Nehalem kernel (numpy's x86
+    # wheels pick the kernel at run time), and by a Python loop: the same
+    # bytes everywhere.  The rows' `ddot`s differ between kernels, so the
+    # processes did run under another kernel
+    rng = np.random.default_rng(2)
+    price = rng.uniform(0.01, 0.4, 48)
+    billed = rng.uniform(0.0, 12.0, (20_000, 48))
+    billed[rng.random(billed.shape) < 0.1] = 0.0
+    np.save(tmp_path / "billed.npy", billed)
+    np.save(tmp_path / "price.npy", price)
+    here = costing.energy_cost(billed, price, 0.5)
+    reference = [eval_reference.energy_cost(row, price.tolist(), 0.5) for row in billed.tolist()]
+    assert here.tobytes() == np.array(reference).tobytes()
+
+    src = str(Path(costing.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    ddot = np.fromiter(map(price.dot, billed), float, len(billed))
+    moved = []
+    for kernel in ("Haswell", "Nehalem"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+               "PYTHONPATH": src + os.pathsep + path if path else src}
+        subprocess.run([sys.executable, "-c", PRICE_ROWS, str(tmp_path)], env=env, check=True)
+        assert np.load(tmp_path / "energy.npy").tobytes() == here.tobytes(), kernel
+        moved.append(np.load(tmp_path / "ddot.npy").tobytes() != ddot.tobytes())
+    assert any(moved)

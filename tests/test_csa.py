@@ -204,9 +204,10 @@ EDGE_PINS = {
     ),
     ("grid300", 0): (
         [
-            (0, 4.046, 12), (1, 3.17424, 49), (2, 3.17424, 88),
-            (3, 2.7758400000000005, 127), (4, 2.7758400000000005, 165), (5, 2.69616, 204),
-            (6, 2.61552, 241), (7, 2.58416, 280), (8, 2.56272, 317), (9, 2.56272, 356),
+            (0, 4.046, 12), (1, 3.1742399999999997, 49), (2, 3.1742399999999997, 88),
+            (3, 2.7758399999999996, 127), (4, 2.7758399999999996, 165),
+            (5, 2.696159999999999, 204), (6, 2.6155199999999996, 241), (7, 2.58416, 280),
+            (8, 2.56272, 317), (9, 2.56272, 356),
             (10, 2.56272, 394), (11, 2.56272, 433), (12, 2.56272, 468), (13, 2.56272, 505),
             (14, 2.56272, 543),
         ],
@@ -219,18 +220,20 @@ EDGE_PINS = {
     ),
     ("grid300", 7): (
         [
-            (0, 4.23312, 12), (1, 2.6448000000000005, 47), (2, 2.5404, 86),
-            (3, 2.4744, 124), (4, 2.4744, 163), (5, 2.4744, 201), (6, 2.4744, 239),
-            (7, 2.4744, 275), (8, 2.4744, 312), (9, 2.4744, 351), (10, 2.4744, 389),
-            (11, 2.4588000000000005, 425), (12, 2.4336, 462), (13, 2.4336, 501),
-            (14, 2.4336, 540),
+            (0, 4.23312, 12), (1, 2.644799999999999, 47), (2, 2.5403999999999995, 86),
+            (3, 2.4743999999999997, 124), (4, 2.4743999999999997, 163),
+            (5, 2.4743999999999997, 201), (6, 2.4743999999999997, 239),
+            (7, 2.4743999999999997, 275), (8, 2.4743999999999997, 312),
+            (9, 2.4743999999999997, 351), (10, 2.4743999999999997, 389),
+            (11, 2.4587999999999997, 425), (12, 2.4335999999999998, 462),
+            (13, 2.4335999999999998, 501), (14, 2.4335999999999998, 540),
         ],
         540,
         [
             (250, 251, 252, 253, 254), (248, 251, 257, 270), (3, 128, 256),
             (100, 101, 102, 103, 104, 105),
         ],
-        2.4336,
+        2.4335999999999998,
     ),
 }
 
@@ -731,6 +734,22 @@ class TestSearchSpace:
             assert len(offspring) == sum(clone_counts(8))
             assert set(offspring) == {original}
         assert space.genes_of(original) == ((4, 5, 6), (7, 8))
+
+    def test_an_empty_last_gene_is_encoded(self):
+        # a zero-duration slot set last: its offset is the genotype width
+        ctx = ProblemContext(grid=GRID12, price=STEEP, penalty_price=0.05, appliances=(
+            _baseline(),
+            _uninterruptible(2, (1, 12), 3, 1.0, original_start=4),
+            _interruptible(3, (1, 12), 0, 2.5, original=()),
+        ))
+        space = SearchSpace(ctx)
+        assert space.width == space.flex[-1].offset == 3
+        draws = Draws(2)
+        offspring = clone_and_hypermutate(space.random_antibodies(draws, 6), draws, space)
+        assert {space.genes_of(ab)[1] for ab in offspring} == {()}
+        result = optimize(ctx, CsaConfig(rng_seed=0, **EDGE_CONFIG))
+        (oracle_total,) = {r.total_usd for r in sweep_penalties(SmallInstance(ctx), [0.05]).values()}
+        assert result.success and result.breakdown.total_usd == oracle_total
 
 
 class TestGenesListTheReachableSpace:
@@ -1333,9 +1352,13 @@ class TestOptimize:
         assert a.evaluations == b.evaluations
 
     def test_incumbent_total_never_worsens(self):
+        # beyond TIE_TOL: a near-tie the incumbent rule prefers (fewer shift
+        # slots, then the earlier genotype) may take over a few ulps higher,
+        # as at generation 1 here, one ulp above 0.47150000000000003
         result = optimize(steep_context(), CsaConfig(rng_seed=3, **FAST))
         totals = [t for _, t, _ in result.history if not math.isnan(t)]
-        assert totals == sorted(totals, reverse=True)
+        assert all(later - earlier <= csa.TIE_TOL for earlier, later in zip(totals, totals[1:]))
+        assert totals[-1] == min(totals)
         evals = [e for _, _, e in result.history]
         assert evals == sorted(evals)
 
@@ -1432,18 +1455,18 @@ IMMIGRANT_PINS = {
         [
             (0, 0.6465000000000001, 18), (1, 0.6465000000000001, 38),
             (2, 0.6465000000000001, 48), (3, 0.6465000000000001, 55),
-            (4, 0.6465000000000001, 55), (5, 0.6465000000000001, 56),
-            (6, 0.6465000000000001, 56), (7, 0.6465000000000001, 57),
-            (8, 0.6465000000000001, 59), (9, 0.6465000000000001, 59),
-            (10, 0.6465000000000001, 59), (11, 0.6465000000000001, 59),
-            (12, 0.6465000000000001, 59),
+            (4, 0.6465000000000001, 56), (5, 0.6465000000000001, 57),
+            (6, 0.6465000000000001, 57), (7, 0.6465000000000001, 58),
+            (8, 0.6465000000000001, 60), (9, 0.6465000000000001, 60),
+            (10, 0.6465000000000001, 60), (11, 0.6465000000000001, 60),
+            (12, 0.6465000000000001, 60),
         ],
-        59,
+        60,
     ),
     "stall": (
         dict(rng_seed=12, generations=400, stall_generations=8),
         [
-            (0, 0.7365, 19), (1, 0.6465000000000001, 42), (2, 0.6465000000000001, 48),
+            (0, 0.7365, 19), (1, 0.6465000000000001, 43), (2, 0.6465000000000001, 50),
             (3, 0.6465000000000001, 51), (4, 0.6465000000000001, 53),
             (5, 0.6465000000000001, 53), (6, 0.6465000000000001, 53),
             (7, 0.6465000000000001, 54), (8, 0.6465000000000001, 55),

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracle_reference
 from dsmsched import oracle
@@ -133,7 +133,7 @@ def test_enumeration_is_exactly_the_feasible_set():
         stop = min(start + oracle._CHUNK, enumeration.count)
         index = enumeration.chunk(start).index
         # the chunk's rows re-scored as the optimizer scores them
-        genotypes = inst.space.pack(enumeration.slot_rows(start, stop))
+        genotypes = inst.space.pack(oracle_reference.slot_rows(enumeration, start, stop))
         scores = inst.space.evaluate(genotypes, 0.0)
         assert np.array_equal(start + np.flatnonzero(scores.feasible), index)
         scored.extend(
@@ -271,63 +271,6 @@ def test_reported_total_is_the_total_decided_by(name, ctx):
     assert result.total_usd == space.evaluate([optimum], 1.0).total_usd[0]
 
 
-@pytest.mark.parametrize("name", ["md_pi5", "pv_pi5", "mixed_pi5"])
-def test_exact_energy_is_priced_for_few_candidates(monkeypatch, name):
-    # a single optimum, no ties: only candidates that come within TIE_TOL
-    # of the running optimum, plus margin, are priced with a `ddot` each
-    priced = []
-
-    def counted(billed, price, hours):
-        priced.append(len(billed))
-        return energy_cost(billed, price, hours)
-
-    monkeypatch.setattr(oracle, "energy_cost", counted)
-    result = exhaustive_optimize(SmallInstance(context=dict(build_suite())[name]))
-    assert len(result.ties) == 1
-    assert 0 < sum(priced) < 0.05 * result.feasible_count
-
-
-@st.composite
-def _billed_rows(draw):
-    """(billed kW rows x n slots, n tariff values, slot hours): values of
-    magnitude 1e-6 to 1e3, log-uniform, some of them 0."""
-    n = draw(st.integers(1, 64))
-    rows = draw(st.integers(1, 16))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    zeros = draw(st.floats(0.0, 0.5))
-    values = 10.0 ** rng.uniform(-6.0, 3.0, (rows + 1, n))
-    values[rng.random((rows + 1, n)) < zeros] = 0.0
-    return values[:rows], values[rows].tolist(), draw(st.sampled_from([0.25, 1 / 3, 0.5, 1.0]))
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=_billed_rows())
-# the second row's `ddot` is 0.7069000000000001, its matrix product 0.7069
-@example(case=(np.array([[2.4, 0.8], [3.67, 0.57]]), [0.16, 0.21], 0.5))
-def test_matrix_priced_energy_is_within_the_margin(case):
-    billed, price, hours = case
-    exact = energy_cost(billed, np.array(price), hours)
-    approx, margin = oracle._approx_energy(billed, np.array(price), hours)
-    assert np.all(np.abs(exact - approx) <= margin)
-
-
-def test_margin_holds_where_the_matrix_product_differs():
-    # 20,000 random 48-slot rows in `_CHUNK`-row chunks, as the oracle prices
-    # them: on an x86 OpenBLAS build about a third differ in the last bits
-    rng = np.random.default_rng(2)
-    price = rng.uniform(0.01, 0.4, 48)
-    billed = rng.uniform(0.0, 12.0, (20_000, 48))
-    hours = 0.5
-    exact = energy_cost(billed, price, hours)
-    differ = 0
-    for start in range(0, len(billed), oracle._CHUNK):
-        chunk = slice(start, start + oracle._CHUNK)
-        approx, margin = oracle._approx_energy(billed[chunk], price, hours)
-        assert np.all(np.abs(exact[chunk] - approx) <= margin)
-        differ += int(np.count_nonzero(exact[chunk] != approx))
-    assert differ > 0
-
-
 def enumeration_cases():
     feeder = dict(build_suite())["feeder_pi0"]
     radix_one = ProblemContext(grid=GRID12, price=STEEP, appliances=(
@@ -355,13 +298,13 @@ def test_index_k_decodes_to_the_kth_product_genotype(name, ctx):
     product = list(itertools.product(*(space.genes(i) for i in range(len(space.flex)))))
     keys = [space.key(genes) for genes in product]
     assert enumeration.count == len(product)
-    rows = enumeration.slot_rows(0, len(product))
+    rows = oracle_reference.slot_rows(enumeration, 0, len(product))
     assert rows.dtype == np.intp
     assert [space.genes_of(ab) for ab in space.pack(rows)] == product
     assert np.array_equal(rows, space.slot_matrix(keys))
     # a range starting mid-way, as a chunk after the first does
     start = len(product) // 3
-    assert np.array_equal(enumeration.slot_rows(start, len(product)),
+    assert np.array_equal(oracle_reference.slot_rows(enumeration, start, len(product)),
                           space.slot_matrix(keys[start:]))
 
 
@@ -379,7 +322,7 @@ def assert_tables_are_the_kernels(ctx):
     starts = [*range(0, enumeration.count, oracle._CHUNK), enumeration.count // 3]
     for start in starts:
         stop = min(start + oracle._CHUNK, enumeration.count)
-        rows = enumeration.slot_rows(start, stop)
+        rows = oracle_reference.slot_rows(enumeration, start, stop)
         digits = enumeration._digits(start, stop)
         gross = space.gross_rows(rows)
         assert same_bits(enumeration._gross(stop - start, digits), gross)
@@ -391,7 +334,8 @@ def assert_tables_are_the_kernels(ctx):
         keep = np.flatnonzero(loads.feasible)
         chunk = enumeration.chunk(start)
         assert same_bits(chunk.index, start + keep)
-        assert same_bits(chunk.billed, loads.billed[keep])
+        assert same_bits(chunk.energy,
+                         energy_cost(loads.billed[keep], ctx.price_array(), ctx.grid.slot_hours))
         assert same_bits(chunk.shift_slots, shift_slots[keep])
         assert same_bits(chunk.weighted, weighted[keep])
 
@@ -414,10 +358,10 @@ def test_without_flexible_appliances_the_one_genotype_is_the_baseline():
 
 def test_a_sweep_decodes_only_the_candidates_it_offers(monkeypatch):
     # no slot matrix per chunk: `charge` builds the gene tables, once per
-    # appliance, and `slot_rows` decodes one offered index at a time
-    calls = {"gross_rows": 0, "charge": 0, "slot_rows": []}
+    # appliance, and `pack` decodes one offered index at a time
+    calls = {"gross_rows": 0, "charge": 0, "pack": []}
     gross_rows, charge = SearchSpace.gross_rows, SearchSpace.charge
-    slot_rows = oracle._Enumeration.slot_rows
+    pack = oracle._Enumeration.pack
 
     def counted_gross_rows(space, slots):
         calls["gross_rows"] += 1
@@ -427,27 +371,27 @@ def test_a_sweep_decodes_only_the_candidates_it_offers(monkeypatch):
         calls["charge"] += 1
         return charge(space, *args)
 
-    def counted_slot_rows(enumeration, start, stop):
-        calls["slot_rows"].append(stop - start)
-        return slot_rows(enumeration, start, stop)
+    def counted_pack(enumeration, index):
+        calls["pack"].append(len(index))
+        return pack(enumeration, index)
 
     monkeypatch.setattr(SearchSpace, "gross_rows", counted_gross_rows)
     monkeypatch.setattr(SearchSpace, "charge", counted_charge)
-    monkeypatch.setattr(oracle._Enumeration, "slot_rows", counted_slot_rows)
+    monkeypatch.setattr(oracle._Enumeration, "pack", counted_pack)
     instance = SmallInstance(context=dict(build_suite())["mixed_pi0"])
     result = sweep_penalties(instance, PENALTY_GRID)[0.0]
     assert result.feasible_count > 100 * oracle._CHUNK
     assert calls["gross_rows"] == 0 and calls["charge"] == len(instance.space.flex)
-    assert 0 < len(calls["slot_rows"]) < 0.01 * result.feasible_count
-    assert set(calls["slot_rows"]) == {1}
+    assert 0 < len(calls["pack"]) < 0.01 * result.feasible_count
+    assert set(calls["pack"]) == {1}
 
 
 @st.composite
 def _small_contexts(draw):
     """A 12-slot context of up to two baseline rows and up to four flexible
     appliances of either class, each in a window of up to 6 slots (a slot
-    set between two others may be empty), with ratings of many digits and
-    a demand cap that may bind; at most 5,000 candidates."""
+    set may be empty), with ratings of many digits and a demand cap that
+    may bind; at most 5,000 candidates."""
     rating = st.floats(0.01, 5.0)
     appliances = [_baseline(aid, draw(rating)) for aid in range(1, 1 + draw(st.integers(0, 2)))]
     flexible = draw(st.integers(0 if appliances else 1, 4))
@@ -459,8 +403,7 @@ def _small_contexts(draw):
             start = draw(st.integers(lo, hi - duration + 1))
             appliances.append(_uninterruptible(aid, (lo, hi), duration, draw(rating), start))
         else:
-            inner = 10 < aid < 9 + flexible
-            duration = draw(st.integers(0 if inner else 1, hi - lo + 1))
+            duration = draw(st.integers(0, hi - lo + 1))
             slots = draw(st.sets(st.integers(lo, hi), min_size=duration, max_size=duration))
             appliances.append(_interruptible(aid, (lo, hi), duration, draw(rating),
                                              tuple(sorted(slots))))
@@ -511,9 +454,8 @@ class TestOfferChunk:
                 k += 1
         return best
 
-    def reduced(self, chunks, margin=0.0, error=lambda k: 0.0):
-        """Offer the chunks through `_offer_chunk`, each approximate total
-        `error(k)` (within +-`margin`) off candidate k's exact total."""
+    def reduced(self, chunks):
+        """Offer the chunks through `_offer_chunk`."""
         best = oracle._Best()
         packed = []
 
@@ -523,18 +465,15 @@ class TestOfferChunk:
 
         k = 0
         for total, shift in chunks:
-            exact = np.array(total, dtype=float)
-            approx = exact + [error(i) for i in range(k, k + len(total))]
-            oracle._offer_chunk(best, approx, np.full(len(total), margin),
-                                lambda j: exact[j].item(),
+            oracle._offer_chunk(best, np.array(total, dtype=float),
                                 np.array(shift, dtype=np.intp),
                                 np.arange(k, k + len(total))[:, None], pack)
             k += len(total)
         return best, packed
 
-    def assert_same(self, chunks, margin=0.0, error=lambda k: 0.0):
+    def assert_same(self, chunks):
         want = self.sequential(chunks)
-        got, packed = self.reduced(chunks, margin, error)
+        got, packed = self.reduced(chunks)
         assert got.key == want.key
         assert got.ties == want.ties
         return got, packed
@@ -584,25 +523,3 @@ class TestOfferChunk:
                 for size in rng.integers(0, 12, rng.integers(1, 4))
             ]
             self.assert_same(chunks)
-
-    MARGIN = 0.3 * TIE_TOL
-
-    @pytest.mark.parametrize("error", [
-        lambda k: -TestOfferChunk.MARGIN,
-        lambda k: TestOfferChunk.MARGIN,
-        lambda k: TestOfferChunk.MARGIN if k % 2 else -TestOfferChunk.MARGIN,
-        lambda k: np.random.default_rng(k).uniform(-TestOfferChunk.MARGIN, TestOfferChunk.MARGIN),
-    ], ids=["low", "high", "alternating", "random"])
-    def test_approximate_totals_within_the_margin_change_nothing(self, error):
-        """Approximate totals off by up to the margin, across the TIE_TOL
-        boundary and along the drifting near-tie chain: the same optimum,
-        ties and packed rows as offering every candidate at its exact
-        total."""
-        above = np.nextafter(TIE_TOL, 1.0)
-        total, shift = self.drifting()
-        for chunks in ([([0.0, TIE_TOL, above], [0, 1, 2])],
-                       [(total, shift)],
-                       [(total[:4], shift[:4]), (total[4:], shift[4:])]):
-            _, want = self.reduced(chunks)
-            _, packed = self.assert_same(chunks, self.MARGIN, error)
-            assert packed == want
