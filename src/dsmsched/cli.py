@@ -259,7 +259,9 @@ def _parse_config(data, path: Path) -> ScenarioConfig:
     if _typed(data, "pv_enabled", bool, where, False):
         if pv_values is None:
             raise InputError(f"{where}: pv_enabled is true but no 'pv_csv' or 'pv' given")
-        pv = PvSeries(values=tuple(pv_values), capacity_kw=capacity or max(pv_values) or 1.0)
+        # no positive value infers a capacity, so a negative one is reported as a value
+        pv = PvSeries(values=tuple(pv_values),
+                      capacity_kw=capacity or max(max(pv_values), 0.0) or 1.0)
 
     power_factor = _number(data.get("power_factor", 0.95), "power_factor", where)
     neighbors = None

@@ -175,6 +175,10 @@ class ProblemContext:
                                  "are not strictly ascending")
         if len(self.price.values) != self.grid.slot_count:
             raise ValueError("price series length does not match grid")
+        # `assess` keys a slot's load as rint(kW * 1000) * slots + slot in int64
+        slots, rated = self.grid.slot_count, sum(abs(a.rated_kw) for a in self.appliances)
+        if not rated * 1000.0 * slots + slots < 2.0**63:  # NaN fails too
+            raise ValueError(f"appliance ratings sum to {rated:g} kW, past the int64 flow key")
         if self.pv is not None and len(self.pv.values) != self.grid.slot_count:
             raise ValueError("pv series length does not match grid")
         if self.penalty_price < 0:

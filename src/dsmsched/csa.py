@@ -35,8 +35,9 @@ in whole watts) and solved at that rounded load, so identical slot loads
 across antibodies reuse one solve and no result depends on which antibody
 reached a key first.  On a feeder, the offspring that provably can neither
 survive selection nor take the incumbent are only bounded
-(`SearchSpace.bounds`, flow-free), never scored; `optimize` says how its
-result stays that of scoring every genotype.
+(`SearchSpace.bounds`, flow-free), never scored: the incumbent side by a
+margin no scan climbs past, the survivor side checked by one repair step
+after selection, so the result is that of scoring every genotype.
 
 Every random draw comes from `Draws`, a Python replay of the stream of
 numpy's `Generator(PCG64(seed))`, without numpy's per-call overhead on
@@ -908,7 +909,7 @@ _NO_INCUMBENT = (math.inf, 0, b"")
 def _better_incumbent(cand: tuple, best: tuple) -> bool:
     """Whether incumbent key `cand` beats `best`, both (total, shift_slots,
     genotype): a lower total beyond TIE_TOL wins, otherwise the smaller
-    (shift_slots, genotype)."""
+    (shift_slots, genotype), so k wins climb at most k * TIE_TOL."""
     diff = cand[0] - best[0]
     if diff < -TIE_TOL:
         return True
@@ -949,14 +950,15 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     nor take the incumbent is only bounded, never power-flowed: its
     flow-free ceiling (`SearchSpace.bounds`) is below a predicted survivor
     floor, and it is over the demand cap or its total floor is more than
-    TIE_TOL above the incumbent's total.  Two checks make the result exact
-    whatever the prediction: no bounded genotype may come before the pool's
-    n-th distinct scored one in the ranking, and each must be over the cap
-    or more than TIE_TOL above the highest incumbent total the scan reached.
-    A bounded genotype that fails one is scored, in one more `evaluate`
-    call, and selection and the scan run again, so the survivors, the
-    incumbents, `history` and `evaluations`, which counts every distinct
-    genotype scored or bounded, are those of scoring every genotype.
+    TIE_TOL * (len(pool) + 1) above the incumbent's total, past any total
+    the scan can reach, as it takes at most one key per pool entry, each at
+    most TIE_TOL above the last (`_better_incumbent`).  The bounded
+    genotypes ranked before the pool's n-th distinct scored one are scored,
+    in one more `evaluate` call, and selected again: scored, none ranks
+    earlier and the new n-th no later, so every bounded one left ranks
+    behind it.  The survivors, the incumbents, `history` and `evaluations`,
+    which counts every distinct genotype scored or bounded, are therefore
+    those of scoring every genotype.
     """
     space = SearchSpace(context)
     original = space.original_antibody()
@@ -982,12 +984,10 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     def rank_key(ab: Antibody):
         return (-scores[ab][0], ab)
 
-    def scan(candidates: Sequence[Antibody]) -> tuple[bool, float]:
-        """Update incumbents; report whether the best total improved, and
-        the highest incumbent total the scan reached."""
+    def scan(candidates: Sequence[Antibody]) -> bool:
+        """Update incumbents; report whether the best total improved."""
         nonlocal best_key, top, top_antibody
         improved = False
-        highest = best_key[0]
         for ab in candidates:
             sc, total, shift_slots, feasible = scores[ab]
             if top is None or sc > top:
@@ -997,8 +997,7 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
                 if total < best_key[0] - 1e-12:
                     improved = True
                 best_key = key
-                highest = max(highest, total)
-        return improved, highest
+        return improved
 
     def select(pool: list[Antibody]) -> tuple[list[Antibody], list[Antibody]]:
         """The first n distinct genotypes of a ranked pool, and the bounded
@@ -1052,9 +1051,12 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
         # drawn after selection, as CLONALG orders it
         immigrants = space.random_antibodies(draws, replace_count)
 
-        # the distinct offspring without a score, then the immigrants', by
-        # their rows in `batch`
-        fresh = dict.fromkeys(ab for ab in offspring if scores.get(ab, _NO_ROW)[3] is None)
+        # the distinct offspring without a score, each to its row in `batch`,
+        # then the immigrants'
+        fresh: dict[Antibody, int] = {}
+        for ab in offspring:
+            if ab not in fresh and scores.get(ab, _NO_ROW)[3] is None:
+                fresh[ab] = len(fresh)
         later = [ab for ab in dict.fromkeys(immigrants)
                  if scores.get(ab, _NO_ROW)[3] is None and ab not in fresh]
         genotypes = [*fresh, *later]
@@ -1062,21 +1064,19 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
         skip = np.zeros(len(genotypes), bool)
         if genotypes:
             batch = space.price(space.slot_matrix(genotypes))
+        pool = population + offspring
         if bounding and bred:
             ceiling, floor, over = space.bounds(batch, weight)
             values = np.concatenate(([scores[ab][0] for ab in population], ceiling[:bred]))
             cut = _predicted_floor(values, n, gap)
-            # over the cap, or too far above the incumbent's total to take it
-            apart = over[:bred] | (floor[:bred] - best_key[0] > TIE_TOL)
+            # over the cap, or past any total the scan can reach
+            apart = over[:bred] | (floor[:bred] - best_key[0] > TIE_TOL * (len(pool) + 1))
             skip[:bred] = (ceiling[:bred] < cut) & apart
             # an immigrant joins the population, so it is always scored
-            for ab in immigrants:
-                if ab in fresh:
-                    skip[genotypes.index(ab)] = False
+            skip[[fresh[ab] for ab in immigrants if ab in fresh]] = False
         keep = ~skip
-        bounded = np.flatnonzero(skip)
         if keep.any():
-            s = space.evaluate(batch.take(keep) if len(bounded) else batch, weight)
+            s = space.evaluate(batch.take(keep) if skip.any() else batch, weight)
             rows = _rows(s)
             bred_scored = len(rows) - len(later)
             scores.update(zip(compress(fresh, keep.tolist()), rows))
@@ -1085,30 +1085,22 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
             # the scored offspring lead the rows
             if bounding and bred_scored:
                 gap = float((ceiling[:bred][keep[:bred]] - s.score[:bred_scored]).max())
-        if len(bounded):
+        if skip.any():
             unknown = repeat(None)
             scores.update(zip(compress(fresh, skip.tolist()),
                               zip(ceiling[skip].tolist(), unknown, unknown, unknown)))
 
-        pool = population + offspring
-        start = (best_key, top, top_antibody)
-        while True:
+        # survivors are distinct genotypes; clones of one incumbent would
+        # otherwise crowd the population and stall the search
+        pool.sort(key=rank_key)
+        population, early = select(pool)
+        if early:
+            # scored, none ranks earlier: the second selection is final
+            at = [fresh[ab] for ab in early]
+            scores.update(zip(early, _rows(space.evaluate(batch.take(at), weight))))
             pool.sort(key=rank_key)
-            # survivors are distinct genotypes; clones of one incumbent
-            # would otherwise crowd the population and stall the search
-            population, early = select(pool)
-            best_key, top, top_antibody = start
-            improved, highest = scan(pool)
-            failing = dict.fromkeys(early)
-            if len(bounded):
-                near = bounded[~over[bounded] & ~(floor[bounded] - highest > TIE_TOL)]
-                failing.update(dict.fromkeys(genotypes[i] for i in near.tolist()))
-            if not failing:
-                break
-            at = np.array([genotypes.index(ab) for ab in failing], np.intp)
-            scores.update(zip(failing, _rows(space.evaluate(batch.take(at), weight))))
-            skip[at] = False
-            bounded = np.flatnonzero(skip)
+            population, _ = select(pool)
+        improved = scan(pool)
         population[n - replace_count:] = immigrants
         record(generation)
         stall = 0 if improved else stall + 1

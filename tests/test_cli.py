@@ -519,6 +519,10 @@ _CSA = base_config("out")["csa"]
     ({"label": None}, "'label' must be a string, got None"),
     ({"label": {"a": 1}}, "'label' must be a string, got {'a': 1}"),
     ({"pv_capacity_kw": -3, "pv_enabled": False}, "capacity_kw must be positive, got -3.0"),
+    # no capacity given: none is inferred from values that are all <= 0
+    ({"pv_enabled": True, "pv": [0.0] * 11 + [-1.0]}, "pv values must lie in [0, capacity_kw]"),
+    # every rating on at once would wrap the int64 power-flow key
+    ({"appliances": _with_row_field(rated_kw=1e15)}, "appliance ratings sum to 1e+15 kW"),
 ], ids=["md_kw_text", "md_kw_zero", "voltage_band_text", "voltage_band_inverted",
         "slot_count_text", "penalty_negative",
         "grid_number", "appliances_number", "appliances_csv_number", "price_number",
@@ -527,7 +531,8 @@ _CSA = base_config("out")["csa"]
         "slot_count_past_two_bytes",
         "duration_fraction", "population_size_fraction",
         "generations_fraction", "md_kw_bool", "seed_bool", "seed_negative",
-        "csa_rng_seed", "label_null", "label_object", "pv_capacity_negative_pv_off"])
+        "csa_rng_seed", "label_null", "label_object", "pv_capacity_negative_pv_off",
+        "pv_negative_no_capacity", "ratings_past_the_flow_key"])
 def test_malformed_value_is_an_input_error(tmp_path, capsys, command, change, message):
     rows = "".join(f"{slot},{price}\n" for slot, price in enumerate(STEEP_PRICE[:-1], start=1))
     (tmp_path / "price_nan.csv").write_text("slot,price\n" + rows + "12,nan\n")

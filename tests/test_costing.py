@@ -287,6 +287,27 @@ class TestProblemContext:
         with pytest.raises(ValueError, match="at least one appliance"):
             make_context(appliances=())
 
+    def test_ratings_past_the_flow_key_are_rejected(self):
+        # a slot's gross load is keyed as rint(kW * 1000) * slots + slot in
+        # int64: on 48 slots a 1e15 kW baseline wrapped to W = -1.5e17 and
+        # was solved at a negative load
+        def day(rated):
+            grid = TimeGrid(slot_count=48)
+            base = Appliance(id=1, appliance_class=ApplianceClass.BASELINE, window_start=1,
+                             window_end=48, duration=48, rated_kw=rated,
+                             original_on_slots=tuple(range(1, 49)))
+            return ProblemContext(grid=grid, appliances=(base,),
+                                  price=PriceSeries(values=(0.1,) * 48), feeder=tiny_feeder())
+        with pytest.raises(ValueError, match=r"^appliance ratings sum to 1e\+15 kW"):
+            day(1e15)
+        limit = (2**63 - 48) / 48 / 1000
+        for rated in (limit, -limit, math.nan):
+            with pytest.raises(ValueError, match="appliance ratings sum to"):
+                day(rated)
+        ctx = day(limit * (1 - 1e-12))
+        codes = np.rint(ctx.appliances[0].rated_kw * 1000.0).astype(np.int64) * 48 + np.arange(48)
+        assert (codes > 0).all()
+
     def test_duplicate_appliance_ids_are_rejected(self):
         # shifts are reported by id: a shared id would drop an appliance's
         twins = (baseline4(aid=7), interruptible(aid=7, rated=2.0, original=(1, 2)))

@@ -9,7 +9,7 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st, target
 
 import csa_reference
 import eval_reference
@@ -1593,10 +1593,45 @@ def differential_runs():
             yield name, edge_context(name), CsaConfig(rng_seed=seed, **EDGE_CONFIG)
 
 
+@st.composite
+def incumbent_keys(draw):
+    """A start incumbent key and a run of keys after it, (total,
+    shift_slots, genotype), each total a few TIE_TOL from the one before
+    and its shift slots mostly fewer, so that near-ties win often."""
+    start = (draw(st.floats(0.0, 1e3)), 60, draw(st.binary(max_size=1)))
+    keys, (total, shift, _) = [], start
+    for quarters, fewer in draw(st.lists(st.tuples(st.integers(-8, 12), st.integers(-1, 2)),
+                                         max_size=30)):
+        total += quarters * csa.TIE_TOL / 4
+        shift -= fewer
+        keys.append((total, shift, draw(st.binary(max_size=1))))
+    return start, keys
+
+
 class TestBoundedOffspring:
     """`optimize` only bounds the offspring that provably can neither
     survive selection nor take the incumbent; its results are those of
     scoring every genotype."""
+
+    # totals 1.25 TIE_TOL apart, each with fewer shift slots: a tie window
+    # of 1.25 TIE_TOL or more accepts every one and climbs past the margin
+    @settings(max_examples=300, deadline=None)
+    @given(incumbent_keys())
+    @example(((0.5, 9, b""), [(0.5 + 1.25e-9 * k, 9 - k, b"") for k in range(1, 10)]))
+    def test_the_scan_climbs_less_than_the_incumbent_margin(self, drawn):
+        # `optimize` bounds an offspring whose total floor is more than
+        # TIE_TOL * (len(pool) + 1) above the incumbent's total: a scan over
+        # the pool must never reach it
+        start, keys = drawn
+        margin = csa.TIE_TOL * (len(keys) + 1)
+        best = start
+        for key in keys:
+            if csa._better_incumbent(key, best):
+                assert not key[0] - start[0] > margin
+                best = key
+            assert best[0] - start[0] <= margin
+        # steer the search towards runs that climb as far as they can
+        target((best[0] - start[0]) / csa.TIE_TOL - len(keys))
 
     def test_results_equal_scoring_every_genotype(self, monkeypatch):
         runs = list(differential_runs())
@@ -1615,10 +1650,9 @@ class TestBoundedOffspring:
         assert counts["calls"] == scored["calls"]
         assert counts["rows"] < 0.5 * scored["rows"]
 
-    # a wide tie tolerance lets the incumbent creep up, past the total a
-    # bounded offspring was checked against when it was bounded: on
-    # feeder_pi0 with a tolerance of 10 c, at seed 5, only the check
-    # against the highest total the scan reached keeps the result
+    # a survivor floor of +inf bounds every offspring the incumbent margin
+    # lets go, so the repair step after selection scores those that rank
+    # early, in calls of their own
     @pytest.mark.parametrize("label, tie_tol, config", [
         ("scenario_c_0.2", csa.TIE_TOL, CsaConfig(rng_seed=2, **DIFF_CONFIG)),
         ("scenario_c_0.2", 0.05, CsaConfig(rng_seed=2, **DIFF_CONFIG)),
@@ -1639,8 +1673,10 @@ class TestBoundedOffspring:
         monkeypatch.setattr(csa, "_predicted_floor", lambda *args: math.inf)
         result = optimize(ctx, config)
         assert outcome(result) == reference
-        # the fallbacks score in calls of their own
-        assert counts["calls"] > result.history[-1][0] + 1
+        # on feeder_pi0 a tolerance of 10 c puts the margin past every total
+        # and no offspring is over the cap: nothing is bounded or repaired
+        if label != "feeder_pi0":
+            assert counts["calls"] > result.history[-1][0] + 1
 
     # every (config, penalty price) pair `dsm-sched run` optimizes, a feeder
     # whose band binds and one whose flows fail
