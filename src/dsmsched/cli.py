@@ -513,7 +513,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     config = load_scenario_config(args.config)
     try:
         instance = SmallInstance(context=config.context())
-    except ValueError as exc:  # too many flexible appliances or slots
+    except ValueError as exc:  # too many slots
         raise InputError(f"{args.config}: {exc}") from None
     prices = config.penalties_usd_per_kwh
     try:

@@ -24,13 +24,21 @@ from __future__ import annotations
 
 import copy
 import math
-import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Appliance, Schedule, TimeGrid, aggregate_power
+from .domain import (
+    ISSUE_DURATION,
+    ISSUE_ORIGINAL_WINDOW,
+    ISSUE_RATED,
+    Appliance,
+    Schedule,
+    TimeGrid,
+    aggregate_power,
+    validate_appliance_set,
+)
 from .errors import PowerFlowError
 from .feeder import FeederModel, solve_power_flow_batch
 from .profiles import NeighborLoads, PriceSeries, PvSeries
@@ -133,15 +141,24 @@ class _FlowCache:
         self.rows = np.insert(self.rows, at, start + order)
 
 
+# the issues of `validate_appliance_set` that the search still represents:
+# an original plan off its declared window, which is widened to cover it
+# (the duration then may not fit the declared window), a zero duration and
+# a rating of zero or below
+_ACCEPTED_ISSUES = frozenset({ISSUE_ORIGINAL_WINDOW, ISSUE_DURATION, ISSUE_RATED})
+
+
 @dataclass(frozen=True)
 class ProblemContext:
     """One scheduling problem: inputs and limits.
 
     Every house on the feeder, the smart home included, draws reactive power
     at `power_factor`; sweeps run at `solve_power_flow_batch`'s own
-    tolerance and iteration limit.  Appliance ids are distinct and every
-    original plan is strictly ascending, as the search and `total_cost`
-    read it.
+    tolerance and iteration limit.  The appliances pass
+    `domain.validate_appliance_set`, the check the CLI makes of a config,
+    but for the issues in `_ACCEPTED_ISSUES`: so ids are distinct, and every
+    original plan is strictly ascending, on the grid, as long as the
+    duration, and contiguous where the search keeps a run whole.
     """
 
     grid: TimeGrid
@@ -164,15 +181,10 @@ class ProblemContext:
     def __post_init__(self) -> None:
         if not self.appliances:
             raise ValueError("context needs at least one appliance")
-        ids = [a.id for a in self.appliances]
-        if len(set(ids)) != len(ids):
-            dup = next(aid for n, aid in enumerate(ids) if aid in ids[:n])
-            raise ValueError(f"appliance id {dup} appears more than once")
-        for a in self.appliances:
-            slots = a.original_on_slots
-            if not all(map(operator.lt, slots, slots[1:])):
-                raise ValueError(f"appliance {a.id}: original on-slots {slots} "
-                                 "are not strictly ascending")
+        hard = [i for i in validate_appliance_set(self.appliances, self.grid)
+                if i.kind not in _ACCEPTED_ISSUES]
+        if hard:
+            raise ValueError("; ".join(f"appliance {i.appliance_id}: {i.message}" for i in hard))
         if len(self.price.values) != self.grid.slot_count:
             raise ValueError("price series length does not match grid")
         # `assess` keys a slot's load as rint(kW * 1000) * slots + slot in int64
@@ -203,8 +215,11 @@ class ProblemContext:
     def with_penalty(self, penalty_price: float) -> "ProblemContext":
         """Same problem at a different penalty price, reading this context's
         power-flow cache: no flow depends on the penalty price."""
-        twin = replace(self, penalty_price=penalty_price)
-        object.__setattr__(twin, "_cache", self._cache)
+        if penalty_price < 0:
+            raise ValueError("penalty_price must be >= 0")
+        # a shallow copy: no appliance check is run again
+        twin = copy.copy(self)
+        object.__setattr__(twin, "penalty_price", penalty_price)
         return twin
 
     # lazily built numpy views ------------------------------------------------
@@ -387,12 +402,8 @@ def assess(context: ProblemContext, gross: np.ndarray) -> Loads:
     else:
         vmin, vmax = context.voltage_min, context.voltage_max
         codes = np.rint(gross * 1000.0).astype(np.int64) * slots + np.arange(slots)
-        if rows == 1:
-            # each slot's code is distinct, as its remainder is the slot
-            codes, cells = codes[0], np.arange(slots)[None]
-        else:
-            codes, inverse = np.unique(codes.ravel(), return_inverse=True)
-            cells = inverse.reshape(rows, slots)
+        codes, inverse = np.unique(codes.ravel(), return_inverse=True)
+        cells = inverse.reshape(rows, slots)
         found = context._flows(codes)
         cache = context._cache
         key_loss = cache.loss[found]

@@ -5,11 +5,14 @@ house; the smart home sits at the electrically farthest bus.  Quantities are
 converted to per-unit on the feeder's kVA/kV base, solved, and reported back
 in kW / kvar / per-unit voltage.
 
-There is one sweep, `solve_power_flow_batch`, vectorized over load cases;
-`solve_power_flow` is its one-case call.  It matches a per-case sweep over
-Python complex numbers bit for bit; that reference lives with the tests
-(`tests/pf_reference.py`).  The canonical feeder and the feeder writer
-live with the fixture generator, `scripts/generate_fixtures.py`.
+There is one sweep, `solve_power_flow_batch`, vectorized over load cases,
+and one result type, its `SweepBatch`.  `solve_power_flow` is its one-case
+call, which raises the case's PowerFlowError; nothing in the package calls
+it, and it is kept for the benchmark (`perfbench/run.py`), which wraps it
+by name.  The sweep matches a per-case sweep over Python complex numbers
+bit for bit; that reference lives with the tests (`tests/pf_reference.py`).
+The canonical feeder and the feeder writer live with the fixture
+generator, `scripts/generate_fixtures.py`.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from .errors import InputError, PowerFlowError
 __all__ = [
     "FeederLine",
     "FeederModel",
-    "SlotInjections",
-    "BusState",
     "VoltageViolation",
     "solve_power_flow",
     "SweepBatch",
@@ -134,71 +135,10 @@ class FeederModel:
 
 
 @dataclass(frozen=True)
-class SlotInjections:
-    """Per-bus demand for one slot, plus PV output at the smart-home bus."""
-
-    slot: int
-    p_kw: tuple[float, ...]
-    q_kvar: tuple[float, ...]
-    pv_kw: float = 0.0
-
-    def __post_init__(self) -> None:
-        if len(self.p_kw) != len(self.q_kvar):
-            raise ValueError("p_kw and q_kvar must have equal length")
-        if any(p < 0 for p in self.p_kw):
-            raise ValueError("bus demand must be non-negative")
-        if self.pv_kw < 0:
-            raise ValueError(f"pv_kw must be non-negative, got {self.pv_kw}")
-
-
-@dataclass(frozen=True)
-class BusState:
-    """Converged network state for one slot."""
-
-    slot: int
-    voltages: tuple[complex, ...]
-    loss_kw: float
-    loss_kvar: float
-    slack_p_kw: float
-    slack_q_kvar: float
-    iterations: int
-
-    def voltage_magnitudes(self) -> tuple[float, ...]:
-        return tuple(abs(v) for v in self.voltages)
-
-
-@dataclass(frozen=True)
 class VoltageViolation:
     slot: int
     bus: int
     v_pu: float
-
-
-def solve_power_flow(
-    feeder: FeederModel,
-    injections: SlotInjections,
-    tol: float = 1e-8,
-    max_iter: int = 50,
-) -> BusState:
-    """Backward/forward sweep of one slot: `solve_power_flow_batch` on a
-    single case.
-
-    Raises PowerFlowError when the sweep fails to converge (heavy overload
-    collapses the voltage and the iteration diverges instead).
-    """
-    sweep = solve_power_flow_batch(
-        feeder, [injections.p_kw], [injections.q_kvar], [injections.pv_kw], tol, max_iter)
-    if sweep.failed[0]:
-        raise sweep.error(0, injections.slot)
-    return BusState(
-        slot=injections.slot,
-        voltages=tuple(sweep.voltages[0].tolist()),
-        loss_kw=float(sweep.loss_kw[0]),
-        loss_kvar=float(sweep.loss_kvar[0]),
-        slack_p_kw=float(sweep.slack_p_kw[0]),
-        slack_q_kvar=float(sweep.slack_q_kvar[0]),
-        iterations=int(sweep.iterations[0]),
-    )
 
 
 @dataclass(frozen=True)
@@ -387,6 +327,27 @@ def solve_power_flow_batch(
         iterations=iterations, failed=failed, collapsed_bus=collapsed_bus,
         last_update=last_update,
     )
+
+
+def solve_power_flow(
+    feeder: FeederModel,
+    p_kw: np.ndarray,
+    q_kvar: np.ndarray,
+    pv_kw: float = 0.0,
+    slot: int = 1,
+    tol: float = 1e-8,
+    max_iter: int = 50,
+) -> SweepBatch:
+    """`solve_power_flow_batch` on the one case of bus demand `p_kw` /
+    `q_kvar` (one value per bus) and PV output `pv_kw` in `slot`.
+
+    Raises the case's PowerFlowError when the sweep fails to converge
+    (heavy overload collapses the voltage or makes the iteration diverge).
+    """
+    sweep = solve_power_flow_batch(feeder, [p_kw], [q_kvar], [pv_kw], tol, max_iter)
+    if sweep.failed[0]:
+        raise sweep.error(0, slot)
+    return sweep
 
 
 # the keys of a feeder file, and of each of its lines; any other is an error

@@ -51,7 +51,8 @@ __all__ = [
     "sweep_penalties",
 ]
 
-MAX_FLEXIBLE = 4
+# a chunk's working arrays are _CHUNK (512) rows x slots each, so the slot
+# count bounds a chunk's memory
 MAX_SLOTS = 16
 # most candidate schedules (product of per-appliance placement counts) an
 # instance may have; checked before any enumeration starts
@@ -66,17 +67,11 @@ class SmallInstance:
     space: SearchSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        space = SearchSpace(self.context)
-        if len(space.flex) > MAX_FLEXIBLE:
-            raise ValueError(
-                f"instance has {len(space.flex)} flexible appliances, "
-                f"limit is {MAX_FLEXIBLE}"
-            )
         if self.context.grid.slot_count > MAX_SLOTS:
             raise ValueError(
                 f"instance has {self.context.grid.slot_count} slots, limit is {MAX_SLOTS}"
             )
-        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "space", SearchSpace(self.context))
 
     def placement_counts(self) -> list[int]:
         """Genes per flexible appliance, counted without listing them."""

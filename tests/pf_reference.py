@@ -1,7 +1,9 @@
 """Power-flow references for tests.
 
 `scalar_sweep` is the per-bus, per-case backward/forward sweep that the
-vectorized `feeder.solve_power_flow_batch` must reproduce bit for bit.
+vectorized `feeder.solve_power_flow_batch` must reproduce bit for bit; it
+returns a `ScalarState`, whose `of` reads one case of a `SweepBatch` as
+the same record.
 `nr_two_bus` and `nr_radial` are Newton-Raphson solves in polar form,
 deliberately a different method from the sweep, so agreement with them is
 meaningful.
@@ -10,11 +12,42 @@ meaningful.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from dsmsched.errors import PowerFlowError
-from dsmsched.feeder import BusState, FeederModel, SlotInjections
+from dsmsched.feeder import FeederModel, SweepBatch
+
+
+@dataclass(frozen=True)
+class ScalarState:
+    """Converged network state of one case."""
+
+    slot: int
+    voltages: tuple[complex, ...]
+    loss_kw: float
+    loss_kvar: float
+    slack_p_kw: float
+    slack_q_kvar: float
+    iterations: int
+
+    def voltage_magnitudes(self) -> tuple[float, ...]:
+        return tuple(abs(v) for v in self.voltages)
+
+    @classmethod
+    def of(cls, sweep: SweepBatch, case: int, slot: int) -> "ScalarState":
+        """Case `case` of a sweep, reported as `slot`."""
+        return cls(
+            slot=slot,
+            voltages=tuple(sweep.voltages[case].tolist()),
+            loss_kw=float(sweep.loss_kw[case]),
+            loss_kvar=float(sweep.loss_kvar[case]),
+            slack_p_kw=float(sweep.slack_p_kw[case]),
+            slack_q_kvar=float(sweep.slack_q_kvar[case]),
+            iterations=int(sweep.iterations[case]),
+        )
 
 
 def nr_two_bus(
@@ -58,11 +91,14 @@ def nr_two_bus(
 
 def nr_radial(
     feeder: FeederModel,
-    injections: SlotInjections,
+    p_kw: Sequence[float],
+    q_kvar: Sequence[float],
+    pv_kw: float = 0.0,
     tol: float = 1e-13,
     max_iter: int = 60,
 ) -> tuple[np.ndarray, float]:
-    """Bus voltage phasors (pu) and feeder loss (kW) of one slot.
+    """Bus voltage phasors (pu) and feeder loss (kW) of one slot: bus
+    demand p_kw / q_kvar, PV output pv_kw at the smart home.
 
     Newton-Raphson in polar form (Tinney & Hart, "Power flow solution by
     Newton's method", IEEE Trans. PAS-86(11), 1967): bus 0 is the slack at
@@ -79,8 +115,8 @@ def nr_radial(
         y_bus[b, b] += y
         y_bus[a, b] -= y
         y_bus[b, a] -= y
-    demand = np.array(injections.p_kw) + 1j * np.array(injections.q_kvar)
-    demand[feeder.smart_home_bus] -= injections.pv_kw
+    demand = np.array(p_kw) + 1j * np.array(q_kvar)
+    demand[feeder.smart_home_bus] -= pv_kw
     s_spec = -demand[1:] / feeder.base_kva
 
     theta = np.zeros(count)
@@ -111,26 +147,28 @@ def nr_radial(
 
 def scalar_sweep(
     feeder: FeederModel,
-    injections: SlotInjections,
+    p_kw: Sequence[float],
+    q_kvar: Sequence[float],
+    pv_kw: float = 0.0,
+    slot: int = 1,
     tol: float = 1e-8,
     max_iter: int = 50,
-) -> BusState:
-    """Backward/forward sweep until the largest voltage update is below tol.
+) -> ScalarState:
+    """Backward/forward sweep of one case, bus demand p_kw / q_kvar and PV
+    output pv_kw at the smart home in `slot`, until the largest voltage
+    update is below tol.
 
     Raises PowerFlowError when the sweep fails to converge (heavy overload
     collapses the voltage and the iteration diverges instead).
     """
     count = feeder.bus_count
-    if len(injections.p_kw) != count:
-        raise ValueError(
-            f"injections cover {len(injections.p_kw)} buses, feeder has {count}"
-        )
+    if len(p_kw) != count:
+        raise ValueError(f"injections cover {len(p_kw)} buses, feeder has {count}")
 
     base = feeder.base_kva
     home = feeder.smart_home_bus
     s_pu = [
-        complex((injections.p_kw[b] - (injections.pv_kw if b == home else 0.0)) / base,
-                injections.q_kvar[b] / base)
+        complex((p_kw[b] - (pv_kw if b == home else 0.0)) / base, q_kvar[b] / base)
         for b in range(count)
     ]
 
@@ -153,7 +191,7 @@ def scalar_sweep(
                 vb = volt[b]
                 if abs(vb) < 1e-6:
                     raise PowerFlowError(
-                        f"voltage collapsed at bus {b} in slot {injections.slot}",
+                        f"voltage collapsed at bus {b} in slot {slot}",
                         iterations=iterations,
                         mismatch=float("inf"),
                     )
@@ -175,7 +213,7 @@ def scalar_sweep(
     if not converged:
         raise PowerFlowError(
             f"power flow did not converge in {max_iter} iterations "
-            f"(slot {injections.slot}, last update {delta:.3e} pu)",
+            f"(slot {slot}, last update {delta:.3e} pu)",
             iterations=iterations,
             mismatch=delta,
         )
@@ -196,8 +234,8 @@ def scalar_sweep(
         loss += z_in[b] * (mag * mag)
     slack_s = slack * current[0].conjugate()
 
-    return BusState(
-        slot=injections.slot,
+    return ScalarState(
+        slot=slot,
         voltages=tuple(volt),
         loss_kw=loss.real * base,
         loss_kvar=loss.imag * base,

@@ -23,7 +23,7 @@ from dsmsched.cli import ScenarioConfig, load_scenario_config, run_scenario
 from dsmsched.costing import ProblemContext, total_cost
 from dsmsched.csa import CsaConfig, Draws, SearchSpace, optimize
 from dsmsched.domain import Appliance, ApplianceClass, TimeGrid, aggregate_power
-from dsmsched.feeder import SlotInjections, solve_power_flow
+from dsmsched.feeder import solve_power_flow_batch
 from dsmsched.oracle import SmallInstance, sweep_penalties
 from dsmsched.profiles import PriceSeries
 from pf_reference import nr_radial, nr_two_bus
@@ -228,15 +228,21 @@ def test_criterion_6_power_flow_correctness(canonical_contexts, canonical_feeder
                                             canonical_pv, grid48):
     problems = []
 
+    def sweep(feeder, p, q, pv, tol=1e-8):
+        """solve_power_flow_batch of the cases; a failed case is a problem."""
+        state = solve_power_flow_batch(feeder, p, q, pv, tol=tol)
+        if state.failed.any():
+            problems.append(f"the sweep failed in case {int(state.failed.argmax())}")
+        return state
+
     # sweep vs an independent Newton-Raphson solve on a two-bus system
-    from test_feeder import two_bus, inj
+    from test_feeder import two_bus
     worst_nr = 0.0
     for r, x, p, q in [(0.02, 0.012, 8.0, 2.0), (0.05, 0.03, 15.0, 6.0),
                        (0.01, 0.02, 3.0, 9.0), (0.08, 0.001, 20.0, 0.0)]:
-        feeder = two_bus(r=r, x=x)
-        state = solve_power_flow(feeder, inj(feeder, [0.0, p], [0.0, q]), tol=1e-12)
+        state = sweep(two_bus(r=r, x=x), [[0.0, p]], [[0.0, q]], [0.0], tol=1e-12)
         expected = nr_two_bus(r, x, p / 50.0, q / 50.0)
-        worst_nr = max(worst_nr, abs(state.voltages[1] - expected))
+        worst_nr = max(worst_nr, abs(state.voltages[0, 1] - expected))
     if worst_nr > 1e-8:
         problems.append(f"two-bus deviation {worst_nr:.1e} exceeds 1e-8")
 
@@ -250,23 +256,20 @@ def test_criterion_6_power_flow_correctness(canonical_contexts, canonical_feeder
         slots = np.arange(ctx.grid.slot_count)
         gross = aggregate_power(ctx.original_schedule(), ctx.appliances)
         p, q, pv = ctx._injection_arrays(slots, gross)
+        state = sweep(ctx.feeder, p, q, pv, tol=1e-12)
         for idx in slots.tolist():
-            injections = SlotInjections(slot=idx + 1, p_kw=tuple(p[idx]),
-                                        q_kvar=tuple(q[idx]), pv_kw=float(pv[idx]))
-            state = solve_power_flow(ctx.feeder, injections, tol=1e-12)
-            v, loss = nr_radial(ctx.feeder, injections)
-            worst_v = max(worst_v, float(np.abs(np.abs(v) - state.voltage_magnitudes()).max()))
-            worst_loss = max(worst_loss, abs(loss - state.loss_kw))
+            v, loss = nr_radial(ctx.feeder, p[idx], q[idx], pv[idx])
+            worst_v = max(worst_v, float(np.abs(np.abs(v) - state.v_mag[idx]).max()))
+            worst_loss = max(worst_loss, abs(loss - state.loss_kw[idx]))
     if worst_v > 1e-8 or worst_loss > 1e-8:
         problems.append(f"full-feeder NR deviation |V| {worst_v:.1e} pu / "
                         f"loss {worst_loss:.1e} kW exceeds 1e-8")
 
     # unloaded canonical feeder
-    empty = SlotInjections(slot=1, p_kw=(0.0,) * 14, q_kvar=(0.0,) * 14)
-    state = solve_power_flow(canonical_feeder, empty)
-    if max(abs(m - 1.0) for m in state.voltage_magnitudes()) > 1e-12:
+    state = sweep(canonical_feeder, [[0.0] * 14], [[0.0] * 14], [0.0])
+    if max(abs(m - 1.0) for m in state.v_mag[0].tolist()) > 1e-12:
         problems.append("unloaded feeder voltage is not flat")
-    if state.loss_kw != 0.0:
+    if state.loss_kw[0] != 0.0:
         problems.append("unloaded feeder shows loss")
 
     # slack conservation on every canonical slot at the original load
@@ -276,40 +279,30 @@ def test_criterion_6_power_flow_correctness(canonical_contexts, canonical_feeder
     )
     tan_phi = math.tan(math.acos(0.95))
     neighbors = ctx.neighbors.as_array()
-    worst_p = worst_q = 0.0
+    # each slot's bus demand, its home's PV
+    p_rows = []
     for idx in range(grid48.slot_count):
         p = [0.0] * 14
         for bus, house in zip(canonical_feeder.neighbor_buses, neighbors):
             p[bus] = house[idx]
         p[13] = float(gross[idx])
-        q = [v * tan_phi for v in p]
-        pv_kw = float(canonical_pv.values[idx])
-        state = solve_power_flow(
-            canonical_feeder,
-            SlotInjections(slot=idx + 1, p_kw=tuple(p), q_kvar=tuple(q), pv_kw=pv_kw),
-        )
-        worst_p = max(worst_p, abs(state.slack_p_kw - (sum(p) - pv_kw + state.loss_kw)))
-        worst_q = max(worst_q, abs(state.slack_q_kvar - (sum(q) + state.loss_kvar)))
+        p_rows.append(p)
+    q_rows = [[v * tan_phi for v in p] for p in p_rows]
+    pv_kw = [float(v) for v in canonical_pv.values]
+    state = sweep(canonical_feeder, p_rows, q_rows, pv_kw)
+    worst_p = worst_q = 0.0
+    for idx, (p, q) in enumerate(zip(p_rows, q_rows)):
+        worst_p = max(worst_p, abs(state.slack_p_kw[idx] - (sum(p) - pv_kw[idx]
+                                                             + state.loss_kw[idx])))
+        worst_q = max(worst_q, abs(state.slack_q_kvar[idx] - (sum(q) + state.loss_kvar[idx])))
     if worst_p > 1e-8 or worst_q > 1e-8:
         problems.append(f"slack mismatch p {worst_p:.1e} / q {worst_q:.1e}")
 
-    # PV injection at the end bus lifts the whole path (midday slot 25)
-    idx = 24
-    p = [0.0] * 14
-    for bus, house in zip(canonical_feeder.neighbor_buses, neighbors):
-        p[bus] = house[idx]
-    p[13] = float(gross[idx])
-    q = [v * tan_phi for v in p]
-    dark = solve_power_flow(
-        canonical_feeder, SlotInjections(slot=25, p_kw=tuple(p), q_kvar=tuple(q))
-    )
-    sunny = solve_power_flow(
-        canonical_feeder,
-        SlotInjections(slot=25, p_kw=tuple(p), q_kvar=tuple(q), pv_kw=6.0),
-    )
-    lifts = [
-        a - b for a, b in zip(sunny.voltage_magnitudes(), dark.voltage_magnitudes())
-    ]
+    # PV injection at the end bus lifts the whole path (midday slot 25):
+    # the slot dark, then with 6 kW of PV
+    state = sweep(canonical_feeder, [p_rows[24]] * 2, [q_rows[24]] * 2, [0.0, 6.0])
+    dark, sunny = state.v_mag.tolist()
+    lifts = [a - b for a, b in zip(sunny, dark)]
     if min(lifts) < -1e-12:
         problems.append("pv injection lowered a path voltage")
 

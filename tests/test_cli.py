@@ -645,14 +645,26 @@ class TestOracleCommand:
         assert captured.out == ""
         assert captured.err == "error: no feasible schedule exists for the instance\n"
 
+    def test_five_flexible_appliances_are_solved(self, tmp_path, capsys):
+        # no limit on flexible appliances: the guard counts candidates
+        path = write_config(tmp_path, appliances=INLINE_APPLIANCES + [
+            dict(INLINE_APPLIANCES[2], id=n, window_start=n, window_end=n + 2, duration=1,
+                 original_slots=[n]) for n in (4, 5, 6)])
+        rc = main(["oracle", "--config", str(path)])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        config = load_scenario_config(path)
+        expected = sweep_penalties(SmallInstance(context=config.context()),
+                                   config.penalties_usd_per_kwh)
+        assert [row["feasible_count"] for row in payload] == [
+            expected[pi].feasible_count for pi in config.penalties_usd_per_kwh]
+        assert all(len(row["on_slots"]) == 6 for row in payload)
+
     @pytest.mark.parametrize("change, message", [
-        ({"appliances": INLINE_APPLIANCES + [
-            dict(INLINE_APPLIANCES[2], id=n) for n in (4, 5, 6)]},
-         "5 flexible appliances, limit is 4"),
         ({"grid": {"slot_count": 24, "slot_hours": 0.5}, "price": STEEP_PRICE * 2,
           "appliances": INLINE_APPLIANCES[1:]},
          "24 slots, limit is 16"),
-    ], ids=["flexible", "slots"])
+    ], ids=["slots"])
     def test_too_large_for_the_oracle_is_an_input_error(self, tmp_path, capsys,
                                                          change, message):
         path = write_config(tmp_path, **change)

@@ -311,7 +311,8 @@ class TestProblemContext:
     def test_duplicate_appliance_ids_are_rejected(self):
         # shifts are reported by id: a shared id would drop an appliance's
         twins = (baseline4(aid=7), interruptible(aid=7, rated=2.0, original=(1, 2)))
-        with pytest.raises(ValueError, match="^appliance id 7 appears more than once$"):
+        message = "appliance 7: appliance id 7 appears more than once"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             make_context(appliances=twins)
 
     @pytest.mark.parametrize("original", [(5, 3), (3, 3)], ids=["descending", "repeated"])
@@ -322,7 +323,7 @@ class TestProblemContext:
         # original antibody (5, 3) was no gene of `genes(0)`
         grid = TimeGrid(slot_count=6)
         price = PriceSeries(values=(0.1,) * 6)
-        message = f"appliance 7: original on-slots {original} are not strictly ascending"
+        message = "appliance 7: original on-slots must be strictly ascending"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ProblemContext(grid=grid, price=price, appliances=(
                 interruptible(aid=7, original=original, window=(1, 6)),))
@@ -334,6 +335,57 @@ class TestProblemContext:
         assert (3, 5) in space.genes(0)
         assert space.evaluate([sorted_gene], 1.0).shift_slots.tolist() == [0]
         assert total_cost(space.decode(sorted_gene), ctx).shifts == {7: 0}
+
+    # each kind of appliance the search cannot represent, on 4 slots: given
+    # one, `optimize` raises from deep in the search (a dtype error in
+    # `SearchSpace.pack`, a slot outside the grid, a plan of the wrong
+    # length) or ends with an infeasible incumbent
+    @pytest.mark.parametrize("appliance, message", [
+        (interruptible(aid=3, original=(1, 2), window=(0, 4)),
+         "window 0..4 not within 1..4"),
+        (interruptible(aid=3, original=(2, 3), duration=3),
+         "original plan has 2 slots, duration is 3"),
+        (interruptible(aid=3, original=(4, 5), window=(1, 4)),
+         "original on-slots (4, 5) leave 1..4"),
+        (dataclasses.replace(baseline4(aid=3), duration=3, original_on_slots=(1, 2, 3)),
+         "baseline appliances must run in every slot"),
+        (Appliance(id=3, appliance_class=ApplianceClass.UNINTERRUPTIBLE, window_start=1,
+                   window_end=4, duration=2, rated_kw=1.0, original_on_slots=(1, 3)),
+         "original run (1, 3) has gaps"),
+        (interruptible(aid=99, original=(3, 4)),
+         "appliance id 99 appears more than once"),
+        (interruptible(aid=3, original=(2, 1)),
+         "original on-slots must be strictly ascending"),
+    ], ids=["window_off_grid", "original_length", "original_off_grid", "baseline_not_always_on",
+            "uninterruptible_gap", "duplicate_id", "unsorted_original"])
+    def test_appliance_sets_the_search_cannot_represent_are_rejected(self, appliance, message):
+        # the CLI's own check of a config, naming the appliance as it does
+        full = f"appliance {appliance.id}: {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(full)}$"):
+            make_context(appliances=(baseline4(), appliance))
+
+    def test_what_the_search_represents_is_accepted(self):
+        # a plan off its declared window (the window widens to it), zero
+        # and negative ratings, and a zero duration
+        ctx = make_context(appliances=(
+            baseline4(rated=0.0), interruptible(aid=1, rated=-1.0, original=(1, 2), window=(3, 4)),
+            interruptible(aid=2, original=(), duration=0)))
+        assert total_cost(ctx.original_schedule(), ctx).shifts == {99: 0, 1: 0, 2: 0}
+        space = SearchSpace(ctx)
+        assert space.evaluate([space.original_antibody()], 0.0).feasible.tolist() == [True]
+
+    def test_with_penalty_checks_the_price_alone(self, monkeypatch):
+        ctx = make_context()
+
+        def unchecked(*args):
+            raise AssertionError("the appliance set was checked again")
+
+        monkeypatch.setattr(costing, "validate_appliance_set", unchecked)
+        twin = ctx.with_penalty(0.2)
+        assert twin.penalty_price == 0.2
+        assert twin.appliances is ctx.appliances and twin._cache is ctx._cache
+        with pytest.raises(ValueError, match="penalty_price"):
+            ctx.with_penalty(-0.1)
 
     @pytest.mark.parametrize("band", [(1.05, 0.95), (1.0, 1.0)], ids=["inverted", "empty"])
     def test_voltage_band_must_have_its_low_end_below_its_high_end(self, band):

@@ -12,10 +12,9 @@ from dsmsched.costing import ProblemContext
 from dsmsched.domain import Appliance, ApplianceClass, TimeGrid
 from dsmsched.errors import InputError, PowerFlowError
 from dsmsched.feeder import (
-    BusState,
     FeederLine,
     FeederModel,
-    SlotInjections,
+    SweepBatch,
     VoltageViolation,
     load_feeder_json,
     solve_power_flow,
@@ -24,7 +23,7 @@ from dsmsched.feeder import (
 from dsmsched.profiles import NeighborLoads, PriceSeries, PvSeries
 from generate_fixtures import canonical_feeder as build_canonical_feeder, write_feeder_json
 from eval_reference import bits
-from pf_reference import nr_two_bus, scalar_sweep
+from pf_reference import ScalarState, nr_two_bus, scalar_sweep
 from test_cli import _JSON
 from test_csa import weak_feeder_context
 
@@ -72,9 +71,11 @@ def chain(n_lines=3, r=0.01, x=0.006, home=None) -> FeederModel:
     )
 
 
-def inj(feeder, p, q=None, pv=0.0, slot=1) -> SlotInjections:
+def inj(feeder, p, q=None, pv=0.0) -> tuple:
+    """One case's bus demand p, q (q zero where not given) and home PV, the
+    leading arguments of `solve_power_flow` and `scalar_sweep`."""
     q = [0.0] * feeder.bus_count if q is None else q
-    return SlotInjections(slot=slot, p_kw=tuple(p), q_kvar=tuple(q), pv_kw=pv)
+    return p, q, pv
 
 
 class TestTopology:
@@ -132,80 +133,72 @@ class TestTopology:
                         lines=(FeederLine(0, 1, 0.01, 0.01),), smart_home_bus=1)
 
 
-def test_injection_validation():
-    with pytest.raises(ValueError):
-        SlotInjections(slot=1, p_kw=(0.0, 1.0), q_kvar=(0.0,))
-    with pytest.raises(ValueError):
-        SlotInjections(slot=1, p_kw=(0.0, -1.0), q_kvar=(0.0, 0.0))
-    with pytest.raises(ValueError):
-        SlotInjections(slot=1, p_kw=(0.0, 1.0), q_kvar=(0.0, 0.0), pv_kw=-2.0)
-
-
 class TestSolve:
     def test_unloaded_feeder_is_flat(self):
         feeder = chain(n_lines=5)
-        state = solve_power_flow(feeder, inj(feeder, [0.0] * 6))
-        assert state.voltage_magnitudes() == pytest.approx([1.0] * 6, abs=1e-15)
-        assert state.loss_kw == 0.0
-        assert state.slack_p_kw == 0.0
+        state = solve_power_flow(feeder, *inj(feeder, [0.0] * 6))
+        assert state.v_mag[0].tolist() == pytest.approx([1.0] * 6, abs=1e-15)
+        assert state.loss_kw[0] == 0.0
+        assert state.slack_p_kw[0] == 0.0
 
     def test_matches_newton_raphson_on_two_bus(self):
         feeder = two_bus(r=0.03, x=0.018)
         p_kw, q_kvar = 12.0, 4.0
-        state = solve_power_flow(feeder, inj(feeder, [0.0, p_kw], [0.0, q_kvar]))
+        state = solve_power_flow(feeder, [0.0, p_kw], [0.0, q_kvar])
         expected = nr_two_bus(0.03, 0.018, p_kw / 50.0, q_kvar / 50.0)
-        assert abs(state.voltages[1] - expected) < 1e-8
+        assert abs(state.voltages[0, 1] - expected) < 1e-8
 
     def test_matches_resistive_closed_form(self):
         # pure resistance, pure P: v^2 - v + r p = 0
         r, p_kw = 0.05, 8.0
         feeder = two_bus(r=r, x=0.0)
-        state = solve_power_flow(feeder, inj(feeder, [0.0, p_kw]))
+        state = solve_power_flow(feeder, *inj(feeder, [0.0, p_kw]))
         p_pu = p_kw / 50.0
         v_expected = (1 + math.sqrt(1 - 4 * r * p_pu)) / 2
-        assert abs(state.voltages[1]) == pytest.approx(v_expected, abs=1e-10)
+        assert abs(state.voltages[0, 1]) == pytest.approx(v_expected, abs=1e-10)
         # loss = r * (p/v)^2 in pu
         i_pu = p_pu / v_expected
-        assert state.loss_kw == pytest.approx(r * i_pu**2 * 50.0, abs=1e-9)
+        assert state.loss_kw[0] == pytest.approx(r * i_pu**2 * 50.0, abs=1e-9)
 
     def test_slack_covers_load_plus_loss(self):
         feeder = chain(n_lines=4)
         p = [0.0, 3.0, 1.5, 0.0, 6.0]
         q = [0.0, 1.0, 0.5, 0.0, 2.0]
-        state = solve_power_flow(feeder, inj(feeder, p, q))
-        assert state.slack_p_kw == pytest.approx(sum(p) + state.loss_kw, abs=1e-9)
-        assert state.slack_q_kvar == pytest.approx(sum(q) + state.loss_kvar, abs=1e-9)
+        state = solve_power_flow(feeder, p, q)
+        assert state.slack_p_kw[0] == pytest.approx(sum(p) + state.loss_kw[0], abs=1e-9)
+        assert state.slack_q_kvar[0] == pytest.approx(sum(q) + state.loss_kvar[0], abs=1e-9)
 
     def test_voltage_drops_along_a_loaded_chain(self):
         feeder = chain(n_lines=4)
-        state = solve_power_flow(feeder, inj(feeder, [0.0, 1.0, 1.0, 1.0, 5.0]))
-        mags = state.voltage_magnitudes()
+        state = solve_power_flow(feeder, *inj(feeder, [0.0, 1.0, 1.0, 1.0, 5.0]))
+        mags = state.v_mag[0].tolist()
         assert all(a > b for a, b in zip(mags, mags[1:]))
 
     def test_pv_at_the_end_bus_raises_every_voltage(self):
         feeder = chain(n_lines=4)
         p = [0.0, 2.0, 2.0, 1.0, 3.0]
-        without = solve_power_flow(feeder, inj(feeder, p))
-        with_pv = solve_power_flow(feeder, inj(feeder, p, pv=2.5))
-        for a, b in zip(with_pv.voltage_magnitudes(), without.voltage_magnitudes()):
+        without = solve_power_flow(feeder, *inj(feeder, p))
+        with_pv = solve_power_flow(feeder, *inj(feeder, p, pv=2.5))
+        for a, b in zip(with_pv.v_mag[0].tolist(), without.v_mag[0].tolist()):
             assert a >= b - 1e-12
 
     def test_overload_raises_with_diagnostics(self):
         feeder = two_bus(r=0.3, x=0.2)
         with pytest.raises(PowerFlowError) as err:
-            solve_power_flow(feeder, inj(feeder, [0.0, 60.0]))
+            solve_power_flow(feeder, *inj(feeder, [0.0, 60.0]))
         assert err.value.iterations >= 1
 
     def test_wrong_injection_width(self):
         feeder = chain(n_lines=2)
         with pytest.raises(ValueError, match="buses"):
-            solve_power_flow(feeder, SlotInjections(slot=1, p_kw=(0.0,), q_kvar=(0.0,)))
+            solve_power_flow(feeder, (0.0,), (0.0,))
 
     def test_deterministic(self):
         feeder = chain(n_lines=3)
-        a = solve_power_flow(feeder, inj(feeder, [0.0, 1.0, 2.0, 3.0]))
-        b = solve_power_flow(feeder, inj(feeder, [0.0, 1.0, 2.0, 3.0]))
-        assert a == b
+        a = solve_power_flow(feeder, *inj(feeder, [0.0, 1.0, 2.0, 3.0]))
+        b = solve_power_flow(feeder, *inj(feeder, [0.0, 1.0, 2.0, 3.0]))
+        for f in dataclasses.fields(SweepBatch):
+            assert bits(getattr(a, f.name)) == bits(getattr(b, f.name)), f.name
 
 
 class TestBatchSweep:
@@ -216,7 +209,7 @@ class TestBatchSweep:
         batch = solve_power_flow_batch(feeder, p, q, pv)
         for i in range(len(p)):
             try:
-                state = scalar_sweep(feeder, inj(feeder, p[i], q[i], pv[i], slot=i + 1))
+                state = scalar_sweep(feeder, p[i], q[i], pv[i], slot=i + 1)
             except PowerFlowError as exc:
                 assert batch.failed[i], i
                 assert batch.iterations[i] == exc.iterations
@@ -333,7 +326,7 @@ class TestBranchedSweep:
             batch = solve_power_flow_batch(feeder, p, q, pv)
             for i in range(cases):
                 try:
-                    state = scalar_sweep(feeder, inj(feeder, p[i], q[i], pv[i], slot=i + 1))
+                    state = scalar_sweep(feeder, p[i], q[i], pv[i], slot=i + 1)
                 except PowerFlowError as exc:
                     failed += 1
                     collapsed += batch.collapsed_bus[i] >= 0
@@ -362,14 +355,16 @@ class TestBranchedSweep:
 
 class TestOneCaseSweep:
     """solve_power_flow, one case of the batched sweep, against the scalar
-    reference: every BusState field, or the same PowerFlowError."""
+    reference: every field of the case's `ScalarState`, or the same
+    PowerFlowError."""
 
     @staticmethod
-    def outcome(solve, feeder, injections):
+    def outcome(solve, feeder, p, q, pv):
         try:
-            return solve(feeder, injections)
+            state = solve(feeder, p, q, pv, slot=9)
         except PowerFlowError as exc:
             return (str(exc), exc.iterations, exc.mismatch)
+        return state if isinstance(state, ScalarState) else ScalarState.of(state, 0, 9)
 
     @pytest.mark.parametrize("feeder, p, q, pv", [
         (chain(n_lines=5), [0.0] * 6, None, 0.0),
@@ -380,11 +375,11 @@ class TestOneCaseSweep:
         (two_bus(r=0.5, x=0.0), [0.0, 100.0], None, 0.0),
     ], ids=["unloaded", "loaded", "pv_export", "canonical", "diverging", "collapsing"])
     def test_equals_the_scalar_reference(self, feeder, p, q, pv):
-        injections = inj(feeder, p, q, pv=pv, slot=9)
-        state = self.outcome(solve_power_flow, feeder, injections)
-        assert state == self.outcome(scalar_sweep, feeder, injections)
-        if isinstance(state, BusState):
-            reference = scalar_sweep(feeder, injections)
+        case = inj(feeder, p, q, pv=pv)
+        state = self.outcome(solve_power_flow, feeder, *case)
+        assert state == self.outcome(scalar_sweep, feeder, *case)
+        if isinstance(state, ScalarState):
+            reference = scalar_sweep(feeder, *case, slot=9)
             fields = ("loss_kw", "loss_kvar", "slack_p_kw", "slack_q_kvar")
             # equal, and with the same sign of zero
             assert [math.copysign(1.0, getattr(state, f)) for f in fields] == [
@@ -395,10 +390,10 @@ class TestHomeAttribution:
     def test_baseline_disconnects_home_demand_and_pv(self):
         feeder = chain(n_lines=2)
         ctx = home_context(feeder, neighbor_kw=(2.0,), pv_kw=(3.0,))
-        stripped = scalar_sweep(feeder, inj(feeder, [0.0, 2.0, 0.0]))
+        stripped = scalar_sweep(feeder, *inj(feeder, [0.0, 2.0, 0.0]))
         assert ctx.baseline_loss(0) == stripped.loss_kw
-        home = scalar_sweep(feeder, inj(feeder, [0.0, 2.0, 0.5], [0.0, 0.0, 0.5 * math.tan(
-            math.acos(ctx.power_factor))], pv=3.0))
+        home = scalar_sweep(feeder, [0.0, 2.0, 0.5], [0.0, 0.0, 0.5 * math.tan(
+            math.acos(ctx.power_factor))], pv_kw=3.0)
         assert ctx.slot_flow(0, 0.5) == (
             max(0.0, home.loss_kw - stripped.loss_kw), home.voltage_magnitudes())
 
@@ -406,8 +401,8 @@ class TestHomeAttribution:
         feeder = chain(n_lines=2)
         ctx = dataclasses.replace(home_context(feeder, neighbor_kw=(2.0,)), power_factor=0.8)
         tan = math.tan(math.acos(0.8))
-        stripped = scalar_sweep(feeder, inj(feeder, [0.0, 2.0, 0.0], [0.0, 2.0 * tan, 0.0]))
-        home = scalar_sweep(feeder, inj(feeder, [0.0, 2.0, 0.5], [0.0, 2.0 * tan, 0.5 * tan]))
+        stripped = scalar_sweep(feeder, [0.0, 2.0, 0.0], [0.0, 2.0 * tan, 0.0])
+        home = scalar_sweep(feeder, [0.0, 2.0, 0.5], [0.0, 2.0 * tan, 0.5 * tan])
         assert ctx.baseline_loss(0) == stripped.loss_kw
         assert ctx.slot_flow(0, 0.5) == (
             max(0.0, home.loss_kw - stripped.loss_kw), home.voltage_magnitudes())
@@ -471,8 +466,8 @@ class TestHomeAttribution:
         # home exports more PV than it draws; its marginal loss contribution
         # is negative and must not become a credit
         ctx = home_context(chain(n_lines=2), neighbor_kw=(5.0,), pv_kw=(4.0,))
-        exporting = solve_power_flow(ctx.feeder, inj(ctx.feeder, [0.0, 5.0, 0.0], pv=4.0))
-        assert exporting.loss_kw < ctx.baseline_loss(0)
+        exporting = solve_power_flow(ctx.feeder, *inj(ctx.feeder, [0.0, 5.0, 0.0], pv=4.0))
+        assert exporting.loss_kw[0] < ctx.baseline_loss(0)
         billed, _ = ctx.slot_flow(0, 0.0)
         assert billed == 0.0
 

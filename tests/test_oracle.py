@@ -70,12 +70,16 @@ class TestEnumerationCounts:
 
 
 class TestLimits:
-    def test_too_many_flexible_appliances(self):
+    def test_five_flexible_appliances_under_the_guard_are_solved(self):
+        # the guard bounds the work by candidate count alone, whatever the
+        # number of flexible appliances; a 1.5 kW cap lets two run together
         apps = (_baseline(),) + tuple(
-            _interruptible(i, (1, 12), 1, 0.5, original=(i,)) for i in range(2, 7)
+            _interruptible(i, (i - 1, i + 2), 1, 0.5, original=(i,)) for i in range(2, 7)
         )
-        with pytest.raises(ValueError, match="flexible"):
-            SmallInstance(context=ProblemContext(grid=GRID12, appliances=apps, price=FLAT))
+        inst = SmallInstance(context=ProblemContext(
+            grid=GRID12, appliances=apps, price=STEEP, md_kw=1.5))
+        assert inst.candidate_count() == 4**5
+        assert_matches_the_sequential_reference(inst)
 
     def test_too_many_slots(self):
         grid = TimeGrid(slot_count=20, slot_hours=0.5)
@@ -249,7 +253,10 @@ def test_placements_are_counted_as_listed():
 
 @pytest.mark.parametrize("name, ctx", build_suite(), ids=[n for n, _ in build_suite()])
 def test_sweep_matches_the_sequential_reference(name, ctx):
-    inst = SmallInstance(context=ctx)
+    assert_matches_the_sequential_reference(SmallInstance(context=ctx))
+
+
+def assert_matches_the_sequential_reference(inst):
     swept = sweep_penalties(inst, PENALTY_GRID)
     reference = oracle_reference.sweep_penalties(inst, PENALTY_GRID)
     for pi in PENALTY_GRID:
