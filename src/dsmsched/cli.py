@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .constraints import is_feasible
 from .costing import CostBreakdown, ProblemContext, assess, total_cost
-from .csa import CsaConfig, OptimResult, optimize
+from .csa import CsaConfig, OptimResult, optimize_penalties
 from .domain import (
     Appliance,
     ISSUE_ORIGINAL_WINDOW,
@@ -362,7 +362,8 @@ def _output_names(config: ScenarioConfig) -> list[dict[str, str]]:
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
-    """Optimize each penalty price, write all output files, build the report.
+    """Optimize every penalty price in one `optimize_penalties` call,
+    write all output files, build the report.
 
     Every output name is checked before the first optimization.
     """
@@ -380,24 +381,22 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
                   _voltage_rows(base_ctx, original_gross))
 
     runs = []
-    results: dict[float, OptimResult] = {}
+    results = optimize_penalties(base_ctx, config.penalties_usd_per_kwh, config.csa)
     for pi, files in zip(config.penalties_usd_per_kwh, files_of):
-        ctx = base_ctx.with_penalty(pi)
-        result = results[pi] = optimize(ctx, config.csa)
-
-        dsm_gross = aggregate_power(result.schedule, ctx.appliances)
+        result = results[pi]
+        dsm_gross = aggregate_power(result.schedule, base_ctx.appliances)
         write_csv(out / files["profile"], ["slot", "original_kw", "dsm_kw", "pv_kw", "price"], (
             [slot, *map(_fmt, values)] for slot, *values in
-            zip(ctx.grid.slots(), original_gross, dsm_gross, pv_kw, ctx.price.values)
+            zip(base_ctx.grid.slots(), original_gross, dsm_gross, pv_kw, base_ctx.price.values)
         ))
         write_csv(out / files["convergence"], ["generation", "best_total_usd", "evaluations"], (
             [generation, "" if total != total else _fmt(total), evaluations]  # NaN: none feasible
             for generation, total, evaluations in result.history
         ))
-        write_schedule_csv(out / files["schedule"], result.schedule, ctx.appliances)
+        write_schedule_csv(out / files["schedule"], result.schedule, base_ctx.appliances)
         if "voltage" in files:
             write_csv(out / files["voltage"], ["slot", "bus", "v_pu"],
-                      _voltage_rows(ctx, dsm_gross))
+                      _voltage_rows(base_ctx, dsm_gross))
 
         breakdown = result.breakdown
         row = {

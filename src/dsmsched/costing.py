@@ -148,6 +148,11 @@ class _FlowCache:
 _ACCEPTED_ISSUES = frozenset({ISSUE_ORIGINAL_WINDOW, ISSUE_DURATION, ISSUE_RATED})
 
 
+def _check_penalty_price(penalty_price: float) -> None:
+    if not (math.isfinite(penalty_price) and penalty_price >= 0):
+        raise ValueError(f"penalty_price must be finite and >= 0, got {penalty_price}")
+
+
 @dataclass(frozen=True)
 class ProblemContext:
     """One scheduling problem: inputs and limits.
@@ -193,12 +198,11 @@ class ProblemContext:
             raise ValueError(f"appliance ratings sum to {rated:g} kW, past the int64 flow key")
         if self.pv is not None and len(self.pv.values) != self.grid.slot_count:
             raise ValueError("pv series length does not match grid")
-        if self.penalty_price < 0:
-            raise ValueError("penalty_price must be >= 0")
+        _check_penalty_price(self.penalty_price)
         if not 0 < self.power_factor <= 1:
             raise ValueError(f"power_factor must be in (0, 1], got {self.power_factor}")
-        if self.md_kw <= 0:
-            raise ValueError("md_kw must be positive")
+        if not self.md_kw > 0:  # NaN fails too; inf is no cap
+            raise ValueError(f"md_kw must be positive, got {self.md_kw}")
         if not self.voltage_min < self.voltage_max:
             raise ValueError(f"voltage band [{self.voltage_min}, {self.voltage_max}]: "
                              "voltage_min must be below voltage_max")
@@ -215,8 +219,7 @@ class ProblemContext:
     def with_penalty(self, penalty_price: float) -> "ProblemContext":
         """Same problem at a different penalty price, reading this context's
         power-flow cache: no flow depends on the penalty price."""
-        if penalty_price < 0:
-            raise ValueError("penalty_price must be >= 0")
+        _check_penalty_price(penalty_price)
         # a shallow copy: no appliance check is run again
         twin = copy.copy(self)
         object.__setattr__(twin, "penalty_price", penalty_price)

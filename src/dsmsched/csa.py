@@ -49,12 +49,19 @@ of random antibodies, the first population or a generation's immigrants,
 is one `integers_array` call over copies of the bounds `SearchSpace`
 lists once: a run's start, and a slot set's Floyd picks and their dropped
 shuffle; `random_antibodies` then builds every gene of the batch as
-arrays.  `clone_and_hypermutate` breeds a generation in two passes over
+arrays.  Breeding is drawn once and applied per population.
+`_draw_plan` draws a generation's hypermutation plan in two passes over
 the same stream: `_walk` reads `Draws`' block in local variables and makes
 the gene tests, probes and first draws of every mutation in stream order,
-stepping over each slot set's sample draws by counting them; `_breed`
-then prices those counted draws and builds every child as arrays, with a
-fixed number of numpy calls per generation.  Each flexible appliance is one
+stepping over each slot set's sample draws by counting them; `_plan` then
+prices those counted draws and resolves Floyd's picks as arrays.  `_breed`
+applies a plan to a ranked population and builds every child as arrays,
+with a fixed number of numpy calls per generation; `clone_and_hypermutate`
+is the two in one call.  A plan, like a generation's immigrants, reads the
+seed, the population size and the gene layout alone, never a parent, a
+price or a score: so `optimize_penalties` draws a search once per seed,
+at its first penalty price, and each later price replays what it drew
+(`_Stream`).  Each flexible appliance is one
 `Flexible` record, built once per `SearchSpace`: its rating, duration and
 original plan, a run's start range or a slot set's window, its count of
 legal genes, where its slots sit in the row, and the bound and rejection
@@ -89,6 +96,7 @@ __all__ = [
     "clone_counts",
     "clone_and_hypermutate",
     "optimize",
+    "optimize_penalties",
 ]
 
 # score penalty for a genotype whose power flow diverges; large enough to
@@ -128,7 +136,7 @@ class Draws:
     half (`-1` when none is kept) for the next one, as PCG64's
     `next_uint32` does, and applies Lemire's multiply-shift with numpy's
     rejection threshold (`_threshold`).  `integers` walks the block in local variables,
-    so a list of draws is one Python call; `clone_and_hypermutate` walks it
+    so a list of draws is one Python call; `_walk` walks it
     the same way in its own loop, where a gene test reads a whole word as
     `Generator.random()` does, and reads the block's words as an array too
     (`_raw`).  `integers_array` takes the halves a list of draws reads as
@@ -605,7 +613,8 @@ def clone_counts(n: int) -> list[int]:
 def clone_and_hypermutate(
     ranked: Sequence[Antibody], draws: Draws, space: SearchSpace
 ) -> list[Antibody]:
-    """Offspring of a ranked population (best first).
+    """Offspring of a ranked population (best first): the plan
+    `_draw_plan` draws for its size, applied to it by `_breed`.
 
     Better ranks get more clones (`clone_counts`); worse ranks mutate
     harder (per-gene probability HYPERMUTATION_SCALE * rank / N).  Every
@@ -619,29 +628,52 @@ def clone_and_hypermutate(
     (`choice(duration, k, replace=False)`) and adds k of the window's other
     slots (`choice(len(window) - duration + k, k, replace=False)`); a
     one-slot set draws its new slot below `len(window)`.
-
-    Breeding is two passes over the same stream.  `_walk` reads `draws`'
-    block in local variables and makes every draw but a slot set's two
-    samples, whose 4k - 2 - [k == duration] bounded draws it steps over
-    by counting 32-bit halves.  `_breed` then builds every child at once
-    as arrays: it reads the counted halves from the blocks, prices them
-    against their bounds, resolves Floyd's picks and writes each mutated
-    gene into a copy of its parent's slot row.  When one of the counted
-    draws would be rejected, which the walk cannot know without drawing
-    it, `draws` is put back where it was and walked again, drawing those
-    draws one by one.
     """
-    counts = clone_counts(len(ranked))
+    return _breed(ranked, _draw_plan(len(ranked), draws, space), space)
+
+
+class _Plan(NamedTuple):
+    """A generation's hypermutation, as drawn: what `_breed` writes into
+    the clones of a ranked population of the size it was drawn for.  It
+    reads the stream, the population size and the gene layout alone, never
+    a parent or a score.  Every field is an array of non-negative ints in
+    the smallest dtype that holds them."""
+
+    # one per run or one-slot set mutated: the index of the gene's first
+    # slot in the flattened children, times 2**16, plus the value drawn
+    moves: np.ndarray
+    # one per slot set mutated: the index of its first slot in the
+    # flattened children, and its k, the count of slots it drops and adds
+    cells: np.ndarray
+    k: np.ndarray
+    # per slot set, its k resolved Floyd picks, chained in set order: the
+    # positions in the gene of the slots dropped, and, for each slot
+    # added, its rank among the window slots the gene keeps free
+    drops: np.ndarray
+    adds: np.ndarray
+
+
+def _draw_plan(n: int, draws: Draws, space: SearchSpace) -> _Plan:
+    """The hypermutation of a ranked population of `n`, drawn in two
+    passes over the same stream.  `_walk` reads `draws`' block in local
+    variables and makes every draw but a slot set's two samples, whose
+    4k - 2 - [k == duration] bounded draws it steps over by counting 32-bit
+    halves.  `_plan` then prices the counted halves against their bounds
+    as arrays and resolves Floyd's picks.  When one of the counted draws
+    would be rejected, which the walk cannot know without drawing it,
+    `draws` is put back where it was and walked again, drawing those draws
+    one by one."""
+    counts = clone_counts(n)
     saved = draws._mark()
-    offspring = _breed(ranked, counts, space, _walk(ranked, counts, draws, space, False))
-    if offspring is None:
+    plan = _plan(space, _walk(n, counts, draws, space, False))
+    if plan is None:
         draws._rewind(saved)
-        offspring = _breed(ranked, counts, space, _walk(ranked, counts, draws, space, True))
-    return offspring
+        plan = _plan(space, _walk(n, counts, draws, space, True))
+    return plan
 
 
 class _Walk(NamedTuple):
-    """What `_walk` drew, for `_breed` to build the children from."""
+    """What `_walk` drew, for `_plan` to price and resolve."""
 
     # one per run or one-slot set mutated: the index of the gene's first
     # slot in the flattened children, times 2**16, plus the value drawn
@@ -657,18 +689,16 @@ class _Walk(NamedTuple):
     exact: bool
 
 
-def _walk(ranked: Sequence[Antibody], counts: list[int], draws: Draws,
-          space: SearchSpace, exact: bool) -> _Walk:
-    """Make a generation's gene tests, probes and first draws in stream
-    order, and count (or, when `exact`, draw) each slot set's sample
-    draws, with one `Draws.integers` call per set; leave `draws` where
-    breeding leaves it.
+def _walk(n: int, counts: list[int], draws: Draws, space: SearchSpace, exact: bool) -> _Walk:
+    """Make the gene tests, probes and first draws of a generation of a
+    ranked population of `n` in stream order, and count (or, when `exact`,
+    draw) each slot set's sample draws, with one `Draws.integers` call per
+    set; leave `draws` where breeding leaves it.
 
     A slot set's sample draws follow its k draw, and no gene test's word
     comes between them: they are the next 4k - 2 - [k == duration]
     halves of the stream, starting with the one the k draw kept, if any.
     """
-    n = len(ranked)
     flex = space.flex
     size = len(flex)
     width = space.width
@@ -798,41 +828,28 @@ def _rejected(products: np.ndarray, bounds: np.ndarray) -> bool:
     return bool((low[near] < (0x100000000 - bounds) % bounds).any())
 
 
-# above every slot and every count of window slots (both below 2**16):
-# adding a set's index times it keeps the sets' slots apart in one sort
-_KEY = 1 << 17
+def _compact(values: np.ndarray) -> np.ndarray:
+    """Non-negative ints in the smallest unsigned dtype that holds them."""
+    return values.astype(np.min_scalar_type(int(values.max()) if len(values) else 0))
 
 
-def _breed(ranked: Sequence[Antibody], counts: list[int], space: SearchSpace,
-           walk: _Walk) -> list[Antibody] | None:
-    """The children `walk` drew, packed; None when one of its counted
-    sample draws is rejected, so that the walk must draw them one by one."""
-    children = np.repeat(space.slot_matrix(ranked), counts, axis=0)
-    slots = children.reshape(-1)
-    if walk.moves:
-        _move(slots, space, walk.moves)
-    if any(walk.sets) and not _resample(slots, space, walk):
+# a plan's slot-set fields when it mutates no slot set
+_NO_SETS = (np.zeros(0, np.uint8),) * 4
+
+
+def _plan(space: SearchSpace, walk: _Walk) -> _Plan | None:
+    """The plan `walk` drew; None when one of its counted sample draws is
+    rejected, so that the walk must draw them one by one."""
+    sets = _resolve_sets(space, walk) if any(walk.sets) else _NO_SETS
+    if sets is None:
         return None
-    return space.pack(children)
+    return _Plan(_compact(np.fromiter(walk.moves, np.int64, len(walk.moves))), *sets)
 
 
-def _move(slots: np.ndarray, space: SearchSpace, moves: list[int]) -> None:
-    """Write each run, or one-slot set, that `moves` records into the
-    flattened children `slots`."""
-    records = np.fromiter(moves, np.int64, len(moves))
-    at = records >> 16
-    gene = space._gene_at[:, at % space.width]
-    start = slots[at] * gene[_RUN] + gene[_SHIFT] + (records & 0xFFFF)
-    start = np.minimum(np.maximum(start, gene[_LO]), gene[_HI])
-    # past a gene's last slot, write its last slot again
-    j = np.minimum(space._columns, gene[_DURATION, :, None] - 1)
-    slots[at[:, None] + j] = start[:, None] + j
-
-
-def _resample(slots: np.ndarray, space: SearchSpace, walk: _Walk) -> bool:
-    """Write each slot set that `walk.sets` records into the flattened
-    children `slots`; False, writing nothing, when one of the counted
-    sample draws is rejected."""
+def _resolve_sets(space: SearchSpace, walk: _Walk) -> tuple[np.ndarray, ...] | None:
+    """The slot sets `walk.sets` records, as `_Plan`'s cells, k, drops and
+    adds: each sample's halves priced against their bounds and Floyd's
+    picks resolved; None when one of the counted sample draws is rejected."""
     columns = space._columns
     per_k = [len(bucket) >> 1 for bucket in walk.sets]
     kmax = max(k for k, count in enumerate(per_k) if count)
@@ -845,7 +862,7 @@ def _resample(slots: np.ndarray, space: SearchSpace, walk: _Walk) -> bool:
     at, first = records[0::2], records[1::2]
     k = np.repeat(np.arange(kmax, 0, -1), descending)
     gene = space._gene_at[:, at % space.width]
-    d, lo = gene[_DURATION], gene[_LO]
+    d = gene[_DURATION]
     # rows: the slots dropped, then the window slots added.  Floyd's pick
     # j of `sample(n, k)` is below n - k + 1 + j; when k == n the first is
     # below 1, draws nothing and reads the half before, which it maps to 0
@@ -865,7 +882,7 @@ def _resample(slots: np.ndarray, space: SearchSpace, walk: _Walk) -> bool:
     shuffles = walk.halves[np.array((first + drops - 1, first + drops + 2 * k - 2))[:, :, None]
                            + shuffle] * shuffle_bounds
     if not walk.exact and (_rejected(picks, bounds) or _rejected(shuffles, shuffle_bounds)):
-        return False
+        return None
     picks >>= 32
     # Floyd, one pick at a time across all samples: a pick already taken
     # is replaced by its bound - 1, which never is
@@ -875,11 +892,49 @@ def _resample(slots: np.ndarray, space: SearchSpace, walk: _Walk) -> bool:
         pick = picks[:, :rows, j]
         np.copyto(pick, bounds[:, :rows, j] - 1, where=taken[starts[:, :rows] + pick])
         taken[starts[:, :rows] + pick] = True
-    # each set's gene in the children, and its slots keyed apart by row;
-    # the drop samples' flags open `taken`, in the same order
-    dmax = int(d.max())
-    cells = (at[:, None] + columns[:dmax])[columns[:dmax] < d[:, None]]
-    keep = ~taken[:len(cells)]
+    live = columns[:kmax] < k[:, None]
+    return _compact(at), _compact(k), _compact(picks[0][live]), _compact(picks[1][live])
+
+
+# above every slot and every count of window slots (both below 2**16):
+# adding a set's index times it keeps the sets' slots apart in one sort
+_KEY = 1 << 17
+
+
+def _breed(ranked: Sequence[Antibody], plan: _Plan, space: SearchSpace) -> list[Antibody]:
+    """The children `plan` draws for the ranked population, packed."""
+    children = np.repeat(space.slot_matrix(ranked), clone_counts(len(ranked)), axis=0)
+    slots = children.reshape(-1)
+    if len(plan.moves):
+        _move(slots, space, plan.moves.astype(np.int64))
+    if len(plan.cells):
+        _resample(slots, space, plan)
+    return space.pack(children)
+
+
+def _move(slots: np.ndarray, space: SearchSpace, records: np.ndarray) -> None:
+    """Write each run, or one-slot set, that a plan's `moves` records into
+    the flattened children `slots`."""
+    at = records >> 16
+    gene = space._gene_at[:, at % space.width]
+    start = slots[at] * gene[_RUN] + gene[_SHIFT] + (records & 0xFFFF)
+    start = np.minimum(np.maximum(start, gene[_LO]), gene[_HI])
+    # past a gene's last slot, write its last slot again
+    j = np.minimum(space._columns, gene[_DURATION, :, None] - 1)
+    slots[at[:, None] + j] = start[:, None] + j
+
+
+def _resample(slots: np.ndarray, space: SearchSpace, plan: _Plan) -> None:
+    """Write each slot set that `plan` records into the flattened children
+    `slots`: its kept slots and the window slots its picks add, sorted."""
+    at, k = plan.cells.astype(np.intp), plan.k.astype(np.int64)
+    gene = space._gene_at[:, at % space.width]
+    d, lo = gene[_DURATION], gene[_LO]
+    columns = space._columns[:int(d.max())]
+    # each set's gene in the children, and its slots keyed apart by row
+    cells = (at[:, None] + columns)[columns < d[:, None]]
+    keep = np.ones(len(cells), bool)
+    keep[np.repeat(np.cumsum(d) - d, k) + plan.drops] = False
     row_key = np.arange(len(k)) * _KEY
     keyed = slots[cells] + np.repeat(row_key, d)
     # a kept slot has slot - lo - (its rank among its row's kept slots)
@@ -889,13 +944,12 @@ def _resample(slots: np.ndarray, space: SearchSpace, walk: _Walk) -> bool:
     free_below = (keyed - np.cumsum(keep) + np.repeat(held_before + 1 - lo, d))[keep]
     # the slot added for pick p is the p-th free one: lo + p + the kept
     # slots with at most p free slots below them
-    added = picks[1]
-    added += np.searchsorted(free_below, row_key[:, None] + added, "right")
-    added += (row_key + lo - held_before)[:, None]
-    genes = np.concatenate((keyed[keep], added[columns[:kmax] < k[:, None]]))
+    added = plan.adds.astype(np.int64)
+    added += np.searchsorted(free_below, np.repeat(row_key, k) + added, "right")
+    added += np.repeat(row_key + lo - held_before, k)
+    genes = np.concatenate((keyed[keep], added))
     genes.sort()
     slots[cells] = genes & (_KEY - 1)
-    return True
 
 
 # `optimize`'s row of a genotype not yet scored; like a bounded one's, it
@@ -933,7 +987,8 @@ def _rows(s: Scores) -> list[tuple[float, float, int, bool]]:
 
 
 def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimResult:
-    """Search for the cheapest feasible schedule.
+    """Search for the cheapest feasible schedule at the context's penalty
+    price: `optimize_penalties` of that one price.
 
     The original schedule is always injected into generation 0, so when it
     is feasible the result never costs more than it.  Identical (context,
@@ -960,7 +1015,69 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     which counts every distinct genotype scored or bounded, are therefore
     those of scoring every genotype.
     """
-    space = SearchSpace(context)
+    price = context.penalty_price
+    return optimize_penalties(context, [price], config)[price]
+
+
+def optimize_penalties(context: ProblemContext, penalties: Iterable[float],
+                       config: CsaConfig = CsaConfig()) -> dict[float, OptimResult]:
+    """`optimize` at each penalty price, on `with_penalty` twins of the
+    context, which share its flow cache: the search's counterpart of
+    `oracle.sweep_penalties`.  Every price is checked before any search.
+
+    The prices run one after another from one stream (`_Stream`).  What a
+    search draws, its first population, and per generation its
+    hypermutation plan and immigrants, reads the seed, the population size
+    and the gene layout alone, never the price or a score: the first price
+    draws it, and each later price replays it, drawing on from where it
+    ends when it runs longer.  So each result is the one `optimize` gives
+    its price alone, bit for bit.
+    """
+    contexts = {pi: context.with_penalty(pi) for pi in penalties}
+    results: dict[float, OptimResult] = {}
+    stream: _Stream | None = None
+    for i, (pi, twin) in enumerate(contexts.items()):
+        space = SearchSpace(twin)
+        if stream is None:
+            stream = _Stream(config, space)
+        # keep what is drawn only while a later price will replay it
+        stream.recording = i < len(contexts) - 1
+        results[pi] = _optimize(space, config, stream)
+    return results
+
+
+class _Stream:
+    """A search's draws, shared by the penalty prices of one seed: the
+    first population's random antibodies, then per generation its
+    hypermutation plan and its immigrants, drawn right after it.
+
+    While `recording`, each generation drawn is kept for a later price to
+    replay; a price that runs past the kept ones draws on from `draws`,
+    which stands where the last one drawn left it.
+    """
+
+    def __init__(self, config: CsaConfig, space: SearchSpace):
+        self.draws = Draws(config.rng_seed)
+        self.size = config.population_size
+        self.replace_count = int(round(REPLACEMENT_FRACTION * self.size))
+        self.first = space.random_antibodies(self.draws, self.size - 1)
+        self.kept: list[tuple[_Plan, list[Antibody]]] = []
+        self.recording = False
+
+    def generation(self, generation: int, space: SearchSpace) -> tuple[_Plan, list[Antibody]]:
+        """Generation `generation`'s (from 1) plan and immigrants."""
+        if generation <= len(self.kept):
+            return self.kept[generation - 1]
+        drawn = (_draw_plan(self.size, self.draws, space),
+                 space.random_antibodies(self.draws, self.replace_count))
+        if self.recording:
+            self.kept.append(drawn)
+        return drawn
+
+
+def _optimize(space: SearchSpace, config: CsaConfig, stream: _Stream) -> OptimResult:
+    """`optimize` of the space's context, drawing from `stream`."""
+    context = space.context
     original = space.original_antibody()
 
     # every distinct genotype scored so far, (score, total, shift_slots,
@@ -971,9 +1088,8 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     # without a feeder a flow costs nothing, and every genotype is scored
     bounding = context.feeder is not None
 
-    draws = Draws(config.rng_seed)
     n = config.population_size
-    population = [original] + space.random_antibodies(draws, n - 1)
+    population = [original] + stream.first
 
     best_key = _NO_INCUMBENT  # (total, shift_slots, genotype), feasible only
     top: float | None = None  # best score ever, feasible or not
@@ -1041,15 +1157,16 @@ def optimize(context: ProblemContext, config: CsaConfig = CsaConfig()) -> OptimR
     scan(population)
     record(0)
 
-    replace_count = int(round(REPLACEMENT_FRACTION * n))
+    replace_count = stream.replace_count
     for generation in range(1, config.generations + 1):
         # the last generation's immigrants have joined the population
         waiting = 0
         population.sort(key=rank_key)
-        offspring = clone_and_hypermutate(population, draws, space)
-        # selection and the scan draw nothing, so these are the immigrants
-        # drawn after selection, as CLONALG orders it
-        immigrants = space.random_antibodies(draws, replace_count)
+        # selection and the scan draw nothing, so the immigrants drawn
+        # right after the plan are those drawn after selection, as CLONALG
+        # orders it
+        plan, immigrants = stream.generation(generation, space)
+        offspring = _breed(population, plan, space)
 
         # the distinct offspring without a score, each to its row in `batch`,
         # then the immigrants'

@@ -283,13 +283,14 @@ def sweep_penalties(
 
     The billed energy cost of a candidate does not depend on the penalty
     price, so one pass suffices, pricing each feasible candidate's energy
-    once.
+    once.  Every price is checked before the enumeration.
     """
-    instance.check_guard()
     ctx = instance.context
+    contexts = {pi: ctx.with_penalty(pi) for pi in penalties}
+    instance.check_guard()
     space = instance.space
     enumeration = _Enumeration(space)
-    bests = {pi: _Best() for pi in penalties}
+    bests = {pi: _Best() for pi in contexts}
     count = 0
     for start in range(0, enumeration.count, _CHUNK):
         count += _offer_feasible(bests, enumeration.chunk(start), enumeration)
@@ -299,7 +300,7 @@ def sweep_penalties(
         if best.key is _NO_INCUMBENT:
             raise ValueError("no feasible schedule exists for the instance")
         schedule = space.decode(best.key[2])
-        breakdown = total_cost(schedule, ctx.with_penalty(pi))
+        breakdown = total_cost(schedule, contexts[pi])
         results[pi] = OracleResult(
             schedule=schedule,
             breakdown=breakdown,

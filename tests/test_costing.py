@@ -387,6 +387,30 @@ class TestProblemContext:
         with pytest.raises(ValueError, match="penalty_price"):
             ctx.with_penalty(-0.1)
 
+    @pytest.mark.parametrize("price", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_a_non_finite_penalty_price_is_rejected(self, price):
+        # a NaN price scored every genotype NaN: `optimize` found no
+        # feasible antibody on scenario_a
+        message = f"^penalty_price must be finite and >= 0, got {price}$"
+        with pytest.raises(ValueError, match=message):
+            make_context(penalty_price=price)
+
+    def test_replace_with_a_nan_penalty_price_is_rejected(self):
+        with pytest.raises(ValueError, match="^penalty_price must be finite and >= 0, got nan$"):
+            dataclasses.replace(make_context(), penalty_price=math.nan)
+
+    @pytest.mark.parametrize("price", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_with_penalty_rejects_a_non_finite_price(self, price):
+        message = f"^penalty_price must be finite and >= 0, got {price}$"
+        with pytest.raises(ValueError, match=message):
+            make_context().with_penalty(price)
+
+    def test_a_nan_demand_cap_is_rejected(self):
+        with pytest.raises(ValueError, match="^md_kw must be positive, got nan$"):
+            make_context(md_kw=math.nan)
+        # no cap, the default, stays accepted
+        assert make_context(md_kw=math.inf).md_kw == math.inf
+
     @pytest.mark.parametrize("band", [(1.05, 0.95), (1.0, 1.0)], ids=["inverted", "empty"])
     def test_voltage_band_must_have_its_low_end_below_its_high_end(self, band):
         low, high = band

@@ -570,9 +570,9 @@ class TestHypermutationMatchesReference:
         walk = csa._walk
         walks = []
 
-        def spy(ranked, counts, draws, space, exact):
+        def spy(n, counts, draws, space, exact):
             walks.append(exact)
-            return walk(ranked, counts, draws, space, exact)
+            return walk(n, counts, draws, space, exact)
 
         monkeypatch.setattr(csa, "_walk", spy)
         pick = random.Random(2)
@@ -584,7 +584,7 @@ class TestHypermutationMatchesReference:
             # each sample draw's half and bound, from a walk of these words
             draws = Draws(0)
             draws._block, draws._pos = list(words), 0
-            counted = walk(keys, clone_counts(len(keys)), draws, space, False)
+            counted = walk(len(keys), clone_counts(len(keys)), draws, space, False)
             halves = []
             for k, records in enumerate(counted.sets):
                 for at, first in zip(records[0::2], records[1::2]):
@@ -1485,12 +1485,15 @@ class TestImmigrantsScoredWithOffspring:
     def test_history_and_evaluations_are_pinned(self, name, monkeypatch):
         config, history, evaluations = IMMIGRANT_PINS[name]
         log = []
-        breed, draw = csa.clone_and_hypermutate, SearchSpace.random_antibodies
-        monkeypatch.setattr(csa, "clone_and_hypermutate",
-                            lambda *args: log.append(("bred", breed(*args))) or log[-1][1])
+        plan, breed, draw = csa._draw_plan, csa._breed, SearchSpace.random_antibodies
+        monkeypatch.setattr(csa, "_draw_plan",
+                            lambda *args: log.append(("bred", plan(*args))) or log[-1][1])
         monkeypatch.setattr(SearchSpace, "random_antibodies",
                             lambda self, draws, count:
                             log.append(("drawn", draw(self, draws, count))) or log[-1][1])
+        offspring_of = []
+        monkeypatch.setattr(csa, "_breed",
+                            lambda *args: offspring_of.append(breed(*args)) or offspring_of[-1])
         result = optimize(immigrant_context(), CsaConfig(population_size=20, **config))
         assert result.history == history
         assert result.evaluations == evaluations
@@ -1498,10 +1501,12 @@ class TestImmigrantsScoredWithOffspring:
             assert result.history[-1][0] < config["generations"]
 
         # the log is the first population's draws, then per generation its
-        # offspring and its immigrants, drawn in one call right after it
+        # hypermutation plan and its immigrants, drawn in one call right
+        # after it; each plan is bred once
         generations = result.history[-1][0]
         assert [kind for kind, _ in log] == ["drawn"] + ["bred", "drawn"] * generations
-        bred = [(log[i][1], log[i + 1][1]) for i in range(1, len(log), 2)]
+        assert len(offspring_of) == generations
+        bred = list(zip(offspring_of, [immigrants for _, immigrants in log[2::2]]))
         scored = set(log[0][1])
         cases = Counter()
         for offspring, immigrants in bred:
@@ -1730,3 +1735,148 @@ class TestBoundedOffspring:
         assert dict(counts) == {"bounded": 3419, "calls": 13, "rows": 499,
                                 "sweeps": 13, "cases": 4970}
         assert result.evaluations == 3384
+
+
+def stream_position(draws):
+    """Where a `Draws` stands: its generator's state, word and kept half."""
+    return draws._bits.state, draws._pos, draws._half
+
+
+def rejecting_draws(space, n, seed):
+    """A maker of fresh `Draws` of `seed` whose first block has one slot
+    set's sample half zeroed, on a bound that rejects zero: breeding a
+    population of `n` from one takes the exact re-walk.  None when no
+    sample draw of the block can reject."""
+    words = np.random.PCG64(seed).random_raw(512).tolist()
+
+    def crafted(words):
+        draws = Draws(seed)
+        draws._block, draws._pos = list(words), 0
+        return draws
+
+    counted = csa._walk(n, clone_counts(n), crafted(words), space, False)
+    for k, records in enumerate(counted.sets):
+        for at, first in zip(records[0::2], records[1::2]):
+            # an empty gene shares its offset with the next gene
+            f = next(f for f in space.flex if f.offset == at % space.width and f.duration)
+            bounds = (sample_bounds(f.duration, k)
+                      + sample_bounds(len(f.window) - f.duration + k, k))
+            for i, bound in enumerate(bounds):
+                if bound & (bound - 1) and first + i < 2 * len(words):
+                    half = first + i
+                    words[half // 2] &= 0xFFFFFFFF00000000 if half % 2 == 0 else 0xFFFFFFFF
+                    return lambda: crafted(words)
+    return None
+
+
+class TestPlanIsIndependentOfTheParents:
+    """A generation's hypermutation plan reads the stream alone: one plan,
+    applied to any ranked population of its size, breeds what
+    `clone_and_hypermutate` breeds of that population from the same
+    stream, which it leaves at the same place."""
+
+    @staticmethod
+    def populations(space, n, seed):
+        """Two different ranked populations of `n`."""
+        return ([space.original_antibody()] + space.random_antibodies(Draws(seed + 100), n - 1),
+                space.random_antibodies(Draws(seed + 200), n))
+
+    def check(self, space, n, seed, fresh, walks):
+        """Breed both populations from one plan drawn from `fresh()`, and
+        each by `clone_and_hypermutate` from a `fresh()` of its own; the
+        walks the plan took."""
+        draws = fresh()
+        walks.clear()
+        plan = csa._draw_plan(n, draws, space)
+        drawn = list(walks)
+        for parents in self.populations(space, n, seed):
+            alone = fresh()
+            assert csa._breed(parents, plan, space) == clone_and_hypermutate(parents, alone, space)
+            assert stream_position(alone) == stream_position(draws)
+        return drawn
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Whether each walk since the last clear drew its sample draws."""
+        walk, exact = csa._walk, []
+
+        def spy(n, counts, draws, space, drawn):
+            exact.append(drawn)
+            return walk(n, counts, draws, space, drawn)
+        monkeypatch.setattr(csa, "_walk", spy)
+        return exact
+
+    @pytest.mark.parametrize("name", ["no_flexible", "fixed_genes", "empty_gene", "grid300"])
+    def test_one_plan_breeds_any_population(self, name, walks):
+        space = SearchSpace(edge_context(name))
+        for seed in range(8):
+            for n in (2, 5, 12):
+                assert self.check(space, n, seed, lambda: Draws(seed), walks) == [False], (
+                    seed, n)
+
+    @pytest.mark.parametrize("name", ["empty_gene", "grid300"])
+    def test_a_plan_of_the_exact_re_walk(self, name, walks):
+        space = SearchSpace(edge_context(name))
+        for seed in range(4):
+            fresh = rejecting_draws(space, 12, seed)
+            assert fresh is not None, seed
+            assert self.check(space, 12, seed, fresh, walks) == [False, True], seed
+
+
+class TestOptimizePenalties:
+    """`optimize_penalties` draws a search once per seed and replays it at
+    every later price: each price's result is `optimize`'s of that price
+    alone, on a context of its own, bit for bit."""
+
+    # on `steep_context` at STALL, the prices stall at these generations
+    PRICES = (0.0, 0.02, 0.05, 0.2, 1.0)
+    STALL = dict(generations=60, stall_generations=6)
+    LENGTHS = {(1, 8): [10, 11, 9, 12, 6], (3, 20): [9, 10, 7, 11, 6]}
+
+    def test_each_price_equals_its_own_run(self):
+        # two seeds and two population sizes swept on one context, and so
+        # one flow cache
+        ctx = steep_context()
+        for (seed, size), lengths in self.LENGTHS.items():
+            config = CsaConfig(population_size=size, rng_seed=seed, **self.STALL)
+            swept = csa.optimize_penalties(ctx, self.PRICES, config)
+            assert list(swept) == list(self.PRICES)
+            alone = {pi: optimize(replace(steep_context(), penalty_price=pi), config)
+                     for pi in self.PRICES}
+            assert {pi: outcome(r) for pi, r in swept.items()} == {
+                pi: outcome(r) for pi, r in alone.items()}
+            # later prices that run past every earlier one, drawing on
+            # where the record ends, and that stall before the first
+            assert [alone[pi].history[-1][0] for pi in self.PRICES] == lengths
+
+    def test_one_price_records_nothing(self, monkeypatch):
+        streams = []
+        run = csa._optimize
+        config = CsaConfig(population_size=8, rng_seed=1, **self.STALL)
+        alone = optimize(steep_context(0.05), config)
+        monkeypatch.setattr(csa, "_optimize", lambda space, config, stream:
+                            streams.append(stream) or run(space, config, stream))
+        swept = csa.optimize_penalties(steep_context(), [0.05], config)
+        assert outcome(swept[0.05]) == outcome(alone)
+        assert len(streams) == 1 and streams[0].kept == []
+
+    def test_the_last_price_records_nothing(self, monkeypatch):
+        # 0.0 runs 10 generations and 0.02 runs 11: the last draws its
+        # eleventh itself and keeps it for no one
+        streams = []
+        run = csa._optimize
+        monkeypatch.setattr(csa, "_optimize", lambda space, config, stream:
+                            streams.append(stream) or run(space, config, stream))
+        config = CsaConfig(population_size=8, rng_seed=1, **self.STALL)
+        swept = csa.optimize_penalties(steep_context(), [0.0, 0.02], config)
+        assert [swept[pi].history[-1][0] for pi in (0.0, 0.02)] == [10, 11]
+        assert streams[0] is streams[1] and len(streams[0].kept) == 10
+
+    @pytest.mark.parametrize("price", [math.nan, math.inf, -0.1], ids=["nan", "inf", "negative"])
+    def test_every_price_is_checked_before_any_search(self, price, monkeypatch):
+        def searched(*args):
+            raise AssertionError("a price was searched")
+
+        monkeypatch.setattr(csa, "SearchSpace", searched)
+        with pytest.raises(ValueError, match="penalty_price must be finite and >= 0"):
+            csa.optimize_penalties(steep_context(), [0.0, price], CsaConfig(**FAST))

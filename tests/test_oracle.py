@@ -235,6 +235,19 @@ class TestSweep:
             assert swept[pi].total_usd == pytest.approx(alone.total_usd, abs=1e-12)
             assert swept[pi].schedule == alone.schedule
 
+    @pytest.mark.parametrize("price", [math.nan, math.inf, -0.1], ids=["nan", "inf", "negative"])
+    def test_every_price_is_checked_before_the_enumeration(self, price, monkeypatch):
+        # a NaN price enumerated every candidate, then raised "no feasible
+        # schedule exists for the instance"
+        def enumerated(*args):
+            raise AssertionError("the candidates were enumerated")
+
+        monkeypatch.setattr(oracle, "_Enumeration", enumerated)
+        inst = SmallInstance(context=ProblemContext(grid=GRID12, appliances=_family_steep(),
+                                                    price=STEEP))
+        with pytest.raises(ValueError, match="penalty_price must be finite and >= 0"):
+            sweep_penalties(inst, [0.0, price])
+
     def test_weighted_shift_non_increasing_in_penalty(self):
         base = ProblemContext(grid=GRID12, appliances=_family_steep(), price=STEEP)
         swept = sweep_penalties(SmallInstance(context=base), PENALTY_GRID)
