@@ -255,7 +255,8 @@ class ProblemContext:
         if self.neighbors is not None:
             p[:, list(feeder.neighbor_buses)] = self.neighbors.as_array()[:, idx].T
         p[:, feeder.smart_home_bus] = gross_kw
-        q = p * math.tan(math.acos(self.power_factor))
+        pf = self.power_factor
+        q = p * (math.sqrt(1.0 - pf * pf) / pf)  # tan(acos(pf)), in IEEE operations
         return p, q, self.pv_array()[idx]
 
     def _check_slot(self, idx: int) -> None:

@@ -31,6 +31,7 @@ __all__ = [
     "schedule_from_on_slots",
     "finite_float",
     "whole_int",
+    "require_finite",
     "parse_appliance_row",
     "read_csv",
     "write_csv",
@@ -48,6 +49,9 @@ class TimeGrid:
     slot_hours: float = 0.5
 
     def __post_init__(self) -> None:
+        if isinstance(self.slot_count, bool) or not isinstance(self.slot_count, (int, np.integer)):
+            raise ValueError(f"slot_count must be a whole int, got {self.slot_count!r}")
+        require_finite(self, "slot_hours")
         if self.slot_count < 1:
             raise ValueError(f"slot_count must be >= 1, got {self.slot_count}")
         if self.slot_count > 0xFFFF:
@@ -293,6 +297,16 @@ def finite_float(value) -> float:
     if isinstance(value, bool) or not math.isfinite(number):
         raise ValueError(f"not a finite number: {value!r}")
     return number
+
+
+def require_finite(obj, *fields: str) -> None:
+    """A ValueError naming the first of `obj`'s `fields` that holds NaN or
+    an infinity, alone or in tuples: a range check lets NaN through."""
+    for field in fields:
+        values = np.asarray(getattr(obj, field), dtype=float)
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise ValueError(f"{field} must be finite, got {bad[0]}")
 
 
 def whole_int(value) -> int:

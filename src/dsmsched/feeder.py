@@ -9,8 +9,8 @@ There is one sweep, `solve_power_flow_batch`, vectorized over load cases,
 and one result type, its `SweepBatch`.  `solve_power_flow` is its one-case
 call, which raises the case's PowerFlowError; nothing in the package calls
 it, and it is kept for the benchmark (`perfbench/run.py`), which wraps it
-by name.  The sweep matches a per-case sweep over Python complex numbers
-bit for bit; that reference lives with the tests (`tests/pf_reference.py`).
+by name.  The sweep uses only +, -, *, / and sqrt, in a fixed order, and
+matches the per-case sweep of `tests/pf_reference.py` bit for bit.
 The canonical feeder and the feeder writer live with the fixture
 generator, `scripts/generate_fixtures.py`.
 """
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import finite_float, whole_int
+from .domain import finite_float, require_finite, whole_int
 from .errors import InputError, PowerFlowError
 
 __all__ = [
@@ -48,6 +48,7 @@ class FeederLine:
     def __post_init__(self) -> None:
         if self.from_bus == self.to_bus:
             raise ValueError(f"line connects bus {self.from_bus} to itself")
+        require_finite(self, "r_pu", "x_pu")
         if self.r_pu < 0 or self.x_pu < 0:
             raise ValueError(f"line {self.from_bus}-{self.to_bus} has negative impedance")
 
@@ -73,6 +74,7 @@ class FeederModel:
     _z: tuple[complex, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        require_finite(self, "base_kva", "base_kv", "slack_voltage_pu")
         if self.base_kva <= 0 or self.base_kv <= 0:
             raise ValueError("base_kva and base_kv must be positive")
         if self.slack_voltage_pu <= 0:
@@ -177,34 +179,11 @@ class SweepBatch:
         return PowerFlowError(text, iterations=iterations, mismatch=mismatch)
 
 
-def _complex_quotient(ar, ai, br, bi):
-    """(ar + i ai) / (br + i bi), elementwise, exactly as CPython divides.
-
-    CPython scales by whichever of br, bi has the larger magnitude (Smith's
-    method) and divides by the scaled denominator; each branch is repeated
-    here operation for operation, so every result equals Python's complex
-    division bit for bit.
-    """
-    ratio = bi / br
-    denom = br + bi * ratio
-    re = (ar + ai * ratio) / denom
-    im = (ai - ar * ratio) / denom
-    by_imag = ~(np.abs(br) >= np.abs(bi))
-    if by_imag.any():
-        ar, ai, br, bi = ar[by_imag], ai[by_imag], br[by_imag], bi[by_imag]
-        ratio = br / bi
-        denom = br * ratio + bi
-        re[by_imag] = (ar * ratio + ai) / denom
-        im[by_imag] = (ai * ratio - ar) / denom
-    return re, im
-
-
-def _branch_currents(s_re, s_im, loaded, v_re, v_im, feeder: FeederModel):
+def _branch_currents(s_re, s_im, loaded, v_re, v_im, sq, feeder: FeederModel):
     """Branch currents (bus x case) of one backward sweep: conj(S / V) at
-    every loaded bus, accumulated from the leaves towards the slack."""
-    q_re, q_im = _complex_quotient(s_re, s_im, v_re, v_im)
-    c_re = np.where(loaded, q_re, 0.0)
-    c_im = np.where(loaded, -q_im, 0.0)
+    every loaded bus, sq = |V|^2, accumulated from the leaves to the slack."""
+    c_re = np.where(loaded, (s_re * v_re + s_im * v_im) / sq, 0.0)
+    c_im = np.where(loaded, (s_re * v_im - s_im * v_re) / sq, 0.0)
     parent = feeder._parent
     for b in feeder._order[:0:-1]:
         c_re[parent[b]] += c_re[b]
@@ -228,11 +207,11 @@ def solve_power_flow_batch(
     voltage collapses below 1e-6 pu or after max_iter sweeps.
 
     The sweep works on float64 real and imaginary arrays: buses are
-    visited one at a time, cases are vectorized.  Every operation repeats
-    what a per-case sweep over Python complex numbers does -- complex
-    division as CPython computes it, |z| as hypot, squares as products --
-    and each case stops at its own iteration, so every case's result is
-    the same, bit for bit, whatever the other cases in the batch.
+    visited one at a time, cases are vectorized.  It uses only +, -, *, /
+    and sqrt, each correctly rounded, in a fixed order: conj(S / V) is
+    conj(S) V / |V|^2, and every magnitude is the sqrt of a sum of
+    squares.  Each case stops at its own iteration, so every case's result
+    is the same, bit for bit, whatever the other cases in the batch.
     """
     p = np.asarray(p_kw, dtype=float)
     cases, count = p.shape
@@ -267,13 +246,14 @@ def solve_power_flow_batch(
     with np.errstate(all="ignore"):
         for it in range(1, max_iter + 1):
             iterations[live] = it
-            # a case fails before dividing by a collapsed voltage; the
-            # lowest such bus is the one reported
-            low = loaded & (np.hypot(v_re, v_im) < 1e-6)
+            # a case fails before dividing by a collapsed voltage, |V| below
+            # 1e-6 pu; the lowest such bus is the one reported
+            sq = v_re * v_re + v_im * v_im
+            low = loaded & (sq < 1e-12)
             collapsed = low.any(axis=0)
             if collapsed.any():
                 collapsed_bus[live[collapsed]] = low[:, collapsed].argmax(axis=0)
-            c_re, c_im = _branch_currents(s_re, s_im, loaded, v_re, v_im, feeder)
+            c_re, c_im = _branch_currents(s_re, s_im, loaded, v_re, v_im, sq, feeder)
             n_re = v_re.copy()
             n_im = v_im.copy()
             n_re[0] = slack
@@ -282,10 +262,10 @@ def solve_power_flow_batch(
                 a = parent[b]
                 n_re[b] = n_re[a] - (z_re[b] * c_re[b] - z_im[b] * c_im[b])
                 n_im[b] = n_im[a] - (z_re[b] * c_im[b] + z_im[b] * c_re[b])
-            step = np.hypot(n_re - v_re, n_im - v_im)
-            # running max over buses that skips NaN steps, as the per-case
-            # reference's `if step > delta` does
-            delta = np.fmax.reduce(step, axis=0, initial=0.0)
+            d_re, d_im = n_re - v_re, n_im - v_im
+            # the largest update over buses, NaN if any is (an overflowed
+            # case never converges); sqrt is monotone, so one per case
+            delta = np.sqrt(np.max(d_re * d_re + d_im * d_im, axis=0))
             last_update[live] = delta
             done = ~collapsed & (delta < tol)
             final_re[:, live[done]] = n_re[:, done]
@@ -304,14 +284,13 @@ def solve_power_flow_batch(
     # one consistent backward pass at the final voltages, for losses and
     # the slack injection; NaN in, NaN out where a case failed
     with np.errstate(all="ignore"):
-        c_re, c_im = _branch_currents(s_all_re, s_all_im, loaded_all, final_re, final_im, feeder)
+        final_sq = final_re * final_re + final_im * final_im
+        c_re, c_im = _branch_currents(s_all_re, s_all_im, loaded_all, final_re, final_im,
+                                      final_sq, feeder)
         loss_re = np.zeros(cases)
         loss_im = np.zeros(cases)
         for b in forward:
-            mag = np.hypot(c_re[b], c_im[b])
-            square = mag * mag
-            # z * square, the zero terms of a complex product dropped: the
-            # impedance is non-negative, so they change no bit
+            square = c_re[b] * c_re[b] + c_im[b] * c_im[b]
             loss_re = loss_re + z_re[b] * square
             loss_im = loss_im + z_im[b] * square
         # slack * conj(I0) as a complex product, slack voltage (slack, 0);
@@ -322,7 +301,7 @@ def solve_power_flow_batch(
     voltages.real = final_re.T
     voltages.imag = final_im.T
     return SweepBatch(
-        voltages=voltages, v_mag=np.hypot(final_re, final_im).T, loss_kw=loss_re * base,
+        voltages=voltages, v_mag=np.sqrt(final_sq).T, loss_kw=loss_re * base,
         loss_kvar=loss_im * base, slack_p_kw=slack_p, slack_q_kvar=slack_q,
         iterations=iterations, failed=failed, collapsed_bus=collapsed_bus,
         last_update=last_update,

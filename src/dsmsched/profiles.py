@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import TimeGrid, finite_float, read_csv
+from .domain import TimeGrid, finite_float, read_csv, require_finite
 from .errors import InputError
 
 __all__ = [
@@ -32,6 +32,7 @@ class PriceSeries:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        require_finite(self, "values")
         if any(v < 0 for v in self.values):
             raise ValueError("tariff values must be non-negative")
 
@@ -47,6 +48,7 @@ class PvSeries:
     capacity_kw: float
 
     def __post_init__(self) -> None:
+        require_finite(self, "capacity_kw", "values")
         if self.capacity_kw <= 0:
             raise ValueError(f"capacity_kw must be positive, got {self.capacity_kw}")
         if any(v < 0 or v > self.capacity_kw + 1e-9 for v in self.values):
@@ -72,6 +74,7 @@ class NeighborLoads:
         lengths = {len(h) for h in self.per_house}
         if len(lengths) != 1:
             raise ValueError(f"houses have differing series lengths {sorted(lengths)}")
+        require_finite(self, "per_house")
         if any(v < 0 for house in self.per_house for v in house):
             raise ValueError("neighbor demand must be non-negative")
 

@@ -3,7 +3,10 @@
 `scalar_sweep` is the per-bus, per-case backward/forward sweep that the
 vectorized `feeder.solve_power_flow_batch` must reproduce bit for bit; it
 returns a `ScalarState`, whose `of` reads one case of a `SweepBatch` as
-the same record.
+the same record.  Both take the same float operations in the same order,
+only +, -, *, / and sqrt: the current conj(S / V) is `_conj_quotient`,
+and every magnitude is the sqrt of a sum of squares, never `abs` of a
+complex (libm's `hypot`) or CPython's complex division.
 `nr_two_bus` and `nr_radial` are Newton-Raphson solves in polar form,
 deliberately a different method from the sweep, so agreement with them is
 meaningful.
@@ -21,6 +24,21 @@ from dsmsched.errors import PowerFlowError
 from dsmsched.feeder import FeederModel, SweepBatch
 
 
+def _square(z: complex) -> float:
+    """|z|^2 as the sweep takes it."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _magnitude(z: complex) -> float:
+    return math.sqrt(_square(z))
+
+
+def _conj_quotient(s: complex, v: complex, sq: float) -> complex:
+    """conj(s / v) as conj(s) v / |v|^2, with `sq` = |v|^2 by `_square`."""
+    return complex((s.real * v.real + s.imag * v.imag) / sq,
+                   (s.real * v.imag - s.imag * v.real) / sq)
+
+
 @dataclass(frozen=True)
 class ScalarState:
     """Converged network state of one case."""
@@ -34,7 +52,7 @@ class ScalarState:
     iterations: int
 
     def voltage_magnitudes(self) -> tuple[float, ...]:
-        return tuple(abs(v) for v in self.voltages)
+        return tuple(_magnitude(v) for v in self.voltages)
 
     @classmethod
     def of(cls, sweep: SweepBatch, case: int, slot: int) -> "ScalarState":
@@ -188,14 +206,14 @@ def scalar_sweep(
         current = [0j] * count
         for b in range(count):
             if s_pu[b] != 0:
-                vb = volt[b]
-                if abs(vb) < 1e-6:
+                sq = _square(volt[b])
+                if sq < 1e-12:  # |V| below 1e-6 pu
                     raise PowerFlowError(
                         f"voltage collapsed at bus {b} in slot {slot}",
                         iterations=iterations,
                         mismatch=float("inf"),
                     )
-                current[b] = (s_pu[b] / vb).conjugate()
+                current[b] = _conj_quotient(s_pu[b], volt[b], sq)
         for b in backward:
             current[parent[b]] += current[b]
         delta = 0.0
@@ -203,8 +221,8 @@ def scalar_sweep(
         new_volt[0] = slack
         for b in forward:
             new_volt[b] = new_volt[parent[b]] - z_in[b] * current[b]
-            step = abs(new_volt[b] - volt[b])
-            if step > delta:
+            step = _magnitude(new_volt[b] - volt[b])
+            if step > delta or math.isnan(step):  # a NaN update sticks
                 delta = step
         volt = new_volt
         if delta < tol:
@@ -223,22 +241,21 @@ def scalar_sweep(
     current = [0j] * count
     for b in range(count):
         if s_pu[b] != 0:
-            current[b] = (s_pu[b] / volt[b]).conjugate()
+            current[b] = _conj_quotient(s_pu[b], volt[b], _square(volt[b]))
     for b in backward:
         current[parent[b]] += current[b]
-    loss = 0j
+    loss_re = loss_im = 0.0
     for b in forward:
-        # a product, not ** 2: libm pow(x, 2) can differ from x * x in the
-        # last bit, and the batched sweep must reproduce this sum exactly
-        mag = abs(current[b])
-        loss += z_in[b] * (mag * mag)
+        square = _square(current[b])
+        loss_re += z_in[b].real * square
+        loss_im += z_in[b].imag * square
     slack_s = slack * current[0].conjugate()
 
     return ScalarState(
         slot=slot,
         voltages=tuple(volt),
-        loss_kw=loss.real * base,
-        loss_kvar=loss.imag * base,
+        loss_kw=loss_re * base,
+        loss_kvar=loss_im * base,
         slack_p_kw=slack_s.real * base,
         slack_q_kvar=slack_s.imag * base,
         iterations=iterations,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -61,6 +63,23 @@ class TestTimeGrid:
     def test_rejects_bad_dimensions(self, kwargs):
         with pytest.raises(ValueError):
             TimeGrid(**kwargs)
+
+    # every comparison with NaN is false, so a range check alone lets NaN
+    # and inf through; a float or bool slot count is not a count
+    @pytest.mark.parametrize("field, value, message", [
+        ("slot_hours", math.nan, "slot_hours must be finite, got nan"),
+        ("slot_hours", math.inf, "slot_hours must be finite, got inf"),
+        ("slot_count", math.nan, "slot_count must be a whole int, got nan"),
+        ("slot_count", 48.0, "slot_count must be a whole int, got 48.0"),
+        ("slot_count", True, "slot_count must be a whole int, got True"),
+    ])
+    def test_rejects_a_non_finite_or_non_whole_field(self, field, value, message):
+        with pytest.raises(ValueError) as exc:
+            TimeGrid(**{field: value})
+        assert str(exc.value) == message
+
+    def test_accepts_a_numpy_integer_count(self):
+        assert TimeGrid(slot_count=np.int64(12)).slot_count == 12
 
 
 def test_appliance_helpers():

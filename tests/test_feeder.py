@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from dsmsched import costing
 from dsmsched.constraints import is_feasible
 from dsmsched.costing import ProblemContext
-from dsmsched.domain import Appliance, ApplianceClass, TimeGrid
+from dsmsched.domain import Appliance, ApplianceClass, TimeGrid, aggregate_power
 from dsmsched.errors import InputError, PowerFlowError
 from dsmsched.feeder import (
     FeederLine,
@@ -23,7 +23,7 @@ from dsmsched.feeder import (
 from dsmsched.profiles import NeighborLoads, PriceSeries, PvSeries
 from generate_fixtures import canonical_feeder as build_canonical_feeder, write_feeder_json
 from eval_reference import bits
-from pf_reference import ScalarState, nr_two_bus, scalar_sweep
+from pf_reference import ScalarState, _conj_quotient, _square, nr_two_bus, scalar_sweep
 from test_cli import _JSON
 from test_csa import weak_feeder_context
 
@@ -84,6 +84,18 @@ class TestTopology:
             FeederLine(from_bus=2, to_bus=2, r_pu=0.01, x_pu=0.01)
         with pytest.raises(ValueError, match="negative"):
             FeederLine(from_bus=0, to_bus=1, r_pu=-0.01, x_pu=0.01)
+
+    @pytest.mark.parametrize("field", ["r_pu", "x_pu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_line_impedance_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            FeederLine(**{"from_bus": 0, "to_bus": 1, "r_pu": 0.01, "x_pu": 0.01, field: value})
+
+    @pytest.mark.parametrize("field", ["base_kva", "base_kv", "slack_voltage_pu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_feeder_bases_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            dataclasses.replace(two_bus(), **{field: value})
 
     def test_bus_ids_must_be_contiguous(self):
         with pytest.raises(ValueError, match="contiguous"):
@@ -258,6 +270,20 @@ class TestBatchSweep:
         assert batch.failed.any() and not batch.failed.all()
         assert np.isnan(batch.loss_kw[batch.failed]).all()
 
+    def test_an_overflowing_case_fails_instead_of_converging(self):
+        # past |V| ~ 1e154 pu, |V|^2 overflows and the update turns NaN: the
+        # case runs out of iterations, as in the reference, and is never
+        # reported converged with NaN voltages
+        feeder = chain(n_lines=2)
+        p = np.array([[0.0, 1e200, 1.0], [0.0, 1.0, 1.0]])
+        batch = solve_power_flow_batch(feeder, p, 0.3 * p, np.zeros(2))
+        assert batch.failed.tolist() == [True, False]
+        with pytest.raises(PowerFlowError) as exc:
+            scalar_sweep(feeder, p[0], 0.3 * p[0], 0.0, slot=1)
+        error = batch.error(0, 1)
+        assert (str(error), bits(error.mismatch)) == (str(exc.value), bits(exc.value.mismatch))
+        assert str(error) == "power flow did not converge in 50 iterations (slot 1, last update nan pu)"
+
     def test_collapsing_case_names_the_bus(self):
         # r * p = 1 pu: the first sweep drives the home bus to exactly 0 pu
         feeder = two_bus(r=0.5, x=0.0)
@@ -384,6 +410,39 @@ class TestOneCaseSweep:
             # equal, and with the same sign of zero
             assert [math.copysign(1.0, getattr(state, f)) for f in fields] == [
                 math.copysign(1.0, getattr(reference, f)) for f in fields]
+
+
+class TestReferenceArithmetic:
+    """The reference sweep takes conj(S / V) and |V| in float +, -, *, /
+    and sqrt, as the batch does.  On the canonical day it stays within a
+    few ulps of Python's complex division and within one ulp of `abs`, so
+    it still solves the power flow that complex arithmetic solves."""
+
+    @pytest.mark.parametrize("with_pv", [False, True], ids=["nopv", "pv"])
+    def test_canonical_day_agrees_with_complex_arithmetic(
+            self, with_pv, grid48, canonical_appliances, canonical_price, canonical_pv,
+            canonical_neighbors, canonical_feeder):
+        ctx = ProblemContext(grid=grid48, appliances=canonical_appliances, price=canonical_price,
+                             pv=canonical_pv if with_pv else None,
+                             neighbors=canonical_neighbors, feeder=canonical_feeder)
+        slots = np.arange(grid48.slot_count)
+        p, q, pv = ctx._injection_arrays(slots, aggregate_power(ctx.original_schedule(),
+                                                                ctx.appliances))
+        base, home = canonical_feeder.base_kva, canonical_feeder.smart_home_bus
+        currents = 0
+        for idx in slots.tolist():
+            state = scalar_sweep(canonical_feeder, p[idx], q[idx], pv[idx])
+            for v, mag in zip(state.voltages, state.voltage_magnitudes()):
+                assert abs(mag - abs(v)) <= math.ulp(abs(v))
+            for b, (p_kw, q_kvar) in enumerate(zip(p[idx].tolist(), q[idx].tolist())):
+                s = complex((p_kw - (pv[idx] if b == home else 0.0)) / base, q_kvar / base)
+                if s:
+                    v = state.voltages[b]
+                    exact = (s / v).conjugate()
+                    assert abs(_conj_quotient(s, v, _square(v)) - exact) <= 1e-15 * abs(exact)
+                    currents += 1
+        # every house draws in every slot
+        assert currents == grid48.slot_count * (canonical_feeder.bus_count - 1)
 
 
 class TestHomeAttribution:

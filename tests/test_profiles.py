@@ -1,9 +1,12 @@
+import dataclasses
 import importlib.util
+import math
 
 import numpy as np
 import pytest
 
 from conftest import FIXTURES
+from dsmsched.cli import load_scenario_config
 from dsmsched.domain import TimeGrid
 from dsmsched.errors import InputError
 from dsmsched.profiles import (
@@ -49,6 +52,43 @@ def test_pv_series_bounds():
         PvSeries(values=(-0.1, 1.0), capacity_kw=2.0)
     with pytest.raises(ValueError):
         PvSeries(values=(0.0,), capacity_kw=0.0)
+
+
+# every comparison with NaN is false, so a range check alone lets NaN and
+# inf through; each constructor names the field that holds one
+@pytest.mark.parametrize("values", [(0.05, math.nan), (math.inf, 0.05), (-math.inf,)],
+                         ids=["nan", "inf", "minus_inf"])
+def test_price_series_rejects_a_non_finite_value(values):
+    with pytest.raises(ValueError, match="^values must be finite"):
+        PriceSeries(values=values)
+
+
+@pytest.mark.parametrize("values, capacity_kw, field", [
+    ((0.0, math.nan), 2.0, "values"),
+    ((0.0, 1.0), math.nan, "capacity_kw"),
+    ((0.0, 1.0), math.inf, "capacity_kw"),
+    ((0.0, math.inf), math.inf, "capacity_kw"),
+], ids=["nan_value", "nan_capacity", "inf_capacity", "inf_both"])
+def test_pv_series_rejects_a_non_finite_field(values, capacity_kw, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        PvSeries(values=values, capacity_kw=capacity_kw)
+
+
+@pytest.mark.parametrize("per_house", [((1.0, math.nan),), ((1.0, 2.0), (math.inf, 0.5))],
+                         ids=["nan", "inf_second_house"])
+def test_neighbor_loads_rejects_a_non_finite_demand(per_house):
+    with pytest.raises(ValueError, match="^per_house must be finite"):
+        NeighborLoads(per_house=per_house)
+
+
+def test_a_nan_tariff_slot_cannot_reach_the_search():
+    # built in code, a NaN tariff slot bypasses the CLI's checks; left in,
+    # it priced every schedule NaN and `optimize` found no feasible one
+    ctx = load_scenario_config(FIXTURES.parent / "configs" / "scenario_b.json").context(0.05)
+    values = list(ctx.price.values)
+    values[30] = math.nan
+    with pytest.raises(ValueError, match="^values must be finite, got nan$"):
+        dataclasses.replace(ctx, price=PriceSeries(values=tuple(values)))
 
 
 class TestNeighborLoads:
