@@ -32,7 +32,6 @@ from .domain import (
     load_appliances_csv,
     load_schedule_csv,
     parse_appliance_row,
-    validate_appliance_set,
     whole_int,
     write_csv,
     write_schedule_csv,
@@ -165,7 +164,8 @@ def _penalty_prices(values: Iterable, per_usd: float, bad: str, empty: str) -> l
     prices = []
     try:
         for value in values:
-            prices.append(finite_float(value) / per_usd)
+            # + 0.0 makes -0.0 the price 0.0, so it labels its files '0'
+            prices.append(finite_float(value) / per_usd + 0.0)
             if prices[-1] < 0:
                 raise ValueError(f"penalty price must be >= 0, got {prices[-1]}")
     except (TypeError, ValueError, OverflowError) as exc:
@@ -175,28 +175,31 @@ def _penalty_prices(values: Iterable, per_usd: float, bad: str, empty: str) -> l
     return prices
 
 
-def _load_appliances(data: dict, base: Path, where: str, grid: TimeGrid) -> tuple[Appliance, ...]:
+def _load_appliances(data: dict, base: Path, where: str) -> tuple[Appliance, ...]:
     if "appliances_csv" in data:
-        appliances = tuple(load_appliances_csv(_path(data, "appliances_csv", base, where)))
-    elif "appliances" in data:
-        rows = []
-        for n, raw in enumerate(_typed(data, "appliances", list, where), start=1):
-            try:
-                rows.append(parse_appliance_row(raw))
-            except ValueError as exc:
-                raise InputError(f"{where}: appliance {n}: {exc}") from None
-        appliances = tuple(rows)
-    else:
+        return tuple(load_appliances_csv(_path(data, "appliances_csv", base, where)))
+    if "appliances" not in data:
         raise InputError(f"{where}: need 'appliances_csv' or inline 'appliances'")
+    rows = []
+    for n, raw in enumerate(_typed(data, "appliances", list, where), start=1):
+        try:
+            rows.append(parse_appliance_row(raw))
+        except ValueError as exc:
+            raise InputError(f"{where}: appliance {n}: {exc}") from None
+    return tuple(rows)
 
-    issues = validate_appliance_set(appliances, grid)
+
+def _check_appliances(problem: ProblemContext, where: str) -> None:
+    """An InputError naming the appliance issues the context accepts but a
+    config may not have, a duration that does not fit its window and a
+    rating of zero or below; else a warning for each widened window."""
+    issues = problem.appliance_issues
     hard = [i for i in issues if i.kind != ISSUE_ORIGINAL_WINDOW]
     if hard:
         lines = "; ".join(f"appliance {i.appliance_id}: {i.message}" for i in hard)
         raise InputError(f"{where}: invalid appliance set: {lines}")
     for i in issues:
         print(f"warning: {i.message}", file=sys.stderr)
-    return appliances
 
 
 def _load_series_field(
@@ -245,7 +248,7 @@ def _parse_config(data, path: Path) -> ScenarioConfig:
         raise InputError(f"{where}: unknown config keys {sorted(unknown)}")
 
     grid = _load_grid(data, where)
-    appliances = _load_appliances(data, base, where, grid)
+    appliances = _load_appliances(data, base, where)
 
     price_values = _load_series_field(data, base, where, grid, "price_csv", "price")
     if price_values is None:
@@ -296,20 +299,24 @@ def _parse_config(data, path: Path) -> ScenarioConfig:
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: bad csa options: {exc}") from None
 
+    label = _typed(data, "label", str, where, path.stem)
+    # checks the appliances, the cap, the band, the power factor, the houses
+    problem = ProblemContext(
+        grid=grid,
+        appliances=appliances,
+        price=price,
+        pv=pv,
+        neighbors=neighbors,
+        feeder=feeder,
+        md_kw=_number(_require(data, "md_kw", where), "md_kw", where),
+        voltage_min=voltage_min,
+        voltage_max=voltage_max,
+        power_factor=power_factor,
+    )
+    _check_appliances(problem, where)
     return ScenarioConfig(
-        label=_typed(data, "label", str, where, path.stem),
-        problem=ProblemContext(  # checks the cap, the band, the power factor, the houses
-            grid=grid,
-            appliances=appliances,
-            price=price,
-            pv=pv,
-            neighbors=neighbors,
-            feeder=feeder,
-            md_kw=_number(_require(data, "md_kw", where), "md_kw", where),
-            voltage_min=voltage_min,
-            voltage_max=voltage_max,
-            power_factor=power_factor,
-        ),
+        label=label,
+        problem=problem,
         penalties_usd_per_kwh=penalties,
         out_dir=_path(data, "out_dir", base, where, "out"),
         csa=csa,

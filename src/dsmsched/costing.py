@@ -36,6 +36,7 @@ from .domain import (
     Appliance,
     Schedule,
     TimeGrid,
+    ValidationIssue,
     aggregate_power,
     validate_appliance_set,
 )
@@ -160,10 +161,12 @@ class ProblemContext:
     Every house on the feeder, the smart home included, draws reactive power
     at `power_factor`; sweeps run at `solve_power_flow_batch`'s own
     tolerance and iteration limit.  The appliances pass
-    `domain.validate_appliance_set`, the check the CLI makes of a config,
-    but for the issues in `_ACCEPTED_ISSUES`: so ids are distinct, and every
-    original plan is strictly ascending, on the grid, as long as the
-    duration, and contiguous where the search keeps a run whole.
+    `domain.validate_appliance_set` but for the issues in
+    `_ACCEPTED_ISSUES`: so ids are distinct, and every original plan is
+    strictly ascending, on the grid, as long as the duration, and
+    contiguous where the search keeps a run whole.  The issues it accepts
+    are kept in `appliance_issues`, which the CLI checks by its own,
+    stricter rule.
     """
 
     grid: TimeGrid
@@ -182,14 +185,17 @@ class ProblemContext:
     _cache: _FlowCache = field(
         default_factory=_FlowCache, init=False, repr=False, compare=False
     )
+    # not an argument: set by the one appliance check; `with_penalty` shares it
+    appliance_issues: tuple[ValidationIssue, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.appliances:
             raise ValueError("context needs at least one appliance")
-        hard = [i for i in validate_appliance_set(self.appliances, self.grid)
-                if i.kind not in _ACCEPTED_ISSUES]
+        issues = tuple(validate_appliance_set(self.appliances, self.grid))
+        hard = [i for i in issues if i.kind not in _ACCEPTED_ISSUES]
         if hard:
             raise ValueError("; ".join(f"appliance {i.appliance_id}: {i.message}" for i in hard))
+        object.__setattr__(self, "appliance_issues", issues)
         if len(self.price.values) != self.grid.slot_count:
             raise ValueError("price series length does not match grid")
         # `assess` keys a slot's load as rint(kW * 1000) * slots + slot in int64

@@ -60,8 +60,8 @@ with a fixed number of numpy calls per generation; `clone_and_hypermutate`
 is the two in one call.  A plan, like a generation's immigrants, reads the
 seed, the population size and the gene layout alone, never a parent, a
 price or a score: so `optimize_penalties` draws a search once per seed,
-at its first penalty price, and each later price replays what it drew
-(`_Stream`).  Each flexible appliance is one
+at its first penalty price, and each later price reads what it drew
+through its own `tee` of `_draws`.  Each flexible appliance is one
 `Flexible` record, built once per `SearchSpace`: its rating, duration and
 original plan, a run's start range or a slot set's window, its count of
 legal genes, where its slots sit in the row, and the bound and rejection
@@ -74,8 +74,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, compress, repeat
-from typing import Iterable, NamedTuple, Sequence
+from itertools import accumulate, chain, combinations, compress, repeat, tee
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -1025,58 +1025,42 @@ def optimize_penalties(context: ProblemContext, penalties: Iterable[float],
     context, which share its flow cache: the search's counterpart of
     `oracle.sweep_penalties`.  Every price is checked before any search.
 
-    The prices run one after another from one stream (`_Stream`).  What a
-    search draws, its first population, and per generation its
-    hypermutation plan and immigrants, reads the seed, the population size
-    and the gene layout alone, never the price or a score: the first price
-    draws it, and each later price replays it, drawing on from where it
-    ends when it runs longer.  So each result is the one `optimize` gives
-    its price alone, bit for bit.
+    The prices run one after another, each reading its own `tee` of one
+    `_draws`; a lone price reads the generator itself.  What a search
+    draws reads the seed, the population size and the gene layout alone,
+    never the price or a score: the first price draws it, and each later
+    price reads what is drawn and draws on when it runs longer.  So each
+    result is the one `optimize` gives its price alone, bit for bit.  A
+    price's reader is dropped when it finishes, so `tee` frees what every
+    price still to run has read.
     """
     contexts = {pi: context.with_penalty(pi) for pi in penalties}
     results: dict[float, OptimResult] = {}
-    stream: _Stream | None = None
-    for i, (pi, twin) in enumerate(contexts.items()):
+    readers: list[Iterator] = []
+    for pi, twin in contexts.items():
         space = SearchSpace(twin)
-        if stream is None:
-            stream = _Stream(config, space)
-        # keep what is drawn only while a later price will replay it
-        stream.recording = i < len(contexts) - 1
-        results[pi] = _optimize(space, config, stream)
+        if not results:
+            stream = _draws(config, space)
+            readers = [stream] if len(contexts) == 1 else list(tee(stream, len(contexts)))
+        results[pi] = _optimize(space, config, readers.pop(0))
     return results
 
 
-class _Stream:
-    """A search's draws, shared by the penalty prices of one seed: the
-    first population's random antibodies, then per generation its
-    hypermutation plan and its immigrants, drawn right after it.
-
-    While `recording`, each generation drawn is kept for a later price to
-    replay; a price that runs past the kept ones draws on from `draws`,
-    which stands where the last one drawn left it.
-    """
-
-    def __init__(self, config: CsaConfig, space: SearchSpace):
-        self.draws = Draws(config.rng_seed)
-        self.size = config.population_size
-        self.replace_count = int(round(REPLACEMENT_FRACTION * self.size))
-        self.first = space.random_antibodies(self.draws, self.size - 1)
-        self.kept: list[tuple[_Plan, list[Antibody]]] = []
-        self.recording = False
-
-    def generation(self, generation: int, space: SearchSpace) -> tuple[_Plan, list[Antibody]]:
-        """Generation `generation`'s (from 1) plan and immigrants."""
-        if generation <= len(self.kept):
-            return self.kept[generation - 1]
-        drawn = (_draw_plan(self.size, self.draws, space),
-                 space.random_antibodies(self.draws, self.replace_count))
-        if self.recording:
-            self.kept.append(drawn)
-        return drawn
+def _draws(config: CsaConfig, space: SearchSpace) -> Iterator:
+    """A search's draws in stream order: the first population's random
+    antibodies, then per generation its hypermutation plan and the
+    immigrants drawn right after it, `(plan, immigrants)`.  They read the
+    space's gene layout alone, so every `with_penalty` twin draws the same."""
+    n = config.population_size
+    draws = Draws(config.rng_seed)
+    yield space.random_antibodies(draws, n - 1)
+    replace_count = int(round(REPLACEMENT_FRACTION * n))
+    for _ in range(config.generations):
+        yield _draw_plan(n, draws, space), space.random_antibodies(draws, replace_count)
 
 
-def _optimize(space: SearchSpace, config: CsaConfig, stream: _Stream) -> OptimResult:
-    """`optimize` of the space's context, drawing from `stream`."""
+def _optimize(space: SearchSpace, config: CsaConfig, stream: Iterator) -> OptimResult:
+    """`optimize` of the space's context, reading `_draws` from `stream`."""
     context = space.context
     original = space.original_antibody()
 
@@ -1089,7 +1073,7 @@ def _optimize(space: SearchSpace, config: CsaConfig, stream: _Stream) -> OptimRe
     bounding = context.feeder is not None
 
     n = config.population_size
-    population = [original] + stream.first
+    population = [original] + next(stream)
 
     best_key = _NO_INCUMBENT  # (total, shift_slots, genotype), feasible only
     top: float | None = None  # best score ever, feasible or not
@@ -1157,7 +1141,6 @@ def _optimize(space: SearchSpace, config: CsaConfig, stream: _Stream) -> OptimRe
     scan(population)
     record(0)
 
-    replace_count = stream.replace_count
     for generation in range(1, config.generations + 1):
         # the last generation's immigrants have joined the population
         waiting = 0
@@ -1165,7 +1148,7 @@ def _optimize(space: SearchSpace, config: CsaConfig, stream: _Stream) -> OptimRe
         # selection and the scan draw nothing, so the immigrants drawn
         # right after the plan are those drawn after selection, as CLONALG
         # orders it
-        plan, immigrants = stream.generation(generation, space)
+        plan, immigrants = next(stream)
         offspring = _breed(population, plan, space)
 
         # the distinct offspring without a score, each to its row in `batch`,
@@ -1218,7 +1201,7 @@ def _optimize(space: SearchSpace, config: CsaConfig, stream: _Stream) -> OptimRe
             pool.sort(key=rank_key)
             population, _ = select(pool)
         improved = scan(pool)
-        population[n - replace_count:] = immigrants
+        population[n - len(immigrants):] = immigrants
         record(generation)
         stall = 0 if improved else stall + 1
         if stall >= config.stall_generations:

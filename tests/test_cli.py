@@ -14,7 +14,8 @@ from dsmsched.cli import (
     main,
     run_scenario,
 )
-from dsmsched.domain import TimeGrid, load_schedule_csv
+from dsmsched import cli, costing
+from dsmsched.domain import TimeGrid, load_schedule_csv, validate_appliance_set
 from dsmsched.errors import InputError
 from dsmsched.oracle import SmallInstance, sweep_penalties
 from generate_fixtures import write_feeder_json, write_neighbor_loads
@@ -144,6 +145,31 @@ class TestLoadScenarioConfig:
         path = write_config(tmp_path, appliances=apps)
         rc = main(["run", "--config", str(path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("change, message", [
+        ({"rated_kw": 0}, "rated_kw must be positive, got 0.0"),
+        ({"window_start": 11, "window_end": 11}, "duration 2 does not fit window 11..11"),
+    ], ids=["rating", "duration"])
+    def test_issue_a_context_accepts_is_an_input_error(self, tmp_path, capsys, change, message):
+        apps = [INLINE_APPLIANCES[0], INLINE_APPLIANCES[1], dict(INLINE_APPLIANCES[2], **change)]
+        path = write_config(tmp_path, appliances=apps)
+        rc = main(["run", "--config", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid appliance set: appliance 3: {message}\n")
+
+    def test_appliance_set_is_checked_once(self, tmp_path, monkeypatch):
+        checks = []
+
+        def check(*args):
+            checks.append(args)
+            return validate_appliance_set(*args)
+
+        for module in (cli, costing):
+            monkeypatch.setattr(module, "validate_appliance_set", check, raising=False)
+        config = load_scenario_config(write_config(tmp_path))
+        assert len(checks) == 1
+        assert config.context(0.05).appliance_issues is config.problem.appliance_issues
 
     def test_pv_enabled_needs_a_series(self, tmp_path):
         path = write_config(tmp_path, pv_enabled=True)
@@ -297,16 +323,27 @@ class TestRunCommand:
         assert "report.json" in err
         assert not (tmp_path / "out" / "schedule_0.csv").exists()  # found before optimizing
 
-    @pytest.mark.parametrize("prices, argv", [
-        ([0.05, 0.0500000001], []), ([0.0], ["--penalty-cents", "5,5"]),
-    ], ids=["config", "penalty_cents"])
+    @pytest.mark.parametrize("prices, argv, label", [
+        ([0.05, 0.0500000001], [], "5"), ([0.0], ["--penalty-cents", "5,5"], "5"),
+        ([0.0], ["--penalty-cents", "0,-0"], "0"),
+    ], ids=["config", "penalty_cents", "negative_zero"])
     def test_penalty_prices_sharing_a_file_label_are_an_input_error(self, tmp_path, capsys,
-                                                                     prices, argv):
+                                                                     prices, argv, label):
         path = write_config(tmp_path, penalty_prices_usd_per_kwh=prices)
         rc = main(["run", "--config", str(path), *argv])
         assert rc == 2
-        assert "share the output label '5'" in capsys.readouterr().err
+        assert f"share the output label '{label}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("prices, argv", [([-0.0], []), ([0.05], ["--penalty-cents=-0"])],
+                             ids=["config", "penalty_cents"])
+    def test_negative_zero_price_is_price_zero(self, tmp_path, prices, argv):
+        path = write_config(tmp_path, penalty_prices_usd_per_kwh=prices)
+        assert main(["run", "--config", str(path), *argv]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").glob("schedule_*.csv")) == [
+            "schedule_0.csv"]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [row["penalty_cents_per_kwh"] for row in report["runs"]] == [0.0]
 
     def test_infeasible_run_exits_nonzero(self, tmp_path, capsys):
         path = write_config(tmp_path, md_kw=0.3, penalty_prices_usd_per_kwh=[0.0])

@@ -1849,28 +1849,31 @@ class TestOptimizePenalties:
             # where the record ends, and that stall before the first
             assert [alone[pi].history[-1][0] for pi in self.PRICES] == lengths
 
-    def test_one_price_records_nothing(self, monkeypatch):
-        streams = []
-        run = csa._optimize
+    @pytest.mark.parametrize("order", [1, -1], ids=["given", "reversed"])
+    def test_a_sweep_draws_each_generation_once(self, order, monkeypatch):
+        # given, 0.02 and 0.2 run past 0.0's 10 generations; reversed, every
+        # later price runs past 1.0's 6: the longest, 0.2, runs 12
+        calls = Counter()
+        draw_plan, draw_batch = csa._draw_plan, csa.SearchSpace.random_antibodies
+        monkeypatch.setattr(csa, "_draw_plan", lambda *args: calls.update(["plan"])
+                            or draw_plan(*args))
+        monkeypatch.setattr(csa.SearchSpace, "random_antibodies", lambda space, *args:
+                            calls.update(["batch"]) or draw_batch(space, *args))
+        config = CsaConfig(population_size=8, rng_seed=1, **self.STALL)
+        swept = csa.optimize_penalties(steep_context(), self.PRICES[::order], config)
+        longest = max(r.history[-1][0] for r in swept.values())
+        assert longest == 12
+        assert calls == {"plan": longest, "batch": longest + 1}
+
+    def test_one_price_reads_the_generator_itself(self, monkeypatch):
+        def teed(*args):
+            raise AssertionError("a lone price read a tee")
+
         config = CsaConfig(population_size=8, rng_seed=1, **self.STALL)
         alone = optimize(steep_context(0.05), config)
-        monkeypatch.setattr(csa, "_optimize", lambda space, config, stream:
-                            streams.append(stream) or run(space, config, stream))
+        monkeypatch.setattr(csa, "tee", teed)
         swept = csa.optimize_penalties(steep_context(), [0.05], config)
         assert outcome(swept[0.05]) == outcome(alone)
-        assert len(streams) == 1 and streams[0].kept == []
-
-    def test_the_last_price_records_nothing(self, monkeypatch):
-        # 0.0 runs 10 generations and 0.02 runs 11: the last draws its
-        # eleventh itself and keeps it for no one
-        streams = []
-        run = csa._optimize
-        monkeypatch.setattr(csa, "_optimize", lambda space, config, stream:
-                            streams.append(stream) or run(space, config, stream))
-        config = CsaConfig(population_size=8, rng_seed=1, **self.STALL)
-        swept = csa.optimize_penalties(steep_context(), [0.0, 0.02], config)
-        assert [swept[pi].history[-1][0] for pi in (0.0, 0.02)] == [10, 11]
-        assert streams[0] is streams[1] and len(streams[0].kept) == 10
 
     @pytest.mark.parametrize("price", [math.nan, math.inf, -0.1], ids=["nan", "inf", "negative"])
     def test_every_price_is_checked_before_any_search(self, price, monkeypatch):
